@@ -5,173 +5,59 @@ Two-step procedure: (1) a latent class model fitted jointly across the
 target and source studies yields per-subject subpopulation membership
 probabilities; (2) membership-weighted, l1-penalized GLM estimation pools
 all studies and then corrects the pooled coefficients on the target study
-alone.  Baselines, a synthetic-scenario generator, an evaluation harness
-and a CLI round out the package.
+alone.  The comparator methods are presets of the same pipeline; a
+synthetic-scenario generator, an evaluation harness and a CLI round out the
+package.
+
+The names below are the documented entry points; everything else is
+importable from its submodule.
 """
 
-from .core import (
-    EPS_CLIP,
-    ETA_CLAMP,
-    CoefficientMatrix,
-    GlmFamily,
-    MembershipMatrix,
-    Study,
-    StudyCollection,
-    clip_rows,
-    glm_density,
-    load_collection,
-    log_sum_exp_rows,
-    neg_log_lik_glm,
-    read_study_csv,
-    sorted_row_sums,
-    write_manifest,
-    write_study_csv,
-)
-from .glm import (
-    LassoSolution,
-    SolverError,
-    WeightedGlmProblem,
-    kkt_residual,
-    objective_value,
-    soft_threshold,
-    solve_weighted_lasso_glm,
-)
-from .lca import (
-    LcaFitConfig,
-    LcaModel,
-    fit_lca,
-    initial_memberships,
-    lca_bic,
-    lca_class_density,
-    lca_log_lik,
-    load_lca_model,
-    membership_for_pattern,
-    save_lca_model,
-    select_classes_bic,
-)
+from .core import GlmFamily, Study, StudyCollection, load_collection
+from .lca import LcaFitConfig, LcaModel, fit_lca, select_classes_bic
 from .transfer import (
     TransferConfig,
     TransferFit,
-    auto_tune_lambda,
-    bias_correct,
-    e_step_weights,
     fit_targeted_psm,
-    joint_estimate,
-    lambda_scale,
     load_transfer_fit,
-    penalized_mixture_objective,
     predict_risk,
     save_transfer_fit,
 )
-from .baselines import (
-    FittedMethod,
-    MethodId,
-    fit_lca_glm,
-    fit_method,
-    fit_naive_lasso,
-    fit_trans_glm,
-)
+from .baselines import FittedMethod, MethodId, fit_method
 from .simulate import (
     ScenarioConfig,
     generate_scenario,
     generate_target_test,
-    load_truth,
-    make_coefficients,
-    preset_mixing,
-    preset_prevalences,
     scenario_preset,
-    target_coefficients,
     write_dataset,
 )
-from .evaluate import (
-    ExperimentReport,
-    ReportRow,
-    SummaryRow,
-    UndefinedMetricError,
-    align_classes,
-    auc,
-    coef_mse,
-    read_report_rows,
-    run_experiment,
-    run_replicate,
-    write_report_rows,
-)
+from .evaluate import run_experiment
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EPS_CLIP",
-    "ETA_CLAMP",
-    "CoefficientMatrix",
-    "ExperimentReport",
     "FittedMethod",
     "GlmFamily",
-    "LassoSolution",
     "LcaFitConfig",
     "LcaModel",
-    "MembershipMatrix",
     "MethodId",
-    "ReportRow",
     "ScenarioConfig",
-    "SolverError",
     "Study",
     "StudyCollection",
-    "SummaryRow",
     "TransferConfig",
     "TransferFit",
-    "UndefinedMetricError",
-    "WeightedGlmProblem",
-    "align_classes",
-    "auc",
-    "auto_tune_lambda",
-    "bias_correct",
-    "clip_rows",
-    "coef_mse",
-    "e_step_weights",
     "fit_lca",
-    "fit_lca_glm",
     "fit_method",
-    "fit_naive_lasso",
     "fit_targeted_psm",
-    "fit_trans_glm",
     "generate_scenario",
     "generate_target_test",
-    "glm_density",
-    "initial_memberships",
-    "joint_estimate",
-    "kkt_residual",
-    "lambda_scale",
-    "lca_bic",
-    "lca_class_density",
-    "lca_log_lik",
     "load_collection",
-    "load_lca_model",
     "load_transfer_fit",
-    "load_truth",
-    "log_sum_exp_rows",
-    "make_coefficients",
-    "membership_for_pattern",
-    "neg_log_lik_glm",
-    "objective_value",
-    "penalized_mixture_objective",
     "predict_risk",
-    "preset_mixing",
-    "preset_prevalences",
-    "read_report_rows",
-    "read_study_csv",
     "run_experiment",
-    "run_replicate",
-    "save_lca_model",
     "save_transfer_fit",
     "scenario_preset",
     "select_classes_bic",
-    "soft_threshold",
-    "solve_weighted_lasso_glm",
-    "sorted_row_sums",
-    "target_coefficients",
     "write_dataset",
-    "write_manifest",
-    "write_report_rows",
-    "write_study_csv",
     "__version__",
 ]

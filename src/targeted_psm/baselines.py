@@ -1,18 +1,19 @@
-"""Comparator methods.
+"""Comparator methods, each a preset of the one two-step pipeline.
 
-naive_lasso      lasso GLM on the target study alone; ignores the structure
-                 variables and any latent-class structure entirely
-lca_glm          latent classes learned from the target study only, then the
-                 class-specific mixture lasso on the target; no pooling and
-                 no correction stage
-trans_glm        single-population transfer: pooled lasso over all studies
-                 followed by a target-only lasso correction, i.e. the
-                 two-step pipeline with one class.  (A deliberate
-                 simplification: every source is pooled, with no data-driven
-                 selection of which sources to trust.)
 targeted_psm     the full two-step procedure
-targeted_psm_1   its one-pass variant: both EM loops run exactly once, so
-                 the initial memberships are never refined
+targeted_psm_1   max_em_iter=1: both EM loops run exactly once, so the
+                 initial memberships are never refined
+trans_glm        n_classes=1: single-population transfer, a pooled lasso
+                 over all studies followed by a target-only lasso
+                 correction.  (A deliberate simplification: every source is
+                 pooled, with no data-driven selection of which sources to
+                 trust.)
+lca_glm          the target study alone with lambda_bias=inf: latent
+                 classes learned from the target only, then the
+                 class-specific mixture lasso; no pooling and no correction
+naive_lasso      the pooling stage alone on the target study with one class
+                 and unit memberships: a plain lasso GLM that ignores the
+                 structure variables
 """
 
 from __future__ import annotations
@@ -22,19 +23,12 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    CoefficientMatrix,
-    GlmFamily,
-    MembershipMatrix,
-    Study,
-    StudyCollection,
-)
-from .glm import WeightedGlmProblem, solve_weighted_lasso_glm
+from .core import CoefficientMatrix, GlmFamily, MembershipMatrix, StudyCollection
 from .lca import LcaFitConfig, LcaModel
 from .transfer import (
     TransferConfig,
     TransferFit,
-    auto_tune_lambda,
+    _pooling_stage,
     fit_targeted_psm,
     predict_risk,
 )
@@ -53,81 +47,6 @@ class MethodId(str, Enum):
 MIXTURE_METHODS = frozenset(
     {MethodId.TARGETED_PSM, MethodId.TARGETED_PSM_1, MethodId.LCA_GLM}
 )
-
-
-def fit_naive_lasso(
-    target: Study,
-    family: GlmFamily,
-    config: TransferConfig = None,
-) -> CoefficientMatrix:
-    """Single-column lasso GLM on the target study (structure variables and
-    source studies ignored); penalty tuned by CV when lambda_pool='auto'."""
-    config = config or TransferConfig()
-    family.validate_outcomes(target.outcomes)
-    data = StudyCollection(target=target)
-    if isinstance(config.lambda_pool, str):
-        ones = MembershipMatrix(probs=(np.ones((target.n, 1)),), stage="initial_v")
-        lam = float(
-            auto_tune_lambda(
-                data, ones, family, "pool",
-                grid=config.cv_grid, cv_folds=config.cv_folds, seed=config.seed,
-                fit_intercept=config.fit_intercept,
-            )[0]
-        )
-    else:
-        lam = float(np.atleast_1d(np.asarray(config.lambda_pool, dtype=float))[0])
-    n, p = target.predictors.shape
-    if config.fit_intercept:
-        design = np.column_stack([np.ones(n), target.predictors])
-        mask = np.concatenate([[False], np.ones(p, dtype=bool)])
-    else:
-        design, mask = target.predictors, np.ones(p, dtype=bool)
-    sol = solve_weighted_lasso_glm(
-        WeightedGlmProblem(
-            family=family, X=design, y=target.outcomes,
-            weights=np.ones(n), lam=lam, penalize_mask=mask,
-        )
-    )
-    if config.fit_intercept:
-        return CoefficientMatrix(
-            values=sol.beta[1:][:, None], intercept=sol.beta[:1], role="target_B0"
-        )
-    return CoefficientMatrix(values=sol.beta[:, None], role="target_B0")
-
-
-def fit_lca_glm(
-    target: Study,
-    n_classes: int,
-    config: TransferConfig = None,
-    family: GlmFamily = None,
-    lca_model: LcaModel = None,
-    lca_config: LcaFitConfig = None,
-) -> TransferFit:
-    """Target-only mixture lasso: latent classes from the target study alone,
-    then the class-specific EM fit restricted to the target.  No pooling
-    information and no correction stage (delta stays identically zero)."""
-    config = config or TransferConfig()
-    family = family or GlmFamily.logistic()
-    data = StudyCollection(target=target)
-    cfg = replace(config, lambda_bias=np.inf)
-    return fit_targeted_psm(
-        data, n_classes, cfg, family, lca_model=lca_model, lca_config=lca_config
-    )
-
-
-def fit_trans_glm(
-    data: StudyCollection,
-    config: TransferConfig = None,
-    family: GlmFamily = None,
-) -> TransferFit:
-    """Single-population transfer fit: the two-step pipeline with one latent
-    class (all memberships 1), sharing every line of solver code with the
-    full procedure."""
-    config = config or TransferConfig()
-    family = family or GlmFamily.logistic()
-    if data.K < 1:
-        raise ValueError("trans_glm needs at least one source study")
-    return fit_targeted_psm(data, 1, config, family)
 
 
 # ---------------------------------------------------------------------------
@@ -161,24 +80,32 @@ def fit_method(
     lca_model: LcaModel = None,
     lca_config: LcaFitConfig = None,
 ) -> FittedMethod:
-    """Fit one method on a study collection."""
+    """Fit one method on a study collection.
+
+    Every method is a preset of the two-step pipeline (see the module
+    docstring): naive_lasso runs its pooling stage alone, the others run
+    `fit_targeted_psm` on changed inputs.  `lca_model` is used by the
+    targeted_psm variants only.
+    """
     method = MethodId(method)
     config = config or TransferConfig()
     family = family or GlmFamily.logistic()
     if method is MethodId.NAIVE_LASSO:
-        coef = fit_naive_lasso(data.target, family, config)
+        target = data.target
+        family.validate_outcomes(target.outcomes)
+        ones = MembershipMatrix(probs=(np.ones((target.n, 1)),), stage="initial_v")
+        pooled = _pooling_stage(StudyCollection(target=target), ones, config, family)[0]
+        coef = replace(pooled, role="target_B0")
         return FittedMethod(method=method, coef=coef, family=family)
     if method is MethodId.TRANS_GLM:
-        fit = fit_trans_glm(data, config, family)
-        return FittedMethod(method=method, coef=fit.b_target, family=family, fit=fit)
-    if method is MethodId.LCA_GLM:
-        fit = fit_lca_glm(
-            data.target, n_classes, config, family,
-            lca_model=None, lca_config=lca_config,
-        )
-        return FittedMethod(method=method, coef=fit.b_target, family=family, fit=fit)
-    if method is MethodId.TARGETED_PSM_1:
-        config = replace(config, one_step=True)
+        if data.K < 1:
+            raise ValueError("trans_glm needs at least one source study")
+        n_classes, lca_model = 1, None
+    elif method is MethodId.LCA_GLM:
+        data, lca_model = StudyCollection(target=data.target), None
+        config = replace(config, lambda_bias=np.inf)
+    elif method is MethodId.TARGETED_PSM_1:
+        config = replace(config, max_em_iter=1)
     fit = fit_targeted_psm(
         data, n_classes, config, family, lca_model=lca_model, lca_config=lca_config
     )

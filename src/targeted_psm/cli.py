@@ -314,12 +314,9 @@ def _cmd_predict(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
+    scenarios = experiment_scenarios(config, seed=None)  # also checks the block
     block = config.get("experiment", {})
-    _check_keys(
-        block, {"replicates", "test_n", "scenarios", "max_failure_rate"}, "experiment"
-    )
     seed = args.seed if args.seed is not None else 0
-    scenarios = experiment_scenarios(config, seed=None)
     methods = methods_from_config(config)
     replicates = args.replicates or int(block.get("replicates", 20))
     test_n = int(block.get("test_n", 500))
@@ -422,10 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_help, out_required_note=""):
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", help=out_help + out_required_note)
-        p.add_argument("--seed", type=int, help="override the config seed")
+    def add_common(p, out_help=None, config=True):
+        """-v everywhere; --config/--seed and --out only where they are read."""
+        if config:
+            p.add_argument("--config", help="JSON configuration file")
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if out_help is not None:
+            p.add_argument("--out", help=out_help)
         p.add_argument(
             "-v", "--verbose", action="store_true", help="more progress output"
         )
@@ -439,13 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit the two-step procedure on a dataset")
-    add_common(p, "path for the saved fit JSON", " (optional)")
+    add_common(p, "path for the saved fit JSON (optional)")
     p.add_argument("--data", required=True, help="dataset directory (with manifest.json)")
     p.add_argument("--classes", type=int, help="number of latent classes")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="score new subjects with a saved fit")
-    add_common(p, "CSV path for scores (default: print to stdout)", "")
+    add_common(p, "CSV path for scores (default: print to stdout)", config=False)
     p.add_argument("--fit", required=True, help="saved fit JSON")
     p.add_argument(
         "--input", required=True,
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("lca-select", help="BIC table over class counts")
-    add_common(p, "unused for this command", "")
+    add_common(p)
     p.add_argument("--data", required=True, help="dataset directory (with manifest.json)")
     p.add_argument(
         "--classes", type=int, nargs="+", required=True,

@@ -133,15 +133,6 @@ def neg_log_lik_glm(family: GlmFamily, y, eta):
     return -np.asarray(y, dtype=float) * eta + family.log_partition(eta)
 
 
-def glm_density(family: GlmFamily, y, eta):
-    """Outcome density f(y | eta), exact for logistic, up to exp(c(y, phi))
-    for gaussian (sufficient for membership ratios)."""
-    eta = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(eta)):
-        raise ValueError("linear predictor must be finite")
-    return np.exp(family.log_density(y, eta))
-
-
 # ---------------------------------------------------------------------------
 # Row-stochastic helpers
 # ---------------------------------------------------------------------------

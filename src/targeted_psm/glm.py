@@ -30,14 +30,6 @@ DEFAULT_MAX_SWEEPS = 1000
 DEFAULT_MAX_IRLS = 100
 
 
-def soft_threshold(a, t):
-    """Soft-thresholding: sign(a) * max(|a| - t, 0); t must be >= 0."""
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("threshold must be nonnegative")
-    a = np.asarray(a, dtype=float)
-    return np.sign(a) * np.maximum(np.abs(a) - t, 0.0)
-
-
 @dataclass(frozen=True)
 class WeightedGlmProblem:
     """One weighted lasso-GLM problem instance.

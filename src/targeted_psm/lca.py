@@ -103,17 +103,6 @@ class LcaModel:
         return self.mixing.shape[0]
 
 
-def lca_class_density(pi_c: np.ndarray, z: np.ndarray) -> float:
-    """Density of one binary pattern z under one class's prevalence row."""
-    pi_c = np.asarray(pi_c, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if np.any(pi_c <= 0.0) or np.any(pi_c >= 1.0):
-        raise ValueError("class prevalences must lie strictly inside (0, 1)")
-    if not np.all(np.isin(z, (0.0, 1.0))):
-        raise ValueError("z must be binary")
-    return float(np.exp(np.sum(z * np.log(pi_c) + (1.0 - z) * np.log1p(-pi_c))))
-
-
 def _log_density_matrix(prevalences: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """(n, C) log densities of each row of Z under each class."""
     log_pi = np.log(prevalences)        # (C, q)

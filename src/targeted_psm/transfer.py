@@ -71,9 +71,8 @@ class TransferConfig:
                                 the marginal scale (loss / row count)
     tau                         relative-change stopping threshold for both
                                 EM loops
-    max_em_iter                 iteration cap M for both loops
-    one_step                    run each loop exactly once with the initial
-                                memberships (equivalent to max_em_iter=1)
+    max_em_iter                 iteration cap M for both loops; 1 gives the
+                                one-pass variant (memberships never refined)
     cv_folds                    folds for "auto" tuning (>= 2)
     cv_grid                     multipliers c for the candidate penalties
                                 c * sqrt(log p / n_eff)
@@ -86,7 +85,6 @@ class TransferConfig:
     lambda_bias: object = "auto"
     tau: float = DEFAULT_TAU
     max_em_iter: int = DEFAULT_MAX_EM_ITER
-    one_step: bool = False
     cv_folds: int = DEFAULT_CV_FOLDS
     cv_grid: tuple = DEFAULT_CV_GRID
     fit_intercept: bool = True
@@ -111,10 +109,6 @@ class TransferConfig:
         if len(self.cv_grid) < 1 or any(c <= 0 for c in self.cv_grid):
             raise ValueError("cv_grid multipliers must be positive")
 
-    @property
-    def em_iter_budget(self) -> int:
-        return 1 if self.one_step else self.max_em_iter
-
 
 # ---------------------------------------------------------------------------
 # Membership refinement (EM E-step)
@@ -129,23 +123,6 @@ def _refined_rows(family, y, X, v_rows, coef, offset_coef=None):
     log_w = np.log(v_rows) + family.log_density(y[:, None], eta)
     w = np.exp(log_w - log_sum_exp_rows(log_w)[:, None])
     return clip_rows(w)
-
-
-def e_step_weights(
-    family: GlmFamily,
-    memberships: MembershipMatrix,
-    coef: CoefficientMatrix,
-    data: StudyCollection,
-    offset_coef: CoefficientMatrix = None,
-) -> MembershipMatrix:
-    """Refine memberships with the outcome likelihood: w ~ v * f(y | x, c)."""
-    if memberships.n_studies != data.K + 1:
-        raise ValueError("memberships do not match the study collection")
-    blocks = tuple(
-        _refined_rows(family, s.outcomes, s.predictors, block, coef, offset_coef)
-        for s, block in zip(data.studies, memberships.probs)
-    )
-    return MembershipMatrix(probs=blocks, stage="refined_w")
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +205,18 @@ def _mixture_em(
     Iteration t fits, per class c, a weighted lasso GLM with weights w_ic
     (w = v on the first pass, the Bayes-refined memberships afterwards); the
     per-class penalty lam_c stays fixed on the marginal scale, so the solver
-    is handed lam_c * n / mass_c.  Stops when the relative parameter change
-    drops to tau (absolute change when the previous state is zero) or after
-    max_iter rounds.  Returns (coef, weights_used, trace, n_iter).
+    is handed lam_c * n / mass_c (lam_c itself when mass_c == n, where the
+    rescaling is the identity but could round by an ulp).  Stops when the
+    relative parameter change drops to tau (absolute change when the
+    previous state is zero) or after max_iter rounds.  A single class
+    stops after one round: its memberships are all ones (clip_rows of one
+    column), so a second round would only re-solve the same problem.
+    Returns (coef, weights_used, trace, n_iter).
     """
     n, p = X.shape
     C = v_rows.shape[1]
+    if C == 1:
+        max_iter = 1
     design, mask = _design(X, fit_intercept)
     theta = np.zeros((design.shape[1], C))
     coef = _coef_from_state(theta, fit_intercept, role)
@@ -268,7 +251,7 @@ def _mixture_em(
                 X=design,
                 y=y,
                 weights=w_c,
-                lam=lambdas[c] * n / mass,
+                lam=lambdas[c] if mass == n else lambdas[c] * n / mass,
                 penalize_mask=mask,
                 offset=None if offsets_by_class is None else offsets_by_class[:, c],
             )
@@ -451,7 +434,7 @@ def joint_estimate(
         family, y, X, memberships.stacked(), lambdas,
         role="pooled_B",
         tau=config.tau,
-        max_iter=config.em_iter_budget,
+        max_iter=config.max_em_iter,
         fit_intercept=config.fit_intercept,
     )
     slices = data.row_slices()
@@ -459,6 +442,26 @@ def joint_estimate(
         probs=tuple(w_rows[s] for s in slices), stage="refined_w"
     )
     return coef, refined, trace, n_iter, lambdas
+
+
+def _pooling_stage(
+    data: StudyCollection,
+    memberships: MembershipMatrix,
+    config: TransferConfig,
+    family: GlmFamily,
+):
+    """Resolve lambda_pool (per-class CV when "auto") and run the pooling
+    EM; returns what joint_estimate returns."""
+    lambdas = _resolve_lambda(
+        config.lambda_pool,
+        memberships.n_classes,
+        lambda: auto_tune_lambda(
+            data, memberships, family, "pool",
+            grid=config.cv_grid, cv_folds=config.cv_folds, seed=config.seed,
+            fit_intercept=config.fit_intercept,
+        ),
+    )
+    return joint_estimate(data, memberships, config, family, lambdas=lambdas)
 
 
 def bias_correct(
@@ -491,7 +494,7 @@ def bias_correct(
         offsets_by_class=offsets,
         offset_coef=pooled,
         tau=config.tau,
-        max_iter=config.em_iter_budget,
+        max_iter=config.max_em_iter,
         fit_intercept=config.fit_intercept,
     )
     return coef, trace, n_iter, lambdas
@@ -563,18 +566,7 @@ def fit_targeted_psm(
             raise ValueError("pre-fitted LCA model has a different q")
     v = initial_memberships(lca_model, data)
 
-    lam_pool = _resolve_lambda(
-        config.lambda_pool,
-        C,
-        lambda: auto_tune_lambda(
-            data, v, family, "pool",
-            grid=config.cv_grid, cv_folds=config.cv_folds, seed=config.seed,
-            fit_intercept=config.fit_intercept,
-        ),
-    )
-    b_pooled, refined, trace_j, it_j, _ = joint_estimate(
-        data, v, config, family, lambdas=lam_pool
-    )
+    b_pooled, refined, trace_j, it_j, lam_pool = _pooling_stage(data, v, config, family)
 
     if isinstance(config.lambda_bias, str):
         offsets = b_pooled.linear_predictor(data.target.predictors)
@@ -623,8 +615,17 @@ def predict_risk(fit: TransferFit, x_new: np.ndarray, z_new: np.ndarray):
     single = x.ndim == 1
     X = np.atleast_2d(x)
     Z = np.atleast_2d(z)
+    p, q = fit.b_target.n_features, fit.lca_model.n_structure_vars
+    if X.ndim != 2 or X.shape[1] != p:
+        raise ValueError(f"x_new must have p={p} columns, got shape {x.shape}")
+    if Z.ndim != 2 or Z.shape[1] != q:
+        raise ValueError(f"z_new must have q={q} columns, got shape {z.shape}")
     if X.shape[0] != Z.shape[0]:
         raise ValueError("x_new and z_new must cover the same subjects")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("x_new must be finite")
+    if not np.all((Z == 0.0) | (Z == 1.0)):
+        raise ValueError("z_new must be binary (0 or 1)")
     v_star = membership_for_pattern(fit.lca_model, Z, study_row=0)
     mu = fit.family.mean(fit.b_target.linear_predictor(X))
     risk = sorted_row_sums(mu * v_star)
@@ -652,10 +653,20 @@ def _coef_from_dict(payload: dict) -> CoefficientMatrix:
     )
 
 
+def _penalties_to_json(lambdas) -> list:
+    # JSON has no infinity; a frozen stage (lambda = inf) is stored as null
+    return [float(v) if np.isfinite(v) else None for v in lambdas]
+
+
+def _penalties_from_json(values) -> np.ndarray:
+    return np.array([np.inf if v is None else v for v in values], dtype=float)
+
+
 def transfer_fit_to_dict(fit: TransferFit) -> dict:
     """JSON payload with every coefficient matrix, both traces and the LCA
     model.  Per-subject refined weights are data-sized and stay out of the
-    file; they are reproducible from the stored model and the dataset."""
+    file; they are reproducible from the stored model and the dataset.
+    Infinite penalties are stored as null."""
     return {
         "kind": "transfer_fit",
         "family": fit.family.kind,
@@ -664,8 +675,8 @@ def transfer_fit_to_dict(fit: TransferFit) -> dict:
         "b_pooled": _coef_to_dict(fit.b_pooled),
         "delta": _coef_to_dict(fit.delta),
         "b_target": _coef_to_dict(fit.b_target),
-        "lambda_pool": fit.lambda_pool.tolist(),
-        "lambda_bias": [float(v) for v in fit.lambda_bias],
+        "lambda_pool": _penalties_to_json(fit.lambda_pool),
+        "lambda_bias": _penalties_to_json(fit.lambda_bias),
         "trace_joint": list(fit.trace_joint),
         "trace_bias": list(fit.trace_bias),
         "n_iter_joint": fit.n_iter_joint,
@@ -685,8 +696,8 @@ def transfer_fit_from_dict(payload: dict) -> TransferFit:
         refined_weights=None,
         lca_model=lca_model_from_dict(payload["lca_model"]),
         family=family,
-        lambda_pool=np.asarray(payload["lambda_pool"], dtype=float),
-        lambda_bias=np.asarray(payload["lambda_bias"], dtype=float),
+        lambda_pool=_penalties_from_json(payload["lambda_pool"]),
+        lambda_bias=_penalties_from_json(payload["lambda_bias"]),
         trace_joint=tuple(payload.get("trace_joint", ())),
         trace_bias=tuple(payload.get("trace_bias", ())),
         n_iter_joint=int(payload.get("n_iter_joint", 0)),
@@ -696,7 +707,8 @@ def transfer_fit_from_dict(payload: dict) -> TransferFit:
 
 
 def save_transfer_fit(fit: TransferFit, path) -> None:
-    Path(path).write_text(json.dumps(transfer_fit_to_dict(fit), indent=2) + "\n")
+    payload = json.dumps(transfer_fit_to_dict(fit), indent=2, allow_nan=False)
+    Path(path).write_text(payload + "\n")
 
 
 def load_transfer_fit(path) -> TransferFit:

@@ -214,3 +214,15 @@ def pairwise_auc(scores, labels):
     wins = sum(1.0 for a in pos for b in neg if a > b)
     ties = sum(1.0 for a in pos for b in neg if a == b)
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def lca_class_density(pi_c, z) -> float:
+    """Density of one binary pattern z under one class's prevalence row:
+    the brute-force product prod_j pi_j^z_j (1 - pi_j)^(1 - z_j)."""
+    pi_c = np.asarray(pi_c, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if np.any(pi_c <= 0.0) or np.any(pi_c >= 1.0):
+        raise ValueError("class prevalences must lie strictly inside (0, 1)")
+    if not np.all(np.isin(z, (0.0, 1.0))):
+        raise ValueError("z must be binary")
+    return float(np.exp(np.sum(z * np.log(pi_c) + (1.0 - z) * np.log1p(-pi_c))))

@@ -16,7 +16,7 @@ import pytest
 
 from _oracles import numeric_grad, prox_gradient_lasso
 from _problems import problem_from_raw, random_glm_problem
-from targeted_psm.baselines import MethodId, fit_lca_glm, fit_method, fit_trans_glm
+from targeted_psm.baselines import MethodId, fit_method
 from targeted_psm.core import GlmFamily, StudyCollection
 from targeted_psm.evaluate import align_classes, run_experiment
 from targeted_psm.glm import kkt_residual, objective_value, solve_weighted_lasso_glm
@@ -225,7 +225,9 @@ def test_criterion_04_reduction_identities():
     full = fit_targeted_psm(
         sourceless, 2, TransferConfig(lambda_bias=np.inf, **shared), fam
     )
-    reduced = fit_lca_glm(data.target, 2, TransferConfig(lambda_bias=0.02, **shared), fam)
+    reduced = fit_method(
+        MethodId.LCA_GLM, data, 2, TransferConfig(lambda_bias=0.02, **shared), fam
+    ).fit
     assert np.array_equal(full.b_target.values, reduced.b_target.values)
     assert np.array_equal(full.b_target.intercept, reduced.b_target.intercept)
     assert np.all(reduced.delta.values == 0.0)
@@ -235,32 +237,30 @@ def test_criterion_04_reduction_identities():
     one_class = fit_targeted_psm(
         data, 1, TransferConfig(lambda_bias=0.02, **shared), fam
     )
-    trans = fit_trans_glm(data, TransferConfig(lambda_bias=0.02, **shared), fam)
+    trans = fit_method(
+        MethodId.TRANS_GLM, data, 2, TransferConfig(lambda_bias=0.02, **shared), fam
+    ).fit
     assert np.array_equal(one_class.b_target.values, trans.b_target.values)
     assert np.array_equal(one_class.b_target.intercept, trans.b_target.intercept)
     assert one_class.trace_joint == trans.trace_joint
     assert one_class.trace_bias == trans.trace_bias
 
-    # (c) iteration cap 1 == the declared one-step variant == its method id
+    # (c) iteration cap 1 == the one-step variant's method id
     capped = fit_targeted_psm(
         data, 2, TransferConfig(lambda_bias=0.02, max_em_iter=1,
                                 lambda_pool=0.05, seed=0), fam
-    )
-    one_step = fit_targeted_psm(
-        data, 2, TransferConfig(lambda_bias=0.02, one_step=True, **shared), fam
     )
     dispatched = fit_method(
         MethodId.TARGETED_PSM_1, data, 2,
         TransferConfig(lambda_bias=0.02, **shared), fam,
     ).fit
-    for other in (one_step, dispatched):
-        assert np.array_equal(capped.b_target.values, other.b_target.values)
-        assert np.array_equal(capped.b_target.intercept, other.b_target.intercept)
-        assert other.n_iter_joint == 1
-        assert other.n_iter_bias == 1
+    assert np.array_equal(capped.b_target.values, dispatched.b_target.values)
+    assert np.array_equal(capped.b_target.intercept, dispatched.b_target.intercept)
+    assert dispatched.n_iter_joint == 1
+    assert dispatched.n_iter_bias == 1
     print(
         "criterion 4 PASS: sourceless, single-class and one-step reductions "
-        "are byte-identical to their dedicated implementations"
+        "are byte-identical to their method presets"
     )
 
 

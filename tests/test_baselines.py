@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from targeted_psm.baselines import (
-    MIXTURE_METHODS,
-    FittedMethod,
-    MethodId,
-    fit_lca_glm,
-    fit_method,
-    fit_naive_lasso,
-    fit_trans_glm,
-)
+from targeted_psm.baselines import MIXTURE_METHODS, MethodId, fit_method
 from targeted_psm.core import GlmFamily, StudyCollection
 from targeted_psm.glm import WeightedGlmProblem, solve_weighted_lasso_glm
 from targeted_psm.transfer import TransferConfig, fit_targeted_psm, predict_risk
@@ -43,7 +35,7 @@ def test_method_id_round_trip():
 def test_naive_lasso_equals_direct_solve(mini_data):
     fam = GlmFamily.logistic()
     cfg = _cfg()
-    coef = fit_naive_lasso(mini_data.target, fam, cfg)
+    coef = fit_method(MethodId.NAIVE_LASSO, mini_data, 2, cfg, fam).coef
     assert coef.n_classes == 1
     tgt = mini_data.target
     design = np.column_stack([np.ones(tgt.n), tgt.predictors])
@@ -64,13 +56,13 @@ def test_naive_lasso_equals_direct_solve(mini_data):
 
 def test_trans_glm_requires_sources(mini_data):
     with pytest.raises(ValueError, match="source"):
-        fit_trans_glm(StudyCollection(target=mini_data.target), _cfg())
+        fit_method(MethodId.TRANS_GLM, StudyCollection(target=mini_data.target), 1, _cfg())
 
 
 def test_trans_glm_is_single_class_pipeline(mini_data):
     fam = GlmFamily.logistic()
     cfg = _cfg()
-    fit = fit_trans_glm(mini_data, cfg, fam)
+    fit = fit_method(MethodId.TRANS_GLM, mini_data, 2, cfg, fam).fit
     direct = fit_targeted_psm(mini_data, 1, cfg, fam)
     assert fit.n_classes == 1
     assert np.array_equal(fit.b_target.values, direct.b_target.values)
@@ -79,7 +71,7 @@ def test_trans_glm_is_single_class_pipeline(mini_data):
 
 def test_lca_glm_has_zero_correction(mini_data):
     fam = GlmFamily.logistic()
-    fit = fit_lca_glm(mini_data.target, 2, _cfg(), fam)
+    fit = fit_method(MethodId.LCA_GLM, mini_data, 2, _cfg(), fam).fit
     assert np.all(fit.delta.values == 0.0)
     assert np.all(fit.delta.intercept == 0.0)
     assert fit.n_iter_bias == 0
@@ -100,26 +92,22 @@ def test_fit_method_dispatch_matches_direct(mini_data):
     cfg = _cfg()
 
     fm = fit_method(MethodId.NAIVE_LASSO, mini_data, 2, cfg, fam)
-    direct = fit_naive_lasso(mini_data.target, fam, cfg)
     assert fm.fit is None
-    assert np.array_equal(fm.coef.values, direct.values)
-
-    fm = fit_method(MethodId.TRANS_GLM, mini_data, 2, cfg, fam)
-    direct = fit_trans_glm(mini_data, cfg, fam)
-    assert np.array_equal(fm.coef.values, direct.b_target.values)
-
-    fm = fit_method(MethodId.LCA_GLM, mini_data, 2, cfg, fam)
-    direct = fit_lca_glm(mini_data.target, 2, cfg, fam)
-    assert np.array_equal(fm.coef.values, direct.b_target.values)
+    assert fm.coef.role == "target_B0"
+    # the one-class penalty resolves like every other stage's
+    with pytest.raises(ValueError, match="per-class"):
+        fit_method(MethodId.NAIVE_LASSO, mini_data, 2, _cfg(lambda_pool=(0.05, 0.1)), fam)
 
     fm = fit_method(MethodId.TARGETED_PSM, mini_data, 2, cfg, fam)
     direct = fit_targeted_psm(mini_data, 2, cfg, fam)
     assert np.array_equal(fm.coef.values, direct.b_target.values)
 
     fm1 = fit_method(MethodId.TARGETED_PSM_1, mini_data, 2, cfg, fam)
-    direct1 = fit_targeted_psm(mini_data, 2, _cfg(one_step=True), fam)
+    direct1 = fit_targeted_psm(mini_data, 2, _cfg(max_em_iter=1), fam)
     assert np.array_equal(fm1.coef.values, direct1.b_target.values)
+    assert np.array_equal(fm1.coef.intercept, direct1.b_target.intercept)
     assert fm1.fit.n_iter_joint == 1
+    assert fm1.fit.n_iter_bias == 1
 
     # string ids dispatch identically
     fm_str = fit_method("targeted_psm", mini_data, 2, cfg, fam)

@@ -189,6 +189,18 @@ def test_lca_select_prints_table(cli_workspace, capsys):
     assert "no recovery guarantee" in out
 
 
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    for argv in (
+        ["lca-select", "--data", "d", "--classes", "2", "--out", "x"],
+        ["predict", "--fit", "f.json", "--input", "s.csv", "--config", "c.json"],
+        ["predict", "--fit", "f.json", "--input", "s.csv", "--seed", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_files_exit_1(tmp_path):
     rc = main(["fit", "--data", str(tmp_path / "absent")])
     assert rc == 1

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from _oracles import (
     numeric_grad,
@@ -19,33 +17,12 @@ from targeted_psm.glm import (
     WeightedGlmProblem,
     kkt_residual,
     objective_value,
-    soft_threshold,
     solve_weighted_lasso_glm,
 )
 
 
 def _offset_or_zeros(raw):
     return raw["offset"] if raw["offset"] is not None else np.zeros(len(raw["y"]))
-
-
-# ---------------------------------------------------------------------------
-# Soft threshold
-# ---------------------------------------------------------------------------
-
-
-@given(
-    st.floats(-1e6, 1e6, allow_nan=False),
-    st.floats(0, 1e6, allow_nan=False),
-)
-def test_soft_threshold_properties(a, t):
-    out = soft_threshold(a, t)
-    assert abs(out) == pytest.approx(max(abs(a) - t, 0.0), abs=1e-12)
-    assert out * a >= 0  # never flips sign
-
-
-def test_soft_threshold_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        soft_threshold(1.0, -0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ from targeted_psm.lca import (
     fit_lca,
     initial_memberships,
     lca_bic,
-    lca_class_density,
     lca_log_lik,
     load_lca_model,
     membership_for_pattern,
     save_lca_model,
     select_classes_bic,
 )
+from _oracles import lca_class_density
 
 
 def _draw_lca_study(rng, n, prevalences, mix_row, study_id):

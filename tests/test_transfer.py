@@ -14,9 +14,9 @@ from targeted_psm.lca import LcaFitConfig, LcaModel, fit_lca, initial_membership
 from targeted_psm.transfer import (
     TransferConfig,
     _make_folds,
+    _refined_rows,
     auto_tune_lambda,
     bias_correct,
-    e_step_weights,
     fit_targeted_psm,
     joint_estimate,
     lambda_scale,
@@ -59,11 +59,9 @@ def test_e_step_is_bayes_rule(tiny_scenario):
         intercept=np.array([0.1, -0.2]),
         role="pooled_B",
     )
-    w = e_step_weights(family, v, coef, data)
-    assert w.stage == "refined_w"
     y, X, _, _ = data.stacked()
     v_rows = v.stacked()
-    w_rows = w.stacked()
+    w_rows = _refined_rows(family, y, X, v_rows, coef)
     eta = coef.linear_predictor(X)
     dens = np.exp(family.log_density(y[:, None], eta))
     direct = v_rows * dens
@@ -84,8 +82,9 @@ def test_e_step_equal_coefficients_leave_memberships_fixed(tiny_scenario):
     coef = CoefficientMatrix(
         values=same, intercept=np.array([0.4, 0.4]), role="pooled_B"
     )
-    w = e_step_weights(family, v, coef, data)
-    assert np.max(np.abs(w.stacked() - v.stacked())) < 1e-12
+    y, X, _, _ = data.stacked()
+    w_rows = _refined_rows(family, y, X, v.stacked(), coef)
+    assert np.max(np.abs(w_rows - v.stacked())) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +166,20 @@ def test_infinite_bias_penalty_freezes_correction(tiny_scenario):
     assert np.array_equal(fit.b_target.values, fit.b_pooled.values)
 
 
-def test_one_step_equals_max_iter_one(tiny_scenario):
+def test_single_class_stage_runs_one_m_step(tiny_scenario):
+    # One class has memberships that are exactly ones, so each stage is a
+    # single M-step: the uncapped fit is bitwise the fit capped at one pass.
     _, data, _ = tiny_scenario
     fam = GlmFamily.logistic()
-    f1 = fit_targeted_psm(data, 2, _mini_config(one_step=True), fam)
-    f2 = fit_targeted_psm(data, 2, _mini_config(max_em_iter=1), fam)
-    assert np.array_equal(f1.b_target.values, f2.b_target.values)
-    assert np.array_equal(f1.b_target.intercept, f2.b_target.intercept)
-    assert f1.n_iter_joint == 1
-    assert f1.n_iter_bias == 1
+    fit = fit_targeted_psm(data, 1, _mini_config(), fam)
+    capped = fit_targeted_psm(data, 1, _mini_config(max_em_iter=1), fam)
+    assert (fit.n_iter_joint, fit.n_iter_bias) == (1, 1)
+    assert (len(fit.trace_joint), len(fit.trace_bias)) == (1, 1)
+    for a, b in ((fit.b_pooled, capped.b_pooled), (fit.delta, capped.delta)):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.intercept, b.intercept)
+    assert fit.trace_joint == capped.trace_joint
+    assert fit.trace_bias == capped.trace_bias
 
 
 def test_single_class_zero_penalty_gaussian_matches_wls(rng):
@@ -335,8 +339,6 @@ def test_transfer_config_validation():
         TransferConfig(lambda_pool=-0.1)
     with pytest.raises(ValueError):
         TransferConfig(lambda_pool="auto", cv_folds=1)
-    assert TransferConfig(one_step=True).em_iter_budget == 1
-    assert TransferConfig(max_em_iter=7).em_iter_budget == 7
 
 
 def test_per_class_lambda_shape_checked(tiny_scenario):
@@ -378,6 +380,49 @@ def test_predict_risk_single_class_ignores_structure(tiny_scenario):
     z1 = data.target.structure_vars[:4]
     z2 = 1.0 - z1
     assert np.array_equal(predict_risk(fit, x, z1), predict_risk(fit, x, z2))
+
+
+def test_predict_risk_rejects_invalid_inputs(mini_fit):
+    data, fit = mini_fit
+    x = data.target.predictors[:4].copy()
+    z = data.target.structure_vars[:4].copy()
+    bad_z = z.copy()
+    bad_z[1, 0] = 0.5
+    with pytest.raises(ValueError, match="binary"):
+        predict_risk(fit, x, bad_z)
+    bad_x = x.copy()
+    bad_x[2, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        predict_risk(fit, bad_x, z)
+    bad_x[2, 3] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        predict_risk(fit, bad_x, z)
+    with pytest.raises(ValueError, match="p="):
+        predict_risk(fit, x[:, :-1], z)
+    with pytest.raises(ValueError, match="q="):
+        predict_risk(fit, x, np.column_stack([z, z[:, :1]]))
+    with pytest.raises(ValueError, match="p="):
+        predict_risk(fit, x[0, :-1], z[0])
+
+
+def test_serialization_writes_strict_json_for_infinite_penalties(tmp_path, tiny_scenario):
+    import json
+
+    _, data, _ = tiny_scenario
+    fit = fit_targeted_psm(data, 2, _mini_config(lambda_bias=np.inf), GlmFamily.logistic())
+    path = tmp_path / "fit.json"
+    save_transfer_fit(fit, path)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(path.read_text(), parse_constant=reject)
+    assert payload["lambda_bias"] == [None, None]
+    assert payload["lambda_pool"] == [0.05, 0.05]
+    back = load_transfer_fit(path)
+    assert np.array_equal(back.lambda_bias, np.full(2, np.inf))
+    assert np.array_equal(back.lambda_pool, fit.lambda_pool)
+    assert np.array_equal(back.b_target.values, fit.b_target.values)
 
 
 def test_serialization_roundtrip(tmp_path, mini_fit):
