@@ -14,7 +14,7 @@ import numpy as np
 
 from ._rng import substream
 from .baselines import MIXTURE_METHODS, MethodId, fit_method
-from .core import CoefficientMatrix, GlmFamily
+from .core import CoefficientMatrix
 from .lca import LcaFitConfig, fit_lca, initial_memberships
 from .simulate import ScenarioConfig, generate_scenario, generate_target_test
 from .transfer import TransferConfig, auto_tune_lambda

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +34,13 @@ from .core import (
     CoefficientMatrix,
     GlmFamily,
     MembershipMatrix,
-    Study,
     StudyCollection,
     clip_rows,
     log_sum_exp_rows,
     sorted_row_sums,
     sorted_square_norm,
 )
-from .glm import WeightedGlmProblem, solve_weighted_lasso_glm
+from .glm import SolverError, WeightedGlmProblem, solve_weighted_lasso_glm
 from .lca import (
     LcaFitConfig,
     LcaModel,
@@ -334,6 +333,11 @@ def auto_tune_lambda(
     tunes on the target study alone (n_eff = n0) with the pooled-stage
     linear predictors passed as per-class offsets.  Folds are stratified
     within study and shared across classes and candidates.
+
+    A candidate whose solve raises SolverError in any fold scores +inf and
+    is never selected; the next candidate warm-starts from the failed
+    solve's best iterate.  SolverError is raised only when every candidate
+    of a class fails, naming the class and stage.
     """
     if stage not in ("pool", "bias"):
         raise ValueError("stage must be 'pool' or 'bias'")
@@ -365,30 +369,47 @@ def auto_tune_lambda(
         w_c = v_rows[:, c]
         loss_sum = np.zeros(candidates.size)
         mass_sum = np.zeros(candidates.size)
+        failed = np.zeros(candidates.size, dtype=bool)
+        last_error = None
         for f in range(cv_folds):
             tr = fold != f
             va = ~tr
             n_tr = int(tr.sum())
-            mass_tr = float(w_c[tr].sum())
+            X_tr, y_tr, w_tr = design[tr], y[tr], w_c[tr]
+            mass_tr = float(w_tr.sum())
             beta = np.zeros(design.shape[1])
             off_tr = None if offsets_by_class is None else offsets_by_class[tr, c]
             off_va = 0.0 if offsets_by_class is None else offsets_by_class[va, c]
             for i, lam in enumerate(candidates):
                 prob = WeightedGlmProblem(
                     family=family,
-                    X=design[tr],
-                    y=y[tr],
-                    weights=w_c[tr],
+                    X=X_tr,
+                    y=y_tr,
+                    weights=w_tr,
                     lam=lam * n_tr / mass_tr,
                     penalize_mask=mask,
                     offset=off_tr,
                 )
-                beta = solve_weighted_lasso_glm(prob, init=beta).beta
+                try:
+                    beta = solve_weighted_lasso_glm(prob, init=beta).beta
+                except SolverError as err:
+                    beta = err.best.beta
+                    failed[i] = True
+                    last_error = err
+                    continue
                 eta_va = off_va + design[va] @ beta
                 ll = -y[va] * eta_va + family.log_partition(eta_va)
                 loss_sum[i] += float(w_c[va] @ ll)
                 mass_sum[i] += float(w_c[va].sum())
-        scores = loss_sum / mass_sum
+        if failed.all():
+            raise SolverError(
+                f"every CV candidate of class {c} failed in the {stage} stage: "
+                f"{last_error}",
+                last_error.best,
+            ) from last_error
+        ok = ~failed
+        scores = np.full(candidates.size, np.inf)
+        scores[ok] = loss_sum[ok] / mass_sum[ok]
         # Ties resolve toward the larger (more parsimonious) penalty, which
         # comes first in the descending candidate order.
         chosen[c] = candidates[int(np.argmin(scores))]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _oracles import (
+    cd_quadratic_reference,
     numeric_grad,
     oracle_gradient,
     oracle_objective,
@@ -10,6 +13,7 @@ from _oracles import (
 )
 from _problems import problem_from_raw as _problem_from_raw
 from _problems import random_glm_problem
+from targeted_psm import glm
 from targeted_psm.core import GlmFamily
 from targeted_psm.glm import (
     LassoSolution,
@@ -160,6 +164,55 @@ def test_iteration_starved_solver_raises_with_best(rng):
     with pytest.raises(SolverError) as err:
         solve_weighted_lasso_glm(prob, max_irls=1, max_sweeps=1, kkt_tol=1e-14)
     assert isinstance(err.value.best, LassoSolution)
+
+
+# ---------------------------------------------------------------------------
+# The coordinate-descent sweep is bitwise equal to the per-coordinate loop
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def cd_quadratics(draw):
+    """Random PSD quadratic (1/2) b'Ab - b'x + sum pen|x| with d <= 60: some
+    zero-diagonal (non-movable) coordinates, penalties mixing 0, finite and
+    inf, zero or nonzero warm starts, and sweep caps of 1-3 or none."""
+    d = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 2 * d + 5))  # rank-deficient Grams included
+    M = rng.standard_normal((n, d))
+    M[:, rng.random(d) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    w = rng.uniform(0.1, 2.0, n)
+    # the Gram formula the solver uses, which is not bitwise symmetric
+    A = (M * w[:, None]).T @ M / w.sum()
+    b = rng.standard_normal(d) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    pen = rng.choice([0.0, 0.05, 0.5, np.inf], size=d)
+    if draw(st.booleans()):
+        beta0 = rng.normal(0.0, 1.0, d) * (rng.random(d) < 0.5)
+    else:
+        beta0 = np.zeros(d)
+    max_sweeps = draw(st.sampled_from([1, 2, 3, 1000]))
+    return A, b, pen, beta0, 1e-7, max_sweeps
+
+
+@given(cd_quadratics())
+def test_cd_sweep_matches_reference_loop_bitwise(case):
+    beta, sweeps, converged = glm._cd_quadratic(*case)
+    ref_beta, ref_sweeps, ref_converged = cd_quadratic_reference(*case)
+    assert beta.tobytes() == ref_beta.tobytes()
+    assert (sweeps, converged) == (ref_sweeps, ref_converged)
+
+
+@pytest.mark.parametrize("seed", [2, 5], ids=["logistic", "gaussian"])
+def test_solver_with_reference_sweep_is_bitwise_equal(seed, monkeypatch):
+    prob = _problem_from_raw(random_glm_problem(seed))
+    shipped = solve_weighted_lasso_glm(prob)
+    monkeypatch.setattr(glm, "_cd_quadratic", cd_quadratic_reference)
+    ref = solve_weighted_lasso_glm(prob)
+    assert shipped.beta.tobytes() == ref.beta.tobytes()
+    scalars = ("objective", "n_iters", "kkt_max_violation")
+    assert np.array([getattr(shipped, k) for k in scalars]).tobytes() == np.array(
+        [getattr(ref, k) for k in scalars]
+    ).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,41 @@
+"""Source hygiene: every name a package module imports is used there.
+
+No linter ships with the project, so this walks each module's AST.  Names
+re-exported through the package's `__all__` count as used in `__init__.py`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "targeted_psm"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_are_all_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    if path.name == "__init__.py":
+        used |= _exported_names(tree)
+    unused = sorted(set(_imported_names(tree)) - used)
+    assert not unused, f"{path.name} imports unused names: {unused}"

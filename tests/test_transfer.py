@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from targeted_psm.core import (
     Study,
     StudyCollection,
 )
+from targeted_psm import transfer
+from targeted_psm.glm import SolverError
 from targeted_psm.lca import LcaFitConfig, LcaModel, fit_lca, initial_memberships
 from targeted_psm.transfer import (
     TransferConfig,
@@ -326,6 +329,58 @@ def test_auto_tune_bias_requires_offsets(tiny_scenario):
     v = initial_memberships(lca, data)
     with pytest.raises(ValueError, match="offsets"):
         auto_tune_lambda(data, v, fam, "bias", cv_folds=3, seed=0)
+
+
+def test_auto_tune_scores_a_failed_candidate_inf(tiny_scenario, monkeypatch):
+    _, data, _ = tiny_scenario
+    fam = GlmFamily.logistic()
+    lca = fit_lca(data, 2, LcaFitConfig(seed=0, n_starts=2))
+    grid, folds = (0.1, 0.3, 1.0, 3.0), 3
+    config = _mini_config(lambda_pool="auto", cv_grid=grid, cv_folds=folds)
+    clean = fit_targeted_psm(data, 2, config, fam, lca_model=lca)
+    candidates = np.sort(grid)[::-1] * lambda_scale(data.p, data.n_total)
+    bad = int(np.flatnonzero(candidates == clean.lambda_pool[0])[0])
+
+    # The pooling stage's CV makes the fit's first C * folds * len(grid)
+    # solver calls, class by class, fold by fold, candidates in order.
+    assert bad < len(grid) - 1  # so a candidate follows the failing one
+    real = transfer.solve_weighted_lasso_glm
+    calls = itertools.count()
+    failed = []
+    warm_starts = []
+
+    def flaky(prob, init=None):
+        k = next(calls)
+        if failed and len(warm_starts) < len(failed):
+            warm_starts.append(init is failed[-1].beta)
+        sol = real(prob, init=init)
+        if k < 2 * folds * len(grid) and k % len(grid) == bad:
+            failed.append(sol)
+            raise SolverError("injected", sol)
+        return sol
+
+    monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", flaky)
+    fit = fit_targeted_psm(data, 2, config, fam, lca_model=lca)
+    assert len(failed) == 2 * folds
+    assert warm_starts == [True] * len(failed)
+    assert not np.any(fit.lambda_pool == candidates[bad])
+    assert np.all(np.isin(fit.lambda_pool, candidates))
+
+
+def test_auto_tune_raises_when_every_candidate_fails(tiny_scenario, monkeypatch):
+    _, data, _ = tiny_scenario
+    lca = fit_lca(data, 2, LcaFitConfig(seed=0, n_starts=2))
+    v = initial_memberships(lca, data)
+    real = transfer.solve_weighted_lasso_glm
+
+    def failing(prob, init=None):
+        raise SolverError("injected", real(prob, init=init))
+
+    monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", failing)
+    with pytest.raises(SolverError, match="class 0 failed in the pool stage"):
+        auto_tune_lambda(
+            data, v, GlmFamily.logistic(), "pool", grid=(0.5, 1.0), cv_folds=3, seed=0
+        )
 
 
 def test_transfer_config_validation():
