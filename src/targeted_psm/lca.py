@@ -9,6 +9,18 @@ marginal likelihood
 
 with multiple random restarts.  Classes are reported in canonical order:
 descending target-study mixing weight.
+
+The likelihood sees the data only through which z-pattern each subject of
+each study has, so the E-step's row math (log densities, log-sum-exp,
+posteriors) runs once per occupied (study, pattern) cell and is gathered
+back to the subject rows.  Every reduction (the log-likelihood sum and the
+M-step sums) still runs per study over the subject rows in their stacked
+order, so the fit is bit for bit what a row-by-row E-step gives; weighting
+cells by their counts would reorder those sums.  (The one exception is a
+one-row product, which numpy hands to BLAS's matrix-vector kernel: its
+q-term sums may round differently in the last bit.  A row-by-row E-step
+meets it in a one-row study, the cell table in a one-study collection
+whose subjects all share one pattern.)
 """
 
 from __future__ import annotations
@@ -110,52 +122,119 @@ def _log_density_matrix(prevalences: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return Z @ log_pi.T + (1.0 - Z) @ log_1mpi.T
 
 
-def _study_posteriors(model: LcaModel, Z: np.ndarray, study_row: int):
-    """Per-subject class posteriors and log-likelihood terms for one study."""
-    log_post = _log_density_matrix(model.prevalences, Z) + np.log(
-        model.mixing[study_row]
+@dataclass(frozen=True)
+class _CellIndex:
+    """A collection's subject rows grouped into (study, pattern) cells.
+
+    cell_z      (m, q) z-pattern of each occupied cell
+    cell_study  (m,) study row of each occupied cell
+    row_cell    (n,) cell of each stacked subject row
+    n_patterns  number of distinct z-patterns in the collection
+    slices      per-study slices into the stacked rows
+    blocks      per-study z blocks, which the M-step reductions read
+    """
+
+    cell_z: np.ndarray
+    cell_study: np.ndarray
+    row_cell: np.ndarray
+    n_patterns: int
+    slices: tuple
+    blocks: tuple
+
+    @classmethod
+    def of(cls, data: StudyCollection) -> "_CellIndex":
+        blocks = tuple(s.structure_vars for s in data.studies)
+        Z = np.vstack(blocks)
+        row_study = np.repeat(np.arange(len(blocks)), data.sizes)
+        # One byte string per row: the bytes of its study index, then its
+        # z bits (Study holds z in {0, 1}).  A 1-d sort of these finds the
+        # cells in a fraction of the time and memory of np.unique(...,
+        # axis=0) on the float rows.
+        keys = np.column_stack([
+            row_study.view(np.uint8).reshape(len(row_study), -1),
+            np.packbits(Z != 0.0, axis=1),
+        ])
+        _, first, row_cell = np.unique(
+            keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+            return_index=True,
+            return_inverse=True,
+        )
+        cell_z = Z[first]
+        return cls(
+            cell_z=cell_z,
+            cell_study=row_study[first],
+            row_cell=row_cell,
+            n_patterns=np.unique(cell_z, axis=0).shape[0],
+            slices=tuple(data.row_slices()),
+            blocks=blocks,
+        )
+
+
+def _cell_posteriors(model: LcaModel, cell_z: np.ndarray, cell_study: np.ndarray):
+    """Class posteriors and log-likelihood terms of (study, pattern) cells:
+    pattern cell_z[i] under the mixing row of study cell_study[i].  Every
+    step is row-wise, so no cell depends on another."""
+    log_post = (
+        _log_density_matrix(model.prevalences, cell_z)
+        + np.log(model.mixing)[cell_study]
     )
-    ll_rows = log_sum_exp_rows(log_post)
-    post = np.exp(log_post - ll_rows[:, None])
-    return post, ll_rows
+    ll = log_sum_exp_rows(log_post)
+    return np.exp(log_post - ll[:, None]), ll
+
+
+def _row_posteriors(model: LcaModel, index: _CellIndex):
+    """Per-subject posteriors and log-likelihood terms, in stacked row
+    order, gathered from the cell table."""
+    post, ll = _cell_posteriors(model, index.cell_z, index.cell_study)
+    return post.take(index.row_cell, axis=0), ll.take(index.row_cell)
+
+
+def _log_lik(model: LcaModel, index: _CellIndex) -> float:
+    _, ll_rows = _row_posteriors(model, index)
+    total = 0.0
+    for rows in index.slices:
+        total += float(ll_rows[rows].sum())
+    return total
 
 
 def lca_log_lik(model: LcaModel, data: StudyCollection) -> float:
     """Marginal log-likelihood of the collection under the model."""
     if model.n_studies != data.K + 1:
         raise ValueError("model was fitted for a different number of studies")
-    total = 0.0
-    for k, study in enumerate(data.studies):
-        _, ll_rows = _study_posteriors(model, study.structure_vars, k)
-        total += float(ll_rows.sum())
-    return total
+    return _log_lik(model, _CellIndex.of(data))
 
 
-def _em_step(model: LcaModel, data: StudyCollection):
-    """One EM update; returns (new_model, log_lik at the *input* params)."""
+def _em_step(model: LcaModel, index: _CellIndex):
+    """One EM update; returns (new_model, log_lik at the *input* params).
+
+    The reductions run per study over the subject rows in stacked order,
+    so each sum adds the same terms in the same order as a row-wise E-step.
+    """
+    post, ll_rows = _row_posteriors(model, index)
     C = model.n_classes
     ll = 0.0
     num = np.zeros((C, model.n_structure_vars))
     den = np.zeros(C)
     new_mixing = np.empty_like(model.mixing)
-    for k, study in enumerate(data.studies):
-        post, ll_rows = _study_posteriors(model, study.structure_vars, k)
-        ll += float(ll_rows.sum())
-        num += post.T @ study.structure_vars
-        den += post.sum(axis=0)
-        new_mixing[k] = post.mean(axis=0)
+    for k, (rows, Z) in enumerate(zip(index.slices, index.blocks)):
+        ll += float(ll_rows[rows].sum())
+        block = post[rows]
+        num += block.T @ Z
+        col = block.sum(axis=0)
+        den += col
+        new_mixing[k] = col / Z.shape[0]  # what post.mean(axis=0) computes
     new_prev = np.clip(num / np.maximum(den, 1e-300)[:, None], EPS_CLIP, 1.0 - EPS_CLIP)
     new_mixing = clip_rows(new_mixing)
     new_model = replace(model, prevalences=new_prev, mixing=new_mixing)
     return new_model, ll
 
 
-def _run_em(model: LcaModel, data: StudyCollection, tol: float, max_iter: int):
+def _run_em(model: LcaModel, index: _CellIndex, tol: float, max_iter: int):
     trace = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        new_model, ll = _em_step(model, data)
+        new_model, ll = _em_step(model, index)
         trace.append(ll)
         if len(trace) >= 2:
             prev = trace[-2]
@@ -164,7 +243,7 @@ def _run_em(model: LcaModel, data: StudyCollection, tol: float, max_iter: int):
                 model = new_model
                 break
         model = new_model
-    final_ll = lca_log_lik(model, data)
+    final_ll = _log_lik(model, index)
     trace.append(final_ll)
     return replace(
         model, log_lik=final_ll, trace=tuple(trace), n_iter=it, converged=converged
@@ -195,10 +274,17 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
         raise ValueError("n_classes must be >= 1")
     if C > data.n_total:
         raise ValueError("n_classes cannot exceed the total subject count")
+    index = _CellIndex.of(data)
     if C > 2 ** q:
         warnings.warn(
             f"{C} classes exceed the {2 ** q} distinct patterns of {q} binary "
             "variables; the model is not identifiable",
+            RuntimeWarning,
+        )
+    elif C > index.n_patterns:
+        warnings.warn(
+            f"{C} classes exceed the {index.n_patterns} distinct patterns observed "
+            "in the collection; the fit cannot tell every class apart",
             RuntimeWarning,
         )
     n_studies = data.K + 1
@@ -207,7 +293,7 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
         z_mean = np.vstack([s.structure_vars for s in data.studies]).mean(axis=0)
         prev = np.clip(z_mean[None, :], EPS_CLIP, 1.0 - EPS_CLIP)
         model = LcaModel(prevalences=prev, mixing=np.ones((n_studies, 1)))
-        ll = lca_log_lik(model, data)
+        ll = _log_lik(model, index)
         return replace(model, log_lik=ll, trace=(ll,), n_iter=0, converged=True)
 
     rng = substream(config.seed, "lca-init")
@@ -217,13 +303,13 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
             prevalences=rng.uniform(0.2, 0.8, size=(C, q)),
             mixing=clip_rows(rng.dirichlet(np.ones(C), size=n_studies)),
         )
-        fitted = _run_em(init, data, config.tol, config.max_iter)
+        fitted = _run_em(init, index, config.tol, config.max_iter)
         if best is None or fitted.log_lik > best.log_lik:
             best = fitted
     model = _canonical_order(best)
     # Re-evaluate at the reported ordering so log_lik matches exactly on
     # re-computation (the sorted-sum reduction makes reordering lossless).
-    return replace(model, log_lik=lca_log_lik(model, data))
+    return replace(model, log_lik=_log_lik(model, index))
 
 
 def initial_memberships(model: LcaModel, data: StudyCollection) -> MembershipMatrix:
@@ -231,11 +317,12 @@ def initial_memberships(model: LcaModel, data: StudyCollection) -> MembershipMat
     each study's own mixing row as prior), clipped row-wise."""
     if model.n_studies != data.K + 1:
         raise ValueError("model was fitted for a different number of studies")
-    blocks = []
-    for k, study in enumerate(data.studies):
-        post, _ = _study_posteriors(model, study.structure_vars, k)
-        blocks.append(clip_rows(post))
-    return MembershipMatrix(probs=tuple(blocks), stage="initial_v")
+    index = _CellIndex.of(data)
+    post, _ = _row_posteriors(model, index)
+    # clip_rows renormalizes every row while any row still needs a pass, so
+    # it runs on each study's block, never on the cell table.
+    blocks = tuple(clip_rows(post[rows]) for rows in index.slices)
+    return MembershipMatrix(probs=blocks, stage="initial_v")
 
 
 def membership_for_pattern(model: LcaModel, z: np.ndarray, study_row: int = 0) -> np.ndarray:
@@ -246,7 +333,7 @@ def membership_for_pattern(model: LcaModel, z: np.ndarray, study_row: int = 0) -
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     Z = np.atleast_2d(z)
-    post, _ = _study_posteriors(model, Z, study_row)
+    post, _ = _cell_posteriors(model, Z, np.full(Z.shape[0], study_row))
     post = clip_rows(post)
     return post[0] if single else post
 

@@ -179,12 +179,6 @@ def _coef_from_state(theta: np.ndarray, fit_intercept: bool, role: str) -> Coeff
     return CoefficientMatrix(values=theta, intercept=None, role=role)
 
 
-def _state_from_coef(coef: CoefficientMatrix, fit_intercept: bool) -> np.ndarray:
-    if fit_intercept:
-        return coef.stacked_state()
-    return coef.values.copy()
-
-
 def _mixture_em(
     family: GlmFamily,
     y: np.ndarray,

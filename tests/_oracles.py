@@ -4,14 +4,19 @@ Everything here is written from scratch against the same mathematical
 definitions the package implements, using different algorithms (proximal
 gradient + Newton polish instead of IRLS coordinate descent, least squares
 via lstsq, O(n^2) pair counting for AUC) so that agreement is meaningful.
-The exception is `cd_quadratic_reference`, the solver's earlier
-coordinate-descent loop, against which the current one must agree bit for
-bit.
+The exceptions are `cd_quadratic_reference`, the solver's earlier
+coordinate-descent loop, and the `lca_*_reference` functions, the latent
+class model's earlier row-wise E-step: the current code must agree with
+them bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+
+from targeted_psm.core import EPS_CLIP, clip_rows, log_sum_exp_rows
 
 
 def _sigmoid(eta):
@@ -283,3 +288,57 @@ def cd_quadratic_reference(A, b, pen, beta0, tol, max_sweeps):
             if step <= tol:
                 break
     return beta, sweeps, converged
+
+
+# ---------------------------------------------------------------------------
+# The latent class model's row-wise E-step, kept verbatim: every subject row
+# is evaluated on its own, study by study.  lca._em_step, lca_log_lik and the
+# membership functions must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def lca_log_density_reference(prevalences, Z):
+    """(n, C) log densities of each row of Z under each class."""
+    log_pi = np.log(prevalences)        # (C, q)
+    log_1mpi = np.log1p(-prevalences)
+    return Z @ log_pi.T + (1.0 - Z) @ log_1mpi.T
+
+
+def lca_study_posteriors_reference(model, Z, study_row):
+    """Per-subject class posteriors and log-likelihood terms for one study."""
+    log_post = lca_log_density_reference(model.prevalences, Z) + np.log(
+        model.mixing[study_row]
+    )
+    ll_rows = log_sum_exp_rows(log_post)
+    post = np.exp(log_post - ll_rows[:, None])
+    return post, ll_rows
+
+
+def lca_log_lik_reference(model, data):
+    """Marginal log-likelihood of the collection under the model."""
+    if model.n_studies != data.K + 1:
+        raise ValueError("model was fitted for a different number of studies")
+    total = 0.0
+    for k, study in enumerate(data.studies):
+        _, ll_rows = lca_study_posteriors_reference(model, study.structure_vars, k)
+        total += float(ll_rows.sum())
+    return total
+
+
+def lca_em_step_reference(model, data):
+    """One EM update; returns (new_model, log_lik at the *input* params)."""
+    C = model.n_classes
+    ll = 0.0
+    num = np.zeros((C, model.n_structure_vars))
+    den = np.zeros(C)
+    new_mixing = np.empty_like(model.mixing)
+    for k, study in enumerate(data.studies):
+        post, ll_rows = lca_study_posteriors_reference(model, study.structure_vars, k)
+        ll += float(ll_rows.sum())
+        num += post.T @ study.structure_vars
+        den += post.sum(axis=0)
+        new_mixing[k] = post.mean(axis=0)
+    new_prev = np.clip(num / np.maximum(den, 1e-300)[:, None], EPS_CLIP, 1.0 - EPS_CLIP)
+    new_mixing = clip_rows(new_mixing)
+    new_model = replace(model, prevalences=new_prev, mixing=new_mixing)
+    return new_model, ll

@@ -1,4 +1,6 @@
-"""Source hygiene: every name a package module imports is used there.
+"""Source hygiene: every name a package module imports is used there, and
+every private module-level function or class is used somewhere in the
+package.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -39,3 +41,27 @@ def test_module_imports_are_all_used(path):
         used |= _exported_names(tree)
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_private_definitions_are_referenced():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    used = {name for tree in trees.values() for name in _referenced_names(tree)}
+    unused = sorted(
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    )
+    assert not unused, f"private definitions nothing in the package uses: {unused}"

@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from targeted_psm import lca
 from targeted_psm.core import EPS_CLIP, Study, StudyCollection, clip_rows
 from targeted_psm.lca import (
     LcaFitConfig,
     LcaModel,
+    _CellIndex,
     _em_step,
     fit_lca,
     initial_memberships,
@@ -18,19 +22,28 @@ from targeted_psm.lca import (
     save_lca_model,
     select_classes_bic,
 )
-from _oracles import lca_class_density
+from _oracles import (
+    lca_class_density,
+    lca_em_step_reference,
+    lca_log_lik_reference,
+    lca_study_posteriors_reference,
+)
 
 
-def _draw_lca_study(rng, n, prevalences, mix_row, study_id):
-    C, q = prevalences.shape
-    classes = rng.choice(C, size=n, p=mix_row)
-    Z = (rng.random((n, q)) < prevalences[classes]).astype(float)
+def _study(Z, study_id):
+    n = Z.shape[0]
     return Study(
         outcomes=np.zeros(n),
         predictors=np.zeros((n, 1)),
         structure_vars=Z,
         study_id=study_id,
     )
+
+
+def _draw_lca_study(rng, n, prevalences, mix_row, study_id):
+    C, q = prevalences.shape
+    classes = rng.choice(C, size=n, p=mix_row)
+    return _study((rng.random((n, q)) < prevalences[classes]).astype(float), study_id)
 
 
 @pytest.fixture
@@ -147,7 +160,7 @@ def test_em_step_invariant_under_study_duplication(small_collection):
     data, _, _ = small_collection
     single = StudyCollection(target=data.target)
     model = fit_lca(single, 2, LcaFitConfig(seed=3, n_starts=4))
-    stepped_single, _ = _em_step(model, single)
+    stepped_single, _ = _em_step(model, _CellIndex.of(single))
     dup_source = Study(
         outcomes=data.target.outcomes,
         predictors=data.target.predictors,
@@ -158,7 +171,7 @@ def test_em_step_invariant_under_study_duplication(small_collection):
     doubled_model = replace(
         model, mixing=np.vstack([model.mixing[0], model.mixing[0]])
     )
-    stepped, _ = _em_step(doubled_model, doubled)
+    stepped, _ = _em_step(doubled_model, _CellIndex.of(doubled))
     assert np.max(np.abs(stepped.prevalences - stepped_single.prevalences)) < 1e-12
     assert np.max(np.abs(stepped.mixing[0] - stepped_single.mixing[0])) < 1e-12
     assert np.max(np.abs(stepped.mixing[1] - stepped_single.mixing[0])) < 1e-12
@@ -171,6 +184,89 @@ def test_too_many_classes_warns(rng):
     data = StudyCollection(target=study)
     with pytest.warns(RuntimeWarning):
         fit_lca(data, 5, LcaFitConfig(seed=0, n_starts=2, max_iter=30))
+
+
+def test_more_classes_than_observed_patterns_warns():
+    # 8 possible patterns of q=3, but only 2 of them occur.
+    Z = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])[np.arange(40) % 2]
+    data = StudyCollection(target=_study(Z, 0))
+    cfg = LcaFitConfig(seed=0, n_starts=2, max_iter=30)
+    with pytest.warns(RuntimeWarning, match="2 distinct patterns observed"):
+        fit_lca(data, 3, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_lca(data, 2, cfg)
+
+
+@st.composite
+def lca_em_cases(draw):
+    """A collection and a model: K = 0..3, n_k >= 1, q >= 1, C = 2..4.
+    Each study draws its rows from a pool of 1..2^q patterns, so
+    single-pattern studies and C > observed patterns both occur."""
+    K = draw(st.integers(0, 3))
+    q = draw(st.integers(1, 6))
+    C = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    studies = []
+    for k in range(K + 1):
+        n = draw(st.integers(1, 300))
+        n_pool = draw(st.integers(1, 2**q))
+        pool = (rng.random((n_pool, q)) < 0.5).astype(float)
+        studies.append(_study(pool[rng.integers(n_pool, size=n)], k))
+    model = LcaModel(
+        prevalences=rng.uniform(0.02, 0.98, size=(C, q)),
+        mixing=clip_rows(rng.dirichlet(np.ones(C), size=K + 1)),
+    )
+    return StudyCollection(target=studies[0], sources=tuple(studies[1:])), model
+
+
+@settings(max_examples=200)
+@given(lca_em_cases())
+def test_em_step_matches_row_wise_reference_bitwise(case):
+    data, model = case
+    index = _CellIndex.of(data)
+    stepped, ll = _em_step(model, index)
+    ref, ref_ll = lca_em_step_reference(model, data)
+    log_lik, ref_log_lik = lca_log_lik(model, data), lca_log_lik_reference(model, data)
+    if min(data.sizes) >= 2 and index.cell_z.shape[0] >= 2:
+        assert stepped.prevalences.tobytes() == ref.prevalences.tobytes()
+        assert stepped.mixing.tobytes() == ref.mixing.tobytes()
+        assert ll == ref_ll
+        assert log_lik == ref_log_lik
+    else:
+        # numpy hands a one-row product to BLAS's matrix-vector kernel,
+        # which sums the q terms of a log density in another order than
+        # the matrix-matrix kernel.  The reference does so for a one-row
+        # study, the cell table when it has one cell; either moves the last
+        # bits only.
+        assert np.allclose(stepped.prevalences, ref.prevalences, rtol=1e-12, atol=0)
+        assert np.allclose(stepped.mixing, ref.mixing, rtol=1e-12, atol=0)
+        assert ll == pytest.approx(ref_ll, rel=1e-13)
+        assert log_lik == pytest.approx(ref_log_lik, rel=1e-13)
+
+
+def test_fit_with_row_wise_reference_is_bitwise_equal(monkeypatch, rng):
+    prev = np.array([[0.85, 0.2, 0.6, 0.7, 0.1], [0.2, 0.75, 0.3, 0.4, 0.8],
+                     [0.5, 0.5, 0.9, 0.1, 0.5]])
+    mixing = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+    studies = [_draw_lca_study(rng, n, prev, mixing[k], k)
+               for k, n in enumerate((300, 200, 250))]
+    data = StudyCollection(target=studies[0], sources=tuple(studies[1:]))
+    cfg = LcaFitConfig(seed=11, n_starts=3)
+    fitted = {}
+    for C in (1, 3):
+        fitted[C] = fit_lca(data, C, cfg)
+    monkeypatch.setattr(lca, "_em_step", lambda m, index: lca_em_step_reference(m, data))
+    monkeypatch.setattr(lca, "_log_lik", lambda m, index: lca_log_lik_reference(m, data))
+    for C in (1, 3):
+        ref = fit_lca(data, C, cfg)
+        new = fitted[C]
+        assert new.prevalences.tobytes() == ref.prevalences.tobytes()
+        assert new.mixing.tobytes() == ref.mixing.tobytes()
+        assert np.asarray(new.trace).tobytes() == np.asarray(ref.trace).tobytes()
+        assert (new.n_iter, new.converged) == (ref.n_iter, ref.converged)
+        assert new.log_lik == ref.log_lik
+    assert fitted[3].n_iter > 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +292,27 @@ def test_membership_bayes_rule_by_hand():
     batch = membership_for_pattern(model, np.vstack([z, z]), study_row=0)
     assert batch.shape == (2, 2)
     assert np.array_equal(batch[0], batch[1])
+
+
+def test_memberships_match_row_wise_reference_bitwise(rng):
+    prev = np.array([[0.9, 0.1, 0.6, 0.7], [0.2, 0.8, 0.3, 0.4], [0.5, 0.5, 0.9, 0.1]])
+    # The source's third weight puts its posteriors below EPS_CLIP, so
+    # clip_rows pins entries there and not in the target.
+    mixing = np.array([[0.5, 0.3, 0.2], [0.6, 0.4 - 1e-8, 1e-8]])
+    studies = [_draw_lca_study(rng, n, prev, mixing[k], k) for k, n in enumerate((150, 90))]
+    data = StudyCollection(target=studies[0], sources=(studies[1],))
+    model = LcaModel(prevalences=prev, mixing=mixing)
+    v = initial_memberships(model, data)
+    all_patterns = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(float)
+    for k, study in enumerate(data.studies):
+        ref, _ = lca_study_posteriors_reference(model, study.structure_vars, k)
+        assert v.probs[k].tobytes() == clip_rows(ref).tobytes()
+        ref, _ = lca_study_posteriors_reference(model, all_patterns, k)
+        got = membership_for_pattern(model, all_patterns, study_row=k)
+        assert got.tobytes() == clip_rows(ref).tobytes()
+        ref, _ = lca_study_posteriors_reference(model, all_patterns[5:6], k)
+        got = membership_for_pattern(model, all_patterns[5], study_row=k)
+        assert got.tobytes() == clip_rows(ref)[0].tobytes()
 
 
 def test_initial_memberships_structure(small_collection):
