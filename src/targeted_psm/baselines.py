@@ -28,9 +28,10 @@ from .lca import LcaFitConfig, LcaModel
 from .transfer import (
     TransferConfig,
     TransferFit,
-    _pooling_stage,
     fit_targeted_psm,
+    joint_estimate,
     predict_risk,
+    resolve_penalties,
 )
 
 
@@ -93,8 +94,10 @@ def fit_method(
     if method is MethodId.NAIVE_LASSO:
         target = data.target
         family.validate_outcomes(target.outcomes)
+        alone = StudyCollection(target=target)
         ones = MembershipMatrix(probs=(np.ones((target.n, 1)),), stage="initial_v")
-        pooled = _pooling_stage(StudyCollection(target=target), ones, config, family)[0]
+        lam = resolve_penalties(config.lambda_pool, "pool", alone, ones, config, family)
+        pooled = joint_estimate(alone, ones, config, family, lam)[0]
         coef = replace(pooled, role="target_B0")
         return FittedMethod(method=method, coef=coef, family=family)
     if method is MethodId.TRANS_GLM:

@@ -95,7 +95,14 @@ def load_config(path) -> dict:
     return payload
 
 
-def _check_keys(block: dict, allowed, name: str) -> None:
+def _tuples(value):
+    """A JSON value with every list (nested ones too) turned into a tuple."""
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    return value
+
+
+def _checked_block(name: str, block, allowed) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be a JSON object")
     for key in block:
@@ -104,56 +111,45 @@ def _check_keys(block: dict, allowed, name: str) -> None:
                 f"{name}.{key} is not a recognized setting "
                 f"(choose from {sorted(allowed)})"
             )
+    return block
 
 
-def _listy(value):
-    return tuple(value) if isinstance(value, list) else value
+def _config_block(name: str, block, cls, seed: int = None, base=None):
+    """Build the dataclass `cls` from one JSON config block.
+
+    The block must be an object whose keys are fields of `cls` (a scenario
+    block without `base` may also name a "preset"); lists become tuples.
+    With `base` the block overrides it through `replace`.  A bad value is
+    reported as a ConfigError that names the block; `seed` overrides the
+    block's seed.
+    """
+    allowed = {f.name for f in dataclasses.fields(cls)}
+    if cls is ScenarioConfig and base is None:
+        allowed.add("preset")
+    settings = {k: _tuples(v) for k, v in _checked_block(name, block, allowed).items()}
+    preset = settings.pop("preset", None)
+    if seed is not None:
+        settings["seed"] = seed
+    try:
+        if base is not None:
+            return replace(base, **settings)
+        if preset:
+            return scenario_preset(preset, **settings)
+        return cls(**settings)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def scenario_from_config(config: dict, seed: int = None) -> ScenarioConfig:
-    block = dict(config.get("scenario", {}))
-    preset = block.pop("preset", None)
-    allowed = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    _check_keys(block, allowed, "scenario")
-    for key in ("support_sizes", "prevalences", "mixing"):
-        if key in block:
-            block[key] = _listy(block[key])
-    try:
-        cfg = scenario_preset(preset, **block) if preset else ScenarioConfig(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+    return _config_block("scenario", config.get("scenario", {}), ScenarioConfig, seed)
 
 
 def transfer_from_config(config: dict, seed: int = None) -> TransferConfig:
-    block = dict(config.get("tuning", {}))
-    allowed = {f.name for f in dataclasses.fields(TransferConfig)}
-    _check_keys(block, allowed, "tuning")
-    for key in ("lambda_pool", "lambda_bias", "cv_grid"):
-        if key in block:
-            block[key] = _listy(block[key])
-    try:
-        cfg = TransferConfig(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tuning: {exc}") from exc
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+    return _config_block("tuning", config.get("tuning", {}), TransferConfig, seed)
 
 
 def lca_from_config(config: dict, seed: int = None) -> LcaFitConfig:
-    block = dict(config.get("lca", {}))
-    allowed = {f.name for f in dataclasses.fields(LcaFitConfig)}
-    _check_keys(block, allowed, "lca")
-    try:
-        cfg = LcaFitConfig(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"lca: {exc}") from exc
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+    return _config_block("lca", config.get("lca", {}), LcaFitConfig, seed)
 
 
 def methods_from_config(config: dict) -> list:
@@ -176,38 +172,46 @@ def experiment_scenarios(config: dict, seed: int = None) -> list:
     """(scenario_id, ScenarioConfig) pairs: the base scenario block combined
     with per-entry overrides from experiment.scenarios."""
     base = scenario_from_config(config, seed)
-    block = config.get("experiment", {})
-    _check_keys(
-        block,
+    block = _checked_block(
+        "experiment", config.get("experiment", {}),
         {"replicates", "test_n", "scenarios", "max_failure_rate"},
-        "experiment",
     )
     entries = block.get("scenarios")
     if entries is None:
         return [("scenario", base)]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("experiment.scenarios must be a non-empty JSON list")
-    allowed = {f.name for f in dataclasses.fields(ScenarioConfig)}
     out, seen = [], set()
     for i, entry in enumerate(entries):
-        entry = dict(entry) if isinstance(entry, dict) else None
-        if entry is None or "id" not in entry:
-            raise ConfigError(
-                f"experiment.scenarios[{i}] must be an object with an 'id'"
-            )
-        sid = str(entry.pop("id"))
+        name = f"experiment.scenarios[{i}]"
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise ConfigError(f"{name} must be an object with an 'id'")
+        sid = str(entry["id"])
         if sid in seen:
-            raise ConfigError(f"experiment.scenarios[{i}]: duplicate id {sid!r}")
+            raise ConfigError(f"{name}: duplicate id {sid!r}")
         seen.add(sid)
-        _check_keys(entry, allowed, f"experiment.scenarios[{i}]")
-        for key in ("support_sizes", "prevalences", "mixing"):
-            if key in entry:
-                entry[key] = _listy(entry[key])
-        try:
-            out.append((sid, replace(base, **entry)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"experiment.scenarios[{i}]: {exc}") from exc
+        overrides = {k: v for k, v in entry.items() if k != "id"}
+        out.append((sid, _config_block(name, overrides, ScenarioConfig, base=base)))
     return out
+
+
+def _experiment_counts(block: dict, replicates: int = None):
+    """(replicates, test_n, max_failure_rate) from a checked experiment
+    block; the --replicates flag, when given, wins over the block."""
+    if replicates is None:
+        replicates_name, replicates = "experiment.replicates", block.get("replicates", 20)
+    else:
+        replicates_name = "--replicates"
+    counts = {replicates_name: replicates, "experiment.test_n": block.get("test_n", 500)}
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    rate = block.get("max_failure_rate", 0.2)
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate <= 1:
+        raise ConfigError(
+            f"experiment.max_failure_rate must be a number in [0, 1], got {rate!r}"
+        )
+    return (*counts.values(), float(rate))
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +319,13 @@ def _cmd_predict(args) -> int:
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
     scenarios = experiment_scenarios(config, seed=None)  # also checks the block
-    block = config.get("experiment", {})
+    replicates, test_n, max_failure_rate = _experiment_counts(
+        config.get("experiment", {}), args.replicates
+    )
     seed = args.seed if args.seed is not None else 0
     methods = methods_from_config(config)
-    replicates = args.replicates or int(block.get("replicates", 20))
-    test_n = int(block.get("test_n", 500))
-    max_failure_rate = float(block.get("max_failure_rate", 0.2))
+    transfer_cfg = transfer_from_config(config)
+    lca_cfg = lca_from_config(config) if "lca" in config else None
     threads = _resolve_threads(args)
     out = _resolve_out(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -360,8 +365,8 @@ def _cmd_experiment(args) -> int:
         test_n=test_n,
         n_jobs=threads,
         master_seed=seed,
-        transfer_config=transfer_from_config(config),
-        lca_config=lca_from_config(config) if "lca" in config else None,
+        transfer_config=transfer_cfg,
+        lca_config=lca_cfg,
         completed=completed,
         row_sink=sink,
         max_failure_rate=max_failure_rate,

@@ -75,12 +75,6 @@ class GlmFamily:
     def gaussian(cls, dispersion: float = 1.0) -> "GlmFamily":
         return cls("gaussian", dispersion)
 
-    @classmethod
-    def from_name(cls, name: str) -> "GlmFamily":
-        if name not in _FAMILY_KINDS:
-            raise ValueError(f"unknown GLM family name: {name!r}")
-        return cls(name)
-
     # -- log-partition and derivatives ------------------------------------
 
     def log_partition(self, eta):
@@ -367,10 +361,6 @@ class CoefficientMatrix:
         """Per-class linear predictors: (n, C) = X @ values + intercept."""
         X = np.asarray(X, dtype=float)
         return X @ self.values + self.intercept
-
-    def stacked_state(self) -> np.ndarray:
-        """Intercept row stacked on top of values; the full parameter state."""
-        return np.vstack([self.intercept[None, :], self.values])
 
 
 @dataclass(frozen=True)

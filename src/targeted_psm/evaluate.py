@@ -17,7 +17,7 @@ from .baselines import MIXTURE_METHODS, MethodId, fit_method
 from .core import CoefficientMatrix
 from .lca import LcaFitConfig, fit_lca, initial_memberships
 from .simulate import ScenarioConfig, generate_scenario, generate_target_test
-from .transfer import TransferConfig, auto_tune_lambda
+from .transfer import TransferConfig, resolve_penalties
 
 
 class UndefinedMetricError(ValueError):
@@ -170,9 +170,6 @@ class ExperimentReport:
             )
         return out
 
-    def to_csv(self, path) -> None:
-        write_report_rows(path, self.rows)
-
     def summary_to_csv(self, path) -> None:
         path = Path(path)
         with path.open("w", newline="") as fh:
@@ -280,12 +277,8 @@ def run_replicate(
             shared_lca = fit_lca(data, C, lca_cfg)
             if isinstance(transfer_config.lambda_pool, str):
                 v = initial_memberships(shared_lca, data)
-                lam_pool = auto_tune_lambda(
-                    data, v, family, "pool",
-                    grid=transfer_config.cv_grid,
-                    cv_folds=transfer_config.cv_folds,
-                    seed=transfer_config.seed,
-                    fit_intercept=transfer_config.fit_intercept,
+                lam_pool = resolve_penalties(
+                    transfer_config.lambda_pool, "pool", data, v, transfer_config, family
                 )
                 shared_config = replace(
                     transfer_config, lambda_pool=tuple(float(l) for l in lam_pool)

@@ -16,6 +16,12 @@ Both loops keep the per-class penalty fixed on the marginal scale
 increase the penalized marginal objective
 
     (1/n) * sum_i -log( sum_c v_ic f(y_i | eta_ic) ) + sum_c lam_c ||beta_c||_1 .
+
+Each decision is made in one place: `_stage_rows` picks a stage's rows
+(every study for "pool", the target for "bias"), `resolve_penalties` turns
+a penalty setting into per-class numbers (per-class CV when "auto"), and
+`_log_joint` builds log v + log f(y | eta), from which one EM iteration
+takes both its objective value and the next E-step.
 """
 
 from __future__ import annotations
@@ -110,41 +116,26 @@ class TransferConfig:
 
 
 # ---------------------------------------------------------------------------
-# Membership refinement (EM E-step)
+# Log joint, membership refinement (EM E-step) and the penalized objective
 # ---------------------------------------------------------------------------
 
 
-def _refined_rows(family, y, X, v_rows, coef, offset_coef=None):
-    """Bayes update of membership rows against the outcome density."""
+def _log_joint(family, y, X, log_v, coef, offsets=None):
+    """log v_ic + log f(y_i | eta_ic), with eta = X B_c (+ offsets[:, c])."""
     eta = coef.linear_predictor(X)
-    if offset_coef is not None:
-        eta = eta + offset_coef.linear_predictor(X)
-    log_w = np.log(v_rows) + family.log_density(y[:, None], eta)
-    w = np.exp(log_w - log_sum_exp_rows(log_w)[:, None])
-    return clip_rows(w)
+    if offsets is not None:
+        eta = eta + offsets
+    return log_v + family.log_density(y[:, None], eta)
 
 
-# ---------------------------------------------------------------------------
-# Penalized marginal objective (the quantity EM descends on)
-# ---------------------------------------------------------------------------
+def _refined_rows(log_w, log_mix):
+    """Bayes update of membership rows from the log joint and its row-wise
+    log-sum-exp."""
+    return clip_rows(np.exp(log_w - log_mix[:, None]))
 
 
-def penalized_mixture_objective(
-    family: GlmFamily,
-    y: np.ndarray,
-    X: np.ndarray,
-    v_rows: np.ndarray,
-    coef: CoefficientMatrix,
-    lambdas: np.ndarray,
-    offset_coef: CoefficientMatrix = None,
-) -> float:
-    """(1/n) * sum_i -log sum_c v_ic f(y_i | eta_ic)  +  sum_c lam_c ||values_c||_1."""
-    eta = coef.linear_predictor(X)
-    if offset_coef is not None:
-        eta = eta + offset_coef.linear_predictor(X)
-    log_mix = log_sum_exp_rows(np.log(v_rows) + family.log_density(y[:, None], eta))
-    loss = -float(log_mix.sum()) / y.shape[0]
-    lambdas = np.asarray(lambdas, dtype=float)
+def _penalized_value(log_mix, coef, lambdas) -> float:
+    loss = -float(log_mix.sum()) / log_mix.shape[0]
     terms = []
     for c in range(coef.n_classes):
         l1 = float(np.abs(coef.values[:, c]).sum())
@@ -155,6 +146,21 @@ def penalized_mixture_objective(
     # summing the per-class terms in sorted order keeps the objective exactly
     # invariant under class relabeling
     return loss + float(np.sort(np.asarray(terms)).sum())
+
+
+def penalized_mixture_objective(
+    family: GlmFamily,
+    y: np.ndarray,
+    X: np.ndarray,
+    v_rows: np.ndarray,
+    coef: CoefficientMatrix,
+    lambdas: np.ndarray,
+    offsets: np.ndarray = None,
+) -> float:
+    """(1/n) * sum_i -log sum_c v_ic f(y_i | eta_ic)  +  sum_c lam_c ||values_c||_1,
+    with `offsets` an optional (n, C) per-class offset added to eta."""
+    log_w = _log_joint(family, y, X, np.log(v_rows), coef, offsets)
+    return _penalized_value(log_sum_exp_rows(log_w), coef, np.asarray(lambdas, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +194,6 @@ def _mixture_em(
     *,
     role: str,
     offsets_by_class: np.ndarray = None,
-    offset_coef: CoefficientMatrix = None,
     tau: float = DEFAULT_TAU,
     max_iter: int = DEFAULT_MAX_EM_ITER,
     fit_intercept: bool = True,
@@ -199,12 +204,16 @@ def _mixture_em(
     (w = v on the first pass, the Bayes-refined memberships afterwards); the
     per-class penalty lam_c stays fixed on the marginal scale, so the solver
     is handed lam_c * n / mass_c (lam_c itself when mass_c == n, where the
-    rescaling is the identity but could round by an ulp).  Stops when the
-    relative parameter change drops to tau (absolute change when the
-    previous state is zero) or after max_iter rounds.  A single class
-    stops after one round: its memberships are all ones (clip_rows of one
-    column), so a second round would only re-solve the same problem.
-    Returns (coef, weights_used, trace, n_iter).
+    rescaling is the identity but could round by an ulp).  After the M-step
+    the log joint is built once: its row log-sum-exp gives the iteration's
+    objective value, and the two together give the next iteration's
+    memberships.  Stops when the relative parameter change drops to tau
+    (absolute change when the previous state is zero) or after max_iter
+    rounds; a loop of more than one round that stops at its cap raises a
+    RuntimeWarning.  A single class stops after one round: its memberships
+    are all ones (clip_rows of one column), so a second round would only
+    re-solve the same problem.  Returns (coef, weights_used, trace), with
+    one trace value per iteration.
     """
     n, p = X.shape
     C = v_rows.shape[1]
@@ -212,17 +221,16 @@ def _mixture_em(
         max_iter = 1
     design, mask = _design(X, fit_intercept)
     theta = np.zeros((design.shape[1], C))
-    coef = _coef_from_state(theta, fit_intercept, role)
     lambdas = np.asarray(lambdas, dtype=float)
+    finite_lambdas = np.where(np.isfinite(lambdas), lambdas, 0.0)
     degenerate_mass = DEGENERATE_MASS_FACTOR * p * EPS_CLIP
+    log_v = np.log(v_rows)
 
     trace = []
     w_rows = v_rows
-    n_iter = 0
     for t in range(1, max_iter + 1):
-        n_iter = t
         if t > 1:
-            w_rows = _refined_rows(family, y, X, v_rows, coef, offset_coef)
+            w_rows = _refined_rows(log_w, log_mix)
         theta_new = theta.copy()
         for c in range(C):
             w_c = w_rows[:, c]
@@ -251,19 +259,22 @@ def _mixture_em(
             sol = solve_weighted_lasso_glm(prob, init=theta[:, c])
             theta_new[:, c] = sol.beta
         coef = _coef_from_state(theta_new, fit_intercept, role)
-        trace.append(
-            penalized_mixture_objective(
-                family, y, X, v_rows, coef,
-                np.where(np.isfinite(lambdas), lambdas, 0.0),
-                offset_coef,
-            )
-        )
+        log_w = _log_joint(family, y, X, log_v, coef, offsets_by_class)
+        log_mix = log_sum_exp_rows(log_w)
+        trace.append(_penalized_value(log_mix, coef, finite_lambdas))
         denom = sorted_square_norm(theta)
         diff = sorted_square_norm(theta_new - theta)
         theta = theta_new
         if (diff <= tau * denom) if denom > 0 else (sorted_square_norm(theta_new) <= tau):
             break
-    return coef, w_rows, trace, n_iter
+    else:
+        if max_iter > 1:
+            warnings.warn(
+                f"{role} EM stopped at its cap of {max_iter} iterations "
+                f"without meeting tau={tau}",
+                RuntimeWarning,
+            )
+    return coef, w_rows, trace
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +319,21 @@ def _make_folds(y, study_index, cv_folds, family, seed):
     )
 
 
+def _stage_rows(data: StudyCollection, memberships: MembershipMatrix, stage: str):
+    """(y, X, study_index, v_rows) of a stage: every study's rows for
+    "pool", the target study's rows for "bias"."""
+    if stage == "pool":
+        y, X, _, study_index = data.stacked()
+        return y, X, study_index, memberships.stacked()
+    if stage == "bias":
+        tgt = data.target
+        return (
+            tgt.outcomes, tgt.predictors, np.zeros(tgt.n, dtype=int),
+            memberships.target_block(),
+        )
+    raise ValueError("stage must be 'pool' or 'bias'")
+
+
 def auto_tune_lambda(
     data: StudyCollection,
     memberships: MembershipMatrix,
@@ -333,28 +359,17 @@ def auto_tune_lambda(
     solve's best iterate.  SolverError is raised only when every candidate
     of a class fails, naming the class and stage.
     """
-    if stage not in ("pool", "bias"):
-        raise ValueError("stage must be 'pool' or 'bias'")
+    y, X, study_index, v_rows = _stage_rows(data, memberships, stage)
     if cv_folds < 2:
         raise ValueError("cv_folds must be >= 2")
-    if stage == "pool":
-        y, X, _, study_index = data.stacked()
-        v_rows = memberships.stacked()
-        n_eff = data.n_total
-    else:
-        tgt = data.target
-        y, X = tgt.outcomes, tgt.predictors
-        study_index = np.zeros(tgt.n, dtype=int)
-        v_rows = memberships.target_block()
-        n_eff = data.n0
-        if offsets_by_class is None:
-            raise ValueError("bias-stage tuning needs per-class offsets")
+    if stage == "bias" and offsets_by_class is None:
+        raise ValueError("bias-stage tuning needs per-class offsets")
     n, p = X.shape
     C = v_rows.shape[1]
     if offsets_by_class is not None and offsets_by_class.shape != (n, C):
         raise ValueError("offsets_by_class must be (n, C)")
 
-    candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(p, n_eff)
+    candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(p, n)
     fold = _make_folds(y, study_index, cv_folds, family, seed)
     design, mask = _design(X, fit_intercept)
 
@@ -410,14 +425,31 @@ def auto_tune_lambda(
     return chosen
 
 
-def _resolve_lambda(value, n_classes, tune) -> np.ndarray:
-    """Normalize a lambda setting ('auto' | scalar | per-class sequence)."""
-    if isinstance(value, str):
-        return np.asarray(tune(), dtype=float)
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+def resolve_penalties(
+    setting,
+    stage: str,
+    data: StudyCollection,
+    memberships: MembershipMatrix,
+    config: TransferConfig,
+    family: GlmFamily,
+    offsets_by_class: np.ndarray = None,
+) -> np.ndarray:
+    """Per-class penalties of a stage from a setting ('auto' | scalar |
+    per-class sequence).  "auto" runs auto_tune_lambda with the config's
+    grid, folds, seed and intercept choice (the bias stage needs the
+    pooled linear predictors as `offsets_by_class`); a scalar is broadcast
+    to every class."""
+    if isinstance(setting, str):
+        return auto_tune_lambda(
+            data, memberships, family, stage,
+            grid=config.cv_grid, cv_folds=config.cv_folds, seed=config.seed,
+            offsets_by_class=offsets_by_class, fit_intercept=config.fit_intercept,
+        )
+    C = memberships.n_classes
+    arr = np.atleast_1d(np.asarray(setting, dtype=float))
     if arr.size == 1:
-        return np.full(n_classes, float(arr[0]))
-    if arr.shape != (n_classes,):
+        return np.full(C, float(arr[0]))
+    if arr.shape != (C,):
         raise ValueError("per-class lambda must have one entry per class")
     return arr.copy()
 
@@ -432,21 +464,16 @@ def joint_estimate(
     memberships: MembershipMatrix,
     config: TransferConfig,
     family: GlmFamily,
-    lambdas: np.ndarray = None,
+    lambdas: np.ndarray,
 ):
-    """Pooling stage: EM over all studies.  `lambdas` must already be
-    resolved to per-class numbers (fit_targeted_psm handles "auto").
+    """Pooling stage: EM over all studies with per-class penalties
+    `lambdas` (see resolve_penalties).
     Returns (B, refined_weights, trace, n_iter, lambdas)."""
     if memberships.n_studies != data.K + 1:
         raise ValueError("memberships do not match the study collection")
-    C = memberships.n_classes
-    if lambdas is None:
-        if isinstance(config.lambda_pool, str):
-            raise ValueError("lambda_pool is 'auto'; resolve it before joint_estimate")
-        lambdas = _resolve_lambda(config.lambda_pool, C, None)
-    y, X, _, _ = data.stacked()
-    coef, w_rows, trace, n_iter = _mixture_em(
-        family, y, X, memberships.stacked(), lambdas,
+    y, X, _, v_rows = _stage_rows(data, memberships, "pool")
+    coef, w_rows, trace = _mixture_em(
+        family, y, X, v_rows, lambdas,
         role="pooled_B",
         tau=config.tau,
         max_iter=config.max_em_iter,
@@ -456,27 +483,7 @@ def joint_estimate(
     refined = MembershipMatrix(
         probs=tuple(w_rows[s] for s in slices), stage="refined_w"
     )
-    return coef, refined, trace, n_iter, lambdas
-
-
-def _pooling_stage(
-    data: StudyCollection,
-    memberships: MembershipMatrix,
-    config: TransferConfig,
-    family: GlmFamily,
-):
-    """Resolve lambda_pool (per-class CV when "auto") and run the pooling
-    EM; returns what joint_estimate returns."""
-    lambdas = _resolve_lambda(
-        config.lambda_pool,
-        memberships.n_classes,
-        lambda: auto_tune_lambda(
-            data, memberships, family, "pool",
-            grid=config.cv_grid, cv_folds=config.cv_folds, seed=config.seed,
-            fit_intercept=config.fit_intercept,
-        ),
-    )
-    return joint_estimate(data, memberships, config, family, lambdas=lambdas)
+    return coef, refined, trace, len(trace), lambdas
 
 
 def bias_correct(
@@ -485,34 +492,28 @@ def bias_correct(
     pooled: CoefficientMatrix,
     config: TransferConfig,
     family: GlmFamily,
-    lambdas: np.ndarray = None,
+    lambdas: np.ndarray,
 ):
     """Correction stage: EM on the target study with x'B_c as per-class
-    offset, restarting from the target's initial memberships.
+    offset, restarting from the target's initial memberships, with
+    per-class penalties `lambdas` (see resolve_penalties).
     Returns (Delta, trace, n_iter, lambdas)."""
-    C = memberships.n_classes
-    if lambdas is None:
-        if isinstance(config.lambda_bias, str):
-            raise ValueError("lambda_bias is 'auto'; resolve it before bias_correct")
-        lambdas = _resolve_lambda(config.lambda_bias, C, None)
-    tgt = data.target
     if np.all(np.isinf(lambdas)):
         # Infinite penalty: no correction at all, Delta == 0 exactly.
         delta = CoefficientMatrix(
             values=np.zeros_like(pooled.values), role="correction_Delta"
         )
         return delta, (), 0, lambdas
-    offsets = pooled.linear_predictor(tgt.predictors)
-    coef, _, trace, n_iter = _mixture_em(
-        family, tgt.outcomes, tgt.predictors, memberships.target_block(), lambdas,
+    y, X, _, v_rows = _stage_rows(data, memberships, "bias")
+    coef, _, trace = _mixture_em(
+        family, y, X, v_rows, lambdas,
         role="correction_Delta",
-        offsets_by_class=offsets,
-        offset_coef=pooled,
+        offsets_by_class=pooled.linear_predictor(X),
         tau=config.tau,
         max_iter=config.max_em_iter,
         fit_intercept=config.fit_intercept,
     )
-    return coef, trace, n_iter, lambdas
+    return coef, trace, len(trace), lambdas
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +541,21 @@ class TransferFit:
     lambda_bias: np.ndarray
     trace_joint: tuple
     trace_bias: tuple
-    n_iter_joint: int
-    n_iter_bias: int
     fit_intercept: bool = True
 
     @property
     def n_classes(self) -> int:
         return self.b_target.n_classes
+
+    @property
+    def n_iter_joint(self) -> int:
+        """Pooling EM iterations (one trace value each)."""
+        return len(self.trace_joint)
+
+    @property
+    def n_iter_bias(self) -> int:
+        """Correction EM iterations; 0 when the correction is frozen."""
+        return len(self.trace_bias)
 
 
 def fit_targeted_psm(
@@ -581,20 +590,11 @@ def fit_targeted_psm(
             raise ValueError("pre-fitted LCA model has a different q")
     v = initial_memberships(lca_model, data)
 
-    b_pooled, refined, trace_j, it_j, lam_pool = _pooling_stage(data, v, config, family)
-
-    if isinstance(config.lambda_bias, str):
-        offsets = b_pooled.linear_predictor(data.target.predictors)
-        lam_bias = auto_tune_lambda(
-            data, v, family, "bias",
-            grid=config.cv_grid, cv_folds=config.cv_folds, seed=config.seed,
-            offsets_by_class=offsets, fit_intercept=config.fit_intercept,
-        )
-    else:
-        lam_bias = _resolve_lambda(config.lambda_bias, C, None)
-    delta, trace_b, it_b, _ = bias_correct(
-        data, v, b_pooled, config, family, lambdas=lam_bias
-    )
+    lam_pool = resolve_penalties(config.lambda_pool, "pool", data, v, config, family)
+    b_pooled, refined, trace_j, _, _ = joint_estimate(data, v, config, family, lam_pool)
+    offsets = b_pooled.linear_predictor(data.target.predictors)
+    lam_bias = resolve_penalties(config.lambda_bias, "bias", data, v, config, family, offsets)
+    delta, trace_b, _, _ = bias_correct(data, v, b_pooled, config, family, lam_bias)
 
     b_target = CoefficientMatrix(
         values=b_pooled.values + delta.values,
@@ -612,8 +612,6 @@ def fit_targeted_psm(
         lambda_bias=lam_bias,
         trace_joint=tuple(trace_j),
         trace_bias=tuple(trace_b),
-        n_iter_joint=it_j,
-        n_iter_bias=it_b,
         fit_intercept=config.fit_intercept,
     )
 
@@ -715,8 +713,6 @@ def transfer_fit_from_dict(payload: dict) -> TransferFit:
         lambda_bias=_penalties_from_json(payload["lambda_bias"]),
         trace_joint=tuple(payload.get("trace_joint", ())),
         trace_bias=tuple(payload.get("trace_bias", ())),
-        n_iter_joint=int(payload.get("n_iter_joint", 0)),
-        n_iter_bias=int(payload.get("n_iter_bias", 0)),
         fit_intercept=bool(payload.get("fit_intercept", True)),
     )
 

@@ -67,6 +67,24 @@ def test_scenario_from_config_preset_and_overrides():
     assert cfg2.seed == 42
 
 
+@pytest.mark.parametrize("block", ["scenario", "tuning", "lca", "experiment"])
+def test_non_object_block_exits_2(tmp_path, capsys, block):
+    config = _write_config(tmp_path, {block: 5})
+    rc = main(["experiment", "--config", config, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"{block} must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_lists_become_tuples():
+    cfg = transfer_from_config({"tuning": {"lambda_pool": [0.1, 0.2], "cv_grid": [1, 2]}})
+    assert cfg.lambda_pool == (0.1, 0.2) and cfg.cv_grid == (1, 2)
+    scen = scenario_from_config(
+        {"scenario": {"prevalences": [[0.2, 0.8], [0.5, 0.5], [0.7, 0.3]], "q": 2}}
+    )
+    assert scen.prevalences == ((0.2, 0.8), (0.5, 0.5), (0.7, 0.3))
+
+
 def test_transfer_from_config_unknown_field():
     with pytest.raises(ConfigError, match="tuning.bogus"):
         transfer_from_config({"tuning": {"bogus": 3}})
@@ -286,6 +304,31 @@ def test_experiment_force_restart_reproduces_statistics(experiment_config):
     rows_after = read_report_rows(out / "rows.csv")
     key = lambda r: (r.scenario, r.method, r.replicate, r.seed, r.mse, r.auc)
     assert [key(r) for r in rows_before] == [key(r) for r in rows_after]
+
+
+@pytest.mark.parametrize(
+    "flags, experiment, message",
+    [
+        (["--replicates", "0"], {}, "--replicates must be an integer >= 1"),
+        (["--replicates", "-2"], {}, "--replicates must be an integer >= 1"),
+        ([], {"replicates": "abc"}, "experiment.replicates must be an integer"),
+        ([], {"replicates": 0}, "experiment.replicates must be an integer"),
+        ([], {"replicates": 2.5}, "experiment.replicates must be an integer"),
+        ([], {"test_n": 0}, "experiment.test_n must be an integer"),
+        ([], {"test_n": True}, "experiment.test_n must be an integer"),
+        ([], {"max_failure_rate": 1.5}, "max_failure_rate must be a number in [0, 1]"),
+        ([], {"max_failure_rate": -0.1}, "max_failure_rate must be a number in [0, 1]"),
+        ([], {"max_failure_rate": "x"}, "max_failure_rate must be a number in [0, 1]"),
+    ],
+)
+def test_experiment_rejects_bad_counts(tmp_path, capsys, flags, experiment, message):
+    payload = {"scenario": dict(TINY_SCENARIO), "experiment": experiment}
+    config = _write_config(tmp_path, payload)
+    out = tmp_path / "exp"
+    rc = main(["experiment", "--config", config, "--out", str(out), *flags])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_threads_env_and_validation(experiment_config, monkeypatch):

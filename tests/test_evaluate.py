@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from targeted_psm.baselines import MethodId
+from targeted_psm import evaluate
+from targeted_psm.baselines import MethodId, fit_method
 from targeted_psm.evaluate import (
     MAX_ALIGN_CLASSES,
     ExperimentReport,
@@ -20,7 +21,7 @@ from targeted_psm.evaluate import (
     write_report_rows,
 )
 from targeted_psm.lca import LcaFitConfig
-from targeted_psm.simulate import scenario_preset
+from targeted_psm.simulate import generate_scenario, generate_target_test, scenario_preset
 from targeted_psm.transfer import TransferConfig
 
 from _oracles import pairwise_auc
@@ -186,7 +187,7 @@ def test_summary_csv(tmp_path):
     text = path.read_text().splitlines()
     assert text[0].startswith("scenario,method,")
     assert text[1].split(",")[0] == "s"
-    report.to_csv(tmp_path / "rows.csv")
+    write_report_rows(tmp_path / "rows.csv", report.rows)
     assert read_report_rows(tmp_path / "rows.csv") == list(rows)
 
 
@@ -242,20 +243,44 @@ def test_run_replicate_one_em_step_collapses_psm_variants():
     assert rows[0].permutation == rows[1].permutation
 
 
-def test_run_replicate_shared_tuning_matches_per_method(tmp_path):
+def test_run_replicate_shared_tuning_matches_per_method(monkeypatch):
     # 'auto' tuning inside run_replicate shares one pool-stage CV between the
-    # two mixture variants; that must equal what per-method tuning would give
+    # two mixture variants; that must equal what per-method tuning gives
     grid = (0.5, 2.0)
     auto_cfg = TransferConfig(
         lambda_pool="auto", lambda_bias=0.05, cv_folds=2, cv_grid=grid,
         max_em_iter=5, seed=0,
     )
+    fitted = []
+
+    def recording(*args, **kwargs):
+        fitted.append(fit_method(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(evaluate, "fit_method", recording)
     rows = run_replicate(
         "mini", MINI, [MethodId.TARGETED_PSM], replicate=0, test_n=120,
         transfer_config=auto_cfg, lca_config=FAST_LCA,
     )
     assert rows[0].error is None
-    assert rows[0].mse is not None
+    shared = fitted[0].fit
+    assert shared.lca_model is not None
+
+    data, truth = generate_scenario(MINI)
+    direct = fit_method(
+        MethodId.TARGETED_PSM, data, MINI.n_classes, config=auto_cfg,
+        family=MINI.glm_family(), lca_config=FAST_LCA,
+    )
+    assert np.array_equal(direct.fit.lambda_pool, shared.lambda_pool)
+    assert np.array_equal(direct.fit.lambda_bias, shared.lambda_bias)
+    assert np.array_equal(direct.coef.values, fitted[0].coef.values)
+    assert np.array_equal(direct.coef.intercept, fitted[0].coef.intercept)
+    assert direct.fit.trace_joint == shared.trace_joint
+    assert direct.fit.trace_bias == shared.trace_bias
+    assert rows[0].mse == coef_mse(direct.coef, truth["coefficients"][0].values)
+    test_study, _ = generate_target_test(MINI, 120)
+    scores = direct.scores(test_study.predictors, test_study.structure_vars)
+    assert rows[0].auc == auc(scores, test_study.outcomes)
 
 
 def test_run_experiment_statistically_deterministic():

@@ -1,6 +1,6 @@
-"""Source hygiene: every name a package module imports is used there, and
+"""Source hygiene: every name a package module imports is used there,
 every private module-level function or class is used somewhere in the
-package.
+package, and no module imports another module's private names.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -65,3 +65,16 @@ def test_private_definitions_are_referenced():
         and node.name not in used
     )
     assert not unused, f"private definitions nothing in the package uses: {unused}"
+
+
+def test_no_module_imports_private_names_of_another():
+    found = sorted(
+        f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("targeted_psm"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not found, f"private names imported across modules: {found}"

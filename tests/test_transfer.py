@@ -10,12 +10,14 @@ from targeted_psm.core import (
     MembershipMatrix,
     Study,
     StudyCollection,
+    log_sum_exp_rows,
 )
 from targeted_psm import transfer
 from targeted_psm.glm import SolverError
 from targeted_psm.lca import LcaFitConfig, LcaModel, fit_lca, initial_memberships
 from targeted_psm.transfer import (
     TransferConfig,
+    _log_joint,
     _make_folds,
     _refined_rows,
     auto_tune_lambda,
@@ -64,7 +66,8 @@ def test_e_step_is_bayes_rule(tiny_scenario):
     )
     y, X, _, _ = data.stacked()
     v_rows = v.stacked()
-    w_rows = _refined_rows(family, y, X, v_rows, coef)
+    log_w = _log_joint(family, y, X, np.log(v_rows), coef)
+    w_rows = _refined_rows(log_w, log_sum_exp_rows(log_w))
     eta = coef.linear_predictor(X)
     dens = np.exp(family.log_density(y[:, None], eta))
     direct = v_rows * dens
@@ -86,7 +89,8 @@ def test_e_step_equal_coefficients_leave_memberships_fixed(tiny_scenario):
         values=same, intercept=np.array([0.4, 0.4]), role="pooled_B"
     )
     y, X, _, _ = data.stacked()
-    w_rows = _refined_rows(family, y, X, v.stacked(), coef)
+    log_w = _log_joint(family, y, X, np.log(v.stacked()), coef)
+    w_rows = _refined_rows(log_w, log_sum_exp_rows(log_w))
     assert np.max(np.abs(w_rows - v.stacked())) < 1e-12
 
 
@@ -158,6 +162,23 @@ def test_additive_identity_and_roles(mini_fit):
     assert fit.n_classes == 3
 
 
+def test_traces_end_at_the_objective_of_the_returned_coefficients(mini_fit):
+    # the trace value of an iteration and the next E-step share one log
+    # joint; the last value must still be the stage objective, bit for bit
+    data, fit = mini_fit
+    fam = fit.family
+    v = initial_memberships(fit.lca_model, data)
+    y, X, _, _ = data.stacked()
+    assert fit.trace_joint[-1] == penalized_mixture_objective(
+        fam, y, X, v.stacked(), fit.b_pooled, fit.lambda_pool
+    )
+    tgt = data.target
+    assert fit.trace_bias[-1] == penalized_mixture_objective(
+        fam, tgt.outcomes, tgt.predictors, v.target_block(), fit.delta,
+        fit.lambda_bias, offsets=fit.b_pooled.linear_predictor(tgt.predictors),
+    )
+
+
 def test_infinite_bias_penalty_freezes_correction(tiny_scenario):
     _, data, _ = tiny_scenario
     cfg = _mini_config(lambda_bias=np.inf)
@@ -183,6 +204,34 @@ def test_single_class_stage_runs_one_m_step(tiny_scenario):
         assert np.array_equal(a.intercept, b.intercept)
     assert fit.trace_joint == capped.trace_joint
     assert fit.trace_bias == capped.trace_bias
+
+
+def test_em_stage_at_its_cap_warns_and_changes_nothing(tiny_scenario):
+    import warnings
+
+    _, data, _ = tiny_scenario
+    fam = GlmFamily.logistic()
+    lca = fit_lca(data, 2, LcaFitConfig(seed=0, n_starts=2))
+    cfg = _mini_config(max_em_iter=2, tau=0.0)
+    with pytest.warns(RuntimeWarning, match="cap of 2") as caught:
+        fit = fit_targeted_psm(data, 2, cfg, fam, lca_model=lca)
+    roles = {r for r in ("pooled_B", "correction_Delta")
+             if any(r in str(w.message) for w in caught)}
+    assert roles == {"pooled_B", "correction_Delta"}
+    assert (fit.n_iter_joint, fit.n_iter_bias) == (2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = fit_targeted_psm(data, 2, cfg, fam, lca_model=lca)
+    for a, b in ((fit.b_pooled, quiet.b_pooled), (fit.delta, quiet.delta)):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.intercept.tobytes() == b.intercept.tobytes()
+    assert fit.trace_joint == quiet.trace_joint
+    assert fit.trace_bias == quiet.trace_bias
+    # one-pass fits never reach a cap of more than one iteration
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_targeted_psm(data, 2, _mini_config(max_em_iter=1, tau=0.0), fam, lca_model=lca)
+        fit_targeted_psm(data, 1, _mini_config(max_em_iter=2, tau=0.0), fam)
 
 
 def test_single_class_zero_penalty_gaussian_matches_wls(rng):
@@ -259,21 +308,6 @@ def test_prefitted_lca_mismatch_raises(tiny_scenario):
     single = StudyCollection(target=data.target)
     with pytest.raises(ValueError, match="study count"):
         fit_targeted_psm(single, 2, _mini_config(), lca_model=lca)
-
-
-def test_stage_wrappers_require_resolved_lambda(tiny_scenario):
-    _, data, _ = tiny_scenario
-    fam = GlmFamily.logistic()
-    lca = fit_lca(data, 2, LcaFitConfig(seed=0, n_starts=2))
-    v = initial_memberships(lca, data)
-    cfg = TransferConfig()  # lambda_pool='auto'
-    with pytest.raises(ValueError, match="resolve"):
-        joint_estimate(data, v, cfg, fam)
-    pooled = CoefficientMatrix(
-        values=np.zeros((data.p, 2)), intercept=np.zeros(2), role="pooled_B"
-    )
-    with pytest.raises(ValueError, match="resolve"):
-        bias_correct(data, v, pooled, cfg, fam)
 
 
 # ---------------------------------------------------------------------------
