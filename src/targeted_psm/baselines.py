@@ -65,8 +65,10 @@ class FittedMethod:
     fit: TransferFit = None        # present for the mixture/transfer methods
 
     def scores(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Predicted outcome scores for new target-study subjects."""
-        if self.fit is not None and self.fit.n_classes > 1:
+        """Predicted outcome scores for new target-study subjects:
+        `predict_risk` for every method with a two-step fit, the plain
+        lasso mean for naive_lasso."""
+        if self.fit is not None:
             return np.atleast_1d(predict_risk(self.fit, X, Z))
         eta = self.coef.linear_predictor(np.atleast_2d(X))[:, 0]
         return self.family.mean(eta)
@@ -95,7 +97,7 @@ def fit_method(
         target = data.target
         family.validate_outcomes(target.outcomes)
         alone = StudyCollection(target=target)
-        ones = MembershipMatrix(probs=(np.ones((target.n, 1)),), stage="initial_v")
+        ones = MembershipMatrix(probs=(np.ones((target.n, 1)),))
         lam = resolve_penalties(config.lambda_pool, "pool", alone, ones, config, family)
         pooled = joint_estimate(alone, ones, config, family, lam)[0]
         coef = replace(pooled, role="target_B0")

@@ -358,19 +358,23 @@ def _cmd_experiment(args) -> int:
             ", ".join(sorted({r.scenario for r in rows})),
         )
 
-    run_experiment(
-        scenarios,
-        [m.value for m in methods],
-        replicates=replicates,
-        test_n=test_n,
-        n_jobs=threads,
-        master_seed=seed,
-        transfer_config=transfer_cfg,
-        lca_config=lca_cfg,
-        completed=completed,
-        row_sink=sink,
-        max_failure_rate=max_failure_rate,
-    )
+    failure = None
+    try:
+        run_experiment(
+            scenarios,
+            [m.value for m in methods],
+            replicates=replicates,
+            test_n=test_n,
+            n_jobs=threads,
+            master_seed=seed,
+            transfer_config=transfer_cfg,
+            lca_config=lca_cfg,
+            completed=completed,
+            row_sink=sink,
+            max_failure_rate=max_failure_rate,
+        )
+    except RuntimeError as exc:  # the failure-rate guard; every row is in rows.csv
+        failure = exc
 
     report = ExperimentReport(rows=tuple(read_report_rows(rows_path)))
     report.summary_to_csv(summary_path)
@@ -388,6 +392,9 @@ def _cmd_experiment(args) -> int:
             f"{s.scenario:<12} {s.method:<16} {s.n_sources:>3} {s.n_ok:>3} "
             f"{mse:>12} {mse_se:>10} {auc_m:>8} {auc_se:>8}"
         )
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
     return 0
 
 

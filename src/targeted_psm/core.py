@@ -318,7 +318,6 @@ class StudyCollection:
 # ---------------------------------------------------------------------------
 
 COEFFICIENT_ROLES = ("pooled_B", "target_B0", "correction_Delta", "per_study_Bk")
-MEMBERSHIP_STAGES = ("initial_v", "refined_w")
 
 
 @dataclass(frozen=True)
@@ -369,11 +368,8 @@ class MembershipMatrix:
     per study, rows clipped into [EPS_CLIP, 1 - EPS_CLIP] (C >= 2)."""
 
     probs: tuple
-    stage: str
 
     def __post_init__(self):
-        if self.stage not in MEMBERSHIP_STAGES:
-            raise ValueError(f"unknown membership stage: {self.stage!r}")
         blocks = tuple(np.ascontiguousarray(b, dtype=float) for b in self.probs)
         if not blocks:
             raise ValueError("membership matrix needs at least one study block")

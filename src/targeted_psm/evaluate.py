@@ -1,5 +1,6 @@
 """Evaluation: class alignment, coefficient error, AUC, and the paired
-replicate harness that compares methods on simulated scenarios."""
+replicate harness that compares methods on simulated scenarios, fitting
+each of them through `baselines.fit_method`."""
 
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ import numpy as np
 from ._rng import substream
 from .baselines import MIXTURE_METHODS, MethodId, fit_method
 from .core import CoefficientMatrix
-from .lca import LcaFitConfig, fit_lca, initial_memberships
+from .lca import LcaFitConfig
 from .simulate import ScenarioConfig, generate_scenario, generate_target_test
-from .transfer import TransferConfig, resolve_penalties
+from .transfer import TransferConfig
 
 
 class UndefinedMetricError(ValueError):
@@ -253,52 +254,45 @@ def run_replicate(
     transfer_config: TransferConfig,
     lca_config: LcaFitConfig = None,
 ) -> list:
-    """Fit every requested method on one fresh draw of the scenario and score
-    it on a fresh test sample from the target population."""
+    """Fit every requested method through `fit_method` on one fresh draw of
+    the scenario and score it on a fresh test sample from the target
+    population.
+
+    targeted_psm and targeted_psm_1 share step 1 and lambda_pool, neither of
+    which depends on the EM cap: the first of the two fits both and hands
+    its LCA model and penalties to the other, which so gets the bytes it
+    would get alone.  runtime_s covers a method's own fit and scoring (the
+    first of the two carries the shared work); a method that raises
+    records its own exception in `error`.
+    """
     methods = [MethodId(m) for m in methods]
     seed = config.seed
     data, truth = generate_scenario(config)
     test_study, _ = generate_target_test(config, test_n)
     truth_b0 = truth["coefficients"][0].values
     family = config.glm_family()
-    C = config.n_classes
     lca_cfg = lca_config or LcaFitConfig(seed=seed)
 
-    # The full and one-pass procedures share step 1 and the pooling-stage
-    # penalty search verbatim (same data, same memberships, same folds), so
-    # fit the joint latent class model and tune lambda_pool once; both
-    # methods then receive identical inputs and give identical stage-1 fits.
     psm_pair = (MethodId.TARGETED_PSM, MethodId.TARGETED_PSM_1)
-    shared_lca = None
-    shared_error = None
-    shared_config = transfer_config
-    if C > 1 and any(m in psm_pair for m in methods):
-        try:
-            shared_lca = fit_lca(data, C, lca_cfg)
-            if isinstance(transfer_config.lambda_pool, str):
-                v = initial_memberships(shared_lca, data)
-                lam_pool = resolve_penalties(
-                    transfer_config.lambda_pool, "pool", data, v, transfer_config, family
-                )
-                shared_config = replace(
-                    transfer_config, lambda_pool=tuple(float(l) for l in lam_pool)
-                )
-        except Exception as exc:  # recorded per dependent method below
-            shared_error = f"{type(exc).__name__}: {exc}"
+    psm_config, psm_lca = transfer_config, None
 
     rows = []
     for method in methods:
+        psm = method in psm_pair
         t0 = time.perf_counter()
         try:
-            if method in psm_pair and shared_error is not None:
-                raise RuntimeError(shared_error)
             fitted = fit_method(
-                method, data, C,
-                config=shared_config if method in psm_pair else transfer_config,
+                method, data, config.n_classes,
+                config=psm_config if psm else transfer_config,
                 family=family,
-                lca_model=shared_lca if method in psm_pair else None,
+                lca_model=psm_lca if psm else None,
                 lca_config=lca_cfg,
             )
+            if psm and psm_lca is None:
+                psm_lca = fitted.fit.lca_model
+                psm_config = replace(
+                    transfer_config, lambda_pool=tuple(fitted.fit.lambda_pool.tolist())
+                )
             runtime = time.perf_counter() - t0
             mse_val, perm = None, None
             if method in MIXTURE_METHODS:

@@ -25,10 +25,8 @@ whose subjects all share one pattern.)
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -322,7 +320,7 @@ def initial_memberships(model: LcaModel, data: StudyCollection) -> MembershipMat
     # clip_rows renormalizes every row while any row still needs a pass, so
     # it runs on each study's block, never on the cell table.
     blocks = tuple(clip_rows(post[rows]) for rows in index.slices)
-    return MembershipMatrix(probs=blocks, stage="initial_v")
+    return MembershipMatrix(probs=blocks)
 
 
 def membership_for_pattern(model: LcaModel, z: np.ndarray, study_row: int = 0) -> np.ndarray:
@@ -338,12 +336,16 @@ def membership_for_pattern(model: LcaModel, z: np.ndarray, study_row: int = 0) -
     return post[0] if single else post
 
 
+def _n_free_params(n_classes: int, data: StudyCollection) -> int:
+    """C*q free prevalences plus (K+1)(C-1) free mixing weights."""
+    C = int(n_classes)
+    return C * data.q + (data.K + 1) * (C - 1)
+
+
 def lca_bic(model: LcaModel, data: StudyCollection) -> float:
-    """BIC = -2 log L + d log(n); d = C*q free prevalences plus (K+1)(C-1)
-    free mixing weights.  Lower is better."""
-    C = model.n_classes
-    d_free = C * data.q + (data.K + 1) * (C - 1)
-    return -2.0 * model.log_lik + d_free * np.log(data.n_total)
+    """BIC = -2 log L + d log(n), with d the free parameter count (C*q
+    prevalences plus (K+1)(C-1) mixing weights).  Lower is better."""
+    return -2.0 * model.log_lik + _n_free_params(model.n_classes, data) * np.log(data.n_total)
 
 
 def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig = None):
@@ -359,7 +361,7 @@ def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig =
             {
                 "n_classes": int(C),
                 "log_lik": model.log_lik,
-                "n_params": int(C) * data.q + (data.K + 1) * (int(C) - 1),
+                "n_params": _n_free_params(C, data),
                 "bic": lca_bic(model, data),
                 "converged": model.converged,
                 "model": model,
@@ -394,11 +396,3 @@ def lca_model_from_dict(payload: dict) -> LcaModel:
         n_iter=int(payload.get("n_iter", 0)),
         converged=bool(payload.get("converged", True)),
     )
-
-
-def save_lca_model(model: LcaModel, path) -> None:
-    Path(path).write_text(json.dumps(lca_model_to_dict(model), indent=2) + "\n")
-
-
-def load_lca_model(path) -> LcaModel:
-    return lca_model_from_dict(json.loads(Path(path).read_text()))

@@ -153,6 +153,10 @@ class ScenarioConfig:
                 raise ValueError("mixing rows must be positive and sum to 1")
             object.__setattr__(self, "mixing", _as_tuple(arr))
         object.__setattr__(self, "support_sizes", tuple(int(s) for s in self.support_sizes))
+        # A preset name or table that does not fit (C, q, K) is a config
+        # error here, not a failure once the scenario is generated.
+        self.resolved_prevalences()
+        self.resolved_mixing()
 
     def resolved_prevalences(self) -> np.ndarray:
         if self.prevalences is not None:

@@ -43,6 +43,7 @@ from .core import (
     StudyCollection,
     clip_rows,
     log_sum_exp_rows,
+    neg_log_lik_glm,
     sorted_row_sums,
     sorted_square_norm,
 )
@@ -407,7 +408,7 @@ def auto_tune_lambda(
                     last_error = err
                     continue
                 eta_va = off_va + design[va] @ beta
-                ll = -y[va] * eta_va + family.log_partition(eta_va)
+                ll = neg_log_lik_glm(family, y[va], eta_va)
                 loss_sum[i] += float(w_c[va] @ ll)
                 mass_sum[i] += float(w_c[va].sum())
         if failed.all():
@@ -480,35 +481,34 @@ def joint_estimate(
         fit_intercept=config.fit_intercept,
     )
     slices = data.row_slices()
-    refined = MembershipMatrix(
-        probs=tuple(w_rows[s] for s in slices), stage="refined_w"
-    )
+    refined = MembershipMatrix(probs=tuple(w_rows[s] for s in slices))
     return coef, refined, trace, len(trace), lambdas
 
 
 def bias_correct(
     data: StudyCollection,
     memberships: MembershipMatrix,
-    pooled: CoefficientMatrix,
+    offsets: np.ndarray,
     config: TransferConfig,
     family: GlmFamily,
     lambdas: np.ndarray,
 ):
-    """Correction stage: EM on the target study with x'B_c as per-class
-    offset, restarting from the target's initial memberships, with
-    per-class penalties `lambdas` (see resolve_penalties).
+    """Correction stage: EM on the target study with the pooled linear
+    predictors x'B_c as per-class offsets (`offsets`, (n0, C)), restarting
+    from the target's initial memberships, with per-class penalties
+    `lambdas` (see resolve_penalties).
     Returns (Delta, trace, n_iter, lambdas)."""
     if np.all(np.isinf(lambdas)):
         # Infinite penalty: no correction at all, Delta == 0 exactly.
         delta = CoefficientMatrix(
-            values=np.zeros_like(pooled.values), role="correction_Delta"
+            values=np.zeros((data.p, offsets.shape[1])), role="correction_Delta"
         )
         return delta, (), 0, lambdas
     y, X, _, v_rows = _stage_rows(data, memberships, "bias")
     coef, _, trace = _mixture_em(
         family, y, X, v_rows, lambdas,
         role="correction_Delta",
-        offsets_by_class=pooled.linear_predictor(X),
+        offsets_by_class=offsets,
         tau=config.tau,
         max_iter=config.max_em_iter,
         fit_intercept=config.fit_intercept,
@@ -594,7 +594,7 @@ def fit_targeted_psm(
     b_pooled, refined, trace_j, _, _ = joint_estimate(data, v, config, family, lam_pool)
     offsets = b_pooled.linear_predictor(data.target.predictors)
     lam_bias = resolve_penalties(config.lambda_bias, "bias", data, v, config, family, offsets)
-    delta, trace_b, _, _ = bias_correct(data, v, b_pooled, config, family, lam_bias)
+    delta, trace_b, _, _ = bias_correct(data, v, offsets, config, family, lam_bias)
 
     b_target = CoefficientMatrix(
         values=b_pooled.values + delta.values,

@@ -237,6 +237,24 @@ def test_config_errors_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"prevalence_preset": "nope"}, "unknown prevalence preset 'nope'"),
+        ({"q": 4}, "but the scenario asks for C=3, q=4"),
+        ({"K": 11}, "provides at most 10 sources"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_bad_scenario_preset_exits_2(tmp_path, capsys, command, override, message):
+    config = _write_config(tmp_path, {"scenario": {**TINY_SCENARIO, **override}})
+    out = tmp_path / "out"
+    rc = main([command, "--config", config, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_var_out(tmp_path, monkeypatch):
     config = _write_config(tmp_path, {"scenario": dict(TINY_SCENARIO)})
     out_dir = tmp_path / "env_out"
@@ -329,6 +347,25 @@ def test_experiment_rejects_bad_counts(tmp_path, capsys, flags, experiment, mess
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_experiment_with_too_many_failures_still_writes_summary(tmp_path, capsys):
+    # trans_glm cannot run without sources, so every replicate fails
+    payload = {
+        "scenario": {**TINY_SCENARIO, "K": 0},
+        "methods": ["trans_glm"],
+        "tuning": dict(TINY_TUNING),
+        "experiment": {"replicates": 2, "test_n": 50},
+    }
+    config = _write_config(tmp_path, payload)
+    out = tmp_path / "exp"
+    rc = main(["experiment", "--config", config, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: 2/2 method-replicates failed (first: ValueError: trans_glm" in err
+    assert len(read_report_rows(out / "rows.csv")) == 2
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[1].startswith("scenario,trans_glm,0,0,2,")
 
 
 def test_experiment_threads_env_and_validation(experiment_config, monkeypatch):

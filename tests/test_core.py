@@ -297,7 +297,7 @@ def test_coefficient_matrix(rng):
 
 def test_membership_matrix_validation(rng):
     good = clip_rows(rng.random((10, 3)))
-    m = MembershipMatrix(probs=(good, good[:4]), stage="initial_v")
+    m = MembershipMatrix(probs=(good, good[:4]))
     assert m.n_studies == 2
     assert m.n_classes == 3
     assert m.stacked().shape == (14, 3)
@@ -305,11 +305,9 @@ def test_membership_matrix_validation(rng):
     bad = good.copy()
     bad[0, 0] += 1e-6
     with pytest.raises(ValueError):
-        MembershipMatrix(probs=(bad,), stage="initial_v")
-    with pytest.raises(ValueError):
-        MembershipMatrix(probs=(good,), stage="bogus")
+        MembershipMatrix(probs=(bad,))
     ones = np.ones((5, 1))
-    single = MembershipMatrix(probs=(ones,), stage="initial_v")
+    single = MembershipMatrix(probs=(ones,))
     assert single.n_classes == 1
 
 

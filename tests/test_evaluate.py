@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from targeted_psm import evaluate
+from targeted_psm import evaluate, transfer
 from targeted_psm.baselines import MethodId, fit_method
 from targeted_psm.evaluate import (
     MAX_ALIGN_CLASSES,
@@ -243,44 +243,71 @@ def test_run_replicate_one_em_step_collapses_psm_variants():
     assert rows[0].permutation == rows[1].permutation
 
 
-def test_run_replicate_shared_tuning_matches_per_method(monkeypatch):
-    # 'auto' tuning inside run_replicate shares one pool-stage CV between the
-    # two mixture variants; that must equal what per-method tuning gives
-    grid = (0.5, 2.0)
+@pytest.mark.parametrize(
+    "order",
+    [
+        (MethodId.TARGETED_PSM, MethodId.TARGETED_PSM_1),
+        (MethodId.TARGETED_PSM_1, MethodId.TARGETED_PSM),
+    ],
+    ids=["psm-psm_1", "psm_1-psm"],
+)
+def test_run_replicate_psm_methods_equal_independent_fits(monkeypatch, order):
+    # the second psm method reuses the first one's LCA model and tuned
+    # lambda_pool; in either order, each must equal a fit of its own
     auto_cfg = TransferConfig(
-        lambda_pool="auto", lambda_bias=0.05, cv_folds=2, cv_grid=grid,
+        lambda_pool="auto", lambda_bias=0.05, cv_folds=2, cv_grid=(0.5, 2.0),
         max_em_iter=5, seed=0,
     )
-    fitted = []
+    fitted = {}
 
     def recording(*args, **kwargs):
-        fitted.append(fit_method(*args, **kwargs))
-        return fitted[-1]
+        result = fit_method(*args, **kwargs)
+        fitted[result.method] = result
+        return result
 
     monkeypatch.setattr(evaluate, "fit_method", recording)
     rows = run_replicate(
-        "mini", MINI, [MethodId.TARGETED_PSM], replicate=0, test_n=120,
+        "mini", MINI, order, replicate=0, test_n=120,
         transfer_config=auto_cfg, lca_config=FAST_LCA,
     )
-    assert rows[0].error is None
-    shared = fitted[0].fit
-    assert shared.lca_model is not None
-
+    assert [r.method for r in rows] == [m.value for m in order]
     data, truth = generate_scenario(MINI)
-    direct = fit_method(
-        MethodId.TARGETED_PSM, data, MINI.n_classes, config=auto_cfg,
-        family=MINI.glm_family(), lca_config=FAST_LCA,
-    )
-    assert np.array_equal(direct.fit.lambda_pool, shared.lambda_pool)
-    assert np.array_equal(direct.fit.lambda_bias, shared.lambda_bias)
-    assert np.array_equal(direct.coef.values, fitted[0].coef.values)
-    assert np.array_equal(direct.coef.intercept, fitted[0].coef.intercept)
-    assert direct.fit.trace_joint == shared.trace_joint
-    assert direct.fit.trace_bias == shared.trace_bias
-    assert rows[0].mse == coef_mse(direct.coef, truth["coefficients"][0].values)
     test_study, _ = generate_target_test(MINI, 120)
-    scores = direct.scores(test_study.predictors, test_study.structure_vars)
-    assert rows[0].auc == auc(scores, test_study.outcomes)
+    for row, method in zip(rows, order):
+        assert row.error is None, row.error
+        direct = fit_method(
+            method, data, MINI.n_classes, config=auto_cfg,
+            family=MINI.glm_family(), lca_config=FAST_LCA,
+        )
+        got, want = fitted[method].fit, direct.fit
+        for name in ("lambda_pool", "lambda_bias"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("b_pooled", "delta", "b_target"):
+            assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes()
+            assert getattr(got, name).intercept.tobytes() == getattr(want, name).intercept.tobytes()
+        assert got.trace_joint == want.trace_joint
+        assert got.trace_bias == want.trace_bias
+        assert got.lca_model.prevalences.tobytes() == want.lca_model.prevalences.tobytes()
+        assert got.lca_model.mixing.tobytes() == want.lca_model.mixing.tobytes()
+        assert row.mse == coef_mse(direct.coef, truth["coefficients"][0].values)
+        scores = direct.scores(test_study.predictors, test_study.structure_vars)
+        assert row.auc == auc(scores, test_study.outcomes)
+    # the second method was handed the first one's step-1 model
+    assert fitted[order[1]].fit.lca_model is fitted[order[0]].fit.lca_model
+
+
+def test_run_replicate_step_one_failure_is_each_psm_method_own_error(monkeypatch):
+    def failing_lca(*args, **kwargs):
+        raise ValueError("no latent classes today")
+
+    monkeypatch.setattr(transfer, "fit_lca", failing_lca)
+    methods = [MethodId.TARGETED_PSM, MethodId.TARGETED_PSM_1, MethodId.NAIVE_LASSO]
+    rows = run_replicate(
+        "mini", MINI, methods, replicate=0, test_n=120,
+        transfer_config=FAST, lca_config=FAST_LCA,
+    )
+    assert [r.error for r in rows[:2]] == ["ValueError: no latent classes today"] * 2
+    assert rows[2].error is None
 
 
 def test_run_experiment_statistically_deterministic():

@@ -1,5 +1,5 @@
-"""Source hygiene: every name a package module imports is used there,
-every private module-level function or class is used somewhere in the
+"""Source hygiene: every name a package or test module imports is used
+there, every private module-level function or class is used somewhere in the
 package, and no module imports another module's private names.
 
 No linter ships with the project, so this walks each module's AST.  Names
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "targeted_psm"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "targeted_psm"
 
 
 def _imported_names(tree):
@@ -33,7 +34,9 @@ def _exported_names(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_module_imports_are_all_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

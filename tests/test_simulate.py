@@ -101,10 +101,9 @@ def test_scenario_presets():
     assert override.K == 2 and override.seed == 7
     with pytest.raises(ValueError, match="unknown scenario preset"):
         scenario_preset("nope")
-    # preset table mismatch is reported clearly
+    # preset table mismatch is reported clearly, when the config is built
     with pytest.raises(ValueError, match="preset"):
-        scenario_preset("figure1-mini", n_classes=2, support_sizes=(1, 2)) \
-            .resolved_prevalences()
+        scenario_preset("figure1-mini", n_classes=2, support_sizes=(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from targeted_psm.core import (
     CoefficientMatrix,
     GlmFamily,
-    MembershipMatrix,
     Study,
     StudyCollection,
     log_sum_exp_rows,
@@ -21,9 +19,7 @@ from targeted_psm.transfer import (
     _make_folds,
     _refined_rows,
     auto_tune_lambda,
-    bias_correct,
     fit_targeted_psm,
-    joint_estimate,
     lambda_scale,
     load_transfer_fit,
     penalized_mixture_objective,
@@ -158,7 +154,6 @@ def test_additive_identity_and_roles(mini_fit):
     assert fit.b_pooled.role == "pooled_B"
     assert fit.delta.role == "correction_Delta"
     assert fit.b_target.role == "target_B0"
-    assert fit.refined_weights.stage == "refined_w"
     assert fit.n_classes == 3
 
 
