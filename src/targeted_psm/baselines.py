@@ -99,8 +99,7 @@ def fit_method(
         alone = StudyCollection(target=target)
         ones = MembershipMatrix(probs=(np.ones((target.n, 1)),))
         lam = resolve_penalties(config.lambda_pool, "pool", alone, ones, config, family)
-        pooled = joint_estimate(alone, ones, config, family, lam)[0]
-        coef = replace(pooled, role="target_B0")
+        coef = joint_estimate(alone, ones, config, family, lam)[0]
         return FittedMethod(method=method, coef=coef, family=family)
     if method is MethodId.TRANS_GLM:
         if data.K < 1:

@@ -262,16 +262,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = load_config(args.config)
-    data = load_collection(Path(args.data) / "manifest.json")
+    scenario = scenario_from_config(config)
     transfer_cfg = transfer_from_config(config, args.seed)
     lca_cfg = lca_from_config(config, args.seed)
-    n_classes = args.classes
-    if n_classes is None:
-        n_classes = config.get("scenario", {}).get("n_classes", 3)
-    family = scenario_from_config(config).glm_family()
+    n_classes = scenario.n_classes if args.classes is None else args.classes
+    family = scenario.glm_family()
+    data = load_collection(Path(args.data) / "manifest.json")
 
     fit = fit_targeted_psm(
-        data, int(n_classes), config=transfer_cfg, family=family, lca_config=lca_cfg
+        data, n_classes, config=transfer_cfg, family=family, lca_config=lca_cfg
     )
 
     nnz = (fit.b_target.values != 0).sum(axis=0)

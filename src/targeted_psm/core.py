@@ -317,16 +317,15 @@ class StudyCollection:
 # Coefficient and membership matrices
 # ---------------------------------------------------------------------------
 
-COEFFICIENT_ROLES = ("pooled_B", "target_B0", "correction_Delta", "per_study_Bk")
-
-
 @dataclass(frozen=True)
 class CoefficientMatrix:
     """Class-specific GLM coefficients: values is (p, C) with one column per
-    latent class; the unpenalized intercept (when fitted) lives separately."""
+    latent class; the unpenalized intercept (when fitted) lives separately.
+    What a matrix stands for (pooled B, correction Delta, target B0, a
+    study's true B_k) is told by the name that holds it, such as
+    `TransferFit.b_pooled`."""
 
     values: np.ndarray
-    role: str
     intercept: np.ndarray = None
 
     def __post_init__(self):
@@ -335,8 +334,6 @@ class CoefficientMatrix:
             raise ValueError("coefficient values must be a (p, C) matrix")
         if not np.all(np.isfinite(values)):
             raise ValueError("coefficients must be finite")
-        if self.role not in COEFFICIENT_ROLES:
-            raise ValueError(f"unknown coefficient role: {self.role!r}")
         intercept = self.intercept
         if intercept is None:
             intercept = np.zeros(values.shape[1])
@@ -423,17 +420,18 @@ def write_study_csv(study: Study, path) -> None:
 
 
 def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
-    """Read one study CSV; column counts are inferred from the header."""
+    """Read one study CSV.  The header must be y,x1..xp,z1..zq exactly, as
+    write_study_csv writes it; p and q are inferred from it."""
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
     cols = header.split(",")
-    if not cols or cols[0] != "y":
-        raise ValueError(f"{path}: first CSV column must be 'y'")
     n_x = sum(1 for c in cols if c.startswith("x"))
     n_z = sum(1 for c in cols if c.startswith("z"))
-    if n_x + n_z + 1 != len(cols):
-        raise ValueError(f"{path}: header must be y,x1..xp,z1..zq")
+    if header != _csv_header(n_x, n_z):
+        raise ValueError(
+            f"{path}: header must be y,x1..xp,z1..zq in order, got {header!r}"
+        )
     if p is not None and n_x != p:
         raise ValueError(f"{path}: expected {p} predictor columns, found {n_x}")
     if q is not None and n_z != q:

@@ -1,6 +1,11 @@
 """Evaluation: class alignment, coefficient error, AUC, and the paired
 replicate harness that compares methods on simulated scenarios, fitting
-each of them through `baselines.fit_method`."""
+each of them through `baselines.fit_method`.
+
+The experiment CSVs take their schema from the record dataclasses alone:
+rows.csv has one column per ReportRow field and summary.csv one per
+SummaryRow field, in declaration order, each cell formatted and parsed by
+its field's annotation."""
 
 from __future__ import annotations
 
@@ -8,7 +13,8 @@ import csv
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +104,9 @@ def auc(scores, labels) -> float:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One method x replicate result; its fields, in order, are the columns
+    of rows.csv."""
+
     scenario: str
     method: str
     replicate: int
@@ -112,6 +121,9 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class SummaryRow:
+    """One (scenario, method, n_sources) group of ReportRows; its fields, in
+    order, are the columns of summary.csv."""
+
     scenario: str
     method: str
     n_sources: int
@@ -121,16 +133,6 @@ class SummaryRow:
     mse_se: float = None
     auc_mean: float = None
     auc_se: float = None
-
-
-REPORT_COLUMNS = (
-    "scenario", "method", "replicate", "seed", "n_sources",
-    "mse", "auc", "runtime_s", "permutation", "error",
-)
-SUMMARY_COLUMNS = (
-    "scenario", "method", "n_sources", "n_ok", "n_fail",
-    "mse_mean", "mse_se", "auc_mean", "auc_se",
-)
 
 
 def _mean_se(values):
@@ -147,23 +149,17 @@ class ExperimentReport:
     rows: tuple
 
     def summarize(self) -> list:
-        keys = []
         groups = {}
         for row in self.rows:
-            key = (row.scenario, row.method, row.n_sources)
-            if key not in groups:
-                groups[key] = []
-                keys.append(key)
-            groups[key].append(row)
+            groups.setdefault((row.scenario, row.method, row.n_sources), []).append(row)
         out = []
-        for key in keys:
-            rows = groups[key]
+        for (scenario, method, n_sources), rows in groups.items():
             ok = [r for r in rows if r.error is None]
             mse_mean, mse_se = _mean_se([r.mse for r in ok if r.mse is not None])
             auc_mean, auc_se = _mean_se([r.auc for r in ok if r.auc is not None])
             out.append(
                 SummaryRow(
-                    scenario=key[0], method=key[1], n_sources=key[2],
+                    scenario=scenario, method=method, n_sources=n_sources,
                     n_ok=len(ok), n_fail=len(rows) - len(ok),
                     mse_mean=mse_mean, mse_se=mse_se,
                     auc_mean=auc_mean, auc_se=auc_se,
@@ -172,67 +168,60 @@ class ExperimentReport:
         return out
 
     def summary_to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SUMMARY_COLUMNS)
-            for row in self.summarize():
-                writer.writerow(
-                    [
-                        row.scenario, row.method, row.n_sources,
-                        row.n_ok, row.n_fail,
-                        _fmt(row.mse_mean), _fmt(row.mse_se),
-                        _fmt(row.auc_mean), _fmt(row.auc_se),
-                    ]
-                )
+        _write_csv(path, SummaryRow, self.summarize(), append=False)
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
+# Cell codecs keyed by a record field's annotation, which postponed
+# evaluation keeps as a string.  The only tuple field is a permutation.
+_FORMAT = {"float": lambda v: repr(float(v)), "tuple": lambda v: "|".join(map(str, v))}
+_PARSE = {
+    "int": int, "float": float, "str": str,
+    "tuple": lambda text: tuple(int(v) for v in text.split("|")),
+}
 
 
-def write_report_rows(path, rows, append: bool = False) -> None:
+def _format_cell(field, value):
+    if value is None:
+        return ""
+    fmt = _FORMAT.get(field.type)
+    return value if fmt is None else fmt(value)
+
+
+def _parse_cell(field, text: str):
+    if text == "" and field.default is None:
+        return None
+    return _PARSE[field.type](text)
+
+
+def _write_csv(path, cls, rows, append: bool) -> None:
+    """Write records of the dataclass `cls` with one column per field, in
+    declaration order: None as an empty cell, floats by repr, tuples joined
+    by "|", anything else as it is.  Append mode skips the header when the
+    file exists."""
     path = Path(path)
+    cols = fields(cls)
     mode = "a" if append and path.exists() else "w"
     with path.open(mode, newline="") as fh:
         writer = csv.writer(fh)
         if mode == "w":
-            writer.writerow(REPORT_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.scenario, r.method, r.replicate, r.seed, r.n_sources,
-                    _fmt(r.mse), _fmt(r.auc), _fmt(r.runtime_s),
-                    "" if r.permutation is None else "|".join(map(str, r.permutation)),
-                    "" if r.error is None else r.error,
-                ]
-            )
+            writer.writerow([f.name for f in cols])
+        for row in rows:
+            writer.writerow([_format_cell(f, getattr(row, f.name)) for f in cols])
+
+
+def write_report_rows(path, rows, append: bool = False) -> None:
+    _write_csv(path, ReportRow, rows, append)
 
 
 def read_report_rows(path) -> list:
-    path = Path(path)
-    rows = []
-    with path.open(newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                ReportRow(
-                    scenario=rec["scenario"],
-                    method=rec["method"],
-                    replicate=int(rec["replicate"]),
-                    seed=int(rec["seed"]),
-                    n_sources=int(rec["n_sources"]),
-                    mse=float(rec["mse"]) if rec["mse"] else None,
-                    auc=float(rec["auc"]) if rec["auc"] else None,
-                    runtime_s=float(rec["runtime_s"]) if rec["runtime_s"] else None,
-                    permutation=(
-                        tuple(int(v) for v in rec["permutation"].split("|"))
-                        if rec["permutation"]
-                        else None
-                    ),
-                    error=rec["error"] or None,
-                )
-            )
-    return rows
+    """ReportRows from a CSV written by write_report_rows; an empty cell
+    reads as None for every field whose default is None."""
+    cols = fields(ReportRow)
+    with Path(path).open(newline="") as fh:
+        return [
+            ReportRow(**{f.name: _parse_cell(f, rec[f.name]) for f in cols})
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def _replicate_seed(master_seed: int, replicate: int) -> int:
@@ -373,18 +362,12 @@ def run_experiment(
             )
 
     results = []
-    if n_jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            rows = _replicate_task(task)
+    parallel = n_jobs > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(max_workers=n_jobs) if parallel else nullcontext() as pool:
+        for rows in (pool.map if parallel else map)(_replicate_task, tasks):
             if row_sink is not None:
                 row_sink(rows)
             results.append(rows)
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for rows in pool.map(_replicate_task, tasks):
-                if row_sink is not None:
-                    row_sink(rows)
-                results.append(rows)
 
     all_rows = tuple(row for rows in results for row in rows)
     n_fail = sum(1 for row in all_rows if row.error is not None)

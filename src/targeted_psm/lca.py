@@ -377,7 +377,6 @@ def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig =
 
 def lca_model_to_dict(model: LcaModel) -> dict:
     return {
-        "n_classes": model.n_classes,
         "prevalences": model.prevalences.tolist(),
         "mixing": model.mixing.tolist(),
         "log_lik": model.log_lik,

@@ -245,12 +245,12 @@ def make_coefficients(config: ScenarioConfig) -> list:
     S_k an i.i.d. +/-1 matrix from study k's own 'signs' substream.
     """
     B0 = target_coefficients(config)
-    out = [CoefficientMatrix(values=B0, role="per_study_Bk")]
+    out = [CoefficientMatrix(values=B0)]
     shift = config.h / config.p
     for k in range(1, config.K + 1):
         rng = substream(config.seed, "study", k, "signs")
         signs = rng.integers(0, 2, size=B0.shape) * 2.0 - 1.0
-        out.append(CoefficientMatrix(values=B0 + shift * signs, role="per_study_Bk"))
+        out.append(CoefficientMatrix(values=B0 + shift * signs))
     return out
 
 
@@ -354,7 +354,7 @@ def truth_from_dict(payload: dict) -> dict:
         "prevalences": np.asarray(payload["prevalences"], dtype=float),
         "mixing": np.asarray(payload["mixing"], dtype=float),
         "coefficients": [
-            CoefficientMatrix(values=np.asarray(v, dtype=float), role="per_study_Bk")
+            CoefficientMatrix(values=np.asarray(v, dtype=float))
             for v in payload["coefficients"]
         ],
         "classes": [np.asarray(c, dtype=int) for c in payload["classes"]],

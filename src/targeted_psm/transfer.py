@@ -180,10 +180,10 @@ def _design(X: np.ndarray, fit_intercept: bool):
     return design, mask
 
 
-def _coef_from_state(theta: np.ndarray, fit_intercept: bool, role: str) -> CoefficientMatrix:
+def _coef_from_state(theta: np.ndarray, fit_intercept: bool) -> CoefficientMatrix:
     if fit_intercept:
-        return CoefficientMatrix(values=theta[1:], intercept=theta[0], role=role)
-    return CoefficientMatrix(values=theta, intercept=None, role=role)
+        return CoefficientMatrix(values=theta[1:], intercept=theta[0])
+    return CoefficientMatrix(values=theta, intercept=None)
 
 
 def _mixture_em(
@@ -193,7 +193,7 @@ def _mixture_em(
     v_rows: np.ndarray,
     lambdas: np.ndarray,
     *,
-    role: str,
+    stage: str,
     offsets_by_class: np.ndarray = None,
     tau: float = DEFAULT_TAU,
     max_iter: int = DEFAULT_MAX_EM_ITER,
@@ -211,9 +211,9 @@ def _mixture_em(
     memberships.  Stops when the relative parameter change drops to tau
     (absolute change when the previous state is zero) or after max_iter
     rounds; a loop of more than one round that stops at its cap raises a
-    RuntimeWarning.  A single class stops after one round: its memberships
-    are all ones (clip_rows of one column), so a second round would only
-    re-solve the same problem.  Returns (coef, weights_used, trace), with
+    RuntimeWarning naming `stage`.  A single class stops after one round:
+    its memberships are all ones (clip_rows of one column), so a second
+    round would only re-solve the same problem.  Returns (coef, weights_used, trace), with
     one trace value per iteration.
     """
     n, p = X.shape
@@ -259,7 +259,7 @@ def _mixture_em(
             )
             sol = solve_weighted_lasso_glm(prob, init=theta[:, c])
             theta_new[:, c] = sol.beta
-        coef = _coef_from_state(theta_new, fit_intercept, role)
+        coef = _coef_from_state(theta_new, fit_intercept)
         log_w = _log_joint(family, y, X, log_v, coef, offsets_by_class)
         log_mix = log_sum_exp_rows(log_w)
         trace.append(_penalized_value(log_mix, coef, finite_lambdas))
@@ -271,7 +271,7 @@ def _mixture_em(
     else:
         if max_iter > 1:
             warnings.warn(
-                f"{role} EM stopped at its cap of {max_iter} iterations "
+                f"{stage} EM stopped at its cap of {max_iter} iterations "
                 f"without meeting tau={tau}",
                 RuntimeWarning,
             )
@@ -475,7 +475,7 @@ def joint_estimate(
     y, X, _, v_rows = _stage_rows(data, memberships, "pool")
     coef, w_rows, trace = _mixture_em(
         family, y, X, v_rows, lambdas,
-        role="pooled_B",
+        stage="pooled_B",
         tau=config.tau,
         max_iter=config.max_em_iter,
         fit_intercept=config.fit_intercept,
@@ -500,14 +500,12 @@ def bias_correct(
     Returns (Delta, trace, n_iter, lambdas)."""
     if np.all(np.isinf(lambdas)):
         # Infinite penalty: no correction at all, Delta == 0 exactly.
-        delta = CoefficientMatrix(
-            values=np.zeros((data.p, offsets.shape[1])), role="correction_Delta"
-        )
+        delta = CoefficientMatrix(values=np.zeros((data.p, offsets.shape[1])))
         return delta, (), 0, lambdas
     y, X, _, v_rows = _stage_rows(data, memberships, "bias")
     coef, _, trace = _mixture_em(
         family, y, X, v_rows, lambdas,
-        role="correction_Delta",
+        stage="correction_Delta",
         offsets_by_class=offsets,
         tau=config.tau,
         max_iter=config.max_em_iter,
@@ -599,7 +597,6 @@ def fit_targeted_psm(
     b_target = CoefficientMatrix(
         values=b_pooled.values + delta.values,
         intercept=b_pooled.intercept + delta.intercept,
-        role="target_B0",
     )
     return TransferFit(
         b_pooled=b_pooled,
@@ -654,7 +651,6 @@ def _coef_to_dict(coef: CoefficientMatrix) -> dict:
     return {
         "values": coef.values.tolist(),
         "intercept": coef.intercept.tolist(),
-        "role": coef.role,
     }
 
 
@@ -662,7 +658,6 @@ def _coef_from_dict(payload: dict) -> CoefficientMatrix:
     return CoefficientMatrix(
         values=np.asarray(payload["values"], dtype=float),
         intercept=np.asarray(payload["intercept"], dtype=float),
-        role=payload["role"],
     )
 
 
@@ -677,9 +672,11 @@ def _penalties_from_json(values) -> np.ndarray:
 
 def transfer_fit_to_dict(fit: TransferFit) -> dict:
     """JSON payload with every coefficient matrix, both traces and the LCA
-    model.  Per-subject refined weights are data-sized and stay out of the
-    file; they are reproducible from the stored model and the dataset.
-    Infinite penalties are stored as null."""
+    model.  No key restates another: iteration counts are the trace
+    lengths and the class count is the coefficient width.
+    Per-subject refined weights are data-sized and stay out of the file;
+    they are reproducible from the stored model and the dataset.  Infinite
+    penalties are stored as null."""
     return {
         "kind": "transfer_fit",
         "family": fit.family.kind,
@@ -692,13 +689,13 @@ def transfer_fit_to_dict(fit: TransferFit) -> dict:
         "lambda_bias": _penalties_to_json(fit.lambda_bias),
         "trace_joint": list(fit.trace_joint),
         "trace_bias": list(fit.trace_bias),
-        "n_iter_joint": fit.n_iter_joint,
-        "n_iter_bias": fit.n_iter_bias,
         "lca_model": lca_model_to_dict(fit.lca_model),
     }
 
 
 def transfer_fit_from_dict(payload: dict) -> TransferFit:
+    """Inverse of transfer_fit_to_dict; keys it does not read (the `role`,
+    `n_iter_*` and `lca_model.n_classes` of older files) are ignored."""
     if payload.get("kind") != "transfer_fit":
         raise ValueError("not a serialized transfer fit")
     family = GlmFamily(payload["family"], float(payload.get("dispersion", 1.0)))

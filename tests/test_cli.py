@@ -70,10 +70,14 @@ def test_scenario_from_config_preset_and_overrides():
 @pytest.mark.parametrize("block", ["scenario", "tuning", "lca", "experiment"])
 def test_non_object_block_exits_2(tmp_path, capsys, block):
     config = _write_config(tmp_path, {block: 5})
-    rc = main(["experiment", "--config", config, "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert f"{block} must be a JSON object" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+    commands = [["experiment"]]
+    if block != "experiment":  # fit checks its blocks before it reads any data
+        commands.append(["fit", "--data", str(tmp_path / "no-data")])
+    for command in commands:
+        rc = main([*command, "--config", config, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"{block} must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def test_config_lists_become_tuples():

@@ -280,19 +280,17 @@ def test_collection_shape_consistency(rng):
 
 def test_coefficient_matrix(rng):
     vals = rng.standard_normal((4, 2))
-    coef = CoefficientMatrix(values=vals, role="pooled_B")
+    coef = CoefficientMatrix(values=vals)
     assert np.array_equal(coef.intercept, np.zeros(2))
     assert (coef.n_features, coef.n_classes) == (4, 2)
     X = rng.standard_normal((6, 4))
     assert np.allclose(coef.linear_predictor(X), X @ vals, atol=0)
-    withint = CoefficientMatrix(values=vals, intercept=np.array([1.0, -2.0]), role="target_B0")
+    withint = CoefficientMatrix(values=vals, intercept=np.array([1.0, -2.0]))
     assert np.allclose(withint.linear_predictor(X), X @ vals + [1.0, -2.0], atol=0)
     with pytest.raises(ValueError):
-        CoefficientMatrix(values=vals, role="nonsense")
+        CoefficientMatrix(values=np.array([[np.inf, 0.0]]))
     with pytest.raises(ValueError):
-        CoefficientMatrix(values=np.array([[np.inf, 0.0]]), role="pooled_B")
-    with pytest.raises(ValueError):
-        CoefficientMatrix(values=vals, intercept=np.zeros(3), role="pooled_B")
+        CoefficientMatrix(values=vals, intercept=np.zeros(3))
 
 
 def test_membership_matrix_validation(rng):
@@ -326,6 +324,16 @@ def test_study_csv_roundtrip_is_bit_exact(rng, tmp_path):
     assert np.array_equal(back.outcomes, study.outcomes)
     assert np.array_equal(back.predictors, study.predictors)
     assert np.array_equal(back.structure_vars, study.structure_vars)
+
+
+# a structure column before the predictor, predictors out of order, and
+# structure columns not numbered from 1
+@pytest.mark.parametrize("header", ["y,z1,x1", "y,x2,x1,z1", "y,x1,z2"])
+def test_read_study_csv_requires_the_written_header(tmp_path, header):
+    path = tmp_path / "study.csv"
+    path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+    with pytest.raises(ValueError, match="header must be"):
+        read_study_csv(path, study_id=0)
 
 
 def test_manifest_roundtrip_and_force(rng, tmp_path):

@@ -191,6 +191,42 @@ def test_summary_csv(tmp_path):
     assert read_report_rows(tmp_path / "rows.csv") == list(rows)
 
 
+def test_report_and_summary_csv_bytes(tmp_path):
+    # None cells, a permutation, int-valued floats and an error text that
+    # needs CSV quoting; the expected bytes pin both file formats
+    rows = (
+        ReportRow("s1", "targeted_psm", 0, 123, 2, mse=0.5, auc=0.75,
+                  runtime_s=1.25, permutation=(1, 0, 2)),
+        ReportRow("s1", "trans_glm", 0, 123, 2, runtime_s=2.0,
+                  error='ValueError: bad "x", then\nmore'),
+        ReportRow("s1", "targeted_psm", 1, 456, 2, mse=1.0, auc=0.5,
+                  runtime_s=0.1, permutation=(0, 1, 2)),
+        ReportRow("s2", "naive_lasso", 0, 123, 0, auc=0.6, runtime_s=3),
+    )
+    path = tmp_path / "rows.csv"
+    write_report_rows(path, rows[:2])
+    write_report_rows(path, rows[2:], append=True)
+    assert path.read_bytes() == (
+        b"scenario,method,replicate,seed,n_sources,mse,auc,runtime_s,permutation,error\r\n"
+        b"s1,targeted_psm,0,123,2,0.5,0.75,1.25,1|0|2,\r\n"
+        b's1,trans_glm,0,123,2,,,2.0,,"ValueError: bad ""x"", then\nmore"\r\n'
+        b"s1,targeted_psm,1,456,2,1.0,0.5,0.1,0|1|2,\r\n"
+        b"s2,naive_lasso,0,123,0,,0.6,3.0,,\r\n"
+    )
+    assert read_report_rows(path) == list(rows)
+    ExperimentReport(rows=rows).summary_to_csv(tmp_path / "summary.csv")
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"scenario,method,n_sources,n_ok,n_fail,mse_mean,mse_se,auc_mean,auc_se\r\n"
+        b"s1,targeted_psm,2,2,0,0.75,0.25,0.625,0.125\r\n"
+        b"s1,trans_glm,2,0,1,,,,\r\n"
+        b"s2,naive_lasso,0,1,0,,,0.6,\r\n"
+    )
+    ExperimentReport(rows=()).summary_to_csv(tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == (
+        b"scenario,method,n_sources,n_ok,n_fail,mse_mean,mse_se,auc_mean,auc_se\r\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Replicate harness
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -58,7 +59,6 @@ def test_e_step_is_bayes_rule(tiny_scenario):
     coef = CoefficientMatrix(
         values=rng.normal(size=(data.p, 2)) * 0.3,
         intercept=np.array([0.1, -0.2]),
-        role="pooled_B",
     )
     y, X, _, _ = data.stacked()
     v_rows = v.stacked()
@@ -81,9 +81,7 @@ def test_e_step_equal_coefficients_leave_memberships_fixed(tiny_scenario):
     v = initial_memberships(lca, data)
     same = np.full((data.p, 2), 0.3)
     same[3] = -0.7
-    coef = CoefficientMatrix(
-        values=same, intercept=np.array([0.4, 0.4]), role="pooled_B"
-    )
+    coef = CoefficientMatrix(values=same, intercept=np.array([0.4, 0.4]))
     y, X, _, _ = data.stacked()
     log_w = _log_joint(family, y, X, np.log(v.stacked()), coef)
     w_rows = _refined_rows(log_w, log_sum_exp_rows(log_w))
@@ -101,7 +99,7 @@ def test_objective_manual_small_case():
     X = np.array([[1.0, 0.0], [0.0, 2.0]])
     v = np.array([[0.6, 0.4], [0.3, 0.7]])
     B = np.array([[0.5, -0.5], [1.0, 0.25]])
-    coef = CoefficientMatrix(values=B, role="pooled_B")
+    coef = CoefficientMatrix(values=B)
     lambdas = np.array([0.1, 0.2])
     eta = X @ B
     dens = np.exp(y[:, None] * eta - np.logaddexp(0.0, eta))
@@ -119,9 +117,9 @@ def test_objective_invariant_under_class_relabeling(tiny_scenario):
     v = rng.dirichlet(np.ones(3), size=y.shape[0])
     B = rng.normal(size=(data.p, 3))
     lambdas = np.array([0.1, 0.2, 0.3])
-    coef = CoefficientMatrix(values=B, role="pooled_B")
+    coef = CoefficientMatrix(values=B)
     perm = [2, 0, 1]
-    coef_p = CoefficientMatrix(values=B[:, perm], role="pooled_B")
+    coef_p = CoefficientMatrix(values=B[:, perm])
     a = penalized_mixture_objective(family, y, X, v, coef, lambdas)
     b = penalized_mixture_objective(
         family, y, X, v[:, perm], coef_p, lambdas[perm]
@@ -143,7 +141,7 @@ def test_joint_trace_non_increasing(mini_fit):
     assert np.all(np.diff(tb) <= 1e-8)
 
 
-def test_additive_identity_and_roles(mini_fit):
+def test_additive_identity(mini_fit):
     _, fit = mini_fit
     assert np.array_equal(
         fit.b_target.values, fit.b_pooled.values + fit.delta.values
@@ -151,9 +149,6 @@ def test_additive_identity_and_roles(mini_fit):
     assert np.array_equal(
         fit.b_target.intercept, fit.b_pooled.intercept + fit.delta.intercept
     )
-    assert fit.b_pooled.role == "pooled_B"
-    assert fit.delta.role == "correction_Delta"
-    assert fit.b_target.role == "target_B0"
     assert fit.n_classes == 3
 
 
@@ -210,9 +205,9 @@ def test_em_stage_at_its_cap_warns_and_changes_nothing(tiny_scenario):
     cfg = _mini_config(max_em_iter=2, tau=0.0)
     with pytest.warns(RuntimeWarning, match="cap of 2") as caught:
         fit = fit_targeted_psm(data, 2, cfg, fam, lca_model=lca)
-    roles = {r for r in ("pooled_B", "correction_Delta")
-             if any(r in str(w.message) for w in caught)}
-    assert roles == {"pooled_B", "correction_Delta"}
+    stages = {s for s in ("pooled_B", "correction_Delta")
+              if any(s in str(w.message) for w in caught)}
+    assert stages == {"pooled_B", "correction_Delta"}
     assert (fit.n_iter_joint, fit.n_iter_bias) == (2, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -490,8 +485,6 @@ def test_predict_risk_rejects_invalid_inputs(mini_fit):
 
 
 def test_serialization_writes_strict_json_for_infinite_penalties(tmp_path, tiny_scenario):
-    import json
-
     _, data, _ = tiny_scenario
     fit = fit_targeted_psm(data, 2, _mini_config(lambda_bias=np.inf), GlmFamily.logistic())
     path = tmp_path / "fit.json"
@@ -531,3 +524,30 @@ def test_serialization_roundtrip(tmp_path, mini_fit):
     # dict round-trip preserves everything as well
     again = transfer_fit_from_dict(transfer_fit_to_dict(fit))
     assert np.array_equal(again.b_target.values, fit.b_target.values)
+    # the file restates nothing: counts are trace lengths and coefficient widths
+    payload = json.loads(path.read_text())
+    assert not {"n_iter_joint", "n_iter_bias"} & payload.keys()
+    assert "n_classes" not in payload["lca_model"]
+    for key in ("b_pooled", "delta", "b_target"):
+        assert payload[key].keys() == {"values", "intercept"}
+
+
+def test_older_fit_files_with_restated_keys_still_load(tmp_path, mini_fit):
+    _, fit = mini_fit
+    payload = transfer_fit_to_dict(fit)
+    for key, role in (
+        ("b_pooled", "pooled_B"), ("delta", "correction_Delta"), ("b_target", "target_B0"),
+    ):
+        payload[key]["role"] = role
+    payload["n_iter_joint"] = fit.n_iter_joint
+    payload["n_iter_bias"] = fit.n_iter_bias
+    payload["lca_model"]["n_classes"] = fit.n_classes
+    path = tmp_path / "older.json"
+    path.write_text(json.dumps(payload, indent=2))
+    back = load_transfer_fit(path)
+    for key in ("b_pooled", "delta", "b_target"):
+        assert np.array_equal(getattr(back, key).values, getattr(fit, key).values)
+        assert np.array_equal(getattr(back, key).intercept, getattr(fit, key).intercept)
+    assert np.array_equal(back.lca_model.prevalences, fit.lca_model.prevalences)
+    assert np.array_equal(back.lca_model.mixing, fit.lca_model.mixing)
+    assert (back.n_iter_joint, back.n_iter_bias) == (fit.n_iter_joint, fit.n_iter_bias)
