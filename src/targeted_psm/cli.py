@@ -336,9 +336,11 @@ def _cmd_experiment(args) -> int:
         if args.force:
             rows_path.unlink()
         elif args.resume:
-            completed = {
-                (r.scenario, r.replicate) for r in read_report_rows(rows_path)
-            }
+            try:
+                previous = read_report_rows(rows_path)
+            except ValueError as exc:
+                raise ConfigError(f"cannot resume: {exc}") from exc
+            completed = {(r.scenario, r.replicate) for r in previous}
             log.info("resuming: %d replicates already done", len(completed))
         else:
             raise ConfigError(

@@ -215,13 +215,25 @@ def write_report_rows(path, rows, append: bool = False) -> None:
 
 def read_report_rows(path) -> list:
     """ReportRows from a CSV written by write_report_rows; an empty cell
-    reads as None for every field whose default is None."""
+    reads as None for every field whose default is None.  Raises ValueError
+    unless the header is the ReportRow fields in declaration order, which
+    is also the order write_report_rows appends in."""
     cols = fields(ReportRow)
+    expected = [f.name for f in cols]
     with Path(path).open(newline="") as fh:
-        return [
-            ReportRow(**{f.name: _parse_cell(f, rec[f.name]) for f in cols})
-            for rec in csv.DictReader(fh)
-        ]
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames
+        if header is None:
+            raise ValueError(f"{path} is empty; expected the header {','.join(expected)}")
+        if header != expected:
+            missing = [c for c in expected if c not in header]
+            extra = [c for c in header if c not in expected]
+            raise ValueError(
+                f"{path} does not have the ReportRow columns: "
+                + (f"missing {missing}, extra {extra}" if missing or extra
+                   else f"found them in the order {','.join(header)}")
+            )
+        return [ReportRow(**{f.name: _parse_cell(f, rec[f.name]) for f in cols}) for rec in reader]
 
 
 def _replicate_seed(master_seed: int, replicate: int) -> int:

@@ -21,6 +21,15 @@ one-row product, which numpy hands to BLAS's matrix-vector kernel: its
 q-term sums may round differently in the last bit.  A row-by-row E-step
 meets it in a one-row study, the cell table in a one-study collection
 whose subjects all share one pattern.)
+
+The restarts are independent EM runs, so `fit_lca` spreads them over the
+CPUs in the process's affinity mask, the calling process working a share
+and forked children the rest (`_parallel.fan_out`).  The results are the
+bytes of a serial loop: every initial model is drawn first, in restart
+order, from the one 'lca-init' stream, and the earliest restart with the
+largest log-likelihood wins.  The restarts run serially with one CPU (e.g.
+under `taskset -c 0`), one restart, no `os.fork`, inside a multiprocessing
+worker such as `run_experiment`'s pool, or while other Python threads run.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._parallel import fan_out
 from ._rng import substream
 from .core import (
     EPS_CLIP,
@@ -263,7 +273,10 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
 
     Runs `config.n_starts` random EM restarts (prevalences uniform on
     (0.2, 0.8), mixing rows flat-Dirichlet) and keeps the best final
-    log-likelihood.  C = 1 has a closed form and consumes no randomness.
+    log-likelihood, the earliest restart on a tie.  The restarts run on the
+    CPUs of the process's affinity mask, with results identical to a serial
+    run (see the module docstring for when they run serially).  C = 1 has
+    a closed form and consumes no randomness.
     """
     config = config or LcaFitConfig()
     C = int(n_classes)
@@ -295,16 +308,17 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
         return replace(model, log_lik=ll, trace=(ll,), n_iter=0, converged=True)
 
     rng = substream(config.seed, "lca-init")
-    best = None
-    for _ in range(config.n_starts):
-        init = LcaModel(
+    inits = [
+        LcaModel(
             prevalences=rng.uniform(0.2, 0.8, size=(C, q)),
             mixing=clip_rows(rng.dirichlet(np.ones(C), size=n_studies)),
         )
-        fitted = _run_em(init, index, config.tol, config.max_iter)
-        if best is None or fitted.log_lik > best.log_lik:
-            best = fitted
-    model = _canonical_order(best)
+        for _ in range(config.n_starts)
+    ]
+    fits = fan_out(lambda init: _run_em(init, index, config.tol, config.max_iter), inits)
+    # max keeps the first of equal log-likelihoods: the earliest restart
+    # wins unless a later one is strictly better.
+    model = _canonical_order(max(fits, key=lambda m: m.log_lik))
     # Re-evaluate at the reported ordering so log_lik matches exactly on
     # re-computation (the sorted-sum reduction makes reordering lossless).
     return replace(model, log_lik=_log_lik(model, index))

@@ -359,6 +359,10 @@ def auto_tune_lambda(
     is never selected; the next candidate warm-starts from the failed
     solve's best iterate.  SolverError is raised only when every candidate
     of a class fails, naming the class and stage.
+
+    A logistic stage whose y takes one value (say, a target study with no
+    events) has no usable fold: ValueError names the stage and asks for a
+    numeric penalty.
     """
     y, X, study_index, v_rows = _stage_rows(data, memberships, stage)
     if cv_folds < 2:
@@ -370,6 +374,11 @@ def auto_tune_lambda(
     if offsets_by_class is not None and offsets_by_class.shape != (n, C):
         raise ValueError("offsets_by_class must be (n, C)")
 
+    if family.kind == "logistic" and np.unique(y).size < 2:
+        raise ValueError(
+            f"'auto' tuning of lambda_{stage} needs both outcome values, but every "
+            f"y of the {stage} stage is {y[0]:g}; give lambda_{stage} a numeric value"
+        )
     candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(p, n)
     fold = _make_folds(y, study_index, cv_folds, family, seed)
     design, mask = _design(X, fit_intercept)

@@ -316,6 +316,33 @@ def test_experiment_end_to_end(experiment_config, capsys):
     assert (out / "rows.csv").read_text() == before
 
 
+HEADER = "scenario,method,replicate,seed,n_sources,mse,auc,runtime_s,permutation,error"
+SWAPPED = HEADER.replace("mse,auc", "auc,mse")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "is empty"),
+        (HEADER.removesuffix(",error") + "\nK1,naive_lasso,0,1,1,0.5,0.6,0.1,0|1\n",
+         "missing ['error'], extra []"),
+        (HEADER + ",note\n", "missing [], extra ['note']"),
+        (SWAPPED + "\nK1,naive_lasso,0,1,1,0.6,0.5,0.1,0|1,\n", f"in the order {SWAPPED}"),
+    ],
+    ids=["empty", "no-error-column", "extra-column", "mse-auc-swapped"],
+)
+def test_experiment_resume_rejects_a_foreign_header(experiment_config, tmp_path, capsys,
+                                                    text, message):
+    _, config = experiment_config
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text(text)
+    rc = main(["experiment", "--config", config, "--out", str(tmp_path), "--resume"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert rows_path.read_text() == text
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_experiment_force_restart_reproduces_statistics(experiment_config):
     root, config = experiment_config
     out = root / "exp"

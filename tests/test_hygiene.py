@@ -1,6 +1,7 @@
 """Source hygiene: every name a package or test module imports is used
 there, every private module-level function or class is used somewhere in the
-package, and no module imports another module's private names.
+package, no module imports another module's private names, and only the
+fork-join helper and the experiment harness manage processes.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -81,3 +82,35 @@ def test_no_module_imports_private_names_of_another():
         if alias.name.startswith("_")
     )
     assert not found, f"private names imported across modules: {found}"
+
+
+# The fork-join helper and the experiment's worker pool; no other module
+# starts processes.
+PROCESS_MODULES = {"_parallel.py", "evaluate.py"}
+
+
+def _process_management(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if node.module == "os":
+                modules += [f"os.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            modules = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        for name in modules:
+            if name == "os.fork" or name.split(".")[0] in ("multiprocessing", "concurrent"):
+                yield node.lineno, name
+
+
+def test_processes_are_managed_in_one_place():
+    found = sorted(
+        f"{path.name}:{line}: {name}"
+        for path in PACKAGE.glob("*.py")
+        if path.name not in PROCESS_MODULES
+        for line, name in _process_management(ast.parse(path.read_text(), filename=str(path)))
+    )
+    assert not found, f"process management outside {sorted(PROCESS_MODULES)}: {found}"

@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 from dataclasses import replace
 
@@ -246,7 +247,10 @@ def test_em_step_matches_row_wise_reference_bitwise(case):
         assert log_lik == pytest.approx(ref_log_lik, rel=1e-13)
 
 
-def test_fit_with_row_wise_reference_is_bitwise_equal(monkeypatch, rng):
+def test_fit_with_row_wise_reference_is_bitwise_equal(monkeypatch, rng, tmp_path):
+    # Four CPUs, so the restarts fan out to forked children, which must run
+    # the reference too: it leaves one file per process that ran it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     prev = np.array([[0.85, 0.2, 0.6, 0.7, 0.1], [0.2, 0.75, 0.3, 0.4, 0.8],
                      [0.5, 0.5, 0.9, 0.1, 0.5]])
     mixing = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
@@ -257,17 +261,88 @@ def test_fit_with_row_wise_reference_is_bitwise_equal(monkeypatch, rng):
     fitted = {}
     for C in (1, 3):
         fitted[C] = fit_lca(data, C, cfg)
-    monkeypatch.setattr(lca, "_em_step", lambda m, index: lca_em_step_reference(m, data))
+
+    def em_step_reference(m, index):
+        (tmp_path / str(os.getpid())).touch()
+        return lca_em_step_reference(m, data)
+
+    monkeypatch.setattr(lca, "_em_step", em_step_reference)
     monkeypatch.setattr(lca, "_log_lik", lambda m, index: lca_log_lik_reference(m, data))
     for C in (1, 3):
-        ref = fit_lca(data, C, cfg)
-        new = fitted[C]
-        assert new.prevalences.tobytes() == ref.prevalences.tobytes()
-        assert new.mixing.tobytes() == ref.mixing.tobytes()
-        assert np.asarray(new.trace).tobytes() == np.asarray(ref.trace).tobytes()
-        assert (new.n_iter, new.converged) == (ref.n_iter, ref.converged)
-        assert new.log_lik == ref.log_lik
+        _assert_same_fit(fitted[C], fit_lca(data, C, cfg))
     assert fitted[3].n_iter > 1
+    assert {f.name for f in tmp_path.iterdir()} - {str(os.getpid())}
+
+
+def _assert_same_fit(new, ref):
+    assert new.prevalences.tobytes() == ref.prevalences.tobytes()
+    assert new.mixing.tobytes() == ref.mixing.tobytes()
+    assert np.asarray(new.trace).tobytes() == np.asarray(ref.trace).tobytes()
+    assert (new.n_iter, new.converged) == (ref.n_iter, ref.converged)
+    assert np.float64(new.log_lik).tobytes() == np.float64(ref.log_lik).tobytes()
+
+
+@pytest.fixture
+def on_cpus(monkeypatch):
+    """on_cpus(n, call) -> (call(), forks made) while the affinity mask
+    reports n CPUs."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def run(n, call):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        before = len(forks)
+        return call(), len(forks) - before
+
+    return run
+
+
+@pytest.mark.parametrize("n_starts", [1, 2, 10])
+@pytest.mark.parametrize("target_only", [False, True], ids=["K=1", "K=0"])
+def test_fanned_out_restarts_equal_serial(on_cpus, small_collection, n_starts, target_only):
+    data, _, _ = small_collection
+    if target_only:
+        data = StudyCollection(target=data.target)
+    cfg = LcaFitConfig(seed=5, n_starts=n_starts)
+    serial, forks = on_cpus(1, lambda: fit_lca(data, 3, cfg))
+    assert forks == 0
+    fanned, forks = on_cpus(4, lambda: fit_lca(data, 3, cfg))
+    assert forks == min(n_starts, 4) - 1
+    _assert_same_fit(fanned, serial)
+
+
+def test_fanned_out_restarts_above_observed_patterns_warn_once(on_cpus):
+    Z = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])[np.arange(40) % 2]
+    data = StudyCollection(target=_study(Z, 0))
+    cfg = LcaFitConfig(seed=0, n_starts=6, max_iter=30)
+    fits = {}
+    for n in (1, 4):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fits[n], _ = on_cpus(n, lambda: fit_lca(data, 3, cfg))
+        assert [str(w.message) for w in caught] == [
+            "3 classes exceed the 2 distinct patterns observed in the collection; "
+            "the fit cannot tell every class apart"
+        ]
+    _assert_same_fit(fits[4], fits[1])
+
+
+def test_fanned_out_class_selection_equals_serial(on_cpus, small_collection):
+    data, _, _ = small_collection
+    cfg = LcaFitConfig(seed=3, n_starts=5)
+    serial, _ = on_cpus(1, lambda: select_classes_bic(data, [1, 2, 3], cfg))
+    fanned, forks = on_cpus(4, lambda: select_classes_bic(data, [1, 2, 3], cfg))
+    assert forks == 6  # three children for each of C = 2 and 3
+    for new, ref in zip(fanned, serial):
+        assert (new["n_classes"], new["converged"]) == (ref["n_classes"], ref["converged"])
+        assert np.float64(new["bic"]).tobytes() == np.float64(ref["bic"]).tobytes()
+        _assert_same_fit(new["model"], ref["model"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,6 +406,25 @@ def test_auto_tune_raises_when_every_candidate_fails(tiny_scenario, monkeypatch)
         auto_tune_lambda(
             data, v, GlmFamily.logistic(), "pool", grid=(0.5, 1.0), cv_folds=3, seed=0
         )
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_auto_tune_on_a_single_valued_outcome_names_the_stage(tiny_scenario, value):
+    _, data, _ = tiny_scenario
+    fam = GlmFamily.logistic()
+    constant = lambda study: replace(study, outcomes=np.full(study.n, value))
+    data = StudyCollection(target=constant(data.target), sources=data.sources)
+    lca = fit_lca(data, 2, LcaFitConfig(seed=0, n_starts=2))
+    auto = _mini_config(lambda_pool="auto", lambda_bias="auto", cv_grid=(0.3, 1.0), cv_folds=3)
+    with pytest.raises(ValueError, match=f"every y of the bias stage is {value:g}; "
+                                         "give lambda_bias a numeric value"):
+        fit_targeted_psm(data, 2, auto, fam, lca_model=lca)
+    fit = fit_targeted_psm(data, 2, replace(auto, lambda_bias=0.02), fam, lca_model=lca)
+    assert np.all(np.isfinite(fit.b_target.values))
+
+    everywhere = StudyCollection(target=data.target, sources=tuple(map(constant, data.sources)))
+    with pytest.raises(ValueError, match="every y of the pool stage"):
+        auto_tune_lambda(everywhere, initial_memberships(lca, everywhere), fam, "pool")
 
 
 def test_transfer_config_validation():
