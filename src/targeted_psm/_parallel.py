@@ -22,6 +22,10 @@ the platform has no `os.fork`, inside a multiprocessing worker (whose pool
 already uses the CPUs), inside a task of another `fan_out` (in the caller or
 in a child), and while other Python threads are alive (forking a threaded
 process can copy a lock some other thread holds).
+
+Callers: `lca.fit_lca` (one EM restart per task), `core.write_manifest` (one
+study file per task) and `core.read_study_csv` (one byte range of a study
+file per task).
 """
 
 from __future__ import annotations

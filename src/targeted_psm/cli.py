@@ -70,6 +70,19 @@ class ConfigError(ValueError):
     """A configuration file problem, reported with the offending field."""
 
 
+class DataError(ValueError):
+    """A dataset or input file that cannot be read, reported with its path."""
+
+
+def _read_data(read, *args, **kwargs):
+    """read(*args, **kwargs), with a ValueError (a malformed manifest or
+    study CSV) turned into a DataError."""
+    try:
+        return read(*args, **kwargs)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
@@ -267,7 +280,7 @@ def _cmd_fit(args) -> int:
     lca_cfg = lca_from_config(config, args.seed)
     n_classes = scenario.n_classes if args.classes is None else args.classes
     family = scenario.glm_family()
-    data = load_collection(Path(args.data) / "manifest.json")
+    data = _read_data(load_collection, Path(args.data) / "manifest.json")
 
     fit = fit_targeted_psm(
         data, n_classes, config=transfer_cfg, family=family, lca_config=lca_cfg
@@ -297,11 +310,11 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     fit = load_transfer_fit(args.fit)
-    study = read_study_csv(args.input, study_id=0)
+    study = _read_data(read_study_csv, args.input, study_id=0)
     expected = (fit.b_target.n_features, fit.lca_model.n_structure_vars)
     if (study.p, study.q) != expected:
-        raise ConfigError(
-            f"input has p={study.p}, q={study.q}; the fit expects "
+        raise DataError(
+            f"{args.input}: p={study.p}, q={study.q}; the fit expects "
             f"p={expected[0]}, q={expected[1]}"
         )
     scores = predict_risk(fit, study.predictors, study.structure_vars)
@@ -401,7 +414,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_lca_select(args) -> int:
     config = load_config(args.config)
-    data = load_collection(Path(args.data) / "manifest.json")
+    data = _read_data(load_collection, Path(args.data) / "manifest.json")
     lca_cfg = lca_from_config(config, args.seed)
     rows = select_classes_bic(data, args.classes, lca_cfg)
     best = min(rows, key=lambda r: r["bic"])
@@ -502,6 +515,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FileNotFoundError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,21 +7,38 @@ Conventions used throughout the package:
 * linear predictors are clamped to [-700, 700] before exponentiation,
 * every probability that feeds a weighted fit is kept inside
   [EPS_CLIP, 1 - EPS_CLIP] so that no observation weight collapses to zero.
+
+Study files run on every CPU of the process's affinity mask
+(`_parallel.fan_out`): `write_manifest` writes each study file in its own
+task, and `read_study_csv` parses a file's data lines in byte ranges, one
+task each.  Files and arrays are byte for byte those of a serial
+`np.savetxt` / `np.loadtxt`, and a body of one range is parsed in the
+caller without forking.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._parallel import fan_out
 
 # Clamp for linear predictors: exp(700) is still finite in float64.
 ETA_CLAMP = 700.0
 
 # Global floor/ceiling for membership and prevalence probabilities.
 EPS_CLIP = 1e-6
+
+# read_study_csv parses a file's data lines in ranges of this many bytes, one
+# fan_out task each; a smaller body is parsed in the caller.
+_RANGE_BYTES = 1 << 19
 
 
 def clamp_eta(eta):
@@ -419,12 +436,75 @@ def write_study_csv(study: Study, path) -> None:
     )
 
 
+def _parse_rows(lines: bytes) -> np.ndarray:
+    """np.loadtxt over `lines` read as np.loadtxt reads a file by name: text
+    in the default encoding, with "\\n", "\\r\\n" and "\\r" ending a line."""
+    with warnings.catch_warnings():
+        # a range or a line of blank or comment lines holds no data
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(io.TextIOWrapper(io.BytesIO(lines)), delimiter=",", ndmin=2)
+
+
+def _bad_line(lines: bytes, width: int):
+    """(index, reason) of the first of `lines` that is not `width` numbers,
+    parsing each line alone as `_parse_rows` parses them all."""
+    for i, line in enumerate(lines.splitlines()):
+        try:
+            row = _parse_rows(line)
+        except ValueError as exc:
+            return i, re.sub(r" at row \d+,", " in", str(exc))
+        if row.size and row.shape[1] != width:
+            return i, f"{row.shape[1]} values, expected {width}"
+    return None
+
+
+def _read_range(job) -> np.ndarray:
+    """The rows of the lines that start in bytes [start, stop) of a study
+    file, parsed as np.loadtxt parses the whole file."""
+    path, width, start, stop = job
+    with open(path, "rb") as fh:
+        fh.seek(start - 1)
+        fh.readline()  # a line that starts before `start` is an earlier range's
+        first = fh.tell()
+        lines = fh.read(max(stop - first, 0))
+        if lines and not lines.endswith(b"\n"):
+            lines += fh.readline()
+        try:
+            rows = _parse_rows(lines)
+        except ValueError:
+            bad = _bad_line(lines, width)
+            if bad is None:
+                raise
+        else:
+            if rows.size == 0:
+                return np.empty((0, width))
+            if rows.shape[1] == width:
+                return rows
+            bad = _bad_line(lines, width)
+        fh.seek(0)
+        index = fh.read(first).count(b"\n") + 1 + bad[0]
+    raise ValueError(f"{path}: line {index}: {bad[1]}")
+
+
 def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
     """Read one study CSV.  The header must be y,x1..xp,z1..zq exactly, as
-    write_study_csv writes it; p and q are inferred from it."""
+    write_study_csv writes it; p and q are inferred from it.
+
+    The data lines are parsed by np.loadtxt in byte ranges of _RANGE_BYTES,
+    fanned out over the CPUs (a line belongs to the range it starts in), so
+    the rows are bit for bit those of one np.loadtxt over the file.  A
+    malformed line is a ValueError naming the file and its 1-based line.
+    """
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
+    with path.open("rb") as fh:
+        first = fh.readline()
+        size = os.fstat(fh.fileno()).st_size
+    try:
+        header = first.decode().strip()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: line 1: {exc}") from exc
+    if "\r" in header:
+        raise ValueError(f"{path}: lines must end in \\n or \\r\\n")
     cols = header.split(",")
     n_x = sum(1 for c in cols if c.startswith("x"))
     n_z = sum(1 for c in cols if c.startswith("z"))
@@ -436,9 +516,13 @@ def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
         raise ValueError(f"{path}: expected {p} predictor columns, found {n_x}")
     if q is not None and n_z != q:
         raise ValueError(f"{path}: expected {q} structure columns, found {n_z}")
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if raw.shape[1] != len(cols):
-        raise ValueError(f"{path}: row width does not match header")
+    ranges = [
+        (path, len(cols), start, start + _RANGE_BYTES)
+        for start in range(len(first), size, _RANGE_BYTES)
+    ]
+    raw = np.concatenate([np.empty((0, len(cols)))] + fan_out(_read_range, ranges))
+    if raw.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
     return Study(
         outcomes=raw[:, 0],
         predictors=raw[:, 1 : 1 + n_x],
@@ -448,7 +532,8 @@ def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
 
 
 def write_manifest(collection: StudyCollection, directory, force: bool = False) -> Path:
-    """Write per-study CSVs plus manifest.json into `directory`."""
+    """Write per-study CSVs plus manifest.json into `directory`; the study
+    files are written in parallel, one fan_out task each."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
@@ -456,8 +541,7 @@ def write_manifest(collection: StudyCollection, directory, force: bool = False) 
     for pth in [manifest_path] + paths:
         if pth.exists() and not force:
             raise FileExistsError(f"{pth} exists; pass force=True to overwrite")
-    for s, pth in zip(collection.studies, paths):
-        write_study_csv(s, pth)
+    fan_out(lambda job: write_study_csv(*job), zip(collection.studies, paths))
     manifest = {
         "target": paths[0].name,
         "sources": [pth.name for pth in paths[1:]],
@@ -467,15 +551,25 @@ def write_manifest(collection: StudyCollection, directory, force: bool = False) 
 
 
 def load_collection(manifest_path) -> StudyCollection:
-    """Load a StudyCollection from a manifest.json written by write_manifest."""
+    """Load a StudyCollection from a manifest.json written by write_manifest:
+    an object whose "target" names the target CSV and whose optional
+    "sources" lists the source CSVs, relative to the manifest."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: the manifest must be a JSON object")
+    target_name, source_names = manifest.get("target"), manifest.get("sources", [])
+    if not isinstance(target_name, str):
+        raise ValueError(f"{manifest_path}: 'target' must name the target CSV")
+    if not isinstance(source_names, list) or not all(isinstance(s, str) for s in source_names):
+        raise ValueError(f"{manifest_path}: 'sources' must be a list of CSV names")
     base = manifest_path.parent
-    if "target" not in manifest:
-        raise ValueError("manifest must name a 'target' CSV")
-    target = read_study_csv(base / manifest["target"], study_id=0)
+    target = read_study_csv(base / target_name, study_id=0)
     sources = [
         read_study_csv(base / rel, study_id=k + 1, p=target.p, q=target.q)
-        for k, rel in enumerate(manifest.get("sources", []))
+        for k, rel in enumerate(source_names)
     ]
     return StudyCollection(target=target, sources=tuple(sources))

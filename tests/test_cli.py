@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from targeted_psm import _parallel, core
 from targeted_psm.cli import (
     ConfigError,
     experiment_scenarios,
@@ -187,7 +189,7 @@ def test_fit_and_predict_roundtrip(cli_workspace, capsys):
     assert np.allclose(np.array(printed, dtype=float), scores)
 
 
-def test_predict_rejects_wrong_width(cli_workspace, tmp_path):
+def test_predict_rejects_wrong_width(cli_workspace, tmp_path, capsys):
     root, config, data_dir = cli_workspace
     fit_path = root / "fit.json"
     header = "y," + ",".join(f"x{i}" for i in range(1, 4)) + ",z1"
@@ -195,6 +197,7 @@ def test_predict_rejects_wrong_width(cli_workspace, tmp_path):
     bad.write_text(header + "\n" + "1," + "0.1,0.2,0.3" + ",1\n")
     rc = main(["predict", "--fit", str(fit_path), "--input", str(bad)])
     assert rc == 2
+    assert _one_error_line(capsys).startswith(f"error: {bad}: p=3, q=1; the fit expects p=10")
 
 
 def test_lca_select_prints_table(cli_workspace, capsys):
@@ -209,6 +212,82 @@ def test_lca_select_prints_table(cli_workspace, capsys):
     assert lines[0].split() == ["C", "log_lik", "n_params", "BIC", "converged"]
     assert sum("*" in line for line in lines) == 1
     assert "no recovery guarantee" in out
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "fault, reason",
+    [("header only", "no data rows"), ("bad cell", "line 3: could not convert string 'abc'"),
+     ("short row", "line 3: 2 values, expected")],
+)
+def test_malformed_study_csv_exits_2_naming_the_file_line(cli_workspace, tmp_path, capsys, fault, reason):
+    root, config, data_dir = cli_workspace
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in data_dir.iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    lines = (data / "study_1.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    if fault == "header only":
+        lines = lines[:1]
+    elif fault == "bad cell":
+        lines[2] = ",".join([cells[0], "abc", *cells[2:]])
+    else:
+        lines[2] = ",".join(cells[:2])
+    (data / "study_1.csv").write_text("\n".join(lines) + "\n")
+    where = f"error: {data / 'study_1.csv'}: {reason}"
+    for argv in (
+        ["fit", "--config", config, "--data", str(data), "--classes", "3"],
+        ["lca-select", "--config", config, "--data", str(data), "--classes", "2"],
+        ["predict", "--fit", str(root / "fit.json"), "--input", str(data / "study_1.csv")],
+    ):
+        assert main(argv) == 2
+        assert _one_error_line(capsys).startswith(where)
+
+
+@pytest.mark.parametrize("manifest", [{"target": 5}, {"target": "study_0.csv", "sources": "study_1.csv"}])
+def test_malformed_manifest_exits_2(cli_workspace, tmp_path, capsys, manifest):
+    root, config, data_dir = cli_workspace
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    for command in ("fit", "lca-select"):
+        assert main([command, "--data", str(tmp_path), "--classes", "2"]) == 2
+        key = "target" if "sources" not in manifest else "sources"
+        assert f"'{key}' must" in _one_error_line(capsys)
+
+
+def test_study_files_are_the_same_bytes_with_serial_io(tmp_path, monkeypatch, capsys):
+    """simulate -> fit -> predict with the study files split into small byte
+    ranges on four (pretended) CPUs, and again with every fan_out serial."""
+    monkeypatch.setattr(core, "_RANGE_BYTES", 4096)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    config = _write_config(
+        tmp_path, {"scenario": dict(TINY_SCENARIO, K=3), "tuning": dict(TINY_TUNING),
+                   "lca": dict(TINY_LCA)},
+    )
+    outputs = []
+    for name in ("default", "serial"):
+        if name == "serial":
+            # three children for the one write_manifest and each of the
+            # five reads, and more for the LCA restarts
+            assert len(forks) > 3 * (1 + 5)
+            monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+        out = tmp_path / name
+        data, fit, scores = out / "data", out / "fit.json", out / "scores.csv"
+        assert main(["simulate", "--config", config, "--out", str(data)]) == 0
+        assert main(["fit", "--config", config, "--data", str(data), "--out", str(fit)]) == 0
+        assert main(["predict", "--fit", str(fit), "--input", str(data / "study_2.csv"),
+                     "--out", str(scores)]) == 0
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))})
+    capsys.readouterr()
+    assert len(outputs[0]) == 8  # 4 studies, manifest, truth, fit, scores
+    assert outputs[0] == outputs[1]
 
 
 def test_subcommands_reject_flags_they_do_not_read(capsys):

@@ -1,0 +1,272 @@
+"""Study files on every CPU: the ranged reader gives the bits of one
+np.loadtxt over the file, errors name the file line wherever it was parsed,
+and write_manifest writes the bytes of a serial loop."""
+
+import os
+import re
+import time
+
+import numpy as np
+import pytest
+
+from targeted_psm import _parallel, core
+from targeted_psm.core import (
+    Study,
+    StudyCollection,
+    load_collection,
+    read_study_csv,
+    write_manifest,
+    write_study_csv,
+)
+
+HEADER = "y,x1,x2,z1"
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pretend the process may use four CPUs and count the forks the caller
+    makes."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        made.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _rows(n, seed=0):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    x = rng.standard_normal((n, 2))
+    z = (rng.random(n) < 0.5).astype(float)
+    return [f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}" for a, b, c, d in zip(y, *x.T, z)]
+
+
+def _file(tmp_path, lines, end="\n", last_end=True):
+    path = tmp_path / "study.csv"
+    text = end.join([HEADER] + lines) + (end if last_end else "")
+    path.write_bytes(text.encode())
+    return path
+
+
+def _bits(study):
+    return np.column_stack(
+        [study.outcomes, study.predictors, study.structure_vars]
+    ).tobytes()
+
+
+def _loadtxt_bits(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).tobytes()
+
+
+LAYOUTS = {
+    "plain": dict(lines=_rows(7)),
+    "no trailing newline": dict(lines=_rows(7), last_end=False),
+    "crlf": dict(lines=_rows(7), end="\r\n"),
+    "crlf, no trailing newline": dict(lines=_rows(7), end="\r\n", last_end=False),
+    "blank lines": dict(lines=["", *_rows(3), "", "", *_rows(4, seed=1), "", ""]),
+    "trailing comment": dict(lines=[*_rows(7), "# written by hand"]),
+    "single row": dict(lines=_rows(1)),
+    # np.loadtxt reads a file by name with universal newlines
+    "a lone \\r between rows": dict(lines=[*_rows(3), "\r".join(_rows(3, seed=1)), *_rows(2)]),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=str)
+def test_every_range_size_gives_the_bits_of_one_loadtxt(tmp_path, monkeypatch, serial, layout):
+    # One byte to beyond the whole body: every range boundary falls once
+    # mid-line, on a line's "\r" or "\n", and at a line start; at one byte
+    # there are more ranges than rows.
+    path = _file(tmp_path, **LAYOUTS[layout])
+    expected = _loadtxt_bits(path)
+    for size in range(1, path.stat().st_size + 2):
+        monkeypatch.setattr(core, "_RANGE_BYTES", size)
+        assert _bits(read_study_csv(path, study_id=0)) == expected, size
+
+
+@pytest.mark.parametrize("size", [1, 23, 64, 97, 4096])
+@pytest.mark.parametrize("layout", ["plain", "crlf", "blank lines", "trailing comment"])
+def test_ranges_parsed_in_children_give_the_bits_of_one_loadtxt(
+    tmp_path, monkeypatch, forks, layout, size
+):
+    path = _file(tmp_path, **LAYOUTS[layout])
+    monkeypatch.setattr(core, "_RANGE_BYTES", size)
+    assert _bits(read_study_csv(path, study_id=0)) == _loadtxt_bits(path)
+    n_ranges = -(-(path.stat().st_size - len(HEADER) - 1) // size)
+    assert len(forks) == min(n_ranges, 4) - 1
+
+
+def test_a_small_file_is_read_without_forking(tmp_path, forks, rng):
+    path = tmp_path / "study.csv"
+    write_study_csv(Study(rng.random(200), rng.random((200, 30)), np.ones((200, 5)), 0), path)
+    assert path.stat().st_size < core._RANGE_BYTES
+    read_study_csv(path, study_id=0)
+    assert forks == []
+
+
+BAD_LINES = [
+    ("0,abc,1,0", r"could not convert string 'abc' to float64 in column 2"),
+    ("0,1,0", r"3 values, expected 4"),
+    ("0,1,0,1,1", r"5 values, expected 4"),
+]
+
+
+@pytest.mark.parametrize("bad, reason", BAD_LINES)
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_a_bad_line_in_the_last_range_names_its_file_line(tmp_path, monkeypatch, forks, bad, reason, end):
+    lines = [*_rows(3), "", "# note", *_rows(5, seed=1), bad]
+    path = _file(tmp_path, lines, end=end)
+    message = rf"^{re.escape(str(path))}: line {len(lines) + 1}: {reason}"
+    monkeypatch.setattr(core, "_RANGE_BYTES", 40)
+    with pytest.raises(ValueError, match=message) as fanned:
+        read_study_csv(path, study_id=0)
+    assert len(forks) == 3
+    with monkeypatch.context() as m:
+        m.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+        with pytest.raises(ValueError, match=message):
+            read_study_csv(path, study_id=0)
+    monkeypatch.setattr(core, "_RANGE_BYTES", 1 << 20)
+    with pytest.raises(ValueError, match=message):
+        read_study_csv(path, study_id=0)
+    reason = str(fanned.value).split(": ", 1)[1]
+    assert "usecols" not in reason and "row" not in reason
+
+
+def test_a_bad_line_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch):
+    """Three ranges on two processes: the child parses the last, bad one,
+    while the caller holds its first range until the child has taken it."""
+    lines = _rows(6) + ["0,1,zz,0"]
+    path = _file(tmp_path, lines)
+    body = len(HEADER) + 1
+    size = -(-(path.stat().st_size - body) // 3)
+    monkeypatch.setattr(core, "_RANGE_BYTES", size)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller, started, bad_taken = os.getpid(), tmp_path / "started", tmp_path / "bad"
+    real = core._read_range
+
+    def wait_for(marker):
+        deadline = time.monotonic() + 30
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+
+    def read_range(job):
+        if os.getpid() == caller:
+            if not started.exists():
+                started.touch()
+                wait_for(bad_taken)
+        else:
+            wait_for(started)
+            if job[2] == body + 2 * size:
+                bad_taken.touch()
+        return real(job)
+
+    monkeypatch.setattr(core, "_read_range", read_range)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 8: could not convert string 'zz'") as exc:
+        read_study_csv(path, study_id=0)
+    assert type(exc.value.__cause__).__name__ == "_ChildTraceback"
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["", "# nothing", ""]])
+def test_a_file_without_data_rows_says_so(tmp_path, lines):
+    path = _file(tmp_path, lines, last_end=bool(lines))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no data rows$"):
+        read_study_csv(path, study_id=0)
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_undecodable_bytes_name_their_file_line(tmp_path, line):
+    lines = _rows(3)
+    path = _file(tmp_path, lines)
+    raw = path.read_bytes().split(b"\n")
+    raw[line - 1] = raw[line - 1][:4] + b"\xff" + raw[line - 1][4:]
+    path.write_bytes(b"\n".join(raw))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: "):
+        read_study_csv(path, study_id=0)
+
+
+def test_lines_ending_in_a_lone_carriage_return_are_refused(tmp_path):
+    path = _file(tmp_path, _rows(2), end="\r")
+    with pytest.raises(ValueError, match=r"lines must end in \\n or \\r\\n"):
+        read_study_csv(path, study_id=0)
+
+
+# ---------------------------------------------------------------------------
+# write_manifest and load_collection
+# ---------------------------------------------------------------------------
+
+
+def _collection(rng, K=4):
+    def study(k, n):
+        return Study(
+            outcomes=rng.standard_normal(n),
+            predictors=rng.standard_normal((n, 6)) * 1e3,
+            structure_vars=(rng.random((n, 3)) < 0.5).astype(float),
+            study_id=k,
+        )
+
+    return StudyCollection(target=study(0, 40), sources=tuple(study(k, 20 + k) for k in range(1, K + 1)))
+
+
+def test_write_manifest_writes_the_bytes_of_a_serial_loop(tmp_path, forks, rng):
+    coll = _collection(rng)
+    manifest = write_manifest(coll, tmp_path / "ds")
+    assert len(forks) == 3
+    for s in coll.studies:
+        expected = tmp_path / f"serial_{s.study_id}.csv"
+        write_study_csv(s, expected)
+        assert (tmp_path / "ds" / f"study_{s.study_id}.csv").read_bytes() == expected.read_bytes()
+    back = load_collection(manifest)
+    assert [_bits(s) for s in back.studies] == [_bits(s) for s in coll.studies]
+
+
+def test_a_failed_study_write_raises_what_the_serial_loop_raises(tmp_path, monkeypatch, forks, rng):
+    coll = _collection(rng)
+    raised = []
+    for fan_out in (True, False):
+        directory = tmp_path / f"ds{fan_out}"
+        (directory / "study_3.csv").mkdir(parents=True)
+        with monkeypatch.context() as m:
+            if not fan_out:
+                m.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+            with pytest.raises(OSError) as exc:
+                write_manifest(coll, directory, force=True)
+        raised.append(type(exc.value))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert raised[0] is raised[1] is IsADirectoryError
+    assert len(forks) == 3
+
+
+@pytest.mark.parametrize(
+    "manifest, key",
+    [
+        ("{not json", "Expecting property name"),
+        ("[]", "the manifest must be a JSON object"),
+        ("{}", "'target'"),
+        ('{"target": 5}', "'target'"),
+        ('{"target": "study_0.csv", "sources": "study_1.csv"}', "'sources'"),
+        ('{"target": "study_0.csv", "sources": [1]}', "'sources'"),
+    ],
+)
+def test_load_collection_checks_the_manifest_shape(tmp_path, rng, manifest, key):
+    write_manifest(_collection(rng, K=1), tmp_path)
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{key}"):
+        load_collection(path)
