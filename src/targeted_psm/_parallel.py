@@ -18,14 +18,16 @@ status) is a RuntimeError naming the cause.  Every child is reaped before
 leaves its share to the processes already running.
 
 The loop runs serially in the caller when only one process would run, when
-the platform has no `os.fork`, inside a multiprocessing worker (whose pool
-already uses the CPUs), inside a task of another `fan_out` (in the caller or
-in a child), and while other Python threads are alive (forking a threaded
-process can copy a lock some other thread holds).
+the platform has no `os.fork`, inside a multiprocessing worker (a library
+caller that runs the package in its own pool already uses the CPUs), inside
+a task of another `fan_out` (in the caller or in a child), and while other
+Python threads are alive (forking a threaded process can copy a lock some
+other thread holds).
 
-Callers: `lca.fit_lca` (one EM restart per task), `core.write_manifest` (one
-study file per task) and `core.read_study_csv` (one byte range of a study
-file per task).
+This is the only module of the package that starts processes.  Callers:
+`lca.fit_lca` (one EM restart per task), `core.write_manifest` (one study
+file per task) and `core.read_study_csv` (one byte range of a study file per
+task).
 """
 
 from __future__ import annotations

@@ -20,8 +20,13 @@ Configuration is a single JSON file with optional blocks:
     }
 
 Precedence for shared settings: command-line flag > config file > default.
-Environment overrides: TARGETED_PSM_OUT supplies --out when the flag is
-absent, TARGETED_PSM_THREADS supplies --threads.
+Environment override: TARGETED_PSM_OUT supplies --out when the flag is
+absent.
+
+No subcommand keeps a pool of worker processes: `experiment` runs its
+replicates one after another, and the latent class restarts and the study
+file I/O run on every CPU of the affinity mask through `_parallel.fan_out`
+(`taskset -c 0` makes a run serial).
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ from .transfer import (
 log = logging.getLogger("targeted_psm")
 
 ENV_OUT = "TARGETED_PSM_OUT"
-ENV_THREADS = "TARGETED_PSM_THREADS"
 
 
 class ConfigError(ValueError):
@@ -239,19 +243,6 @@ def _resolve_out(args, required: bool = True):
     return None if out is None else Path(out)
 
 
-def _resolve_threads(args) -> int:
-    raw = args.threads if args.threads is not None else os.environ.get(ENV_THREADS)
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"--threads/{ENV_THREADS} must be an integer") from exc
-    if threads < 1:
-        raise ConfigError("--threads must be >= 1")
-    return threads
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -309,7 +300,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    fit = load_transfer_fit(args.fit)
+    fit = _read_data(load_transfer_fit, args.fit)
     study = _read_data(read_study_csv, args.input, study_id=0)
     expected = (fit.b_target.n_features, fit.lca_model.n_structure_vars)
     if (study.p, study.q) != expected:
@@ -338,7 +329,6 @@ def _cmd_experiment(args) -> int:
     methods = methods_from_config(config)
     transfer_cfg = transfer_from_config(config)
     lca_cfg = lca_from_config(config) if "lca" in config else None
-    threads = _resolve_threads(args)
     out = _resolve_out(args)
     out.mkdir(parents=True, exist_ok=True)
     rows_path = out / "rows.csv"
@@ -379,7 +369,6 @@ def _cmd_experiment(args) -> int:
             [m.value for m in methods],
             replicates=replicates,
             test_n=test_n,
-            n_jobs=threads,
             master_seed=seed,
             transfer_config=transfer_cfg,
             lca_config=lca_cfg,
@@ -438,6 +427,13 @@ def _cmd_lca_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _class_count(text: str) -> int:
+    """An argparse type: a latent class count, an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="targeted-psm",
@@ -446,15 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, out_help=None, config=True):
-        """-v everywhere; --config/--seed and --out only where they are read."""
+        """--config/--seed and --out, each only where it is read."""
         if config:
             p.add_argument("--config", help="JSON configuration file")
             p.add_argument("--seed", type=int, help="override the config seed")
         if out_help is not None:
             p.add_argument("--out", help=out_help)
-        p.add_argument(
-            "-v", "--verbose", action="store_true", help="more progress output"
-        )
 
     p = sub.add_parser("simulate", help="draw and save a synthetic dataset")
     add_common(p, "output directory for the dataset")
@@ -467,7 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the two-step procedure on a dataset")
     add_common(p, "path for the saved fit JSON (optional)")
     p.add_argument("--data", required=True, help="dataset directory (with manifest.json)")
-    p.add_argument("--classes", type=int, help="number of latent classes")
+    p.add_argument("--classes", type=_class_count, help="number of latent classes")
+    p.add_argument(
+        "-v", "--verbose", action="store_true",
+        help="also print the target study's class mixing",
+    )
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="score new subjects with a saved fit")
@@ -482,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="paired method comparison")
     add_common(p, "output directory for rows.csv / summary.csv")
     p.add_argument("--replicates", type=int, help="override experiment.replicates")
-    p.add_argument("--threads", help=f"worker processes (or {ENV_THREADS})")
     p.add_argument(
         "--resume", action="store_true",
         help="skip replicates already present in rows.csv",
@@ -496,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--data", required=True, help="dataset directory (with manifest.json)")
     p.add_argument(
-        "--classes", type=int, nargs="+", required=True,
+        "--classes", type=_class_count, nargs="+", required=True,
         help="candidate class counts, e.g. --classes 1 2 3 4",
     )
     p.set_defaults(func=_cmd_lca_select)
@@ -507,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(message)s",
         stream=sys.stderr,
     )

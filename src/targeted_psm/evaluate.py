@@ -12,8 +12,6 @@ from __future__ import annotations
 import csv
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -323,16 +321,11 @@ def run_replicate(
     return rows
 
 
-def _replicate_task(args):
-    return run_replicate(*args)
-
-
 def run_experiment(
     scenarios,
     methods,
     replicates: int,
     test_n: int = 500,
-    n_jobs: int = 1,
     master_seed: int = 0,
     transfer_config: TransferConfig = None,
     lca_config: LcaFitConfig = None,
@@ -349,14 +342,16 @@ def run_experiment(
     row_sink     optional callable receiving each finished replicate's rows
                  as they arrive (rows are still collected in the report)
 
-    Results are deterministic given (scenarios, methods, replicates,
-    master_seed) regardless of n_jobs.  Raises RuntimeError when more than
-    `max_failure_rate` of the method-replicates fail.
+    The replicates run one after another in the calling process; within
+    each, the latent class restarts use every CPU through
+    `_parallel.fan_out`.  Results are deterministic given
+    (scenarios, methods, replicates, master_seed).  Raises RuntimeError when
+    more than `max_failure_rate` of the method-replicates fail.
     """
-    scenarios = list(scenarios)
+    methods = tuple(methods)
     transfer_config = transfer_config or TransferConfig()
     completed = completed or set()
-    tasks = []
+    all_rows = []
     for scenario_id, config in scenarios:
         for r in range(replicates):
             if (scenario_id, r) in completed:
@@ -369,19 +364,13 @@ def run_experiment(
                 if lca_config is not None
                 else LcaFitConfig(seed=seed)
             )
-            tasks.append(
-                (scenario_id, rep_cfg, tuple(methods), r, test_n, rep_transfer, rep_lca)
+            rows = run_replicate(
+                scenario_id, rep_cfg, methods, r, test_n, rep_transfer, rep_lca
             )
-
-    results = []
-    parallel = n_jobs > 1 and len(tasks) > 1
-    with ProcessPoolExecutor(max_workers=n_jobs) if parallel else nullcontext() as pool:
-        for rows in (pool.map if parallel else map)(_replicate_task, tasks):
             if row_sink is not None:
                 row_sink(rows)
-            results.append(rows)
+            all_rows.extend(rows)
 
-    all_rows = tuple(row for rows in results for row in rows)
     n_fail = sum(1 for row in all_rows if row.error is not None)
     if all_rows and n_fail > max_failure_rate * len(all_rows):
         failures = [row for row in all_rows if row.error is not None]
@@ -389,4 +378,4 @@ def run_experiment(
             f"{n_fail}/{len(all_rows)} method-replicates failed "
             f"(first: {failures[0].error})"
         )
-    return ExperimentReport(rows=all_rows)
+    return ExperimentReport(rows=tuple(all_rows))

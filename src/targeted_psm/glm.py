@@ -30,6 +30,8 @@ from .core import GlmFamily, neg_log_lik_glm
 # Floor for logistic IRLS curvature so working weights never vanish.
 MIN_IRLS_WEIGHT = 1e-5
 
+# Stopping rules of solve_weighted_lasso_glm: CD step and IRLS move
+# tolerance, KKT tolerance, and the sweep and IRLS pass caps.
 DEFAULT_TOL_CD = 1e-7
 DEFAULT_KKT_TOL = 1e-5
 DEFAULT_MAX_SWEEPS = 1000
@@ -242,18 +244,11 @@ def _cd_quadratic(A, b, pen, beta0, tol, max_sweeps):
     return np.array(beta, dtype=float), sweeps, converged
 
 
-def solve_weighted_lasso_glm(
-    prob: WeightedGlmProblem,
-    init: np.ndarray = None,
-    *,
-    tol_cd: float = DEFAULT_TOL_CD,
-    kkt_tol: float = DEFAULT_KKT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    max_irls: int = DEFAULT_MAX_IRLS,
-) -> LassoSolution:
+def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) -> LassoSolution:
     """Solve the weighted lasso-GLM problem; `init` warm-starts the solver
-    (original scale).  Raises SolverError (best iterate attached) if IRLS
-    stalls without reaching the KKT tolerance."""
+    (original scale).  The stopping rules are the module's DEFAULT_*
+    constants.  Raises SolverError (best iterate attached) if IRLS stalls
+    without reaching the KKT tolerance."""
     X, y, w, offset = prob.X, prob.y, prob.weights, prob.offset
     n, d = X.shape
     W = w.sum()
@@ -291,14 +286,14 @@ def solve_weighted_lasso_glm(
         # the same on every pass.
         A, b = _irls_quadratic(Xs, w, y - offset, W)
 
-    for outer in range(1, max_irls + 1):
+    for outer in range(1, DEFAULT_MAX_IRLS + 1):
         outer_used = outer
         if not gaussian:
             mu = prob.family.mean(eta)
             curv = np.maximum(prob.family.variance(eta), MIN_IRLS_WEIGHT)
             working = (eta - offset) + (y - mu) / curv
             A, b = _irls_quadratic(Xs, w * curv, working, W)
-        proposal, _, _ = _cd_quadratic(A, b, pen, beta_s, tol_cd, max_sweeps)
+        proposal, _, _ = _cd_quadratic(A, b, pen, beta_s, DEFAULT_TOL_CD, DEFAULT_MAX_SWEEPS)
 
         # Step acceptance on the true objective: full IRLS step when it
         # descends, otherwise halve toward the current iterate.
@@ -326,7 +321,7 @@ def solve_weighted_lasso_glm(
             best_obj, best_beta = obj, beta_s.copy()
 
         kkt = kkt_residual(prob, beta_s / scale)
-        if kkt <= kkt_tol and max_move <= tol_cd:
+        if kkt <= DEFAULT_KKT_TOL and max_move <= DEFAULT_TOL_CD:
             return LassoSolution(
                 beta=beta_s / scale,
                 objective=obj,
@@ -342,10 +337,10 @@ def solve_weighted_lasso_glm(
         n_iters=outer_used,
         kkt_max_violation=kkt_residual(prob, best_beta / scale),
     )
-    if best.kkt_max_violation <= kkt_tol:
+    if best.kkt_max_violation <= DEFAULT_KKT_TOL:
         return best
     raise SolverError(
-        f"IRLS failed to reach KKT tolerance {kkt_tol} "
+        f"IRLS failed to reach KKT tolerance {DEFAULT_KKT_TOL} "
         f"(best violation {best.kkt_max_violation:.3e})",
         best,
     )

@@ -29,7 +29,7 @@ bytes of a serial loop: every initial model is drawn first, in restart
 order, from the one 'lca-init' stream, and the earliest restart with the
 largest log-likelihood wins.  The restarts run serially with one CPU (e.g.
 under `taskset -c 0`), one restart, no `os.fork`, inside a multiprocessing
-worker such as `run_experiment`'s pool, or while other Python threads run.
+worker (a caller's own pool), or while other Python threads run.
 """
 
 from __future__ import annotations

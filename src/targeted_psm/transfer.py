@@ -532,15 +532,15 @@ def bias_correct(
 class TransferFit:
     """Everything the two-step fit produced.
 
-    b_pooled, delta, b_target   coefficient matrices with
-                                b_target = b_pooled + delta (exact addition)
+    b_pooled, delta             pooled coefficients and the target correction;
+                                the target coefficients `b_target` are their
+                                exact sum
     refined_weights             memberships used by the final pooled M-step
     lca_model                   the latent class model behind the memberships
     """
 
     b_pooled: CoefficientMatrix
     delta: CoefficientMatrix
-    b_target: CoefficientMatrix
     refined_weights: MembershipMatrix  # None on fits restored from disk
     lca_model: LcaModel
     family: GlmFamily
@@ -551,8 +551,16 @@ class TransferFit:
     fit_intercept: bool = True
 
     @property
+    def b_target(self) -> CoefficientMatrix:
+        """Target coefficients B0 = b_pooled + delta (exact addition)."""
+        return CoefficientMatrix(
+            values=self.b_pooled.values + self.delta.values,
+            intercept=self.b_pooled.intercept + self.delta.intercept,
+        )
+
+    @property
     def n_classes(self) -> int:
-        return self.b_target.n_classes
+        return self.b_pooled.n_classes
 
     @property
     def n_iter_joint(self) -> int:
@@ -603,14 +611,9 @@ def fit_targeted_psm(
     lam_bias = resolve_penalties(config.lambda_bias, "bias", data, v, config, family, offsets)
     delta, trace_b, _, _ = bias_correct(data, v, offsets, config, family, lam_bias)
 
-    b_target = CoefficientMatrix(
-        values=b_pooled.values + delta.values,
-        intercept=b_pooled.intercept + delta.intercept,
-    )
     return TransferFit(
         b_pooled=b_pooled,
         delta=delta,
-        b_target=b_target,
         refined_weights=refined,
         lca_model=lca_model,
         family=family,
@@ -680,9 +683,10 @@ def _penalties_from_json(values) -> np.ndarray:
 
 
 def transfer_fit_to_dict(fit: TransferFit) -> dict:
-    """JSON payload with every coefficient matrix, both traces and the LCA
-    model.  No key restates another: iteration counts are the trace
-    lengths and the class count is the coefficient width.
+    """JSON payload with the pooled and correction coefficients, both traces
+    and the LCA model.  No key restates another: b_target is b_pooled +
+    delta, iteration counts are the trace lengths and the class count is
+    the coefficient width.
     Per-subject refined weights are data-sized and stay out of the file;
     they are reproducible from the stored model and the dataset.  Infinite
     penalties are stored as null."""
@@ -693,7 +697,6 @@ def transfer_fit_to_dict(fit: TransferFit) -> dict:
         "fit_intercept": fit.fit_intercept,
         "b_pooled": _coef_to_dict(fit.b_pooled),
         "delta": _coef_to_dict(fit.delta),
-        "b_target": _coef_to_dict(fit.b_target),
         "lambda_pool": _penalties_to_json(fit.lambda_pool),
         "lambda_bias": _penalties_to_json(fit.lambda_bias),
         "trace_joint": list(fit.trace_joint),
@@ -704,14 +707,15 @@ def transfer_fit_to_dict(fit: TransferFit) -> dict:
 
 def transfer_fit_from_dict(payload: dict) -> TransferFit:
     """Inverse of transfer_fit_to_dict; keys it does not read (the `role`,
-    `n_iter_*` and `lca_model.n_classes` of older files) are ignored."""
-    if payload.get("kind") != "transfer_fit":
+    `n_iter_*` and `lca_model.n_classes` of older files) are ignored.  The
+    `b_target` of an older file must be exactly b_pooled + delta; one that
+    differs is a ValueError."""
+    if not isinstance(payload, dict) or payload.get("kind") != "transfer_fit":
         raise ValueError("not a serialized transfer fit")
     family = GlmFamily(payload["family"], float(payload.get("dispersion", 1.0)))
-    return TransferFit(
+    fit = TransferFit(
         b_pooled=_coef_from_dict(payload["b_pooled"]),
         delta=_coef_from_dict(payload["delta"]),
-        b_target=_coef_from_dict(payload["b_target"]),
         refined_weights=None,
         lca_model=lca_model_from_dict(payload["lca_model"]),
         family=family,
@@ -721,6 +725,12 @@ def transfer_fit_from_dict(payload: dict) -> TransferFit:
         trace_bias=tuple(payload.get("trace_bias", ())),
         fit_intercept=bool(payload.get("fit_intercept", True)),
     )
+    if "b_target" in payload:
+        stored, b_target = _coef_from_dict(payload["b_target"]), fit.b_target
+        if not (np.array_equal(stored.values, b_target.values)
+                and np.array_equal(stored.intercept, b_target.intercept)):
+            raise ValueError("b_target is not b_pooled + delta")
+    return fit
 
 
 def save_transfer_fit(fit: TransferFit, path) -> None:
@@ -729,4 +739,12 @@ def save_transfer_fit(fit: TransferFit, path) -> None:
 
 
 def load_transfer_fit(path) -> TransferFit:
-    return transfer_fit_from_dict(json.loads(Path(path).read_text()))
+    """The fit saved at `path`.  A file that is not JSON, not a transfer
+    fit, lacks a key or holds a bad value is a ValueError naming the file
+    (and the missing key)."""
+    try:
+        return transfer_fit_from_dict(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

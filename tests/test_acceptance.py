@@ -3,7 +3,8 @@
 Each numbered test here is one release criterion; the per-test PASSED/FAILED
 line of `pytest -v` is the pass/fail line for that criterion.  Tolerances and
 seeds are pinned so every run reproduces the same numbers (the experiment
-harness is deterministic for a fixed master seed regardless of worker count).
+harness is deterministic for a fixed master seed, whether or not the latent
+class restarts run on several CPUs).
 
 The final criterion (invariant suite) re-asserts the core invariants in one
 place; the full-suite wall-clock budget is checked from the tee'd pytest run.

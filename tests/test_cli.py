@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,6 +190,27 @@ def test_fit_and_predict_roundtrip(cli_workspace, capsys):
     assert np.allclose(np.array(printed, dtype=float), scores)
 
 
+_COEF = {"values": [[0.5]], "intercept": [0.0]}
+NO_LCA_MODEL = {"kind": "transfer_fit", "family": "logistic", "b_pooled": _COEF, "delta": _COEF,
+                "lambda_pool": [0.1], "lambda_bias": [0.1]}
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [('{"kind": "nope"}', "not a serialized transfer fit"),
+     ("{oops", "Expecting property name"),
+     (json.dumps(NO_LCA_MODEL), "missing key 'lca_model'")],
+    ids=["wrong-kind", "not-json", "no-lca-model"],
+)
+def test_predict_with_a_malformed_fit_exits_2_naming_the_file(tmp_path, capsys, text, reason):
+    bad = tmp_path / "bad_fit.json"
+    bad.write_text(text)
+    rc = main(["predict", "--fit", str(bad), "--input", str(tmp_path / "absent.csv")])
+    assert rc == 2
+    line = _one_error_line(capsys)
+    assert line.startswith(f"error: {bad}: ") and reason in line, line
+
+
 def test_predict_rejects_wrong_width(cli_workspace, tmp_path, capsys):
     root, config, data_dir = cli_workspace
     fit_path = root / "fit.json"
@@ -295,11 +317,30 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ["lca-select", "--data", "d", "--classes", "2", "--out", "x"],
         ["predict", "--fit", "f.json", "--input", "s.csv", "--config", "c.json"],
         ["predict", "--fit", "f.json", "--input", "s.csv", "--seed", "3"],
+        ["simulate", "--out", "d", "-v"],
+        ["predict", "--fit", "f.json", "--input", "s.csv", "-v"],
+        ["experiment", "--out", "x", "-v"],
+        ["lca-select", "--data", "d", "--classes", "2", "-v"],
+        ["experiment", "--out", "x", "--threads", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit", "--classes", "0"], ["fit", "--classes", "two"],
+     ["lca-select", "--classes", "0"], ["lca-select", "--classes", "2", "-1"]],
+    ids=["fit-0", "fit-word", "lca-select-0", "lca-select-negative"],
+)
+def test_bad_class_count_exits_2_naming_the_flag(tmp_path, capsys, argv):
+    # the data directory does not exist: the flag is refused before any read
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--data", str(tmp_path / "absent")])
+    assert exc.value.code == 2
+    assert "argument --classes: must be an integer >= 1, got " in capsys.readouterr().err
 
 
 def test_missing_files_exit_1(tmp_path):
@@ -478,25 +519,21 @@ def test_experiment_with_too_many_failures_still_writes_summary(tmp_path, capsys
     assert summary[1].startswith("scenario,trans_glm,0,0,2,")
 
 
-def test_experiment_threads_env_and_validation(experiment_config, monkeypatch):
-    root, config = experiment_config
-    monkeypatch.setenv("TARGETED_PSM_THREADS", "not_a_number")
-    rc = main(["experiment", "--config", config, "--out", str(root / "exp2")])
-    assert rc == 2
-    monkeypatch.delenv("TARGETED_PSM_THREADS")
-
-
-def test_experiment_multiprocess_matches_serial(experiment_config, tmp_path):
-    root, config = experiment_config
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "parallel"
-    rc = main(["experiment", "--config", config, "--out", str(out1),
-               "--seed", "5", "--threads", "1"])
-    assert rc == 0
-    rc = main(["experiment", "--config", config, "--out", str(out2),
-               "--seed", "5", "--threads", "2"])
-    assert rc == 0
-    assert (out1 / "summary.csv").read_text() == (out2 / "summary.csv").read_text()
+def test_experiment_outputs_do_not_depend_on_fan_out(experiment_config, tmp_path, monkeypatch):
+    """The same rows.csv (apart from runtime_s) and summary.csv bytes with
+    every fan_out serial and with the default process count."""
+    _, config = experiment_config
+    outputs = []
+    for name in ("default", "serial"):
+        if name == "serial":
+            monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+        out = tmp_path / name
+        rc = main(["experiment", "--config", config, "--out", str(out), "--seed", "5"])
+        assert rc == 0
+        rows = [replace(r, runtime_s=None) for r in read_report_rows(out / "rows.csv")]
+        outputs.append((rows, (out / "summary.csv").read_bytes()))
+    assert len(outputs[0][0]) == 8
+    assert outputs[0] == outputs[1]
 
 
 def test_help_and_missing_subcommand(capsys):

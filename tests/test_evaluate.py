@@ -363,6 +363,12 @@ def test_run_experiment_statistically_deterministic():
     assert [r.seed for r in r3.rows] != [r.seed for r in r1.rows]
 
 
+def test_run_experiment_takes_no_worker_count():
+    # replicates always run in the calling process
+    with pytest.raises(TypeError, match="n_jobs"):
+        run_experiment([("mini", MINI)], [MethodId.NAIVE_LASSO], replicates=1, n_jobs=2)
+
+
 def test_run_experiment_resume_and_sink():
     scenarios = [("mini", MINI)]
     methods = [MethodId.NAIVE_LASSO]

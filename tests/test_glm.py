@@ -158,11 +158,14 @@ def test_solution_objective_never_above_zero_start():
         assert sol.objective == pytest.approx(objective_value(prob, sol.beta), rel=1e-12)
 
 
-def test_iteration_starved_solver_raises_with_best(rng):
+def test_iteration_starved_solver_raises_with_best(monkeypatch):
     raw = random_glm_problem(2)
     prob = _problem_from_raw(raw, lam=0.01)
+    monkeypatch.setattr(glm, "DEFAULT_MAX_IRLS", 1)
+    monkeypatch.setattr(glm, "DEFAULT_MAX_SWEEPS", 1)
+    monkeypatch.setattr(glm, "DEFAULT_KKT_TOL", 1e-14)
     with pytest.raises(SolverError) as err:
-        solve_weighted_lasso_glm(prob, max_irls=1, max_sweeps=1, kkt_tol=1e-14)
+        solve_weighted_lasso_glm(prob)
     assert isinstance(err.value.best, LassoSolution)
 
 

@@ -84,9 +84,8 @@ def test_no_module_imports_private_names_of_another():
     assert not found, f"private names imported across modules: {found}"
 
 
-# The fork-join helper and the experiment's worker pool; no other module
-# starts processes.
-PROCESS_MODULES = {"_parallel.py", "evaluate.py"}
+# The fork-join helper; no other module starts processes.
+PROCESS_MODULES = {"_parallel.py"}
 
 
 def _process_management(tree):

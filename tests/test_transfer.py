@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -544,17 +545,20 @@ def test_serialization_roundtrip(tmp_path, mini_fit):
     # dict round-trip preserves everything as well
     again = transfer_fit_from_dict(transfer_fit_to_dict(fit))
     assert np.array_equal(again.b_target.values, fit.b_target.values)
-    # the file restates nothing: counts are trace lengths and coefficient widths
+    # the file restates nothing: b_target is b_pooled + delta, counts are
+    # trace lengths and coefficient widths
     payload = json.loads(path.read_text())
-    assert not {"n_iter_joint", "n_iter_bias"} & payload.keys()
+    assert not {"b_target", "n_iter_joint", "n_iter_bias"} & payload.keys()
     assert "n_classes" not in payload["lca_model"]
-    for key in ("b_pooled", "delta", "b_target"):
+    for key in ("b_pooled", "delta"):
         assert payload[key].keys() == {"values", "intercept"}
 
 
 def test_older_fit_files_with_restated_keys_still_load(tmp_path, mini_fit):
     _, fit = mini_fit
     payload = transfer_fit_to_dict(fit)
+    payload["b_target"] = {"values": fit.b_target.values.tolist(),
+                           "intercept": fit.b_target.intercept.tolist()}
     for key, role in (
         ("b_pooled", "pooled_B"), ("delta", "correction_Delta"), ("b_target", "target_B0"),
     ):
@@ -571,3 +575,16 @@ def test_older_fit_files_with_restated_keys_still_load(tmp_path, mini_fit):
     assert np.array_equal(back.lca_model.prevalences, fit.lca_model.prevalences)
     assert np.array_equal(back.lca_model.mixing, fit.lca_model.mixing)
     assert (back.n_iter_joint, back.n_iter_bias) == (fit.n_iter_joint, fit.n_iter_bias)
+
+
+@pytest.mark.parametrize("part", ["values", "intercept"])
+def test_a_fit_file_whose_b_target_is_not_the_sum_is_refused(tmp_path, mini_fit, part):
+    _, fit = mini_fit
+    payload = transfer_fit_to_dict(fit)
+    stored = {"values": fit.b_target.values.copy(), "intercept": fit.b_target.intercept.copy()}
+    stored[part].flat[0] += 1.0
+    payload["b_target"] = {k: v.tolist() for k, v in stored.items()}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: b_target is not b_pooled"):
+        load_transfer_fit(path)
