@@ -15,13 +15,12 @@ Configuration is a single JSON file with optional blocks:
       "tuning":     { ...TransferConfig fields },
       "lca":        { ...LcaFitConfig fields },
       "experiment": { "replicates": 20, "test_n": 500,
-                      "max_failure_rate": 0.2,
                       "scenarios": [{"id": "K2", "K": 2}, ...] }
     }
 
 Precedence for shared settings: command-line flag > config file > default.
-Environment override: TARGETED_PSM_OUT supplies --out when the flag is
-absent.
+No setting is read from the environment: `simulate` and `experiment`
+require `--out`.
 
 No subcommand keeps a pool of worker processes: `experiment` runs its
 replicates one after another, and the latent class restarts and the study
@@ -35,7 +34,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -67,15 +65,14 @@ from .transfer import (
 
 log = logging.getLogger("targeted_psm")
 
-ENV_OUT = "TARGETED_PSM_OUT"
-
 
 class ConfigError(ValueError):
     """A configuration file problem, reported with the offending field."""
 
 
 class DataError(ValueError):
-    """A dataset or input file that cannot be read, reported with its path."""
+    """A dataset or input file that cannot be read, or that does not fit the
+    run's settings, reported with its path."""
 
 
 def _read_data(read, *args, **kwargs):
@@ -191,7 +188,7 @@ def experiment_scenarios(config: dict, seed: int = None) -> list:
     base = scenario_from_config(config, seed)
     block = _checked_block(
         "experiment", config.get("experiment", {}),
-        {"replicates", "test_n", "scenarios", "max_failure_rate"},
+        {"replicates", "test_n", "scenarios"},
     )
     entries = block.get("scenarios")
     if entries is None:
@@ -213,8 +210,8 @@ def experiment_scenarios(config: dict, seed: int = None) -> list:
 
 
 def _experiment_counts(block: dict, replicates: int = None):
-    """(replicates, test_n, max_failure_rate) from a checked experiment
-    block; the --replicates flag, when given, wins over the block."""
+    """(replicates, test_n) from a checked experiment block; the
+    --replicates flag, when given, wins over the block."""
     if replicates is None:
         replicates_name, replicates = "experiment.replicates", block.get("replicates", 20)
     else:
@@ -223,24 +220,34 @@ def _experiment_counts(block: dict, replicates: int = None):
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    rate = block.get("max_failure_rate", 0.2)
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate <= 1:
-        raise ConfigError(
-            f"experiment.max_failure_rate must be a number in [0, 1], got {rate!r}"
+    return tuple(counts.values())
+
+
+# ---------------------------------------------------------------------------
+# Dataset checks against the run's settings
+# ---------------------------------------------------------------------------
+
+
+def _check_outcomes(data_dir, data, family) -> None:
+    """DataError unless every study's outcomes suit `family`."""
+    for study in data.studies:
+        try:
+            family.validate_outcomes(study.outcomes)
+        except ValueError as exc:
+            raise DataError(
+                f"{data_dir}: study {study.study_id}: {exc} "
+                f"(scenario.family is {family.kind!r})"
+            ) from exc
+
+
+def _check_class_counts(data_dir, data, counts, name: str) -> None:
+    """DataError unless every class count is at most the subject count."""
+    largest = max(counts)
+    if largest > data.n_total:
+        raise DataError(
+            f"{data_dir}: {name} {largest} exceeds the {data.n_total} subjects "
+            "of the dataset"
         )
-    return (*counts.values(), float(rate))
-
-
-# ---------------------------------------------------------------------------
-# Shared flag plumbing
-# ---------------------------------------------------------------------------
-
-
-def _resolve_out(args, required: bool = True):
-    out = args.out or os.environ.get(ENV_OUT)
-    if out is None and required:
-        raise ConfigError(f"--out is required (or set {ENV_OUT})")
-    return None if out is None else Path(out)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +256,10 @@ def _resolve_out(args, required: bool = True):
 
 
 def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    if args.preset is not None:
-        config = dict(config)
-        scen = dict(config.get("scenario", {}))
-        scen["preset"] = args.preset
-        config["scenario"] = scen
-    scenario = scenario_from_config(config, args.seed)
-    out = _resolve_out(args)
+    scenario = scenario_from_config(load_config(args.config), args.seed)
     collection, truth = generate_scenario(scenario)
-    manifest = write_dataset(collection, truth, out, force=args.force)
-    print(f"wrote {scenario.K + 1} studies ({collection.n_total} subjects) to {out}")
+    manifest = write_dataset(collection, truth, args.out, force=args.force)
+    print(f"wrote {scenario.K + 1} studies ({collection.n_total} subjects) to {args.out}")
     print(f"manifest: {manifest}")
     return 0
 
@@ -272,6 +272,9 @@ def _cmd_fit(args) -> int:
     n_classes = scenario.n_classes if args.classes is None else args.classes
     family = scenario.glm_family()
     data = _read_data(load_collection, Path(args.data) / "manifest.json")
+    _check_outcomes(args.data, data, family)
+    _check_class_counts(args.data, data, [n_classes],
+                        "scenario.n_classes" if args.classes is None else "--classes")
 
     fit = fit_targeted_psm(
         data, n_classes, config=transfer_cfg, family=family, lca_config=lca_cfg
@@ -292,10 +295,9 @@ def _cmd_fit(args) -> int:
     if args.verbose:
         print("class mixing (target row):", np.array2string(
             fit.lca_model.mixing[0], precision=4))
-    out = _resolve_out(args, required=False)
-    if out is not None:
-        save_transfer_fit(fit, out)
-        print(f"saved fit to {out}")
+    if args.out is not None:
+        save_transfer_fit(fit, args.out)
+        print(f"saved fit to {args.out}")
     return 0
 
 
@@ -309,30 +311,28 @@ def _cmd_predict(args) -> int:
             f"p={expected[0]}, q={expected[1]}"
         )
     scores = predict_risk(fit, study.predictors, study.structure_vars)
-    out = _resolve_out(args, required=False)
-    if out is None:
+    if args.out is None:
         for s in np.atleast_1d(scores):
             print(f"{s:.17g}")
     else:
-        np.savetxt(out, np.atleast_1d(scores), fmt="%.17g", header="score", comments="")
-        print(f"wrote {np.atleast_1d(scores).size} scores to {out}")
+        np.savetxt(args.out, np.atleast_1d(scores), fmt="%.17g", header="score", comments="")
+        print(f"wrote {np.atleast_1d(scores).size} scores to {args.out}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
     scenarios = experiment_scenarios(config, seed=None)  # also checks the block
-    replicates, test_n, max_failure_rate = _experiment_counts(
+    replicates, test_n = _experiment_counts(
         config.get("experiment", {}), args.replicates
     )
     seed = args.seed if args.seed is not None else 0
     methods = methods_from_config(config)
     transfer_cfg = transfer_from_config(config)
     lca_cfg = lca_from_config(config) if "lca" in config else None
-    out = _resolve_out(args)
-    out.mkdir(parents=True, exist_ok=True)
-    rows_path = out / "rows.csv"
-    summary_path = out / "summary.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
+    rows_path = args.out / "rows.csv"
+    summary_path = args.out / "summary.csv"
 
     completed = set()
     if rows_path.exists():
@@ -374,7 +374,6 @@ def _cmd_experiment(args) -> int:
             lca_config=lca_cfg,
             completed=completed,
             row_sink=sink,
-            max_failure_rate=max_failure_rate,
         )
     except RuntimeError as exc:  # the failure-rate guard; every row is in rows.csv
         failure = exc
@@ -403,8 +402,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_lca_select(args) -> int:
     config = load_config(args.config)
-    data = _read_data(load_collection, Path(args.data) / "manifest.json")
     lca_cfg = lca_from_config(config, args.seed)
+    data = _read_data(load_collection, Path(args.data) / "manifest.json")
+    _check_class_counts(args.data, data, args.classes, "--classes")
     rows = select_classes_bic(data, args.classes, lca_cfg)
     best = min(rows, key=lambda r: r["bic"])
     print(f"{'C':>3} {'log_lik':>14} {'n_params':>9} {'BIC':>14} converged")
@@ -427,11 +427,14 @@ def _cmd_lca_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _class_count(text: str) -> int:
-    """An argparse type: a latent class count, an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _integer_at_least(minimum: int):
+    """An argparse type: an integer >= minimum (1 for a class count, 0 for a
+    seed)."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,17 +444,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_help=None, config=True):
+    def add_common(p, out_help=None, config=True, out_required=False):
         """--config/--seed and --out, each only where it is read."""
         if config:
             p.add_argument("--config", help="JSON configuration file")
-            p.add_argument("--seed", type=int, help="override the config seed")
+            p.add_argument("--seed", type=_integer_at_least(0), help="override the config seed")
         if out_help is not None:
-            p.add_argument("--out", help=out_help)
+            p.add_argument("--out", type=Path, required=out_required, help=out_help)
 
     p = sub.add_parser("simulate", help="draw and save a synthetic dataset")
-    add_common(p, "output directory for the dataset")
-    p.add_argument("--preset", help="scenario preset name (overrides config)")
+    add_common(p, "output directory for the dataset", out_required=True)
     p.add_argument(
         "--force", action="store_true", help="overwrite an existing dataset"
     )
@@ -460,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the two-step procedure on a dataset")
     add_common(p, "path for the saved fit JSON (optional)")
     p.add_argument("--data", required=True, help="dataset directory (with manifest.json)")
-    p.add_argument("--classes", type=_class_count, help="number of latent classes")
+    p.add_argument("--classes", type=_integer_at_least(1), help="number of latent classes")
     p.add_argument(
         "-v", "--verbose", action="store_true",
         help="also print the target study's class mixing",
@@ -477,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("experiment", help="paired method comparison")
-    add_common(p, "output directory for rows.csv / summary.csv")
+    add_common(p, "output directory for rows.csv / summary.csv", out_required=True)
     p.add_argument("--replicates", type=int, help="override experiment.replicates")
     p.add_argument(
         "--resume", action="store_true",
@@ -492,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--data", required=True, help="dataset directory (with manifest.json)")
     p.add_argument(
-        "--classes", type=_class_count, nargs="+", required=True,
+        "--classes", type=_integer_at_least(1), nargs="+", required=True,
         help="candidate class counts, e.g. --classes 1 2 3 4",
     )
     p.set_defaults(func=_cmd_lca_select)

@@ -31,6 +31,8 @@ class UndefinedMetricError(ValueError):
 
 MAX_ALIGN_CLASSES = 8
 
+MAX_FAILURE_RATE = 0.2  # share of failed method-replicates run_experiment allows
+
 
 def _as_values(mat) -> np.ndarray:
     if isinstance(mat, CoefficientMatrix):
@@ -331,7 +333,6 @@ def run_experiment(
     lca_config: LcaFitConfig = None,
     completed: set = None,
     row_sink=None,
-    max_failure_rate: float = 0.2,
 ) -> ExperimentReport:
     """Paired comparison of methods over seeded replicates.
 
@@ -346,7 +347,7 @@ def run_experiment(
     each, the latent class restarts use every CPU through
     `_parallel.fan_out`.  Results are deterministic given
     (scenarios, methods, replicates, master_seed).  Raises RuntimeError when
-    more than `max_failure_rate` of the method-replicates fail.
+    more than MAX_FAILURE_RATE of the method-replicates fail.
     """
     methods = tuple(methods)
     transfer_config = transfer_config or TransferConfig()
@@ -372,7 +373,7 @@ def run_experiment(
             all_rows.extend(rows)
 
     n_fail = sum(1 for row in all_rows if row.error is not None)
-    if all_rows and n_fail > max_failure_rate * len(all_rows):
+    if all_rows and n_fail > MAX_FAILURE_RATE * len(all_rows):
         failures = [row for row in all_rows if row.error is not None]
         raise RuntimeError(
             f"{n_fail}/{len(all_rows)} method-replicates failed "

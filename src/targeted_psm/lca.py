@@ -56,22 +56,19 @@ DEFAULT_MAX_ITER_LCA = 500
 
 @dataclass(frozen=True)
 class LcaFitConfig:
-    """EM settings: restarts, convergence tolerance on the relative
-    log-likelihood change, iteration cap, and the master seed feeding the
-    'lca-init' substream."""
+    """EM settings: the number of restarts and the master seed (>= 0)
+    feeding the 'lca-init' substream.  Every restart stops at the relative
+    log-likelihood change DEFAULT_TOL_LCA or after DEFAULT_MAX_ITER_LCA
+    iterations."""
 
     n_starts: int = DEFAULT_N_STARTS
-    tol: float = DEFAULT_TOL_LCA
-    max_iter: int = DEFAULT_MAX_ITER_LCA
     seed: int = 0
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -237,16 +234,18 @@ def _em_step(model: LcaModel, index: _CellIndex):
     return new_model, ll
 
 
-def _run_em(model: LcaModel, index: _CellIndex, tol: float, max_iter: int):
+def _run_em(model: LcaModel, index: _CellIndex):
+    """One EM restart from `model`, stopped by the module's DEFAULT_TOL_LCA
+    and DEFAULT_MAX_ITER_LCA, read on every call."""
     trace = []
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER_LCA + 1):
         new_model, ll = _em_step(model, index)
         trace.append(ll)
         if len(trace) >= 2:
             prev = trace[-2]
-            if abs(ll - prev) <= tol * (abs(prev) + 1e-12):
+            if abs(ll - prev) <= DEFAULT_TOL_LCA * (abs(prev) + 1e-12):
                 converged = True
                 model = new_model
                 break
@@ -315,7 +314,7 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
         )
         for _ in range(config.n_starts)
     ]
-    fits = fan_out(lambda init: _run_em(init, index, config.tol, config.max_iter), inits)
+    fits = fan_out(lambda init: _run_em(init, index), inits)
     # max keeps the first of equal log-likelihoods: the earliest restart
     # wins unless a later one is strictly better.
     model = _canonical_order(max(fits, key=lambda m: m.log_lik))

@@ -133,6 +133,8 @@ class ScenarioConfig:
             raise ValueError("rho must lie in [0, 1)")
         if self.h < 0:
             raise ValueError("h must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if len(self.support_sizes) != self.n_classes:
             raise ValueError("need one support size per class")
         if any(not 0 <= s <= self.p for s in self.support_sizes):

@@ -75,32 +75,30 @@ class TransferConfig:
     lambda_pool / lambda_bias   "auto" (per-class CV), a scalar, or a
                                 per-class sequence; resolved values sit on
                                 the marginal scale (loss / row count)
-    tau                         relative-change stopping threshold for both
-                                EM loops
     max_em_iter                 iteration cap M for both loops; 1 gives the
                                 one-pass variant (memberships never refined)
     cv_folds                    folds for "auto" tuning (>= 2)
     cv_grid                     multipliers c for the candidate penalties
                                 c * sqrt(log p / n_eff)
-    fit_intercept               include an unpenalized per-class intercept
-    seed                        master seed for the cv-folds substream (and
-                                the LCA restarts when none are supplied)
+    seed                        master seed (>= 0) for the cv-folds substream
+                                (and the LCA restarts when none are supplied)
+
+    Both EM loops stop at the relative-change threshold DEFAULT_TAU, and
+    every class has one unpenalized intercept.
     """
 
     lambda_pool: object = "auto"
     lambda_bias: object = "auto"
-    tau: float = DEFAULT_TAU
     max_em_iter: int = DEFAULT_MAX_EM_ITER
     cv_folds: int = DEFAULT_CV_FOLDS
     cv_grid: tuple = DEFAULT_CV_GRID
-    fit_intercept: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
         if self.max_em_iter < 1:
             raise ValueError("max_em_iter must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("lambda_pool", "lambda_bias"):
             val = getattr(self, name)
             if isinstance(val, str):
@@ -169,21 +167,16 @@ def penalized_mixture_objective(
 # ---------------------------------------------------------------------------
 
 
-def _design(X: np.ndarray, fit_intercept: bool):
+def _design(X: np.ndarray):
+    """[1, X] and the penalty mask that leaves the intercept column free."""
     n, p = X.shape
-    if fit_intercept:
-        design = np.column_stack([np.ones(n), X])
-        mask = np.concatenate([[False], np.ones(p, dtype=bool)])
-    else:
-        design = X
-        mask = np.ones(p, dtype=bool)
+    design = np.column_stack([np.ones(n), X])
+    mask = np.concatenate([[False], np.ones(p, dtype=bool)])
     return design, mask
 
 
-def _coef_from_state(theta: np.ndarray, fit_intercept: bool) -> CoefficientMatrix:
-    if fit_intercept:
-        return CoefficientMatrix(values=theta[1:], intercept=theta[0])
-    return CoefficientMatrix(values=theta, intercept=None)
+def _coef_from_state(theta: np.ndarray) -> CoefficientMatrix:
+    return CoefficientMatrix(values=theta[1:], intercept=theta[0])
 
 
 def _mixture_em(
@@ -195,9 +188,7 @@ def _mixture_em(
     *,
     stage: str,
     offsets_by_class: np.ndarray = None,
-    tau: float = DEFAULT_TAU,
     max_iter: int = DEFAULT_MAX_EM_ITER,
-    fit_intercept: bool = True,
 ):
     """EM loop shared by the pooling and bias-correction stages.
 
@@ -208,19 +199,22 @@ def _mixture_em(
     rescaling is the identity but could round by an ulp).  After the M-step
     the log joint is built once: its row log-sum-exp gives the iteration's
     objective value, and the two together give the next iteration's
-    memberships.  Stops when the relative parameter change drops to tau
-    (absolute change when the previous state is zero) or after max_iter
-    rounds; a loop of more than one round that stops at its cap raises a
-    RuntimeWarning naming `stage`.  A single class stops after one round:
-    its memberships are all ones (clip_rows of one column), so a second
-    round would only re-solve the same problem.  Returns (coef, weights_used, trace), with
-    one trace value per iteration.
+    memberships.  Each class's state is its unpenalized intercept followed
+    by its coefficients.  Stops when the relative parameter change drops to
+    the module's DEFAULT_TAU, read on every call (absolute change when the
+    previous state is zero), or after max_iter rounds; a loop of more than
+    one round that stops at its cap raises a RuntimeWarning naming `stage`.
+    A single class stops after one round: its memberships are all ones
+    (clip_rows of one column), so a second round would only re-solve the
+    same problem.  Returns (coef, weights_used, trace), with one trace value
+    per iteration.
     """
     n, p = X.shape
     C = v_rows.shape[1]
     if C == 1:
         max_iter = 1
-    design, mask = _design(X, fit_intercept)
+    tau = DEFAULT_TAU
+    design, mask = _design(X)
     theta = np.zeros((design.shape[1], C))
     lambdas = np.asarray(lambdas, dtype=float)
     finite_lambdas = np.where(np.isfinite(lambdas), lambdas, 0.0)
@@ -259,7 +253,7 @@ def _mixture_em(
             )
             sol = solve_weighted_lasso_glm(prob, init=theta[:, c])
             theta_new[:, c] = sol.beta
-        coef = _coef_from_state(theta_new, fit_intercept)
+        coef = _coef_from_state(theta_new)
         log_w = _log_joint(family, y, X, log_v, coef, offsets_by_class)
         log_mix = log_sum_exp_rows(log_w)
         trace.append(_penalized_value(log_mix, coef, finite_lambdas))
@@ -345,7 +339,6 @@ def auto_tune_lambda(
     cv_folds: int = DEFAULT_CV_FOLDS,
     seed: int = 0,
     offsets_by_class: np.ndarray = None,
-    fit_intercept: bool = True,
 ) -> np.ndarray:
     """Per-class penalty levels c* sqrt(log p / n_eff) selected by
     cross-validated weighted deviance.
@@ -381,7 +374,7 @@ def auto_tune_lambda(
         )
     candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(p, n)
     fold = _make_folds(y, study_index, cv_folds, family, seed)
-    design, mask = _design(X, fit_intercept)
+    design, mask = _design(X)
 
     chosen = np.empty(C)
     for c in range(C):
@@ -446,14 +439,14 @@ def resolve_penalties(
 ) -> np.ndarray:
     """Per-class penalties of a stage from a setting ('auto' | scalar |
     per-class sequence).  "auto" runs auto_tune_lambda with the config's
-    grid, folds, seed and intercept choice (the bias stage needs the
+    grid, folds and seed (the bias stage needs the
     pooled linear predictors as `offsets_by_class`); a scalar is broadcast
     to every class."""
     if isinstance(setting, str):
         return auto_tune_lambda(
             data, memberships, family, stage,
             grid=config.cv_grid, cv_folds=config.cv_folds, seed=config.seed,
-            offsets_by_class=offsets_by_class, fit_intercept=config.fit_intercept,
+            offsets_by_class=offsets_by_class,
         )
     C = memberships.n_classes
     arr = np.atleast_1d(np.asarray(setting, dtype=float))
@@ -485,9 +478,7 @@ def joint_estimate(
     coef, w_rows, trace = _mixture_em(
         family, y, X, v_rows, lambdas,
         stage="pooled_B",
-        tau=config.tau,
         max_iter=config.max_em_iter,
-        fit_intercept=config.fit_intercept,
     )
     slices = data.row_slices()
     refined = MembershipMatrix(probs=tuple(w_rows[s] for s in slices))
@@ -516,9 +507,7 @@ def bias_correct(
         family, y, X, v_rows, lambdas,
         stage="correction_Delta",
         offsets_by_class=offsets,
-        tau=config.tau,
         max_iter=config.max_em_iter,
-        fit_intercept=config.fit_intercept,
     )
     return coef, trace, len(trace), lambdas
 
@@ -548,7 +537,6 @@ class TransferFit:
     lambda_bias: np.ndarray
     trace_joint: tuple
     trace_bias: tuple
-    fit_intercept: bool = True
 
     @property
     def b_target(self) -> CoefficientMatrix:
@@ -621,7 +609,6 @@ def fit_targeted_psm(
         lambda_bias=lam_bias,
         trace_joint=tuple(trace_j),
         trace_bias=tuple(trace_b),
-        fit_intercept=config.fit_intercept,
     )
 
 
@@ -694,7 +681,6 @@ def transfer_fit_to_dict(fit: TransferFit) -> dict:
         "kind": "transfer_fit",
         "family": fit.family.kind,
         "dispersion": fit.family.dispersion,
-        "fit_intercept": fit.fit_intercept,
         "b_pooled": _coef_to_dict(fit.b_pooled),
         "delta": _coef_to_dict(fit.delta),
         "lambda_pool": _penalties_to_json(fit.lambda_pool),
@@ -707,7 +693,8 @@ def transfer_fit_to_dict(fit: TransferFit) -> dict:
 
 def transfer_fit_from_dict(payload: dict) -> TransferFit:
     """Inverse of transfer_fit_to_dict; keys it does not read (the `role`,
-    `n_iter_*` and `lca_model.n_classes` of older files) are ignored.  The
+    `n_iter_*`, intercept switch and `lca_model.n_classes` of older files)
+    are ignored; a fit without intercepts stored zeros for them.  The
     `b_target` of an older file must be exactly b_pooled + delta; one that
     differs is a ValueError."""
     if not isinstance(payload, dict) or payload.get("kind") != "transfer_fit":
@@ -723,7 +710,6 @@ def transfer_fit_from_dict(payload: dict) -> TransferFit:
         lambda_bias=_penalties_from_json(payload["lambda_bias"]),
         trace_joint=tuple(payload.get("trace_joint", ())),
         trace_bias=tuple(payload.get("trace_bias", ())),
-        fit_intercept=bool(payload.get("fit_intercept", True)),
     )
     if "b_target" in payload:
         stored, b_target = _coef_from_dict(payload["b_target"]), fit.b_target

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 from dataclasses import replace
@@ -29,7 +31,7 @@ TINY_SCENARIO = {
     "seed": 0,
 }
 TINY_TUNING = {"lambda_pool": 0.05, "lambda_bias": 0.05, "max_em_iter": 10}
-TINY_LCA = {"n_starts": 2, "max_iter": 80}
+TINY_LCA = {"n_starts": 2}
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -154,15 +156,23 @@ def test_simulate_writes_dataset(cli_workspace):
     assert rc == 0
 
 
-def test_fit_and_predict_roundtrip(cli_workspace, capsys):
+@pytest.fixture(scope="module")
+def cli_fit(cli_workspace):
+    """The saved fit of the shared dataset and what `fit` printed."""
     root, config, data_dir = cli_workspace
     fit_path = root / "fit.json"
-    rc = main(
-        ["fit", "--config", config, "--data", str(data_dir),
-         "--classes", "3", "--out", str(fit_path)]
-    )
-    out = capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        rc = main(
+            ["fit", "--config", config, "--data", str(data_dir),
+             "--classes", "3", "--out", str(fit_path)]
+        )
     assert rc == 0
+    return fit_path, printed.getvalue()
+
+
+def test_fit_and_predict_roundtrip(cli_workspace, cli_fit, capsys):
+    root, config, data_dir = cli_workspace
+    fit_path, out = cli_fit
     assert fit_path.exists()
     assert "classes: 3" in out
     assert "family: logistic" in out
@@ -211,9 +221,8 @@ def test_predict_with_a_malformed_fit_exits_2_naming_the_file(tmp_path, capsys, 
     assert line.startswith(f"error: {bad}: ") and reason in line, line
 
 
-def test_predict_rejects_wrong_width(cli_workspace, tmp_path, capsys):
-    root, config, data_dir = cli_workspace
-    fit_path = root / "fit.json"
+def test_predict_rejects_wrong_width(cli_fit, tmp_path, capsys):
+    fit_path, _ = cli_fit
     header = "y," + ",".join(f"x{i}" for i in range(1, 4)) + ",z1"
     bad = tmp_path / "bad.csv"
     bad.write_text(header + "\n" + "1," + "0.1,0.2,0.3" + ",1\n")
@@ -247,7 +256,8 @@ def _one_error_line(capsys):
     [("header only", "no data rows"), ("bad cell", "line 3: could not convert string 'abc'"),
      ("short row", "line 3: 2 values, expected")],
 )
-def test_malformed_study_csv_exits_2_naming_the_file_line(cli_workspace, tmp_path, capsys, fault, reason):
+def test_malformed_study_csv_exits_2_naming_the_file_line(cli_workspace, cli_fit, tmp_path, capsys,
+                                                          fault, reason):
     root, config, data_dir = cli_workspace
     data = tmp_path / "data"
     data.mkdir()
@@ -266,7 +276,7 @@ def test_malformed_study_csv_exits_2_naming_the_file_line(cli_workspace, tmp_pat
     for argv in (
         ["fit", "--config", config, "--data", str(data), "--classes", "3"],
         ["lca-select", "--config", config, "--data", str(data), "--classes", "2"],
-        ["predict", "--fit", str(root / "fit.json"), "--input", str(data / "study_1.csv")],
+        ["predict", "--fit", str(cli_fit[0]), "--input", str(data / "study_1.csv")],
     ):
         assert main(argv) == 2
         assert _one_error_line(capsys).startswith(where)
@@ -322,6 +332,7 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ["experiment", "--out", "x", "-v"],
         ["lca-select", "--data", "d", "--classes", "2", "-v"],
         ["experiment", "--out", "x", "--threads", "2"],
+        ["simulate", "--out", "d", "--preset", "figure1-mini"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -355,10 +366,82 @@ def test_config_errors_exit_2(tmp_path):
     bad = _write_config(tmp_path, {"scenario": {"nope": 1}})
     rc = main(["simulate", "--config", bad, "--out", str(tmp_path / "d")])
     assert rc == 2
-    # missing --out (and no env var)
+    # missing --out
     ok = _write_config(tmp_path, {"scenario": dict(TINY_SCENARIO)}, "ok.json")
-    rc = main(["simulate", "--config", ok])
-    assert rc == 2
+    for command in ("simulate", "experiment"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", ok])
+        assert exc.value.code == 2
+
+
+def _required_flags(command, tmp_path):
+    """The required flags of `command`, naming paths that do not exist."""
+    return {
+        "simulate": ["--out", str(tmp_path / "out")],
+        "fit": ["--data", str(tmp_path / "absent")],
+        "experiment": ["--out", str(tmp_path / "out")],
+        "lca-select": ["--data", str(tmp_path / "absent"), "--classes", "2"],
+    }[command]
+
+
+@pytest.mark.parametrize("block, key", [("tuning", "tau"), ("tuning", "fit_intercept"),
+                                        ("lca", "tol"), ("lca", "max_iter")])
+def test_a_block_naming_a_removed_setting_exits_2(tmp_path, capsys, block, key):
+    config = _write_config(tmp_path, {"scenario": dict(TINY_SCENARIO), block: {key: 1}})
+    for command in ("experiment", "fit"):
+        assert main([command, *_required_flags(command, tmp_path), "--config", config]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"config error: {block}.{key} is not a recognized setting"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "experiment", "lca-select"])
+def test_a_negative_seed_flag_exits_2_naming_the_flag(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_required_flags(command, tmp_path), "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith("error: argument --seed: must be an integer >= 0, got '-1'"), err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [("simulate", "scenario"), ("fit", "scenario"), ("fit", "tuning"), ("fit", "lca"),
+     ("lca-select", "lca"), ("experiment", "scenario"), ("experiment", "tuning"),
+     ("experiment", "lca")],
+)
+def test_a_negative_seed_in_a_block_exits_2_naming_the_block(tmp_path, capsys, command, block):
+    payload = {"scenario": dict(TINY_SCENARIO)}
+    payload[block] = {**payload.get(block, {}), "seed": -1}
+    config = _write_config(tmp_path, payload)
+    assert main([command, *_required_flags(command, tmp_path), "--config", config]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {block}: seed must be >= 0"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_on_outcomes_outside_the_family_exits_2_naming_the_data(tmp_path, capsys):
+    config = _write_config(tmp_path, {"scenario": {**TINY_SCENARIO, "family": "gaussian"}})
+    data = tmp_path / "gaussian"
+    assert main(["simulate", "--config", config, "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data), "--classes", "2"]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: {data}: study 0: logistic outcomes must lie in {{0, 1}} "
+        "(scenario.family is 'logistic')"
+    )
+
+
+@pytest.mark.parametrize("command", ["fit", "lca-select"])
+def test_more_classes_than_subjects_exits_2_naming_the_flag(cli_workspace, capsys, command):
+    root, config, data_dir = cli_workspace
+    extra = ["2"] if command == "lca-select" else []
+    assert main([command, "--config", config, "--data", str(data_dir),
+                 "--classes", *extra, "400"]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: {data_dir}: --classes 400 exceeds the 270 subjects of the dataset"
+    )
 
 
 @pytest.mark.parametrize(
@@ -379,13 +462,15 @@ def test_bad_scenario_preset_exits_2(tmp_path, capsys, command, override, messag
     assert not out.exists()
 
 
-def test_env_var_out(tmp_path, monkeypatch):
+def test_out_is_not_read_from_the_environment(tmp_path, monkeypatch, capsys):
     config = _write_config(tmp_path, {"scenario": dict(TINY_SCENARIO)})
     out_dir = tmp_path / "env_out"
     monkeypatch.setenv("TARGETED_PSM_OUT", str(out_dir))
-    rc = main(["simulate", "--config", config])
-    assert rc == 0
-    assert (out_dir / "manifest.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", config])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +570,7 @@ def test_experiment_force_restart_reproduces_statistics(experiment_config):
         ([], {"replicates": 2.5}, "experiment.replicates must be an integer"),
         ([], {"test_n": 0}, "experiment.test_n must be an integer"),
         ([], {"test_n": True}, "experiment.test_n must be an integer"),
-        ([], {"max_failure_rate": 1.5}, "max_failure_rate must be a number in [0, 1]"),
-        ([], {"max_failure_rate": -0.1}, "max_failure_rate must be a number in [0, 1]"),
-        ([], {"max_failure_rate": "x"}, "max_failure_rate must be a number in [0, 1]"),
+        ([], {"max_failure_rate": 0.2}, "experiment.max_failure_rate is not a recognized setting"),
     ],
 )
 def test_experiment_rejects_bad_counts(tmp_path, capsys, flags, experiment, message):

@@ -40,7 +40,7 @@ MINI = scenario_preset(
     support_sizes=(1, 2, 4),
 )
 FAST = TransferConfig(lambda_pool=0.05, lambda_bias=0.05, max_em_iter=10, seed=0)
-FAST_LCA = LcaFitConfig(n_starts=2, max_iter=80, seed=0)
+FAST_LCA = LcaFitConfig(n_starts=2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def test_run_experiment_resume_and_sink():
     assert _stat_fields(seen[0][0]) == _stat_fields(report.rows[0])
 
 
-def test_run_experiment_failure_rate_guard():
+def test_run_experiment_failure_rate_guard(monkeypatch):
     # trans_glm cannot run without sources: every replicate fails
     cfg = scenario_preset(
         "figure1-mini", n0=120, n_k=50, K=0, p=8, seed=0, support_sizes=(1, 2, 4)
@@ -395,11 +395,29 @@ def test_run_experiment_failure_rate_guard():
             transfer_config=FAST, lca_config=FAST_LCA,
         )
     # ...but with a forgiving threshold the errors are recorded as rows
+    monkeypatch.setattr(evaluate, "MAX_FAILURE_RATE", 1.0)
     report = run_experiment(
         [("sourceless", cfg)], [MethodId.TRANS_GLM],
         replicates=2, test_n=80, master_seed=0,
-        transfer_config=FAST, lca_config=FAST_LCA, max_failure_rate=1.0,
+        transfer_config=FAST, lca_config=FAST_LCA,
     )
     assert all(r.error is not None for r in report.rows)
     summary = report.summarize()
     assert summary[0].n_fail == 2 and summary[0].n_ok == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TransferConfig(tau=1e-4),
+        lambda: TransferConfig(fit_intercept=False),
+        lambda: LcaFitConfig(tol=1e-7),
+        lambda: LcaFitConfig(max_iter=500),
+        lambda: run_experiment([("mini", MINI)], [MethodId.NAIVE_LASSO], replicates=1,
+                               max_failure_rate=0.2),
+    ],
+    ids=["tau", "fit_intercept", "tol", "max_iter", "max_failure_rate"],
+)
+def test_settings_turned_constants_are_no_longer_keywords(make):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        make()

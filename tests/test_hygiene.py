@@ -1,7 +1,7 @@
 """Source hygiene: every name a package or test module imports is used
 there, every private module-level function or class is used somewhere in the
-package, no module imports another module's private names, and only the
-fork-join helper and the experiment harness manage processes.
+package, no module imports another module's private names, only the
+fork-join helper manages processes, and no module reads the environment.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -113,3 +113,27 @@ def test_processes_are_managed_in_one_place():
         for line, name in _process_management(ast.parse(path.read_text(), filename=str(path)))
     )
     assert not found, f"process management outside {sorted(PROCESS_MODULES)}: {found}"
+
+
+ENVIRONMENT_READERS = {"environ", "getenv"}
+
+
+def _environment_reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ENVIRONMENT_READERS:
+                    yield node.lineno, f"from os import {alias.name}"
+        elif isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            yield node.lineno, ast.unparse(node)
+
+
+def test_no_module_reads_the_environment():
+    """Settings come from flags and config files: an environment variable
+    would be a second, hidden route to the same setting."""
+    found = sorted(
+        f"{path.name}:{line}: {text}"
+        for path in PACKAGE.glob("*.py")
+        for line, text in _environment_reads(ast.parse(path.read_text(), filename=str(path)))
+    )
+    assert not found, f"environment reads in the package: {found}"

@@ -185,14 +185,14 @@ def test_too_many_classes_warns(rng):
     )
     data = StudyCollection(target=study)
     with pytest.warns(RuntimeWarning):
-        fit_lca(data, 5, LcaFitConfig(seed=0, n_starts=2, max_iter=30))
+        fit_lca(data, 5, LcaFitConfig(seed=0, n_starts=2))
 
 
 def test_more_classes_than_observed_patterns_warns():
     # 8 possible patterns of q=3, but only 2 of them occur.
     Z = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])[np.arange(40) % 2]
     data = StudyCollection(target=_study(Z, 0))
-    cfg = LcaFitConfig(seed=0, n_starts=2, max_iter=30)
+    cfg = LcaFitConfig(seed=0, n_starts=2)
     with pytest.warns(RuntimeWarning, match="2 distinct patterns observed"):
         fit_lca(data, 3, cfg)
     with warnings.catch_warnings():
@@ -320,7 +320,7 @@ def test_fanned_out_restarts_equal_serial(on_cpus, small_collection, n_starts, t
 def test_fanned_out_restarts_above_observed_patterns_warn_once(on_cpus):
     Z = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])[np.arange(40) % 2]
     data = StudyCollection(target=_study(Z, 0))
-    cfg = LcaFitConfig(seed=0, n_starts=6, max_iter=30)
+    cfg = LcaFitConfig(seed=0, n_starts=6)
     fits = {}
     for n in (1, 4):
         with warnings.catch_warnings(record=True) as caught:

@@ -198,13 +198,14 @@ def test_single_class_stage_runs_one_m_step(tiny_scenario):
     assert fit.trace_bias == capped.trace_bias
 
 
-def test_em_stage_at_its_cap_warns_and_changes_nothing(tiny_scenario):
+def test_em_stage_at_its_cap_warns_and_changes_nothing(tiny_scenario, monkeypatch):
     import warnings
 
     _, data, _ = tiny_scenario
     fam = GlmFamily.logistic()
     lca = fit_lca(data, 2, LcaFitConfig(seed=0, n_starts=2))
-    cfg = _mini_config(max_em_iter=2, tau=0.0)
+    monkeypatch.setattr(transfer, "DEFAULT_TAU", 0.0)
+    cfg = _mini_config(max_em_iter=2)
     with pytest.warns(RuntimeWarning, match="cap of 2") as caught:
         fit = fit_targeted_psm(data, 2, cfg, fam, lca_model=lca)
     stages = {s for s in ("pooled_B", "correction_Delta")
@@ -222,14 +223,15 @@ def test_em_stage_at_its_cap_warns_and_changes_nothing(tiny_scenario):
     # one-pass fits never reach a cap of more than one iteration
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit_targeted_psm(data, 2, _mini_config(max_em_iter=1, tau=0.0), fam, lca_model=lca)
-        fit_targeted_psm(data, 1, _mini_config(max_em_iter=2, tau=0.0), fam)
+        fit_targeted_psm(data, 2, _mini_config(max_em_iter=1), fam, lca_model=lca)
+        fit_targeted_psm(data, 1, _mini_config(max_em_iter=2), fam)
 
 
 def test_single_class_zero_penalty_gaussian_matches_wls(rng):
-    # With one class, no penalty, and no intercept, the pooling stage is a
-    # single weighted least-squares solve and the correction stage offsets
-    # it exactly, so b_target equals plain least squares on the target.
+    # With one class and no penalty, the pooling stage is a single weighted
+    # least-squares solve on [1, X] and the correction stage offsets it
+    # exactly, so b_target (intercept included) equals plain least squares
+    # on the target.
     n0, n1, p = 60, 80, 4
     X0 = rng.normal(size=(n0, p))
     X1 = rng.normal(size=(n1, p))
@@ -242,12 +244,11 @@ def test_single_class_zero_penalty_gaussian_matches_wls(rng):
         target=Study(outcomes=y0, predictors=X0, structure_vars=Z0, study_id=0),
         sources=(Study(outcomes=y1, predictors=X1, structure_vars=Z1, study_id=1),),
     )
-    cfg = TransferConfig(
-        lambda_pool=0.0, lambda_bias=0.0, fit_intercept=False, max_em_iter=5
-    )
+    cfg = TransferConfig(lambda_pool=0.0, lambda_bias=0.0, max_em_iter=5)
     fit = fit_targeted_psm(data, 1, cfg, GlmFamily.gaussian())
-    direct = wls_solution(X0, y0, np.ones(n0))
-    assert np.max(np.abs(fit.b_target.values[:, 0] - direct)) < 1e-7
+    direct = wls_solution(np.column_stack([np.ones(n0), X0]), y0, np.ones(n0))
+    assert abs(fit.b_target.intercept[0] - direct[0]) < 1e-7
+    assert np.max(np.abs(fit.b_target.values[:, 0] - direct[1:])) < 1e-7
 
 
 def test_class_permutation_equivariance_bitwise(tiny_scenario):
@@ -430,9 +431,9 @@ def test_auto_tune_on_a_single_valued_outcome_names_the_stage(tiny_scenario, val
 
 def test_transfer_config_validation():
     with pytest.raises(ValueError):
-        TransferConfig(tau=-1.0)
-    with pytest.raises(ValueError):
         TransferConfig(max_em_iter=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TransferConfig(seed=-1)
     with pytest.raises(ValueError):
         TransferConfig(lambda_pool="bogus")
     with pytest.raises(ValueError):
@@ -538,7 +539,6 @@ def test_serialization_roundtrip(tmp_path, mini_fit):
     assert back.trace_joint == fit.trace_joint
     assert back.n_iter_joint == fit.n_iter_joint
     assert back.family.kind == fit.family.kind
-    assert back.fit_intercept == fit.fit_intercept
     x = data.target.predictors[:6]
     z = data.target.structure_vars[:6]
     assert np.array_equal(predict_risk(back, x, z), predict_risk(fit, x, z))
@@ -548,7 +548,10 @@ def test_serialization_roundtrip(tmp_path, mini_fit):
     # the file restates nothing: b_target is b_pooled + delta, counts are
     # trace lengths and coefficient widths
     payload = json.loads(path.read_text())
-    assert not {"b_target", "n_iter_joint", "n_iter_bias"} & payload.keys()
+    assert payload.keys() == {
+        "kind", "family", "dispersion", "b_pooled", "delta", "lambda_pool",
+        "lambda_bias", "trace_joint", "trace_bias", "lca_model",
+    }
     assert "n_classes" not in payload["lca_model"]
     for key in ("b_pooled", "delta"):
         assert payload[key].keys() == {"values", "intercept"}
@@ -565,6 +568,7 @@ def test_older_fit_files_with_restated_keys_still_load(tmp_path, mini_fit):
         payload[key]["role"] = role
     payload["n_iter_joint"] = fit.n_iter_joint
     payload["n_iter_bias"] = fit.n_iter_bias
+    payload["fit_intercept"] = True
     payload["lca_model"]["n_classes"] = fit.n_classes
     path = tmp_path / "older.json"
     path.write_text(json.dumps(payload, indent=2))
