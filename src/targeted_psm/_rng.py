@@ -26,7 +26,9 @@ def _key_to_int(key) -> int:
 
 
 def substream(seed: int, *keys) -> np.random.Generator:
-    """Independent generator for the given master seed and key path."""
+    """Independent generator for the given master seed (>= 0) and key path."""
+    if seed < 0:
+        raise ValueError(f"the master seed must be >= 0, got {seed!r}")
     spawn_key = tuple(_key_to_int(k) for k in keys)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(ss))

@@ -209,14 +209,10 @@ def experiment_scenarios(config: dict, seed: int = None) -> list:
     return out
 
 
-def _experiment_counts(block: dict, replicates: int = None):
-    """(replicates, test_n) from a checked experiment block; the
-    --replicates flag, when given, wins over the block."""
-    if replicates is None:
-        replicates_name, replicates = "experiment.replicates", block.get("replicates", 20)
-    else:
-        replicates_name = "--replicates"
-    counts = {replicates_name: replicates, "experiment.test_n": block.get("test_n", 500)}
+def _experiment_counts(block: dict):
+    """(replicates, test_n) from a checked experiment block."""
+    counts = {"experiment.replicates": block.get("replicates", 20),
+              "experiment.test_n": block.get("test_n", 500)}
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
@@ -276,9 +272,12 @@ def _cmd_fit(args) -> int:
     _check_class_counts(args.data, data, [n_classes],
                         "scenario.n_classes" if args.classes is None else "--classes")
 
-    fit = fit_targeted_psm(
-        data, n_classes, config=transfer_cfg, family=family, lca_config=lca_cfg
-    )
+    try:
+        fit = fit_targeted_psm(
+            data, n_classes, config=transfer_cfg, family=family, lca_config=lca_cfg
+        )
+    except ValueError as exc:  # a penalty setting the dataset cannot serve
+        raise DataError(f"{args.data}: {exc}") from exc
 
     nnz = (fit.b_target.values != 0).sum(axis=0)
     print(f"classes: {fit.n_classes}   family: {family.kind}")
@@ -323,9 +322,8 @@ def _cmd_predict(args) -> int:
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
     scenarios = experiment_scenarios(config, seed=None)  # also checks the block
-    replicates, test_n = _experiment_counts(
-        config.get("experiment", {}), args.replicates
-    )
+    replicates, test_n = _experiment_counts(config.get("experiment", {}))
+    replicates = args.replicates or replicates  # the flag wins over the block
     seed = args.seed if args.seed is not None else 0
     methods = methods_from_config(config)
     transfer_cfg = transfer_from_config(config)
@@ -428,8 +426,8 @@ def _cmd_lca_select(args) -> int:
 
 
 def _integer_at_least(minimum: int):
-    """An argparse type: an integer >= minimum (1 for a class count, 0 for a
-    seed)."""
+    """An argparse type: an integer >= minimum (1 for a class or replicate
+    count, 0 for a seed)."""
     def parse(text: str) -> int:
         if not text.isdecimal() or int(text) < minimum:
             raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
@@ -480,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="paired method comparison")
     add_common(p, "output directory for rows.csv / summary.csv", out_required=True)
-    p.add_argument("--replicates", type=int, help="override experiment.replicates")
+    p.add_argument("--replicates", type=_integer_at_least(1), help="override experiment.replicates")
     p.add_argument(
         "--resume", action="store_true",
         help="skip replicates already present in rows.csv",

@@ -168,10 +168,10 @@ def sorted_square_norm(a: np.ndarray) -> float:
     return float(np.sqrt(sq.sum()))
 
 
-def clip_rows(probs: np.ndarray, eps: float = EPS_CLIP) -> np.ndarray:
-    """Force each row into the simplex with entries in [eps, 1 - eps].
+def clip_rows(probs: np.ndarray) -> np.ndarray:
+    """Force each row into the simplex with entries in [EPS_CLIP, 1 - EPS_CLIP].
 
-    Normalize, then waterfill: entries below eps are pinned to exactly eps
+    Normalize, then waterfill: entries below EPS_CLIP are pinned to exactly it
     and the remaining entries are rescaled to absorb the deficit, repeating
     until no entry violates the floor (at most C passes).  Row sums land
     within a few ulp of 1 and, because every reduction uses the sorted
@@ -184,8 +184,8 @@ def clip_rows(probs: np.ndarray, eps: float = EPS_CLIP) -> np.ndarray:
     n, C = probs.shape
     if C == 1:
         return np.ones_like(probs)
-    if C * eps >= 1.0:
-        raise ValueError("eps too large for this many columns")
+    if C * EPS_CLIP >= 1.0:
+        raise ValueError("too many columns for the EPS_CLIP floor")
     v = np.maximum(probs, 0.0)
     sums = sorted_row_sums(v)
     dead = sums <= 0.0
@@ -195,16 +195,16 @@ def clip_rows(probs: np.ndarray, eps: float = EPS_CLIP) -> np.ndarray:
     v = v / sums[:, None]
     pinned = np.zeros_like(v, dtype=bool)
     for _ in range(C):
-        low = ~pinned & (v < eps)
+        low = ~pinned & (v < EPS_CLIP)
         if not np.any(low):
             break
         pinned |= low
-        free_target = 1.0 - pinned.sum(axis=1) * eps
+        free_target = 1.0 - pinned.sum(axis=1) * EPS_CLIP
         free_sum = sorted_row_sums(np.where(pinned, 0.0, v))
         scale = np.where(
             free_sum > 0.0, free_target / np.maximum(free_sum, 1e-300), 1.0
         )
-        v = np.where(pinned, eps, v * scale[:, None])
+        v = np.where(pinned, EPS_CLIP, v * scale[:, None])
     return v
 
 

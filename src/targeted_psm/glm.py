@@ -277,7 +277,6 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
 
     obj = true_objective(beta_s, eta)
     best_obj, best_beta = obj, beta_s.copy()
-    kkt = kkt_residual(prob, beta_s / scale)
     stall_count = 0
     outer_used = 0
 

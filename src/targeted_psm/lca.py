@@ -78,15 +78,16 @@ class LcaModel:
     prevalences  (C, q) class-conditional Bernoulli prevalences, in
                  (EPS_CLIP, 1 - EPS_CLIP)
     mixing       (K+1, C) per-study class weights, rows on the simplex
-    log_lik      marginal log-likelihood at the returned parameters
-    trace        per-iteration log-likelihood of the winning restart
+    trace        log-likelihood of the winning restart at the start of each
+                 EM iteration, then at the returned parameters
+    converged    whether that restart met the tolerance before its cap
+
+    `log_lik` and `n_iter` are read from the trace, never stored.
     """
 
     prevalences: np.ndarray
     mixing: np.ndarray
-    log_lik: float = np.nan
     trace: tuple = ()
-    n_iter: int = 0
     converged: bool = True
 
     def __post_init__(self):
@@ -106,6 +107,16 @@ class LcaModel:
         object.__setattr__(self, "prevalences", pi)
         object.__setattr__(self, "mixing", lam)
         object.__setattr__(self, "trace", tuple(float(v) for v in self.trace))
+
+    @property
+    def log_lik(self) -> float:
+        """Log-likelihood at the returned parameters (NaN without a trace)."""
+        return self.trace[-1] if self.trace else np.nan
+
+    @property
+    def n_iter(self) -> int:
+        """EM iterations of the winning restart (0 for the closed form)."""
+        return max(len(self.trace) - 1, 0)
 
     @property
     def n_classes(self) -> int:
@@ -239,22 +250,14 @@ def _run_em(model: LcaModel, index: _CellIndex):
     and DEFAULT_MAX_ITER_LCA, read on every call."""
     trace = []
     converged = False
-    it = 0
-    for it in range(1, DEFAULT_MAX_ITER_LCA + 1):
-        new_model, ll = _em_step(model, index)
+    for _ in range(DEFAULT_MAX_ITER_LCA):
+        model, ll = _em_step(model, index)
         trace.append(ll)
-        if len(trace) >= 2:
-            prev = trace[-2]
-            if abs(ll - prev) <= DEFAULT_TOL_LCA * (abs(prev) + 1e-12):
-                converged = True
-                model = new_model
-                break
-        model = new_model
-    final_ll = _log_lik(model, index)
-    trace.append(final_ll)
-    return replace(
-        model, log_lik=final_ll, trace=tuple(trace), n_iter=it, converged=converged
-    )
+        if len(trace) >= 2 and abs(ll - trace[-2]) <= DEFAULT_TOL_LCA * (abs(trace[-2]) + 1e-12):
+            converged = True
+            break
+    trace.append(_log_lik(model, index))
+    return replace(model, trace=tuple(trace), converged=converged)
 
 
 def _canonical_order(model: LcaModel) -> LcaModel:
@@ -275,7 +278,9 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     log-likelihood, the earliest restart on a tie.  The restarts run on the
     CPUs of the process's affinity mask, with results identical to a serial
     run (see the module docstring for when they run serially).  C = 1 has
-    a closed form and consumes no randomness.
+    a closed form and consumes no randomness.  Putting the winner's classes
+    in canonical order keeps its `log_lik`, the last trace value, to the bit:
+    the log-likelihood's reductions are sorted.
     """
     config = config or LcaFitConfig()
     C = int(n_classes)
@@ -303,8 +308,7 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
         z_mean = np.vstack([s.structure_vars for s in data.studies]).mean(axis=0)
         prev = np.clip(z_mean[None, :], EPS_CLIP, 1.0 - EPS_CLIP)
         model = LcaModel(prevalences=prev, mixing=np.ones((n_studies, 1)))
-        ll = _log_lik(model, index)
-        return replace(model, log_lik=ll, trace=(ll,), n_iter=0, converged=True)
+        return replace(model, trace=(_log_lik(model, index),))
 
     rng = substream(config.seed, "lca-init")
     inits = [
@@ -317,10 +321,7 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     fits = fan_out(lambda init: _run_em(init, index), inits)
     # max keeps the first of equal log-likelihoods: the earliest restart
     # wins unless a later one is strictly better.
-    model = _canonical_order(max(fits, key=lambda m: m.log_lik))
-    # Re-evaluate at the reported ordering so log_lik matches exactly on
-    # re-computation (the sorted-sum reduction makes reordering lossless).
-    return replace(model, log_lik=_log_lik(model, index))
+    return _canonical_order(max(fits, key=lambda m: m.log_lik))
 
 
 def initial_memberships(model: LcaModel, data: StudyCollection) -> MembershipMatrix:
@@ -392,19 +393,17 @@ def lca_model_to_dict(model: LcaModel) -> dict:
     return {
         "prevalences": model.prevalences.tolist(),
         "mixing": model.mixing.tolist(),
-        "log_lik": model.log_lik,
         "trace": list(model.trace),
-        "n_iter": model.n_iter,
         "converged": model.converged,
     }
 
 
 def lca_model_from_dict(payload: dict) -> LcaModel:
+    """Inverse of lca_model_to_dict; the `log_lik` and `n_iter` of older
+    files restate the trace and are ignored."""
     return LcaModel(
         prevalences=np.asarray(payload["prevalences"], dtype=float),
         mixing=np.asarray(payload["mixing"], dtype=float),
-        log_lik=float(payload["log_lik"]),
         trace=tuple(payload.get("trace", ())),
-        n_iter=int(payload.get("n_iter", 0)),
         converged=bool(payload.get("converged", True)),
     )

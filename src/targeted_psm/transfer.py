@@ -375,20 +375,19 @@ def auto_tune_lambda(
     candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(p, n)
     fold = _make_folds(y, study_index, cv_folds, family, seed)
     design, mask = _design(X)
-
-    chosen = np.empty(C)
-    for c in range(C):
-        w_c = v_rows[:, c]
-        loss_sum = np.zeros(candidates.size)
-        mass_sum = np.zeros(candidates.size)
-        failed = np.zeros(candidates.size, dtype=bool)
-        last_error = None
-        for f in range(cv_folds):
-            tr = fold != f
-            va = ~tr
-            n_tr = int(tr.sum())
-            X_tr, y_tr, w_tr = design[tr], y[tr], w_c[tr]
-            mass_tr = float(w_tr.sum())
+    # Folds outside, classes inside: each fold's arrays are built once, and
+    # only one fold's are alive at a time.
+    shape = (C, candidates.size)
+    loss_sum, mass_sum, failed = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+    last_error = [None] * C
+    for f in range(cv_folds):
+        tr = fold != f
+        va = ~tr
+        n_tr = int(tr.sum())
+        X_tr, y_tr, X_va, y_va = design[tr], y[tr], design[va], y[va]
+        for c in range(C):
+            w_tr, w_va = v_rows[tr, c], v_rows[va, c]
+            mass_tr, mass_va = float(w_tr.sum()), float(w_va.sum())
             beta = np.zeros(design.shape[1])
             off_tr = None if offsets_by_class is None else offsets_by_class[tr, c]
             off_va = 0.0 if offsets_by_class is None else offsets_by_class[va, c]
@@ -406,26 +405,23 @@ def auto_tune_lambda(
                     beta = solve_weighted_lasso_glm(prob, init=beta).beta
                 except SolverError as err:
                     beta = err.best.beta
-                    failed[i] = True
-                    last_error = err
+                    failed[c, i] = True
+                    last_error[c] = err
                     continue
-                eta_va = off_va + design[va] @ beta
-                ll = neg_log_lik_glm(family, y[va], eta_va)
-                loss_sum[i] += float(w_c[va] @ ll)
-                mass_sum[i] += float(w_c[va].sum())
-        if failed.all():
+                ll = neg_log_lik_glm(family, y_va, off_va + X_va @ beta)
+                loss_sum[c, i] += float(w_va @ ll)
+                mass_sum[c, i] += mass_va
+    for c in range(C):
+        if failed[c].all():
             raise SolverError(
                 f"every CV candidate of class {c} failed in the {stage} stage: "
-                f"{last_error}",
-                last_error.best,
-            ) from last_error
-        ok = ~failed
-        scores = np.full(candidates.size, np.inf)
-        scores[ok] = loss_sum[ok] / mass_sum[ok]
-        # Ties resolve toward the larger (more parsimonious) penalty, which
-        # comes first in the descending candidate order.
-        chosen[c] = candidates[int(np.argmin(scores))]
-    return chosen
+                f"{last_error[c]}",
+                last_error[c].best,
+            ) from last_error[c]
+    scores = np.divide(loss_sum, mass_sum, out=np.full(shape, np.inf), where=~failed)
+    # Ties resolve toward the larger (more parsimonious) penalty, which comes
+    # first in the descending candidate order.
+    return candidates[np.argmin(scores, axis=1)]
 
 
 def resolve_penalties(
@@ -453,7 +449,7 @@ def resolve_penalties(
     if arr.size == 1:
         return np.full(C, float(arr[0]))
     if arr.shape != (C,):
-        raise ValueError("per-class lambda must have one entry per class")
+        raise ValueError(f"per-class lambda_{stage} has {arr.size} entries; the class count is {C}")
     return arr.copy()
 
 
@@ -672,8 +668,8 @@ def _penalties_from_json(values) -> np.ndarray:
 def transfer_fit_to_dict(fit: TransferFit) -> dict:
     """JSON payload with the pooled and correction coefficients, both traces
     and the LCA model.  No key restates another: b_target is b_pooled +
-    delta, iteration counts are the trace lengths and the class count is
-    the coefficient width.
+    delta, iteration counts and the LCA log-likelihood come from the traces
+    and the class count is the coefficient width.
     Per-subject refined weights are data-sized and stay out of the file;
     they are reproducible from the stored model and the dataset.  Infinite
     penalties are stored as null."""
@@ -693,10 +689,10 @@ def transfer_fit_to_dict(fit: TransferFit) -> dict:
 
 def transfer_fit_from_dict(payload: dict) -> TransferFit:
     """Inverse of transfer_fit_to_dict; keys it does not read (the `role`,
-    `n_iter_*`, intercept switch and `lca_model.n_classes` of older files)
-    are ignored; a fit without intercepts stored zeros for them.  The
-    `b_target` of an older file must be exactly b_pooled + delta; one that
-    differs is a ValueError."""
+    `n_iter_*`, intercept switch and `lca_model` `n_classes`, `log_lik` and
+    `n_iter` of older files) are ignored; a fit without intercepts stored
+    zeros for them.  The `b_target` of an older file must be exactly
+    b_pooled + delta; one that differs is a ValueError."""
     if not isinstance(payload, dict) or payload.get("kind") != "transfer_fit":
         raise ValueError("not a serialized transfer fit")
     family = GlmFamily(payload["family"], float(payload.get("dispersion", 1.0)))

@@ -382,8 +382,7 @@ def test_criterion_08_invariant_suite():
     lca2_p = LcaModel(
         prevalences=lca2.prevalences[::-1].copy(),
         mixing=lca2.mixing[:, ::-1].copy(),
-        log_lik=lca2.log_lik, trace=lca2.trace,
-        n_iter=lca2.n_iter, converged=lca2.converged,
+        trace=lca2.trace, converged=lca2.converged,
     )
     fitB = fit_targeted_psm(data, 2, cfgB, cfg.glm_family(), lca_model=lca2_p)
     assert np.array_equal(fitB.b_target.values, fitA.b_target.values[:, ::-1])

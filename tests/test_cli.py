@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -444,6 +445,40 @@ def test_more_classes_than_subjects_exits_2_naming_the_flag(cli_workspace, capsy
     )
 
 
+def test_a_per_class_penalty_of_the_wrong_length_exits_2_naming_it(cli_workspace, tmp_path,
+                                                                   capsys):
+    _, _, data_dir = cli_workspace
+    config = _write_config(tmp_path, {
+        "scenario": dict(TINY_SCENARIO), "lca": dict(TINY_LCA),
+        "tuning": {**TINY_TUNING, "lambda_pool": [0.1, 0.2]},
+    })
+    assert main(["fit", "--config", config, "--data", str(data_dir),
+                 "--out", str(tmp_path / "fit.json")]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: {data_dir}: per-class lambda_pool has 2 entries; the class count is 3"
+    )
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_auto_penalties_on_a_single_valued_target_exit_2_naming_the_setting(cli_workspace,
+                                                                            tmp_path, capsys):
+    _, _, data_dir = cli_workspace
+    data = tmp_path / "no-events"
+    shutil.copytree(data_dir, data)
+    target = data / "study_0.csv"
+    header, *rows = target.read_text().splitlines()
+    target.write_text("\n".join([header] + ["0" + r[r.index(","):] for r in rows]) + "\n")
+    config = _write_config(tmp_path, {
+        "scenario": dict(TINY_SCENARIO), "lca": dict(TINY_LCA),
+        "tuning": {"cv_folds": 2, "cv_grid": [0.5, 2.0]},
+    })
+    assert main(["fit", "--config", config, "--data", str(data), "--classes", "2"]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: {data}: 'auto' tuning of lambda_bias needs both outcome values, but every "
+        "y of the bias stage is 0; give lambda_bias a numeric value"
+    )
+
+
 @pytest.mark.parametrize(
     "override, message",
     [
@@ -563,21 +598,26 @@ def test_experiment_force_restart_reproduces_statistics(experiment_config):
 @pytest.mark.parametrize(
     "flags, experiment, message",
     [
-        (["--replicates", "0"], {}, "--replicates must be an integer >= 1"),
-        (["--replicates", "-2"], {}, "--replicates must be an integer >= 1"),
+        (["--replicates", "0"], {}, "argument --replicates: must be an integer >= 1, got '0'"),
+        (["--replicates", "-2"], {}, "argument --replicates: must be an integer >= 1, got '-2'"),
         ([], {"replicates": "abc"}, "experiment.replicates must be an integer"),
         ([], {"replicates": 0}, "experiment.replicates must be an integer"),
         ([], {"replicates": 2.5}, "experiment.replicates must be an integer"),
         ([], {"test_n": 0}, "experiment.test_n must be an integer"),
         ([], {"test_n": True}, "experiment.test_n must be an integer"),
         ([], {"max_failure_rate": 0.2}, "experiment.max_failure_rate is not a recognized setting"),
+        (["--replicates", "two"], {}, "argument --replicates: must be an integer >= 1, got 'two'"),
     ],
 )
 def test_experiment_rejects_bad_counts(tmp_path, capsys, flags, experiment, message):
+    # a bad flag exits at parse time, a bad block value after the config is read
     payload = {"scenario": dict(TINY_SCENARIO), "experiment": experiment}
     config = _write_config(tmp_path, payload)
     out = tmp_path / "exp"
-    rc = main(["experiment", "--config", config, "--out", str(out), *flags])
+    try:
+        rc = main(["experiment", "--config", config, "--out", str(out), *flags])
+    except SystemExit as exc:
+        rc = exc.code
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from targeted_psm import evaluate, transfer
+from targeted_psm._rng import substream
 from targeted_psm.baselines import MethodId, fit_method
 from targeted_psm.evaluate import (
     MAX_ALIGN_CLASSES,
@@ -361,6 +362,14 @@ def test_run_experiment_statistically_deterministic():
     r3 = run_experiment(scenarios, methods, replicates=2, test_n=100,
                         master_seed=8, transfer_config=FAST, lca_config=FAST_LCA)
     assert [r.seed for r in r3.rows] != [r.seed for r in r1.rows]
+
+
+def test_a_negative_master_seed_is_a_value_error_naming_it():
+    with pytest.raises(ValueError, match="master seed must be >= 0, got -1"):
+        run_experiment([("mini", MINI)], [MethodId.NAIVE_LASSO], replicates=1,
+                       master_seed=-1, transfer_config=FAST, lca_config=FAST_LCA)
+    with pytest.raises(ValueError, match="master seed must be >= 0, got -3"):
+        substream(-3, "lca-init")
 
 
 def test_run_experiment_takes_no_worker_count():

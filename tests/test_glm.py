@@ -149,6 +149,21 @@ def test_warm_start_at_solution_is_stationary():
     assert warm.n_iters <= sol.n_iters
 
 
+@pytest.mark.parametrize("seed", [2, 5], ids=["logistic", "gaussian"])
+def test_converged_solve_evaluates_kkt_once_per_pass(seed, monkeypatch):
+    prob = _problem_from_raw(random_glm_problem(seed))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return kkt_residual(*args)
+
+    monkeypatch.setattr(glm, "kkt_residual", counted)
+    sol = solve_weighted_lasso_glm(prob)
+    assert sol.kkt_max_violation <= glm.DEFAULT_KKT_TOL
+    assert len(calls) == sol.n_iters
+
+
 def test_solution_objective_never_above_zero_start():
     for seed in (0, 1, 2, 7):
         raw = random_glm_problem(seed)

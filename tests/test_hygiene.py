@@ -1,13 +1,15 @@
 """Source hygiene: every name a package or test module imports is used
 there, every private module-level function or class is used somewhere in the
 package, no module imports another module's private names, only the
-fork-join helper manages processes, and no module reads the environment.
+fork-join helper manages processes, no module reads the environment, and
+every default of a package-private function is one some call overrides.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -137,3 +139,83 @@ def test_no_module_reads_the_environment():
         for line, text in _environment_reads(ast.parse(path.read_text(), filename=str(path)))
     )
     assert not found, f"environment reads in the package: {found}"
+
+
+def _functions(tree, nested=False, owner=None):
+    """(function node, nested in a function?, enclosing class name) for every
+    function of a module, methods and nested helpers included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, nested, owner
+            yield from _functions(node, True, None)
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, nested, node.name)
+        else:
+            yield from _functions(node, nested, owner)
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _overridden(call, index, name) -> bool:
+    """Whether `call` passes the parameter `name` (position `index`, None
+    for keyword-only) by keyword, by position or through a * or ** unpack."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_private_default_is_passed_by_some_call():
+    """A default that no call in the package overrides is a knob only tests
+    turn: make it a constant in the body instead.  Package-private means a
+    function the package calls by name that is not a documented entry point
+    (a name in `__all__`, a method of a class there, or a console script);
+    a helper nested in a function counts whatever its name.  A function the
+    package also hands around as a value is skipped, since its caller is not
+    in sight."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    scripts = re.findall(r'"targeted_psm\.\w+:(\w+)"', (TESTS.parent / "pyproject.toml").read_text())
+    public = _exported_names(trees["__init__.py"]) | set(scripts)
+    calls, values = {}, set()
+    for tree in trees.values():
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+                callees.add(id(node.func))
+        values |= {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and id(node) not in callees
+        }
+    unpassed = []
+    for module, tree in trees.items():
+        for fn, nested, owner in _functions(tree):
+            if not nested and (fn.name in public or owner in public):
+                continue
+            if fn.name not in calls or fn.name in values:
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            # a method's first parameter is bound, not passed
+            shift = 1 if owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+            ) else 0
+            defaulted = [
+                (positional.index(a) - shift, a.arg)
+                for a in positional[len(positional) - len(args.defaults):]
+            ] + [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            unpassed += [
+                f"{module}:{fn.lineno}: {fn.name}({name}=)"
+                for index, name in defaulted
+                if not any(_overridden(call, index, name) for call in calls[fn.name])
+            ]
+    assert not unpassed, f"defaults no call in the package overrides: {sorted(unpassed)}"

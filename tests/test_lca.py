@@ -1,7 +1,7 @@
 import json
 import os
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -132,6 +132,34 @@ def test_trace_is_monotone_and_selfconsistent(small_collection):
     assert np.all(np.diff(trace) >= -1e-8)
     assert trace[-1] == model.log_lik
     assert model.log_lik == pytest.approx(lca_log_lik(model, data), abs=1e-9)
+
+
+@pytest.mark.parametrize("K", range(4))
+def test_log_lik_and_n_iter_are_read_from_the_trace(K):
+    # The winner is relabeled into canonical order after its last trace
+    # value was taken; the sorted reductions keep that value exact, so
+    # re-evaluating the returned model gives the same bits.
+    prev = np.array([[0.85, 0.2, 0.6, 0.7, 0.1], [0.2, 0.75, 0.3, 0.4, 0.8],
+                     [0.5, 0.5, 0.9, 0.1, 0.5], [0.1, 0.9, 0.2, 0.8, 0.3]])
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        mixing = rng.dirichlet(np.ones(4), size=K + 1)
+        studies = [_draw_lca_study(rng, 150, prev, mixing[k], k) for k in range(K + 1)]
+        data = StudyCollection(target=studies[0], sources=tuple(studies[1:]))
+        for C in range(1, 5):
+            model = fit_lca(data, C, LcaFitConfig(seed=seed, n_starts=3))
+            assert model.log_lik == lca_log_lik(model, data), (seed, C)
+            assert model.n_iter == len(model.trace) - 1
+
+
+def test_lca_model_stores_no_value_its_trace_gives():
+    assert [f.name for f in fields(LcaModel)] == ["prevalences", "mixing", "trace", "converged"]
+    bare = LcaModel(prevalences=np.array([[0.5]]), mixing=np.array([[1.0]]))
+    assert np.isnan(bare.log_lik) and bare.n_iter == 0
+    traced = replace(bare, trace=(-3.0, -2.5, -2.25))
+    assert (traced.log_lik, traced.n_iter) == (-2.25, 2)
+    with pytest.raises(TypeError):
+        LcaModel(prevalences=np.array([[0.5]]), mixing=np.array([[1.0]]), log_lik=-1.0)
 
 
 def test_canonical_class_order(small_collection):

@@ -261,9 +261,7 @@ def test_class_permutation_equivariance_bitwise(tiny_scenario):
     lca_p = LcaModel(
         prevalences=lca.prevalences[::-1].copy(),
         mixing=lca.mixing[:, ::-1].copy(),
-        log_lik=lca.log_lik,
         trace=lca.trace,
-        n_iter=lca.n_iter,
         converged=lca.converged,
     )
     cfg_p = _mini_config(lambda_pool=(0.08, 0.05), lambda_bias=(0.03, 0.02))
@@ -552,7 +550,7 @@ def test_serialization_roundtrip(tmp_path, mini_fit):
         "kind", "family", "dispersion", "b_pooled", "delta", "lambda_pool",
         "lambda_bias", "trace_joint", "trace_bias", "lca_model",
     }
-    assert "n_classes" not in payload["lca_model"]
+    assert payload["lca_model"].keys() == {"prevalences", "mixing", "trace", "converged"}
     for key in ("b_pooled", "delta"):
         assert payload[key].keys() == {"values", "intercept"}
 
@@ -569,7 +567,9 @@ def test_older_fit_files_with_restated_keys_still_load(tmp_path, mini_fit):
     payload["n_iter_joint"] = fit.n_iter_joint
     payload["n_iter_bias"] = fit.n_iter_bias
     payload["fit_intercept"] = True
-    payload["lca_model"]["n_classes"] = fit.n_classes
+    payload["lca_model"].update(
+        n_classes=fit.n_classes, log_lik=fit.lca_model.log_lik, n_iter=fit.lca_model.n_iter
+    )
     path = tmp_path / "older.json"
     path.write_text(json.dumps(payload, indent=2))
     back = load_transfer_fit(path)
@@ -579,6 +579,8 @@ def test_older_fit_files_with_restated_keys_still_load(tmp_path, mini_fit):
     assert np.array_equal(back.lca_model.prevalences, fit.lca_model.prevalences)
     assert np.array_equal(back.lca_model.mixing, fit.lca_model.mixing)
     assert (back.n_iter_joint, back.n_iter_bias) == (fit.n_iter_joint, fit.n_iter_bias)
+    assert (back.lca_model.log_lik, back.lca_model.n_iter) == (
+        fit.lca_model.log_lik, fit.lca_model.n_iter)
 
 
 @pytest.mark.parametrize("part", ["values", "intercept"])
