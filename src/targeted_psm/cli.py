@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import MethodId
-from .core import load_collection, read_study_csv
+from .core import load_collection, read_study_csv, write_scores_csv
 from .evaluate import (
     read_report_rows,
     run_experiment,
@@ -314,7 +314,7 @@ def _cmd_predict(args) -> int:
         for s in np.atleast_1d(scores):
             print(f"{s:.17g}")
     else:
-        np.savetxt(args.out, np.atleast_1d(scores), fmt="%.17g", header="score", comments="")
+        write_scores_csv(scores, args.out)
         print(f"wrote {np.atleast_1d(scores).size} scores to {args.out}")
     return 0
 

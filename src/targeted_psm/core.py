@@ -9,11 +9,14 @@ Conventions used throughout the package:
   [EPS_CLIP, 1 - EPS_CLIP] so that no observation weight collapses to zero.
 
 Study files run on every CPU of the process's affinity mask
-(`_parallel.fan_out`): `write_manifest` writes each study file in its own
-task, and `read_study_csv` parses a file's data lines in byte ranges, one
-task each.  Files and arrays are byte for byte those of a serial
-`np.savetxt` / `np.loadtxt`, and a body of one range is parsed in the
-caller without forking.
+(`_parallel.fan_out`).  Every numeric CSV the package writes goes through
+`_write_rows`, which formats the rows in blocks of `_BLOCK_VALUES` values,
+one task each, and writes them in order; `write_manifest` packs
+consecutive study files into tasks of at least that many values.
+`read_study_csv` parses a file's data lines in byte ranges of
+`_RANGE_BYTES`, one task each.  Files and arrays are byte for byte those of
+a serial `np.savetxt` / `np.loadtxt`, and a file of one block or one range,
+or a collection of one task, is handled in the caller without forking.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ EPS_CLIP = 1e-6
 # read_study_csv parses a file's data lines in ranges of this many bytes, one
 # fan_out task each; a smaller body is parsed in the caller.
 _RANGE_BYTES = 1 << 19
+
+# _write_rows formats a file's rows in blocks of this many values (whole rows,
+# at least one), one fan_out task each; write_manifest packs study files into
+# tasks of at least this many values, so a smaller collection is written in
+# the caller.
+_BLOCK_VALUES = 1 << 16
 
 
 def clamp_eta(eta):
@@ -424,16 +433,35 @@ def _csv_header(p: int, q: int) -> str:
     return ",".join(cols)
 
 
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The lines np.savetxt(fmt="%.17g", delimiter=",") writes for `rows`."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return ((line * rows.shape[0]) % tuple(rows.ravel().tolist())).encode()
+
+
+def _write_rows(path, header: str, rows: np.ndarray) -> None:
+    """Write `header` and the rows of a 2-d float array to `path`, byte for
+    byte as np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+    header=header, comments="") writes them.  The rows are formatted in
+    blocks of _BLOCK_VALUES values, one fan_out task each."""
+    step = max(_BLOCK_VALUES // rows.shape[1], 1)
+    blocks = fan_out(_format_rows, [rows[i : i + step] for i in range(0, rows.shape[0], step)])
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.writelines(blocks)
+
+
 def write_study_csv(study: Study, path) -> None:
     """Write a study as CSV with header y,x1..xp,z1..zq."""
-    path = Path(path)
     data = np.column_stack(
         [study.outcomes, study.predictors, study.structure_vars]
     )
-    np.savetxt(
-        path, data, delimiter=",", fmt="%.17g",
-        header=_csv_header(study.p, study.q), comments="",
-    )
+    _write_rows(path, _csv_header(study.p, study.q), data)
+
+
+def write_scores_csv(scores, path) -> None:
+    """Write predicted scores as a one-column CSV with header score."""
+    _write_rows(path, "score", np.reshape(np.asarray(scores, dtype=float), (-1, 1)))
 
 
 def _parse_rows(lines: bytes) -> np.ndarray:
@@ -531,9 +559,30 @@ def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
     )
 
 
+def _packed(jobs) -> list:
+    """Consecutive (study, path) jobs in runs of at least _BLOCK_VALUES
+    values each; a collection below that is one run."""
+    runs, size = [], _BLOCK_VALUES
+    for study, pth in jobs:
+        if size >= _BLOCK_VALUES:
+            runs.append([])
+            size = 0
+        runs[-1].append((study, pth))
+        size += study.n * (1 + study.p + study.q)
+    if size < _BLOCK_VALUES and len(runs) > 1:
+        runs[-2] += runs.pop()
+    return runs
+
+
+def _write_run(run) -> None:
+    for study, pth in run:
+        write_study_csv(study, pth)
+
+
 def write_manifest(collection: StudyCollection, directory, force: bool = False) -> Path:
-    """Write per-study CSVs plus manifest.json into `directory`; the study
-    files are written in parallel, one fan_out task each."""
+    """Write per-study CSVs plus manifest.json into `directory`.  The study
+    files are packed into runs of at least _BLOCK_VALUES values, one fan_out
+    task each, so a small collection is written without forking."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
@@ -541,7 +590,7 @@ def write_manifest(collection: StudyCollection, directory, force: bool = False) 
     for pth in [manifest_path] + paths:
         if pth.exists() and not force:
             raise FileExistsError(f"{pth} exists; pass force=True to overwrite")
-    fan_out(lambda job: write_study_csv(*job), zip(collection.studies, paths))
+    fan_out(_write_run, _packed(zip(collection.studies, paths)))
     manifest = {
         "target": paths[0].name,
         "sources": [pth.name for pth in paths[1:]],

@@ -132,10 +132,19 @@ class LcaModel:
 
 
 def _log_density_matrix(prevalences: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """(n, C) log densities of each row of Z under each class."""
+    """(n, C) log densities of each row of Z under each class.
+
+    A lone row is evaluated as the first of two equal rows.  numpy hands a
+    one-row product to BLAS's matrix-vector kernel, which orders the q-term
+    sums differently from the matrix-matrix kernel a batch takes, so a
+    subject scored alone would differ in the last bit from the same subject
+    inside a batch.  Z holds 0/1, so every product is exact, and with C >= 2
+    the matrix-matrix kernel gives a row the same sums at any batch size.
+    """
     log_pi = np.log(prevalences)        # (C, q)
     log_1mpi = np.log1p(-prevalences)
-    return Z @ log_pi.T + (1.0 - Z) @ log_1mpi.T
+    rows = np.repeat(Z, 2, axis=0) if Z.shape[0] == 1 else Z
+    return (rows @ log_pi.T + (1.0 - rows) @ log_1mpi.T)[: Z.shape[0]]
 
 
 @dataclass(frozen=True)

@@ -329,6 +329,16 @@ def _stage_rows(data: StudyCollection, memberships: MembershipMatrix, stage: str
     raise ValueError("stage must be 'pool' or 'bias'")
 
 
+def _check_two_outcomes(family: GlmFamily, y: np.ndarray, stage: str) -> None:
+    """ValueError unless 'auto' tuning of a stage whose outcomes are y can
+    build folds: a logistic stage needs both outcome values."""
+    if family.kind == "logistic" and np.unique(y).size < 2:
+        raise ValueError(
+            f"'auto' tuning of lambda_{stage} needs both outcome values, but every "
+            f"y of the {stage} stage is {y[0]:g}; give lambda_{stage} a numeric value"
+        )
+
+
 def auto_tune_lambda(
     data: StudyCollection,
     memberships: MembershipMatrix,
@@ -367,11 +377,7 @@ def auto_tune_lambda(
     if offsets_by_class is not None and offsets_by_class.shape != (n, C):
         raise ValueError("offsets_by_class must be (n, C)")
 
-    if family.kind == "logistic" and np.unique(y).size < 2:
-        raise ValueError(
-            f"'auto' tuning of lambda_{stage} needs both outcome values, but every "
-            f"y of the {stage} stage is {y[0]:g}; give lambda_{stage} a numeric value"
-        )
+    _check_two_outcomes(family, y, stage)
     candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(p, n)
     fold = _make_folds(y, study_index, cv_folds, family, seed)
     design, mask = _design(X)
@@ -444,7 +450,12 @@ def resolve_penalties(
             grid=config.cv_grid, cv_folds=config.cv_folds, seed=config.seed,
             offsets_by_class=offsets_by_class,
         )
-    C = memberships.n_classes
+    return _per_class(setting, stage, memberships.n_classes)
+
+
+def _per_class(setting, stage: str, C: int) -> np.ndarray:
+    """A numeric penalty setting as C per-class values: a scalar is
+    broadcast, a sequence must have one entry per class."""
     arr = np.atleast_1d(np.asarray(setting, dtype=float))
     if arr.size == 1:
         return np.full(C, float(arr[0]))
@@ -577,6 +588,16 @@ def fit_targeted_psm(
     for s in data.studies:
         family.validate_outcomes(s.outcomes)
     C = int(n_classes)
+    # A penalty setting the data cannot serve is refused before any fitting.
+    stage_y = {
+        "pool": np.concatenate([s.outcomes for s in data.studies]),
+        "bias": data.target.outcomes,
+    }
+    for stage, setting in (("pool", config.lambda_pool), ("bias", config.lambda_bias)):
+        if isinstance(setting, str):
+            _check_two_outcomes(family, stage_y[stage], stage)
+        else:
+            _per_class(setting, stage, C)
     if lca_model is None:
         cfg = lca_config or LcaFitConfig(seed=config.seed)
         lca_model = fit_lca(data, C, cfg)

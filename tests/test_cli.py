@@ -19,7 +19,9 @@ from targeted_psm.cli import (
     transfer_from_config,
 )
 from targeted_psm.baselines import MethodId
+from targeted_psm.core import read_study_csv
 from targeted_psm.evaluate import read_report_rows
+from targeted_psm.transfer import load_transfer_fit, predict_risk
 
 
 TINY_SCENARIO = {
@@ -190,6 +192,10 @@ def test_fit_and_predict_roundtrip(cli_workspace, cli_fit, capsys):
     scores = np.loadtxt(scores_path, skiprows=1)
     assert scores.shape == (150,)
     assert np.all((scores > 0) & (scores < 1))
+    target = read_study_csv(data_dir / "study_0.csv", study_id=0)
+    direct = predict_risk(load_transfer_fit(fit_path), target.predictors, target.structure_vars)
+    np.savetxt(root / "savetxt.csv", direct, fmt="%.17g", header="score", comments="")
+    assert scores_path.read_bytes() == (root / "savetxt.csv").read_bytes()
     capsys.readouterr()
 
     # stdout mode prints one score per line
@@ -295,8 +301,10 @@ def test_malformed_manifest_exits_2(cli_workspace, tmp_path, capsys, manifest):
 
 def test_study_files_are_the_same_bytes_with_serial_io(tmp_path, monkeypatch, capsys):
     """simulate -> fit -> predict with the study files split into small byte
-    ranges on four (pretended) CPUs, and again with every fan_out serial."""
+    ranges and written in small blocks on four (pretended) CPUs, and again
+    with every fan_out serial."""
     monkeypatch.setattr(core, "_RANGE_BYTES", 4096)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 50)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
@@ -307,9 +315,10 @@ def test_study_files_are_the_same_bytes_with_serial_io(tmp_path, monkeypatch, ca
     outputs = []
     for name in ("default", "serial"):
         if name == "serial":
-            # three children for the one write_manifest and each of the
-            # five reads, and more for the LCA restarts
-            assert len(forks) > 3 * (1 + 5)
+            # three children for the one write_manifest (four runs) and each
+            # of the five reads, two for the scores file (three blocks), and
+            # more for the LCA restarts
+            assert len(forks) > 3 * (1 + 5) + 2
             monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
         out = tmp_path / name
         data, fit, scores = out / "data", out / "fit.json", out / "scores.csv"

@@ -1,6 +1,8 @@
 """Study files on every CPU: the ranged reader gives the bits of one
 np.loadtxt over the file, errors name the file line wherever it was parsed,
-and write_manifest writes the bytes of a serial loop."""
+the block writer writes the bytes of one np.savetxt, and write_manifest
+writes the bytes of a serial loop, forking only for a collection above the
+work floor."""
 
 import os
 import re
@@ -65,10 +67,12 @@ def _file(tmp_path, lines, end="\n", last_end=True):
     return path
 
 
+def _matrix(study):
+    return np.column_stack([study.outcomes, study.predictors, study.structure_vars])
+
+
 def _bits(study):
-    return np.column_stack(
-        [study.outcomes, study.predictors, study.structure_vars]
-    ).tobytes()
+    return _matrix(study).tobytes()
 
 
 def _loadtxt_bits(path):
@@ -207,6 +211,77 @@ def test_lines_ending_in_a_lone_carriage_return_are_refused(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The block writer
+# ---------------------------------------------------------------------------
+
+# Values np.savetxt formats in their own ways: signed zeros, subnormals, the
+# ends of the float range, integer-valued floats and non-finite values.
+BATTERY = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300,
+    1.7976931348623157e308, 3.0, -7.0, 2.0 ** 53, 1e16, 123456789012345678.0,
+    0.1, 1 / 3, -2.5e-8, np.inf, -np.inf, np.nan,
+]
+
+
+def _savetxt(path, header, rows):
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def _battery_rows(n, width, seed=0):
+    rng = np.random.default_rng(seed)
+    values = np.resize(np.array(BATTERY), n * width)
+    drawn = rng.random(n * width) < 0.3
+    values[drawn] = rng.standard_normal(drawn.sum()) * 10.0 ** rng.integers(-8, 8, drawn.sum())
+    return rng.permutation(values).reshape(n, width)
+
+
+# Blocks of 12 values hold three rows of four: every row count k*3 - 1,
+# k*3 and k*3 + 1.  A block of 3 values still holds one whole row.
+ROW_COUNTS = [1, 2, 3, 4, 5, 6, 7, 14, 15, 16]
+
+
+@pytest.mark.parametrize("block", [3, 12, 1 << 16])
+@pytest.mark.parametrize("cpus", ["serial", "four"])
+def test_the_block_writer_writes_the_bytes_of_one_savetxt(tmp_path, monkeypatch, forks, cpus, block):
+    if cpus == "serial":
+        monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", block)
+    for n in ROW_COUNTS:
+        rows = _battery_rows(n, 4, seed=n)
+        expected, written = tmp_path / f"savetxt_{n}.csv", tmp_path / f"blocks_{n}.csv"
+        _savetxt(expected, HEADER, rows)
+        before = len(forks)
+        core._write_rows(written, HEADER, rows)
+        assert written.read_bytes() == expected.read_bytes(), n
+        n_blocks = -(-n // max(block // 4, 1))
+        assert len(forks) - before == (0 if cpus == "serial" else min(n_blocks, 4) - 1), n
+
+
+def test_scores_are_written_as_savetxt_writes_a_column(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 5)
+    scores = _battery_rows(23, 1, seed=1)[:, 0]
+    expected, written = tmp_path / "savetxt.csv", tmp_path / "scores.csv"
+    _savetxt(expected, "score", scores)
+    core.write_scores_csv(scores, written)
+    assert written.read_bytes() == expected.read_bytes()
+    assert len(forks) == 3
+
+
+@pytest.mark.parametrize("cpus", ["serial", "four"])
+def test_a_failed_block_write_raises_what_savetxt_raises(tmp_path, monkeypatch, forks, cpus):
+    if cpus == "serial":
+        monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 12)
+    rows = _battery_rows(9, 4)
+    raised = []
+    for write in (_savetxt, core._write_rows):
+        with pytest.raises(OSError) as exc:
+            write(tmp_path, HEADER, rows)
+        raised.append(type(exc.value))
+    assert raised[0] is raised[1] is IsADirectoryError
+
+
+# ---------------------------------------------------------------------------
 # write_manifest and load_collection
 # ---------------------------------------------------------------------------
 
@@ -223,20 +298,20 @@ def _collection(rng, K=4):
     return StudyCollection(target=study(0, 40), sources=tuple(study(k, 20 + k) for k in range(1, K + 1)))
 
 
-def test_write_manifest_writes_the_bytes_of_a_serial_loop(tmp_path, forks, rng):
-    coll = _collection(rng)
+def _check_manifest_bytes(tmp_path, coll, forks):
+    """The forks write_manifest made, after checking the bytes it wrote."""
     manifest = write_manifest(coll, tmp_path / "ds")
-    assert len(forks) == 3
+    made = len(forks)
     for s in coll.studies:
         expected = tmp_path / f"serial_{s.study_id}.csv"
         write_study_csv(s, expected)
         assert (tmp_path / "ds" / f"study_{s.study_id}.csv").read_bytes() == expected.read_bytes()
     back = load_collection(manifest)
     assert [_bits(s) for s in back.studies] == [_bits(s) for s in coll.studies]
+    return made
 
 
-def test_a_failed_study_write_raises_what_the_serial_loop_raises(tmp_path, monkeypatch, forks, rng):
-    coll = _collection(rng)
+def _check_failed_write(tmp_path, monkeypatch, coll):
     raised = []
     for fan_out in (True, False):
         directory = tmp_path / f"ds{fan_out}"
@@ -250,7 +325,47 @@ def test_a_failed_study_write_raises_what_the_serial_loop_raises(tmp_path, monke
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert raised[0] is raised[1] is IsADirectoryError
-    assert len(forks) == 3
+
+
+def test_write_manifest_writes_the_bytes_of_a_serial_loop(tmp_path, forks, rng):
+    # 1 300 values, below the floor: one run, written in the caller
+    assert _check_manifest_bytes(tmp_path, _collection(rng), forks) == 0
+
+
+def test_a_failed_study_write_raises_what_the_serial_loop_raises(tmp_path, monkeypatch, forks, rng):
+    _check_failed_write(tmp_path, monkeypatch, _collection(rng))
+    assert forks == []
+
+
+# The studies of _collection(rng) hold 400, 210, 220, 230 and 240 values.  A
+# floor of 500 packs them into two runs ([0, 1] and [2, 3, 4]), and one of
+# 100 into five; each run's own blocks are formatted in its process.
+@pytest.mark.parametrize("block, n_forks", [(500, 1), (100, 3)])
+def test_a_collection_above_the_floor_is_written_in_runs_on_children(
+    tmp_path, monkeypatch, forks, rng, block, n_forks
+):
+    monkeypatch.setattr(core, "_BLOCK_VALUES", block)
+    assert _check_manifest_bytes(tmp_path, _collection(rng), forks) == n_forks
+
+
+@pytest.mark.parametrize("block, n_forks", [(500, 1), (100, 3)])
+def test_a_failed_write_in_a_run_raises_what_the_serial_loop_raises(
+    tmp_path, monkeypatch, forks, rng, block, n_forks
+):
+    monkeypatch.setattr(core, "_BLOCK_VALUES", block)
+    _check_failed_write(tmp_path, monkeypatch, _collection(rng))
+    assert len(forks) == n_forks
+
+
+def test_a_run_of_one_large_study_is_formatted_in_blocks_in_children(tmp_path, monkeypatch,
+                                                                     forks, rng):
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 100)
+    coll = StudyCollection(target=_collection(rng, K=0).target)
+    write_manifest(coll, tmp_path / "ds")
+    assert len(forks) == 3  # one run, its 400 values in four blocks
+    expected = tmp_path / "serial.csv"
+    _savetxt(expected, "y,x1,x2,x3,x4,x5,x6,z1,z2,z3", _matrix(coll.target))
+    assert (tmp_path / "ds" / "study_0.csv").read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize(

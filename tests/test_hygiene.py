@@ -1,8 +1,9 @@
 """Source hygiene: every name a package or test module imports is used
 there, every private module-level function or class is used somewhere in the
 package, no module imports another module's private names, only the
-fork-join helper manages processes, no module reads the environment, and
-every default of a package-private function is one some call overrides.
+fork-join helper manages processes, no module reads the environment,
+every default of a package-private function is one some call overrides, and
+numeric CSVs are written and parsed in one place each.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -219,3 +220,26 @@ def test_every_private_default_is_passed_by_some_call():
                 if not any(_overridden(call, index, name) for call in calls[fn.name])
             ]
     assert not unpassed, f"defaults no call in the package overrides: {sorted(unpassed)}"
+
+
+def _numpy_text_io(node, owner=None):
+    """(line, name, innermost enclosing function) of every np.savetxt and
+    np.loadtxt under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and child.attr in ("savetxt", "loadtxt")
+                and isinstance(child.value, ast.Name) and child.value.id in ("np", "numpy")):
+            yield child.lineno, child.attr, owner
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _numpy_text_io(child, inner)
+
+
+def test_one_csv_writer_and_one_reader():
+    """Study and score files are written by core._write_rows and parsed by
+    core._parse_rows: np.savetxt appears nowhere in the package, and
+    np.loadtxt only in core._parse_rows."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for line, name, owner in _numpy_text_io(ast.parse(path.read_text(), filename=str(path))):
+            if (name, path.name, owner) != ("loadtxt", "core.py", "_parse_rows"):
+                found.add(f"{path.name}:{line}: np.{name}")
+    assert not found, f"numeric text I/O outside core's writer and reader: {sorted(found)}"

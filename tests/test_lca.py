@@ -14,6 +14,7 @@ from targeted_psm.lca import (
     LcaFitConfig,
     LcaModel,
     _CellIndex,
+    _cell_posteriors,
     _em_step,
     fit_lca,
     initial_memberships,
@@ -396,6 +397,26 @@ def test_membership_bayes_rule_by_hand():
     batch = membership_for_pattern(model, np.vstack([z, z]), study_row=0)
     assert batch.shape == (2, 2)
     assert np.array_equal(batch[0], batch[1])
+
+
+def test_a_single_row_equals_its_row_in_a_batch(rng):
+    """A pattern's class posteriors before clipping, and its log-likelihood
+    term, get the same bits alone as inside a batch, for random models (C up
+    to 5, q up to 12) and batches of up to 600 rows.  With one class the
+    batch density is a matrix-vector product whose sums depend on the row's
+    place in the batch, so only its posterior (exactly 1) is compared."""
+    for _ in range(300):
+        C, q, n_studies = (int(v) for v in rng.integers(1, (6, 13, 4)))
+        mixing = rng.dirichlet(np.ones(C), size=n_studies)
+        model = LcaModel(prevalences=rng.uniform(1e-6, 1 - 1e-6, (C, q)), mixing=mixing)
+        Z = (rng.random((int(rng.integers(2, 600)), q)) < rng.random()).astype(float)
+        k = int(rng.integers(n_studies))
+        post, ll = _cell_posteriors(model, Z, np.full(Z.shape[0], k))
+        for i in rng.choice(Z.shape[0], size=5):
+            one_post, one_ll = _cell_posteriors(model, Z[i : i + 1], np.array([k]))
+            assert one_post.tobytes() == post[i : i + 1].tobytes()
+            if C > 1:
+                assert one_ll.tobytes() == ll[i : i + 1].tobytes()
 
 
 def test_memberships_match_row_wise_reference_bitwise(rng):

@@ -427,6 +427,34 @@ def test_auto_tune_on_a_single_valued_outcome_names_the_stage(tiny_scenario, val
         auto_tune_lambda(everywhere, initial_memberships(lca, everywhere), fam, "pool")
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        (dict(lambda_pool=[0.1, 0.2]), "per-class lambda_pool has 2 entries; the class count is 3"),
+        (dict(lambda_bias=[0.1, 0.2, 0.3, 0.4]),
+         "per-class lambda_bias has 4 entries; the class count is 3"),
+        (dict(lambda_bias="auto"), "every y of the bias stage is 0; give lambda_bias a numeric value"),
+        (dict(lambda_pool="auto"), "every y of the pool stage is 0; give lambda_pool a numeric value"),
+    ],
+)
+def test_a_penalty_setting_the_data_cannot_serve_is_refused_before_step_1(
+    tiny_scenario, monkeypatch, setting, message
+):
+    _, data, _ = tiny_scenario
+    no_events = lambda study: replace(study, outcomes=np.zeros(study.n))
+    if setting.get("lambda_pool") == "auto":
+        data = StudyCollection(target=no_events(data.target), sources=tuple(map(no_events, data.sources)))
+    elif setting.get("lambda_bias") == "auto":
+        data = StudyCollection(target=no_events(data.target), sources=data.sources)
+
+    def never(*args, **kwargs):
+        raise AssertionError("fit_lca ran before the penalty settings were checked")
+
+    monkeypatch.setattr(transfer, "fit_lca", never)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_targeted_psm(data, 3, _mini_config(**setting), GlmFamily.logistic())
+
+
 def test_transfer_config_validation():
     with pytest.raises(ValueError):
         TransferConfig(max_em_iter=0)
