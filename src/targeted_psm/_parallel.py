@@ -25,11 +25,12 @@ Python threads are alive (forking a threaded process can copy a lock some
 other thread holds).
 
 This is the only module of the package that starts processes.  Callers:
-`lca.fit_lca` (one EM restart per task), `core.write_manifest` (a run of
-consecutive study files of at least `core._BLOCK_VALUES` values per task),
-`core._write_rows` (a block of `core._BLOCK_VALUES` values of a CSV file per
-task, for study files and the scores file) and `core.read_study_csv` (one
-byte range of a study file per task).
+`lca.fit_lca` (one EM restart per task), `core.write_manifest` (one study
+file per task, or the whole collection as one task when it holds fewer than
+`core._BLOCK_VALUES` values), `core._write_rows` (a block of
+`core._BLOCK_VALUES` values of a CSV file per task, for study files and the
+scores file) and `core.read_study_csv` (one byte range of a study file per
+task).
 """
 
 from __future__ import annotations

@@ -327,7 +327,7 @@ def _cmd_experiment(args) -> int:
     seed = args.seed if args.seed is not None else 0
     methods = methods_from_config(config)
     transfer_cfg = transfer_from_config(config)
-    lca_cfg = lca_from_config(config) if "lca" in config else None
+    lca_cfg = lca_from_config(config)
     args.out.mkdir(parents=True, exist_ok=True)
     rows_path = args.out / "rows.csv"
     summary_path = args.out / "summary.csv"

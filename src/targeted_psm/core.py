@@ -11,12 +11,13 @@ Conventions used throughout the package:
 Study files run on every CPU of the process's affinity mask
 (`_parallel.fan_out`).  Every numeric CSV the package writes goes through
 `_write_rows`, which formats the rows in blocks of `_BLOCK_VALUES` values,
-one task each, and writes them in order; `write_manifest` packs
-consecutive study files into tasks of at least that many values.
-`read_study_csv` parses a file's data lines in byte ranges of
-`_RANGE_BYTES`, one task each.  Files and arrays are byte for byte those of
-a serial `np.savetxt` / `np.loadtxt`, and a file of one block or one range,
-or a collection of one task, is handled in the caller without forking.
+one task each, and writes them in order; `write_manifest` writes each study
+file as its own task, or a collection of fewer than `_BLOCK_VALUES` values
+as one.  `read_study_csv` parses a file's data lines in byte ranges of
+`_RANGE_BYTES`, one task each, and locates a bad line itself once a task
+fails.  Files and arrays are byte for byte those of a serial `np.savetxt` /
+`np.loadtxt`, and a file of one block or one range, or a collection below
+one block, is handled in the caller without forking.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ EPS_CLIP = 1e-6
 _RANGE_BYTES = 1 << 19
 
 # _write_rows formats a file's rows in blocks of this many values (whole rows,
-# at least one), one fan_out task each; write_manifest packs study files into
-# tasks of at least this many values, so a smaller collection is written in
-# the caller.
+# at least one), one fan_out task each; write_manifest writes a collection of
+# fewer values as one task, in the caller.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -488,30 +488,21 @@ def _bad_line(lines: bytes, width: int):
 
 def _read_range(job) -> np.ndarray:
     """The rows of the lines that start in bytes [start, stop) of a study
-    file, parsed as np.loadtxt parses the whole file."""
+    file, parsed as np.loadtxt parses the whole file.  A line that is not
+    `width` numbers raises ValueError; read_study_csv names it."""
     path, width, start, stop = job
     with open(path, "rb") as fh:
         fh.seek(start - 1)
         fh.readline()  # a line that starts before `start` is an earlier range's
-        first = fh.tell()
-        lines = fh.read(max(stop - first, 0))
+        lines = fh.read(max(stop - fh.tell(), 0))
         if lines and not lines.endswith(b"\n"):
             lines += fh.readline()
-        try:
-            rows = _parse_rows(lines)
-        except ValueError:
-            bad = _bad_line(lines, width)
-            if bad is None:
-                raise
-        else:
-            if rows.size == 0:
-                return np.empty((0, width))
-            if rows.shape[1] == width:
-                return rows
-            bad = _bad_line(lines, width)
-        fh.seek(0)
-        index = fh.read(first).count(b"\n") + 1 + bad[0]
-    raise ValueError(f"{path}: line {index}: {bad[1]}")
+    rows = _parse_rows(lines)
+    if rows.size == 0:
+        return np.empty((0, width))
+    if rows.shape[1] != width:
+        raise ValueError(f"{path}: {rows.shape[1]} values per line, expected {width}")
+    return rows
 
 
 def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
@@ -521,7 +512,8 @@ def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
     The data lines are parsed by np.loadtxt in byte ranges of _RANGE_BYTES,
     fanned out over the CPUs (a line belongs to the range it starts in), so
     the rows are bit for bit those of one np.loadtxt over the file.  A
-    malformed line is a ValueError naming the file and its 1-based line.
+    malformed line is a ValueError naming the file and the 1-based number of
+    its first bad line, which one scan of the file finds once a range fails.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -548,7 +540,13 @@ def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
         (path, len(cols), start, start + _RANGE_BYTES)
         for start in range(len(first), size, _RANGE_BYTES)
     ]
-    raw = np.concatenate([np.empty((0, len(cols)))] + fan_out(_read_range, ranges))
+    try:
+        raw = np.concatenate([np.empty((0, len(cols)))] + fan_out(_read_range, ranges))
+    except ValueError as exc:
+        bad = _bad_line(path.read_bytes()[len(first):], len(cols))
+        if bad is None:
+            raise
+        raise ValueError(f"{path}: line {bad[0] + 2}: {bad[1]}") from exc
     if raw.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     return Study(
@@ -559,30 +557,15 @@ def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
     )
 
 
-def _packed(jobs) -> list:
-    """Consecutive (study, path) jobs in runs of at least _BLOCK_VALUES
-    values each; a collection below that is one run."""
-    runs, size = [], _BLOCK_VALUES
+def _write_studies(jobs) -> None:
     for study, pth in jobs:
-        if size >= _BLOCK_VALUES:
-            runs.append([])
-            size = 0
-        runs[-1].append((study, pth))
-        size += study.n * (1 + study.p + study.q)
-    if size < _BLOCK_VALUES and len(runs) > 1:
-        runs[-2] += runs.pop()
-    return runs
-
-
-def _write_run(run) -> None:
-    for study, pth in run:
         write_study_csv(study, pth)
 
 
 def write_manifest(collection: StudyCollection, directory, force: bool = False) -> Path:
-    """Write per-study CSVs plus manifest.json into `directory`.  The study
-    files are packed into runs of at least _BLOCK_VALUES values, one fan_out
-    task each, so a small collection is written without forking."""
+    """Write per-study CSVs plus manifest.json into `directory`.  Each study
+    file is one fan_out task; a collection of fewer than _BLOCK_VALUES
+    values is one task, written in the caller without forking."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
@@ -590,7 +573,9 @@ def write_manifest(collection: StudyCollection, directory, force: bool = False) 
     for pth in [manifest_path] + paths:
         if pth.exists() and not force:
             raise FileExistsError(f"{pth} exists; pass force=True to overwrite")
-    fan_out(_write_run, _packed(zip(collection.studies, paths)))
+    jobs = list(zip(collection.studies, paths))
+    small = sum(s.n * (1 + s.p + s.q) for s in collection.studies) < _BLOCK_VALUES
+    fan_out(_write_studies, [jobs] if small else [[job] for job in jobs])
     manifest = {
         "target": paths[0].name,
         "sources": [pth.name for pth in paths[1:]],

@@ -70,11 +70,14 @@ def coef_mse(estimate, truth) -> float:
 
 def auc(scores, labels) -> float:
     """Area under the ROC curve: P(score+ > score-) + P(tie)/2, computed
-    exactly from average ranks (ties handled, all-tied scores give 0.5)."""
+    exactly from average ranks (ties handled, all-tied scores give 0.5).
+    Scores must be finite."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-d of equal length")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     if not np.all(np.isin(labels, (0.0, 1.0))):
         raise ValueError("labels must be binary")
     n = labels.size
@@ -82,16 +85,9 @@ def auc(scores, labels) -> float:
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both label classes present")
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of 1-based ranks
-        i = j
+    _, group, count = np.unique(scores, return_inverse=True, return_counts=True)
+    first = np.cumsum(count) - count  # 0-based rank of each tie group's first score
+    ranks = (first + 0.5 * (count + 1))[group]  # average of the group's 1-based ranks
     rank_sum_pos = float(ranks[labels == 1.0].sum())
     u = rank_sum_pos - 0.5 * n_pos * (n_pos + 1)
     return u / (n_pos * n_neg)
@@ -360,11 +356,7 @@ def run_experiment(
             seed = _replicate_seed(master_seed, r)
             rep_cfg = replace(config, seed=seed)
             rep_transfer = replace(transfer_config, seed=seed)
-            rep_lca = (
-                replace(lca_config, seed=seed)
-                if lca_config is not None
-                else LcaFitConfig(seed=seed)
-            )
+            rep_lca = replace(lca_config or LcaFitConfig(), seed=seed)
             rows = run_replicate(
                 scenario_id, rep_cfg, methods, r, test_n, rep_transfer, rep_lca
             )

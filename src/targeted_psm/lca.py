@@ -16,11 +16,10 @@ posteriors) runs once per occupied (study, pattern) cell and is gathered
 back to the subject rows.  Every reduction (the log-likelihood sum and the
 M-step sums) still runs per study over the subject rows in their stacked
 order, so the fit is bit for bit what a row-by-row E-step gives; weighting
-cells by their counts would reorder those sums.  (The one exception is a
-one-row product, which numpy hands to BLAS's matrix-vector kernel: its
-q-term sums may round differently in the last bit.  A row-by-row E-step
-meets it in a one-row study, the cell table in a one-study collection
-whose subjects all share one pattern.)
+cells by their counts would reorder those sums.  A lone row goes to
+`_log_density_matrix` as the first of two equal rows, so it takes BLAS's
+matrix-matrix kernel like a batch: for C >= 2 a cell's log densities, and
+so its posterior, do not depend on the batch it is evaluated in.
 
 The restarts are independent EM runs, so `fit_lca` spreads them over the
 CPUs in the process's affinity mask, the calling process working a share

@@ -183,7 +183,22 @@ def test_a_bad_line_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch)
     monkeypatch.setattr(core, "_read_range", read_range)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 8: could not convert string 'zz'") as exc:
         read_study_csv(path, study_id=0)
-    assert type(exc.value.__cause__).__name__ == "_ChildTraceback"
+    assert type(exc.value.__cause__.__cause__).__name__ == "_ChildTraceback"
+
+
+@pytest.mark.parametrize("first, second", [BAD_LINES[:2], BAD_LINES[1:]], ids=["convert-width", "width-wide"])
+def test_of_bad_lines_in_two_ranges_the_earlier_is_named(tmp_path, monkeypatch, forks, first, second):
+    lines = [*_rows(3), first[0], *_rows(5, seed=1), second[0], *_rows(2, seed=2)]
+    path = _file(tmp_path, lines)
+    message = rf"^{re.escape(str(path))}: line 5: {first[1]}"
+    monkeypatch.setattr(core, "_RANGE_BYTES", 40)  # less than a line: one range per line
+    with pytest.raises(ValueError, match=message):
+        read_study_csv(path, study_id=0)
+    assert len(forks) == 3
+    monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+    with pytest.raises(ValueError, match=message):
+        read_study_csv(path, study_id=0)
+    assert len(forks) == 3
 
 
 @pytest.mark.parametrize("lines", [[], [""], ["", "# nothing", ""]])
@@ -328,7 +343,7 @@ def _check_failed_write(tmp_path, monkeypatch, coll):
 
 
 def test_write_manifest_writes_the_bytes_of_a_serial_loop(tmp_path, forks, rng):
-    # 1 300 values, below the floor: one run, written in the caller
+    # 1 300 values, below the floor: one task, written in the caller
     assert _check_manifest_bytes(tmp_path, _collection(rng), forks) == 0
 
 
@@ -337,24 +352,44 @@ def test_a_failed_study_write_raises_what_the_serial_loop_raises(tmp_path, monke
     assert forks == []
 
 
-# The studies of _collection(rng) hold 400, 210, 220, 230 and 240 values.  A
-# floor of 500 packs them into two runs ([0, 1] and [2, 3, 4]), and one of
-# 100 into five; each run's own blocks are formatted in its process.
-@pytest.mark.parametrize("block, n_forks", [(500, 1), (100, 3)])
-def test_a_collection_above_the_floor_is_written_in_runs_on_children(
-    tmp_path, monkeypatch, forks, rng, block, n_forks
+# The studies of _collection(rng) hold 400, 210, 220, 230 and 240 values.
+# Above a floor of 500 or 100 each file is its own task: five tasks on four
+# CPUs; each file's own blocks are formatted in its process.
+@pytest.mark.parametrize("block", [500, 100])
+def test_a_collection_above_the_floor_is_written_a_file_per_task_on_children(
+    tmp_path, monkeypatch, forks, rng, block
 ):
     monkeypatch.setattr(core, "_BLOCK_VALUES", block)
-    assert _check_manifest_bytes(tmp_path, _collection(rng), forks) == n_forks
+    assert _check_manifest_bytes(tmp_path, _collection(rng), forks) == 3
 
 
-@pytest.mark.parametrize("block, n_forks", [(500, 1), (100, 3)])
-def test_a_failed_write_in_a_run_raises_what_the_serial_loop_raises(
-    tmp_path, monkeypatch, forks, rng, block, n_forks
+@pytest.mark.parametrize("block", [500, 100])
+def test_a_failed_write_on_children_raises_what_the_serial_loop_raises(
+    tmp_path, monkeypatch, forks, rng, block
 ):
     monkeypatch.setattr(core, "_BLOCK_VALUES", block)
     _check_failed_write(tmp_path, monkeypatch, _collection(rng))
-    assert len(forks) == n_forks
+    assert len(forks) == 3
+
+
+@pytest.mark.parametrize("spare, tasks, n_forks", [(1, [5], 0), (0, [1] * 5, 3)],
+                         ids=["one value short", "exactly one block"])
+def test_a_collection_is_one_task_below_one_block_and_a_file_per_task_from_it(
+    tmp_path, monkeypatch, forks, rng, spare, tasks, n_forks
+):
+    coll = _collection(rng)
+    values = sum(s.n * (1 + s.p + s.q) for s in coll.studies)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", values + spare)
+    seen, real = [], core.fan_out
+
+    def fan_out(fn, jobs):
+        if fn is core._write_studies:
+            seen.append([len(job) for job in jobs])
+        return real(fn, jobs)
+
+    monkeypatch.setattr(core, "fan_out", fan_out)
+    assert _check_manifest_bytes(tmp_path, coll, forks) == n_forks
+    assert seen == [tasks]
 
 
 def test_a_run_of_one_large_study_is_formatted_in_blocks_in_children(tmp_path, monkeypatch,
@@ -362,7 +397,7 @@ def test_a_run_of_one_large_study_is_formatted_in_blocks_in_children(tmp_path, m
     monkeypatch.setattr(core, "_BLOCK_VALUES", 100)
     coll = StudyCollection(target=_collection(rng, K=0).target)
     write_manifest(coll, tmp_path / "ds")
-    assert len(forks) == 3  # one run, its 400 values in four blocks
+    assert len(forks) == 3  # one task, its 400 values in four blocks
     expected = tmp_path / "serial.csv"
     _savetxt(expected, "y,x1,x2,x3,x4,x5,x6,z1,z2,z3", _matrix(coll.target))
     assert (tmp_path / "ds" / "study_0.csv").read_bytes() == expected.read_bytes()

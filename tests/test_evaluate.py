@@ -93,13 +93,15 @@ def test_auc_hand_cases():
 def test_auc_matches_pairwise_oracle(rng):
     for trial in range(25):
         n = int(rng.integers(5, 60))
-        scores = np.round(rng.normal(size=n), 1)  # force ties
+        force_ties = np.round(rng.normal(size=n), 1)
         labels = rng.integers(0, 2, size=n).astype(float)
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
-        assert auc(scores, labels) == pytest.approx(
-            pairwise_auc(scores, labels), abs=1e-12
-        )
+        heavy_ties = rng.integers(0, int(rng.integers(1, 4)), size=n) / 3.0  # 1 to 3 values
+        for scores in (force_ties, heavy_ties):
+            assert auc(scores, labels) == pytest.approx(
+                pairwise_auc(scores, labels), abs=1e-12
+            )
 
 
 def test_auc_invariant_to_monotone_transform(rng):
@@ -118,6 +120,9 @@ def test_auc_error_paths():
         auc([0.1, 0.2], [1, 2])
     with pytest.raises(ValueError, match="1-d"):
         auc([[0.1], [0.2]], [[1], [0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            auc([0.1, bad, 0.3], [1, 0, 0])
     assert isinstance(UndefinedMetricError("x"), ValueError)
 
 

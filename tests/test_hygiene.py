@@ -1,9 +1,10 @@
 """Source hygiene: every name a package or test module imports is used
 there, every private module-level function or class is used somewhere in the
 package, no module imports another module's private names, only the
-fork-join helper manages processes, no module reads the environment,
-every default of a package-private function is one some call overrides, and
-numeric CSVs are written and parsed in one place each.
+fork-join helper manages processes, and its docstring lists exactly the
+functions that call it, no module reads the environment, every default of a
+package-private function is one some call overrides, and numeric CSVs are
+written and parsed in one place each.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -222,15 +223,22 @@ def test_every_private_default_is_passed_by_some_call():
     assert not unpassed, f"defaults no call in the package overrides: {sorted(unpassed)}"
 
 
-def _numpy_text_io(node, owner=None):
-    """(line, name, innermost enclosing function) of every np.savetxt and
-    np.loadtxt under `node`."""
+def _with_owner(node, owner=None):
+    """(node, name of the innermost enclosing function) for every node under
+    `node`."""
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Attribute) and child.attr in ("savetxt", "loadtxt")
-                and isinstance(child.value, ast.Name) and child.value.id in ("np", "numpy")):
-            yield child.lineno, child.attr, owner
+        yield child, owner
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        yield from _numpy_text_io(child, inner)
+        yield from _with_owner(child, inner)
+
+
+def _numpy_text_io(tree):
+    """(line, name, innermost enclosing function) of every np.savetxt and
+    np.loadtxt in `tree`."""
+    for node, owner in _with_owner(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("savetxt", "loadtxt")
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield node.lineno, node.attr, owner
 
 
 def test_one_csv_writer_and_one_reader():
@@ -243,3 +251,23 @@ def test_one_csv_writer_and_one_reader():
             if (name, path.name, owner) != ("loadtxt", "core.py", "_parse_rows"):
                 found.add(f"{path.name}:{line}: np.{name}")
     assert not found, f"numeric text I/O outside core's writer and reader: {sorted(found)}"
+
+
+def test_the_fork_join_helper_lists_its_callers():
+    """The callers paragraph of _parallel.py's docstring names every package
+    function that calls fan_out as `module.function`, and every function it
+    names calls fan_out.  Upper-case names there are constants, not callers."""
+    doc = ast.get_docstring(ast.parse((PACKAGE / "_parallel.py").read_text()))
+    listed = {
+        f"{module}.{name}"
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", doc.split("Callers:", 1)[1])
+        if not name.isupper()
+    }
+    calling = {
+        f"{path.stem}.{owner}"
+        for path in PACKAGE.glob("*.py")
+        for node, owner in _with_owner(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _callee(node) == "fan_out"
+    }
+    assert calling - listed == set(), "fan_out callers missing from _parallel.py's docstring"
+    assert listed - calling == set(), "functions _parallel.py's docstring lists that do not call fan_out"
