@@ -127,11 +127,11 @@ class GlmFamily:
 
         Exact for logistic outcomes in {0, 1}; for gaussian the dropped
         term does not depend on eta, so density *ratios* across classes
-        are exact, which is all the membership updates need.
+        are exact, which is all the membership updates need.  It is
+        -neg_log_lik_glm at the clamped eta over the dispersion, so a NaN
+        eta is a ValueError.
         """
-        eta = clamp_eta(np.asarray(eta, dtype=float))
-        y = np.asarray(y, dtype=float)
-        return (y * eta - self.log_partition(eta)) / self.dispersion
+        return -neg_log_lik_glm(self, y, clamp_eta(eta)) / self.dispersion
 
     def validate_outcomes(self, y) -> None:
         y = np.asarray(y, dtype=float)

@@ -253,7 +253,10 @@ def run_replicate(
 ) -> list:
     """Fit every requested method through `fit_method` on one fresh draw of
     the scenario and score it on a fresh test sample from the target
-    population.
+    population.  `lca_config` reaches every fit unchanged: when it is None,
+    `fit_targeted_psm` seeds the latent class fit from the transfer seed,
+    not the scenario seed, so the rows equal those of
+    `LcaFitConfig(seed=transfer_config.seed)`.
 
     targeted_psm and targeted_psm_1 share step 1 and lambda_pool, neither of
     which depends on the EM cap: the first of the two fits both and hands
@@ -268,7 +271,6 @@ def run_replicate(
     test_study, _ = generate_target_test(config, test_n)
     truth_b0 = truth["coefficients"][0].values
     family = config.glm_family()
-    lca_cfg = lca_config or LcaFitConfig(seed=seed)
 
     psm_pair = (MethodId.TARGETED_PSM, MethodId.TARGETED_PSM_1)
     psm_config, psm_lca = transfer_config, None
@@ -282,8 +284,8 @@ def run_replicate(
                 method, data, config.n_classes,
                 config=psm_config if psm else transfer_config,
                 family=family,
-                lca_model=psm_lca if psm else None,
-                lca_config=lca_cfg,
+                lca_model=psm_lca,
+                lca_config=lca_config,
             )
             if psm and psm_lca is None:
                 psm_lca = fitted.fit.lca_model

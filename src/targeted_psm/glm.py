@@ -123,12 +123,13 @@ class SolverError(RuntimeError):
         self.best = best
 
 
-def _penalty_term(lam: float, beta_pen_l1: float) -> float:
-    # Guard lam == inf: all penalized coordinates are then exactly zero and
-    # the penalty contributes 0, not inf * 0 = nan.
-    if beta_pen_l1 == 0.0:
+def _penalty_value(pen: np.ndarray, beta: np.ndarray) -> float:
+    # sum_j pen_j |beta_j| with inf * 0 treated as 0: an infinite penalty
+    # pins its coordinates at exactly zero, where they contribute nothing.
+    nz = beta != 0.0
+    if not np.any(nz):
         return 0.0
-    return lam * beta_pen_l1
+    return float((pen[nz] * np.abs(beta[nz])).sum())
 
 
 def objective_value(prob: WeightedGlmProblem, beta: np.ndarray) -> float:
@@ -137,8 +138,7 @@ def objective_value(prob: WeightedGlmProblem, beta: np.ndarray) -> float:
     eta = prob.offset + prob.X @ beta
     W = prob.weights.sum()
     loss = float(prob.weights @ neg_log_lik_glm(prob.family, prob.y, eta)) / W
-    l1 = float(np.abs(beta[prob.penalize_mask]).sum())
-    return loss + _penalty_term(prob.lam, l1)
+    return loss + _penalty_value(np.where(prob.penalize_mask, prob.lam, 0.0), beta)
 
 
 def kkt_residual(prob: WeightedGlmProblem, beta: np.ndarray) -> float:
@@ -160,14 +160,6 @@ def kkt_residual(prob: WeightedGlmProblem, beta: np.ndarray) -> float:
     viol = np.where(nz, np.abs(np.abs(s) - prob.lam), viol)
     viol = np.where(z, np.maximum(np.abs(s) - prob.lam, 0.0), viol)
     return float(np.max(viol)) if viol.size else 0.0
-
-
-def _scaled_penalty_value(pen: np.ndarray, beta_s: np.ndarray) -> float:
-    # sum_j pen_j |beta_s_j| with inf * 0 treated as 0.
-    nz = beta_s != 0.0
-    if not np.any(nz):
-        return 0.0
-    return float((pen[nz] * np.abs(beta_s[nz])).sum())
 
 
 def _irls_quadratic(Xs, irls_w, working, W):
@@ -273,7 +265,7 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
 
     def true_objective(beta_s_vec, eta_vec):
         loss = float(w @ neg_log_lik_glm(prob.family, y, eta_vec)) / W
-        return loss + _scaled_penalty_value(pen, beta_s_vec)
+        return loss + _penalty_value(pen, beta_s_vec)
 
     obj = true_objective(beta_s, eta)
     best_obj, best_beta = obj, beta_s.copy()

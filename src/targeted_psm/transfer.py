@@ -192,22 +192,38 @@ def _mixture_em(
 ):
     """EM loop shared by the pooling and bias-correction stages.
 
-    Iteration t fits, per class c, a weighted lasso GLM with weights w_ic
-    (w = v on the first pass, the Bayes-refined memberships afterwards); the
-    per-class penalty lam_c stays fixed on the marginal scale, so the solver
-    is handed lam_c * n / mass_c (lam_c itself when mass_c == n, where the
-    rescaling is the identity but could round by an ulp).  After the M-step
-    the log joint is built once: its row log-sum-exp gives the iteration's
-    objective value, and the two together give the next iteration's
-    memberships.  Each class's state is its unpenalized intercept followed
-    by its coefficients.  Stops when the relative parameter change drops to
-    the module's DEFAULT_TAU, read on every call (absolute change when the
-    previous state is zero), or after max_iter rounds; a loop of more than
-    one round that stops at its cap raises a RuntimeWarning naming `stage`.
-    A single class stops after one round: its memberships are all ones
-    (clip_rows of one column), so a second round would only re-solve the
-    same problem.  Returns (coef, weights_used, trace), with one trace value
-    per iteration.
+    Iteration t takes weights w_ic (w = v on the first pass, the
+    Bayes-refined memberships afterwards) and decides, per class c, in this
+    order:
+
+    1. an infinite penalty lam_c pins the whole class (intercept included)
+       at zero, without a solve; a frozen correction stage is one pass of
+       such classes;
+    2. a weight mass below DEGENERATE_MASS_FACTOR * p * EPS_CLIP keeps the
+       class's previous state, with a RuntimeWarning;
+    3. otherwise the class is a weighted lasso GLM fit with weights w_c; the
+       penalty lam_c stays fixed on the marginal scale, so the solver is
+       handed lam_c * n / mass_c (lam_c itself when mass_c == n, where the
+       rescaling is the identity but could round by an ulp).  A solve that
+       raises SolverError after the first pass keeps the class's previous
+       state, with a RuntimeWarning naming the class, `stage` and the best
+       KKT residual; keeping a state cannot raise the objective.  On the
+       first pass there is no previous estimate, only the all-zero start,
+       so the SolverError reaches the caller.
+
+    After the M-step the log joint is built once: its row log-sum-exp gives
+    the iteration's objective value, and the two together give the next
+    iteration's memberships.  Each class's state is its unpenalized
+    intercept followed by its coefficients.  Stops when the relative
+    parameter change drops to the module's DEFAULT_TAU, read on every call
+    (absolute change when the previous state is zero), or after max_iter
+    rounds; a loop of more than one round that stops at its cap raises a
+    RuntimeWarning naming `stage`.  An iteration with a failed solve never
+    counts as converged (the frozen class adds nothing to the change); a
+    class frozen for low mass does count.  A single class stops after one
+    round: its memberships are all ones (clip_rows of one column), so a
+    second round would only re-solve the same problem.  Returns (coef,
+    weights_used, trace), with one trace value per iteration.
     """
     n, p = X.shape
     C = v_rows.shape[1]
@@ -217,7 +233,6 @@ def _mixture_em(
     design, mask = _design(X)
     theta = np.zeros((design.shape[1], C))
     lambdas = np.asarray(lambdas, dtype=float)
-    finite_lambdas = np.where(np.isfinite(lambdas), lambdas, 0.0)
     degenerate_mass = DEGENERATE_MASS_FACTOR * p * EPS_CLIP
     log_v = np.log(v_rows)
 
@@ -227,7 +242,11 @@ def _mixture_em(
         if t > 1:
             w_rows = _refined_rows(log_w, log_mix)
         theta_new = theta.copy()
+        failed = False
         for c in range(C):
+            if not np.isfinite(lambdas[c]):
+                theta_new[:, c] = 0.0
+                continue
             w_c = w_rows[:, c]
             mass = float(w_c.sum())
             if mass < degenerate_mass:
@@ -236,11 +255,6 @@ def _mixture_em(
                     "its coefficients are frozen for this iteration",
                     RuntimeWarning,
                 )
-                continue
-            if not np.isfinite(lambdas[c]):
-                # Infinite penalty pins the whole class (intercept included)
-                # at zero: the correction stage treats it as "skip".
-                theta_new[:, c] = 0.0
                 continue
             prob = WeightedGlmProblem(
                 family=family,
@@ -251,15 +265,27 @@ def _mixture_em(
                 penalize_mask=mask,
                 offset=None if offsets_by_class is None else offsets_by_class[:, c],
             )
-            sol = solve_weighted_lasso_glm(prob, init=theta[:, c])
-            theta_new[:, c] = sol.beta
+            try:
+                theta_new[:, c] = solve_weighted_lasso_glm(prob, init=theta[:, c]).beta
+            except SolverError as err:
+                if t == 1:
+                    raise
+                failed = True
+                warnings.warn(
+                    f"class {c} of the {stage} stage failed its solve (KKT residual "
+                    f"{err.best.kkt_max_violation:.3e}); its coefficients are frozen "
+                    "for this iteration",
+                    RuntimeWarning,
+                )
         coef = _coef_from_state(theta_new)
         log_w = _log_joint(family, y, X, log_v, coef, offsets_by_class)
         log_mix = log_sum_exp_rows(log_w)
-        trace.append(_penalized_value(log_mix, coef, finite_lambdas))
+        trace.append(_penalized_value(log_mix, coef, lambdas))
         denom = sorted_square_norm(theta)
         diff = sorted_square_norm(theta_new - theta)
         theta = theta_new
+        if failed:
+            continue
         if (diff <= tau * denom) if denom > 0 else (sorted_square_norm(theta_new) <= tau):
             break
     else:
@@ -503,12 +529,10 @@ def bias_correct(
     """Correction stage: EM on the target study with the pooled linear
     predictors x'B_c as per-class offsets (`offsets`, (n0, C)), restarting
     from the target's initial memberships, with per-class penalties
-    `lambdas` (see resolve_penalties).
+    `lambdas` (see resolve_penalties).  With every penalty infinite the
+    correction is frozen: one pass that solves nothing gives Delta == 0
+    exactly, and its one trace value is the objective at Delta == 0.
     Returns (Delta, trace, n_iter, lambdas)."""
-    if np.all(np.isinf(lambdas)):
-        # Infinite penalty: no correction at all, Delta == 0 exactly.
-        delta = CoefficientMatrix(values=np.zeros((data.p, offsets.shape[1])))
-        return delta, (), 0, lambdas
     y, X, _, v_rows = _stage_rows(data, memberships, "bias")
     coef, _, trace = _mixture_em(
         family, y, X, v_rows, lambdas,
@@ -564,7 +588,7 @@ class TransferFit:
 
     @property
     def n_iter_bias(self) -> int:
-        """Correction EM iterations; 0 when the correction is frozen."""
+        """Correction EM iterations; 1 when the correction is frozen."""
         return len(self.trace_bias)
 
 

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from targeted_psm.baselines import MIXTURE_METHODS, MethodId, fit_method
-from targeted_psm.core import GlmFamily, StudyCollection
+from targeted_psm.core import CoefficientMatrix, GlmFamily, StudyCollection
 from targeted_psm.glm import WeightedGlmProblem, solve_weighted_lasso_glm
-from targeted_psm.transfer import TransferConfig, fit_targeted_psm, predict_risk
+from targeted_psm.lca import initial_memberships
+from targeted_psm.transfer import (
+    TransferConfig,
+    fit_targeted_psm,
+    penalized_mixture_objective,
+    predict_risk,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +80,16 @@ def test_lca_glm_has_zero_correction(mini_data):
     fit = fit_method(MethodId.LCA_GLM, mini_data, 2, _cfg(), fam).fit
     assert np.all(fit.delta.values == 0.0)
     assert np.all(fit.delta.intercept == 0.0)
-    assert fit.n_iter_bias == 0
-    assert fit.trace_bias == ()
+    # the frozen correction is one pass that solves nothing; its trace value
+    # is the objective at Delta == 0 with the pooled offsets
+    assert fit.n_iter_bias == 1
+    tgt = mini_data.target
+    v = initial_memberships(fit.lca_model, StudyCollection(target=tgt))
+    assert fit.trace_bias[0] == penalized_mixture_objective(
+        fam, tgt.outcomes, tgt.predictors, v.target_block(),
+        CoefficientMatrix(values=np.zeros((tgt.p, 2))), fit.lambda_bias,
+        offsets=fit.b_pooled.linear_predictor(tgt.predictors),
+    )
     # equivalent to the full pipeline on a sourceless collection with the
     # correction stage frozen
     direct = fit_targeted_psm(

@@ -1,14 +1,13 @@
 import contextlib
 import io
 import json
-import os
 import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from targeted_psm import _parallel, core
+from targeted_psm import core
 from targeted_psm.cli import (
     ConfigError,
     experiment_scenarios,
@@ -299,15 +298,12 @@ def test_malformed_manifest_exits_2(cli_workspace, tmp_path, capsys, manifest):
         assert f"'{key}' must" in _one_error_line(capsys)
 
 
-def test_study_files_are_the_same_bytes_with_serial_io(tmp_path, monkeypatch, capsys):
+def test_study_files_are_the_same_bytes_with_serial_io(tmp_path, monkeypatch, cpus, capsys):
     """simulate -> fit -> predict with the study files split into small byte
     ranges and written in small blocks on four (pretended) CPUs, and again
     with every fan_out serial."""
     monkeypatch.setattr(core, "_RANGE_BYTES", 4096)
     monkeypatch.setattr(core, "_BLOCK_VALUES", 50)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     config = _write_config(
         tmp_path, {"scenario": dict(TINY_SCENARIO, K=3), "tuning": dict(TINY_TUNING),
                    "lca": dict(TINY_LCA)},
@@ -315,11 +311,11 @@ def test_study_files_are_the_same_bytes_with_serial_io(tmp_path, monkeypatch, ca
     outputs = []
     for name in ("default", "serial"):
         if name == "serial":
-            # three children for the one write_manifest (four runs) and each
-            # of the five reads, two for the scores file (three blocks), and
-            # more for the LCA restarts
-            assert len(forks) > 3 * (1 + 5) + 2
-            monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+            # three children for the one write_manifest (four study files,
+            # one task each) and each of the five reads, two for the scores
+            # file (three blocks), and more for the LCA restarts
+            assert cpus.forks > 3 * (1 + 5) + 2
+            cpus(1)
         out = tmp_path / name
         data, fit, scores = out / "data", out / "fit.json", out / "scores.csv"
         assert main(["simulate", "--config", config, "--out", str(data)]) == 0
@@ -651,14 +647,14 @@ def test_experiment_with_too_many_failures_still_writes_summary(tmp_path, capsys
     assert summary[1].startswith("scenario,trans_glm,0,0,2,")
 
 
-def test_experiment_outputs_do_not_depend_on_fan_out(experiment_config, tmp_path, monkeypatch):
-    """The same rows.csv (apart from runtime_s) and summary.csv bytes with
-    every fan_out serial and with the default process count."""
+def test_experiment_outputs_do_not_depend_on_fan_out(experiment_config, tmp_path, cpus):
+    """The same rows.csv (apart from runtime_s) and summary.csv bytes on
+    four pretend CPUs and with every fan_out serial."""
     _, config = experiment_config
     outputs = []
-    for name in ("default", "serial"):
+    for name in ("four", "serial"):
         if name == "serial":
-            monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+            cpus(1)
         out = tmp_path / name
         rc = main(["experiment", "--config", config, "--out", str(out), "--seed", "5"])
         assert rc == 0

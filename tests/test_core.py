@@ -94,6 +94,30 @@ def test_gaussian_log_density_matches_normal_up_to_y_constant():
         assert np.allclose(gap, gap[0], atol=1e-10)
 
 
+def test_log_density_is_the_negated_glm_loss_over_the_dispersion():
+    # log_density is -neg_log_lik_glm at the clamped eta over the dispersion;
+    # that is the value (y * eta - g(eta)) / a(phi) at the clamped eta, up to
+    # the sign of an exact zero, on etas at and beyond the clamp and y = 0.
+    rng = np.random.default_rng(7)
+    families = (GlmFamily.logistic(), GlmFamily.gaussian(), GlmFamily.gaussian(2.5))
+    for _ in range(200):
+        for fam in families:
+            eta = rng.standard_normal(40) * 10.0 ** rng.integers(-3, 4, 40)
+            eta[:8] = [ETA_CLAMP, -ETA_CLAMP, 700.5, -701.0, 1e4, -1e300, 0.0, -0.0]
+            if fam.kind == "logistic":
+                y = (rng.random(40) < 0.5).astype(float)
+            else:
+                y = rng.standard_normal(40) * 10.0 ** rng.integers(-3, 4, 40)
+            y[rng.permutation(40)[:10]] = 0.0
+            eta_c = clamp_eta(eta)
+            got = fam.log_density(y, eta)
+            assert np.array_equal(got, -neg_log_lik_glm(fam, y, eta_c) / fam.dispersion)
+            assert np.array_equal(got, (y * eta_c - fam.log_partition(eta_c)) / fam.dispersion)
+    for fam in families:
+        with pytest.raises(ValueError, match="linear predictor must be finite"):
+            fam.log_density(np.zeros(2), np.array([0.5, np.nan]))
+
+
 def test_validate_outcomes():
     with pytest.raises(ValueError):
         GlmFamily.logistic().validate_outcomes(np.array([0.0, 0.5]))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from targeted_psm import _parallel, core
+from targeted_psm import core
 from targeted_psm.core import (
     Study,
     StudyCollection,
@@ -22,34 +22,6 @@ from targeted_psm.core import (
 )
 
 HEADER = "y,x1,x2,z1"
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Pretend the process may use four CPUs and count the forks the caller
-    makes."""
-    made = []
-    real_fork = os.fork
-
-    def fork():
-        made.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(os, "fork", fork)
-    return made
-
-
-@pytest.fixture
-def serial(monkeypatch):
-    monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _rows(n, seed=0):
@@ -93,7 +65,8 @@ LAYOUTS = {
 
 
 @pytest.mark.parametrize("layout", LAYOUTS, ids=str)
-def test_every_range_size_gives_the_bits_of_one_loadtxt(tmp_path, monkeypatch, serial, layout):
+def test_every_range_size_gives_the_bits_of_one_loadtxt(tmp_path, monkeypatch, cpus, layout):
+    cpus(1)
     # One byte to beyond the whole body: every range boundary falls once
     # mid-line, on a line's "\r" or "\n", and at a line start; at one byte
     # there are more ranges than rows.
@@ -107,21 +80,21 @@ def test_every_range_size_gives_the_bits_of_one_loadtxt(tmp_path, monkeypatch, s
 @pytest.mark.parametrize("size", [1, 23, 64, 97, 4096])
 @pytest.mark.parametrize("layout", ["plain", "crlf", "blank lines", "trailing comment"])
 def test_ranges_parsed_in_children_give_the_bits_of_one_loadtxt(
-    tmp_path, monkeypatch, forks, layout, size
+    tmp_path, monkeypatch, cpus, layout, size
 ):
     path = _file(tmp_path, **LAYOUTS[layout])
     monkeypatch.setattr(core, "_RANGE_BYTES", size)
     assert _bits(read_study_csv(path, study_id=0)) == _loadtxt_bits(path)
     n_ranges = -(-(path.stat().st_size - len(HEADER) - 1) // size)
-    assert len(forks) == min(n_ranges, 4) - 1
+    assert cpus.forks == min(n_ranges, 4) - 1
 
 
-def test_a_small_file_is_read_without_forking(tmp_path, forks, rng):
+def test_a_small_file_is_read_without_forking(tmp_path, cpus, rng):
     path = tmp_path / "study.csv"
     write_study_csv(Study(rng.random(200), rng.random((200, 30)), np.ones((200, 5)), 0), path)
     assert path.stat().st_size < core._RANGE_BYTES
     read_study_csv(path, study_id=0)
-    assert forks == []
+    assert cpus.forks == 0
 
 
 BAD_LINES = [
@@ -133,18 +106,17 @@ BAD_LINES = [
 
 @pytest.mark.parametrize("bad, reason", BAD_LINES)
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
-def test_a_bad_line_in_the_last_range_names_its_file_line(tmp_path, monkeypatch, forks, bad, reason, end):
+def test_a_bad_line_in_the_last_range_names_its_file_line(tmp_path, monkeypatch, cpus, bad, reason, end):
     lines = [*_rows(3), "", "# note", *_rows(5, seed=1), bad]
     path = _file(tmp_path, lines, end=end)
     message = rf"^{re.escape(str(path))}: line {len(lines) + 1}: {reason}"
     monkeypatch.setattr(core, "_RANGE_BYTES", 40)
     with pytest.raises(ValueError, match=message) as fanned:
         read_study_csv(path, study_id=0)
-    assert len(forks) == 3
-    with monkeypatch.context() as m:
-        m.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
-        with pytest.raises(ValueError, match=message):
-            read_study_csv(path, study_id=0)
+    assert cpus.forks == 3
+    cpus(1)
+    with pytest.raises(ValueError, match=message):
+        read_study_csv(path, study_id=0)
     monkeypatch.setattr(core, "_RANGE_BYTES", 1 << 20)
     with pytest.raises(ValueError, match=message):
         read_study_csv(path, study_id=0)
@@ -152,7 +124,7 @@ def test_a_bad_line_in_the_last_range_names_its_file_line(tmp_path, monkeypatch,
     assert "usecols" not in reason and "row" not in reason
 
 
-def test_a_bad_line_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch):
+def test_a_bad_line_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch, cpus):
     """Three ranges on two processes: the child parses the last, bad one,
     while the caller holds its first range until the child has taken it."""
     lines = _rows(6) + ["0,1,zz,0"]
@@ -160,7 +132,7 @@ def test_a_bad_line_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch)
     body = len(HEADER) + 1
     size = -(-(path.stat().st_size - body) // 3)
     monkeypatch.setattr(core, "_RANGE_BYTES", size)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cpus(2)
     caller, started, bad_taken = os.getpid(), tmp_path / "started", tmp_path / "bad"
     real = core._read_range
 
@@ -187,18 +159,18 @@ def test_a_bad_line_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("first, second", [BAD_LINES[:2], BAD_LINES[1:]], ids=["convert-width", "width-wide"])
-def test_of_bad_lines_in_two_ranges_the_earlier_is_named(tmp_path, monkeypatch, forks, first, second):
+def test_of_bad_lines_in_two_ranges_the_earlier_is_named(tmp_path, monkeypatch, cpus, first, second):
     lines = [*_rows(3), first[0], *_rows(5, seed=1), second[0], *_rows(2, seed=2)]
     path = _file(tmp_path, lines)
     message = rf"^{re.escape(str(path))}: line 5: {first[1]}"
     monkeypatch.setattr(core, "_RANGE_BYTES", 40)  # less than a line: one range per line
     with pytest.raises(ValueError, match=message):
         read_study_csv(path, study_id=0)
-    assert len(forks) == 3
-    monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+    assert cpus.forks == 3
+    cpus(1)
     with pytest.raises(ValueError, match=message):
         read_study_csv(path, study_id=0)
-    assert len(forks) == 3
+    assert cpus.forks == 3
 
 
 @pytest.mark.parametrize("lines", [[], [""], ["", "# nothing", ""]])
@@ -256,36 +228,36 @@ ROW_COUNTS = [1, 2, 3, 4, 5, 6, 7, 14, 15, 16]
 
 
 @pytest.mark.parametrize("block", [3, 12, 1 << 16])
-@pytest.mark.parametrize("cpus", ["serial", "four"])
-def test_the_block_writer_writes_the_bytes_of_one_savetxt(tmp_path, monkeypatch, forks, cpus, block):
-    if cpus == "serial":
-        monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+@pytest.mark.parametrize("where", ["serial", "four"])
+def test_the_block_writer_writes_the_bytes_of_one_savetxt(tmp_path, monkeypatch, cpus, where, block):
+    if where == "serial":
+        cpus(1)
     monkeypatch.setattr(core, "_BLOCK_VALUES", block)
     for n in ROW_COUNTS:
         rows = _battery_rows(n, 4, seed=n)
         expected, written = tmp_path / f"savetxt_{n}.csv", tmp_path / f"blocks_{n}.csv"
         _savetxt(expected, HEADER, rows)
-        before = len(forks)
+        before = cpus.forks
         core._write_rows(written, HEADER, rows)
         assert written.read_bytes() == expected.read_bytes(), n
         n_blocks = -(-n // max(block // 4, 1))
-        assert len(forks) - before == (0 if cpus == "serial" else min(n_blocks, 4) - 1), n
+        assert cpus.forks - before == (0 if where == "serial" else min(n_blocks, 4) - 1), n
 
 
-def test_scores_are_written_as_savetxt_writes_a_column(tmp_path, monkeypatch, forks):
+def test_scores_are_written_as_savetxt_writes_a_column(tmp_path, monkeypatch, cpus):
     monkeypatch.setattr(core, "_BLOCK_VALUES", 5)
     scores = _battery_rows(23, 1, seed=1)[:, 0]
     expected, written = tmp_path / "savetxt.csv", tmp_path / "scores.csv"
     _savetxt(expected, "score", scores)
     core.write_scores_csv(scores, written)
     assert written.read_bytes() == expected.read_bytes()
-    assert len(forks) == 3
+    assert cpus.forks == 3
 
 
-@pytest.mark.parametrize("cpus", ["serial", "four"])
-def test_a_failed_block_write_raises_what_savetxt_raises(tmp_path, monkeypatch, forks, cpus):
-    if cpus == "serial":
-        monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
+@pytest.mark.parametrize("where", ["serial", "four"])
+def test_a_failed_block_write_raises_what_savetxt_raises(tmp_path, monkeypatch, cpus, where):
+    if where == "serial":
+        cpus(1)
     monkeypatch.setattr(core, "_BLOCK_VALUES", 12)
     rows = _battery_rows(9, 4)
     raised = []
@@ -313,10 +285,10 @@ def _collection(rng, K=4):
     return StudyCollection(target=study(0, 40), sources=tuple(study(k, 20 + k) for k in range(1, K + 1)))
 
 
-def _check_manifest_bytes(tmp_path, coll, forks):
+def _check_manifest_bytes(tmp_path, coll, cpus):
     """The forks write_manifest made, after checking the bytes it wrote."""
     manifest = write_manifest(coll, tmp_path / "ds")
-    made = len(forks)
+    made = cpus.forks
     for s in coll.studies:
         expected = tmp_path / f"serial_{s.study_id}.csv"
         write_study_csv(s, expected)
@@ -326,30 +298,28 @@ def _check_manifest_bytes(tmp_path, coll, forks):
     return made
 
 
-def _check_failed_write(tmp_path, monkeypatch, coll):
+def _check_failed_write(tmp_path, cpus, coll):
+    """A failed write raises the same on four pretend CPUs and on one."""
     raised = []
     for fan_out in (True, False):
         directory = tmp_path / f"ds{fan_out}"
         (directory / "study_3.csv").mkdir(parents=True)
-        with monkeypatch.context() as m:
-            if not fan_out:
-                m.setattr(_parallel, "_n_processes", lambda n_tasks: 1)
-            with pytest.raises(OSError) as exc:
-                write_manifest(coll, directory, force=True)
+        if not fan_out:
+            cpus(1)
+        with pytest.raises(OSError) as exc:
+            write_manifest(coll, directory, force=True)
         raised.append(type(exc.value))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
     assert raised[0] is raised[1] is IsADirectoryError
 
 
-def test_write_manifest_writes_the_bytes_of_a_serial_loop(tmp_path, forks, rng):
+def test_write_manifest_writes_the_bytes_of_a_serial_loop(tmp_path, cpus, rng):
     # 1 300 values, below the floor: one task, written in the caller
-    assert _check_manifest_bytes(tmp_path, _collection(rng), forks) == 0
+    assert _check_manifest_bytes(tmp_path, _collection(rng), cpus) == 0
 
 
-def test_a_failed_study_write_raises_what_the_serial_loop_raises(tmp_path, monkeypatch, forks, rng):
-    _check_failed_write(tmp_path, monkeypatch, _collection(rng))
-    assert forks == []
+def test_a_failed_study_write_raises_what_the_serial_loop_raises(tmp_path, cpus, rng):
+    _check_failed_write(tmp_path, cpus, _collection(rng))
+    assert cpus.forks == 0
 
 
 # The studies of _collection(rng) hold 400, 210, 220, 230 and 240 values.
@@ -357,25 +327,25 @@ def test_a_failed_study_write_raises_what_the_serial_loop_raises(tmp_path, monke
 # CPUs; each file's own blocks are formatted in its process.
 @pytest.mark.parametrize("block", [500, 100])
 def test_a_collection_above_the_floor_is_written_a_file_per_task_on_children(
-    tmp_path, monkeypatch, forks, rng, block
+    tmp_path, monkeypatch, cpus, rng, block
 ):
     monkeypatch.setattr(core, "_BLOCK_VALUES", block)
-    assert _check_manifest_bytes(tmp_path, _collection(rng), forks) == 3
+    assert _check_manifest_bytes(tmp_path, _collection(rng), cpus) == 3
 
 
 @pytest.mark.parametrize("block", [500, 100])
 def test_a_failed_write_on_children_raises_what_the_serial_loop_raises(
-    tmp_path, monkeypatch, forks, rng, block
+    tmp_path, monkeypatch, cpus, rng, block
 ):
     monkeypatch.setattr(core, "_BLOCK_VALUES", block)
-    _check_failed_write(tmp_path, monkeypatch, _collection(rng))
-    assert len(forks) == 3
+    _check_failed_write(tmp_path, cpus, _collection(rng))
+    assert cpus.forks == 3
 
 
 @pytest.mark.parametrize("spare, tasks, n_forks", [(1, [5], 0), (0, [1] * 5, 3)],
                          ids=["one value short", "exactly one block"])
 def test_a_collection_is_one_task_below_one_block_and_a_file_per_task_from_it(
-    tmp_path, monkeypatch, forks, rng, spare, tasks, n_forks
+    tmp_path, monkeypatch, cpus, rng, spare, tasks, n_forks
 ):
     coll = _collection(rng)
     values = sum(s.n * (1 + s.p + s.q) for s in coll.studies)
@@ -388,16 +358,16 @@ def test_a_collection_is_one_task_below_one_block_and_a_file_per_task_from_it(
         return real(fn, jobs)
 
     monkeypatch.setattr(core, "fan_out", fan_out)
-    assert _check_manifest_bytes(tmp_path, coll, forks) == n_forks
+    assert _check_manifest_bytes(tmp_path, coll, cpus) == n_forks
     assert seen == [tasks]
 
 
 def test_a_run_of_one_large_study_is_formatted_in_blocks_in_children(tmp_path, monkeypatch,
-                                                                     forks, rng):
+                                                                     cpus, rng):
     monkeypatch.setattr(core, "_BLOCK_VALUES", 100)
     coll = StudyCollection(target=_collection(rng, K=0).target)
     write_manifest(coll, tmp_path / "ds")
-    assert len(forks) == 3  # one task, its 400 values in four blocks
+    assert cpus.forks == 3  # one task, its 400 values in four blocks
     expected = tmp_path / "serial.csv"
     _savetxt(expected, "y,x1,x2,x3,x4,x5,x6,z1,z2,z3", _matrix(coll.target))
     assert (tmp_path / "ds" / "study_0.csv").read_bytes() == expected.read_bytes()

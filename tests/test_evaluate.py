@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from targeted_psm.evaluate import (
     run_replicate,
     write_report_rows,
 )
+from targeted_psm.glm import SolverError
 from targeted_psm.lca import LcaFitConfig
 from targeted_psm.simulate import generate_scenario, generate_target_test, scenario_preset
 from targeted_psm.transfer import TransferConfig
@@ -336,6 +338,41 @@ def test_run_replicate_psm_methods_equal_independent_fits(monkeypatch, order):
         assert row.auc == auc(scores, test_study.outcomes)
     # the second method was handed the first one's step-1 model
     assert fitted[order[1]].fit.lca_model is fitted[order[0]].fit.lca_model
+
+
+def test_run_replicate_passes_an_absent_lca_config_through():
+    # fit_targeted_psm's fallback, the transfer seed, is the only default;
+    # the scenario seed (0 here) plays no part
+    cfg = replace(FAST, seed=3)
+    methods = [MethodId.TARGETED_PSM, MethodId.TARGETED_PSM_1, MethodId.LCA_GLM, MethodId.TRANS_GLM]
+    absent, explicit = (
+        run_replicate("mini", MINI, methods, replicate=0, test_n=120,
+                      transfer_config=cfg, lca_config=lca_config)
+        for lca_config in (None, LcaFitConfig(seed=cfg.seed))
+    )
+    assert [r.error for r in absent] == [None] * len(methods)
+    assert list(map(_stat_fields, absent)) == list(map(_stat_fields, explicit))
+
+
+def test_a_failed_single_solve_is_the_method_own_error(monkeypatch):
+    # naive_lasso and trans_glm fit single-class stages, one pass each, so a
+    # failed solve has no previous estimate to fall back on: it raises from
+    # fit_method and is the method's recorded error, not a zero model.
+    real = transfer.solve_weighted_lasso_glm
+
+    def failing(prob, init=None):
+        raise SolverError("injected", real(prob, init=init))
+
+    monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", failing)
+    data, _ = generate_scenario(MINI)
+    with pytest.raises(SolverError, match="injected"):
+        fit_method(MethodId.NAIVE_LASSO, data, 1, FAST, MINI.glm_family())
+    methods = [MethodId.NAIVE_LASSO, MethodId.TRANS_GLM]
+    rows = run_replicate(
+        "mini", MINI, methods, replicate=0, test_n=120,
+        transfer_config=FAST, lca_config=FAST_LCA,
+    )
+    assert [r.error for r in rows] == ["SolverError: injected"] * 2
 
 
 def test_run_replicate_step_one_failure_is_each_psm_method_own_error(monkeypatch):

@@ -276,10 +276,9 @@ def test_em_step_matches_row_wise_reference_bitwise(case):
         assert log_lik == pytest.approx(ref_log_lik, rel=1e-13)
 
 
-def test_fit_with_row_wise_reference_is_bitwise_equal(monkeypatch, rng, tmp_path):
+def test_fit_with_row_wise_reference_is_bitwise_equal(monkeypatch, cpus, rng, tmp_path):
     # Four CPUs, so the restarts fan out to forked children, which must run
     # the reference too: it leaves one file per process that ran it.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     prev = np.array([[0.85, 0.2, 0.6, 0.7, 0.1], [0.2, 0.75, 0.3, 0.4, 0.8],
                      [0.5, 0.5, 0.9, 0.1, 0.5]])
     mixing = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
@@ -311,50 +310,32 @@ def _assert_same_fit(new, ref):
     assert np.float64(new.log_lik).tobytes() == np.float64(ref.log_lik).tobytes()
 
 
-@pytest.fixture
-def on_cpus(monkeypatch):
-    """on_cpus(n, call) -> (call(), forks made) while the affinity mask
-    reports n CPUs."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-
-    def run(n, call):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        before = len(forks)
-        return call(), len(forks) - before
-
-    return run
-
-
 @pytest.mark.parametrize("n_starts", [1, 2, 10])
 @pytest.mark.parametrize("target_only", [False, True], ids=["K=1", "K=0"])
-def test_fanned_out_restarts_equal_serial(on_cpus, small_collection, n_starts, target_only):
+def test_fanned_out_restarts_equal_serial(cpus, small_collection, n_starts, target_only):
     data, _, _ = small_collection
     if target_only:
         data = StudyCollection(target=data.target)
     cfg = LcaFitConfig(seed=5, n_starts=n_starts)
-    serial, forks = on_cpus(1, lambda: fit_lca(data, 3, cfg))
-    assert forks == 0
-    fanned, forks = on_cpus(4, lambda: fit_lca(data, 3, cfg))
-    assert forks == min(n_starts, 4) - 1
+    cpus(1)
+    serial = fit_lca(data, 3, cfg)
+    assert cpus.forks == 0
+    cpus(4)
+    fanned = fit_lca(data, 3, cfg)
+    assert cpus.forks == min(n_starts, 4) - 1
     _assert_same_fit(fanned, serial)
 
 
-def test_fanned_out_restarts_above_observed_patterns_warn_once(on_cpus):
+def test_fanned_out_restarts_above_observed_patterns_warn_once(cpus):
     Z = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])[np.arange(40) % 2]
     data = StudyCollection(target=_study(Z, 0))
     cfg = LcaFitConfig(seed=0, n_starts=6)
     fits = {}
     for n in (1, 4):
+        cpus(n)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fits[n], _ = on_cpus(n, lambda: fit_lca(data, 3, cfg))
+            fits[n] = fit_lca(data, 3, cfg)
         assert [str(w.message) for w in caught] == [
             "3 classes exceed the 2 distinct patterns observed in the collection; "
             "the fit cannot tell every class apart"
@@ -362,12 +343,14 @@ def test_fanned_out_restarts_above_observed_patterns_warn_once(on_cpus):
     _assert_same_fit(fits[4], fits[1])
 
 
-def test_fanned_out_class_selection_equals_serial(on_cpus, small_collection):
+def test_fanned_out_class_selection_equals_serial(cpus, small_collection):
     data, _, _ = small_collection
     cfg = LcaFitConfig(seed=3, n_starts=5)
-    serial, _ = on_cpus(1, lambda: select_classes_bic(data, [1, 2, 3], cfg))
-    fanned, forks = on_cpus(4, lambda: select_classes_bic(data, [1, 2, 3], cfg))
-    assert forks == 6  # three children for each of C = 2 and 3
+    cpus(1)
+    serial = select_classes_bic(data, [1, 2, 3], cfg)
+    cpus(4)
+    fanned = select_classes_bic(data, [1, 2, 3], cfg)
+    assert cpus.forks == 6  # three children for each of C = 2 and 3
     for new, ref in zip(fanned, serial):
         assert (new["n_classes"], new["converged"]) == (ref["n_classes"], ref["converged"])
         assert np.float64(new["bic"]).tobytes() == np.float64(ref["bic"]).tobytes()

@@ -1,12 +1,14 @@
 import itertools
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from targeted_psm.core import (
+    EPS_CLIP,
     CoefficientMatrix,
     GlmFamily,
     Study,
@@ -16,6 +18,7 @@ from targeted_psm.core import (
 from targeted_psm import transfer
 from targeted_psm.glm import SolverError
 from targeted_psm.lca import LcaFitConfig, LcaModel, fit_lca, initial_memberships
+from targeted_psm.simulate import generate_scenario, scenario_preset
 from targeted_psm.transfer import (
     TransferConfig,
     _log_joint,
@@ -172,13 +175,21 @@ def test_traces_end_at_the_objective_of_the_returned_coefficients(mini_fit):
 
 
 def test_infinite_bias_penalty_freezes_correction(tiny_scenario):
+    # one correction pass that solves nothing: Delta == 0, and the pass's
+    # trace value is the objective at Delta == 0 with the pooled offsets
     _, data, _ = tiny_scenario
     cfg = _mini_config(lambda_bias=np.inf)
     fit = fit_targeted_psm(data, 2, cfg, GlmFamily.logistic())
     assert np.all(fit.delta.values == 0.0)
     assert np.all(fit.delta.intercept == 0.0)
-    assert fit.trace_bias == ()
-    assert fit.n_iter_bias == 0
+    assert fit.n_iter_bias == 1
+    tgt = data.target
+    v = initial_memberships(fit.lca_model, data)
+    assert fit.trace_bias[0] == penalized_mixture_objective(
+        fit.family, tgt.outcomes, tgt.predictors, v.target_block(),
+        CoefficientMatrix(values=np.zeros((data.p, 2))), fit.lambda_bias,
+        offsets=fit.b_pooled.linear_predictor(tgt.predictors),
+    )
     assert np.array_equal(fit.b_target.values, fit.b_pooled.values)
 
 
@@ -199,8 +210,6 @@ def test_single_class_stage_runs_one_m_step(tiny_scenario):
 
 
 def test_em_stage_at_its_cap_warns_and_changes_nothing(tiny_scenario, monkeypatch):
-    import warnings
-
     _, data, _ = tiny_scenario
     fam = GlmFamily.logistic()
     lca = fit_lca(data, 2, LcaFitConfig(seed=0, n_starts=2))
@@ -225,6 +234,138 @@ def test_em_stage_at_its_cap_warns_and_changes_nothing(tiny_scenario, monkeypatc
         warnings.simplefilter("error")
         fit_targeted_psm(data, 2, _mini_config(max_em_iter=1), fam, lca_model=lca)
         fit_targeted_psm(data, 1, _mini_config(max_em_iter=2), fam)
+
+
+def test_an_infinite_penalty_zeroes_a_class_below_the_mass_floor_without_warning(rng):
+    # The infinite penalty is decided first: the class is pinned at zero,
+    # not frozen for its low mass with a warning.
+    n, p = 50, 10
+    X = rng.standard_normal((n, p))
+    y = (rng.random(n) < 0.5).astype(float)
+    v_rows = np.column_stack([np.full(n, 1.0 - EPS_CLIP), np.full(n, EPS_CLIP)])
+    assert v_rows[:, 1].sum() < transfer.DEGENERATE_MASS_FACTOR * p * EPS_CLIP
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coef, _, trace = transfer._mixture_em(
+            GlmFamily.logistic(), y, X, v_rows, [0.05, np.inf], stage="pooled_B", max_iter=1
+        )
+    assert np.all(coef.values[:, 1] == 0.0) and coef.intercept[1] == 0.0
+    assert np.any(coef.values[:, 0] != 0.0)
+    assert len(trace) == 1
+
+
+def _failing_class(real, failing):
+    # A stand-in solver for a two-class stage: calls alternate class 0,
+    # class 1, and a call whose index `failing` accepts raises SolverError
+    # carrying the real solution, which it also appends to `flaky.failed`.
+    calls = itertools.count()
+
+    def flaky(prob, init=None):
+        sol = real(prob, init=init)
+        if failing(next(calls)):
+            flaky.failed.append(sol)
+            raise SolverError("injected", sol)
+        return sol
+
+    flaky.failed = []
+    return flaky
+
+
+def test_a_failed_m_step_solve_freezes_its_class(tiny_scenario, monkeypatch):
+    # With numeric penalties the pooling stage makes the fit's first solver
+    # calls, class by class: call 3 is class 1 of the second M-step.
+    _, data, _ = tiny_scenario
+    fam = GlmFamily.logistic()
+    lca = fit_lca(data, 2, LcaFitConfig(seed=0, n_starts=2))
+    one_pass = fit_targeted_psm(data, 2, _mini_config(max_em_iter=1), fam, lca_model=lca)
+    flaky = _failing_class(transfer.solve_weighted_lasso_glm, lambda i: i == 3)
+    monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", flaky)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_targeted_psm(data, 2, _mini_config(max_em_iter=2), fam, lca_model=lca)
+    assert [str(w.message) for w in caught if "solve" in str(w.message)] == [
+        f"class 1 of the pooled_B stage failed its solve (KKT residual "
+        f"{flaky.failed[0].kkt_max_violation:.3e}); its coefficients are frozen for this iteration"
+    ]
+    assert fit.n_iter_joint == 2
+    assert fit.b_pooled.values[:, 1].tobytes() == one_pass.b_pooled.values[:, 1].tobytes()
+    assert fit.b_pooled.intercept[1] == one_pass.b_pooled.intercept[1]
+    assert fit.b_pooled.values[:, 0].tobytes() != one_pass.b_pooled.values[:, 0].tobytes()
+    for trace in (fit.trace_joint, fit.trace_bias):
+        assert np.all(np.diff(trace) <= 1e-8)
+
+
+def _two_class_stage(rng, n=200, p=5):
+    # two well separated classes, so the stage converges in a few passes
+    X = rng.standard_normal((n, p))
+    z = rng.random(n) < 0.5
+    eta = np.where(z, 2.0 * X[:, 0], 1.0 - 2.0 * X[:, 0])
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    v_rows = np.where(z[:, None], [0.1, 0.9], [0.9, 0.1])
+    return y, X, v_rows
+
+
+def test_a_failed_solve_on_the_first_m_step_raises(rng, monkeypatch):
+    # The first pass has no previous estimate to keep, only the all-zero
+    # start, so its failure reaches the caller.
+    y, X, v_rows = _two_class_stage(rng)
+    flaky = _failing_class(transfer.solve_weighted_lasso_glm, lambda i: i == 1)
+    monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", flaky)
+    with pytest.raises(SolverError, match="injected"):
+        transfer._mixture_em(
+            GlmFamily.logistic(), y, X, v_rows, [0.05, 0.05], stage="pooled_B", max_iter=10
+        )
+
+
+def test_an_iteration_with_a_failed_solve_never_counts_as_converged(rng, monkeypatch):
+    # Class 1 fails every M-step after the first: its frozen state adds
+    # nothing to the parameter change, yet the stage runs to its cap and
+    # says so, where the same stage without failures converges early.
+    y, X, v_rows = _two_class_stage(rng)
+    args = (GlmFamily.logistic(), y, X, v_rows, [0.05, 0.05])
+    cap = 30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        converged = transfer._mixture_em(*args, stage="pooled_B", max_iter=cap)[2]
+    assert len(converged) < cap
+    flaky = _failing_class(transfer.solve_weighted_lasso_glm, lambda i: i >= 3 and i % 2 == 1)
+    monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", flaky)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coef, _, trace = transfer._mixture_em(*args, stage="pooled_B", max_iter=cap)
+    messages = [str(w.message) for w in caught]
+    assert len(trace) == cap
+    assert sum("class 1 of the pooled_B stage failed its solve" in m for m in messages) == cap - 1
+    assert messages[-1] == f"pooled_B EM stopped at its cap of {cap} iterations without meeting tau=0.0001"
+    assert np.all(np.diff(trace) <= 1e-8)
+
+
+def test_predictors_scaled_by_1e4_fit_with_failed_solves_frozen():
+    # Predictors in the tens of thousands leave class 2's correction solve
+    # short of the KKT tolerance from its third iteration on: each failure
+    # freezes the class for that iteration, so the correction never counts
+    # as converged and stops at its cap (20 here, just above the pooling
+    # stage's 18 iterations, since every failed solve runs the solver's
+    # whole IRLS budget), and the fit ends with monotone traces.
+    config = scenario_preset("figure1-mini", K=2, n0=120, n_k=150, p=10, seed=1)
+    data, _ = generate_scenario(config)
+
+    def scaled(s):
+        return Study(s.outcomes, s.predictors * 1e4, s.structure_vars, s.study_id)
+
+    data = StudyCollection(target=scaled(data.target), sources=tuple(map(scaled, data.sources)))
+    cfg = TransferConfig(lambda_pool=0.01, lambda_bias=0.01, max_em_iter=20)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_targeted_psm(data, 3, cfg, config.glm_family(), lca_config=LcaFitConfig(n_starts=3, seed=1))
+    messages = [str(w.message) for w in caught]
+    assert (fit.n_iter_joint, fit.n_iter_bias) == (18, 20)
+    assert messages[-1] == "correction_Delta EM stopped at its cap of 20 iterations without meeting tau=0.0001"
+    assert len(messages) == 19
+    assert all(m.startswith("class 2 of the correction_Delta stage failed its solve") for m in messages[:-1])
+    for trace in (fit.trace_joint, fit.trace_bias):
+        assert np.all(np.diff(trace) <= 1e-8)
+    assert np.all(np.isfinite(fit.b_target.values))
 
 
 def test_single_class_zero_penalty_gaussian_matches_wls(rng):
