@@ -14,12 +14,23 @@ The likelihood sees the data only through which z-pattern each subject of
 each study has, so the E-step's row math (log densities, log-sum-exp,
 posteriors) runs once per occupied (study, pattern) cell and is gathered
 back to the subject rows.  Every reduction (the log-likelihood sum and the
-M-step sums) still runs per study over the subject rows in their stacked
-order, so the fit is bit for bit what a row-by-row E-step gives; weighting
-cells by their counts would reorder those sums.  A lone row goes to
-`_log_density_matrix` as the first of two equal rows, so it takes BLAS's
-matrix-matrix kernel like a batch: for C >= 2 a cell's log densities, and
-so its posterior, do not depend on the batch it is evaluated in.
+M-step sums) still adds each study's subject rows in their stacked order,
+so the fit is bit for bit what a row-by-row E-step gives; weighting cells
+by their counts would reorder those sums.  The posterior column sums of
+all studies come from one reduction: the cell posteriors, plus a zero row,
+are gathered into an (n_max, K+1, C) block whose column k holds study k's
+rows in stacked order, padded with the zero row to the largest study size
+n_max.  numpy sums axis 0 of that block one row at a time, so each study's
+sums add its rows in the order a per-study sum does, and the padding adds
+only +0.0, which leaves every (non-negative) sum unchanged.  The block
+holds n_max*(K+1)*C values per EM step: as many as the gathered posteriors
+(n*C) when the studies are of equal size, up to K+1 times that when one
+study dominates.
+
+A lone row goes to `_log_density_matrix` as the first of two equal rows,
+so it takes BLAS's matrix-matrix kernel like a batch: for C >= 2 a cell's
+log densities, and so its posterior, do not depend on the batch it is
+evaluated in.
 
 The restarts are independent EM runs, so `fit_lca` spreads them over the
 CPUs in the process's affinity mask, the calling process working a share
@@ -150,17 +161,22 @@ def _log_density_matrix(prevalences: np.ndarray, Z: np.ndarray) -> np.ndarray:
 class _CellIndex:
     """A collection's subject rows grouped into (study, pattern) cells.
 
-    cell_z      (m, q) z-pattern of each occupied cell
-    cell_study  (m,) study row of each occupied cell
-    row_cell    (n,) cell of each stacked subject row
-    n_patterns  number of distinct z-patterns in the collection
-    slices      per-study slices into the stacked rows
-    blocks      per-study z blocks, which the M-step reductions read
+    cell_z       (m, q) z-pattern of each occupied cell
+    cell_study   (m,) study row of each occupied cell
+    row_cell     (n,) cell of each stacked subject row
+    study_cells  (n_max, K+1) row_cell laid out one study per column, in
+                 stacked order, padded below each study's rows to the
+                 largest study size n_max with m: the index of a zero row
+                 appended to the cell posteriors (see the module docstring)
+    n_patterns   number of distinct z-patterns in the collection
+    slices       per-study slices into the stacked rows
+    blocks       per-study z blocks, which the M-step reductions read
     """
 
     cell_z: np.ndarray
     cell_study: np.ndarray
     row_cell: np.ndarray
+    study_cells: np.ndarray
     n_patterns: int
     slices: tuple
     blocks: tuple
@@ -184,12 +200,17 @@ class _CellIndex:
             return_inverse=True,
         )
         cell_z = Z[first]
+        slices = tuple(data.row_slices())
+        study_cells = np.full((max(data.sizes), len(blocks)), len(first), dtype=row_cell.dtype)
+        for k, rows in enumerate(slices):
+            study_cells[: rows.stop - rows.start, k] = row_cell[rows]
         return cls(
             cell_z=cell_z,
             cell_study=row_study[first],
             row_cell=row_cell,
+            study_cells=study_cells,
             n_patterns=np.unique(cell_z, axis=0).shape[0],
-            slices=tuple(data.row_slices()),
+            slices=slices,
             blocks=blocks,
         )
 
@@ -206,15 +227,17 @@ def _cell_posteriors(model: LcaModel, cell_z: np.ndarray, cell_study: np.ndarray
     return np.exp(log_post - ll[:, None]), ll
 
 
-def _row_posteriors(model: LcaModel, index: _CellIndex):
-    """Per-subject posteriors and log-likelihood terms, in stacked row
-    order, gathered from the cell table."""
-    post, ll = _cell_posteriors(model, index.cell_z, index.cell_study)
-    return post.take(index.row_cell, axis=0), ll.take(index.row_cell)
+def _study_column_sums(post_c: np.ndarray, index: _CellIndex) -> np.ndarray:
+    """(K+1, C) column sums of each study's row posteriors, gathered from the
+    cell posteriors `post_c`, each adding its rows in stacked order: one
+    reduction over the padded layout of the module docstring."""
+    padded = np.vstack([post_c, np.zeros((1, post_c.shape[1]))])
+    return padded.take(index.study_cells, axis=0).sum(axis=0)
 
 
 def _log_lik(model: LcaModel, index: _CellIndex) -> float:
-    _, ll_rows = _row_posteriors(model, index)
+    _, ll = _cell_posteriors(model, index.cell_z, index.cell_study)
+    ll_rows = ll.take(index.row_cell)
     total = 0.0
     for rows in index.slices:
         total += float(ll_rows[rows].sum())
@@ -231,10 +254,13 @@ def lca_log_lik(model: LcaModel, data: StudyCollection) -> float:
 def _em_step(model: LcaModel, index: _CellIndex):
     """One EM update; returns (new_model, log_lik at the *input* params).
 
-    The reductions run per study over the subject rows in stacked order,
-    so each sum adds the same terms in the same order as a row-wise E-step.
+    Each sum adds a study's subject rows in stacked order, the same terms
+    in the same order as a row-wise E-step; the column sums of every study
+    come from one padded reduction (see the module docstring).
     """
-    post, ll_rows = _row_posteriors(model, index)
+    post_c, ll_c = _cell_posteriors(model, index.cell_z, index.cell_study)
+    post, ll_rows = post_c.take(index.row_cell, axis=0), ll_c.take(index.row_cell)
+    col_sums = _study_column_sums(post_c, index)
     C = model.n_classes
     ll = 0.0
     num = np.zeros((C, model.n_structure_vars))
@@ -242,11 +268,9 @@ def _em_step(model: LcaModel, index: _CellIndex):
     new_mixing = np.empty_like(model.mixing)
     for k, (rows, Z) in enumerate(zip(index.slices, index.blocks)):
         ll += float(ll_rows[rows].sum())
-        block = post[rows]
-        num += block.T @ Z
-        col = block.sum(axis=0)
-        den += col
-        new_mixing[k] = col / Z.shape[0]  # what post.mean(axis=0) computes
+        num += post[rows].T @ Z
+        den += col_sums[k]
+        new_mixing[k] = col_sums[k] / Z.shape[0]  # what post.mean(axis=0) computes
     new_prev = np.clip(num / np.maximum(den, 1e-300)[:, None], EPS_CLIP, 1.0 - EPS_CLIP)
     new_mixing = clip_rows(new_mixing)
     new_model = replace(model, prevalences=new_prev, mixing=new_mixing)
@@ -338,7 +362,8 @@ def initial_memberships(model: LcaModel, data: StudyCollection) -> MembershipMat
     if model.n_studies != data.K + 1:
         raise ValueError("model was fitted for a different number of studies")
     index = _CellIndex.of(data)
-    post, _ = _row_posteriors(model, index)
+    post, _ = _cell_posteriors(model, index.cell_z, index.cell_study)
+    post = post.take(index.row_cell, axis=0)
     # clip_rows renormalizes every row while any row still needs a pass, so
     # it runs on each study's block, never on the cell table.
     blocks = tuple(clip_rows(post[rows]) for rows in index.slices)

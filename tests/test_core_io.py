@@ -4,6 +4,7 @@ the block writer writes the bytes of one np.savetxt, and write_manifest
 writes the bytes of a serial loop, forking only for a collection above the
 work floor."""
 
+import math
 import os
 import re
 import time
@@ -178,6 +179,45 @@ def test_a_file_without_data_rows_says_so(tmp_path, lines):
     path = _file(tmp_path, lines, last_end=bool(lines))
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no data rows$"):
         read_study_csv(path, study_id=0)
+
+
+def _first_bad_line_scanned(lines, width):
+    """The first bad line found by parsing every line alone, in order."""
+    for i, line in enumerate(lines.splitlines()):
+        try:
+            row = core._parse_rows(line)
+        except ValueError as exc:
+            return i, re.sub(r" at row \d+,", " in", str(exc))
+        if row.size and row.shape[1] != width:
+            return i, f"{row.shape[1]} values, expected {width}"
+    return None
+
+
+def test_the_bisection_names_the_line_a_line_by_line_scan_names(rng):
+    good = [row.encode() for row in _rows(4)] + [b"", b"# note", b"  "]
+    bad = [row.encode() for row, _ in BAD_LINES] + [b"0,1,\xff,0", "0,1,\xe9,0".encode(), b"1,2,3,4,"]
+    for _ in range(300):
+        lines = [good[i] for i in rng.integers(len(good), size=rng.integers(0, 12))]
+        for _ in range(rng.integers(0, 3)):
+            lines.insert(rng.integers(len(lines) + 1), bad[rng.integers(len(bad))])
+        end = [b"\n", b"\r\n", b"\r"][rng.integers(3)]
+        body = end.join(lines) + end * int(rng.integers(2))
+        assert core._bad_line(body, 4) == _first_bad_line_scanned(body, 4), body
+
+
+@pytest.mark.parametrize("bad, reason", BAD_LINES)
+def test_a_bad_last_line_is_found_in_logarithmic_parses(tmp_path, monkeypatch, cpus, bad, reason):
+    n = 5001
+    path = _file(tmp_path, [*_rows(n - 1), bad])
+    monkeypatch.setattr(core, "_RANGE_BYTES", path.stat().st_size)  # one range
+    cpus(1)
+    calls = []
+    real = core._parse_rows
+    monkeypatch.setattr(core, "_parse_rows", lambda lines: calls.append(len(lines)) or real(lines))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {n + 1}: {reason}"):
+        read_study_csv(path, study_id=0)
+    # the range's own parse, then the bisection's
+    assert 1 < len(calls) <= 1 + 2 * math.ceil(math.log2(n)) + 2
 
 
 @pytest.mark.parametrize("line", [1, 3])

@@ -302,6 +302,39 @@ def test_fit_with_row_wise_reference_is_bitwise_equal(monkeypatch, cpus, rng, tm
     assert {f.name for f in tmp_path.iterdir()} - {str(os.getpid())}
 
 
+def test_padded_column_sums_equal_per_study_sums_bitwise(rng):
+    """One reduction over the padded layout gives each study's column sums
+    with the bits of `post[rows].sum(axis=0)`: K+1 from 1 to 7, C from 2 to
+    6, studies of unequal sizes from 1 row to past numpy's 8 192-element
+    buffer.  `_log_lik` has the bits of the row-wise reference when every
+    study has two rows or more (see the oracle test above)."""
+    for case in range(40):
+        n_studies, C, q = int(rng.integers(1, 8)), int(rng.integers(2, 7)), int(rng.integers(1, 7))
+        sizes = np.exp(rng.uniform(0.0, np.log(60_000), n_studies)).astype(int)
+        sizes[rng.random(n_studies) < 0.2] = 1
+        if case % 4 == 0:
+            sizes[rng.integers(n_studies)] = 60_000
+        studies = [
+            _study((rng.random((n, q)) < rng.random(q)).astype(float), k)
+            for k, n in enumerate(sizes)
+        ]
+        data = StudyCollection(target=studies[0], sources=tuple(studies[1:]))
+        model = LcaModel(
+            prevalences=rng.uniform(0.02, 0.98, size=(C, q)),
+            mixing=clip_rows(rng.dirichlet(np.full(C, 0.3), size=n_studies)),
+        )
+        index = _CellIndex.of(data)
+        post_c, _ = _cell_posteriors(model, index.cell_z, index.cell_study)
+        post = post_c.take(index.row_cell, axis=0)
+        sums = lca._study_column_sums(post_c, index)
+        assert sums.shape == (n_studies, C)
+        for k, rows in enumerate(index.slices):
+            assert sums[k].tobytes() == post[rows].sum(axis=0).tobytes(), (case, k)
+        if sizes.min() >= 2 and index.cell_z.shape[0] >= 2:
+            log_lik = lca._log_lik(model, index)
+            assert np.float64(log_lik).tobytes() == np.float64(lca_log_lik_reference(model, data)).tobytes()
+
+
 def _assert_same_fit(new, ref):
     assert new.prevalences.tobytes() == ref.prevalences.tobytes()
     assert new.mixing.tobytes() == ref.mixing.tobytes()
