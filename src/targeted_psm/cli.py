@@ -41,13 +41,14 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import MethodId
-from .core import load_collection, read_study_csv, write_scores_csv
+from .core import check_count, load_collection, read_study_csv, write_scores_csv
 from .evaluate import (
     read_report_rows,
     run_experiment,
     write_report_rows,
     ExperimentReport,
 )
+from .glm import SolverError
 from .lca import LcaFitConfig, select_classes_bic
 from .simulate import (
     ScenarioConfig,
@@ -213,9 +214,11 @@ def _experiment_counts(block: dict):
     """(replicates, test_n) from a checked experiment block."""
     counts = {"experiment.replicates": block.get("replicates", 20),
               "experiment.test_n": block.get("test_n", 500)}
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    try:
+        for name, value in counts.items():
+            check_count(name, value, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return tuple(counts.values())
 
 
@@ -278,6 +281,9 @@ def _cmd_fit(args) -> int:
         )
     except ValueError as exc:  # a penalty setting the dataset cannot serve
         raise DataError(f"{args.data}: {exc}") from exc
+    except SolverError as exc:  # the method itself failed on this dataset
+        print(f"error: {args.data}: {exc}", file=sys.stderr)
+        return 1
 
     nnz = (fit.b_target.values != 0).sum(axis=0)
     print(f"classes: {fit.n_classes}   family: {family.kind}")
@@ -404,10 +410,9 @@ def _cmd_lca_select(args) -> int:
     data = _read_data(load_collection, Path(args.data) / "manifest.json")
     _check_class_counts(args.data, data, args.classes, "--classes")
     rows = select_classes_bic(data, args.classes, lca_cfg)
-    best = min(rows, key=lambda r: r["bic"])
     print(f"{'C':>3} {'log_lik':>14} {'n_params':>9} {'BIC':>14} converged")
     for row in rows:
-        star = " *" if row is best else ""
+        star = " *" if row["selected"] else ""
         print(
             f"{row['n_classes']:>3} {row['log_lik']:>14.4f} "
             f"{row['n_params']:>9} {row['bic']:>14.4f} "

@@ -6,7 +6,10 @@ Conventions used throughout the package:
 * study 0 is always the target study; sources carry ids 1..K,
 * linear predictors are clamped to [-700, 700] before exponentiation,
 * every probability that feeds a weighted fit is kept inside
-  [EPS_CLIP, 1 - EPS_CLIP] so that no observation weight collapses to zero.
+  [EPS_CLIP, 1 - EPS_CLIP] so that no observation weight collapses to zero,
+* every model choice (CV penalty, latent class restart, BIC class count,
+  class alignment) is `first_best` and every EM stop test `em_converged`;
+  their tolerances and floors are the callers' module constants.
 
 Study files run on every CPU of the process's affinity mask
 (`_parallel.fan_out`).  Every numeric CSV the package writes goes through
@@ -216,6 +219,44 @@ def clip_rows(probs: np.ndarray) -> np.ndarray:
         )
         v = np.where(pinned, EPS_CLIP, v * scale[:, None])
     return v
+
+
+# ---------------------------------------------------------------------------
+# Discrete choices, EM stop tests and count settings
+# ---------------------------------------------------------------------------
+
+
+def first_best(scores, rtol: float):
+    """Index of the first score within rtol * |best| of the smallest one
+    (lower is better), row by row for a 2-d array.
+
+    Every model choice of the package is this rule: each caller orders its
+    candidates so that the first is the one it prefers on a tie, and sets
+    its own rtol as a module constant.  At rtol = 0 it is np.argmin (the
+    first occurrence of the minimum).  A NaN score is a ValueError.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
+    if not rtol >= 0.0:
+        raise ValueError(f"rtol must be >= 0, got {rtol!r}")
+    best = scores.min(axis=-1, keepdims=True)
+    limit = best + rtol * np.abs(best) if rtol > 0.0 else best
+    index = np.argmax(scores <= limit, axis=-1)
+    return int(index) if scores.ndim == 1 else index
+
+
+def em_converged(change: float, scale: float, tol: float, floor: float) -> bool:
+    """The stop test of every EM loop: relative (change <= tol * scale)
+    while the scale of the previous state is above `floor`, absolute
+    (change <= tol) at or below it."""
+    return change <= tol * scale if scale > floor else change <= tol
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """ValueError unless `value` is an integer (a bool is not) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import substream
 from .baselines import MIXTURE_METHODS, MethodId, fit_method
-from .core import CoefficientMatrix
+from .core import CoefficientMatrix, first_best
 from .lca import LcaFitConfig
 from .simulate import ScenarioConfig, generate_scenario, generate_target_test
 from .transfer import TransferConfig
@@ -42,8 +42,9 @@ def _as_values(mat) -> np.ndarray:
 
 def align_classes(estimate, truth):
     """Best column permutation of `estimate` against `truth` by exhaustive
-    search over the Frobenius distance.  Returns (perm, aligned) with
-    aligned[:, j] = estimate[:, perm[j]]."""
+    search over the squared Frobenius distance, picked by core.first_best
+    (the first permutation in lexicographic order on a tie).  Returns
+    (perm, aligned) with aligned[:, j] = estimate[:, perm[j]]."""
     E = _as_values(estimate)
     T = _as_values(truth)
     if E.shape != T.shape:
@@ -51,11 +52,9 @@ def align_classes(estimate, truth):
     C = E.shape[1]
     if C > MAX_ALIGN_CLASSES:
         raise ValueError(f"alignment is exhaustive; C must be <= {MAX_ALIGN_CLASSES}")
-    best_perm, best_cost = None, np.inf
-    for perm in itertools.permutations(range(C)):
-        cost = float(np.sum(np.square(E[:, perm] - T)))
-        if cost < best_cost:
-            best_perm, best_cost = perm, cost
+    perms = list(itertools.permutations(range(C)))
+    costs = [float(np.sum(np.square(E[:, perm] - T))) for perm in perms]
+    best_perm = perms[first_best(costs, 0.0)]
     return best_perm, E[:, best_perm]
 
 

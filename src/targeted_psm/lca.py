@@ -36,10 +36,19 @@ The restarts are independent EM runs, so `fit_lca` spreads them over the
 CPUs in the process's affinity mask, the calling process working a share
 and forked children the rest (`_parallel.fan_out`).  The results are the
 bytes of a serial loop: every initial model is drawn first, in restart
-order, from the one 'lca-init' stream, and the earliest restart with the
-largest log-likelihood wins.  The restarts run serially with one CPU (e.g.
+order, from the one 'lca-init' stream, and the winner is picked from the
+restarts in restart order.  The restarts run serially with one CPU (e.g.
 under `taskset -c 0`), one restart, no `os.fork`, inside a multiprocessing
 worker (a caller's own pool), or while other Python threads run.
+
+The module's two discrete choices and its stop test are the package's own
+rules, with module constants: `fit_lca` keeps the restart `core.first_best`
+picks on the -log-likelihoods at RESTART_RTOL (at 0, the earliest restart
+with the largest log-likelihood), `select_classes_bic` marks the class
+count it picks on the BICs at BIC_RTOL (at 0, the lowest BIC, the smaller
+C on a tie), and each restart stops by `core.em_converged` at
+DEFAULT_TOL_LCA with STOP_FLOOR (at 0, always relative to the previous
+log-likelihood, which is strictly negative).
 """
 
 from __future__ import annotations
@@ -55,7 +64,10 @@ from .core import (
     EPS_CLIP,
     MembershipMatrix,
     StudyCollection,
+    check_count,
     clip_rows,
+    em_converged,
+    first_best,
     log_sum_exp_rows,
 )
 
@@ -63,20 +75,26 @@ DEFAULT_N_STARTS = 10
 DEFAULT_TOL_LCA = 1e-7
 DEFAULT_MAX_ITER_LCA = 500
 
+# The floor of each restart's stop test (core.em_converged) and the
+# tolerances of the restart and class-count choices (core.first_best); see
+# the module docstring.
+STOP_FLOOR = 0.0
+RESTART_RTOL = 0.0
+BIC_RTOL = 0.0
+
 
 @dataclass(frozen=True)
 class LcaFitConfig:
-    """EM settings: the number of restarts and the master seed (>= 0)
-    feeding the 'lca-init' substream.  Every restart stops at the relative
-    log-likelihood change DEFAULT_TOL_LCA or after DEFAULT_MAX_ITER_LCA
-    iterations."""
+    """EM settings: the number of restarts (an integer >= 1) and the
+    master seed (>= 0) feeding the 'lca-init' substream.  Every restart
+    stops at the relative log-likelihood change DEFAULT_TOL_LCA (see
+    STOP_FLOOR) or after DEFAULT_MAX_ITER_LCA iterations."""
 
     n_starts: int = DEFAULT_N_STARTS
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
+        check_count("n_starts", self.n_starts, 1)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -278,14 +296,17 @@ def _em_step(model: LcaModel, index: _CellIndex):
 
 
 def _run_em(model: LcaModel, index: _CellIndex):
-    """One EM restart from `model`, stopped by the module's DEFAULT_TOL_LCA
-    and DEFAULT_MAX_ITER_LCA, read on every call."""
+    """One EM restart from `model`, stopped by core.em_converged on the
+    log-likelihood change with the module's DEFAULT_TOL_LCA and STOP_FLOOR,
+    or after DEFAULT_MAX_ITER_LCA steps, each read on every call."""
     trace = []
     converged = False
     for _ in range(DEFAULT_MAX_ITER_LCA):
         model, ll = _em_step(model, index)
         trace.append(ll)
-        if len(trace) >= 2 and abs(ll - trace[-2]) <= DEFAULT_TOL_LCA * (abs(trace[-2]) + 1e-12):
+        if len(trace) >= 2 and em_converged(
+            abs(ll - trace[-2]), abs(trace[-2]), DEFAULT_TOL_LCA, STOP_FLOOR
+        ):
             converged = True
             break
     trace.append(_log_lik(model, index))
@@ -306,8 +327,10 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     """Fit the joint latent class model with `n_classes` classes.
 
     Runs `config.n_starts` random EM restarts (prevalences uniform on
-    (0.2, 0.8), mixing rows flat-Dirichlet) and keeps the best final
-    log-likelihood, the earliest restart on a tie.  The restarts run on the
+    (0.2, 0.8), mixing rows flat-Dirichlet) and keeps the restart that
+    core.first_best picks on their -log-likelihoods at RESTART_RTOL, in
+    restart order: the best final log-likelihood, the earliest restart on a
+    tie.  The restarts run on the
     CPUs of the process's affinity mask, with results identical to a serial
     run (see the module docstring for when they run serially).  C = 1 has
     a closed form and consumes no randomness.  Putting the winner's classes
@@ -351,9 +374,8 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
         for _ in range(config.n_starts)
     ]
     fits = fan_out(lambda init: _run_em(init, index), inits)
-    # max keeps the first of equal log-likelihoods: the earliest restart
-    # wins unless a later one is strictly better.
-    return _canonical_order(max(fits, key=lambda m: m.log_lik))
+    best = first_best([-m.log_lik for m in fits], RESTART_RTOL)
+    return _canonical_order(fits[best])
 
 
 def initial_memberships(model: LcaModel, data: StudyCollection) -> MembershipMatrix:
@@ -396,10 +418,15 @@ def lca_bic(model: LcaModel, data: StudyCollection) -> float:
 
 
 def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig = None):
-    """Fit every C in `class_grid` and tabulate (C, log_lik, bic, model).
+    """Fit every C in `class_grid` and tabulate one row per C, in grid
+    order: n_classes, log_lik, n_params, bic, converged, model and
+    selected.
 
-    A heuristic convenience: BIC comparisons across latent class counts come
-    with no recovery guarantee.
+    `selected` is True on exactly one row: the one core.first_best picks on
+    the BICs at BIC_RTOL, with the rows taken by ascending C, so the lowest
+    BIC wins and a tie goes to the smaller C (to the earlier row for a C
+    listed twice).  A heuristic convenience: BIC comparisons across latent
+    class counts come with no recovery guarantee.
     """
     rows = []
     for C in class_grid:
@@ -412,8 +439,11 @@ def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig =
                 "bic": lca_bic(model, data),
                 "converged": model.converged,
                 "model": model,
+                "selected": False,
             }
         )
+    by_c = sorted(rows, key=lambda r: r["n_classes"])
+    by_c[first_best([r["bic"] for r in by_c], BIC_RTOL)]["selected"] = True
     return rows
 
 

@@ -27,6 +27,7 @@ from .core import (
     GlmFamily,
     Study,
     StudyCollection,
+    check_count,
     write_manifest,
 )
 
@@ -104,7 +105,9 @@ def preset_mixing(kind: str, n_sources: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one synthetic multi-study scenario."""
+    """Full description of one synthetic multi-study scenario.  The
+    counts (n0, n_k, K, p, q, n_classes and each support size) must be
+    integers; a bad value is a ValueError when the config is built."""
 
     n0: int = 1500
     n_k: int = 1000
@@ -125,10 +128,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n0, self.n_k) < 1 or self.K < 0:
-            raise ValueError("study sizes must be positive and K >= 0")
-        if min(self.p, self.q, self.n_classes) < 1:
-            raise ValueError("p, q and n_classes must be positive")
+        for name in ("n0", "n_k", "p", "q", "n_classes"):
+            check_count(name, getattr(self, name), 1)
+        check_count("K", self.K, 0)
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         if self.h < 0:
@@ -137,7 +139,9 @@ class ScenarioConfig:
             raise ValueError("seed must be >= 0")
         if len(self.support_sizes) != self.n_classes:
             raise ValueError("need one support size per class")
-        if any(not 0 <= s <= self.p for s in self.support_sizes):
+        for s in self.support_sizes:
+            check_count("support_sizes", s, 0)
+        if any(s > self.p for s in self.support_sizes):
             raise ValueError("support sizes must lie in [0, p]")
         GlmFamily(self.family, self.dispersion)  # validates family & dispersion
         if self.prevalences is not None:

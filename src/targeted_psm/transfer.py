@@ -21,7 +21,9 @@ Each decision is made in one place: `_stage_rows` picks a stage's rows
 (every study for "pool", the target for "bias"), `resolve_penalties` turns
 a penalty setting into per-class numbers (per-class CV when "auto"), and
 `_log_joint` builds log v + log f(y | eta), from which one EM iteration
-takes both its objective value and the next E-step.
+takes both its objective value and the next E-step.  The CV choice and
+the stop test of both loops are the package's rules, `core.first_best` at
+CV_RTOL and `core.em_converged` at DEFAULT_TAU with STOP_FLOOR.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ from .core import (
     GlmFamily,
     MembershipMatrix,
     StudyCollection,
+    check_count,
     clip_rows,
+    em_converged,
+    first_best,
     log_sum_exp_rows,
     neg_log_lik_glm,
     sorted_row_sums,
@@ -63,6 +68,16 @@ DEFAULT_MAX_EM_ITER = 100
 DEFAULT_CV_FOLDS = 5
 DEFAULT_CV_GRID = tuple(np.logspace(np.log10(0.01), np.log10(10.0), 10))
 
+# A CV score within CV_RTOL * |best| of a class's lowest one ties with it,
+# and the larger penalty wins the tie (core.first_best; 0 keeps the exact
+# lowest).
+CV_RTOL = 0.0
+
+# Both EM loops test the parameter change relative to the previous state's
+# norm while that norm is above STOP_FLOOR, absolutely at or below it
+# (core.em_converged; 0 is absolute only from an all-zero state).
+STOP_FLOOR = 0.0
+
 # A class whose total weight mass falls below 10 * p * EPS_CLIP in some
 # M-step is frozen for that iteration instead of being refit.
 DEGENERATE_MASS_FACTOR = 10.0
@@ -75,16 +90,20 @@ class TransferConfig:
     lambda_pool / lambda_bias   "auto" (per-class CV), a scalar, or a
                                 per-class sequence; resolved values sit on
                                 the marginal scale (loss / row count)
-    max_em_iter                 iteration cap M for both loops; 1 gives the
-                                one-pass variant (memberships never refined)
-    cv_folds                    folds for "auto" tuning (>= 2)
+    max_em_iter                 iteration cap M for both loops (an integer
+                                >= 1); 1 gives the one-pass variant
+                                (memberships never refined)
+    cv_folds                    folds for "auto" tuning (an integer, >= 2
+                                when either penalty is "auto")
     cv_grid                     multipliers c for the candidate penalties
-                                c * sqrt(log p / n_eff)
+                                c * sqrt(log p / n_eff), each finite and > 0
     seed                        master seed (>= 0) for the cv-folds substream
                                 (and the LCA restarts when none are supplied)
 
-    Both EM loops stop at the relative-change threshold DEFAULT_TAU, and
-    every class has one unpenalized intercept.
+    A bad value is a ValueError when the config is built, not a failure
+    mid-fit.  Both EM loops stop at the relative-change threshold
+    DEFAULT_TAU (see STOP_FLOOR), and every class has one unpenalized
+    intercept.
     """
 
     lambda_pool: object = "auto"
@@ -95,23 +114,24 @@ class TransferConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_em_iter < 1:
-            raise ValueError("max_em_iter must be >= 1")
+        check_count("max_em_iter", self.max_em_iter, 1)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        auto = False
         for name in ("lambda_pool", "lambda_bias"):
             val = getattr(self, name)
             if isinstance(val, str):
                 if val != "auto":
                     raise ValueError(f"{name} must be 'auto', a scalar, or a sequence")
-                if self.cv_folds < 2:
-                    raise ValueError("cv_folds must be >= 2 when tuning is 'auto'")
+                auto = True
             else:
                 arr = np.atleast_1d(np.asarray(val, dtype=float))
                 if np.any(np.isnan(arr)) or np.any(arr < 0):
                     raise ValueError(f"{name} values must be >= 0")
-        if len(self.cv_grid) < 1 or any(c <= 0 for c in self.cv_grid):
-            raise ValueError("cv_grid multipliers must be positive")
+        check_count("cv_folds", self.cv_folds, 2 if auto else 1)
+        grid = np.asarray(self.cv_grid, dtype=float)
+        if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid) & (grid > 0)):
+            raise ValueError(f"cv_grid multipliers must be finite and > 0, got {self.cv_grid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +234,15 @@ def _mixture_em(
     After the M-step the log joint is built once: its row log-sum-exp gives
     the iteration's objective value, and the two together give the next
     iteration's memberships.  Each class's state is its unpenalized
-    intercept followed by its coefficients.  Stops when the relative
-    parameter change drops to the module's DEFAULT_TAU, read on every call
-    (absolute change when the previous state is zero), or after max_iter
-    rounds; a loop of more than one round that stops at its cap raises a
-    RuntimeWarning naming `stage`.  An iteration with a failed solve never
-    counts as converged (the frozen class adds nothing to the change); a
-    class frozen for low mass does count.  A single class stops after one
-    round: its memberships are all ones (clip_rows of one column), so a
-    second round would only re-solve the same problem.  Returns (coef,
+    intercept followed by its coefficients.  Stops when core.em_converged
+    passes on the parameter change against the previous state's norm, at
+    the module's DEFAULT_TAU and STOP_FLOOR, read on every call, or after
+    max_iter rounds; a loop of more than one round that stops at its cap
+    raises a RuntimeWarning naming `stage`.  An iteration with a failed
+    solve never counts as converged (the frozen class adds nothing to the
+    change); a class frozen for low mass does count.  A single class stops
+    after one round: its memberships are all ones (clip_rows of one column),
+    so a second round would only re-solve the same problem.  Returns (coef,
     weights_used, trace), with one trace value per iteration.
     """
     n, p = X.shape
@@ -281,12 +301,12 @@ def _mixture_em(
         log_w = _log_joint(family, y, X, log_v, coef, offsets_by_class)
         log_mix = log_sum_exp_rows(log_w)
         trace.append(_penalized_value(log_mix, coef, lambdas))
-        denom = sorted_square_norm(theta)
-        diff = sorted_square_norm(theta_new - theta)
+        scale = sorted_square_norm(theta)
+        change = sorted_square_norm(theta_new - theta)
         theta = theta_new
         if failed:
             continue
-        if (diff <= tau * denom) if denom > 0 else (sorted_square_norm(theta_new) <= tau):
+        if em_converged(change, scale, tau, STOP_FLOOR):
             break
     else:
         if max_iter > 1:
@@ -317,9 +337,10 @@ def _stratified_folds(study_index: np.ndarray, cv_folds: int, rng) -> np.ndarray
     return fold
 
 
-def _make_folds(y, study_index, cv_folds, family, seed):
+def _make_folds(y, study_index, cv_folds, family, seed, stage):
     """Stratified-by-study folds; refolds (up to 5 tries) while any fold is
-    empty or, for logistic outcomes, single-valued in y."""
+    empty or, for logistic outcomes, single-valued in y.  A ValueError
+    names the stage and its fixes when no try succeeds."""
     for attempt in range(5):
         rng = substream(seed, "cv-folds", attempt)
         fold = _stratified_folds(study_index, cv_folds, rng)
@@ -334,9 +355,10 @@ def _make_folds(y, study_index, cv_folds, family, seed):
                 break
         if ok:
             return fold
-    raise RuntimeError(
-        f"could not build {cv_folds} usable CV folds after 5 attempts "
-        "(a fold stayed empty or single-valued in y)"
+    raise ValueError(
+        f"'auto' tuning of lambda_{stage} could not build {cv_folds} usable CV folds "
+        "after 5 attempts (a fold stayed empty or single-valued in y); lower cv_folds "
+        f"or give lambda_{stage} a numeric value"
     )
 
 
@@ -355,14 +377,26 @@ def _stage_rows(data: StudyCollection, memberships: MembershipMatrix, stage: str
     raise ValueError("stage must be 'pool' or 'bias'")
 
 
-def _check_two_outcomes(family: GlmFamily, y: np.ndarray, stage: str) -> None:
+def _check_foldable(family: GlmFamily, y: np.ndarray, stage: str, cv_folds: int) -> None:
     """ValueError unless 'auto' tuning of a stage whose outcomes are y can
-    build folds: a logistic stage needs both outcome values."""
+    build cv_folds folds: every fold needs a row and, for a logistic stage,
+    both outcome values, so a stage with fewer rows, events or non-events
+    than folds has no usable folds."""
     if family.kind == "logistic" and np.unique(y).size < 2:
         raise ValueError(
             f"'auto' tuning of lambda_{stage} needs both outcome values, but every "
             f"y of the {stage} stage is {y[0]:g}; give lambda_{stage} a numeric value"
         )
+    counts = [(y.size, "rows")]
+    if family.kind == "logistic":
+        events = int(np.count_nonzero(y))
+        counts = [(events, "events"), (y.size - events, "non-events")]
+    for count, what in counts:
+        if count < cv_folds:
+            raise ValueError(
+                f"'auto' tuning of lambda_{stage} cannot fill {cv_folds} CV folds from "
+                f"{count} {what}; lower cv_folds or give lambda_{stage} a numeric value"
+            )
 
 
 def auto_tune_lambda(
@@ -389,13 +423,17 @@ def auto_tune_lambda(
     solve's best iterate.  SolverError is raised only when every candidate
     of a class fails, naming the class and stage.
 
+    Each class takes the candidate core.first_best picks from its CV scores
+    at CV_RTOL: the candidates descend, so a tie goes to the larger penalty.
+
     A logistic stage whose y takes one value (say, a target study with no
-    events) has no usable fold: ValueError names the stage and asks for a
-    numeric penalty.
+    events) or fewer of either value than cv_folds has no usable folds, and
+    neither has one whose folds stay empty or single-valued in y after five
+    tries: ValueError names the stage and asks for fewer folds or a numeric
+    penalty.
     """
     y, X, study_index, v_rows = _stage_rows(data, memberships, stage)
-    if cv_folds < 2:
-        raise ValueError("cv_folds must be >= 2")
+    check_count("cv_folds", cv_folds, 2)
     if stage == "bias" and offsets_by_class is None:
         raise ValueError("bias-stage tuning needs per-class offsets")
     n, p = X.shape
@@ -403,9 +441,9 @@ def auto_tune_lambda(
     if offsets_by_class is not None and offsets_by_class.shape != (n, C):
         raise ValueError("offsets_by_class must be (n, C)")
 
-    _check_two_outcomes(family, y, stage)
+    _check_foldable(family, y, stage, cv_folds)
     candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(p, n)
-    fold = _make_folds(y, study_index, cv_folds, family, seed)
+    fold = _make_folds(y, study_index, cv_folds, family, seed, stage)
     design, mask = _design(X)
     # Folds outside, classes inside: each fold's arrays are built once, and
     # only one fold's are alive at a time.
@@ -451,9 +489,9 @@ def auto_tune_lambda(
                 last_error[c].best,
             ) from last_error[c]
     scores = np.divide(loss_sum, mass_sum, out=np.full(shape, np.inf), where=~failed)
-    # Ties resolve toward the larger (more parsimonious) penalty, which comes
-    # first in the descending candidate order.
-    return candidates[np.argmin(scores, axis=1)]
+    # The candidates descend, so a tie goes to the larger (more
+    # parsimonious) penalty.
+    return candidates[first_best(scores, CV_RTOL)]
 
 
 def resolve_penalties(
@@ -619,7 +657,7 @@ def fit_targeted_psm(
     }
     for stage, setting in (("pool", config.lambda_pool), ("bias", config.lambda_bias)):
         if isinstance(setting, str):
-            _check_two_outcomes(family, stage_y[stage], stage)
+            _check_foldable(family, stage_y[stage], stage, config.cv_folds)
         else:
             _per_class(setting, stage, C)
     if lca_model is None:

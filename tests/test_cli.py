@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from targeted_psm import core
+from targeted_psm import core, lca, transfer
 from targeted_psm.cli import (
     ConfigError,
     experiment_scenarios,
@@ -20,6 +20,7 @@ from targeted_psm.cli import (
 from targeted_psm.baselines import MethodId
 from targeted_psm.core import read_study_csv
 from targeted_psm.evaluate import read_report_rows
+from targeted_psm.glm import SolverError
 from targeted_psm.transfer import load_transfer_fit, predict_risk
 
 
@@ -482,6 +483,87 @@ def test_auto_penalties_on_a_single_valued_target_exit_2_naming_the_setting(cli_
         f"error: {data}: 'auto' tuning of lambda_bias needs both outcome values, but every "
         "y of the bias stage is 0; give lambda_bias a numeric value"
     )
+
+
+def test_cv_folds_the_target_cannot_fill_exit_2_naming_the_stage(cli_workspace, tmp_path,
+                                                                 capsys, monkeypatch):
+    # three events in the target cannot fill five folds with both outcome
+    # values, which is known before the latent class fit
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_lca ran")
+
+    monkeypatch.setattr(transfer, "fit_lca", no_fit)
+    _, _, data_dir = cli_workspace
+    data = tmp_path / "three-events"
+    shutil.copytree(data_dir, data)
+    target = data / "study_0.csv"
+    header, *rows = target.read_text().splitlines()
+    rows = [("1" if i < 3 else "0") + r[r.index(","):] for i, r in enumerate(rows)]
+    target.write_text("\n".join([header] + rows) + "\n")
+    config = _write_config(tmp_path, {
+        "scenario": dict(TINY_SCENARIO), "lca": dict(TINY_LCA),
+        "tuning": {"cv_folds": 5, "cv_grid": [0.5, 2.0]},
+    })
+    assert main(["fit", "--config", config, "--data", str(data), "--classes", "2"]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: {data}: 'auto' tuning of lambda_bias cannot fill 5 CV folds from 3 events; "
+        "lower cv_folds or give lambda_bias a numeric value"
+    )
+
+
+def test_a_failed_solve_in_fit_is_one_error_line(cli_workspace, tmp_path, capsys, monkeypatch):
+    # a solve that fails on its stage's first pass has no previous state to
+    # keep, so the fit stops; the CLI names the dataset, with no traceback
+    real = transfer.solve_weighted_lasso_glm
+
+    def failing(prob, init=None):
+        raise SolverError("injected", real(prob, init=init))
+
+    monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", failing)
+    _, config, data_dir = cli_workspace
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--config", config, "--data", str(data_dir), "--out", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {data_dir}: injected"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, block, setting, message",
+    [
+        ("fit", "tuning", {"cv_grid": [float("nan"), 1.0]},
+         "cv_grid multipliers must be finite and > 0, got (nan, 1.0)"),
+        ("fit", "tuning", {"cv_grid": [float("inf")]},
+         "cv_grid multipliers must be finite and > 0, got (inf,)"),
+        ("fit", "tuning", {"cv_folds": 2.5}, "cv_folds must be an integer >= 2, got 2.5"),
+        ("fit", "tuning", {"max_em_iter": 2.5}, "max_em_iter must be an integer >= 1, got 2.5"),
+        ("fit", "lca", {"n_starts": 2.5}, "n_starts must be an integer >= 1, got 2.5"),
+        ("lca-select", "lca", {"n_starts": True}, "n_starts must be an integer >= 1, got True"),
+        ("simulate", "scenario", {"n0": 80.5}, "n0 must be an integer >= 1, got 80.5"),
+        ("simulate", "scenario", {"p": 5.0}, "p must be an integer >= 1, got 5.0"),
+        ("simulate", "scenario", {"K": True}, "K must be an integer >= 0, got True"),
+        ("experiment", "scenario", {"support_sizes": [1, 2.5, 4]},
+         "support_sizes must be an integer >= 0, got 2.5"),
+    ],
+)
+def test_a_bad_config_value_exits_2_naming_the_block(tmp_path, capsys, command, block, setting,
+                                                     message):
+    payload = {"scenario": dict(TINY_SCENARIO)}
+    payload[block] = {**payload.get(block, {}), **setting}
+    config = _write_config(tmp_path, payload)
+    assert main([command, *_required_flags(command, tmp_path), "--config", config]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {block}: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_lca_select_stars_the_smaller_class_count_on_a_bic_tie(cli_workspace, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(lca, "lca_bic", lambda model, data: 1234.5)
+    _, config, data_dir = cli_workspace
+    assert main(["lca-select", "--config", config, "--data", str(data_dir),
+                 "--classes", "3", "2"]) == 0
+    starred = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+               if line.endswith(" *")]
+    assert starred == ["2"]
 
 
 @pytest.mark.parametrize(

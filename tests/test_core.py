@@ -12,8 +12,11 @@ from targeted_psm.core import (
     MembershipMatrix,
     Study,
     StudyCollection,
+    check_count,
     clamp_eta,
     clip_rows,
+    em_converged,
+    first_best,
     load_collection,
     log_sum_exp_rows,
     neg_log_lik_glm,
@@ -189,6 +192,97 @@ def test_sorted_square_norm_matches_linalg_and_is_exact(rng):
         assert sorted_square_norm(flat[rng.permutation(flat.size)]) == (
             sorted_square_norm(a)
         )
+
+
+# ---------------------------------------------------------------------------
+# The choice rule, the EM stop test and the count check
+# ---------------------------------------------------------------------------
+
+
+def _tied_scores(rng, shape):
+    """Scores drawn from a few values, so exact ties are common, with the
+    +inf of a failed CV candidate among them."""
+    return rng.choice([0.25, 1.0, 1.0 + 2.0 ** -52, 3.5, np.inf], size=shape)
+
+
+def test_first_best_at_zero_rtol_is_every_in_place_rule_it_replaced(rng):
+    for _ in range(300):
+        s = _tied_scores(rng, int(rng.integers(1, 9)))
+        idx = range(s.size)
+        old_rules = (
+            int(np.argmin(s)),                       # the CV choice
+            min(idx, key=lambda i: s[i]),            # the BIC choice
+            max(idx, key=lambda i: -s[i]),           # the restart choice, on -score
+        )
+        assert first_best(s, 0.0) == old_rules[0] == old_rules[1] == old_rules[2]
+        assert isinstance(first_best(s, 0.0), int)
+        S = _tied_scores(rng, (int(rng.integers(1, 5)), int(rng.integers(1, 9))))
+        assert np.array_equal(first_best(S, 0.0), np.argmin(S, axis=1))
+
+
+def test_first_best_with_a_tolerance_picks_the_first_score_within_it():
+    s = np.array([3.0, 1.0 + 5e-8, 2.0, 1.0])
+    assert first_best(s, 0.0) == 3
+    assert first_best(s, 1e-7) == 1          # within 1e-7 * |1.0| of the best
+    assert first_best(s, 2.0) == 0           # 3.0 <= 1.0 + 2.0 * 1.0
+    assert first_best(-s, 0.0) == 0          # the tolerance scales with |best|
+    assert first_best([-1000.0, -1000.0 + 1e-4, -999.0], 1e-6) == 0
+    assert first_best([-1000.0 + 1e-4, -1000.0, -999.0], 1e-6) == 0
+    assert first_best([-1000.0 + 1e-2, -1000.0, -999.0], 1e-6) == 1
+    S = np.array([[2.0, 1.0 + 1e-9, 1.0], [5.0, 5.0, 4.0]])
+    assert first_best(S, 1e-8).tolist() == [1, 2]
+    assert first_best([np.inf, np.inf], 1e-8) == 0
+    with pytest.raises(ValueError, match="NaN"):
+        first_best([1.0, np.nan], 0.0)
+    with pytest.raises(ValueError, match="rtol"):
+        first_best([1.0, 2.0], -1e-9)
+
+
+def _mixture_em_test(theta, theta_new, tau):
+    """The stop test _mixture_em wrote in place before core.em_converged."""
+    denom = sorted_square_norm(theta)
+    diff = sorted_square_norm(theta_new - theta)
+    return (diff <= tau * denom) if denom > 0 else (sorted_square_norm(theta_new) <= tau)
+
+
+def test_em_converged_at_floor_zero_is_the_old_mixture_em_test(rng):
+    tau = 1e-4
+    for _ in range(2000):
+        # zero states, states of norm below 1 and above it, and steps right
+        # around the threshold
+        size = rng.choice([0.0, 1e-3, 0.5, 30.0])
+        theta = size * rng.standard_normal((4, 3))
+        length = rng.choice([0.0, 0.5, 1.0, 2.0]) * tau * max(sorted_square_norm(theta), 1.0)
+        step = rng.standard_normal((4, 3))
+        step *= length / sorted_square_norm(step) * (1.0 + rng.uniform(-1e-12, 1e-12))
+        theta_new = theta + step
+        new = em_converged(
+            sorted_square_norm(theta_new - theta), sorted_square_norm(theta), tau, 0.0
+        )
+        assert new == _mixture_em_test(theta, theta_new, tau)
+
+
+def test_em_converged_is_relative_above_the_floor_absolute_at_it():
+    tau = 1e-4
+    # a previous state of norm 0.5: relative, so a change of 0.8 * tau is
+    # not converged (a floor of 1 would have stopped here)
+    assert not em_converged(0.8 * tau, 0.5, tau, 0.0)
+    assert em_converged(0.4 * tau, 0.5, tau, 0.0)
+    assert em_converged(0.8 * tau, 0.5, tau, 1.0)
+    # a zero previous state: absolute
+    assert em_converged(tau, 0.0, tau, 0.0)
+    assert not em_converged(2 * tau, 0.0, tau, 0.0)
+    # a scale at the floor is absolute, above it relative
+    assert em_converged(tau, 1.0, tau, 1.0)
+    assert not em_converged(tau, 1.0 + 1e-9, 0.5 * tau, 1.0)
+
+
+def test_check_count():
+    check_count("n", 3, 1)
+    check_count("n", np.int64(0), 0)
+    for bad in (0, 2.5, 5.0, True, "3", None):
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got"):
+            check_count("n", bad, 1)
 
 
 @given(

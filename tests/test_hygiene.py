@@ -3,8 +3,9 @@ there, every private module-level function or class is used somewhere in the
 package, no module imports another module's private names, only the
 fork-join helper manages processes, and its docstring lists exactly the
 functions that call it, no module reads the environment, every default of a
-package-private function is one some call overrides, and numeric CSVs are
-written and parsed in one place each.
+package-private function is one some call overrides, numeric CSVs are
+written and parsed in one place each, and every model choice goes through
+core.first_best.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -271,3 +272,54 @@ def test_the_fork_join_helper_lists_its_callers():
     }
     assert calling - listed == set(), "fan_out callers missing from _parallel.py's docstring"
     assert listed - calling == set(), "functions _parallel.py's docstring lists that do not call fan_out"
+
+
+# Names that pick a best index; only core.first_best may use them.
+CHOICE_NAMES = {"argmin", "argmax", "nanargmin", "nanargmax"}
+
+
+def _in_place_choices(tree, module):
+    """(line, text) of every argmin / argmax named or imported and every
+    min / max called with key= in `tree`, outside core.first_best."""
+    for node, owner in _with_owner(tree):
+        if (module, owner) == ("core.py", "first_best"):
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in CHOICE_NAMES:
+            yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Name) and node.id in CHOICE_NAMES:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.alias) and node.name in CHOICE_NAMES:
+            yield node.lineno, f"import of {node.name}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("min", "max") and any(k.arg == "key" for k in node.keywords)):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_every_model_choice_goes_through_first_best():
+    """The CV penalty, the latent class restart, the BIC class count and
+    the class alignment are each picked by core.first_best, with one tie
+    convention: an argmin, argmax, min(key=) or max(key=) anywhere else in
+    the package would be a second rule."""
+    found = sorted(
+        f"{path.name}:{line}: {text}"
+        for path in PACKAGE.glob("*.py")
+        for line, text in _in_place_choices(ast.parse(path.read_text(), filename=str(path)),
+                                            path.name)
+    )
+    assert not found, f"model choices outside core.first_best: {found}"
+
+
+@pytest.mark.parametrize(
+    "module, planted",
+    [
+        ("transfer.py", "def _pick(scores):\n    return np.argmin(scores, axis=1)\n"),
+        ("lca.py", "def _pick(fits):\n    return max(fits, key=lambda m: m.log_lik)\n"),
+        ("cli.py", "def _pick(rows):\n    return min(rows, key=lambda r: r['bic'])\n"),
+        ("core.py", "def _pick(scores):\n    return scores.argmax()\n"),
+        ("evaluate.py", "from numpy import argmin\n"),
+    ],
+    ids=["np.argmin", "max-key", "min-key", "method-argmax", "imported-argmin"],
+)
+def test_the_choice_scan_finds_a_planted_rule(module, planted):
+    source = (PACKAGE / module).read_text() + "\n\n" + planted
+    assert list(_in_place_choices(ast.parse(source), module))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targeted_psm import lca
-from targeted_psm.core import EPS_CLIP, Study, StudyCollection, clip_rows
+from targeted_psm.core import EPS_CLIP, Study, StudyCollection, clip_rows, em_converged
 from targeted_psm.lca import (
     LcaFitConfig,
     LcaModel,
@@ -388,6 +388,56 @@ def test_fanned_out_class_selection_equals_serial(cpus, small_collection):
         assert (new["n_classes"], new["converged"]) == (ref["n_classes"], ref["converged"])
         assert np.float64(new["bic"]).tobytes() == np.float64(ref["bic"]).tobytes()
         _assert_same_fit(new["model"], ref["model"])
+
+
+def test_restarts_tied_on_log_lik_keep_the_earliest(cpus, small_collection, monkeypatch):
+    # Every restart "ends" at its own initial model with one shared
+    # log-likelihood, so only the tie rule picks; the first restart's
+    # initial model is the one an n_starts=1 fit draws.
+    data, _, _ = small_collection
+    monkeypatch.setattr(lca, "_run_em", lambda init, index: replace(init, trace=(-50.0, -42.0)))
+    first = fit_lca(data, 3, LcaFitConfig(seed=4, n_starts=1))
+    _assert_same_fit(fit_lca(data, 3, LcaFitConfig(seed=4, n_starts=6)), first)
+    assert cpus.forks > 0
+    assert not np.array_equal(fit_lca(data, 3, LcaFitConfig(seed=5, n_starts=1)).prevalences,
+                              first.prevalences)
+
+
+def test_select_classes_bic_marks_one_row_and_ties_go_to_the_smaller_c(small_collection,
+                                                                       monkeypatch):
+    data, _, _ = small_collection
+    cfg = LcaFitConfig(seed=0, n_starts=2)
+    rows = select_classes_bic(data, [3, 1, 2], cfg)
+    lowest = min(r["bic"] for r in rows)
+    assert [r["selected"] for r in rows] == [r["bic"] == lowest for r in rows]
+    monkeypatch.setattr(lca, "lca_bic", lambda model, data: 1234.5)
+    tied = select_classes_bic(data, [3, 1, 2, 1], cfg)
+    assert [r["selected"] for r in tied] == [False, True, False, False]
+
+
+def test_run_em_stop_test_decides_as_the_old_expression(small_collection, rng):
+    # _run_em used to compare the change with tol * (|previous| + 1e-12).
+    # em_converged at floor 0 drops the 1e-12: the log-likelihood of clipped
+    # prevalences is strictly negative, so the scale is never zero, and the
+    # threshold's last bits move without moving a decision.
+    data, _, _ = small_collection
+    index = _CellIndex.of(data)
+    tol = lca.DEFAULT_TOL_LCA
+    n_tests = 0
+    for C in (2, 3, 4):
+        for _ in range(4):
+            init = LcaModel(prevalences=rng.uniform(0.2, 0.8, size=(C, data.q)),
+                            mixing=clip_rows(rng.dirichlet(np.ones(C), size=data.K + 1)))
+            model = lca._run_em(init, index)
+            steps = model.trace[:-1]  # the last value re-evaluates the result
+            decisions = []
+            for prev, ll in zip(steps, steps[1:]):
+                old = abs(ll - prev) <= tol * (abs(prev) + 1e-12)
+                assert em_converged(abs(ll - prev), abs(prev), tol, 0.0) == old
+                decisions.append(old)
+            assert decisions == [False] * (len(decisions) - 1) + [model.converged]
+            n_tests += len(decisions)
+    assert n_tests > 100
 
 
 # ---------------------------------------------------------------------------

@@ -458,14 +458,14 @@ def test_lambda_scale_formula():
 def test_make_folds_stratified_and_guarded(rng):
     y = rng.integers(0, 2, size=120).astype(float)
     study_index = np.repeat([0, 1, 2], 40)
-    fold = _make_folds(y, study_index, 4, GlmFamily.logistic(), seed=0)
+    fold = _make_folds(y, study_index, 4, GlmFamily.logistic(), seed=0, stage="pool")
     assert fold.shape == (120,)
     for k in range(3):
         counts = np.bincount(fold[study_index == k], minlength=4)
         assert counts.max() - counts.min() <= 1  # balanced within study
-    with pytest.raises(RuntimeError, match="usable CV folds"):
+    with pytest.raises(ValueError, match="lambda_pool could not build 3 usable CV folds"):
         _make_folds(
-            np.ones(30), np.zeros(30, dtype=int), 3, GlmFamily.logistic(), seed=0
+            np.ones(30), np.zeros(30, dtype=int), 3, GlmFamily.logistic(), seed=0, stage="pool"
         )
 
 
