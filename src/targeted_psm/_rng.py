@@ -13,22 +13,21 @@ import hashlib
 
 import numpy as np
 
+from .core import check_count
+
 
 def _key_to_int(key) -> int:
-    if isinstance(key, (int, np.integer)):
-        if key < 0:
-            raise ValueError("integer substream keys must be nonnegative")
-        return int(key)
     if isinstance(key, str):
         digest = hashlib.sha256(key.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")
-    raise TypeError(f"substream keys must be str or int, got {type(key)!r}")
+    check_count("substream key", key, 0)
+    return int(key)
 
 
 def substream(seed: int, *keys) -> np.random.Generator:
-    """Independent generator for the given master seed (>= 0) and key path."""
-    if seed < 0:
-        raise ValueError(f"the master seed must be >= 0, got {seed!r}")
+    """Independent generator for the given master seed (an integer >= 0)
+    and key path."""
+    check_count("master seed", seed, 0)
     spawn_key = tuple(_key_to_int(k) for k in keys)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(ss))

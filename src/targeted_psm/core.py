@@ -254,7 +254,8 @@ def em_converged(change: float, scale: float, tol: float, floor: float) -> bool:
 
 
 def check_count(name: str, value, minimum: int) -> None:
-    """ValueError unless `value` is an integer (a bool is not) >= minimum."""
+    """The package's one integer rule (counts, class counts, seeds, study
+    ids): ValueError unless `value` is an integer (a bool is not) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
@@ -291,12 +292,10 @@ class Study:
             raise ValueError("y and X must be finite")
         if not np.all(np.isin(z, (0.0, 1.0))):
             raise ValueError("structure variables must be binary (0/1)")
-        if int(self.study_id) < 0:
-            raise ValueError("study_id must be nonnegative")
+        check_count("study_id", self.study_id, 0)
         object.__setattr__(self, "outcomes", y)
         object.__setattr__(self, "predictors", x)
         object.__setattr__(self, "structure_vars", z)
-        object.__setattr__(self, "study_id", int(self.study_id))
 
     @property
     def n(self) -> int:

@@ -25,7 +25,11 @@ sums add its rows in the order a per-study sum does, and the padding adds
 only +0.0, which leaves every (non-negative) sum unchanged.  The block
 holds n_max*(K+1)*C values per EM step: as many as the gathered posteriors
 (n*C) when the studies are of equal size, up to K+1 times that when one
-study dominates.
+study dominates.  The M-step product still reads each study's rows from
+the gathered posteriors, not from the block: a product on the block's
+strided per-study view differs in the last bits at q = 1, where numpy
+takes BLAS's matrix-vector path, and a contiguous copy of each study's
+view made the step slower than the gather.
 
 A lone row goes to `_log_density_matrix` as the first of two equal rows,
 so it takes BLAS's matrix-matrix kernel like a batch: for C >= 2 a cell's
@@ -86,17 +90,16 @@ BIC_RTOL = 0.0
 @dataclass(frozen=True)
 class LcaFitConfig:
     """EM settings: the number of restarts (an integer >= 1) and the
-    master seed (>= 0) feeding the 'lca-init' substream.  Every restart
-    stops at the relative log-likelihood change DEFAULT_TOL_LCA (see
-    STOP_FLOOR) or after DEFAULT_MAX_ITER_LCA iterations."""
+    master seed (an integer >= 0) feeding the 'lca-init' substream.  Every
+    restart stops at the relative log-likelihood change DEFAULT_TOL_LCA
+    (see STOP_FLOOR) or after DEFAULT_MAX_ITER_LCA iterations."""
 
     n_starts: int = DEFAULT_N_STARTS
     seed: int = 0
 
     def __post_init__(self):
         check_count("n_starts", self.n_starts, 1)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -262,10 +265,18 @@ def _log_lik(model: LcaModel, index: _CellIndex) -> float:
     return total
 
 
+def _check_fits(model: LcaModel, data: StudyCollection) -> None:
+    """ValueError unless `model` has a mixing row per study of `data` and
+    one prevalence per structure variable."""
+    if model.n_studies != data.K + 1:
+        raise ValueError(f"the model's study count is {model.n_studies}, not {data.K + 1}")
+    if model.n_structure_vars != data.q:
+        raise ValueError(f"the model has q={model.n_structure_vars}, not q={data.q}")
+
+
 def lca_log_lik(model: LcaModel, data: StudyCollection) -> float:
     """Marginal log-likelihood of the collection under the model."""
-    if model.n_studies != data.K + 1:
-        raise ValueError("model was fitted for a different number of studies")
+    _check_fits(model, data)
     return _log_lik(model, _CellIndex.of(data))
 
 
@@ -338,10 +349,8 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     the log-likelihood's reductions are sorted.
     """
     config = config or LcaFitConfig()
-    C = int(n_classes)
-    q = data.q
-    if C < 1:
-        raise ValueError("n_classes must be >= 1")
+    check_count("n_classes", n_classes, 1)
+    C, q = n_classes, data.q
     if C > data.n_total:
         raise ValueError("n_classes cannot exceed the total subject count")
     index = _CellIndex.of(data)
@@ -381,8 +390,7 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
 def initial_memberships(model: LcaModel, data: StudyCollection) -> MembershipMatrix:
     """Per-subject class posteriors v under the fitted model (Bayes rule with
     each study's own mixing row as prior), clipped row-wise."""
-    if model.n_studies != data.K + 1:
-        raise ValueError("model was fitted for a different number of studies")
+    _check_fits(model, data)
     index = _CellIndex.of(data)
     post, _ = _cell_posteriors(model, index.cell_z, index.cell_study)
     post = post.take(index.row_cell, axis=0)
@@ -393,11 +401,20 @@ def initial_memberships(model: LcaModel, data: StudyCollection) -> MembershipMat
 
 
 def membership_for_pattern(model: LcaModel, z: np.ndarray, study_row: int = 0) -> np.ndarray:
-    """Class posterior for new binary patterns under one study's prior.
+    """Class posterior for new binary patterns under the prior of study
+    `study_row`, an integer in 0..K (0 is the target).
 
-    Accepts a single pattern (q,) or a batch (n, q); returns (C,) or (n, C).
+    Accepts a single 0/1 pattern (q,) or a batch (n, q); returns (C,) or
+    (n, C).  Any other z or study_row is a ValueError.
     """
     z = np.asarray(z, dtype=float)
+    if z.ndim not in (1, 2) or z.shape[-1] != model.n_structure_vars:
+        raise ValueError(f"z must have q={model.n_structure_vars} columns, got shape {z.shape}")
+    if not np.all((z == 0.0) | (z == 1.0)):
+        raise ValueError("z must be binary (0 or 1)")
+    check_count("study_row", study_row, 0)
+    if study_row >= model.n_studies:
+        raise ValueError(f"study_row must be at most K={model.n_studies - 1}, got {study_row}")
     single = z.ndim == 1
     Z = np.atleast_2d(z)
     post, _ = _cell_posteriors(model, Z, np.full(Z.shape[0], study_row))
@@ -407,8 +424,7 @@ def membership_for_pattern(model: LcaModel, z: np.ndarray, study_row: int = 0) -
 
 def _n_free_params(n_classes: int, data: StudyCollection) -> int:
     """C*q free prevalences plus (K+1)(C-1) free mixing weights."""
-    C = int(n_classes)
-    return C * data.q + (data.K + 1) * (C - 1)
+    return n_classes * data.q + (data.K + 1) * (n_classes - 1)
 
 
 def lca_bic(model: LcaModel, data: StudyCollection) -> float:
@@ -433,9 +449,9 @@ def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig =
         model = fit_lca(data, C, config)
         rows.append(
             {
-                "n_classes": int(C),
+                "n_classes": model.n_classes,
                 "log_lik": model.log_lik,
-                "n_params": _n_free_params(C, data),
+                "n_params": _n_free_params(model.n_classes, data),
                 "bic": lca_bic(model, data),
                 "converged": model.converged,
                 "model": model,

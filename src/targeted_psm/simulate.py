@@ -106,8 +106,8 @@ def preset_mixing(kind: str, n_sources: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one synthetic multi-study scenario.  The
-    counts (n0, n_k, K, p, q, n_classes and each support size) must be
-    integers; a bad value is a ValueError when the config is built."""
+    counts (n0, n_k, K, p, q, n_classes and each support size) and the seed
+    must be integers; a bad value is a ValueError when the config is built."""
 
     n0: int = 1500
     n_k: int = 1000
@@ -135,8 +135,7 @@ class ScenarioConfig:
             raise ValueError("rho must lie in [0, 1)")
         if self.h < 0:
             raise ValueError("h must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_count("seed", self.seed, 0)
         if len(self.support_sizes) != self.n_classes:
             raise ValueError("need one support size per class")
         for s in self.support_sizes:

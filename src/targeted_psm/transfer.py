@@ -97,13 +97,14 @@ class TransferConfig:
                                 when either penalty is "auto")
     cv_grid                     multipliers c for the candidate penalties
                                 c * sqrt(log p / n_eff), each finite and > 0
-    seed                        master seed (>= 0) for the cv-folds substream
-                                (and the LCA restarts when none are supplied)
+    seed                        master seed (an integer >= 0) for the cv-folds
+                                substream (and the LCA restarts when none
+                                are supplied)
 
-    A bad value is a ValueError when the config is built, not a failure
-    mid-fit.  Both EM loops stop at the relative-change threshold
-    DEFAULT_TAU (see STOP_FLOOR), and every class has one unpenalized
-    intercept.
+    A bad value (a boolean penalty or multiplier among them) is a
+    ValueError when the config is built, not a failure mid-fit.  Both EM
+    loops stop at the relative-change threshold DEFAULT_TAU (see
+    STOP_FLOOR), and every class has one unpenalized intercept.
     """
 
     lambda_pool: object = "auto"
@@ -115,8 +116,7 @@ class TransferConfig:
 
     def __post_init__(self):
         check_count("max_em_iter", self.max_em_iter, 1)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_count("seed", self.seed, 0)
         auto = False
         for name in ("lambda_pool", "lambda_bias"):
             val = getattr(self, name)
@@ -125,13 +125,22 @@ class TransferConfig:
                     raise ValueError(f"{name} must be 'auto', a scalar, or a sequence")
                 auto = True
             else:
+                _check_not_bool(f"{name} values", val)
                 arr = np.atleast_1d(np.asarray(val, dtype=float))
                 if np.any(np.isnan(arr)) or np.any(arr < 0):
                     raise ValueError(f"{name} values must be >= 0")
         check_count("cv_folds", self.cv_folds, 2 if auto else 1)
+        _check_not_bool("cv_grid multipliers", self.cv_grid)
         grid = np.asarray(self.cv_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid) & (grid > 0)):
             raise ValueError(f"cv_grid multipliers must be finite and > 0, got {self.cv_grid!r}")
+
+
+def _check_not_bool(what: str, values) -> None:
+    """ValueError if any of `values` is a boolean, which numpy would read as
+    0.0 or 1.0."""
+    if any(isinstance(v, (bool, np.bool_)) for v in np.ravel(np.asarray(values, dtype=object))):
+        raise ValueError(f"{what} must be numbers, not booleans, got {values!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +658,7 @@ def fit_targeted_psm(
     family = family or GlmFamily.logistic()
     for s in data.studies:
         family.validate_outcomes(s.outcomes)
-    C = int(n_classes)
+    check_count("n_classes", n_classes, 1)
     # A penalty setting the data cannot serve is refused before any fitting.
     stage_y = {
         "pool": np.concatenate([s.outcomes for s in data.studies]),
@@ -659,18 +668,13 @@ def fit_targeted_psm(
         if isinstance(setting, str):
             _check_foldable(family, stage_y[stage], stage, config.cv_folds)
         else:
-            _per_class(setting, stage, C)
+            _per_class(setting, stage, n_classes)
     if lca_model is None:
         cfg = lca_config or LcaFitConfig(seed=config.seed)
-        lca_model = fit_lca(data, C, cfg)
-    else:
-        if lca_model.n_classes != C:
-            raise ValueError("pre-fitted LCA model has a different class count")
-        if lca_model.n_studies != data.K + 1:
-            raise ValueError("pre-fitted LCA model covers a different study count")
-        if lca_model.n_structure_vars != data.q:
-            raise ValueError("pre-fitted LCA model has a different q")
-    v = initial_memberships(lca_model, data)
+        lca_model = fit_lca(data, n_classes, cfg)
+    elif lca_model.n_classes != n_classes:
+        raise ValueError("pre-fitted LCA model has a different class count")
+    v = initial_memberships(lca_model, data)  # checks the model's study count and q
 
     lam_pool = resolve_penalties(config.lambda_pool, "pool", data, v, config, family)
     b_pooled, refined, trace_j, _, _ = joint_estimate(data, v, config, family, lam_pool)
@@ -696,24 +700,19 @@ def predict_risk(fit: TransferFit, x_new: np.ndarray, z_new: np.ndarray):
     sum_c g'(x' B0_c) * P(class = c | z, target mixing).
 
     Accepts single vectors (p,), (q,) or batches (n, p), (n, q); returns a
-    scalar or an (n,) array accordingly.
+    scalar or an (n,) array accordingly; membership_for_pattern checks z.
     """
     x = np.asarray(x_new, dtype=float)
-    z = np.asarray(z_new, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
-    Z = np.atleast_2d(z)
-    p, q = fit.b_target.n_features, fit.lca_model.n_structure_vars
+    Z = np.atleast_2d(np.asarray(z_new, dtype=float))
+    p = fit.b_target.n_features
     if X.ndim != 2 or X.shape[1] != p:
         raise ValueError(f"x_new must have p={p} columns, got shape {x.shape}")
-    if Z.ndim != 2 or Z.shape[1] != q:
-        raise ValueError(f"z_new must have q={q} columns, got shape {z.shape}")
     if X.shape[0] != Z.shape[0]:
         raise ValueError("x_new and z_new must cover the same subjects")
     if not np.all(np.isfinite(X)):
         raise ValueError("x_new must be finite")
-    if not np.all((Z == 0.0) | (Z == 1.0)):
-        raise ValueError("z_new must be binary (0 or 1)")
     v_star = membership_for_pattern(fit.lca_model, Z, study_row=0)
     mu = fit.family.mean(fit.b_target.linear_predictor(X))
     risk = sorted_row_sums(mu * v_star)
@@ -774,8 +773,10 @@ def transfer_fit_from_dict(payload: dict) -> TransferFit:
     """Inverse of transfer_fit_to_dict; keys it does not read (the `role`,
     `n_iter_*`, intercept switch and `lca_model` `n_classes`, `log_lik` and
     `n_iter` of older files) are ignored; a fit without intercepts stored
-    zeros for them.  The `b_target` of an older file must be exactly
-    b_pooled + delta; one that differs is a ValueError."""
+    zeros for them.  The parts must agree with b_pooled's (p, C): delta
+    has its shape, and both penalty lists and the latent class model have C
+    classes.  The `b_target` of an older file must be exactly b_pooled +
+    delta.  Anything else is a ValueError."""
     if not isinstance(payload, dict) or payload.get("kind") != "transfer_fit":
         raise ValueError("not a serialized transfer fit")
     family = GlmFamily(payload["family"], float(payload.get("dispersion", 1.0)))
@@ -790,6 +791,18 @@ def transfer_fit_from_dict(payload: dict) -> TransferFit:
         trace_joint=tuple(payload.get("trace_joint", ())),
         trace_bias=tuple(payload.get("trace_bias", ())),
     )
+    p, C = fit.b_pooled.values.shape
+    prevalences = fit.lca_model.prevalences
+    for name, shape, expected in (
+        ("delta values", fit.delta.values.shape, (p, C)),
+        ("lambda_pool", fit.lambda_pool.shape, (C,)),
+        ("lambda_bias", fit.lambda_bias.shape, (C,)),
+        ("lca_model prevalences", prevalences.shape, (C, prevalences.shape[1])),
+    ):
+        if shape != expected:
+            raise ValueError(
+                f"{name} has shape {shape}, not {expected} as b_pooled's (p, C) = {(p, C)} asks"
+            )
     if "b_target" in payload:
         stored, b_target = _coef_from_dict(payload["b_target"]), fit.b_target
         if not (np.array_equal(stored.values, b_target.values)

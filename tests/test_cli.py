@@ -228,6 +228,34 @@ def test_predict_with_a_malformed_fit_exits_2_naming_the_file(tmp_path, capsys, 
     assert line.startswith(f"error: {bad}: ") and reason in line, line
 
 
+def _one_class(payload, part):
+    """`payload` with `part` cut to the first latent class."""
+    if part == "delta":
+        payload["delta"] = {"values": [row[:1] for row in payload["delta"]["values"]],
+                            "intercept": payload["delta"]["intercept"][:1]}
+    elif part == "lca_model":
+        lca_model = payload["lca_model"]
+        lca_model["prevalences"] = lca_model["prevalences"][:1]
+        lca_model["mixing"] = [[1.0] for _ in lca_model["mixing"]]
+    else:
+        payload[part] = payload[part][:1]
+    return payload
+
+
+@pytest.mark.parametrize("part", ["delta", "lambda_pool", "lambda_bias", "lca_model"])
+def test_predict_with_a_fit_whose_parts_disagree_exits_2_naming_the_file(cli_fit, cli_workspace,
+                                                                         tmp_path, capsys, part):
+    """A one-class delta must not broadcast over every class of b_pooled."""
+    fit_path, _ = cli_fit
+    _, _, data_dir = cli_workspace
+    bad = tmp_path / "cut_fit.json"
+    bad.write_text(json.dumps(_one_class(json.loads(fit_path.read_text()), part)))
+    rc = main(["predict", "--fit", str(bad), "--input", str(data_dir / "study_0.csv")])
+    assert rc == 2
+    line = _one_error_line(capsys)
+    assert line.startswith(f"error: {bad}: {part}") and "(p, C) = (10, 3)" in line, line
+
+
 def test_predict_rejects_wrong_width(cli_fit, tmp_path, capsys):
     fit_path, _ = cli_fit
     header = "y," + ",".join(f"x{i}" for i in range(1, 4)) + ",z1"
@@ -424,7 +452,9 @@ def test_a_negative_seed_in_a_block_exits_2_naming_the_block(tmp_path, capsys, c
     payload[block] = {**payload.get(block, {}), "seed": -1}
     config = _write_config(tmp_path, payload)
     assert main([command, *_required_flags(command, tmp_path), "--config", config]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"config error: {block}: seed must be >= 0"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {block}: seed must be an integer >= 0, got -1"
+    ]
     assert not (tmp_path / "out").exists()
 
 
@@ -543,6 +573,12 @@ def test_a_failed_solve_in_fit_is_one_error_line(cli_workspace, tmp_path, capsys
         ("simulate", "scenario", {"K": True}, "K must be an integer >= 0, got True"),
         ("experiment", "scenario", {"support_sizes": [1, 2.5, 4]},
          "support_sizes must be an integer >= 0, got 2.5"),
+        ("fit", "tuning", {"lambda_pool": True},
+         "lambda_pool values must be numbers, not booleans, got True"),
+        ("fit", "tuning", {"cv_grid": [True, 2.0]},
+         "cv_grid multipliers must be numbers, not booleans, got (True, 2.0)"),
+        ("simulate", "scenario", {"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
+        ("fit", "lca", {"seed": True}, "seed must be an integer >= 0, got True"),
     ],
 )
 def test_a_bad_config_value_exits_2_naming_the_block(tmp_path, capsys, command, block, setting,

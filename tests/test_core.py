@@ -351,6 +351,10 @@ def test_study_validation(rng):
             structure_vars=np.zeros((4, 1)),
             study_id=0,
         )
+    # an id is an integer >= 0, never truncated (1.9 does not become 1)
+    for study_id in (1.9, 1.0, True, -1, "1"):
+        with pytest.raises(ValueError, match=f"study_id must be an integer >= 0, got {study_id!r}"):
+            _mk_study(rng, study_id=study_id)
 
 
 def test_collection_sorts_sources_and_stacks(rng):

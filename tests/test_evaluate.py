@@ -407,11 +407,24 @@ def test_run_experiment_statistically_deterministic():
 
 
 def test_a_negative_master_seed_is_a_value_error_naming_it():
-    with pytest.raises(ValueError, match="master seed must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="master seed must be an integer >= 0, got -1"):
         run_experiment([("mini", MINI)], [MethodId.NAIVE_LASSO], replicates=1,
                        master_seed=-1, transfer_config=FAST, lca_config=FAST_LCA)
-    with pytest.raises(ValueError, match="master seed must be >= 0, got -3"):
+    with pytest.raises(ValueError, match="master seed must be an integer >= 0, got -3"):
         substream(-3, "lca-init")
+
+
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_a_master_seed_that_is_not_an_integer_is_refused(seed):
+    """Seed 2.5 must not draw seed 2's streams, nor True seed 1's."""
+    message = f"master seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ValueError, match=message):
+        run_experiment([("mini", MINI)], [MethodId.NAIVE_LASSO], replicates=1,
+                       master_seed=seed, transfer_config=FAST, lca_config=FAST_LCA)
+    with pytest.raises(ValueError, match=message):
+        substream(seed, "lca-init")
+    with pytest.raises(ValueError, match="substream key must be an integer >= 0, got 1.5"):
+        substream(0, "study", 1.5)
 
 
 def test_run_experiment_takes_no_worker_count():

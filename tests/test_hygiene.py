@@ -4,8 +4,9 @@ package, no module imports another module's private names, only the
 fork-join helper manages processes, and its docstring lists exactly the
 functions that call it, no module reads the environment, every default of a
 package-private function is one some call overrides, numeric CSVs are
-written and parsed in one place each, and every model choice goes through
-core.first_best.
+written and parsed in one place each, every model choice goes through
+core.first_best, and every seed, class count, study id and study row is
+checked by core.check_count alone.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -323,3 +324,68 @@ def test_every_model_choice_goes_through_first_best():
 def test_the_choice_scan_finds_a_planted_rule(module, planted):
     source = (PACKAGE / module).read_text() + "\n\n" + planted
     assert list(_in_place_choices(ast.parse(source), module))
+
+
+# Parameters and fields whose integer rule is core.check_count alone.
+COUNT_NAMES = {"seed", "n_classes", "study_id", "study_row"}
+
+
+def _names_a_count(node) -> bool:
+    """Whether `node` is a name, or a `self.` field, in COUNT_NAMES."""
+    if isinstance(node, ast.Name):
+        return node.id in COUNT_NAMES
+    return (isinstance(node, ast.Attribute) and node.attr in COUNT_NAMES
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _is_number(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _in_place_integer_rules(tree, module):
+    """(line, text) of every int(...) of a COUNT_NAMES name and every lower
+    bound on one (`seed < 0`, `n_classes <= 0`, `0 > study_row`) in `tree`,
+    outside core.check_count."""
+    for node, owner in _with_owner(tree):
+        if (module, owner) == ("core.py", "check_count"):
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "int" and any(_names_a_count(a) for a in node.args)):
+            yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for left, op, right in zip(operands, node.ops, operands[1:]):
+                if ((isinstance(op, (ast.Lt, ast.LtE)) and _names_a_count(left) and _is_number(right))
+                        or (isinstance(op, (ast.Gt, ast.GtE)) and _is_number(left)
+                            and _names_a_count(right))):
+                    yield node.lineno, ast.unparse(node)
+
+
+def test_every_integer_rule_goes_through_check_count():
+    """A seed, class count, study id or study row is an integer >= its
+    minimum by core.check_count only: an int(...) would truncate 2.5 to 2,
+    and a `< 0` of its own would be a second rule that lets 2.5 through."""
+    found = sorted(
+        f"{path.name}:{line}: {text}"
+        for path in PACKAGE.glob("*.py")
+        for line, text in _in_place_integer_rules(
+            ast.parse(path.read_text(), filename=str(path)), path.name)
+    )
+    assert not found, f"integer rules outside core.check_count: {found}"
+
+
+@pytest.mark.parametrize(
+    "module, planted",
+    [
+        ("transfer.py", "def _check(seed):\n    if seed < 0:\n        raise ValueError(seed)\n"),
+        ("lca.py", "def _classes(n_classes):\n    return int(n_classes)\n"),
+        ("core.py", "class _Id:\n    def check(self):\n        return int(self.study_id)\n"),
+        ("lca.py", "def _row(study_row):\n    return 0 > study_row\n"),
+        ("simulate.py", "def _c(self):\n    return self.n_classes <= 0\n"),
+    ],
+    ids=["seed-below-0", "int-n-classes", "int-self-study-id", "0-above-study-row",
+         "self-n-classes-at-most-0"],
+)
+def test_the_integer_rule_scan_finds_a_planted_rule(module, planted):
+    source = (PACKAGE / module).read_text() + "\n\n" + planted
+    assert list(_in_place_integer_rules(ast.parse(source), module))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 from dataclasses import fields, replace
 
@@ -465,6 +466,29 @@ def test_membership_bayes_rule_by_hand():
     assert np.array_equal(batch[0], batch[1])
 
 
+@pytest.mark.parametrize(
+    "z, study_row, message",
+    [
+        ([1.0, 0.0], -1, "study_row must be an integer >= 0, got -1"),
+        ([1.0, 0.0], 2, "study_row must be at most K=1, got 2"),
+        ([1.0, 0.0], 0.5, "study_row must be an integer >= 0, got 0.5"),
+        ([1.0, 0.0], True, "study_row must be an integer >= 0, got True"),
+        ([0.5, 0.5], 0, "z must be binary (0 or 1)"),
+        ([[1.0, 0.0], [1.0, np.nan]], 0, "z must be binary (0 or 1)"),
+        ([1.0, 0.0, 1.0], 0, "z must have q=2 columns, got shape (3,)"),
+        ([[[1.0, 0.0]]], 0, "z must have q=2 columns, got shape (1, 1, 2)"),
+    ],
+)
+def test_membership_for_pattern_refuses_a_bad_pattern_or_study_row(z, study_row, message):
+    """study_row -1 must not read the last source's mixing row by Python
+    indexing, K+1 must not end in an IndexError, and z = 0.5 gets no
+    posterior."""
+    model = LcaModel(prevalences=np.array([[0.8, 0.6], [0.2, 0.4]]),
+                     mixing=np.array([[0.7, 0.3], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        membership_for_pattern(model, np.array(z), study_row=study_row)
+
+
 def test_a_single_row_equals_its_row_in_a_batch(rng):
     """A pattern's class posteriors before clipping, and its log-likelihood
     term, get the same bits alone as inside a batch, for random models (C up
@@ -518,6 +542,18 @@ def test_initial_memberships_structure(small_collection):
     assert np.all(stacked <= 1 - EPS_CLIP)
 
 
+def test_a_model_that_does_not_fit_the_collection_is_refused(small_collection):
+    """A wrong q is named, not left to numpy's matmul shape error."""
+    data, _, _ = small_collection
+    wrong_q = LcaModel(prevalences=np.full((2, data.q + 1), 0.5), mixing=np.full((2, 2), 0.5))
+    wrong_k = LcaModel(prevalences=np.full((2, data.q), 0.5), mixing=np.full((3, 2), 0.5))
+    for check in (initial_memberships, lca_log_lik):
+        with pytest.raises(ValueError, match="the model has q=4, not q=3"):
+            check(wrong_q, data)
+        with pytest.raises(ValueError, match="the model.s study count is 3, not 2"):
+            check(wrong_k, data)
+
+
 def test_membership_permutation_equivariance_exact(small_collection):
     data, _, _ = small_collection
     model = fit_lca(data, 2, LcaFitConfig(seed=8, n_starts=3))
@@ -552,6 +588,31 @@ def test_select_classes_bic(small_collection):
     assert all({"log_lik", "n_params", "bic", "converged", "model"} <= set(r) for r in rows)
     # the 2-class generator should prefer 2 classes over 1
     assert rows[1]["bic"] < rows[0]["bic"]
+
+
+@pytest.mark.parametrize("n_classes", [2.5, 2.0, True, 0, np.float64(2.0)])
+def test_a_class_count_that_is_not_an_integer_is_refused(small_collection, n_classes):
+    """A class count is never truncated: 2.5 does not fit 2 classes."""
+    data, _, _ = small_collection
+    message = f"n_classes must be an integer >= 1, got {n_classes!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_lca(data, n_classes, LcaFitConfig(n_starts=1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        select_classes_bic(data, [2, n_classes], LcaFitConfig(n_starts=1))
+
+
+def test_class_counts_may_be_numpy_integers(small_collection):
+    data, _, _ = small_collection
+    cfg = LcaFitConfig(seed=1, n_starts=2)
+    rows = select_classes_bic(data, np.array([1, 2]), cfg)
+    assert [type(r["n_classes"]) for r in rows] == [int, int]
+    assert rows[1]["model"].trace == fit_lca(data, 2, cfg).trace
+
+
+@pytest.mark.parametrize("seed", [2.5, True, -1, "1"])
+def test_lca_fit_config_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+        LcaFitConfig(seed=seed)
 
 
 def test_lca_model_validation():

@@ -69,6 +69,9 @@ def test_scenario_config_validation():
         ScenarioConfig(rho=1.0)
     with pytest.raises(ValueError):
         ScenarioConfig(h=-0.5)
+    for seed in (-1, 2.5, True):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            ScenarioConfig(seed=seed)
     with pytest.raises(ValueError):
         ScenarioConfig(support_sizes=(1, 2))  # needs one per class
     with pytest.raises(ValueError):

@@ -440,6 +440,9 @@ def test_prefitted_lca_mismatch_raises(tiny_scenario):
     single = StudyCollection(target=data.target)
     with pytest.raises(ValueError, match="study count"):
         fit_targeted_psm(single, 2, _mini_config(), lca_model=lca)
+    wrong_q = LcaModel(prevalences=np.full((2, data.q + 1), 0.5), mixing=lca.mixing)
+    with pytest.raises(ValueError, match=f"the model has q={data.q + 1}, not q={data.q}"):
+        fit_targeted_psm(data, 2, _mini_config(), lca_model=wrong_q)
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +602,39 @@ def test_a_penalty_setting_the_data_cannot_serve_is_refused_before_step_1(
 def test_transfer_config_validation():
     with pytest.raises(ValueError):
         TransferConfig(max_em_iter=0)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        TransferConfig(seed=-1)
+    for seed in (-1, 2.5, True):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            TransferConfig(seed=seed)
     with pytest.raises(ValueError):
         TransferConfig(lambda_pool="bogus")
     with pytest.raises(ValueError):
         TransferConfig(lambda_pool=-0.1)
     with pytest.raises(ValueError):
         TransferConfig(lambda_pool="auto", cv_folds=1)
+    # a boolean penalty or multiplier is not read as 0.0 or 1.0
+    for setting, message in (
+        ({"lambda_pool": True}, "lambda_pool values must be numbers, not booleans, got True"),
+        ({"lambda_bias": [0.1, False]},
+         "lambda_bias values must be numbers, not booleans, got [0.1, False]"),
+        ({"lambda_bias": np.array([True, False])}, "lambda_bias values must be numbers"),
+        ({"cv_grid": (True, 2.0)},
+         "cv_grid multipliers must be numbers, not booleans, got (True, 2.0)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TransferConfig(**setting)
+
+
+@pytest.mark.parametrize("n_classes", [2.5, True, 0])
+def test_a_class_count_that_is_not_an_integer_is_refused_before_any_fit(tiny_scenario,
+                                                                        monkeypatch, n_classes):
+    _, data, _ = tiny_scenario
+
+    def never(*args, **kwargs):
+        raise AssertionError("fit_lca ran before the class count was checked")
+
+    monkeypatch.setattr(transfer, "fit_lca", never)
+    with pytest.raises(ValueError, match=f"n_classes must be an integer >= 1, got {n_classes!r}"):
+        fit_targeted_psm(data, n_classes, _mini_config(), GlmFamily.logistic())
 
 
 def test_per_class_lambda_shape_checked(tiny_scenario):
