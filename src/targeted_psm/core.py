@@ -92,8 +92,7 @@ class GlmFamily:
     def __post_init__(self):
         if self.kind not in _FAMILY_KINDS:
             raise ValueError(f"unknown GLM family kind: {self.kind!r}")
-        if not np.isfinite(self.dispersion) or self.dispersion <= 0:
-            raise ValueError("dispersion must be a positive finite number")
+        check_real("dispersion", self.dispersion, "(0, inf)")
         if self.kind == "logistic" and self.dispersion != 1.0:
             raise ValueError("logistic family has fixed dispersion 1")
 
@@ -238,8 +237,7 @@ def first_best(scores, rtol: float):
     scores = np.asarray(scores, dtype=float)
     if np.isnan(scores).any():
         raise ValueError("scores must not be NaN")
-    if not rtol >= 0.0:
-        raise ValueError(f"rtol must be >= 0, got {rtol!r}")
+    check_real("rtol", rtol, "[0, inf)")
     best = scores.min(axis=-1, keepdims=True)
     limit = best + rtol * np.abs(best) if rtol > 0.0 else best
     index = np.argmax(scores <= limit, axis=-1)
@@ -258,6 +256,21 @@ def check_count(name: str, value, minimum: int) -> None:
     ids): ValueError unless `value` is an integer (a bool is not) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, interval: str) -> None:
+    """The package's one real-number rule: ValueError unless `value`, or each
+    item of a flat list, tuple or 1-d array, is a Python or numpy int or
+    float (not a bool) in `interval`, written as it reads ("[0, inf]",
+    "(0, 1)"); NaN fails every bound.  Nothing is converted."""
+    low, high = (float(b) for b in interval[1:-1].split(","))
+    flat = isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1)
+    for v in value if flat else (value,):
+        if (isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
+                or not (low <= v if interval[0] == "[" else low < v)
+                or not (v <= high if interval[-1] == "]" else v < high)):
+            what = "real numbers" if flat else "a real number"
+            raise ValueError(f"{name} must be {what} in {interval}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GlmFamily, neg_log_lik_glm
+from .core import GlmFamily, check_real, neg_log_lik_glm
 
 # Floor for logistic IRLS curvature so working weights never vanish.
 MIN_IRLS_WEIGHT = 1e-5
@@ -47,8 +47,8 @@ class WeightedGlmProblem:
                     penalize_mask.
     y               (n,) outcomes
     weights         (n,) nonnegative observation weights, positive total
-    lam             penalty level (>= 0; +inf pins every penalized coordinate
-                    at zero)
+    lam             penalty level, a real number in [0, inf] (+inf pins every
+                    penalized coordinate at zero); stored as a float
     penalize_mask   (d,) bool, True where |beta_j| enters the penalty
                     (default: every coordinate penalized)
     offset          optional (n,) fixed addition to the linear predictor
@@ -81,9 +81,7 @@ class WeightedGlmProblem:
             raise ValueError("weights must be finite and nonnegative")
         if w.sum() <= 0:
             raise ValueError("total weight must be positive")
-        lam = float(self.lam)
-        if np.isnan(lam) or lam < 0:
-            raise ValueError("lam must be >= 0")
+        check_real("lam", self.lam, "[0, inf]")
         offset = self.offset
         if offset is None:
             offset = np.zeros(n)
@@ -94,7 +92,7 @@ class WeightedGlmProblem:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "penalize_mask", mask)
         object.__setattr__(self, "offset", offset)
 

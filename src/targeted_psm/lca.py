@@ -123,20 +123,20 @@ class LcaModel:
 
     def __post_init__(self):
         pi = np.ascontiguousarray(self.prevalences, dtype=float)
-        lam = np.ascontiguousarray(self.mixing, dtype=float)
-        if pi.ndim != 2 or lam.ndim != 2:
+        mix = np.ascontiguousarray(self.mixing, dtype=float)
+        if pi.ndim != 2 or mix.ndim != 2:
             raise ValueError("prevalences and mixing must be 2-d")
         C = pi.shape[0]
-        if lam.shape[1] != C:
+        if mix.shape[1] != C:
             raise ValueError("mixing columns must match the class count")
-        if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+        if not np.all((pi > 0.0) & (pi < 1.0)):
             raise ValueError("prevalences must lie strictly inside (0, 1)")
-        if np.max(np.abs(lam.sum(axis=1) - 1.0)) > 1e-10:
+        if not np.max(np.abs(mix.sum(axis=1) - 1.0)) <= 1e-10:
             raise ValueError("mixing rows must sum to 1 (tol 1e-10)")
-        if np.any(lam <= 0.0):
+        if not np.all(mix > 0.0):
             raise ValueError("mixing weights must be positive")
         object.__setattr__(self, "prevalences", pi)
-        object.__setattr__(self, "mixing", lam)
+        object.__setattr__(self, "mixing", mix)
         object.__setattr__(self, "trace", tuple(float(v) for v in self.trace))
 
     @property
@@ -334,6 +334,13 @@ def _canonical_order(model: LcaModel) -> LcaModel:
     )
 
 
+def _check_class_count(n_classes, data: StudyCollection) -> None:
+    """ValueError unless `n_classes` is an integer in 1..n_total of `data`."""
+    check_count("n_classes", n_classes, 1)
+    if n_classes > data.n_total:
+        raise ValueError("n_classes cannot exceed the total subject count")
+
+
 def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) -> LcaModel:
     """Fit the joint latent class model with `n_classes` classes.
 
@@ -349,10 +356,8 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     the log-likelihood's reductions are sorted.
     """
     config = config or LcaFitConfig()
-    check_count("n_classes", n_classes, 1)
+    _check_class_count(n_classes, data)
     C, q = n_classes, data.q
-    if C > data.n_total:
-        raise ValueError("n_classes cannot exceed the total subject count")
     index = _CellIndex.of(data)
     if C > 2 ** q:
         warnings.warn(
@@ -441,9 +446,13 @@ def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig =
     `selected` is True on exactly one row: the one core.first_best picks on
     the BICs at BIC_RTOL, with the rows taken by ascending C, so the lowest
     BIC wins and a tie goes to the smaller C (to the earlier row for a C
-    listed twice).  A heuristic convenience: BIC comparisons across latent
-    class counts come with no recovery guarantee.
+    listed twice).  Every C is checked before the first fit.  A heuristic
+    convenience: BIC comparisons across latent class counts come with no
+    recovery guarantee.
     """
+    class_grid = list(class_grid)
+    for C in class_grid:
+        _check_class_count(C, data)
     rows = []
     for C in class_grid:
         model = fit_lca(data, C, config)

@@ -28,8 +28,10 @@ from .core import (
     Study,
     StudyCollection,
     check_count,
+    check_real,
     write_manifest,
 )
+from .lca import LcaModel
 
 # Class-conditional prevalence presets (rows = classes, cols = variables).
 PREVALENCE_PRESETS = {
@@ -105,9 +107,9 @@ def preset_mixing(kind: str, n_sources: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one synthetic multi-study scenario.  The
-    counts (n0, n_k, K, p, q, n_classes and each support size) and the seed
-    must be integers; a bad value is a ValueError when the config is built."""
+    """Full description of one synthetic multi-study scenario.  Counts and
+    seed must be integers, h, rho and coef_value real numbers in range and
+    the tables inside LcaModel's bounds, or the config is a ValueError."""
 
     n0: int = 1500
     n_k: int = 1000
@@ -131,10 +133,9 @@ class ScenarioConfig:
         for name in ("n0", "n_k", "p", "q", "n_classes"):
             check_count(name, getattr(self, name), 1)
         check_count("K", self.K, 0)
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
-        if self.h < 0:
-            raise ValueError("h must be >= 0")
+        check_real("rho", self.rho, "[0, 1)")
+        check_real("h", self.h, "[0, inf)")
+        check_real("coef_value", self.coef_value, "(-inf, inf)")
         check_count("seed", self.seed, 0)
         if len(self.support_sizes) != self.n_classes:
             raise ValueError("need one support size per class")
@@ -147,21 +148,16 @@ class ScenarioConfig:
             arr = np.asarray(self.prevalences, dtype=float)
             if arr.shape != (self.n_classes, self.q):
                 raise ValueError("explicit prevalences must be (C, q)")
-            if np.any(arr <= 0) or np.any(arr >= 1):
-                raise ValueError("explicit prevalences must lie inside (0, 1)")
             object.__setattr__(self, "prevalences", _as_tuple(arr))
         if self.mixing is not None:
             arr = np.asarray(self.mixing, dtype=float)
             if arr.shape != (self.K + 1, self.n_classes):
                 raise ValueError("explicit mixing must be (K+1, C)")
-            if np.any(arr <= 0) or np.max(np.abs(arr.sum(axis=1) - 1)) > 1e-10:
-                raise ValueError("mixing rows must be positive and sum to 1")
             object.__setattr__(self, "mixing", _as_tuple(arr))
         object.__setattr__(self, "support_sizes", tuple(int(s) for s in self.support_sizes))
-        # A preset name or table that does not fit (C, q, K) is a config
-        # error here, not a failure once the scenario is generated.
-        self.resolved_prevalences()
-        self.resolved_mixing()
+        # A preset or table that does not fit (C, q, K) or LcaModel's bounds
+        # is a config error here, not a failure once the scenario is generated.
+        LcaModel(self.resolved_prevalences(), self.resolved_mixing())
 
     def resolved_prevalences(self) -> np.ndarray:
         if self.prevalences is not None:

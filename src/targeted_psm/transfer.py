@@ -44,6 +44,7 @@ from .core import (
     MembershipMatrix,
     StudyCollection,
     check_count,
+    check_real,
     clip_rows,
     em_converged,
     first_best,
@@ -96,13 +97,13 @@ class TransferConfig:
     cv_folds                    folds for "auto" tuning (an integer, >= 2
                                 when either penalty is "auto")
     cv_grid                     multipliers c for the candidate penalties
-                                c * sqrt(log p / n_eff), each finite and > 0
+                                c * sqrt(log p / n_eff), each in (0, inf)
     seed                        master seed (an integer >= 0) for the cv-folds
                                 substream (and the LCA restarts when none
                                 are supplied)
 
-    A bad value (a boolean penalty or multiplier among them) is a
-    ValueError when the config is built, not a failure mid-fit.  Both EM
+    A bad value (a boolean, string or NaN penalty or multiplier among them)
+    is a ValueError when the config is built, not a failure mid-fit.  Both EM
     loops stop at the relative-change threshold DEFAULT_TAU (see
     STOP_FLOOR), and every class has one unpenalized intercept.
     """
@@ -125,22 +126,11 @@ class TransferConfig:
                     raise ValueError(f"{name} must be 'auto', a scalar, or a sequence")
                 auto = True
             else:
-                _check_not_bool(f"{name} values", val)
-                arr = np.atleast_1d(np.asarray(val, dtype=float))
-                if np.any(np.isnan(arr)) or np.any(arr < 0):
-                    raise ValueError(f"{name} values must be >= 0")
+                check_real(f"{name} values", val, "[0, inf]")
         check_count("cv_folds", self.cv_folds, 2 if auto else 1)
-        _check_not_bool("cv_grid multipliers", self.cv_grid)
-        grid = np.asarray(self.cv_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid) & (grid > 0)):
-            raise ValueError(f"cv_grid multipliers must be finite and > 0, got {self.cv_grid!r}")
-
-
-def _check_not_bool(what: str, values) -> None:
-    """ValueError if any of `values` is a boolean, which numpy would read as
-    0.0 or 1.0."""
-    if any(isinstance(v, (bool, np.bool_)) for v in np.ravel(np.asarray(values, dtype=object))):
-        raise ValueError(f"{what} must be numbers, not booleans, got {values!r}")
+        if not isinstance(self.cv_grid, (list, tuple, np.ndarray)) or len(self.cv_grid) == 0:
+            raise ValueError(f"cv_grid must be a non-empty sequence, got {self.cv_grid!r}")
+        check_real("cv_grid multipliers", self.cv_grid, "(0, inf)")
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +216,8 @@ def _mixture_em(
     order:
 
     1. an infinite penalty lam_c pins the whole class (intercept included)
-       at zero, without a solve; a frozen correction stage is one pass of
-       such classes;
+       at zero, without a solve (a NaN one is a ValueError); a frozen
+       correction stage is one pass of such classes;
     2. a weight mass below DEGENERATE_MASS_FACTOR * p * EPS_CLIP keeps the
        class's previous state, with a RuntimeWarning;
     3. otherwise the class is a weighted lasso GLM fit with weights w_c; the
@@ -254,6 +244,7 @@ def _mixture_em(
     so a second round would only re-solve the same problem.  Returns (coef,
     weights_used, trace), with one trace value per iteration.
     """
+    check_real("lambdas", lambdas, "[0, inf]")
     n, p = X.shape
     C = v_rows.shape[1]
     if C == 1:
@@ -443,6 +434,7 @@ def auto_tune_lambda(
     """
     y, X, study_index, v_rows = _stage_rows(data, memberships, stage)
     check_count("cv_folds", cv_folds, 2)
+    check_real("grid", grid, "(0, inf)")
     if stage == "bias" and offsets_by_class is None:
         raise ValueError("bias-stage tuning needs per-class offsets")
     n, p = X.shape
@@ -743,8 +735,10 @@ def _penalties_to_json(lambdas) -> list:
     return [float(v) if np.isfinite(v) else None for v in lambdas]
 
 
-def _penalties_from_json(values) -> np.ndarray:
-    return np.array([np.inf if v is None else v for v in values], dtype=float)
+def _penalties_from_json(name: str, values) -> np.ndarray:
+    values = [np.inf if v is None else v for v in values]
+    check_real(name, values, "[0, inf]")
+    return np.array(values, dtype=float)
 
 
 def transfer_fit_to_dict(fit: TransferFit) -> dict:
@@ -775,19 +769,20 @@ def transfer_fit_from_dict(payload: dict) -> TransferFit:
     `n_iter` of older files) are ignored; a fit without intercepts stored
     zeros for them.  The parts must agree with b_pooled's (p, C): delta
     has its shape, and both penalty lists and the latent class model have C
-    classes.  The `b_target` of an older file must be exactly b_pooled +
-    delta.  Anything else is a ValueError."""
+    classes, and the dispersion and penalties (null for inf) are real numbers
+    (core.check_real).  The `b_target` of an older file must be exactly
+    b_pooled + delta.  Anything else is a ValueError."""
     if not isinstance(payload, dict) or payload.get("kind") != "transfer_fit":
         raise ValueError("not a serialized transfer fit")
-    family = GlmFamily(payload["family"], float(payload.get("dispersion", 1.0)))
+    family = GlmFamily(payload["family"], payload.get("dispersion", 1.0))
     fit = TransferFit(
         b_pooled=_coef_from_dict(payload["b_pooled"]),
         delta=_coef_from_dict(payload["delta"]),
         refined_weights=None,
         lca_model=lca_model_from_dict(payload["lca_model"]),
         family=family,
-        lambda_pool=_penalties_from_json(payload["lambda_pool"]),
-        lambda_bias=_penalties_from_json(payload["lambda_bias"]),
+        lambda_pool=_penalties_from_json("lambda_pool", payload["lambda_pool"]),
+        lambda_bias=_penalties_from_json("lambda_bias", payload["lambda_bias"]),
         trace_joint=tuple(payload.get("trace_joint", ())),
         trace_bias=tuple(payload.get("trace_bias", ())),
     )

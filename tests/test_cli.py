@@ -210,14 +210,27 @@ def test_fit_and_predict_roundtrip(cli_workspace, cli_fit, capsys):
 _COEF = {"values": [[0.5]], "intercept": [0.0]}
 NO_LCA_MODEL = {"kind": "transfer_fit", "family": "logistic", "b_pooled": _COEF, "delta": _COEF,
                 "lambda_pool": [0.1], "lambda_bias": [0.1]}
+_LCA_MODEL = {"prevalences": [[0.5]], "mixing": [[1.0]]}
+ONE_CLASS_FIT = {**NO_LCA_MODEL, "lca_model": _LCA_MODEL}
 
 
 @pytest.mark.parametrize(
     "text, reason",
     [('{"kind": "nope"}', "not a serialized transfer fit"),
      ("{oops", "Expecting property name"),
-     (json.dumps(NO_LCA_MODEL), "missing key 'lca_model'")],
-    ids=["wrong-kind", "not-json", "no-lca-model"],
+     (json.dumps(NO_LCA_MODEL), "missing key 'lca_model'"),
+     (json.dumps({**ONE_CLASS_FIT, "dispersion": True}),
+      "dispersion must be a real number in (0, inf), got True"),
+     (json.dumps({**ONE_CLASS_FIT, "dispersion": "1"}),
+      "dispersion must be a real number in (0, inf), got '1'"),
+     (json.dumps({**ONE_CLASS_FIT, "lambda_pool": [True]}),
+      "lambda_pool must be real numbers in [0, inf], got [True]"),
+     (json.dumps({**ONE_CLASS_FIT, "lambda_bias": [float("nan")]}),
+      "lambda_bias must be real numbers in [0, inf], got [nan]"),
+     (json.dumps({**ONE_CLASS_FIT, "lca_model": {**_LCA_MODEL, "prevalences": [[float("nan")]]}}),
+      "prevalences must lie strictly inside (0, 1)")],
+    ids=["wrong-kind", "not-json", "no-lca-model", "true-dispersion", "string-dispersion",
+         "true-penalty", "nan-penalty", "nan-prevalence"],
 )
 def test_predict_with_a_malformed_fit_exits_2_naming_the_file(tmp_path, capsys, text, reason):
     bad = tmp_path / "bad_fit.json"
@@ -561,9 +574,9 @@ def test_a_failed_solve_in_fit_is_one_error_line(cli_workspace, tmp_path, capsys
     "command, block, setting, message",
     [
         ("fit", "tuning", {"cv_grid": [float("nan"), 1.0]},
-         "cv_grid multipliers must be finite and > 0, got (nan, 1.0)"),
+         "cv_grid multipliers must be real numbers in (0, inf), got (nan, 1.0)"),
         ("fit", "tuning", {"cv_grid": [float("inf")]},
-         "cv_grid multipliers must be finite and > 0, got (inf,)"),
+         "cv_grid multipliers must be real numbers in (0, inf), got (inf,)"),
         ("fit", "tuning", {"cv_folds": 2.5}, "cv_folds must be an integer >= 2, got 2.5"),
         ("fit", "tuning", {"max_em_iter": 2.5}, "max_em_iter must be an integer >= 1, got 2.5"),
         ("fit", "lca", {"n_starts": 2.5}, "n_starts must be an integer >= 1, got 2.5"),
@@ -574,11 +587,20 @@ def test_a_failed_solve_in_fit_is_one_error_line(cli_workspace, tmp_path, capsys
         ("experiment", "scenario", {"support_sizes": [1, 2.5, 4]},
          "support_sizes must be an integer >= 0, got 2.5"),
         ("fit", "tuning", {"lambda_pool": True},
-         "lambda_pool values must be numbers, not booleans, got True"),
+         "lambda_pool values must be a real number in [0, inf], got True"),
         ("fit", "tuning", {"cv_grid": [True, 2.0]},
-         "cv_grid multipliers must be numbers, not booleans, got (True, 2.0)"),
+         "cv_grid multipliers must be real numbers in (0, inf), got (True, 2.0)"),
         ("simulate", "scenario", {"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
         ("fit", "lca", {"seed": True}, "seed must be an integer >= 0, got True"),
+        ("simulate", "scenario", {"h": float("nan")}, "h must be a real number in [0, inf), got nan"),
+        ("simulate", "scenario", {"coef_value": "0.5"},
+         "coef_value must be a real number in (-inf, inf), got '0.5'"),
+        ("simulate", "scenario", {"dispersion": True},
+         "dispersion must be a real number in (0, inf), got True"),
+        ("fit", "tuning", {"lambda_bias": [0.1, "inf"]},
+         "lambda_bias values must be real numbers in [0, inf], got (0.1, 'inf')"),
+        ("fit", "tuning", {"cv_grid": ["0.1", 1]},
+         "cv_grid multipliers must be real numbers in (0, inf), got ('0.1', 1)"),
     ],
 )
 def test_a_bad_config_value_exits_2_naming_the_block(tmp_path, capsys, command, block, setting,

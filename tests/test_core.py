@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -141,6 +143,10 @@ def test_family_construction():
         GlmFamily.gaussian(dispersion=0.0)
     with pytest.raises(ValueError):
         GlmFamily("logistic", dispersion=3.0)  # logistic dispersion is fixed
+    for dispersion in (True, "1", np.nan, np.inf, None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dispersion must be a real number in (0, inf), got {dispersion!r}")):
+            GlmFamily.gaussian(dispersion=dispersion)
 
 
 def test_clamp_eta():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -249,8 +251,11 @@ def test_problem_validation(rng):
         WeightedGlmProblem(**{**ok, "weights": np.zeros(10)})
     with pytest.raises(ValueError):
         WeightedGlmProblem(**{**ok, "lam": -0.5})
-    with pytest.raises(ValueError):
-        WeightedGlmProblem(**{**ok, "lam": np.nan})
+    for lam in ("0.1", True, np.nan):
+        with pytest.raises(ValueError, match=re.escape(
+                f"lam must be a real number in [0, inf], got {lam!r}")):
+            WeightedGlmProblem(**{**ok, "lam": lam})
+    assert type(WeightedGlmProblem(**{**ok, "lam": np.float64(0.1)}).lam) is float
     with pytest.raises(ValueError):
         WeightedGlmProblem(**{**ok, "y": y + 0.5})
     with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ fork-join helper manages processes, and its docstring lists exactly the
 functions that call it, no module reads the environment, every default of a
 package-private function is one some call overrides, numeric CSVs are
 written and parsed in one place each, every model choice goes through
-core.first_best, and every seed, class count, study id and study row is
-checked by core.check_count alone.
+core.first_best, every seed, class count, study id and study row is
+checked by core.check_count alone, and every penalty, CV multiplier,
+dispersion and real scenario parameter by core.check_real alone.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -389,3 +390,68 @@ def test_every_integer_rule_goes_through_check_count():
 def test_the_integer_rule_scan_finds_a_planted_rule(module, planted):
     source = (PACKAGE / module).read_text() + "\n\n" + planted
     assert list(_in_place_integer_rules(ast.parse(source), module))
+
+
+# Parameters and fields whose real-number rule is core.check_real alone.
+REAL_NAMES = {"h", "rho", "coef_value", "dispersion", "lam", "lambda_pool", "lambda_bias",
+              "cv_grid", "grid"}
+
+
+def _names_a_real(node) -> bool:
+    """Whether `node` is a name, or a `self.` field, in REAL_NAMES."""
+    if isinstance(node, ast.Name):
+        return node.id in REAL_NAMES
+    return (isinstance(node, ast.Attribute) and node.attr in REAL_NAMES
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _in_place_real_rules(tree, module):
+    """(line, text) of every ordering comparison of a REAL_NAMES name with a
+    number (`h < 0`, `0.0 <= self.rho < 1.0`), every isnan or isfinite of
+    one and every isinstance(one, ...bool...) in `tree`, outside
+    core.check_real."""
+    for node, owner in _with_owner(tree):
+        if (module, owner) == ("core.py", "check_real"):
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                   and ((_names_a_real(left) and _is_number(right))
+                        or (_is_number(left) and _names_a_real(right)))
+                   for left, op, right in zip(operands, node.ops, operands[1:])):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Call) and node.args and _names_a_real(node.args[0]):
+            callee = _callee(node)
+            if callee in ("isnan", "isfinite") or (
+                    callee == "isinstance" and "bool" in ast.unparse(node.args[-1])):
+                yield node.lineno, ast.unparse(node)
+
+
+def test_every_real_rule_goes_through_check_real():
+    """A penalty, CV multiplier, dispersion, h, rho or coef_value is a real
+    number in its interval by core.check_real only: a `< 0` of its own lets
+    NaN through (every comparison with NaN is false), and an isnan, isfinite
+    or boolean test of its own would be a second rule."""
+    found = sorted(
+        f"{path.name}:{line}: {text}"
+        for path in PACKAGE.glob("*.py")
+        for line, text in _in_place_real_rules(
+            ast.parse(path.read_text(), filename=str(path)), path.name)
+    )
+    assert not found, f"real-number rules outside core.check_real: {found}"
+
+
+@pytest.mark.parametrize(
+    "module, planted",
+    [
+        ("simulate.py", "def _check(h):\n    if h < 0:\n        raise ValueError(h)\n"),
+        ("simulate.py", "class _S:\n    def check(self):\n        return 0.0 <= self.rho < 1.0\n"),
+        ("core.py", "def _d(dispersion):\n    return np.isfinite(dispersion)\n"),
+        ("glm.py", "def _l(lam):\n    return np.isnan(lam) or 0 > lam\n"),
+        ("transfer.py", "def _g(cv_grid):\n    return isinstance(cv_grid, (bool, np.bool_))\n"),
+    ],
+    ids=["h-below-0", "self-rho-chain", "isfinite-dispersion", "isnan-lam", "isinstance-bool-grid"],
+)
+def test_the_real_rule_scan_finds_a_planted_rule(module, planted):
+    source = (PACKAGE / module).read_text() + "\n\n" + planted
+    assert list(_in_place_real_rules(ast.parse(source), module))

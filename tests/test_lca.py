@@ -591,14 +591,23 @@ def test_select_classes_bic(small_collection):
 
 
 @pytest.mark.parametrize("n_classes", [2.5, 2.0, True, 0, np.float64(2.0)])
-def test_a_class_count_that_is_not_an_integer_is_refused(small_collection, n_classes):
-    """A class count is never truncated: 2.5 does not fit 2 classes."""
+def test_a_class_count_that_is_not_an_integer_is_refused(small_collection, n_classes, cpus,
+                                                         monkeypatch):
+    """A class count is never truncated: 2.5 does not fit 2 classes.  A bad
+    count anywhere in a BIC grid is refused before any restart runs."""
     data, _, _ = small_collection
+    cpus(1)  # every restart runs in this process, where the counter sees it
+    runs = []
+    run_em = lca._run_em
+    monkeypatch.setattr(lca, "_run_em", lambda init, index: runs.append(1) or run_em(init, index))
     message = f"n_classes must be an integer >= 1, got {n_classes!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         fit_lca(data, n_classes, LcaFitConfig(n_starts=1))
     with pytest.raises(ValueError, match=re.escape(message)):
         select_classes_bic(data, [2, n_classes], LcaFitConfig(n_starts=1))
+    with pytest.raises(ValueError, match="cannot exceed the total subject count"):
+        select_classes_bic(data, [2, data.n_total + 1], LcaFitConfig(n_starts=1))
+    assert runs == []
 
 
 def test_class_counts_may_be_numpy_integers(small_collection):
@@ -623,6 +632,11 @@ def test_lca_model_validation():
             prevalences=np.array([[0.5, 0.5], [0.4, 0.6]]),
             mixing=np.array([[0.7, 0.7]]),  # row does not sum to 1
         )
+    # NaN fails every bound
+    with pytest.raises(ValueError, match="prevalences must lie strictly inside"):
+        LcaModel(prevalences=np.array([[np.nan, 0.5]]), mixing=np.array([[1.0]]))
+    with pytest.raises(ValueError, match="mixing rows must sum to 1"):
+        LcaModel(prevalences=np.array([[0.5], [0.4]]), mixing=np.array([[np.nan, 0.5]]))
 
 
 def test_serialization_roundtrip(small_collection):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,18 @@ def test_scenario_config_validation():
         ScenarioConfig(prevalences=((1.5, 0.5),) * 3, q=2)
     with pytest.raises(ValueError):
         ScenarioConfig(K=0, mixing=((0.5, 0.4, 0.2),))  # row sum != 1
+    # real-valued fields refuse a boolean, a string and NaN
+    for field, value, interval in (("h", np.nan, "[0, inf)"), ("h", True, "[0, inf)"),
+                                   ("rho", np.nan, "[0, 1)"), ("coef_value", "0.5", "(-inf, inf)"),
+                                   ("coef_value", np.inf, "(-inf, inf)"),
+                                   ("dispersion", True, "(0, inf)")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be a real number in {interval}, got {value!r}")):
+            ScenarioConfig(**{field: value})
+    with pytest.raises(ValueError, match="prevalences must lie strictly inside"):
+        ScenarioConfig(prevalences=((np.nan, 0.5),) * 3, q=2)
+    with pytest.raises(ValueError, match="mixing rows must sum to 1"):
+        ScenarioConfig(K=0, mixing=((np.nan, 0.4, 0.2),))
     cfg = ScenarioConfig(K=0, n_classes=2, q=2,
                          prevalences=((0.8, 0.2), (0.2, 0.8)),
                          mixing=((0.6, 0.4),),

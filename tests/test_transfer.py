@@ -26,6 +26,7 @@ from targeted_psm.transfer import (
     _refined_rows,
     auto_tune_lambda,
     fit_targeted_psm,
+    joint_estimate,
     lambda_scale,
     load_transfer_fit,
     penalized_mixture_objective,
@@ -191,6 +192,10 @@ def test_infinite_bias_penalty_freezes_correction(tiny_scenario):
         offsets=fit.b_pooled.linear_predictor(tgt.predictors),
     )
     assert np.array_equal(fit.b_target.values, fit.b_pooled.values)
+    # a NaN penalty is refused, not read as an infinite one
+    with pytest.raises(ValueError, match=re.escape(
+            "lambdas must be real numbers in [0, inf], got array([nan, inf])")):
+        joint_estimate(data, v, cfg, fit.family, np.array([np.nan, np.inf]))
 
 
 def test_single_class_stage_runs_one_m_step(tiny_scenario):
@@ -484,9 +489,11 @@ def test_auto_tune_ties_prefer_larger_lambda(tiny_scenario):
         data, v, fam, "pool", grid=(0.5, 0.5), cv_folds=3, seed=0
     )
     assert np.array_equal(base, dup)
-    # grid validation lives in TransferConfig
+    # TransferConfig and auto_tune_lambda refuse a multiplier outside (0, inf)
     with pytest.raises(ValueError):
         TransferConfig(cv_grid=(0.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape("grid must be real numbers in (0, inf)")):
+        auto_tune_lambda(data, v, fam, "pool", grid=(0.0, 1.0), cv_folds=3, seed=0)
     with pytest.raises(ValueError, match="stage"):
         auto_tune_lambda(data, v, fam, "nope")
 
@@ -611,14 +618,23 @@ def test_transfer_config_validation():
         TransferConfig(lambda_pool=-0.1)
     with pytest.raises(ValueError):
         TransferConfig(lambda_pool="auto", cv_folds=1)
-    # a boolean penalty or multiplier is not read as 0.0 or 1.0
+    # a boolean, a string or NaN is not read as a number
     for setting, message in (
-        ({"lambda_pool": True}, "lambda_pool values must be numbers, not booleans, got True"),
+        ({"lambda_pool": True}, "lambda_pool values must be a real number in [0, inf], got True"),
         ({"lambda_bias": [0.1, False]},
-         "lambda_bias values must be numbers, not booleans, got [0.1, False]"),
-        ({"lambda_bias": np.array([True, False])}, "lambda_bias values must be numbers"),
+         "lambda_bias values must be real numbers in [0, inf], got [0.1, False]"),
+        ({"lambda_bias": np.array([True, False])}, "lambda_bias values must be real numbers"),
         ({"cv_grid": (True, 2.0)},
-         "cv_grid multipliers must be numbers, not booleans, got (True, 2.0)"),
+         "cv_grid multipliers must be real numbers in (0, inf), got (True, 2.0)"),
+        ({"lambda_bias": [0.1, "inf"]},
+         "lambda_bias values must be real numbers in [0, inf], got [0.1, 'inf']"),
+        ({"lambda_pool": float("nan")},
+         "lambda_pool values must be a real number in [0, inf], got nan"),
+        ({"cv_grid": ("0.1", 1)},
+         "cv_grid multipliers must be real numbers in (0, inf), got ('0.1', 1)"),
+        ({"cv_grid": (0.5, float("inf"))},
+         "cv_grid multipliers must be real numbers in (0, inf), got (0.5, inf)"),
+        ({"cv_grid": ()}, "cv_grid must be a non-empty sequence, got ()"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             TransferConfig(**setting)
