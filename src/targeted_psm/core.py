@@ -137,9 +137,7 @@ class GlmFamily:
         return -neg_log_lik_glm(self, y, clamp_eta(eta)) / self.dispersion
 
     def validate_outcomes(self, y) -> None:
-        y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("outcomes must be finite")
+        check_real("outcomes", y, "(-inf, inf)")
         if self.kind == "logistic" and not np.all(np.isin(y, (0.0, 1.0))):
             raise ValueError("logistic outcomes must lie in {0, 1}")
 
@@ -150,9 +148,8 @@ def neg_log_lik_glm(family: GlmFamily, y, eta):
     The dispersion divisor is omitted (it rescales every candidate by the
     same constant); etas must be finite.
     """
+    check_real("eta", eta, "(-inf, inf)")
     eta = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(eta)):
-        raise ValueError("linear predictor must be finite")
     return -np.asarray(y, dtype=float) * eta + family.log_partition(eta)
 
 
@@ -234,9 +231,8 @@ def first_best(scores, rtol: float):
     its own rtol as a module constant.  At rtol = 0 it is np.argmin (the
     first occurrence of the minimum).  A NaN score is a ValueError.
     """
+    check_real("scores", scores, "[-inf, inf]")
     scores = np.asarray(scores, dtype=float)
-    if np.isnan(scores).any():
-        raise ValueError("scores must not be NaN")
     check_real("rtol", rtol, "[0, inf)")
     best = scores.min(axis=-1, keepdims=True)
     limit = best + rtol * np.abs(best) if rtol > 0.0 else best
@@ -259,18 +255,62 @@ def check_count(name: str, value, minimum: int) -> None:
 
 
 def check_real(name: str, value, interval: str) -> None:
-    """The package's one real-number rule: ValueError unless `value`, or each
-    item of a flat list, tuple or 1-d array, is a Python or numpy int or
-    float (not a bool) in `interval`, written as it reads ("[0, inf]",
-    "(0, 1)"); NaN fails every bound.  Nothing is converted."""
+    """The package's one real-number rule: ValueError unless `value` (a
+    scalar, a list or tuple, flat or nested, or a numpy array of any shape)
+    holds only Python or numpy ints and floats (no bool) in `interval`,
+    written as it reads ("[0, inf]", "(0, 1)"); NaN fails every bound.
+    Nothing is converted.
+
+    A scalar or a flat list or tuple is printed whole in the message; for an
+    array or a nested table it names the first bad entry and its index
+    (`values[2, 0] ...`).  An int or float array passes in one vectorized
+    test: np.isfinite for (-inf, inf), else its min and max, which lie in
+    the interval exactly when every entry does (a NaN entry makes both NaN).
+    Only an array that fails it is searched entry by entry.
+    """
     low, high = (float(b) for b in interval[1:-1].split(","))
-    flat = isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1)
-    for v in value if flat else (value,):
+
+    def inside(v):
+        return ((low <= v) if interval[0] == "[" else (low < v)) & (
+            (v <= high) if interval[-1] == "]" else (v < high))
+
+    def first_bad(v):
+        # (index, entry) of the first bad entry of v in row-major order, or None
+        if isinstance(v, np.ndarray) and v.dtype.kind in "iuf":
+            if v.size == 0 or (np.isfinite(v).all() if interval == "(-inf, inf)"
+                               else inside(v.min()) and inside(v.max())):
+                return None
+            index = tuple(int(i) for i in np.argwhere(~inside(v))[0])
+            return index, v[index]
+        if isinstance(v, np.ndarray) and v.dtype.kind != "O":
+            # bool, string, complex, ...: no entry is a real number
+            return None if v.size == 0 else ((0,) * v.ndim, v.flat[0])
+        if isinstance(v, (list, tuple, np.ndarray)):
+            items = np.ndenumerate(v) if isinstance(v, np.ndarray) else (
+                ((i,), item) for i, item in enumerate(v))
+            for index, item in items:
+                bad = first_bad(item)
+                if bad is not None:
+                    return index + bad[0], bad[1]
+            return None
         if (isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
-                or not (low <= v if interval[0] == "[" else low < v)
-                or not (v <= high if interval[-1] == "]" else v < high)):
-            what = "real numbers" if flat else "a real number"
-            raise ValueError(f"{name} must be {what} in {interval}, got {value!r}")
+                or not inside(v)):
+            return (), v
+        return None
+
+    bad = first_bad(value)
+    if bad is None:
+        return
+    index, entry = bad
+    if not index:
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    if isinstance(value, (list, tuple)) and not any(
+            isinstance(v, (list, tuple, np.ndarray)) for v in value):
+        raise ValueError(f"{name} must be real numbers in {interval}, got {value!r}")
+    if isinstance(entry, np.generic):
+        entry = entry.item()
+    raise ValueError(f"{name}[{', '.join(map(str, index))}] must be a real number in "
+                     f"{interval}, got {entry!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +329,9 @@ class Study:
     study_id: int
 
     def __post_init__(self):
+        check_real("outcomes", self.outcomes, "(-inf, inf)")
+        check_real("predictors", self.predictors, "(-inf, inf)")
+        check_real("structure_vars", self.structure_vars, "[0, 1]")
         y = np.ascontiguousarray(self.outcomes, dtype=float)
         x = np.ascontiguousarray(self.predictors, dtype=float)
         z = np.ascontiguousarray(self.structure_vars, dtype=float)
@@ -301,8 +344,6 @@ class Study:
             raise ValueError("a study needs at least one subject")
         if x.shape[0] != n or z.shape[0] != n:
             raise ValueError("row counts of y, X, Z must agree")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-            raise ValueError("y and X must be finite")
         if not np.all(np.isin(z, (0.0, 1.0))):
             raise ValueError("structure variables must be binary (0/1)")
         check_count("study_id", self.study_id, 0)
@@ -409,19 +450,17 @@ class CoefficientMatrix:
     intercept: np.ndarray = None
 
     def __post_init__(self):
+        check_real("values", self.values, "(-inf, inf)")
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("coefficient values must be a (p, C) matrix")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("coefficients must be finite")
         intercept = self.intercept
         if intercept is None:
             intercept = np.zeros(values.shape[1])
+        check_real("intercept", intercept, "(-inf, inf)")
         intercept = np.ascontiguousarray(intercept, dtype=float)
         if intercept.shape != (values.shape[1],):
             raise ValueError("intercept must have one entry per class")
-        if not np.all(np.isfinite(intercept)):
-            raise ValueError("intercepts must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "intercept", intercept)
 
@@ -447,6 +486,7 @@ class MembershipMatrix:
     probs: tuple
 
     def __post_init__(self):
+        check_real("probs", self.probs, "[0, 1]")
         blocks = tuple(np.ascontiguousarray(b, dtype=float) for b in self.probs)
         if not blocks:
             raise ValueError("membership matrix needs at least one study block")
@@ -454,8 +494,6 @@ class MembershipMatrix:
         for b in blocks:
             if b.ndim != 2 or b.shape[1] != C:
                 raise ValueError("all study blocks must share the class count")
-            if not np.all(np.isfinite(b)):
-                raise ValueError("membership probabilities must be finite")
             if np.max(np.abs(b.sum(axis=1) - 1.0)) > 1e-12:
                 raise ValueError("membership rows must sum to 1 (tol 1e-12)")
             if C >= 2 and (b.min() < EPS_CLIP - 1e-15 or b.max() > 1.0 - EPS_CLIP + 1e-15):
@@ -563,20 +601,30 @@ def _bad_line(lines: bytes, width: int):
 def _read_range(job) -> np.ndarray:
     """The rows of the lines that start in bytes [start, stop) of a study
     file, parsed as np.loadtxt parses the whole file.  A line that is not
-    `width` numbers raises ValueError; read_study_csv names it."""
+    `width` numbers is a ValueError naming the file and the 1-based number
+    of the range's first bad line, which `_bad_line` finds in the range:
+    the lines before the range (the header among them, each "\\n", "\\r\\n"
+    or lone "\\r" ending one) plus its place in the range."""
     path, width, start, stop = job
     with open(path, "rb") as fh:
         fh.seek(start - 1)
         fh.readline()  # a line that starts before `start` is an earlier range's
-        lines = fh.read(max(stop - fh.tell(), 0))
+        begin = fh.tell()
+        lines = fh.read(max(stop - begin, 0))
         if lines and not lines.endswith(b"\n"):
             lines += fh.readline()
-    rows = _parse_rows(lines)
-    if rows.size == 0:
-        return np.empty((0, width))
-    if rows.shape[1] != width:
-        raise ValueError(f"{path}: {rows.shape[1]} values per line, expected {width}")
-    return rows
+    try:
+        rows = _parse_rows(lines)
+        if rows.size and rows.shape[1] != width:
+            raise ValueError(f"{path}: {rows.shape[1]} values per line, expected {width}")
+    except ValueError as exc:
+        bad = _bad_line(lines, width)
+        if bad is None:
+            raise
+        with open(path, "rb") as fh:
+            before = len(fh.read(begin).splitlines())
+        raise ValueError(f"{path}: line {before + bad[0] + 1}: {bad[1]}") from exc
+    return rows if rows.size else np.empty((0, width))
 
 
 def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
@@ -587,8 +635,8 @@ def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
     fanned out over the CPUs (a line belongs to the range it starts in), so
     the rows are bit for bit those of one np.loadtxt over the file.  A
     malformed line is a ValueError naming the file and the 1-based number of
-    its first bad line, which a bisection over the file's lines finds once a
-    range fails.
+    its first bad line, which the lowest failing range finds by a bisection
+    over its own lines; every earlier range parsed clean.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -615,13 +663,7 @@ def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
         (path, len(cols), start, start + _RANGE_BYTES)
         for start in range(len(first), size, _RANGE_BYTES)
     ]
-    try:
-        raw = np.concatenate([np.empty((0, len(cols)))] + fan_out(_read_range, ranges))
-    except ValueError as exc:
-        bad = _bad_line(path.read_bytes()[len(first):], len(cols))
-        if bad is None:
-            raise
-        raise ValueError(f"{path}: line {bad[0] + 2}: {bad[1]}") from exc
+    raw = np.concatenate([np.empty((0, len(cols)))] + fan_out(_read_range, ranges))
     if raw.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     return Study(

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import substream
 from .baselines import MIXTURE_METHODS, MethodId, fit_method
-from .core import CoefficientMatrix, first_best
+from .core import CoefficientMatrix, check_real, first_best
 from .lca import LcaFitConfig
 from .simulate import ScenarioConfig, generate_scenario, generate_target_test
 from .transfer import TransferConfig
@@ -71,12 +71,11 @@ def auc(scores, labels) -> float:
     """Area under the ROC curve: P(score+ > score-) + P(tie)/2, computed
     exactly from average ranks (ties handled, all-tied scores give 0.5).
     Scores must be finite."""
+    check_real("scores", scores, "(-inf, inf)")
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-d of equal length")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
     if not np.all(np.isin(labels, (0.0, 1.0))):
         raise ValueError("labels must be binary")
     n = labels.size

@@ -63,6 +63,9 @@ class WeightedGlmProblem:
     offset: np.ndarray = None
 
     def __post_init__(self):
+        check_real("X", self.X, "(-inf, inf)")
+        self.family.validate_outcomes(self.y)
+        check_real("weights", self.weights, "[0, inf)")
         X = np.ascontiguousarray(self.X, dtype=float)
         y = np.ascontiguousarray(self.y, dtype=float)
         w = np.ascontiguousarray(self.weights, dtype=float)
@@ -75,20 +78,16 @@ class WeightedGlmProblem:
         n, d = X.shape
         if y.shape != (n,) or w.shape != (n,) or mask.shape != (d,):
             raise ValueError("inconsistent shapes among X, y, weights, mask")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise ValueError("X and y must be finite")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
         if w.sum() <= 0:
             raise ValueError("total weight must be positive")
         check_real("lam", self.lam, "[0, inf]")
         offset = self.offset
         if offset is None:
             offset = np.zeros(n)
+        check_real("offset", offset, "(-inf, inf)")
         offset = np.ascontiguousarray(offset, dtype=float)
-        if offset.shape != (n,) or not np.all(np.isfinite(offset)):
-            raise ValueError("offset must be a finite length-n vector")
-        self.family.validate_outcomes(y)
+        if offset.shape != (n,):
+            raise ValueError("offset must be a length-n vector")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "weights", w)

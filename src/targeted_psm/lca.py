@@ -36,12 +36,14 @@ so it takes BLAS's matrix-matrix kernel like a batch: for C >= 2 a cell's
 log densities, and so its posterior, do not depend on the batch it is
 evaluated in.
 
-The restarts are independent EM runs, so `fit_lca` spreads them over the
-CPUs in the process's affinity mask, the calling process working a share
-and forked children the rest (`_parallel.fan_out`).  The results are the
-bytes of a serial loop: every initial model is drawn first, in restart
-order, from the one 'lca-init' stream, and the winner is picked from the
-restarts in restart order.  The restarts run serially with one CPU (e.g.
+Each restart iterates on plain prevalence and mixing arrays and builds one
+LcaModel from its result, so the model's checks run once per restart, not
+once per EM step.  The restarts are independent EM runs, so `fit_lca`
+spreads them over the CPUs in the process's affinity mask, the calling
+process working a share and forked children the rest
+(`_parallel.fan_out`).  The results are the bytes of a serial loop: every
+initial model is drawn first, in restart order, from the one 'lca-init'
+stream, and the winner is picked from the restarts in restart order.  The restarts run serially with one CPU (e.g.
 under `taskset -c 0`), one restart, no `os.fork`, inside a multiprocessing
 worker (a caller's own pool), or while other Python threads run.
 
@@ -69,6 +71,7 @@ from .core import (
     MembershipMatrix,
     StudyCollection,
     check_count,
+    check_real,
     clip_rows,
     em_converged,
     first_best,
@@ -106,13 +109,17 @@ class LcaFitConfig:
 class LcaModel:
     """Fitted latent class model.
 
-    prevalences  (C, q) class-conditional Bernoulli prevalences, in
-                 (EPS_CLIP, 1 - EPS_CLIP)
-    mixing       (K+1, C) per-study class weights, rows on the simplex
+    prevalences  (C, q) class-conditional Bernoulli prevalences, each in
+                 (0, 1) (a fit keeps them in [EPS_CLIP, 1 - EPS_CLIP])
+    mixing       (K+1, C) per-study class weights, each in (0, inf), rows
+                 summing to 1
     trace        log-likelihood of the winning restart at the start of each
-                 EM iteration, then at the returned parameters
-    converged    whether that restart met the tolerance before its cap
+                 EM iteration, then at the returned parameters: finite real
+                 numbers
+    converged    whether that restart met the tolerance before its cap: a
+                 bool (numpy's too)
 
+    Every table entry goes through core.check_real before it is converted;
     `log_lik` and `n_iter` are read from the trace, never stored.
     """
 
@@ -122,6 +129,11 @@ class LcaModel:
     converged: bool = True
 
     def __post_init__(self):
+        check_real("prevalences", self.prevalences, "(0, 1)")
+        check_real("mixing", self.mixing, "(0, inf)")
+        check_real("trace", self.trace, "(-inf, inf)")
+        if not isinstance(self.converged, (bool, np.bool_)):
+            raise ValueError(f"converged must be a bool, got {self.converged!r}")
         pi = np.ascontiguousarray(self.prevalences, dtype=float)
         mix = np.ascontiguousarray(self.mixing, dtype=float)
         if pi.ndim != 2 or mix.ndim != 2:
@@ -129,12 +141,8 @@ class LcaModel:
         C = pi.shape[0]
         if mix.shape[1] != C:
             raise ValueError("mixing columns must match the class count")
-        if not np.all((pi > 0.0) & (pi < 1.0)):
-            raise ValueError("prevalences must lie strictly inside (0, 1)")
         if not np.max(np.abs(mix.sum(axis=1) - 1.0)) <= 1e-10:
             raise ValueError("mixing rows must sum to 1 (tol 1e-10)")
-        if not np.all(mix > 0.0):
-            raise ValueError("mixing weights must be positive")
         object.__setattr__(self, "prevalences", pi)
         object.__setattr__(self, "mixing", mix)
         object.__setattr__(self, "trace", tuple(float(v) for v in self.trace))
@@ -236,13 +244,13 @@ class _CellIndex:
         )
 
 
-def _cell_posteriors(model: LcaModel, cell_z: np.ndarray, cell_study: np.ndarray):
+def _cell_posteriors(prevalences, mixing, cell_z: np.ndarray, cell_study: np.ndarray):
     """Class posteriors and log-likelihood terms of (study, pattern) cells:
-    pattern cell_z[i] under the mixing row of study cell_study[i].  Every
-    step is row-wise, so no cell depends on another."""
+    pattern cell_z[i] under the prevalences and the mixing row of study
+    cell_study[i].  Every step is row-wise, so no cell depends on another."""
     log_post = (
-        _log_density_matrix(model.prevalences, cell_z)
-        + np.log(model.mixing)[cell_study]
+        _log_density_matrix(prevalences, cell_z)
+        + np.log(mixing)[cell_study]
     )
     ll = log_sum_exp_rows(log_post)
     return np.exp(log_post - ll[:, None]), ll
@@ -256,8 +264,8 @@ def _study_column_sums(post_c: np.ndarray, index: _CellIndex) -> np.ndarray:
     return padded.take(index.study_cells, axis=0).sum(axis=0)
 
 
-def _log_lik(model: LcaModel, index: _CellIndex) -> float:
-    _, ll = _cell_posteriors(model, index.cell_z, index.cell_study)
+def _log_lik(prevalences, mixing, index: _CellIndex) -> float:
+    _, ll = _cell_posteriors(prevalences, mixing, index.cell_z, index.cell_study)
     ll_rows = ll.take(index.row_cell)
     total = 0.0
     for rows in index.slices:
@@ -277,51 +285,51 @@ def _check_fits(model: LcaModel, data: StudyCollection) -> None:
 def lca_log_lik(model: LcaModel, data: StudyCollection) -> float:
     """Marginal log-likelihood of the collection under the model."""
     _check_fits(model, data)
-    return _log_lik(model, _CellIndex.of(data))
+    return _log_lik(model.prevalences, model.mixing, _CellIndex.of(data))
 
 
-def _em_step(model: LcaModel, index: _CellIndex):
-    """One EM update; returns (new_model, log_lik at the *input* params).
+def _em_step(prevalences: np.ndarray, mixing: np.ndarray, index: _CellIndex):
+    """One EM update; returns (new_prevalences, new_mixing, log_lik at the
+    *input* params).
 
     Each sum adds a study's subject rows in stacked order, the same terms
     in the same order as a row-wise E-step; the column sums of every study
     come from one padded reduction (see the module docstring).
     """
-    post_c, ll_c = _cell_posteriors(model, index.cell_z, index.cell_study)
+    post_c, ll_c = _cell_posteriors(prevalences, mixing, index.cell_z, index.cell_study)
     post, ll_rows = post_c.take(index.row_cell, axis=0), ll_c.take(index.row_cell)
     col_sums = _study_column_sums(post_c, index)
-    C = model.n_classes
     ll = 0.0
-    num = np.zeros((C, model.n_structure_vars))
-    den = np.zeros(C)
-    new_mixing = np.empty_like(model.mixing)
+    num = np.zeros(prevalences.shape)
+    den = np.zeros(prevalences.shape[0])
+    new_mixing = np.empty_like(mixing)
     for k, (rows, Z) in enumerate(zip(index.slices, index.blocks)):
         ll += float(ll_rows[rows].sum())
         num += post[rows].T @ Z
         den += col_sums[k]
         new_mixing[k] = col_sums[k] / Z.shape[0]  # what post.mean(axis=0) computes
     new_prev = np.clip(num / np.maximum(den, 1e-300)[:, None], EPS_CLIP, 1.0 - EPS_CLIP)
-    new_mixing = clip_rows(new_mixing)
-    new_model = replace(model, prevalences=new_prev, mixing=new_mixing)
-    return new_model, ll
+    return new_prev, clip_rows(new_mixing), ll
 
 
-def _run_em(model: LcaModel, index: _CellIndex):
-    """One EM restart from `model`, stopped by core.em_converged on the
-    log-likelihood change with the module's DEFAULT_TOL_LCA and STOP_FLOOR,
-    or after DEFAULT_MAX_ITER_LCA steps, each read on every call."""
+def _run_em(init: LcaModel, index: _CellIndex) -> LcaModel:
+    """One EM restart from `init`, on plain arrays, stopped by
+    core.em_converged on the log-likelihood change with the module's
+    DEFAULT_TOL_LCA and STOP_FLOOR, or after DEFAULT_MAX_ITER_LCA steps,
+    each read on every call.  Only the result is an LcaModel."""
+    prevalences, mixing = init.prevalences, init.mixing
     trace = []
     converged = False
     for _ in range(DEFAULT_MAX_ITER_LCA):
-        model, ll = _em_step(model, index)
+        prevalences, mixing, ll = _em_step(prevalences, mixing, index)
         trace.append(ll)
         if len(trace) >= 2 and em_converged(
             abs(ll - trace[-2]), abs(trace[-2]), DEFAULT_TOL_LCA, STOP_FLOOR
         ):
             converged = True
             break
-    trace.append(_log_lik(model, index))
-    return replace(model, trace=tuple(trace), converged=converged)
+    trace.append(_log_lik(prevalences, mixing, index))
+    return LcaModel(prevalences, mixing, tuple(trace), converged)
 
 
 def _canonical_order(model: LcaModel) -> LcaModel:
@@ -376,8 +384,8 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     if C == 1:
         z_mean = np.vstack([s.structure_vars for s in data.studies]).mean(axis=0)
         prev = np.clip(z_mean[None, :], EPS_CLIP, 1.0 - EPS_CLIP)
-        model = LcaModel(prevalences=prev, mixing=np.ones((n_studies, 1)))
-        return replace(model, trace=(_log_lik(model, index),))
+        mixing = np.ones((n_studies, 1))
+        return LcaModel(prev, mixing, (_log_lik(prev, mixing, index),))
 
     rng = substream(config.seed, "lca-init")
     inits = [
@@ -397,7 +405,7 @@ def initial_memberships(model: LcaModel, data: StudyCollection) -> MembershipMat
     each study's own mixing row as prior), clipped row-wise."""
     _check_fits(model, data)
     index = _CellIndex.of(data)
-    post, _ = _cell_posteriors(model, index.cell_z, index.cell_study)
+    post, _ = _cell_posteriors(model.prevalences, model.mixing, index.cell_z, index.cell_study)
     post = post.take(index.row_cell, axis=0)
     # clip_rows renormalizes every row while any row still needs a pass, so
     # it runs on each study's block, never on the cell table.
@@ -422,7 +430,7 @@ def membership_for_pattern(model: LcaModel, z: np.ndarray, study_row: int = 0) -
         raise ValueError(f"study_row must be at most K={model.n_studies - 1}, got {study_row}")
     single = z.ndim == 1
     Z = np.atleast_2d(z)
-    post, _ = _cell_posteriors(model, Z, np.full(Z.shape[0], study_row))
+    post, _ = _cell_posteriors(model.prevalences, model.mixing, Z, np.full(Z.shape[0], study_row))
     post = clip_rows(post)
     return post[0] if single else post
 
@@ -490,8 +498,8 @@ def lca_model_from_dict(payload: dict) -> LcaModel:
     """Inverse of lca_model_to_dict; the `log_lik` and `n_iter` of older
     files restate the trace and are ignored."""
     return LcaModel(
-        prevalences=np.asarray(payload["prevalences"], dtype=float),
-        mixing=np.asarray(payload["mixing"], dtype=float),
-        trace=tuple(payload.get("trace", ())),
-        converged=bool(payload.get("converged", True)),
+        prevalences=payload["prevalences"],
+        mixing=payload["mixing"],
+        trace=payload.get("trace", ()),
+        converged=payload.get("converged", True),
     )

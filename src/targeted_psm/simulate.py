@@ -144,20 +144,21 @@ class ScenarioConfig:
         if any(s > self.p for s in self.support_sizes):
             raise ValueError("support sizes must lie in [0, p]")
         GlmFamily(self.family, self.dispersion)  # validates family & dispersion
-        if self.prevalences is not None:
-            arr = np.asarray(self.prevalences, dtype=float)
-            if arr.shape != (self.n_classes, self.q):
-                raise ValueError("explicit prevalences must be (C, q)")
-            object.__setattr__(self, "prevalences", _as_tuple(arr))
-        if self.mixing is not None:
-            arr = np.asarray(self.mixing, dtype=float)
-            if arr.shape != (self.K + 1, self.n_classes):
-                raise ValueError("explicit mixing must be (K+1, C)")
-            object.__setattr__(self, "mixing", _as_tuple(arr))
         object.__setattr__(self, "support_sizes", tuple(int(s) for s in self.support_sizes))
         # A preset or table that does not fit (C, q, K) or LcaModel's bounds
         # is a config error here, not a failure once the scenario is generated.
-        LcaModel(self.resolved_prevalences(), self.resolved_mixing())
+        # An explicit table is checked as given, then kept as the model's
+        # rows.
+        prevalences = self.resolved_prevalences() if self.prevalences is None else self.prevalences
+        mixing = self.resolved_mixing() if self.mixing is None else self.mixing
+        if np.shape(prevalences) != (self.n_classes, self.q):
+            raise ValueError("explicit prevalences must be (C, q)")
+        if np.shape(mixing) != (self.K + 1, self.n_classes):
+            raise ValueError("explicit mixing must be (K+1, C)")
+        model = LcaModel(prevalences, mixing)
+        for name in ("prevalences", "mixing"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(tuple, getattr(model, name).tolist())))
 
     def resolved_prevalences(self) -> np.ndarray:
         if self.prevalences is not None:
@@ -184,10 +185,6 @@ class ScenarioConfig:
 
     def glm_family(self) -> GlmFamily:
         return GlmFamily(self.family, self.dispersion)
-
-
-def _as_tuple(arr: np.ndarray) -> tuple:
-    return tuple(tuple(float(v) for v in row) for row in arr)
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +347,20 @@ def truth_to_dict(truth: dict) -> dict:
 
 
 def truth_from_dict(payload: dict) -> dict:
+    """Inverse of truth_to_dict.  The tables go through LcaModel and
+    CoefficientMatrix as read, and each class label through core.check_count
+    (an integer >= 0), so a string, boolean or fractional entry is a
+    ValueError naming it."""
     config = ScenarioConfig(**payload["config"])
+    model = LcaModel(payload["prevalences"], payload["mixing"])
+    for k, labels in enumerate(payload["classes"]):
+        for i, label in enumerate(labels):
+            check_count(f"classes[{k}][{i}]", label, 0)
     return {
-        "prevalences": np.asarray(payload["prevalences"], dtype=float),
-        "mixing": np.asarray(payload["mixing"], dtype=float),
-        "coefficients": [
-            CoefficientMatrix(values=np.asarray(v, dtype=float))
-            for v in payload["coefficients"]
-        ],
-        "classes": [np.asarray(c, dtype=int) for c in payload["classes"]],
+        "prevalences": model.prevalences,
+        "mixing": model.mixing,
+        "coefficients": [CoefficientMatrix(values=v) for v in payload["coefficients"]],
+        "classes": [np.array(c, dtype=int) for c in payload["classes"]],
         "config": config,
     }
 

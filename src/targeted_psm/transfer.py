@@ -127,10 +127,14 @@ class TransferConfig:
                 auto = True
             else:
                 check_real(f"{name} values", val, "[0, inf]")
+                if np.ndim(val) > 1:
+                    raise ValueError(f"{name} must be 'auto', a scalar, or a sequence")
         check_count("cv_folds", self.cv_folds, 2 if auto else 1)
         if not isinstance(self.cv_grid, (list, tuple, np.ndarray)) or len(self.cv_grid) == 0:
             raise ValueError(f"cv_grid must be a non-empty sequence, got {self.cv_grid!r}")
         check_real("cv_grid multipliers", self.cv_grid, "(0, inf)")
+        if np.ndim(self.cv_grid) != 1:
+            raise ValueError(f"cv_grid must be a non-empty sequence, got {self.cv_grid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +268,7 @@ def _mixture_em(
         theta_new = theta.copy()
         failed = False
         for c in range(C):
-            if not np.isfinite(lambdas[c]):
+            if lambdas[c] == np.inf:
                 theta_new[:, c] = 0.0
                 continue
             w_c = w_rows[:, c]
@@ -435,6 +439,8 @@ def auto_tune_lambda(
     y, X, study_index, v_rows = _stage_rows(data, memberships, stage)
     check_count("cv_folds", cv_folds, 2)
     check_real("grid", grid, "(0, inf)")
+    if np.ndim(grid) != 1:
+        raise ValueError(f"grid must be a sequence of multipliers, got {grid!r}")
     if stage == "bias" and offsets_by_class is None:
         raise ValueError("bias-stage tuning needs per-class offsets")
     n, p = X.shape
@@ -596,6 +602,8 @@ class TransferFit:
                                 exact sum
     refined_weights             memberships used by the final pooled M-step
     lca_model                   the latent class model behind the memberships
+    trace_joint, trace_bias     each stage's objective after every EM
+                                iteration: finite real numbers, kept as tuples
     """
 
     b_pooled: CoefficientMatrix
@@ -607,6 +615,11 @@ class TransferFit:
     lambda_bias: np.ndarray
     trace_joint: tuple
     trace_bias: tuple
+
+    def __post_init__(self):
+        for name in ("trace_joint", "trace_bias"):
+            check_real(name, getattr(self, name), "(-inf, inf)")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def b_target(self) -> CoefficientMatrix:
@@ -682,8 +695,8 @@ def fit_targeted_psm(
         family=family,
         lambda_pool=lam_pool,
         lambda_bias=lam_bias,
-        trace_joint=tuple(trace_j),
-        trace_bias=tuple(trace_b),
+        trace_joint=trace_j,
+        trace_bias=trace_b,
     )
 
 
@@ -694,6 +707,7 @@ def predict_risk(fit: TransferFit, x_new: np.ndarray, z_new: np.ndarray):
     Accepts single vectors (p,), (q,) or batches (n, p), (n, q); returns a
     scalar or an (n,) array accordingly; membership_for_pattern checks z.
     """
+    check_real("x_new", x_new, "(-inf, inf)")
     x = np.asarray(x_new, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
@@ -703,8 +717,6 @@ def predict_risk(fit: TransferFit, x_new: np.ndarray, z_new: np.ndarray):
         raise ValueError(f"x_new must have p={p} columns, got shape {x.shape}")
     if X.shape[0] != Z.shape[0]:
         raise ValueError("x_new and z_new must cover the same subjects")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("x_new must be finite")
     v_star = membership_for_pattern(fit.lca_model, Z, study_row=0)
     mu = fit.family.mean(fit.b_target.linear_predictor(X))
     risk = sorted_row_sums(mu * v_star)
@@ -724,15 +736,12 @@ def _coef_to_dict(coef: CoefficientMatrix) -> dict:
 
 
 def _coef_from_dict(payload: dict) -> CoefficientMatrix:
-    return CoefficientMatrix(
-        values=np.asarray(payload["values"], dtype=float),
-        intercept=np.asarray(payload["intercept"], dtype=float),
-    )
+    return CoefficientMatrix(values=payload["values"], intercept=payload["intercept"])
 
 
 def _penalties_to_json(lambdas) -> list:
     # JSON has no infinity; a frozen stage (lambda = inf) is stored as null
-    return [float(v) if np.isfinite(v) else None for v in lambdas]
+    return [None if v == np.inf else float(v) for v in lambdas]
 
 
 def _penalties_from_json(name: str, values) -> np.ndarray:
@@ -769,8 +778,10 @@ def transfer_fit_from_dict(payload: dict) -> TransferFit:
     `n_iter` of older files) are ignored; a fit without intercepts stored
     zeros for them.  The parts must agree with b_pooled's (p, C): delta
     has its shape, and both penalty lists and the latent class model have C
-    classes, and the dispersion and penalties (null for inf) are real numbers
-    (core.check_real).  The `b_target` of an older file must be exactly
+    classes, and the dispersion, penalties (null for inf) and every
+    coefficient, table and trace entry are real numbers (core.check_real,
+    in the containers, on the JSON values as read: nothing is converted
+    first).  The `b_target` of an older file must be exactly
     b_pooled + delta.  Anything else is a ValueError."""
     if not isinstance(payload, dict) or payload.get("kind") != "transfer_fit":
         raise ValueError("not a serialized transfer fit")
@@ -783,8 +794,8 @@ def transfer_fit_from_dict(payload: dict) -> TransferFit:
         family=family,
         lambda_pool=_penalties_from_json("lambda_pool", payload["lambda_pool"]),
         lambda_bias=_penalties_from_json("lambda_bias", payload["lambda_bias"]),
-        trace_joint=tuple(payload.get("trace_joint", ())),
-        trace_bias=tuple(payload.get("trace_bias", ())),
+        trace_joint=payload.get("trace_joint", ()),
+        trace_bias=payload.get("trace_bias", ()),
     )
     p, C = fit.b_pooled.values.shape
     prevalences = fit.lca_model.prevalences

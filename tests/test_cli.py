@@ -228,9 +228,18 @@ ONE_CLASS_FIT = {**NO_LCA_MODEL, "lca_model": _LCA_MODEL}
      (json.dumps({**ONE_CLASS_FIT, "lambda_bias": [float("nan")]}),
       "lambda_bias must be real numbers in [0, inf], got [nan]"),
      (json.dumps({**ONE_CLASS_FIT, "lca_model": {**_LCA_MODEL, "prevalences": [[float("nan")]]}}),
-      "prevalences must lie strictly inside (0, 1)")],
+      "prevalences[0, 0] must be a real number in (0, 1), got nan"),
+     (json.dumps({**ONE_CLASS_FIT, "b_pooled": {**_COEF, "values": [["0.5"]]}}),
+      "values[0, 0] must be a real number in (-inf, inf), got '0.5'"),
+     (json.dumps({**ONE_CLASS_FIT, "lca_model": {**_LCA_MODEL, "mixing": [[True]]}}),
+      "mixing[0, 0] must be a real number in (0, inf), got True"),
+     (json.dumps({**ONE_CLASS_FIT, "trace_joint": ["1.5", True]}),
+      "trace_joint must be real numbers in (-inf, inf), got ['1.5', True]"),
+     (json.dumps({**ONE_CLASS_FIT, "lca_model": {**_LCA_MODEL, "converged": "false"}}),
+      "converged must be a bool, got 'false'")],
     ids=["wrong-kind", "not-json", "no-lca-model", "true-dispersion", "string-dispersion",
-         "true-penalty", "nan-penalty", "nan-prevalence"],
+         "true-penalty", "nan-penalty", "nan-prevalence", "string-coefficient", "true-mixing",
+         "string-trace", "string-converged"],
 )
 def test_predict_with_a_malformed_fit_exits_2_naming_the_file(tmp_path, capsys, text, reason):
     bad = tmp_path / "bad_fit.json"
@@ -601,6 +610,11 @@ def test_a_failed_solve_in_fit_is_one_error_line(cli_workspace, tmp_path, capsys
          "lambda_bias values must be real numbers in [0, inf], got (0.1, 'inf')"),
         ("fit", "tuning", {"cv_grid": ["0.1", 1]},
          "cv_grid multipliers must be real numbers in (0, inf), got ('0.1', 1)"),
+        ("simulate", "scenario", {"mixing": [[0.5, "0.3", 0.2], [0.4, 0.3, 0.3]]},
+         "mixing[0, 1] must be a real number in (0, inf), got '0.3'"),
+        ("experiment", "scenario",
+         {"prevalences": [[0.1, 0.5, 0.9, 0.1, 0.5], [0.9, 0.1, 0.5, 0.9, True], [0.5] * 5]},
+         "prevalences[1, 4] must be a real number in (0, 1), got True"),
     ],
 )
 def test_a_bad_config_value_exits_2_naming_the_block(tmp_path, capsys, command, block, setting,

@@ -119,7 +119,8 @@ def test_log_density_is_the_negated_glm_loss_over_the_dispersion():
             assert np.array_equal(got, -neg_log_lik_glm(fam, y, eta_c) / fam.dispersion)
             assert np.array_equal(got, (y * eta_c - fam.log_partition(eta_c)) / fam.dispersion)
     for fam in families:
-        with pytest.raises(ValueError, match="linear predictor must be finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                "eta[1] must be a real number in (-inf, inf), got nan")):
             fam.log_density(np.zeros(2), np.array([0.5, np.nan]))
 
 
@@ -238,7 +239,8 @@ def test_first_best_with_a_tolerance_picks_the_first_score_within_it():
     S = np.array([[2.0, 1.0 + 1e-9, 1.0], [5.0, 5.0, 4.0]])
     assert first_best(S, 1e-8).tolist() == [1, 2]
     assert first_best([np.inf, np.inf], 1e-8) == 0
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match=re.escape(
+            "scores must be real numbers in [-inf, inf], got [1.0, nan]")):
         first_best([1.0, np.nan], 0.0)
     with pytest.raises(ValueError, match="rtol"):
         first_best([1.0, 2.0], -1e-9)

@@ -156,7 +156,7 @@ def test_a_bad_line_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch,
     monkeypatch.setattr(core, "_read_range", read_range)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 8: could not convert string 'zz'") as exc:
         read_study_csv(path, study_id=0)
-    assert type(exc.value.__cause__.__cause__).__name__ == "_ChildTraceback"
+    assert type(exc.value.__cause__).__name__ == "_ChildTraceback"
 
 
 @pytest.mark.parametrize("first, second", [BAD_LINES[:2], BAD_LINES[1:]], ids=["convert-width", "width-wide"])

@@ -6,8 +6,9 @@ functions that call it, no module reads the environment, every default of a
 package-private function is one some call overrides, numeric CSVs are
 written and parsed in one place each, every model choice goes through
 core.first_best, every seed, class count, study id and study row is
-checked by core.check_count alone, and every penalty, CV multiplier,
-dispersion and real scenario parameter by core.check_real alone.
+checked by core.check_count alone, every penalty, CV multiplier,
+dispersion and real scenario parameter by core.check_real alone, and no
+isfinite or isnan is called outside core.check_real.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -455,3 +456,47 @@ def test_every_real_rule_goes_through_check_real():
 def test_the_real_rule_scan_finds_a_planted_rule(module, planted):
     source = (PACKAGE / module).read_text() + "\n\n" + planted
     assert list(_in_place_real_rules(ast.parse(source), module))
+
+
+def _finiteness_tests(tree, module):
+    """(line, text) of every isfinite or isnan call (np., numpy., math. or a
+    bare imported name) in `tree`, outside core.check_real and anything
+    nested in it."""
+    for top in tree.body:
+        if module == "core.py" and isinstance(top, ast.FunctionDef) and top.name == "check_real":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _callee(node) in ("isfinite", "isnan") and (
+                    isinstance(node.func, ast.Name)
+                    or (isinstance(node.func.value, ast.Name)
+                        and node.func.value.id in ("np", "numpy", "math"))):
+                yield node.lineno, ast.unparse(node)
+
+
+def test_every_finiteness_test_goes_through_check_real():
+    """Whether an array or a number is finite, or NaN, is core.check_real's
+    to say: an isfinite or isnan of its own lets booleans and strings
+    through (np.asarray converts them first) and words its own message."""
+    found = sorted(
+        f"{path.name}:{line}: {text}"
+        for path in PACKAGE.glob("*.py")
+        for line, text in _finiteness_tests(
+            ast.parse(path.read_text(), filename=str(path)), path.name)
+    )
+    assert not found, f"finiteness tests outside core.check_real: {found}"
+
+
+@pytest.mark.parametrize(
+    "module, planted",
+    [
+        ("glm.py", "def _x(X):\n    return np.all(np.isfinite(X))\n"),
+        ("core.py", "def _s(scores):\n    return numpy.isnan(scores).any()\n"),
+        ("core.py", "class _M:\n    def check(self, b):\n        return np.all(np.isfinite(b))\n"),
+        ("transfer.py", "def _l(lambdas, c):\n    return math.isfinite(lambdas[c])\n"),
+        ("evaluate.py", "from math import isnan\n\n\ndef _a(scores):\n    return isnan(scores[0])\n"),
+    ],
+    ids=["np-isfinite", "numpy-isnan", "method-isfinite", "math-isfinite", "bare-isnan"],
+)
+def test_the_finiteness_scan_finds_a_planted_call(module, planted):
+    source = (PACKAGE / module).read_text() + "\n\n" + planted
+    assert len(list(_finiteness_tests(ast.parse(source), module))) == 1

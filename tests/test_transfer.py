@@ -194,7 +194,7 @@ def test_infinite_bias_penalty_freezes_correction(tiny_scenario):
     assert np.array_equal(fit.b_target.values, fit.b_pooled.values)
     # a NaN penalty is refused, not read as an infinite one
     with pytest.raises(ValueError, match=re.escape(
-            "lambdas must be real numbers in [0, inf], got array([nan, inf])")):
+            "lambdas[0] must be a real number in [0, inf], got nan")):
         joint_estimate(data, v, cfg, fit.family, np.array([np.nan, np.inf]))
 
 
@@ -623,7 +623,8 @@ def test_transfer_config_validation():
         ({"lambda_pool": True}, "lambda_pool values must be a real number in [0, inf], got True"),
         ({"lambda_bias": [0.1, False]},
          "lambda_bias values must be real numbers in [0, inf], got [0.1, False]"),
-        ({"lambda_bias": np.array([True, False])}, "lambda_bias values must be real numbers"),
+        ({"lambda_bias": np.array([True, False])},
+         "lambda_bias values[0] must be a real number in [0, inf], got True"),
         ({"cv_grid": (True, 2.0)},
          "cv_grid multipliers must be real numbers in (0, inf), got (True, 2.0)"),
         ({"lambda_bias": [0.1, "inf"]},
@@ -635,6 +636,8 @@ def test_transfer_config_validation():
         ({"cv_grid": (0.5, float("inf"))},
          "cv_grid multipliers must be real numbers in (0, inf), got (0.5, inf)"),
         ({"cv_grid": ()}, "cv_grid must be a non-empty sequence, got ()"),
+        ({"lambda_pool": [[0.1]]}, "lambda_pool must be 'auto', a scalar, or a sequence"),
+        ({"cv_grid": [[1.0, 2.0]]}, "cv_grid must be a non-empty sequence, got [[1.0, 2.0]]"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             TransferConfig(**setting)
@@ -704,10 +707,12 @@ def test_predict_risk_rejects_invalid_inputs(mini_fit):
         predict_risk(fit, x, bad_z)
     bad_x = x.copy()
     bad_x[2, 3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=re.escape(
+            "x_new[2, 3] must be a real number in (-inf, inf), got nan")):
         predict_risk(fit, bad_x, z)
     bad_x[2, 3] = np.inf
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=re.escape(
+            "x_new[2, 3] must be a real number in (-inf, inf), got inf")):
         predict_risk(fit, bad_x, z)
     with pytest.raises(ValueError, match="p="):
         predict_risk(fit, x[:, :-1], z)
