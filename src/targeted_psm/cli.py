@@ -241,12 +241,10 @@ def _check_outcomes(data_dir, data, family) -> None:
 
 def _check_class_counts(data_dir, data, counts, name: str) -> None:
     """DataError unless every class count is at most the subject count."""
-    largest = max(counts)
-    if largest > data.n_total:
-        raise DataError(
-            f"{data_dir}: {name} {largest} exceeds the {data.n_total} subjects "
-            "of the dataset"
-        )
+    try:
+        check_count(f"{name} of a {data.n_total}-subject dataset", max(counts), 1, data.n_total)
+    except ValueError as exc:
+        raise DataError(f"{data_dir}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

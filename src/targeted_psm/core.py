@@ -9,7 +9,10 @@ Conventions used throughout the package:
   [EPS_CLIP, 1 - EPS_CLIP] so that no observation weight collapses to zero,
 * every model choice (CV penalty, latent class restart, BIC class count,
   class alignment) is `first_best` and every EM stop test `em_converged`;
-  their tolerances and floors are the callers' module constants.
+  their tolerances and floors are the callers' module constants,
+* every input rule is `check_count` (an integer in a range) or
+  `check_real` (real numbers in an interval, or in the set {0, 1}),
+  called before the input is converted.
 
 Study files run on every CPU of the process's affinity mask
 (`_parallel.fan_out`).  Every numeric CSV the package writes goes through
@@ -137,9 +140,7 @@ class GlmFamily:
         return -neg_log_lik_glm(self, y, clamp_eta(eta)) / self.dispersion
 
     def validate_outcomes(self, y) -> None:
-        check_real("outcomes", y, "(-inf, inf)")
-        if self.kind == "logistic" and not np.all(np.isin(y, (0.0, 1.0))):
-            raise ValueError("logistic outcomes must lie in {0, 1}")
+        check_real("outcomes", y, "{0, 1}" if self.kind == "logistic" else "(-inf, inf)")
 
 
 def neg_log_lik_glm(family: GlmFamily, y, eta):
@@ -247,37 +248,45 @@ def em_converged(change: float, scale: float, tol: float, floor: float) -> bool:
     return change <= tol * scale if scale > floor else change <= tol
 
 
-def check_count(name: str, value, minimum: int) -> None:
-    """The package's one integer rule (counts, class counts, seeds, study
-    ids): ValueError unless `value` is an integer (a bool is not) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def check_count(name: str, value, minimum: int, maximum: int = None) -> None:
+    """The package's one integer rule (counts, class counts and labels, seeds,
+    study ids and rows): ValueError unless `value` is an integer (a bool is
+    not) >= minimum and, when `maximum` is given, <= maximum."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum
+            or (maximum is not None and value > maximum)):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def check_real(name: str, value, interval: str) -> None:
     """The package's one real-number rule: ValueError unless `value` (a
     scalar, a list or tuple, flat or nested, or a numpy array of any shape)
     holds only Python or numpy ints and floats (no bool) in `interval`,
-    written as it reads ("[0, inf]", "(0, 1)"); NaN fails every bound.
-    Nothing is converted.
+    written as it reads: an interval ("[0, inf]", "(0, 1)") or a set of two
+    values ("{0, 1}").  NaN fails every bound and every set.  Nothing is
+    converted.
 
-    A scalar or a flat list or tuple is printed whole in the message; for an
-    array or a nested table it names the first bad entry and its index
-    (`values[2, 0] ...`).  An int or float array passes in one vectorized
-    test: np.isfinite for (-inf, inf), else its min and max, which lie in
-    the interval exactly when every entry does (a NaN entry makes both NaN).
-    Only an array that fails it is searched entry by entry.
+    The message has one form: the name, the index of the first bad entry in
+    row-major order when `value` is not a scalar, and the entry
+    (`values[2, 0] must be a real number in (-inf, inf), got '0.5'`).  An
+    int or float array passes in one vectorized test: every entry against a
+    set, np.isfinite for (-inf, inf), else its min and max, which lie in the
+    interval exactly when every entry does (a NaN entry makes both NaN).
+    Only an array that fails it is searched for its first bad entry.
     """
     low, high = (float(b) for b in interval[1:-1].split(","))
 
     def inside(v):
+        if interval[0] == "{":
+            return (v == low) | (v == high)
         return ((low <= v) if interval[0] == "[" else (low < v)) & (
             (v <= high) if interval[-1] == "]" else (v < high))
 
     def first_bad(v):
         # (index, entry) of the first bad entry of v in row-major order, or None
         if isinstance(v, np.ndarray) and v.dtype.kind in "iuf":
-            if v.size == 0 or (np.isfinite(v).all() if interval == "(-inf, inf)"
+            if v.size == 0 or (inside(v).all() if interval[0] == "{"
+                               else np.isfinite(v).all() if interval == "(-inf, inf)"
                                else inside(v.min()) and inside(v.max())):
                 return None
             index = tuple(int(i) for i in np.argwhere(~inside(v))[0])
@@ -299,18 +308,11 @@ def check_real(name: str, value, interval: str) -> None:
         return None
 
     bad = first_bad(value)
-    if bad is None:
-        return
-    index, entry = bad
-    if not index:
-        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
-    if isinstance(value, (list, tuple)) and not any(
-            isinstance(v, (list, tuple, np.ndarray)) for v in value):
-        raise ValueError(f"{name} must be real numbers in {interval}, got {value!r}")
-    if isinstance(entry, np.generic):
-        entry = entry.item()
-    raise ValueError(f"{name}[{', '.join(map(str, index))}] must be a real number in "
-                     f"{interval}, got {entry!r}")
+    if bad is not None:
+        index, entry = bad
+        at = f"[{', '.join(map(str, index))}]" if index else ""
+        entry = entry.item() if isinstance(entry, np.generic) else entry
+        raise ValueError(f"{name}{at} must be a real number in {interval}, got {entry!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +333,7 @@ class Study:
     def __post_init__(self):
         check_real("outcomes", self.outcomes, "(-inf, inf)")
         check_real("predictors", self.predictors, "(-inf, inf)")
-        check_real("structure_vars", self.structure_vars, "[0, 1]")
+        check_real("structure_vars", self.structure_vars, "{0, 1}")
         y = np.ascontiguousarray(self.outcomes, dtype=float)
         x = np.ascontiguousarray(self.predictors, dtype=float)
         z = np.ascontiguousarray(self.structure_vars, dtype=float)
@@ -344,8 +346,6 @@ class Study:
             raise ValueError("a study needs at least one subject")
         if x.shape[0] != n or z.shape[0] != n:
             raise ValueError("row counts of y, X, Z must agree")
-        if not np.all(np.isin(z, (0.0, 1.0))):
-            raise ValueError("structure variables must be binary (0/1)")
         check_count("study_id", self.study_id, 0)
         object.__setattr__(self, "outcomes", y)
         object.__setattr__(self, "predictors", x)

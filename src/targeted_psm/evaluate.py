@@ -70,14 +70,13 @@ def coef_mse(estimate, truth) -> float:
 def auc(scores, labels) -> float:
     """Area under the ROC curve: P(score+ > score-) + P(tie)/2, computed
     exactly from average ranks (ties handled, all-tied scores give 0.5).
-    Scores must be finite."""
+    Scores must be finite and labels 0 or 1."""
     check_real("scores", scores, "(-inf, inf)")
+    check_real("labels", labels, "{0, 1}")
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-d of equal length")
-    if not np.all(np.isin(labels, (0.0, 1.0))):
-        raise ValueError("labels must be binary")
     n = labels.size
     n_pos = int(labels.sum())
     n_neg = n - n_pos

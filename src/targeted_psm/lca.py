@@ -342,13 +342,6 @@ def _canonical_order(model: LcaModel) -> LcaModel:
     )
 
 
-def _check_class_count(n_classes, data: StudyCollection) -> None:
-    """ValueError unless `n_classes` is an integer in 1..n_total of `data`."""
-    check_count("n_classes", n_classes, 1)
-    if n_classes > data.n_total:
-        raise ValueError("n_classes cannot exceed the total subject count")
-
-
 def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) -> LcaModel:
     """Fit the joint latent class model with `n_classes` classes.
 
@@ -364,7 +357,7 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     the log-likelihood's reductions are sorted.
     """
     config = config or LcaFitConfig()
-    _check_class_count(n_classes, data)
+    check_count("n_classes", n_classes, 1, data.n_total)
     C, q = n_classes, data.q
     index = _CellIndex.of(data)
     if C > 2 ** q:
@@ -420,14 +413,11 @@ def membership_for_pattern(model: LcaModel, z: np.ndarray, study_row: int = 0) -
     Accepts a single 0/1 pattern (q,) or a batch (n, q); returns (C,) or
     (n, C).  Any other z or study_row is a ValueError.
     """
+    check_real("z", z, "{0, 1}")
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != model.n_structure_vars:
         raise ValueError(f"z must have q={model.n_structure_vars} columns, got shape {z.shape}")
-    if not np.all((z == 0.0) | (z == 1.0)):
-        raise ValueError("z must be binary (0 or 1)")
-    check_count("study_row", study_row, 0)
-    if study_row >= model.n_studies:
-        raise ValueError(f"study_row must be at most K={model.n_studies - 1}, got {study_row}")
+    check_count("study_row", study_row, 0, model.n_studies - 1)
     single = z.ndim == 1
     Z = np.atleast_2d(z)
     post, _ = _cell_posteriors(model.prevalences, model.mixing, Z, np.full(Z.shape[0], study_row))
@@ -460,7 +450,7 @@ def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig =
     """
     class_grid = list(class_grid)
     for C in class_grid:
-        _check_class_count(C, data)
+        check_count("n_classes", C, 1, data.n_total)
     rows = []
     for C in class_grid:
         model = fit_lca(data, C, config)

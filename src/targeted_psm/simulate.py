@@ -98,10 +98,7 @@ def preset_mixing(kind: str, n_sources: int) -> np.ndarray:
     if kind not in MIXING_PRESETS:
         raise ValueError(f"unknown mixing preset {kind!r}")
     table = MIXING_PRESETS[kind]
-    if not 0 <= n_sources <= table.shape[0] - 1:
-        raise ValueError(
-            f"mixing preset {kind!r} provides at most {table.shape[0] - 1} sources"
-        )
+    check_count(f"n_sources of mixing preset {kind!r}", n_sources, 0, table.shape[0] - 1)
     return table[: n_sources + 1].copy()
 
 
@@ -139,10 +136,8 @@ class ScenarioConfig:
         check_count("seed", self.seed, 0)
         if len(self.support_sizes) != self.n_classes:
             raise ValueError("need one support size per class")
-        for s in self.support_sizes:
-            check_count("support_sizes", s, 0)
-        if any(s > self.p for s in self.support_sizes):
-            raise ValueError("support sizes must lie in [0, p]")
+        for c, s in enumerate(self.support_sizes):
+            check_count(f"support_sizes[{c}]", s, 0, self.p)
         GlmFamily(self.family, self.dispersion)  # validates family & dispersion
         object.__setattr__(self, "support_sizes", tuple(int(s) for s in self.support_sizes))
         # A preset or table that does not fit (C, q, K) or LcaModel's bounds
@@ -349,13 +344,13 @@ def truth_to_dict(truth: dict) -> dict:
 def truth_from_dict(payload: dict) -> dict:
     """Inverse of truth_to_dict.  The tables go through LcaModel and
     CoefficientMatrix as read, and each class label through core.check_count
-    (an integer >= 0), so a string, boolean or fractional entry is a
-    ValueError naming it."""
+    (an integer in [0, n_classes - 1]), so a string, boolean, fractional or
+    out-of-range entry is a ValueError naming it."""
     config = ScenarioConfig(**payload["config"])
     model = LcaModel(payload["prevalences"], payload["mixing"])
     for k, labels in enumerate(payload["classes"]):
         for i, label in enumerate(labels):
-            check_count(f"classes[{k}][{i}]", label, 0)
+            check_count(f"classes[{k}][{i}]", label, 0, config.n_classes - 1)
     return {
         "prevalences": model.prevalences,
         "mixing": model.mixing,

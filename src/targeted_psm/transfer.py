@@ -711,13 +711,12 @@ def predict_risk(fit: TransferFit, x_new: np.ndarray, z_new: np.ndarray):
     x = np.asarray(x_new, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
-    Z = np.atleast_2d(np.asarray(z_new, dtype=float))
     p = fit.b_target.n_features
     if X.ndim != 2 or X.shape[1] != p:
         raise ValueError(f"x_new must have p={p} columns, got shape {x.shape}")
-    if X.shape[0] != Z.shape[0]:
+    v_star = np.atleast_2d(membership_for_pattern(fit.lca_model, z_new, study_row=0))
+    if X.shape[0] != v_star.shape[0]:
         raise ValueError("x_new and z_new must cover the same subjects")
-    v_star = membership_for_pattern(fit.lca_model, Z, study_row=0)
     mu = fit.family.mean(fit.b_target.linear_predictor(X))
     risk = sorted_row_sums(mu * v_star)
     return float(risk[0]) if single else risk

@@ -224,9 +224,9 @@ ONE_CLASS_FIT = {**NO_LCA_MODEL, "lca_model": _LCA_MODEL}
      (json.dumps({**ONE_CLASS_FIT, "dispersion": "1"}),
       "dispersion must be a real number in (0, inf), got '1'"),
      (json.dumps({**ONE_CLASS_FIT, "lambda_pool": [True]}),
-      "lambda_pool must be real numbers in [0, inf], got [True]"),
+      "lambda_pool[0] must be a real number in [0, inf], got True"),
      (json.dumps({**ONE_CLASS_FIT, "lambda_bias": [float("nan")]}),
-      "lambda_bias must be real numbers in [0, inf], got [nan]"),
+      "lambda_bias[0] must be a real number in [0, inf], got nan"),
      (json.dumps({**ONE_CLASS_FIT, "lca_model": {**_LCA_MODEL, "prevalences": [[float("nan")]]}}),
       "prevalences[0, 0] must be a real number in (0, 1), got nan"),
      (json.dumps({**ONE_CLASS_FIT, "b_pooled": {**_COEF, "values": [["0.5"]]}}),
@@ -234,7 +234,7 @@ ONE_CLASS_FIT = {**NO_LCA_MODEL, "lca_model": _LCA_MODEL}
      (json.dumps({**ONE_CLASS_FIT, "lca_model": {**_LCA_MODEL, "mixing": [[True]]}}),
       "mixing[0, 0] must be a real number in (0, inf), got True"),
      (json.dumps({**ONE_CLASS_FIT, "trace_joint": ["1.5", True]}),
-      "trace_joint must be real numbers in (-inf, inf), got ['1.5', True]"),
+      "trace_joint[0] must be a real number in (-inf, inf), got '1.5'"),
      (json.dumps({**ONE_CLASS_FIT, "lca_model": {**_LCA_MODEL, "converged": "false"}}),
       "converged must be a bool, got 'false'")],
     ids=["wrong-kind", "not-json", "no-lca-model", "true-dispersion", "string-dispersion",
@@ -486,8 +486,9 @@ def test_fit_on_outcomes_outside_the_family_exits_2_naming_the_data(tmp_path, ca
     assert main(["simulate", "--config", config, "--out", str(data)]) == 0
     capsys.readouterr()
     assert main(["fit", "--data", str(data), "--classes", "2"]) == 2
+    y0 = float(read_study_csv(data / "study_0.csv", 0).outcomes[0])
     assert _one_error_line(capsys) == (
-        f"error: {data}: study 0: logistic outcomes must lie in {{0, 1}} "
+        f"error: {data}: study 0: outcomes[0] must be a real number in {{0, 1}}, got {y0!r} "
         "(scenario.family is 'logistic')"
     )
 
@@ -499,7 +500,8 @@ def test_more_classes_than_subjects_exits_2_naming_the_flag(cli_workspace, capsy
     assert main([command, "--config", config, "--data", str(data_dir),
                  "--classes", *extra, "400"]) == 2
     assert _one_error_line(capsys) == (
-        f"error: {data_dir}: --classes 400 exceeds the 270 subjects of the dataset"
+        f"error: {data_dir}: --classes of a 270-subject dataset must be an integer in [1, 270], "
+        "got 400"
     )
 
 
@@ -583,9 +585,9 @@ def test_a_failed_solve_in_fit_is_one_error_line(cli_workspace, tmp_path, capsys
     "command, block, setting, message",
     [
         ("fit", "tuning", {"cv_grid": [float("nan"), 1.0]},
-         "cv_grid multipliers must be real numbers in (0, inf), got (nan, 1.0)"),
+         "cv_grid multipliers[0] must be a real number in (0, inf), got nan"),
         ("fit", "tuning", {"cv_grid": [float("inf")]},
-         "cv_grid multipliers must be real numbers in (0, inf), got (inf,)"),
+         "cv_grid multipliers[0] must be a real number in (0, inf), got inf"),
         ("fit", "tuning", {"cv_folds": 2.5}, "cv_folds must be an integer >= 2, got 2.5"),
         ("fit", "tuning", {"max_em_iter": 2.5}, "max_em_iter must be an integer >= 1, got 2.5"),
         ("fit", "lca", {"n_starts": 2.5}, "n_starts must be an integer >= 1, got 2.5"),
@@ -594,11 +596,11 @@ def test_a_failed_solve_in_fit_is_one_error_line(cli_workspace, tmp_path, capsys
         ("simulate", "scenario", {"p": 5.0}, "p must be an integer >= 1, got 5.0"),
         ("simulate", "scenario", {"K": True}, "K must be an integer >= 0, got True"),
         ("experiment", "scenario", {"support_sizes": [1, 2.5, 4]},
-         "support_sizes must be an integer >= 0, got 2.5"),
+         "support_sizes[1] must be an integer in [0, 10], got 2.5"),
         ("fit", "tuning", {"lambda_pool": True},
          "lambda_pool values must be a real number in [0, inf], got True"),
         ("fit", "tuning", {"cv_grid": [True, 2.0]},
-         "cv_grid multipliers must be real numbers in (0, inf), got (True, 2.0)"),
+         "cv_grid multipliers[0] must be a real number in (0, inf), got True"),
         ("simulate", "scenario", {"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
         ("fit", "lca", {"seed": True}, "seed must be an integer >= 0, got True"),
         ("simulate", "scenario", {"h": float("nan")}, "h must be a real number in [0, inf), got nan"),
@@ -607,9 +609,9 @@ def test_a_failed_solve_in_fit_is_one_error_line(cli_workspace, tmp_path, capsys
         ("simulate", "scenario", {"dispersion": True},
          "dispersion must be a real number in (0, inf), got True"),
         ("fit", "tuning", {"lambda_bias": [0.1, "inf"]},
-         "lambda_bias values must be real numbers in [0, inf], got (0.1, 'inf')"),
+         "lambda_bias values[1] must be a real number in [0, inf], got 'inf'"),
         ("fit", "tuning", {"cv_grid": ["0.1", 1]},
-         "cv_grid multipliers must be real numbers in (0, inf), got ('0.1', 1)"),
+         "cv_grid multipliers[0] must be a real number in (0, inf), got '0.1'"),
         ("simulate", "scenario", {"mixing": [[0.5, "0.3", 0.2], [0.4, 0.3, 0.3]]},
          "mixing[0, 1] must be a real number in (0, inf), got '0.3'"),
         ("experiment", "scenario",
@@ -643,7 +645,7 @@ def test_lca_select_stars_the_smaller_class_count_on_a_bic_tie(cli_workspace, ca
     [
         ({"prevalence_preset": "nope"}, "unknown prevalence preset 'nope'"),
         ({"q": 4}, "but the scenario asks for C=3, q=4"),
-        ({"K": 11}, "provides at most 10 sources"),
+        ({"K": 11}, "n_sources of mixing preset 'small_diff' must be an integer in [0, 10], got 11"),
     ],
 )
 @pytest.mark.parametrize("command", ["simulate", "experiment"])

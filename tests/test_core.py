@@ -240,7 +240,7 @@ def test_first_best_with_a_tolerance_picks_the_first_score_within_it():
     assert first_best(S, 1e-8).tolist() == [1, 2]
     assert first_best([np.inf, np.inf], 1e-8) == 0
     with pytest.raises(ValueError, match=re.escape(
-            "scores must be real numbers in [-inf, inf], got [1.0, nan]")):
+            "scores[1] must be a real number in [-inf, inf], got nan")):
         first_best([1.0, np.nan], 0.0)
     with pytest.raises(ValueError, match="rtol"):
         first_best([1.0, 2.0], -1e-9)

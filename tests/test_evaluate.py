@@ -119,13 +119,13 @@ def test_auc_invariant_to_monotone_transform(rng):
 def test_auc_error_paths():
     with pytest.raises(UndefinedMetricError):
         auc([0.1, 0.2], [1, 1])
-    with pytest.raises(ValueError, match="binary"):
+    with pytest.raises(ValueError, match=re.escape("labels[1] must be a real number in {0, 1}, got 2")):
         auc([0.1, 0.2], [1, 2])
     with pytest.raises(ValueError, match="1-d"):
         auc([[0.1], [0.2]], [[1], [0]])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=re.escape(
-                f"scores must be real numbers in (-inf, inf), got [0.1, {bad!r}, 0.3]")):
+                f"scores[1] must be a real number in (-inf, inf), got {bad!r}")):
             auc([0.1, bad, 0.3], [1, 0, 0])
     assert isinstance(UndefinedMetricError("x"), ValueError)
 

@@ -5,10 +5,11 @@ fork-join helper manages processes, and its docstring lists exactly the
 functions that call it, no module reads the environment, every default of a
 package-private function is one some call overrides, numeric CSVs are
 written and parsed in one place each, every model choice goes through
-core.first_best, every seed, class count, study id and study row is
-checked by core.check_count alone, every penalty, CV multiplier,
-dispersion and real scenario parameter by core.check_real alone, and no
-isfinite or isnan is called outside core.check_real.
+core.first_best, every seed, class count, study id, study row and source
+count is checked, above and below, by core.check_count alone, every
+penalty, CV multiplier, dispersion and real scenario parameter by
+core.check_real alone, and no isfinite, isnan or 0/1 test is made outside
+core.check_real.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -329,7 +330,7 @@ def test_the_choice_scan_finds_a_planted_rule(module, planted):
 
 
 # Parameters and fields whose integer rule is core.check_count alone.
-COUNT_NAMES = {"seed", "n_classes", "study_id", "study_row"}
+COUNT_NAMES = {"seed", "n_classes", "study_id", "study_row", "n_sources"}
 
 
 def _names_a_count(node) -> bool:
@@ -345,9 +346,10 @@ def _is_number(node) -> bool:
 
 
 def _in_place_integer_rules(tree, module):
-    """(line, text) of every int(...) of a COUNT_NAMES name and every lower
-    bound on one (`seed < 0`, `n_classes <= 0`, `0 > study_row`) in `tree`,
-    outside core.check_count."""
+    """(line, text) of every int(...) of a COUNT_NAMES name and every
+    ordering comparison of one, a lower bound (`seed < 0`, `0 > study_row`)
+    or an upper bound (`n_classes > data.n_total`, `k < self.study_id`), in
+    `tree`, outside core.check_count."""
     for node, owner in _with_owner(tree):
         if (module, owner) == ("core.py", "check_count"):
             continue
@@ -356,17 +358,17 @@ def _in_place_integer_rules(tree, module):
             yield node.lineno, ast.unparse(node)
         elif isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
-            for left, op, right in zip(operands, node.ops, operands[1:]):
-                if ((isinstance(op, (ast.Lt, ast.LtE)) and _names_a_count(left) and _is_number(right))
-                        or (isinstance(op, (ast.Gt, ast.GtE)) and _is_number(left)
-                            and _names_a_count(right))):
-                    yield node.lineno, ast.unparse(node)
+            if any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                   and (_names_a_count(left) or _names_a_count(right))
+                   for left, op, right in zip(operands, node.ops, operands[1:])):
+                yield node.lineno, ast.unparse(node)
 
 
 def test_every_integer_rule_goes_through_check_count():
-    """A seed, class count, study id or study row is an integer >= its
-    minimum by core.check_count only: an int(...) would truncate 2.5 to 2,
-    and a `< 0` of its own would be a second rule that lets 2.5 through."""
+    """A seed, class count, study id, study row or source count is an
+    integer in its range by core.check_count only: an int(...) would
+    truncate 2.5 to 2, and a `< 0` or `> n_total` of its own would be a
+    second rule that lets 2.5 through and words its own message."""
     found = sorted(
         f"{path.name}:{line}: {text}"
         for path in PACKAGE.glob("*.py")
@@ -384,9 +386,15 @@ def test_every_integer_rule_goes_through_check_count():
         ("core.py", "class _Id:\n    def check(self):\n        return int(self.study_id)\n"),
         ("lca.py", "def _row(study_row):\n    return 0 > study_row\n"),
         ("simulate.py", "def _c(self):\n    return self.n_classes <= 0\n"),
+        ("lca.py", "def _c(n_classes, data):\n    if n_classes > data.n_total:\n"
+                   "        raise ValueError(n_classes)\n"),
+        ("lca.py", "def _r(study_row, model):\n    return study_row >= model.n_studies\n"),
+        ("simulate.py", "def _k(n_sources, table):\n    return 0 <= n_sources <= len(table) - 1\n"),
+        ("core.py", "class _Id:\n    def check(self, k):\n        return k < self.study_id\n"),
     ],
     ids=["seed-below-0", "int-n-classes", "int-self-study-id", "0-above-study-row",
-         "self-n-classes-at-most-0"],
+         "self-n-classes-at-most-0", "n-classes-above-n-total", "study-row-at-least-n-studies",
+         "n-sources-in-a-chain", "self-study-id-above-k"],
 )
 def test_the_integer_rule_scan_finds_a_planted_rule(module, planted):
     source = (PACKAGE / module).read_text() + "\n\n" + planted
@@ -458,19 +466,24 @@ def test_the_real_rule_scan_finds_a_planted_rule(module, planted):
     assert list(_in_place_real_rules(ast.parse(source), module))
 
 
+def _outside_check_real(tree, module):
+    """Every node of `tree` outside core.check_real and anything nested in it."""
+    for top in tree.body:
+        if not (module == "core.py" and isinstance(top, ast.FunctionDef)
+                and top.name == "check_real"):
+            yield from ast.walk(top)
+
+
 def _finiteness_tests(tree, module):
     """(line, text) of every isfinite or isnan call (np., numpy., math. or a
     bare imported name) in `tree`, outside core.check_real and anything
     nested in it."""
-    for top in tree.body:
-        if module == "core.py" and isinstance(top, ast.FunctionDef) and top.name == "check_real":
-            continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and _callee(node) in ("isfinite", "isnan") and (
-                    isinstance(node.func, ast.Name)
-                    or (isinstance(node.func.value, ast.Name)
-                        and node.func.value.id in ("np", "numpy", "math"))):
-                yield node.lineno, ast.unparse(node)
+    for node in _outside_check_real(tree, module):
+        if isinstance(node, ast.Call) and _callee(node) in ("isfinite", "isnan") and (
+                isinstance(node.func, ast.Name)
+                or (isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy", "math"))):
+            yield node.lineno, ast.unparse(node)
 
 
 def test_every_finiteness_test_goes_through_check_real():
@@ -494,9 +507,62 @@ def test_every_finiteness_test_goes_through_check_real():
         ("core.py", "class _M:\n    def check(self, b):\n        return np.all(np.isfinite(b))\n"),
         ("transfer.py", "def _l(lambdas, c):\n    return math.isfinite(lambdas[c])\n"),
         ("evaluate.py", "from math import isnan\n\n\ndef _a(scores):\n    return isnan(scores[0])\n"),
+        ("lca.py", "def _z(z):\n    return np.all((z == 0.0) | (z == 1.0))\n"),
+        ("core.py", "def _y(y):\n    return np.isin(y, (0.0, 1.0)).all()\n"),
+        ("evaluate.py", "def _l(labels):\n    return numpy.isin(labels, test_elements=[1, 0])\n"),
+        ("transfer.py", "def _z(z):\n    return np.logical_or(1 == z, 0 == z)\n"),
+        ("simulate.py", "def _b(v):\n    return v == 0 or v == 1\n"),
     ],
-    ids=["np-isfinite", "numpy-isnan", "method-isfinite", "math-isfinite", "bare-isnan"],
+    ids=["np-isfinite", "numpy-isnan", "method-isfinite", "math-isfinite", "bare-isnan",
+         "eq-0-or-eq-1", "isin-0-1", "isin-keyword-1-0", "logical-or-1-eq-z", "eq-0-or-eq-1-bool"],
 )
 def test_the_finiteness_scan_finds_a_planted_call(module, planted):
-    source = (PACKAGE / module).read_text() + "\n\n" + planted
-    assert len(list(_finiteness_tests(ast.parse(source), module))) == 1
+    """Each planted call is one finiteness test or one 0/1 test."""
+    tree = ast.parse((PACKAGE / module).read_text() + "\n\n" + planted)
+    assert len([*_finiteness_tests(tree, module), *_binary_tests(tree, module)]) == 1
+
+
+def _compared_number(node):
+    """The number of a single `x == number` or `number == x`, else None."""
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 and isinstance(node.ops[0], ast.Eq):
+        for side in (node.left, node.comparators[0]):
+            if _is_number(side):
+                return side.value
+    return None
+
+
+def _binary_tests(tree, module):
+    """(line, text) of every isin of an entry against the literal 0 and 1,
+    and every `(x == 0) | (x == 1)`, `x == 0 or x == 1` or
+    logical_or(x == 0, x == 1), in `tree`, outside core.check_real and
+    anything nested in it."""
+    for node in _outside_check_real(tree, module):
+        if isinstance(node, ast.Call) and _callee(node) == "isin":
+            elements = node.args[1:2] + [k.value for k in node.keywords if k.arg == "test_elements"]
+            if any(isinstance(e, (ast.Tuple, ast.List, ast.Set)) and len(e.elts) == 2
+                   and all(_is_number(x) for x in e.elts) and {x.value for x in e.elts} == {0, 1}
+                   for e in elements):
+                yield node.lineno, ast.unparse(node)
+            continue
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            operands = node.values
+        elif isinstance(node, ast.Call) and _callee(node) == "logical_or":
+            operands = node.args
+        else:
+            continue
+        if len(operands) == 2 and {_compared_number(o) for o in operands} == {0, 1}:
+            yield node.lineno, ast.unparse(node)
+
+
+def test_every_binary_test_goes_through_check_real():
+    """Whether an entry is 0 or 1 is core.check_real's set "{0, 1}" to say:
+    an isin or `== 0 | == 1` of its own runs after np.asarray has read "1"
+    and True as 1.0, and words its own message."""
+    found = sorted(
+        f"{path.name}:{line}: {text}"
+        for path in PACKAGE.glob("*.py")
+        for line, text in _binary_tests(ast.parse(path.read_text(), filename=str(path)), path.name)
+    )
+    assert not found, f"0/1 tests outside core.check_real: {found}"

@@ -469,12 +469,12 @@ def test_membership_bayes_rule_by_hand():
 @pytest.mark.parametrize(
     "z, study_row, message",
     [
-        ([1.0, 0.0], -1, "study_row must be an integer >= 0, got -1"),
-        ([1.0, 0.0], 2, "study_row must be at most K=1, got 2"),
-        ([1.0, 0.0], 0.5, "study_row must be an integer >= 0, got 0.5"),
-        ([1.0, 0.0], True, "study_row must be an integer >= 0, got True"),
-        ([0.5, 0.5], 0, "z must be binary (0 or 1)"),
-        ([[1.0, 0.0], [1.0, np.nan]], 0, "z must be binary (0 or 1)"),
+        ([1.0, 0.0], -1, "study_row must be an integer in [0, 1], got -1"),
+        ([1.0, 0.0], 2, "study_row must be an integer in [0, 1], got 2"),
+        ([1.0, 0.0], 0.5, "study_row must be an integer in [0, 1], got 0.5"),
+        ([1.0, 0.0], True, "study_row must be an integer in [0, 1], got True"),
+        ([0.5, 0.5], 0, "z[0] must be a real number in {0, 1}, got 0.5"),
+        ([[1.0, 0.0], [1.0, np.nan]], 0, "z[1, 1] must be a real number in {0, 1}, got nan"),
         ([1.0, 0.0, 1.0], 0, "z must have q=2 columns, got shape (3,)"),
         ([[[1.0, 0.0]]], 0, "z must have q=2 columns, got shape (1, 1, 2)"),
     ],
@@ -601,12 +601,15 @@ def test_a_class_count_that_is_not_an_integer_is_refused(small_collection, n_cla
     runs = []
     run_em = lca._run_em
     monkeypatch.setattr(lca, "_run_em", lambda init, index: runs.append(1) or run_em(init, index))
-    message = f"n_classes must be an integer >= 1, got {n_classes!r}"
+    message = f"n_classes must be an integer in [1, {data.n_total}], got {n_classes!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         fit_lca(data, n_classes, LcaFitConfig(n_starts=1))
     with pytest.raises(ValueError, match=re.escape(message)):
         select_classes_bic(data, [2, n_classes], LcaFitConfig(n_starts=1))
-    with pytest.raises(ValueError, match="cannot exceed the total subject count"):
+    message = f"n_classes must be an integer in [1, {data.n_total}], got {data.n_total + 1}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_lca(data, data.n_total + 1, LcaFitConfig(n_starts=1))
+    with pytest.raises(ValueError, match=re.escape(message)):
         select_classes_bic(data, [2, data.n_total + 1], LcaFitConfig(n_starts=1))
     assert runs == []
 

@@ -1,10 +1,9 @@
 """Every container and file loader refuses a bad real entry through
 core.check_real: a NaN, a value outside the field's interval, a boolean and
-a numeric string, each a ValueError naming the field and the entry.  An
-array or a nested table names the entry by its index; a flat list, such as
-a file's intercepts or traces, is printed whole, with the entry in place.
-Nothing is converted on the way in, so `"0.5"` and `true` never read as
-numbers."""
+a numeric string, each a ValueError naming the field and the entry by its
+index.  Every 0/1 input (structure variables, logistic outcomes, patterns
+and AUC labels) is the set {0, 1} of the same rule.  Nothing is converted
+on the way in, so `"0.5"`, `"1"` and `true` never read as numbers."""
 
 import copy
 import json
@@ -15,10 +14,11 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from targeted_psm.core import CoefficientMatrix, Study, check_real
-from targeted_psm.lca import LcaModel, lca_model_from_dict
+from targeted_psm.core import CoefficientMatrix, GlmFamily, Study, check_real
+from targeted_psm.evaluate import auc
+from targeted_psm.lca import LcaModel, lca_model_from_dict, membership_for_pattern
 from targeted_psm.simulate import ScenarioConfig, truth_from_dict
-from targeted_psm.transfer import _coef_from_dict, transfer_fit_from_dict
+from targeted_psm.transfer import _coef_from_dict, predict_risk, transfer_fit_from_dict
 
 COEF = {"values": [[0.5], [0.25]], "intercept": [0.0]}
 LCA = {"prevalences": [[0.5, 0.25]], "mixing": [[1.0]], "trace": [-3.0, -2.5], "converged": True}
@@ -59,7 +59,7 @@ CASES = [
      lambda t: _study(outcomes=_array(t))),
     ("Study.predictors", "predictors", "(-inf, inf)", -math.inf,
      [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], [2, 1], 0, lambda t: _study(predictors=_array(t))),
-    ("Study.structure_vars", "structure_vars", "[0, 1]", 2.0, [[0.0], [1.0], [1.0]], [1, 0], 0,
+    ("Study.structure_vars", "structure_vars", "{0, 1}", 2.0, [[0.0], [1.0], [1.0]], [1, 0], 0,
      lambda t: _study(structure_vars=_array(t))),
     ("CoefficientMatrix.values", "values", "(-inf, inf)", math.inf, [[0.5, 0.0], [0.0, 0.5]],
      [1, 0], 0, lambda t: CoefficientMatrix(values=_array(t))),
@@ -116,23 +116,43 @@ def test_a_bad_real_entry_is_refused_naming_its_field_and_entry(case, bad):
     _, field, interval, out, payload, path, lead, call = case
     value = {"nan": math.nan, "out-of-interval": out, "true": True, "string": "0.5"}[bad]
     call(payload)  # the unchanged payload is accepted
-    changed = table = _at(payload, path, value)
-    for key in path[:lead]:
-        table = table[key]
-    if lead and not any(isinstance(v, list) for v in table):
-        # a flat list in a file: printed whole, the entry in place
-        message = f"{field} must be real numbers in {interval}, got {table!r}"
-    else:
-        index = ", ".join(map(str, path[lead:]))
-        message = f"{field}[{index}] must be a real number in {interval}, got {value!r}"
+    changed = _at(payload, path, value)
+    index = ", ".join(map(str, path[lead:]))
+    message = f"{field}[{index}] must be a real number in {interval}, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(changed)
 
 
-@pytest.mark.parametrize("label", [1.7, "1", True, math.nan, -1])
+# (id, name in the message, payload, path to the entry, call on the changed
+#  payload) of every input whose entries must be 0 or 1
+BINARY_CASES = [
+    ("Study.structure_vars", "structure_vars", [[0.0], [1.0], [1.0]], [1, 0],
+     lambda t: _study(structure_vars=t)),
+    ("logistic validate_outcomes", "outcomes", [0.0, 1.0, 0.0], [1],
+     GlmFamily.logistic().validate_outcomes),
+    ("membership_for_pattern", "z", [[1.0, 0.0], [0.0, 1.0]], [1, 0],
+     lambda t: membership_for_pattern(TRANSFER_FIT.lca_model, t)),
+    ("predict_risk.z_new", "z", [[1.0, 0.0], [0.0, 1.0]], [0, 1],
+     lambda t: predict_risk(TRANSFER_FIT, [[0.5, 0.25], [0.25, 0.5]], t)),
+    ("auc.labels", "labels", [0, 1, 0], [2], lambda t: auc([0.1, 0.9, 0.4], t)),
+]
+
+
+@pytest.mark.parametrize("bad", ["1", True, 0.5, math.nan], ids=["string", "true", "half", "nan"])
+@pytest.mark.parametrize("case", BINARY_CASES, ids=[c[0] for c in BINARY_CASES])
+def test_a_bad_binary_entry_is_refused_naming_it(case, bad):
+    _, name, payload, path, call = case
+    call(payload)  # the unchanged payload is accepted
+    index = ", ".join(map(str, path))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name}[{index}] must be a real number in {{0, 1}}, got {bad!r}")):
+        call(_at(payload, path, bad))
+
+
+@pytest.mark.parametrize("label", [1.7, "1", True, math.nan, -1, 2])
 def test_a_truth_file_class_label_must_be_an_integer(label):
     with pytest.raises(ValueError, match=re.escape(
-            f"classes[0][2] must be an integer >= 0, got {label!r}")):
+            f"classes[0][2] must be an integer in [0, 1], got {label!r}")):
         truth_from_dict(_at(TRUTH, ["classes", 0, 2], label))
     assert truth_from_dict(TRUTH)["classes"][0].tolist() == [0, 1, 1]
 
@@ -166,7 +186,7 @@ def test_check_real_messages():
         ([[0.5], [None]], "(0, 1)", "x[1, 0] must be a real number in (0, 1), got None"),
         ((np.ones(2), np.array([0.5, 1.5])), "[0, 1]",
          "x[1, 1] must be a real number in [0, 1], got 1.5"),
-        ([0.5, "0.5"], "[0, 1]", "x must be real numbers in [0, 1], got [0.5, '0.5']"),
+        ([0.5, "0.5"], "[0, 1]", "x[1] must be a real number in [0, 1], got '0.5'"),
         (np.nan, "[-inf, inf]", "x must be a real number in [-inf, inf], got nan"),
     ]
     for value, interval, message in cases:

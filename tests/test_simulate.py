@@ -56,7 +56,8 @@ def test_mixing_preset_tables():
     assert np.array_equal(large[0], np.array([0.80, 0.10, 0.10]))
     assert np.array_equal(large[1], np.array([0.10, 0.10, 0.80]))
     assert np.max(np.abs(preset_mixing("small_diff", 10).sum(axis=1) - 1)) < 1e-12
-    with pytest.raises(ValueError, match="at most 10"):
+    with pytest.raises(ValueError, match=re.escape(
+            "n_sources of mixing preset 'small_diff' must be an integer in [0, 10], got 11")):
         preset_mixing("small_diff", 11)
     with pytest.raises(ValueError):
         preset_mixing("nope", 2)
@@ -78,6 +79,12 @@ def test_scenario_config_validation():
         ScenarioConfig(support_sizes=(1, 2))  # needs one per class
     with pytest.raises(ValueError):
         ScenarioConfig(p=4, support_sizes=(1, 2, 6))  # support exceeds p
+    with pytest.raises(ValueError, match=re.escape(
+            "support_sizes[2] must be an integer in [0, 4], got 5")):
+        ScenarioConfig(p=4, support_sizes=(1, 2, 5))
+    with pytest.raises(ValueError, match=re.escape(
+            "n_sources of mixing preset 'small_diff' must be an integer in [0, 10], got 11")):
+        ScenarioConfig(K=11)
     with pytest.raises(ValueError):
         ScenarioConfig(family="poisson")
     with pytest.raises(ValueError):

@@ -492,7 +492,7 @@ def test_auto_tune_ties_prefer_larger_lambda(tiny_scenario):
     # TransferConfig and auto_tune_lambda refuse a multiplier outside (0, inf)
     with pytest.raises(ValueError):
         TransferConfig(cv_grid=(0.0, 1.0))
-    with pytest.raises(ValueError, match=re.escape("grid must be real numbers in (0, inf)")):
+    with pytest.raises(ValueError, match=re.escape("grid[0] must be a real number in (0, inf), got 0.0")):
         auto_tune_lambda(data, v, fam, "pool", grid=(0.0, 1.0), cv_folds=3, seed=0)
     with pytest.raises(ValueError, match="stage"):
         auto_tune_lambda(data, v, fam, "nope")
@@ -622,19 +622,19 @@ def test_transfer_config_validation():
     for setting, message in (
         ({"lambda_pool": True}, "lambda_pool values must be a real number in [0, inf], got True"),
         ({"lambda_bias": [0.1, False]},
-         "lambda_bias values must be real numbers in [0, inf], got [0.1, False]"),
+         "lambda_bias values[1] must be a real number in [0, inf], got False"),
         ({"lambda_bias": np.array([True, False])},
          "lambda_bias values[0] must be a real number in [0, inf], got True"),
         ({"cv_grid": (True, 2.0)},
-         "cv_grid multipliers must be real numbers in (0, inf), got (True, 2.0)"),
+         "cv_grid multipliers[0] must be a real number in (0, inf), got True"),
         ({"lambda_bias": [0.1, "inf"]},
-         "lambda_bias values must be real numbers in [0, inf], got [0.1, 'inf']"),
+         "lambda_bias values[1] must be a real number in [0, inf], got 'inf'"),
         ({"lambda_pool": float("nan")},
          "lambda_pool values must be a real number in [0, inf], got nan"),
         ({"cv_grid": ("0.1", 1)},
-         "cv_grid multipliers must be real numbers in (0, inf), got ('0.1', 1)"),
+         "cv_grid multipliers[0] must be a real number in (0, inf), got '0.1'"),
         ({"cv_grid": (0.5, float("inf"))},
-         "cv_grid multipliers must be real numbers in (0, inf), got (0.5, inf)"),
+         "cv_grid multipliers[1] must be a real number in (0, inf), got inf"),
         ({"cv_grid": ()}, "cv_grid must be a non-empty sequence, got ()"),
         ({"lambda_pool": [[0.1]]}, "lambda_pool must be 'auto', a scalar, or a sequence"),
         ({"cv_grid": [[1.0, 2.0]]}, "cv_grid must be a non-empty sequence, got [[1.0, 2.0]]"),
@@ -703,7 +703,7 @@ def test_predict_risk_rejects_invalid_inputs(mini_fit):
     z = data.target.structure_vars[:4].copy()
     bad_z = z.copy()
     bad_z[1, 0] = 0.5
-    with pytest.raises(ValueError, match="binary"):
+    with pytest.raises(ValueError, match=re.escape("z[1, 0] must be a real number in {0, 1}, got 0.5")):
         predict_risk(fit, x, bad_z)
     bad_x = x.copy()
     bad_x[2, 3] = np.nan
