@@ -19,8 +19,14 @@ Configuration is a single JSON file with optional blocks:
     }
 
 Precedence for shared settings: command-line flag > config file > default.
-No setting is read from the environment: `simulate` and `experiment`
-require `--out`.
+The experiment block's counts (`replicates`, `test_n`) have no flag.  No
+setting is read from the environment: `simulate` and `experiment` require
+`--out`.
+
+`fit` and `lca-select` leave to the library whether a dataset can be fitted
+with the run's settings (outcomes that suit the family, a class count at
+most the subject count, penalties the stages can serve); its refusal,
+made before any fitting, is printed as one `error: <data dir>: ...` line.
 
 No subcommand keeps a pool of worker processes: `experiment` runs its
 replicates one after another, and the latent class restarts and the study
@@ -77,12 +83,24 @@ class DataError(ValueError):
 
 
 def _read_data(read, *args, **kwargs):
-    """read(*args, **kwargs), with a ValueError (a malformed manifest or
-    study CSV) turned into a DataError."""
+    """read(*args, **kwargs), with a ValueError (a malformed manifest, study
+    CSV or fit file, whose message names the file) turned into a
+    DataError."""
     try:
         return read(*args, **kwargs)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+
+
+def _run_on_data(data_dir, run, *args, **kwargs):
+    """run(data, *args, **kwargs) on the dataset in `data_dir`.  A ValueError
+    from `run` (a dataset the run's settings cannot fit, in the library's
+    words) becomes a DataError that names `data_dir`."""
+    data = _read_data(load_collection, Path(data_dir) / "manifest.json")
+    try:
+        return run(data, *args, **kwargs)
+    except ValueError as exc:
+        raise DataError(f"{data_dir}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -223,31 +241,6 @@ def _experiment_counts(block: dict):
 
 
 # ---------------------------------------------------------------------------
-# Dataset checks against the run's settings
-# ---------------------------------------------------------------------------
-
-
-def _check_outcomes(data_dir, data, family) -> None:
-    """DataError unless every study's outcomes suit `family`."""
-    for study in data.studies:
-        try:
-            family.validate_outcomes(study.outcomes)
-        except ValueError as exc:
-            raise DataError(
-                f"{data_dir}: study {study.study_id}: {exc} "
-                f"(scenario.family is {family.kind!r})"
-            ) from exc
-
-
-def _check_class_counts(data_dir, data, counts, name: str) -> None:
-    """DataError unless every class count is at most the subject count."""
-    try:
-        check_count(f"{name} of a {data.n_total}-subject dataset", max(counts), 1, data.n_total)
-    except ValueError as exc:
-        raise DataError(f"{data_dir}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -268,17 +261,11 @@ def _cmd_fit(args) -> int:
     lca_cfg = lca_from_config(config, args.seed)
     n_classes = scenario.n_classes if args.classes is None else args.classes
     family = scenario.glm_family()
-    data = _read_data(load_collection, Path(args.data) / "manifest.json")
-    _check_outcomes(args.data, data, family)
-    _check_class_counts(args.data, data, [n_classes],
-                        "scenario.n_classes" if args.classes is None else "--classes")
-
     try:
-        fit = fit_targeted_psm(
-            data, n_classes, config=transfer_cfg, family=family, lca_config=lca_cfg
+        fit = _run_on_data(
+            args.data, fit_targeted_psm, n_classes,
+            config=transfer_cfg, family=family, lca_config=lca_cfg,
         )
-    except ValueError as exc:  # a penalty setting the dataset cannot serve
-        raise DataError(f"{args.data}: {exc}") from exc
     except SolverError as exc:  # the method itself failed on this dataset
         print(f"error: {args.data}: {exc}", file=sys.stderr)
         return 1
@@ -327,7 +314,6 @@ def _cmd_experiment(args) -> int:
     config = load_config(args.config)
     scenarios = experiment_scenarios(config, seed=None)  # also checks the block
     replicates, test_n = _experiment_counts(config.get("experiment", {}))
-    replicates = args.replicates or replicates  # the flag wins over the block
     seed = args.seed if args.seed is not None else 0
     methods = methods_from_config(config)
     transfer_cfg = transfer_from_config(config)
@@ -405,9 +391,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_lca_select(args) -> int:
     config = load_config(args.config)
     lca_cfg = lca_from_config(config, args.seed)
-    data = _read_data(load_collection, Path(args.data) / "manifest.json")
-    _check_class_counts(args.data, data, args.classes, "--classes")
-    rows = select_classes_bic(data, args.classes, lca_cfg)
+    rows = _run_on_data(args.data, select_classes_bic, args.classes, lca_cfg)
     print(f"{'C':>3} {'log_lik':>14} {'n_params':>9} {'BIC':>14} converged")
     for row in rows:
         star = " *" if row["selected"] else ""
@@ -429,8 +413,8 @@ def _cmd_lca_select(args) -> int:
 
 
 def _integer_at_least(minimum: int):
-    """An argparse type: an integer >= minimum (1 for a class or replicate
-    count, 0 for a seed)."""
+    """An argparse type: an integer >= minimum (1 for a class count, 0 for a
+    seed)."""
     def parse(text: str) -> int:
         if not text.isdecimal() or int(text) < minimum:
             raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
@@ -481,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="paired method comparison")
     add_common(p, "output directory for rows.csv / summary.csv", out_required=True)
-    p.add_argument("--replicates", type=_integer_at_least(1), help="override experiment.replicates")
     p.add_argument(
         "--resume", action="store_true",
         help="skip replicates already present in rows.csv",

@@ -139,8 +139,10 @@ class GlmFamily:
         """
         return -neg_log_lik_glm(self, y, clamp_eta(eta)) / self.dispersion
 
-    def validate_outcomes(self, y) -> None:
-        check_real("outcomes", y, "{0, 1}" if self.kind == "logistic" else "(-inf, inf)")
+    def validate_outcomes(self, y, name: str = "outcomes") -> None:
+        """ValueError unless y suits the family: 0/1 for logistic, finite
+        for gaussian; the message calls y `name`."""
+        check_real(name, y, "{0, 1}" if self.kind == "logistic" else "(-inf, inf)")
 
 
 def neg_log_lik_glm(family: GlmFamily, y, eta):

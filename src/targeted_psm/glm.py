@@ -37,6 +37,13 @@ DEFAULT_KKT_TOL = 1e-5
 DEFAULT_MAX_SWEEPS = 1000
 DEFAULT_MAX_IRLS = 100
 
+# A failing solve gives up early: IRLS stops once its best KKT residual,
+# still above DEFAULT_KKT_TOL, is more than STALL_FACTOR times what it was
+# STALL_PASSES passes before.  A solve that has met the KKT tolerance runs
+# on until its moves settle (or the pass cap).
+STALL_FACTOR = 0.5
+STALL_PASSES = 10
+
 
 @dataclass(frozen=True)
 class WeightedGlmProblem:
@@ -237,7 +244,8 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
     """Solve the weighted lasso-GLM problem; `init` warm-starts the solver
     (original scale).  The stopping rules are the module's DEFAULT_*
     constants.  Raises SolverError (best iterate attached) if IRLS stalls
-    without reaching the KKT tolerance."""
+    (STALL_FACTOR, STALL_PASSES) or hits its pass cap without reaching the
+    KKT tolerance."""
     X, y, w, offset = prob.X, prob.y, prob.weights, prob.offset
     n, d = X.shape
     W = w.sum()
@@ -266,7 +274,7 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
 
     obj = true_objective(beta_s, eta)
     best_obj, best_beta = obj, beta_s.copy()
-    stall_count = 0
+    best_kkts = []  # the lowest KKT residual so far, after each pass
     outer_used = 0
 
     if gaussian:
@@ -297,10 +305,8 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
                 break
             t *= 0.5
         if accepted is None:
-            stall_count += 1
             max_move = 0.0
         else:
-            stall_count = 0
             new_beta, eta, obj = accepted
             max_move = float(np.max(np.abs(new_beta - beta_s))) if d else 0.0
             beta_s = new_beta
@@ -316,7 +322,9 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
                 n_iters=outer_used,
                 kkt_max_violation=kkt,
             )
-        if stall_count >= 3:
+        best_kkts.append(min(kkt, best_kkts[-1]) if best_kkts else kkt)
+        if (outer > STALL_PASSES and best_kkts[-1] > DEFAULT_KKT_TOL
+                and best_kkts[-1] > STALL_FACTOR * best_kkts[-1 - STALL_PASSES]):
             break
 
     best = LassoSolution(

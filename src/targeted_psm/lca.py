@@ -197,7 +197,6 @@ class _CellIndex:
                  stacked order, padded below each study's rows to the
                  largest study size n_max with m: the index of a zero row
                  appended to the cell posteriors (see the module docstring)
-    n_patterns   number of distinct z-patterns in the collection
     slices       per-study slices into the stacked rows
     blocks       per-study z blocks, which the M-step reductions read
     """
@@ -206,7 +205,6 @@ class _CellIndex:
     cell_study: np.ndarray
     row_cell: np.ndarray
     study_cells: np.ndarray
-    n_patterns: int
     slices: tuple
     blocks: tuple
 
@@ -238,7 +236,6 @@ class _CellIndex:
             cell_study=row_study[first],
             row_cell=row_cell,
             study_cells=study_cells,
-            n_patterns=np.unique(cell_z, axis=0).shape[0],
             slices=slices,
             blocks=blocks,
         )
@@ -360,15 +357,16 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     check_count("n_classes", n_classes, 1, data.n_total)
     C, q = n_classes, data.q
     index = _CellIndex.of(data)
+    n_patterns = np.unique(index.cell_z, axis=0).shape[0]
     if C > 2 ** q:
         warnings.warn(
             f"{C} classes exceed the {2 ** q} distinct patterns of {q} binary "
             "variables; the model is not identifiable",
             RuntimeWarning,
         )
-    elif C > index.n_patterns:
+    elif C > n_patterns:
         warnings.warn(
-            f"{C} classes exceed the {index.n_patterns} distinct patterns observed "
+            f"{C} classes exceed the {n_patterns} distinct patterns observed "
             "in the collection; the fit cannot tell every class apart",
             RuntimeWarning,
         )

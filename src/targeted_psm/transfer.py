@@ -17,13 +17,14 @@ increase the penalized marginal objective
 
     (1/n) * sum_i -log( sum_c v_ic f(y_i | eta_ic) ) + sum_c lam_c ||beta_c||_1 .
 
-Each decision is made in one place: `_stage_rows` picks a stage's rows
-(every study for "pool", the target for "bias"), `resolve_penalties` turns
+Each decision is made in one place: `_stage_data` picks a stage's studies
+(every study for "pool", the target for "bias"), whose rows `_stage_rows`
+stacks and whose folds `_check_foldable` checks, `resolve_penalties` turns
 a penalty setting into per-class numbers (per-class CV when "auto"), and
 `_log_joint` builds log v + log f(y | eta), from which one EM iteration
-takes both its objective value and the next E-step.  The CV choice and
-the stop test of both loops are the package's rules, `core.first_best` at
-CV_RTOL and `core.em_converged` at DEFAULT_TAU with STOP_FLOOR.
+takes both its objective value and the next E-step.  The CV choice and the stop test of both loops are
+the package's rules, `core.first_best` at CV_RTOL and `core.em_converged`
+at DEFAULT_TAU with STOP_FLOOR.
 """
 
 from __future__ import annotations
@@ -342,65 +343,70 @@ def _stratified_folds(study_index: np.ndarray, cv_folds: int, rng) -> np.ndarray
 
 
 def _make_folds(y, study_index, cv_folds, family, seed, stage):
-    """Stratified-by-study folds; refolds (up to 5 tries) while any fold is
-    empty or, for logistic outcomes, single-valued in y.  A ValueError
-    names the stage and its fixes when no try succeeds."""
+    """Stratified-by-study folds, each with a row (see _check_foldable);
+    for logistic outcomes, refolds (up to 5 tries) while any fold is
+    single-valued in y.  A ValueError names the stage and its fixes when no
+    try succeeds."""
     for attempt in range(5):
         rng = substream(seed, "cv-folds", attempt)
         fold = _stratified_folds(study_index, cv_folds, rng)
-        ok = True
-        for f in range(cv_folds):
-            in_f = fold == f
-            if not np.any(in_f):
-                ok = False
-                break
-            if family.kind == "logistic" and np.unique(y[in_f]).size < 2:
-                ok = False
-                break
-        if ok:
+        if family.kind != "logistic" or all(
+                np.unique(y[fold == f]).size == 2 for f in range(cv_folds)):
             return fold
     raise ValueError(
         f"'auto' tuning of lambda_{stage} could not build {cv_folds} usable CV folds "
-        "after 5 attempts (a fold stayed empty or single-valued in y); lower cv_folds "
+        "after 5 attempts (a fold stayed single-valued in y); lower cv_folds "
         f"or give lambda_{stage} a numeric value"
     )
 
 
-def _stage_rows(data: StudyCollection, memberships: MembershipMatrix, stage: str):
-    """(y, X, study_index, v_rows) of a stage: every study's rows for
-    "pool", the target study's rows for "bias"."""
+def _stage_data(data: StudyCollection, stage: str) -> StudyCollection:
+    """The studies a stage fits: every study for "pool", the target alone
+    for "bias"."""
     if stage == "pool":
-        y, X, _, study_index = data.stacked()
-        return y, X, study_index, memberships.stacked()
+        return data
     if stage == "bias":
-        tgt = data.target
-        return (
-            tgt.outcomes, tgt.predictors, np.zeros(tgt.n, dtype=int),
-            memberships.target_block(),
-        )
+        return StudyCollection(target=data.target)
     raise ValueError("stage must be 'pool' or 'bias'")
 
 
-def _check_foldable(family: GlmFamily, y: np.ndarray, stage: str, cv_folds: int) -> None:
-    """ValueError unless 'auto' tuning of a stage whose outcomes are y can
-    build cv_folds folds: every fold needs a row and, for a logistic stage,
-    both outcome values, so a stage with fewer rows, events or non-events
-    than folds has no usable folds."""
+def _stage_rows(data: StudyCollection, memberships: MembershipMatrix, stage: str):
+    """(y, X, study_index, v_rows) of a stage: its studies' rows, stacked
+    target first."""
+    studies = _stage_data(data, stage)
+    y, X, _, study_index = studies.stacked()
+    return y, X, study_index, np.vstack(memberships.probs[: studies.K + 1])
+
+
+def _check_foldable(data: StudyCollection, family: GlmFamily, stage: str, cv_folds: int) -> None:
+    """ValueError unless 'auto' tuning of a stage can build cv_folds folds.
+    Folds are filled within each study (_stratified_folds), so fold f gets
+    rows only from studies of more than f rows: the stage's largest study
+    needs cv_folds rows.  A logistic stage also needs both outcome values in
+    every fold, so it needs at least cv_folds events and non-events."""
+    studies = _stage_data(data, stage)
+    y = np.concatenate([s.outcomes for s in studies.studies])
     if family.kind == "logistic" and np.unique(y).size < 2:
         raise ValueError(
             f"'auto' tuning of lambda_{stage} needs both outcome values, but every "
             f"y of the {stage} stage is {y[0]:g}; give lambda_{stage} a numeric value"
         )
-    counts = [(y.size, "rows")]
+    fix = f"lower cv_folds or give lambda_{stage} a numeric value"
+    largest = max(studies.sizes)
+    if largest < cv_folds:
+        raise ValueError(
+            f"'auto' tuning of lambda_{stage} cannot fill {cv_folds} CV folds: folds are "
+            f"filled within each study and the largest study of the {stage} stage has "
+            f"{largest} rows; {fix}"
+        )
     if family.kind == "logistic":
         events = int(np.count_nonzero(y))
-        counts = [(events, "events"), (y.size - events, "non-events")]
-    for count, what in counts:
-        if count < cv_folds:
-            raise ValueError(
-                f"'auto' tuning of lambda_{stage} cannot fill {cv_folds} CV folds from "
-                f"{count} {what}; lower cv_folds or give lambda_{stage} a numeric value"
-            )
+        for count, what in ((events, "events"), (y.size - events, "non-events")):
+            if count < cv_folds:
+                raise ValueError(
+                    f"'auto' tuning of lambda_{stage} cannot fill {cv_folds} CV folds from "
+                    f"{count} {what}; {fix}"
+                )
 
 
 def auto_tune_lambda(
@@ -430,11 +436,11 @@ def auto_tune_lambda(
     Each class takes the candidate core.first_best picks from its CV scores
     at CV_RTOL: the candidates descend, so a tie goes to the larger penalty.
 
-    A logistic stage whose y takes one value (say, a target study with no
-    events) or fewer of either value than cv_folds has no usable folds, and
-    neither has one whose folds stay empty or single-valued in y after five
-    tries: ValueError names the stage and asks for fewer folds or a numeric
-    penalty.
+    A stage whose largest study has fewer rows than cv_folds has no usable
+    folds, nor has a logistic stage whose y takes one value (say, a target
+    study with no events), has fewer of either value than cv_folds, or
+    whose folds stay single-valued in y after five tries: ValueError names
+    the stage and asks for fewer folds or a numeric penalty.
     """
     y, X, study_index, v_rows = _stage_rows(data, memberships, stage)
     check_count("cv_folds", cv_folds, 2)
@@ -448,7 +454,7 @@ def auto_tune_lambda(
     if offsets_by_class is not None and offsets_by_class.shape != (n, C):
         raise ValueError("offsets_by_class must be (n, C)")
 
-    _check_foldable(family, y, stage, cv_folds)
+    _check_foldable(data, family, stage, cv_folds)
     candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(p, n)
     fold = _make_folds(y, study_index, cv_folds, family, seed, stage)
     design, mask = _design(X)
@@ -555,7 +561,7 @@ def joint_estimate(
     y, X, _, v_rows = _stage_rows(data, memberships, "pool")
     coef, w_rows, trace = _mixture_em(
         family, y, X, v_rows, lambdas,
-        stage="pooled_B",
+        stage="pool",
         max_iter=config.max_em_iter,
     )
     slices = data.row_slices()
@@ -581,7 +587,7 @@ def bias_correct(
     y, X, _, v_rows = _stage_rows(data, memberships, "bias")
     coef, _, trace = _mixture_em(
         family, y, X, v_rows, lambdas,
-        stage="correction_Delta",
+        stage="bias",
         offsets_by_class=offsets,
         max_iter=config.max_em_iter,
     )
@@ -662,16 +668,12 @@ def fit_targeted_psm(
     config = config or TransferConfig()
     family = family or GlmFamily.logistic()
     for s in data.studies:
-        family.validate_outcomes(s.outcomes)
+        family.validate_outcomes(s.outcomes, f"study {s.study_id} outcomes")
     check_count("n_classes", n_classes, 1)
     # A penalty setting the data cannot serve is refused before any fitting.
-    stage_y = {
-        "pool": np.concatenate([s.outcomes for s in data.studies]),
-        "bias": data.target.outcomes,
-    }
     for stage, setting in (("pool", config.lambda_pool), ("bias", config.lambda_bias)):
         if isinstance(setting, str):
-            _check_foldable(family, stage_y[stage], stage, config.cv_folds)
+            _check_foldable(data, family, stage, config.cv_folds)
         else:
             _per_class(setting, stage, n_classes)
     if lca_model is None:

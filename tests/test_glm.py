@@ -186,6 +186,18 @@ def test_iteration_starved_solver_raises_with_best(monkeypatch):
     assert isinstance(err.value.best, LassoSolution)
 
 
+@pytest.mark.parametrize("seed", [2, 5], ids=["logistic", "gaussian"])
+def test_a_solve_whose_kkt_residual_stops_halving_gives_up_early(seed, monkeypatch):
+    # No iterate meets a KKT tolerance of 0: the residual falls to rounding
+    # level and stalls there, and the solve raises STALL_PASSES passes
+    # later instead of running to its pass cap.
+    prob = _problem_from_raw(random_glm_problem(seed), lam=0.01)
+    monkeypatch.setattr(glm, "DEFAULT_KKT_TOL", 0.0)
+    with pytest.raises(SolverError) as err:
+        solve_weighted_lasso_glm(prob)
+    assert glm.STALL_PASSES < err.value.best.n_iters < glm.DEFAULT_MAX_IRLS
+
+
 # ---------------------------------------------------------------------------
 # The coordinate-descent sweep is bitwise equal to the per-coordinate loop
 # ---------------------------------------------------------------------------

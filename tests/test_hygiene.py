@@ -97,7 +97,11 @@ def test_no_module_imports_private_names_of_another():
 PROCESS_MODULES = {"_parallel.py"}
 
 
-def _process_management(tree):
+def _process_management(tree, module):
+    """(line, name) of every os.fork, multiprocessing or concurrent use in
+    `tree`, unless `module` is the fork-join helper."""
+    if module in PROCESS_MODULES:
+        return
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
@@ -114,20 +118,13 @@ def _process_management(tree):
                 yield node.lineno, name
 
 
-def test_processes_are_managed_in_one_place():
-    found = sorted(
-        f"{path.name}:{line}: {name}"
-        for path in PACKAGE.glob("*.py")
-        if path.name not in PROCESS_MODULES
-        for line, name in _process_management(ast.parse(path.read_text(), filename=str(path)))
-    )
-    assert not found, f"process management outside {sorted(PROCESS_MODULES)}: {found}"
-
-
 ENVIRONMENT_READERS = {"environ", "getenv"}
 
 
-def _environment_reads(tree):
+def _environment_reads(tree, module):
+    """(line, text) of every environment read in `tree`, whatever `module`:
+    settings come from flags and config files, and an environment variable
+    would be a second, hidden route to the same setting."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "os":
             for alias in node.names:
@@ -135,17 +132,6 @@ def _environment_reads(tree):
                     yield node.lineno, f"from os import {alias.name}"
         elif isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
             yield node.lineno, ast.unparse(node)
-
-
-def test_no_module_reads_the_environment():
-    """Settings come from flags and config files: an environment variable
-    would be a second, hidden route to the same setting."""
-    found = sorted(
-        f"{path.name}:{line}: {text}"
-        for path in PACKAGE.glob("*.py")
-        for line, text in _environment_reads(ast.parse(path.read_text(), filename=str(path)))
-    )
-    assert not found, f"environment reads in the package: {found}"
 
 
 def _functions(tree, nested=False, owner=None):
@@ -284,7 +270,10 @@ CHOICE_NAMES = {"argmin", "argmax", "nanargmin", "nanargmax"}
 
 def _in_place_choices(tree, module):
     """(line, text) of every argmin / argmax named or imported and every
-    min / max called with key= in `tree`, outside core.first_best."""
+    min / max called with key= in `tree`, outside core.first_best.  The CV
+    penalty, the latent class restart, the BIC class count and the class
+    alignment are each picked by core.first_best, with one tie convention;
+    any of these elsewhere would be a second rule."""
     for node, owner in _with_owner(tree):
         if (module, owner) == ("core.py", "first_best"):
             continue
@@ -297,36 +286,6 @@ def _in_place_choices(tree, module):
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in ("min", "max") and any(k.arg == "key" for k in node.keywords)):
             yield node.lineno, ast.unparse(node)
-
-
-def test_every_model_choice_goes_through_first_best():
-    """The CV penalty, the latent class restart, the BIC class count and
-    the class alignment are each picked by core.first_best, with one tie
-    convention: an argmin, argmax, min(key=) or max(key=) anywhere else in
-    the package would be a second rule."""
-    found = sorted(
-        f"{path.name}:{line}: {text}"
-        for path in PACKAGE.glob("*.py")
-        for line, text in _in_place_choices(ast.parse(path.read_text(), filename=str(path)),
-                                            path.name)
-    )
-    assert not found, f"model choices outside core.first_best: {found}"
-
-
-@pytest.mark.parametrize(
-    "module, planted",
-    [
-        ("transfer.py", "def _pick(scores):\n    return np.argmin(scores, axis=1)\n"),
-        ("lca.py", "def _pick(fits):\n    return max(fits, key=lambda m: m.log_lik)\n"),
-        ("cli.py", "def _pick(rows):\n    return min(rows, key=lambda r: r['bic'])\n"),
-        ("core.py", "def _pick(scores):\n    return scores.argmax()\n"),
-        ("evaluate.py", "from numpy import argmin\n"),
-    ],
-    ids=["np.argmin", "max-key", "min-key", "method-argmax", "imported-argmin"],
-)
-def test_the_choice_scan_finds_a_planted_rule(module, planted):
-    source = (PACKAGE / module).read_text() + "\n\n" + planted
-    assert list(_in_place_choices(ast.parse(source), module))
 
 
 # Parameters and fields whose integer rule is core.check_count alone.
@@ -349,7 +308,9 @@ def _in_place_integer_rules(tree, module):
     """(line, text) of every int(...) of a COUNT_NAMES name and every
     ordering comparison of one, a lower bound (`seed < 0`, `0 > study_row`)
     or an upper bound (`n_classes > data.n_total`, `k < self.study_id`), in
-    `tree`, outside core.check_count."""
+    `tree`, outside core.check_count: an int(...) would truncate 2.5 to 2,
+    and a `< 0` or `> n_total` of its own would be a second rule that lets
+    2.5 through and words its own message."""
     for node, owner in _with_owner(tree):
         if (module, owner) == ("core.py", "check_count"):
             continue
@@ -362,43 +323,6 @@ def _in_place_integer_rules(tree, module):
                    and (_names_a_count(left) or _names_a_count(right))
                    for left, op, right in zip(operands, node.ops, operands[1:])):
                 yield node.lineno, ast.unparse(node)
-
-
-def test_every_integer_rule_goes_through_check_count():
-    """A seed, class count, study id, study row or source count is an
-    integer in its range by core.check_count only: an int(...) would
-    truncate 2.5 to 2, and a `< 0` or `> n_total` of its own would be a
-    second rule that lets 2.5 through and words its own message."""
-    found = sorted(
-        f"{path.name}:{line}: {text}"
-        for path in PACKAGE.glob("*.py")
-        for line, text in _in_place_integer_rules(
-            ast.parse(path.read_text(), filename=str(path)), path.name)
-    )
-    assert not found, f"integer rules outside core.check_count: {found}"
-
-
-@pytest.mark.parametrize(
-    "module, planted",
-    [
-        ("transfer.py", "def _check(seed):\n    if seed < 0:\n        raise ValueError(seed)\n"),
-        ("lca.py", "def _classes(n_classes):\n    return int(n_classes)\n"),
-        ("core.py", "class _Id:\n    def check(self):\n        return int(self.study_id)\n"),
-        ("lca.py", "def _row(study_row):\n    return 0 > study_row\n"),
-        ("simulate.py", "def _c(self):\n    return self.n_classes <= 0\n"),
-        ("lca.py", "def _c(n_classes, data):\n    if n_classes > data.n_total:\n"
-                   "        raise ValueError(n_classes)\n"),
-        ("lca.py", "def _r(study_row, model):\n    return study_row >= model.n_studies\n"),
-        ("simulate.py", "def _k(n_sources, table):\n    return 0 <= n_sources <= len(table) - 1\n"),
-        ("core.py", "class _Id:\n    def check(self, k):\n        return k < self.study_id\n"),
-    ],
-    ids=["seed-below-0", "int-n-classes", "int-self-study-id", "0-above-study-row",
-         "self-n-classes-at-most-0", "n-classes-above-n-total", "study-row-at-least-n-studies",
-         "n-sources-in-a-chain", "self-study-id-above-k"],
-)
-def test_the_integer_rule_scan_finds_a_planted_rule(module, planted):
-    source = (PACKAGE / module).read_text() + "\n\n" + planted
-    assert list(_in_place_integer_rules(ast.parse(source), module))
 
 
 # Parameters and fields whose real-number rule is core.check_real alone.
@@ -416,9 +340,11 @@ def _names_a_real(node) -> bool:
 
 def _in_place_real_rules(tree, module):
     """(line, text) of every ordering comparison of a REAL_NAMES name with a
-    number (`h < 0`, `0.0 <= self.rho < 1.0`), every isnan or isfinite of
-    one and every isinstance(one, ...bool...) in `tree`, outside
-    core.check_real."""
+    number (`h < 0`, `0.0 <= self.rho < 1.0`) and every isinstance(one,
+    ...bool...) in `tree`, outside core.check_real: a `< 0` of its own lets
+    NaN through (every comparison with NaN is false), and a boolean test of
+    its own would be a second rule.  An isnan or isfinite of one is
+    _finiteness_tests' to find."""
     for node, owner in _with_owner(tree):
         if (module, owner) == ("core.py", "check_real"):
             continue
@@ -429,41 +355,9 @@ def _in_place_real_rules(tree, module):
                         or (_is_number(left) and _names_a_real(right)))
                    for left, op, right in zip(operands, node.ops, operands[1:])):
                 yield node.lineno, ast.unparse(node)
-        elif isinstance(node, ast.Call) and node.args and _names_a_real(node.args[0]):
-            callee = _callee(node)
-            if callee in ("isnan", "isfinite") or (
-                    callee == "isinstance" and "bool" in ast.unparse(node.args[-1])):
-                yield node.lineno, ast.unparse(node)
-
-
-def test_every_real_rule_goes_through_check_real():
-    """A penalty, CV multiplier, dispersion, h, rho or coef_value is a real
-    number in its interval by core.check_real only: a `< 0` of its own lets
-    NaN through (every comparison with NaN is false), and an isnan, isfinite
-    or boolean test of its own would be a second rule."""
-    found = sorted(
-        f"{path.name}:{line}: {text}"
-        for path in PACKAGE.glob("*.py")
-        for line, text in _in_place_real_rules(
-            ast.parse(path.read_text(), filename=str(path)), path.name)
-    )
-    assert not found, f"real-number rules outside core.check_real: {found}"
-
-
-@pytest.mark.parametrize(
-    "module, planted",
-    [
-        ("simulate.py", "def _check(h):\n    if h < 0:\n        raise ValueError(h)\n"),
-        ("simulate.py", "class _S:\n    def check(self):\n        return 0.0 <= self.rho < 1.0\n"),
-        ("core.py", "def _d(dispersion):\n    return np.isfinite(dispersion)\n"),
-        ("glm.py", "def _l(lam):\n    return np.isnan(lam) or 0 > lam\n"),
-        ("transfer.py", "def _g(cv_grid):\n    return isinstance(cv_grid, (bool, np.bool_))\n"),
-    ],
-    ids=["h-below-0", "self-rho-chain", "isfinite-dispersion", "isnan-lam", "isinstance-bool-grid"],
-)
-def test_the_real_rule_scan_finds_a_planted_rule(module, planted):
-    source = (PACKAGE / module).read_text() + "\n\n" + planted
-    assert list(_in_place_real_rules(ast.parse(source), module))
+        elif (isinstance(node, ast.Call) and _callee(node) == "isinstance" and node.args
+              and _names_a_real(node.args[0]) and "bool" in ast.unparse(node.args[-1])):
+            yield node.lineno, ast.unparse(node)
 
 
 def _outside_check_real(tree, module):
@@ -477,49 +371,15 @@ def _outside_check_real(tree, module):
 def _finiteness_tests(tree, module):
     """(line, text) of every isfinite or isnan call (np., numpy., math. or a
     bare imported name) in `tree`, outside core.check_real and anything
-    nested in it."""
+    nested in it: whether an array or a number is finite, or NaN, is
+    check_real's to say, and a test of its own lets booleans and strings
+    through (np.asarray converts them first) and words its own message."""
     for node in _outside_check_real(tree, module):
         if isinstance(node, ast.Call) and _callee(node) in ("isfinite", "isnan") and (
                 isinstance(node.func, ast.Name)
                 or (isinstance(node.func.value, ast.Name)
                     and node.func.value.id in ("np", "numpy", "math"))):
             yield node.lineno, ast.unparse(node)
-
-
-def test_every_finiteness_test_goes_through_check_real():
-    """Whether an array or a number is finite, or NaN, is core.check_real's
-    to say: an isfinite or isnan of its own lets booleans and strings
-    through (np.asarray converts them first) and words its own message."""
-    found = sorted(
-        f"{path.name}:{line}: {text}"
-        for path in PACKAGE.glob("*.py")
-        for line, text in _finiteness_tests(
-            ast.parse(path.read_text(), filename=str(path)), path.name)
-    )
-    assert not found, f"finiteness tests outside core.check_real: {found}"
-
-
-@pytest.mark.parametrize(
-    "module, planted",
-    [
-        ("glm.py", "def _x(X):\n    return np.all(np.isfinite(X))\n"),
-        ("core.py", "def _s(scores):\n    return numpy.isnan(scores).any()\n"),
-        ("core.py", "class _M:\n    def check(self, b):\n        return np.all(np.isfinite(b))\n"),
-        ("transfer.py", "def _l(lambdas, c):\n    return math.isfinite(lambdas[c])\n"),
-        ("evaluate.py", "from math import isnan\n\n\ndef _a(scores):\n    return isnan(scores[0])\n"),
-        ("lca.py", "def _z(z):\n    return np.all((z == 0.0) | (z == 1.0))\n"),
-        ("core.py", "def _y(y):\n    return np.isin(y, (0.0, 1.0)).all()\n"),
-        ("evaluate.py", "def _l(labels):\n    return numpy.isin(labels, test_elements=[1, 0])\n"),
-        ("transfer.py", "def _z(z):\n    return np.logical_or(1 == z, 0 == z)\n"),
-        ("simulate.py", "def _b(v):\n    return v == 0 or v == 1\n"),
-    ],
-    ids=["np-isfinite", "numpy-isnan", "method-isfinite", "math-isfinite", "bare-isnan",
-         "eq-0-or-eq-1", "isin-0-1", "isin-keyword-1-0", "logical-or-1-eq-z", "eq-0-or-eq-1-bool"],
-)
-def test_the_finiteness_scan_finds_a_planted_call(module, planted):
-    """Each planted call is one finiteness test or one 0/1 test."""
-    tree = ast.parse((PACKAGE / module).read_text() + "\n\n" + planted)
-    assert len([*_finiteness_tests(tree, module), *_binary_tests(tree, module)]) == 1
 
 
 def _compared_number(node):
@@ -535,7 +395,9 @@ def _binary_tests(tree, module):
     """(line, text) of every isin of an entry against the literal 0 and 1,
     and every `(x == 0) | (x == 1)`, `x == 0 or x == 1` or
     logical_or(x == 0, x == 1), in `tree`, outside core.check_real and
-    anything nested in it."""
+    anything nested in it: whether an entry is 0 or 1 is check_real's set
+    "{0, 1}" to say, and a test of its own runs after np.asarray has read
+    "1" and True as 1.0."""
     for node in _outside_check_real(tree, module):
         if isinstance(node, ast.Call) and _callee(node) == "isin":
             elements = node.args[1:2] + [k.value for k in node.keywords if k.arg == "test_elements"]
@@ -556,13 +418,80 @@ def _binary_tests(tree, module):
             yield node.lineno, ast.unparse(node)
 
 
-def test_every_binary_test_goes_through_check_real():
-    """Whether an entry is 0 or 1 is core.check_real's set "{0, 1}" to say:
-    an isin or `== 0 | == 1` of its own runs after np.asarray has read "1"
-    and True as 1.0, and words its own message."""
+# Each scan walks every package module and must find nothing there.
+SCANS = {
+    "processes": (_process_management, f"process management outside {sorted(PROCESS_MODULES)}"),
+    "environment": (_environment_reads, "environment reads in the package"),
+    "choices": (_in_place_choices, "model choices outside core.first_best"),
+    "integers": (_in_place_integer_rules, "integer rules outside core.check_count"),
+    "reals": (_in_place_real_rules, "real-number rules outside core.check_real"),
+    "finiteness": (_finiteness_tests, "finiteness tests outside core.check_real"),
+    "binary": (_binary_tests, "0/1 tests outside core.check_real"),
+}
+
+
+@pytest.mark.parametrize("scan", list(SCANS))
+def test_no_module_breaks_a_one_place_rule(scan):
+    find, rule = SCANS[scan]
     found = sorted(
         f"{path.name}:{line}: {text}"
         for path in PACKAGE.glob("*.py")
-        for line, text in _binary_tests(ast.parse(path.read_text(), filename=str(path)), path.name)
+        for line, text in find(ast.parse(path.read_text(), filename=str(path)), path.name)
     )
-    assert not found, f"0/1 tests outside core.check_real: {found}"
+    assert not found, f"{rule}: {found}"
+
+
+# (id, scan, module, planted source): the scan finds the planted rule once.
+PLANTED = [
+    ("np.argmin", "choices", "transfer.py", "def _pick(scores):\n    return np.argmin(scores, axis=1)\n"),
+    ("max-key", "choices", "lca.py", "def _pick(fits):\n    return max(fits, key=lambda m: m.log_lik)\n"),
+    ("min-key", "choices", "cli.py", "def _pick(rows):\n    return min(rows, key=lambda r: r['bic'])\n"),
+    ("method-argmax", "choices", "core.py", "def _pick(scores):\n    return scores.argmax()\n"),
+    ("imported-argmin", "choices", "evaluate.py", "from numpy import argmin\n"),
+    ("seed-below-0", "integers", "transfer.py",
+     "def _check(seed):\n    if seed < 0:\n        raise ValueError(seed)\n"),
+    ("int-n-classes", "integers", "lca.py", "def _classes(n_classes):\n    return int(n_classes)\n"),
+    ("int-self-study-id", "integers", "core.py",
+     "class _Id:\n    def check(self):\n        return int(self.study_id)\n"),
+    ("0-above-study-row", "integers", "lca.py", "def _row(study_row):\n    return 0 > study_row\n"),
+    ("self-n-classes-at-most-0", "integers", "simulate.py",
+     "def _c(self):\n    return self.n_classes <= 0\n"),
+    ("n-classes-above-n-total", "integers", "lca.py",
+     "def _c(n_classes, data):\n    if n_classes > data.n_total:\n        raise ValueError(n_classes)\n"),
+    ("study-row-at-least-n-studies", "integers", "lca.py",
+     "def _r(study_row, model):\n    return study_row >= model.n_studies\n"),
+    ("n-sources-in-a-chain", "integers", "simulate.py",
+     "def _k(n_sources, table):\n    return 0 <= n_sources <= len(table) - 1\n"),
+    ("self-study-id-above-k", "integers", "core.py",
+     "class _Id:\n    def check(self, k):\n        return k < self.study_id\n"),
+    ("h-below-0", "reals", "simulate.py", "def _check(h):\n    if h < 0:\n        raise ValueError(h)\n"),
+    ("self-rho-chain", "reals", "simulate.py",
+     "class _S:\n    def check(self):\n        return 0.0 <= self.rho < 1.0\n"),
+    ("isnan-or-below-0-lam", "reals", "glm.py", "def _l(lam):\n    return np.isnan(lam) or 0 > lam\n"),
+    ("isinstance-bool-grid", "reals", "transfer.py",
+     "def _g(cv_grid):\n    return isinstance(cv_grid, (bool, np.bool_))\n"),
+    ("isfinite-dispersion", "finiteness", "core.py",
+     "def _d(dispersion):\n    return np.isfinite(dispersion)\n"),
+    ("isnan-lam", "finiteness", "glm.py", "def _l(lam):\n    return np.isnan(lam) or 0 > lam\n"),
+    ("np-isfinite", "finiteness", "glm.py", "def _x(X):\n    return np.all(np.isfinite(X))\n"),
+    ("numpy-isnan", "finiteness", "core.py", "def _s(scores):\n    return numpy.isnan(scores).any()\n"),
+    ("method-isfinite", "finiteness", "core.py",
+     "class _M:\n    def check(self, b):\n        return np.all(np.isfinite(b))\n"),
+    ("math-isfinite", "finiteness", "transfer.py",
+     "def _l(lambdas, c):\n    return math.isfinite(lambdas[c])\n"),
+    ("bare-isnan", "finiteness", "evaluate.py",
+     "from math import isnan\n\n\ndef _a(scores):\n    return isnan(scores[0])\n"),
+    ("eq-0-or-eq-1", "binary", "lca.py", "def _z(z):\n    return np.all((z == 0.0) | (z == 1.0))\n"),
+    ("isin-0-1", "binary", "core.py", "def _y(y):\n    return np.isin(y, (0.0, 1.0)).all()\n"),
+    ("isin-keyword-1-0", "binary", "evaluate.py",
+     "def _l(labels):\n    return numpy.isin(labels, test_elements=[1, 0])\n"),
+    ("logical-or-1-eq-z", "binary", "transfer.py", "def _z(z):\n    return np.logical_or(1 == z, 0 == z)\n"),
+    ("eq-0-or-eq-1-bool", "binary", "simulate.py", "def _b(v):\n    return v == 0 or v == 1\n"),
+]
+
+
+@pytest.mark.parametrize("scan, module, planted", [row[1:] for row in PLANTED],
+                         ids=[row[0] for row in PLANTED])
+def test_a_scan_finds_a_planted_rule_once(scan, module, planted):
+    tree = ast.parse((PACKAGE / module).read_text() + "\n\n" + planted)
+    assert len(list(SCANS[scan][0](tree, module))) == 1

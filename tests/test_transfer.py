@@ -222,9 +222,9 @@ def test_em_stage_at_its_cap_warns_and_changes_nothing(tiny_scenario, monkeypatc
     cfg = _mini_config(max_em_iter=2)
     with pytest.warns(RuntimeWarning, match="cap of 2") as caught:
         fit = fit_targeted_psm(data, 2, cfg, fam, lca_model=lca)
-    stages = {s for s in ("pooled_B", "correction_Delta")
+    stages = {s for s in ("pool", "bias")
               if any(s in str(w.message) for w in caught)}
-    assert stages == {"pooled_B", "correction_Delta"}
+    assert stages == {"pool", "bias"}
     assert (fit.n_iter_joint, fit.n_iter_bias) == (2, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -252,7 +252,7 @@ def test_an_infinite_penalty_zeroes_a_class_below_the_mass_floor_without_warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         coef, _, trace = transfer._mixture_em(
-            GlmFamily.logistic(), y, X, v_rows, [0.05, np.inf], stage="pooled_B", max_iter=1
+            GlmFamily.logistic(), y, X, v_rows, [0.05, np.inf], stage="pool", max_iter=1
         )
     assert np.all(coef.values[:, 1] == 0.0) and coef.intercept[1] == 0.0
     assert np.any(coef.values[:, 0] != 0.0)
@@ -289,7 +289,7 @@ def test_a_failed_m_step_solve_freezes_its_class(tiny_scenario, monkeypatch):
         warnings.simplefilter("always")
         fit = fit_targeted_psm(data, 2, _mini_config(max_em_iter=2), fam, lca_model=lca)
     assert [str(w.message) for w in caught if "solve" in str(w.message)] == [
-        f"class 1 of the pooled_B stage failed its solve (KKT residual "
+        f"class 1 of the pool stage failed its solve (KKT residual "
         f"{flaky.failed[0].kkt_max_violation:.3e}); its coefficients are frozen for this iteration"
     ]
     assert fit.n_iter_joint == 2
@@ -318,7 +318,7 @@ def test_a_failed_solve_on_the_first_m_step_raises(rng, monkeypatch):
     monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", flaky)
     with pytest.raises(SolverError, match="injected"):
         transfer._mixture_em(
-            GlmFamily.logistic(), y, X, v_rows, [0.05, 0.05], stage="pooled_B", max_iter=10
+            GlmFamily.logistic(), y, X, v_rows, [0.05, 0.05], stage="pool", max_iter=10
         )
 
 
@@ -331,17 +331,17 @@ def test_an_iteration_with_a_failed_solve_never_counts_as_converged(rng, monkeyp
     cap = 30
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        converged = transfer._mixture_em(*args, stage="pooled_B", max_iter=cap)[2]
+        converged = transfer._mixture_em(*args, stage="pool", max_iter=cap)[2]
     assert len(converged) < cap
     flaky = _failing_class(transfer.solve_weighted_lasso_glm, lambda i: i >= 3 and i % 2 == 1)
     monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", flaky)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        coef, _, trace = transfer._mixture_em(*args, stage="pooled_B", max_iter=cap)
+        coef, _, trace = transfer._mixture_em(*args, stage="pool", max_iter=cap)
     messages = [str(w.message) for w in caught]
     assert len(trace) == cap
-    assert sum("class 1 of the pooled_B stage failed its solve" in m for m in messages) == cap - 1
-    assert messages[-1] == f"pooled_B EM stopped at its cap of {cap} iterations without meeting tau=0.0001"
+    assert sum("class 1 of the pool stage failed its solve" in m for m in messages) == cap - 1
+    assert messages[-1] == f"pool EM stopped at its cap of {cap} iterations without meeting tau=0.0001"
     assert np.all(np.diff(trace) <= 1e-8)
 
 
@@ -350,8 +350,9 @@ def test_predictors_scaled_by_1e4_fit_with_failed_solves_frozen():
     # short of the KKT tolerance from its third iteration on: each failure
     # freezes the class for that iteration, so the correction never counts
     # as converged and stops at its cap (20 here, just above the pooling
-    # stage's 18 iterations, since every failed solve runs the solver's
-    # whole IRLS budget), and the fit ends with monotone traces.
+    # stage's 18 iterations), and the fit ends with monotone traces.  Each
+    # failed solve gives up once its best KKT residual stops halving
+    # (glm.STALL_FACTOR, STALL_PASSES), well before the IRLS pass cap.
     config = scenario_preset("figure1-mini", K=2, n0=120, n_k=150, p=10, seed=1)
     data, _ = generate_scenario(config)
 
@@ -365,9 +366,9 @@ def test_predictors_scaled_by_1e4_fit_with_failed_solves_frozen():
         fit = fit_targeted_psm(data, 3, cfg, config.glm_family(), lca_config=LcaFitConfig(n_starts=3, seed=1))
     messages = [str(w.message) for w in caught]
     assert (fit.n_iter_joint, fit.n_iter_bias) == (18, 20)
-    assert messages[-1] == "correction_Delta EM stopped at its cap of 20 iterations without meeting tau=0.0001"
+    assert messages[-1] == "bias EM stopped at its cap of 20 iterations without meeting tau=0.0001"
     assert len(messages) == 19
-    assert all(m.startswith("class 2 of the correction_Delta stage failed its solve") for m in messages[:-1])
+    assert all(m.startswith("class 2 of the bias stage failed its solve") for m in messages[:-1])
     for trace in (fit.trace_joint, fit.trace_bias):
         assert np.all(np.diff(trace) <= 1e-8)
     assert np.all(np.isfinite(fit.b_target.values))
@@ -579,31 +580,46 @@ def test_auto_tune_on_a_single_valued_outcome_names_the_stage(tiny_scenario, val
 
 
 @pytest.mark.parametrize(
-    "setting, message",
+    "setting, edit, message",
     [
-        (dict(lambda_pool=[0.1, 0.2]), "per-class lambda_pool has 2 entries; the class count is 3"),
-        (dict(lambda_bias=[0.1, 0.2, 0.3, 0.4]),
+        (dict(lambda_pool=[0.1, 0.2]), None,
+         "per-class lambda_pool has 2 entries; the class count is 3"),
+        (dict(lambda_bias=[0.1, 0.2, 0.3, 0.4]), None,
          "per-class lambda_bias has 4 entries; the class count is 3"),
-        (dict(lambda_bias="auto"), "every y of the bias stage is 0; give lambda_bias a numeric value"),
-        (dict(lambda_pool="auto"), "every y of the pool stage is 0; give lambda_pool a numeric value"),
+        (dict(lambda_bias="auto"), "target without events",
+         "every y of the bias stage is 0; give lambda_bias a numeric value"),
+        (dict(lambda_pool="auto"), "no events",
+         "every y of the pool stage is 0; give lambda_pool a numeric value"),
+        # 9 rows, but fold f is filled only from studies of more than f rows
+        (dict(lambda_pool="auto", cv_folds=5), "three gaussian studies of 3 rows",
+         "'auto' tuning of lambda_pool cannot fill 5 CV folds: folds are filled within each "
+         "study and the largest study of the pool stage has 3 rows; lower cv_folds or give "
+         "lambda_pool a numeric value"),
     ],
 )
 def test_a_penalty_setting_the_data_cannot_serve_is_refused_before_step_1(
-    tiny_scenario, monkeypatch, setting, message
+    tiny_scenario, monkeypatch, setting, edit, message
 ):
     _, data, _ = tiny_scenario
+    family = GlmFamily.logistic()
     no_events = lambda study: replace(study, outcomes=np.zeros(study.n))
-    if setting.get("lambda_pool") == "auto":
-        data = StudyCollection(target=no_events(data.target), sources=tuple(map(no_events, data.sources)))
-    elif setting.get("lambda_bias") == "auto":
+    three_rows = lambda s: Study(s.predictors[:3, 0], s.predictors[:3], s.structure_vars[:3],
+                                 s.study_id)
+    if edit == "target without events":
         data = StudyCollection(target=no_events(data.target), sources=data.sources)
+    elif edit == "no events":
+        data = StudyCollection(target=no_events(data.target), sources=tuple(map(no_events, data.sources)))
+    elif edit == "three gaussian studies of 3 rows":
+        data = StudyCollection(target=three_rows(data.target),
+                               sources=tuple(map(three_rows, data.sources)))
+        family = GlmFamily.gaussian()
 
     def never(*args, **kwargs):
         raise AssertionError("fit_lca ran before the penalty settings were checked")
 
     monkeypatch.setattr(transfer, "fit_lca", never)
     with pytest.raises(ValueError, match=re.escape(message)):
-        fit_targeted_psm(data, 3, _mini_config(**setting), GlmFamily.logistic())
+        fit_targeted_psm(data, 3, _mini_config(**setting), family)
 
 
 def test_transfer_config_validation():
