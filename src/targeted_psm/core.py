@@ -63,14 +63,12 @@ def clamp_eta(eta):
 
 
 def _sigmoid(eta):
-    # Overflow-free logistic mean; eta may be any finite float array.
+    # Overflow-free logistic mean: with e = exp(-|eta|), 1/(1+e) where
+    # eta >= 0 and e/(1+e) elsewhere, the two-branch form's bits, no masks.
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(eta))
+    d = 1.0 + e
+    return np.where(eta >= 0, 1.0 / d, e / d)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +119,14 @@ class GlmFamily:
             return _sigmoid(clamp_eta(eta))
         return np.asarray(eta, dtype=float)
 
-    def variance(self, eta):
-        """g''(eta): the variance function."""
+    def variance(self, mu):
+        """V(mu), the GLM variance function of the mean: mu(1 - mu) for
+        logistic, 1 for gaussian.  variance(mean(eta)) is g''(eta), the
+        IRLS curvature."""
+        mu = np.asarray(mu, dtype=float)
         if self.kind == "logistic":
-            mu = self.mean(eta)
             return mu * (1.0 - mu)
-        return np.ones_like(np.asarray(eta, dtype=float))
+        return np.ones_like(mu)
 
     def log_density(self, y, eta):
         """log f(y | eta) up to the additive c(y, phi) term.
@@ -512,9 +512,6 @@ class MembershipMatrix:
 
     def stacked(self) -> np.ndarray:
         return np.vstack(self.probs)
-
-    def target_block(self) -> np.ndarray:
-        return self.probs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ coordinate descent on the IRLS quadratic with covariance updates (each sweep
 costs O(d^2) after an O(n d^2) Gram build), an active-set strategy (full
 sweep, iterate on the active set, confirming full sweep), and internal
 standardization of the columns to unit weighted variance.  The sweep keeps
-its per-coordinate scalars as Python floats and updates the gradient from
-contiguous copies of the Gram's columns; it rounds exactly as the plain
-numpy-scalar loop would.  The logistic family rebuilds the Gram on every
-IRLS pass; the gaussian family, whose IRLS weights and working response
-never change, builds it once per solve.  The penalty always applies to the
-coefficients on the original scale, which is also the scale of the returned
-solution.
+its per-coordinate scalars as Python floats, reads the gradient through a
+memoryview, hands each step to the update through a reusable 0-d buffer,
+and updates the gradient from contiguous copies of the Gram's columns; it
+rounds exactly as the plain numpy-scalar loop would.  The active list is
+rebuilt only after a sweep that set some coordinate to zero, the one event
+that can shrink it.  The logistic family rebuilds the Gram on every IRLS
+pass, from one sigmoid of the linear predictor; the gaussian family, whose
+IRLS weights and working response never change, builds it once per solve.
+The penalty always applies to the coefficients on the original scale, which
+is also the scale of the returned solution.
 """
 
 from __future__ import annotations
@@ -181,31 +184,37 @@ def _cd_quadratic(A, b, pen, beta0, tol, max_sweeps):
     needed.  Returns (beta, sweeps_used, converged).
 
     The per-coordinate scalars are Python floats, which round exactly like
-    numpy float64 scalars at a fraction of the interpreter cost.  The
-    covariance update reads contiguous copies of A's columns (A's rows would
-    do only if the Gram were bitwise symmetric, and it is not) and stays a
-    multiply followed by a separate add, so every element is rounded as in a
-    plain `grad += A[:, j] * diff`.
+    numpy float64 scalars at a fraction of the interpreter cost.  Each
+    movable coordinate (positive diagonal) is one prebuilt tuple
+    (j, b_j, A_jj, pen_j, column), and the gradient is read through a
+    memoryview of the cache, which yields Python floats.  The covariance
+    update reads contiguous copies of A's columns (A's rows would do only if
+    the Gram were bitwise symmetric, and it is not) and stays a multiply
+    followed by a separate add, so every element is rounded as in a plain
+    `grad += A[:, j] * diff`; the step reaches the multiply through a
+    reusable 0-d float64 buffer, so no Python float is converted per call.
+    The active list changes only when a visited coordinate's new value
+    compares equal to 0.0, a threshold step that underflows to +-0.0 included
+    (an active sweep visits no inactive coordinate), so it is rebuilt only
+    after a full sweep or a sweep in which that happened.
     """
     beta0 = np.asarray(beta0, dtype=float)
     grad_cache = A @ beta0  # always equals A @ beta
+    grad = memoryview(grad_cache)
     beta = beta0.tolist()
-    b = b.tolist()
-    pen = pen.tolist()
-    diag = np.diag(A).tolist()
-    cols = list(A.T.copy())
+    coords = [c for c in zip(range(len(beta)), b.tolist(), np.diag(A).tolist(),
+                             pen.tolist(), A.T.copy()) if c[2] > 0.0]
     buf = np.empty_like(grad_cache)
-    grad_at = grad_cache.item
+    diff_buf = np.empty(())
+    diff_at = memoryview(diff_buf)
     multiply, add, copysign = np.multiply, np.add, math.copysign
-    all_idx = [j for j, a in enumerate(diag) if a > 0.0]
 
-    def sweep(idx):
+    def sweep(coords):
         max_step = 0.0
-        for j in idx:
+        zeroed = False
+        for j, b_j, d_j, t, col in coords:
             beta_j = beta[j]
-            d_j = diag[j]
-            rho = b[j] - grad_at(j) + d_j * beta_j
-            t = pen[j]
+            rho = b_j - grad[j] + d_j * beta_j
             if t > 0.0:
                 mag = abs(rho) - t
                 new = 0.0 if mag <= 0.0 else copysign(mag, rho) / d_j
@@ -213,27 +222,32 @@ def _cd_quadratic(A, b, pen, beta0, tol, max_sweeps):
                 new = rho / d_j
             diff = new - beta_j
             if diff != 0.0:
-                multiply(cols[j], diff, out=buf)
-                add(grad_cache, buf, out=grad_cache)
+                diff_at[()] = diff
+                multiply(col, diff_buf, buf)
+                add(grad_cache, buf, grad_cache)
                 beta[j] = new
+                if new == 0.0:
+                    zeroed = True
                 ad = abs(diff)
                 if ad > max_step:
                     max_step = ad
-        return max_step
+        return max_step, zeroed
 
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
-        step = sweep(all_idx)
+        step, _ = sweep(coords)
         sweeps += 1
         if step <= tol:
             converged = True
             break
+        zeroed = True  # build the active list after every full sweep
         while sweeps < max_sweeps:
-            active = [j for j in all_idx if beta[j] != 0.0 or pen[j] == 0.0]
+            if zeroed:
+                active = [c for c in coords if beta[c[0]] != 0.0 or c[3] == 0.0]
             if not active:
                 break
-            step = sweep(active)
+            step, zeroed = sweep(active)
             sweeps += 1
             if step <= tol:
                 break
@@ -286,7 +300,7 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
         outer_used = outer
         if not gaussian:
             mu = prob.family.mean(eta)
-            curv = np.maximum(prob.family.variance(eta), MIN_IRLS_WEIGHT)
+            curv = np.maximum(prob.family.variance(mu), MIN_IRLS_WEIGHT)
             working = (eta - offset) + (y - mu) / curv
             A, b = _irls_quadratic(Xs, w * curv, working, W)
         proposal, _, _ = _cd_quadratic(A, b, pen, beta_s, DEFAULT_TOL_CD, DEFAULT_MAX_SWEEPS)

@@ -5,9 +5,10 @@ definitions the package implements, using different algorithms (proximal
 gradient + Newton polish instead of IRLS coordinate descent, least squares
 via lstsq, O(n^2) pair counting for AUC) so that agreement is meaningful.
 The exceptions are `cd_quadratic_reference`, the solver's earlier
-coordinate-descent loop, and the `lca_*_reference` functions, the latent
-class model's earlier row-wise E-step: the current code must agree with
-them bit for bit.
+coordinate-descent loop, `_sigmoid`, the logistic mean's earlier masked
+two-branch form, and the `lca_*_reference` functions, the latent class
+model's earlier row-wise E-step: the current code must agree with them bit
+for bit.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ def test_lca_glm_has_zero_correction(mini_data):
     tgt = mini_data.target
     v = initial_memberships(fit.lca_model, StudyCollection(target=tgt))
     assert fit.trace_bias[0] == penalized_mixture_objective(
-        fam, tgt.outcomes, tgt.predictors, v.target_block(),
+        fam, tgt.outcomes, tgt.predictors, v.probs[0],
         CoefficientMatrix(values=np.zeros((tgt.p, 2))), fit.lambda_bias,
         offsets=fit.b_pooled.linear_predictor(tgt.predictors),
     )

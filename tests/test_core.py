@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from _oracles import _curvature as oracle_curvature
+from _oracles import _sigmoid as oracle_sigmoid
+from targeted_psm import core
 from targeted_psm.core import (
     EPS_CLIP,
     ETA_CLAMP,
@@ -65,13 +68,31 @@ def test_gaussian_mean_is_identity():
 
 
 def test_variance_functions():
-    # variance() is the curvature g'' of the log-partition (IRLS weights),
-    # not Var(Y); the gaussian curvature is 1 regardless of dispersion.
+    # variance() is the GLM variance function V(mu) of the mean, so
+    # variance(mean(eta)) is the curvature g'' of the log-partition (the IRLS
+    # weights), not Var(Y); the gaussian curvature is 1 regardless of
+    # dispersion.
     eta = np.linspace(-4, 4, 9)
-    fam = GlmFamily.logistic()
-    mu = fam.mean(eta)
-    assert np.allclose(fam.variance(eta), mu * (1 - mu), atol=1e-15)
-    assert np.array_equal(GlmFamily.gaussian(2.5).variance(eta), np.ones_like(eta))
+    for fam in (GlmFamily.logistic(), GlmFamily.gaussian(2.5)):
+        assert np.array_equal(fam.variance(fam.mean(eta)), oracle_curvature(fam.kind, eta))
+
+
+def _sigmoid_battery():
+    tiny, normal = np.finfo(float).smallest_subnormal, np.finfo(float).tiny
+    yield pytest.param(np.array([0.0, -0.0, ETA_CLAMP, -ETA_CLAMP, np.inf, -np.inf,
+                                 tiny, -tiny, 1e-310, -1e-310, normal, -normal]), id="edges")
+    rng = np.random.default_rng(23)
+    for scale in (1e-6, 1e-3, 1.0, 10.0, 40.0, 100.0, 800.0):
+        yield pytest.param(rng.standard_normal(4000) * scale, id=f"scale-{scale:g}")
+
+
+@pytest.mark.parametrize("eta", _sigmoid_battery())
+def test_sigmoid_is_bitwise_the_masked_two_branch_form(eta):
+    # One exp(-|eta|) and a where must round every element exactly as the
+    # old per-sign gathers and scatters did, clamped or not.
+    assert core._sigmoid(eta).tobytes() == oracle_sigmoid(eta).tobytes()
+    clamped = clamp_eta(eta)
+    assert GlmFamily.logistic().mean(eta).tobytes() == oracle_sigmoid(clamped).tobytes()
 
 
 def test_logistic_log_density_is_exact_bernoulli():
@@ -429,7 +450,7 @@ def test_membership_matrix_validation(rng):
     assert m.n_studies == 2
     assert m.n_classes == 3
     assert m.stacked().shape == (14, 3)
-    assert np.array_equal(m.target_block(), good)
+    assert np.array_equal(m.probs[0], good)
     bad = good.copy()
     bad[0, 0] += 1e-6
     with pytest.raises(ValueError):

@@ -2,9 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from _oracles import _sigmoid as oracle_sigmoid
 from _oracles import (
     cd_quadratic_reference,
     numeric_grad,
@@ -15,7 +16,7 @@ from _oracles import (
 )
 from _problems import problem_from_raw as _problem_from_raw
 from _problems import random_glm_problem
-from targeted_psm import glm
+from targeted_psm import core, glm
 from targeted_psm.core import GlmFamily
 from targeted_psm.glm import (
     LassoSolution,
@@ -25,6 +26,8 @@ from targeted_psm.glm import (
     objective_value,
     solve_weighted_lasso_glm,
 )
+from targeted_psm.lca import LcaFitConfig
+from targeted_psm.transfer import TransferConfig, fit_targeted_psm
 
 
 def _offset_or_zeros(raw):
@@ -226,7 +229,34 @@ def cd_quadratics(draw):
     return A, b, pen, beta0, 1e-7, max_sweeps
 
 
+def _chain(diag, link, pen, max_sweeps):
+    """Coordinate 0 (diagonal `diag`, penalty `pen`) reads -link * x1, and
+    x1, x2 (unpenalized, correlation 0.9) climb from x1 = -8 to 2.89 over
+    the active sweeps, so rho_0 crosses from below -pen to above +pen:
+    coordinate 0 is set to zero in the middle of an active phase and would
+    move again if it were still visited."""
+    A = np.array([[diag, -link, 0.0], [-link, 1.0, 0.9], [0.0, 0.9, 1.0]])
+    return (A, np.array([0.0, 1.0, 0.5]), np.array([pen, 0.0, 0.0]),
+            np.array([0.0, -8.0, 10.0]), 1e-7, max_sweeps)
+
+
+# The three events that rebuild the active list mid-phase.  A zeroed
+# coordinate: its threshold step lands on 0.0 in the eighth sweep.
+_ZEROED_MID_PHASE = _chain(1.0, 0.1, 0.05, 1000)
+# An underflow: |rho_0| - pen is about 9e-26 in the eighth sweep and
+# 9e-26 / 1e300 rounds to -0.0 without taking the `mag <= 0` branch; in the
+# ninth, rho_0 is past +pen, where a stale active list would move it.
+_UNDERFLOW_TO_ZERO = _chain(1e300, 1e-20, 1.8225e-21, 9)
+# An active set that empties: both penalized coordinates decay to zero
+# within the active phase, and the active list comes back empty.
+_ACTIVE_SET_EMPTIES = (np.array([[1.0, 0.9], [0.9, 1.0]]), np.zeros(2),
+                       np.array([0.05, 0.05]), np.array([0.0, 2.0]), 1e-7, 1000)
+
+
 @given(cd_quadratics())
+@example(_ZEROED_MID_PHASE)
+@example(_UNDERFLOW_TO_ZERO)
+@example(_ACTIVE_SET_EMPTIES)
 def test_cd_sweep_matches_reference_loop_bitwise(case):
     beta, sweeps, converged = glm._cd_quadratic(*case)
     ref_beta, ref_sweeps, ref_converged = cd_quadratic_reference(*case)
@@ -245,6 +275,45 @@ def test_solver_with_reference_sweep_is_bitwise_equal(seed, monkeypatch):
     assert np.array([getattr(shipped, k) for k in scalars]).tobytes() == np.array(
         [getattr(ref, k) for k in scalars]
     ).tobytes()
+
+
+def test_a_tuned_fit_is_bitwise_the_fit_of_the_reference_sweep_and_sigmoid(
+        tiny_scenario, monkeypatch):
+    # Every quadratic a CV-tuned logistic fit hands the CD kernel is solved
+    # as the earlier loop solves it, and the whole fit is unchanged when the
+    # earlier loop and the masked two-branch sigmoid replace the shipped ones.
+    _, data, _ = tiny_scenario
+    config = TransferConfig(cv_folds=3, cv_grid=(0.3, 1.0, 3.0), seed=0)
+
+    def fit():
+        return fit_targeted_psm(data, 2, config, GlmFamily.logistic(),
+                                lca_config=LcaFitConfig(n_starts=2, seed=0))
+
+    kernel, calls = glm._cd_quadratic, []
+
+    def capture(*args):
+        calls.append(tuple(np.copy(a) if isinstance(a, np.ndarray) else a for a in args))
+        return kernel(*args)
+
+    monkeypatch.setattr(glm, "_cd_quadratic", capture)
+    shipped = fit()
+    assert len(calls) > 100
+    for args in calls:
+        beta, sweeps, converged = kernel(*args)
+        ref_beta, ref_sweeps, ref_converged = cd_quadratic_reference(*args)
+        assert beta.tobytes() == ref_beta.tobytes()
+        assert (sweeps, converged) == (ref_sweeps, ref_converged)
+
+    monkeypatch.setattr(glm, "_cd_quadratic", cd_quadratic_reference)
+    monkeypatch.setattr(core, "_sigmoid", oracle_sigmoid)
+    ref = fit()
+    for name in ("b_pooled", "delta"):
+        for part in ("values", "intercept"):
+            got, want = (getattr(getattr(f, name), part) for f in (shipped, ref))
+            assert got.tobytes() == want.tobytes(), (name, part)
+    for name in ("lambda_pool", "lambda_bias", "trace_joint", "trace_bias"):
+        assert (np.asarray(getattr(shipped, name)).tobytes()
+                == np.asarray(getattr(ref, name)).tobytes()), name
 
 
 # ---------------------------------------------------------------------------

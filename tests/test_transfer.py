@@ -170,7 +170,7 @@ def test_traces_end_at_the_objective_of_the_returned_coefficients(mini_fit):
     )
     tgt = data.target
     assert fit.trace_bias[-1] == penalized_mixture_objective(
-        fam, tgt.outcomes, tgt.predictors, v.target_block(), fit.delta,
+        fam, tgt.outcomes, tgt.predictors, v.probs[0], fit.delta,
         fit.lambda_bias, offsets=fit.b_pooled.linear_predictor(tgt.predictors),
     )
 
@@ -187,7 +187,7 @@ def test_infinite_bias_penalty_freezes_correction(tiny_scenario):
     tgt = data.target
     v = initial_memberships(fit.lca_model, data)
     assert fit.trace_bias[0] == penalized_mixture_objective(
-        fit.family, tgt.outcomes, tgt.predictors, v.target_block(),
+        fit.family, tgt.outcomes, tgt.predictors, v.probs[0],
         CoefficientMatrix(values=np.zeros((data.p, 2))), fit.lambda_bias,
         offsets=fit.b_pooled.linear_predictor(tgt.predictors),
     )
