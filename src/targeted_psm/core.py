@@ -205,6 +205,8 @@ def clip_rows(probs: np.ndarray) -> np.ndarray:
         v[dead] = 1.0
         sums[dead] = float(C)
     v = v / sums[:, None]
+    if not (v < EPS_CLIP).any():
+        return v
     pinned = np.zeros_like(v, dtype=bool)
     for _ in range(C):
         low = ~pinned & (v < EPS_CLIP)
@@ -273,8 +275,10 @@ def check_real(name: str, value, interval: str) -> None:
     (`values[2, 0] must be a real number in (-inf, inf), got '0.5'`).  An
     int or float array passes in one vectorized test: every entry against a
     set, np.isfinite for (-inf, inf), else its min and max, which lie in the
-    interval exactly when every entry does (a NaN entry makes both NaN).
-    Only an array that fails it is searched for its first bad entry.
+    interval exactly when every entry does (a NaN entry makes both NaN).  A
+    flat list or tuple whose items are all of type `float` exactly (a
+    fit's trace) takes the same test as an array.  Only a value that fails
+    it is searched item by item for its first bad entry.
     """
     low, high = (float(b) for b in interval[1:-1].split(","))
 
@@ -296,6 +300,9 @@ def check_real(name: str, value, interval: str) -> None:
         if isinstance(v, np.ndarray) and v.dtype.kind != "O":
             # bool, string, complex, ...: no entry is a real number
             return None if v.size == 0 else ((0,) * v.ndim, v.flat[0])
+        if isinstance(v, (list, tuple)) and v and set(map(type, v)) == {float}:
+            if first_bad(np.array(v)) is None:
+                return None
         if isinstance(v, (list, tuple, np.ndarray)):
             items = np.ndenumerate(v) if isinstance(v, np.ndarray) else (
                 ((i,), item) for i, item in enumerate(v))

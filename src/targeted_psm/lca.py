@@ -12,24 +12,31 @@ descending target-study mixing weight.
 
 The likelihood sees the data only through which z-pattern each subject of
 each study has, so the E-step's row math (log densities, log-sum-exp,
-posteriors) runs once per occupied (study, pattern) cell and is gathered
-back to the subject rows.  Every reduction (the log-likelihood sum and the
-M-step sums) still adds each study's subject rows in their stacked order,
-so the fit is bit for bit what a row-by-row E-step gives; weighting cells
-by their counts would reorder those sums.  The posterior column sums of
-all studies come from one reduction: the cell posteriors, plus a zero row,
-are gathered into an (n_max, K+1, C) block whose column k holds study k's
-rows in stacked order, padded with the zero row to the largest study size
-n_max.  numpy sums axis 0 of that block one row at a time, so each study's
-sums add its rows in the order a per-study sum does, and the padding adds
-only +0.0, which leaves every (non-negative) sum unchanged.  The block
-holds n_max*(K+1)*C values per EM step: as many as the gathered posteriors
-(n*C) when the studies are of equal size, up to K+1 times that when one
-study dominates.  The M-step product still reads each study's rows from
-the gathered posteriors, not from the block: a product on the block's
-strided per-study view differs in the last bits at q = 1, where numpy
-takes BLAS's matrix-vector path, and a contiguous copy of each study's
-view made the step slower than the gather.
+posteriors) runs once per occupied (study, pattern) cell, in place, and is
+gathered back to the subject rows.  Every reduction (the log-likelihood sum
+and the M-step sums) still adds each study's subject rows in their stacked
+order, so the fit is bit for bit what a row-by-row E-step gives; weighting
+cells by their counts would reorder those sums.
+
+An EM step writes the cell posteriors into an (m+1, C) array whose last
+row is zeros.  The posterior column sums of all studies come from one
+reduction: that array is gathered into an (n_max, K+1, C) block whose column k holds
+study k's rows in stacked order, padded with the zero row to the largest
+study size n_max.  numpy sums axis 0 of that block one row at a time, so
+each study's sums add its rows in the order a per-study sum does, and the
+padding adds only +0.0, which leaves every (non-negative) sum unchanged.
+The block holds n_max*(K+1)*C values per EM step: as many as the gathered
+posteriors (n*C) when the studies are of equal size, up to K+1 times that
+when one study dominates.  The M-step's class totals are the sums of those
+column sums over the studies (one reduction over the outer axis, which adds
+the studies in order, as a loop from 0.0 does), and the mixing rows are
+the column sums over the study sizes.  Two sums stay in a per-study loop:
+each study's log-likelihood is a pairwise `.sum()` over its rows, whose
+blocking a segmented reduction (`np.add.reduceat`) or a padded one would
+change, and each study's prevalence numerator is its own `post[rows].T @ Z`
+product, whose BLAS summation order a product over all rows, or over the
+block's strided per-study view (numpy takes BLAS's matrix-vector path at
+q = 1), would change.
 
 A lone row goes to `_log_density_matrix` as the first of two equal rows,
 so it takes BLAS's matrix-matrix kernel like a batch: for C >= 2 a cell's
@@ -192,19 +199,23 @@ class _CellIndex:
 
     cell_z       (m, q) z-pattern of each occupied cell
     cell_study   (m,) study row of each occupied cell
+    n_patterns   number of distinct z-patterns over all studies
     row_cell     (n,) cell of each stacked subject row
     study_cells  (n_max, K+1) row_cell laid out one study per column, in
                  stacked order, padded below each study's rows to the
                  largest study size n_max with m: the index of a zero row
-                 appended to the cell posteriors (see the module docstring)
+                 after the cell posteriors (see the module docstring)
+    sizes        (K+1,) study sizes as floats
     slices       per-study slices into the stacked rows
-    blocks       per-study z blocks, which the M-step reductions read
+    blocks       per-study z blocks, which the M-step products read
     """
 
     cell_z: np.ndarray
     cell_study: np.ndarray
+    n_patterns: int
     row_cell: np.ndarray
     study_cells: np.ndarray
+    sizes: np.ndarray
     slices: tuple
     blocks: tuple
 
@@ -217,16 +228,15 @@ class _CellIndex:
         # z bits (Study holds z in {0, 1}).  A 1-d sort of these finds the
         # cells in a fraction of the time and memory of np.unique(...,
         # axis=0) on the float rows.
-        keys = np.column_stack([
-            row_study.view(np.uint8).reshape(len(row_study), -1),
-            np.packbits(Z != 0.0, axis=1),
-        ])
+        bits = np.packbits(Z != 0.0, axis=1)
+        keys = np.column_stack([row_study.view(np.uint8).reshape(len(row_study), -1), bits])
         _, first, row_cell = np.unique(
             keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
             return_index=True,
             return_inverse=True,
         )
         cell_z = Z[first]
+        cell_bits = bits[first]
         slices = tuple(data.row_slices())
         study_cells = np.full((max(data.sizes), len(blocks)), len(first), dtype=row_cell.dtype)
         for k, rows in enumerate(slices):
@@ -234,30 +244,33 @@ class _CellIndex:
         return cls(
             cell_z=cell_z,
             cell_study=row_study[first],
+            n_patterns=np.unique(cell_bits.view(np.dtype((np.void, cell_bits.shape[1])))).size,
             row_cell=row_cell,
             study_cells=study_cells,
+            sizes=np.array(data.sizes, dtype=float),
             slices=slices,
             blocks=blocks,
         )
 
 
-def _cell_posteriors(prevalences, mixing, cell_z: np.ndarray, cell_study: np.ndarray):
+def _cell_posteriors(prevalences, mixing, cell_z: np.ndarray, cell_study: np.ndarray,
+                     out: np.ndarray = None):
     """Class posteriors and log-likelihood terms of (study, pattern) cells:
     pattern cell_z[i] under the prevalences and the mixing row of study
-    cell_study[i].  Every step is row-wise, so no cell depends on another."""
-    log_post = (
-        _log_density_matrix(prevalences, cell_z)
-        + np.log(mixing)[cell_study]
-    )
+    cell_study[i], the posteriors written into `out` ((m, C)) when given.
+    Every step is row-wise, so no cell depends on another."""
+    log_post = _log_density_matrix(prevalences, cell_z)
+    log_post += np.log(mixing).take(cell_study, axis=0)
     ll = log_sum_exp_rows(log_post)
-    return np.exp(log_post - ll[:, None]), ll
+    log_post -= ll[:, None]
+    return np.exp(log_post, out=out), ll
 
 
-def _study_column_sums(post_c: np.ndarray, index: _CellIndex) -> np.ndarray:
-    """(K+1, C) column sums of each study's row posteriors, gathered from the
-    cell posteriors `post_c`, each adding its rows in stacked order: one
-    reduction over the padded layout of the module docstring."""
-    padded = np.vstack([post_c, np.zeros((1, post_c.shape[1]))])
+def _study_column_sums(padded: np.ndarray, index: _CellIndex) -> np.ndarray:
+    """(K+1, C) column sums of each study's row posteriors, gathered from
+    `padded`, the (m, C) cell posteriors followed by one zero row, each
+    adding its rows in stacked order: one reduction over the padded layout
+    of the module docstring."""
     return padded.take(index.study_cells, axis=0).sum(axis=0)
 
 
@@ -290,23 +303,28 @@ def _em_step(prevalences: np.ndarray, mixing: np.ndarray, index: _CellIndex):
     *input* params).
 
     Each sum adds a study's subject rows in stacked order, the same terms
-    in the same order as a row-wise E-step; the column sums of every study
-    come from one padded reduction (see the module docstring).
+    in the same order as a row-wise E-step (see the module docstring).  The
+    column sums of every study come from one padded reduction, and their
+    sum over the studies (`den`) from one reduction over the outer axis,
+    which adds the studies one after another as a loop from 0.0 does.
     """
-    post_c, ll_c = _cell_posteriors(prevalences, mixing, index.cell_z, index.cell_study)
+    m = index.cell_z.shape[0]
+    padded = np.empty((m + 1, mixing.shape[1]))
+    padded[m] = 0.0
+    post_c, ll_c = _cell_posteriors(
+        prevalences, mixing, index.cell_z, index.cell_study, out=padded[:m]
+    )
     post, ll_rows = post_c.take(index.row_cell, axis=0), ll_c.take(index.row_cell)
-    col_sums = _study_column_sums(post_c, index)
+    col_sums = _study_column_sums(padded, index)
     ll = 0.0
     num = np.zeros(prevalences.shape)
-    den = np.zeros(prevalences.shape[0])
-    new_mixing = np.empty_like(mixing)
-    for k, (rows, Z) in enumerate(zip(index.slices, index.blocks)):
+    for rows, Z in zip(index.slices, index.blocks):
         ll += float(ll_rows[rows].sum())
         num += post[rows].T @ Z
-        den += col_sums[k]
-        new_mixing[k] = col_sums[k] / Z.shape[0]  # what post.mean(axis=0) computes
-    new_prev = np.clip(num / np.maximum(den, 1e-300)[:, None], EPS_CLIP, 1.0 - EPS_CLIP)
-    return new_prev, clip_rows(new_mixing), ll
+    num /= np.maximum(col_sums.sum(axis=0), 1e-300)[:, None]
+    new_prev = np.minimum(np.maximum(num, EPS_CLIP, out=num), 1.0 - EPS_CLIP, out=num)
+    # col_sums[k] / n_k is what post[rows].mean(axis=0) computes
+    return new_prev, clip_rows(col_sums / index.sizes[:, None]), ll
 
 
 def _run_em(init: LcaModel, index: _CellIndex) -> LcaModel:
@@ -357,16 +375,15 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     check_count("n_classes", n_classes, 1, data.n_total)
     C, q = n_classes, data.q
     index = _CellIndex.of(data)
-    n_patterns = np.unique(index.cell_z, axis=0).shape[0]
     if C > 2 ** q:
         warnings.warn(
             f"{C} classes exceed the {2 ** q} distinct patterns of {q} binary "
             "variables; the model is not identifiable",
             RuntimeWarning,
         )
-    elif C > n_patterns:
+    elif C > index.n_patterns:
         warnings.warn(
-            f"{C} classes exceed the {n_patterns} distinct patterns observed "
+            f"{C} classes exceed the {index.n_patterns} distinct patterns observed "
             "in the collection; the fit cannot tell every class apart",
             RuntimeWarning,
         )

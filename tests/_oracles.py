@@ -6,9 +6,10 @@ gradient + Newton polish instead of IRLS coordinate descent, least squares
 via lstsq, O(n^2) pair counting for AUC) so that agreement is meaningful.
 The exceptions are `cd_quadratic_reference`, the solver's earlier
 coordinate-descent loop, `_sigmoid`, the logistic mean's earlier masked
-two-branch form, and the `lca_*_reference` functions, the latent class
-model's earlier row-wise E-step: the current code must agree with them bit
-for bit.
+two-branch form, the `lca_*_reference` functions, the latent class model's
+earlier row-wise E-step and its earlier cell-table EM step, and
+`clip_rows_reference`, the row helper those steps called: the current code
+must agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from targeted_psm.core import EPS_CLIP, clip_rows, log_sum_exp_rows
+from targeted_psm.core import EPS_CLIP, log_sum_exp_rows
 
 
 def _sigmoid(eta):
@@ -292,6 +293,49 @@ def cd_quadratic_reference(A, b, pen, beta0, tol, max_sweeps):
 
 
 # ---------------------------------------------------------------------------
+# core.clip_rows as the latent class steps below called it, kept verbatim:
+# core.clip_rows (which transfer's membership update also calls) must
+# reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _sorted_row_sums(a):
+    return np.sort(a, axis=1).sum(axis=1)
+
+
+def clip_rows_reference(probs):
+    """Normalize each row, then waterfill entries below EPS_CLIP."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2:
+        raise ValueError("expected a 2-d array of row probabilities")
+    n, C = probs.shape
+    if C == 1:
+        return np.ones_like(probs)
+    if C * EPS_CLIP >= 1.0:
+        raise ValueError("too many columns for the EPS_CLIP floor")
+    v = np.maximum(probs, 0.0)
+    sums = _sorted_row_sums(v)
+    dead = sums <= 0.0
+    if np.any(dead):
+        v[dead] = 1.0
+        sums[dead] = float(C)
+    v = v / sums[:, None]
+    pinned = np.zeros_like(v, dtype=bool)
+    for _ in range(C):
+        low = ~pinned & (v < EPS_CLIP)
+        if not np.any(low):
+            break
+        pinned |= low
+        free_target = 1.0 - pinned.sum(axis=1) * EPS_CLIP
+        free_sum = _sorted_row_sums(np.where(pinned, 0.0, v))
+        scale = np.where(
+            free_sum > 0.0, free_target / np.maximum(free_sum, 1e-300), 1.0
+        )
+        v = np.where(pinned, EPS_CLIP, v * scale[:, None])
+    return v
+
+
+# ---------------------------------------------------------------------------
 # The latent class model's row-wise E-step, kept verbatim: every subject row
 # is evaluated on its own, study by study.  lca._em_step, lca_log_lik and the
 # membership functions must reproduce it bit for bit.
@@ -340,6 +384,57 @@ def lca_em_step_reference(model, data):
         den += post.sum(axis=0)
         new_mixing[k] = post.mean(axis=0)
     new_prev = np.clip(num / np.maximum(den, 1e-300)[:, None], EPS_CLIP, 1.0 - EPS_CLIP)
-    new_mixing = clip_rows(new_mixing)
+    new_mixing = clip_rows_reference(new_mixing)
     new_model = replace(model, prevalences=new_prev, mixing=new_mixing)
     return new_model, ll
+
+
+# ---------------------------------------------------------------------------
+# The latent class model's earlier cell-table EM step, kept verbatim: the
+# E-step once per (study, pattern) cell, gathered back to the rows, and the
+# column sums from one padded reduction over an appended zero row.  It reads
+# the cell_z, cell_study, row_cell, study_cells, slices and blocks of an
+# lca._CellIndex.  lca._em_step must reproduce its bytes on every input,
+# one-row studies and one-cell tables included.
+# ---------------------------------------------------------------------------
+
+
+def lca_log_density_matrix_reference(prevalences, Z):
+    """(n, C) log densities; a lone row is evaluated as the first of two."""
+    log_pi = np.log(prevalences)        # (C, q)
+    log_1mpi = np.log1p(-prevalences)
+    rows = np.repeat(Z, 2, axis=0) if Z.shape[0] == 1 else Z
+    return (rows @ log_pi.T + (1.0 - rows) @ log_1mpi.T)[: Z.shape[0]]
+
+
+def lca_cell_posteriors_reference(prevalences, mixing, cell_z, cell_study):
+    log_post = (
+        lca_log_density_matrix_reference(prevalences, cell_z)
+        + np.log(mixing)[cell_study]
+    )
+    ll = log_sum_exp_rows(log_post)
+    return np.exp(log_post - ll[:, None]), ll
+
+
+def lca_study_column_sums_reference(post_c, index):
+    padded = np.vstack([post_c, np.zeros((1, post_c.shape[1]))])
+    return padded.take(index.study_cells, axis=0).sum(axis=0)
+
+
+def lca_cell_em_step_reference(prevalences, mixing, index):
+    """One EM update; returns (new_prevalences, new_mixing, log_lik at the
+    *input* params)."""
+    post_c, ll_c = lca_cell_posteriors_reference(prevalences, mixing, index.cell_z, index.cell_study)
+    post, ll_rows = post_c.take(index.row_cell, axis=0), ll_c.take(index.row_cell)
+    col_sums = lca_study_column_sums_reference(post_c, index)
+    ll = 0.0
+    num = np.zeros(prevalences.shape)
+    den = np.zeros(prevalences.shape[0])
+    new_mixing = np.empty_like(mixing)
+    for k, (rows, Z) in enumerate(zip(index.slices, index.blocks)):
+        ll += float(ll_rows[rows].sum())
+        num += post[rows].T @ Z
+        den += col_sums[k]
+        new_mixing[k] = col_sums[k] / Z.shape[0]  # what post.mean(axis=0) computes
+    new_prev = np.clip(num / np.maximum(den, 1e-300)[:, None], EPS_CLIP, 1.0 - EPS_CLIP)
+    return new_prev, clip_rows_reference(new_mixing), ll

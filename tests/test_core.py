@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _oracles import _curvature as oracle_curvature
+from _oracles import clip_rows_reference
 from _oracles import _sigmoid as oracle_sigmoid
 from targeted_psm import core
 from targeted_psm.core import (
@@ -340,6 +341,49 @@ def test_clip_rows_row_stochastic_tolerance(rng):
 def test_clip_rows_single_column_exact_ones(rng):
     out = clip_rows(rng.random((9, 1)))
     assert np.array_equal(out, np.ones((9, 1)))
+
+
+@st.composite
+def clip_rows_cases(draw):
+    """Row blocks for clip_rows: entries below EPS_CLIP (tiny, zero or
+    negative), all-zero and NaN rows, rows whose one low entry lies within
+    a factor of 2 of EPS_CLIP, C = 1, and the (K+1) x C mixing rows of an
+    EM step (column sums over study sizes, Dirichlet rows with entries far
+    below the floor)."""
+    n, C = draw(st.integers(1, 9)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rows = rng.dirichlet(np.full(C, draw(st.sampled_from([0.01, 0.1, 1.0]))), size=n)
+        return rows * rng.integers(1, 5000, size=(n, 1)) / rng.integers(1, 5000, size=(n, 1))
+    entry = st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 3 * EPS_CLIP),
+        st.floats(-1.0, 0.0),
+        st.sampled_from([0.0, -0.0, 1e-300, EPS_CLIP, 1.0 - EPS_CLIP]),
+        st.floats(0.0, 1e6),
+    )
+    a = draw(hnp.arrays(np.float64, (n, C), elements=entry))
+    for i in range(n):
+        kind = draw(st.sampled_from(["as drawn", "as drawn", "zero", "nan", "near the floor"]))
+        if kind == "near the floor" and C >= 2:
+            j, f = draw(st.integers(0, C - 1)), draw(st.floats(0.0, 2.0))
+            a[i] = [draw(st.floats(0.1, 1.0)) for _ in range(C)]
+            a[i, j] = 0.0
+            a[i] *= (1.0 - f * EPS_CLIP) / a[i].sum()
+            a[i, j] = f * EPS_CLIP
+        elif kind == "zero":
+            a[i] = 0.0
+        elif kind == "nan":
+            a[i, draw(st.integers(0, C - 1))] = np.nan
+    return a
+
+
+@given(clip_rows_cases())
+def test_clip_rows_matches_earlier_form_bitwise(a):
+    """clip_rows, which returns right after normalizing when no entry is
+    below EPS_CLIP, has the bytes of its earlier form (a verbatim copy in
+    _oracles) on every row block, pinned or not."""
+    assert clip_rows(a).tobytes() == clip_rows_reference(a).tobytes()
 
 
 # ---------------------------------------------------------------------------

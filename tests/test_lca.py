@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targeted_psm import lca
-from targeted_psm.core import EPS_CLIP, Study, StudyCollection, clip_rows, em_converged
+from targeted_psm.core import (
+    EPS_CLIP,
+    Study,
+    StudyCollection,
+    check_real,
+    clip_rows,
+    em_converged,
+)
 from targeted_psm.lca import (
     LcaFitConfig,
     LcaModel,
@@ -27,6 +34,7 @@ from targeted_psm.lca import (
     select_classes_bic,
 )
 from _oracles import (
+    lca_cell_em_step_reference,
     lca_class_density,
     lca_em_step_reference,
     lca_log_lik_reference,
@@ -228,18 +236,38 @@ def test_more_classes_than_observed_patterns_warns():
         fit_lca(data, 2, cfg)
 
 
+def test_pattern_warnings_count_patterns_over_all_studies(cpus):
+    """Studies that share patterns count each pattern once; a class count
+    above 2^q takes the other warning."""
+    target = np.array([[1.0, 0.0], [0.0, 1.0]])[np.arange(30) % 2]
+    source = np.array([[0.0, 1.0], [1.0, 1.0]])[np.arange(20) % 2]
+    data = StudyCollection(target=_study(target, 0), sources=(_study(source, 1),))
+    cfg = LcaFitConfig(seed=0, n_starts=2)
+    for n in (1, 2):
+        cpus(n)
+        with pytest.warns(RuntimeWarning, match="4 classes exceed the 3 distinct patterns observed"):
+            fit_lca(data, 4, cfg)
+        with pytest.warns(RuntimeWarning, match="5 classes exceed the 4 distinct patterns of 2 binary"):
+            fit_lca(data, 5, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_lca(data, 3, cfg)
+
+
 @st.composite
 def lca_em_cases(draw):
-    """A collection and a model: K = 0..3, n_k >= 1, q >= 1, C = 2..4.
-    Each study draws its rows from a pool of 1..2^q patterns, so
-    single-pattern studies and C > observed patterns both occur."""
+    """A collection and a model: K = 0..3, q = 1..6, C = 2..6, and studies
+    of 1 to 300 rows or of more rows than numpy's 8 192-element buffer.
+    Each study draws its rows from a pool of 1..2^q patterns, so one-row
+    studies, single-pattern studies, one-cell tables and C > observed
+    patterns all occur."""
     K = draw(st.integers(0, 3))
     q = draw(st.integers(1, 6))
-    C = draw(st.integers(2, 4))
+    C = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     studies = []
     for k in range(K + 1):
-        n = draw(st.integers(1, 300))
+        n = draw(st.integers(1, 300) | st.integers(8_193, 9_000))
         n_pool = draw(st.integers(1, 2**q))
         pool = (rng.random((n_pool, q)) < 0.5).astype(float)
         studies.append(_study(pool[rng.integers(n_pool, size=n)], k))
@@ -273,6 +301,49 @@ def test_em_step_matches_row_wise_reference_bitwise(case):
         assert np.allclose(mix, ref.mixing, rtol=1e-12, atol=0)
         assert ll == pytest.approx(ref_ll, rel=1e-13)
         assert log_lik == pytest.approx(ref_log_lik, rel=1e-13)
+
+
+def _assert_same_step(new, ref):
+    assert new[0].tobytes() == ref[0].tobytes()
+    assert new[1].tobytes() == ref[1].tobytes()
+    assert np.float64(new[2]).tobytes() == np.float64(ref[2]).tobytes()
+
+
+@settings(max_examples=200)
+@given(lca_em_cases())
+def test_em_step_matches_earlier_cell_step_bitwise(case):
+    """The step has the bytes of the earlier cell-table step (a verbatim
+    copy in _oracles) on every case, one-row studies and one-cell tables
+    included, where the row-wise reference above is only close.  The index
+    counts the distinct patterns as np.unique of the cell patterns does."""
+    data, model = case
+    index = _CellIndex.of(data)
+    _assert_same_step(_em_step(model.prevalences, model.mixing, index),
+                      lca_cell_em_step_reference(model.prevalences, model.mixing, index))
+    assert index.n_patterns == np.unique(index.cell_z, axis=0).shape[0]
+
+
+@pytest.mark.parametrize("sizes, n_pool, q, C", [
+    ((1,), 1, 3, 2),                 # one row: a one-cell table
+    ((40,), 1, 4, 3),                # one pattern: a one-cell table
+    ((1, 1, 1), 8, 3, 4),            # one-row studies only
+    ((1, 9_000), 4, 2, 6),           # a one-row study beside a long one
+    ((9_000, 1, 300), 32, 5, 5),
+    ((250, 250), 2, 1, 2),           # q = 1: matrix-vector products
+])
+def test_em_step_matches_earlier_cell_step_over_ten_steps(rng, sizes, n_pool, q, C):
+    """Ten EM steps, each from the last one's output, keep the bytes of the
+    earlier cell-table step on the edge tables of the battery."""
+    pool = (rng.random((n_pool, q)) < 0.5).astype(float)
+    studies = [_study(pool[rng.integers(n_pool, size=n)], k) for k, n in enumerate(sizes)]
+    data = StudyCollection(target=studies[0], sources=tuple(studies[1:]))
+    index = _CellIndex.of(data)
+    prev = rng.uniform(0.02, 0.98, size=(C, q))
+    mix = clip_rows(rng.dirichlet(np.full(C, 0.3), size=len(sizes)))
+    for _ in range(10):
+        new = _em_step(prev, mix, index)
+        _assert_same_step(new, lca_cell_em_step_reference(prev, mix, index))
+        prev, mix, _ = new
 
 
 def test_fit_with_row_wise_reference_is_bitwise_equal(monkeypatch, cpus, rng, tmp_path):
@@ -327,7 +398,7 @@ def test_padded_column_sums_equal_per_study_sums_bitwise(rng):
         index = _CellIndex.of(data)
         post_c, _ = _cell_posteriors(model.prevalences, model.mixing, index.cell_z, index.cell_study)
         post = post_c.take(index.row_cell, axis=0)
-        sums = lca._study_column_sums(post_c, index)
+        sums = lca._study_column_sums(np.vstack([post_c, np.zeros((1, C))]), index)
         assert sums.shape == (n_studies, C)
         for k, rows in enumerate(index.slices):
             assert sums[k].tobytes() == post[rows].sum(axis=0).tobytes(), (case, k)
@@ -626,6 +697,34 @@ def test_class_counts_may_be_numpy_integers(small_collection):
 def test_lca_fit_config_refuses_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
         LcaFitConfig(seed=seed)
+
+
+@pytest.mark.parametrize("entry, shown", [
+    (True, "True"), (np.bool_(False), "False"), ("-1.5", "'-1.5'"), (None, "None"),
+    (float("nan"), "nan"), (np.float64("nan"), "nan"), (float("-inf"), "-inf"),
+    (np.float32("inf"), "inf"),
+])
+@pytest.mark.parametrize("at", [0, 3, 462])
+def test_a_trace_with_a_bad_entry_is_refused_at_its_index(entry, shown, at):
+    """A trace of 463 floats is checked as one array; an entry that is not
+    a finite real number is named by its index, as a walk over the items
+    names it, and so is a bad entry inside a nested item."""
+    trace = [-1000.0 + i for i in range(463)]
+    trace[at] = entry
+    with pytest.raises(ValueError, match=re.escape(
+            f"trace[{at}] must be a real number in (-inf, inf), got {shown}")):
+        LcaModel(prevalences=np.array([[0.5]]), mixing=np.array([[1.0]]), trace=tuple(trace))
+    trace[at] = [-1.0, entry]
+    with pytest.raises(ValueError, match=re.escape(
+            f"trace[{at}, 1] must be a real number in (-inf, inf), got {shown}")):
+        check_real("trace", trace, "(-inf, inf)")
+
+
+def test_a_trace_of_numpy_scalars_and_ints_is_accepted():
+    model = LcaModel(prevalences=np.array([[0.5]]), mixing=np.array([[1.0]]),
+                     trace=(np.float64(-3.0), -2, np.float32(-1.5), -1.25))
+    assert model.trace == (-3.0, -2.0, -1.5, -1.25)
+    assert all(type(v) is float for v in model.trace)
 
 
 def test_lca_model_validation():
