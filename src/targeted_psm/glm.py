@@ -15,10 +15,13 @@ and updates the gradient from contiguous copies of the Gram's columns; it
 rounds exactly as the plain numpy-scalar loop would.  The active list is
 rebuilt only after a sweep that set some coordinate to zero, the one event
 that can shrink it.  The logistic family rebuilds the Gram on every IRLS
-pass, from one sigmoid of the linear predictor; the gaussian family, whose
-IRLS weights and working response never change, builds it once per solve.
-The penalty always applies to the coefficients on the original scale, which
-is also the scale of the returned solution.
+pass, from one sigmoid of the linear predictor.  The gaussian loss is one
+quadratic in beta, so a gaussian solve reduces the rows once to their
+sufficient statistics (the bitwise symmetric weighted Gram, the weighted
+cross moment with y - offset, and the loss at beta = 0) and evaluates every
+objective, step and KKT gradient from them in O(d^2), without touching the
+rows again.  The penalty always applies to the coefficients on the original
+scale, which is also the scale of the returned solution.
 """
 
 from __future__ import annotations
@@ -160,6 +163,12 @@ def kkt_residual(prob: WeightedGlmProblem, beta: np.ndarray) -> float:
     eta = prob.offset + prob.X @ beta
     W = prob.weights.sum()
     s = prob.X.T @ (prob.weights * (prob.family.mean(eta) - prob.y)) / W
+    return _kkt_violation(prob, s, beta)
+
+
+def _kkt_violation(prob: WeightedGlmProblem, s: np.ndarray, beta: np.ndarray) -> float:
+    """kkt_residual's violation rule, given the smooth gradient s at beta
+    (both on the original scale)."""
     viol = np.abs(s)  # unpenalized default
     pen = prob.penalize_mask
     nz = pen & (beta != 0.0)
@@ -189,7 +198,8 @@ def _cd_quadratic(A, b, pen, beta0, tol, max_sweeps):
     (j, b_j, A_jj, pen_j, column), and the gradient is read through a
     memoryview of the cache, which yields Python floats.  The covariance
     update reads contiguous copies of A's columns (A's rows would do only if
-    the Gram were bitwise symmetric, and it is not) and stays a multiply
+    A were bitwise symmetric, which the gaussian Gram is and the logistic
+    Gram is not) and stays a multiply
     followed by a separate add, so every element is rounded as in a plain
     `grad += A[:, j] * diff`; the step reaches the multiply through a
     reusable 0-d float64 buffer, so no Python float is converted per call.
@@ -255,46 +265,78 @@ def _cd_quadratic(A, b, pen, beta0, tol, max_sweeps):
 
 
 def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) -> LassoSolution:
-    """Solve the weighted lasso-GLM problem; `init` warm-starts the solver
-    (original scale).  The stopping rules are the module's DEFAULT_*
-    constants.  Raises SolverError (best iterate attached) if IRLS stalls
-    (STALL_FACTOR, STALL_PASSES) or hits its pass cap without reaching the
-    KKT tolerance."""
+    """Solve the weighted lasso-GLM problem; `init` (a length-d vector of
+    real numbers, original scale) warm-starts the solver.  The stopping
+    rules are the module's DEFAULT_* constants.  Raises SolverError (best
+    iterate attached) if IRLS stalls (STALL_FACTOR, STALL_PASSES) or hits
+    its pass cap without reaching the KKT tolerance, and ValueError if the
+    problem's sums overflow."""
     X, y, w, offset = prob.X, prob.y, prob.weights, prob.offset
     n, d = X.shape
+    if init is not None:
+        check_real("init", init, "(-inf, inf)")
+        if np.shape(init) != (d,):
+            raise ValueError(f"init must be a length-{d} vector, got shape {np.shape(init)}")
     W = w.sum()
+    gaussian = prob.family.kind == "gaussian"
+
+    mean1 = (w @ X) / W
+    if gaussian:
+        # Sufficient statistics of the quadratic loss: Z'Z takes numpy's
+        # syrk path, so G is bitwise symmetric, and its diagonal holds the
+        # columns' weighted second moments.
+        Z = X * np.sqrt(w)[:, None]
+        G = Z.T @ Z / W
+        g = X.T @ (w * (y - offset)) / W
+        check_real("Gram", G, "(-inf, inf)")
+        check_real("cross moment", g, "(-inf, inf)")
+        loss_at_zero = float(w @ neg_log_lik_glm(prob.family, y, offset)) / W
+        mean2 = np.diag(G)
+    else:
+        mean2 = (w @ np.square(X)) / W
 
     # Standardize columns to unit weighted variance; constant columns keep
     # scale 1 (the intercept column lands here).
-    mean1 = (w @ X) / W
-    mean2 = (w @ np.square(X)) / W
     var = np.maximum(mean2 - np.square(mean1), 0.0)
     scale = np.sqrt(var)
     scale[scale < 1e-12] = 1.0
-    Xs = X / scale
 
     # Penalty factors in the scaled coordinates: lam * |beta_j| transforms to
     # (lam / s_j) * |beta_s_j|.
     pen = np.where(prob.penalize_mask, prob.lam, 0.0) / scale
 
     beta_s = np.zeros(d) if init is None else np.asarray(init, dtype=float) * scale
-    eta = offset + Xs @ beta_s
 
-    gaussian = prob.family.kind == "gaussian"
+    # objective(beta_s) -> (true objective, linear predictor or None) and
+    # kkt_of(beta_s) -> KKT residual at beta_s / scale, per family.
+    if gaussian:
+        # Unit curvature and a fixed working response: the IRLS quadratic is
+        # the loss itself, the same on every pass.
+        A, b = G / np.outer(scale, scale), g / scale
 
-    def true_objective(beta_s_vec, eta_vec):
-        loss = float(w @ neg_log_lik_glm(prob.family, y, eta_vec)) / W
-        return loss + _penalty_value(pen, beta_s_vec)
+        def objective(beta_s_vec):
+            value = (loss_at_zero + 0.5 * float(beta_s_vec @ (A @ beta_s_vec))
+                     - float(b @ beta_s_vec) + _penalty_value(pen, beta_s_vec))
+            check_real("objective", value, "(-inf, inf)")
+            return value, None
 
-    obj = true_objective(beta_s, eta)
+        def kkt_of(beta_s_vec):
+            return _kkt_violation(prob, (A @ beta_s_vec - b) * scale, beta_s_vec / scale)
+    else:
+        Xs = X / scale
+
+        def objective(beta_s_vec):
+            eta_vec = offset + Xs @ beta_s_vec
+            loss = float(w @ neg_log_lik_glm(prob.family, y, eta_vec)) / W
+            return loss + _penalty_value(pen, beta_s_vec), eta_vec
+
+        def kkt_of(beta_s_vec):
+            return kkt_residual(prob, beta_s_vec / scale)
+
+    obj, eta = objective(beta_s)
     best_obj, best_beta = obj, beta_s.copy()
     best_kkts = []  # the lowest KKT residual so far, after each pass
     outer_used = 0
-
-    if gaussian:
-        # Unit curvature and a fixed working response: the IRLS quadratic is
-        # the same on every pass.
-        A, b = _irls_quadratic(Xs, w, y - offset, W)
 
     for outer in range(1, DEFAULT_MAX_IRLS + 1):
         outer_used = outer
@@ -312,8 +354,7 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
         accepted = None
         for _ in range(40):
             cand = beta_s + t * step_dir
-            cand_eta = offset + Xs @ cand
-            cand_obj = true_objective(cand, cand_eta)
+            cand_obj, cand_eta = objective(cand)
             if cand_obj <= obj + 1e-12:
                 accepted = (cand, cand_eta, cand_obj)
                 break
@@ -328,7 +369,7 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
         if obj < best_obj:
             best_obj, best_beta = obj, beta_s.copy()
 
-        kkt = kkt_residual(prob, beta_s / scale)
+        kkt = kkt_of(beta_s)
         if kkt <= DEFAULT_KKT_TOL and max_move <= DEFAULT_TOL_CD:
             return LassoSolution(
                 beta=beta_s / scale,
@@ -345,7 +386,7 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
         beta=best_beta / scale,
         objective=best_obj,
         n_iters=outer_used,
-        kkt_max_violation=kkt_residual(prob, best_beta / scale),
+        kkt_max_violation=kkt_of(best_beta),
     )
     if best.kkt_max_violation <= DEFAULT_KKT_TOL:
         return best

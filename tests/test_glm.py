@@ -156,17 +156,98 @@ def test_warm_start_at_solution_is_stationary():
 
 @pytest.mark.parametrize("seed", [2, 5], ids=["logistic", "gaussian"])
 def test_converged_solve_evaluates_kkt_once_per_pass(seed, monkeypatch):
+    # Both families apply the one violation rule: the logistic solve to the
+    # gradient over the rows, the gaussian solve to the gradient of its
+    # quadratic.
     prob = _problem_from_raw(random_glm_problem(seed))
-    calls = []
+    rule, calls = glm._kkt_violation, []
 
     def counted(*args):
         calls.append(1)
-        return kkt_residual(*args)
+        return rule(*args)
 
-    monkeypatch.setattr(glm, "kkt_residual", counted)
+    monkeypatch.setattr(glm, "_kkt_violation", counted)
     sol = solve_weighted_lasso_glm(prob)
     assert sol.kkt_max_violation <= glm.DEFAULT_KKT_TOL
     assert len(calls) == sol.n_iters
+
+
+def _gaussian_case(feature, lam):
+    """A gaussian problem with an unpenalized intercept column and one
+    feature of the rows that the gaussian solve sees only through its
+    sufficient statistics."""
+    rng = np.random.default_rng(25)
+    n, d = (6, 9) if feature == "n < d" else (80, 6)
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, d - 1)) + 0.3])
+    y = X @ rng.normal(0.0, 0.7, d) + rng.standard_normal(n)
+    weights = rng.uniform(0.2, 2.0, n)
+    offset = None
+    if feature == "zero weights":
+        weights[::4] = 0.0
+    elif feature == "constant column":
+        X[:, 2] = 3.0
+    elif feature == "zero column":
+        X[:, 3] = 0.0
+    elif feature == "offset":
+        offset = rng.normal(0.0, 0.5, n)
+    mask = np.ones(d, dtype=bool)
+    mask[0] = False
+    return WeightedGlmProblem(family=GlmFamily.gaussian(), X=X, y=y, weights=weights,
+                              lam=lam, penalize_mask=mask, offset=offset)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05, np.inf], ids=["lam0", "lam0.05", "laminf"])
+@pytest.mark.parametrize("feature", ["plain", "zero weights", "constant column",
+                                     "zero column", "offset", "n < d"])
+def test_the_gaussian_solve_agrees_with_the_rows(feature, lam, monkeypatch):
+    # The objective and KKT residual a gaussian solve reports from its
+    # sufficient statistics are the ones the rows give, from a cold start and
+    # from a warm start at its own optimum, and every quadratic it hands the
+    # CD kernel is bitwise symmetric.
+    prob = _gaussian_case(feature, lam)
+    kernel, grams = glm._cd_quadratic, []
+
+    def capture(*args):
+        grams.append(np.copy(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(glm, "_cd_quadratic", capture)
+    cold = solve_weighted_lasso_glm(prob)
+    warm = solve_weighted_lasso_glm(prob, init=cold.beta)
+    for sol in (cold, warm):
+        assert sol.objective == pytest.approx(objective_value(prob, sol.beta), rel=1e-12)
+        assert abs(sol.kkt_max_violation - kkt_residual(prob, sol.beta)) <= 1e-12
+    assert grams
+    for A in grams:
+        assert A.tobytes() == A.T.copy().tobytes()
+
+
+@pytest.mark.parametrize("kind", ["logistic", "gaussian"])
+@pytest.mark.parametrize("init, message", [
+    ([0.5], "init must be a length-4 vector, got shape (1,)"),
+    ([True, 0, 0, 0], "init[0] must be a real number in (-inf, inf), got True"),
+    (["1", 0, 0, 0], "init[0] must be a real number in (-inf, inf), got '1'"),
+    ([np.nan] * 4, "init[0] must be a real number in (-inf, inf), got nan"),
+], ids=["short", "bool", "string", "nan"])
+def test_a_warm_start_is_a_length_d_real_vector(kind, init, message, rng):
+    X = rng.standard_normal((30, 4))
+    y = (rng.random(30) < 0.5).astype(float)
+    fam = GlmFamily.logistic() if kind == "logistic" else GlmFamily.gaussian()
+    prob = WeightedGlmProblem(family=fam, X=X, y=y, weights=np.ones(30), lam=0.05)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_weighted_lasso_glm(prob, init=init)
+
+
+def test_an_overflowing_gaussian_gram_is_refused(rng):
+    # Predictors near 1e160 square past the float range: the solve refuses
+    # the Gram they give before any IRLS pass.
+    X = rng.standard_normal((30, 3)) * 1e160
+    y = rng.standard_normal(30)
+    prob = WeightedGlmProblem(family=GlmFamily.gaussian(), X=X, y=y,
+                              weights=np.ones(30), lam=0.05)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(
+            "Gram[0, 0] must be a real number in (-inf, inf), got inf")):
+        solve_weighted_lasso_glm(prob)
 
 
 def test_solution_objective_never_above_zero_start():
@@ -217,7 +298,8 @@ def cd_quadratics(draw):
     M = rng.standard_normal((n, d))
     M[:, rng.random(d) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
     w = rng.uniform(0.1, 2.0, n)
-    # the Gram formula the solver uses, which is not bitwise symmetric
+    # the logistic Gram formula, which is not bitwise symmetric (the
+    # gaussian solve's syrk Gram is)
     A = (M * w[:, None]).T @ M / w.sum()
     b = rng.standard_normal(d) * draw(st.sampled_from([0.1, 1.0, 10.0]))
     pen = rng.choice([0.0, 0.05, 0.5, np.inf], size=d)
