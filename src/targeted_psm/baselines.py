@@ -28,6 +28,7 @@ from .lca import LcaFitConfig, LcaModel
 from .transfer import (
     TransferConfig,
     TransferFit,
+    check_stage_outcomes,
     fit_targeted_psm,
     joint_estimate,
     predict_risk,
@@ -97,6 +98,7 @@ def fit_method(
         target = data.target
         family.validate_outcomes(target.outcomes)
         alone = StudyCollection(target=target)
+        check_stage_outcomes(alone, family, "pool", config.lambda_pool)
         ones = MembershipMatrix(probs=(np.ones((target.n, 1)),))
         lam = resolve_penalties(config.lambda_pool, "pool", alone, ones, config, family)
         coef = joint_estimate(alone, ones, config, family, lam)[0]

@@ -7,31 +7,19 @@ Subcommands
     experiment    paired method comparison over seeded replicates
     lca-select    BIC table over candidate class counts
 
-Configuration is a single JSON file with optional blocks:
-
-    {
-      "scenario":   { "preset": "figure1-mini", ...ScenarioConfig fields },
-      "methods":    ["targeted_psm", "naive_lasso", ...],
-      "tuning":     { ...TransferConfig fields },
-      "lca":        { ...LcaFitConfig fields },
-      "experiment": { "replicates": 20, "test_n": 500,
-                      "scenarios": [{"id": "K2", "K": 2}, ...] }
-    }
-
-Precedence for shared settings: command-line flag > config file > default.
-The experiment block's counts (`replicates`, `test_n`) have no flag.  No
-setting is read from the environment: `simulate` and `experiment` require
-`--out`.
+Configuration is a single JSON file of optional blocks: "scenario"
+(ScenarioConfig fields or a preset), "methods", "tuning" (TransferConfig),
+"lca" (LcaFitConfig) and "experiment"; the README's "Command line" section
+states the schema, the flags and the exit codes.
 
 `fit` and `lca-select` leave to the library whether a dataset can be fitted
 with the run's settings (outcomes that suit the family, a class count at
-most the subject count, penalties the stages can serve); its refusal,
-made before any fitting, is printed as one `error: <data dir>: ...` line.
+most the subject count, penalties the stages can serve); `_run_on_data`
+turns its refusal into a DataError naming the data directory.
 
 No subcommand keeps a pool of worker processes: `experiment` runs its
 replicates one after another, and the latent class restarts and the study
-file I/O run on every CPU of the affinity mask through `_parallel.fan_out`
-(`taskset -c 0` makes a run serial).
+file I/O run on every CPU of the affinity mask through `_parallel.fan_out`.
 """
 
 from __future__ import annotations

@@ -14,16 +14,9 @@ Conventions used throughout the package:
   `check_real` (real numbers in an interval, or in the set {0, 1}),
   called before the input is converted.
 
-Study files run on every CPU of the process's affinity mask
-(`_parallel.fan_out`).  Every numeric CSV the package writes goes through
-`_write_rows`, which formats the rows in blocks of `_BLOCK_VALUES` values,
-one task each, and writes them in order; `write_manifest` writes each study
-file as its own task, or a collection of fewer than `_BLOCK_VALUES` values
-as one.  `read_study_csv` parses a file's data lines in byte ranges of
-`_RANGE_BYTES`, one task each, and locates a bad line itself once a task
-fails.  Files and arrays are byte for byte those of a serial `np.savetxt` /
-`np.loadtxt`, and a file of one block or one range, or a collection below
-one block, is handled in the caller without forking.
+Every numeric CSV is written by `_write_rows` (through `write_study_csv`,
+`write_scores_csv` and `write_manifest`) and every study file read by
+`read_study_csv`; their docstrings say how each spreads over the CPUs.
 """
 
 from __future__ import annotations
@@ -47,13 +40,11 @@ ETA_CLAMP = 700.0
 # Global floor/ceiling for membership and prevalence probabilities.
 EPS_CLIP = 1e-6
 
-# read_study_csv parses a file's data lines in ranges of this many bytes, one
-# fan_out task each; a smaller body is parsed in the caller.
+# Bytes per parse task of read_study_csv.
 _RANGE_BYTES = 1 << 19
 
-# _write_rows formats a file's rows in blocks of this many values (whole rows,
-# at least one), one fan_out task each; write_manifest writes a collection of
-# fewer values as one task, in the caller.
+# Values per format task of _write_rows, and write_manifest's floor for one
+# task per study file.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -541,7 +532,9 @@ def _write_rows(path, header: str, rows: np.ndarray) -> None:
     """Write `header` and the rows of a 2-d float array to `path`, byte for
     byte as np.savetxt(path, rows, fmt="%.17g", delimiter=",",
     header=header, comments="") writes them.  The rows are formatted in
-    blocks of _BLOCK_VALUES values, one fan_out task each."""
+    blocks of _BLOCK_VALUES values (whole rows, at least one), one fan_out
+    task each, and written in order; a file of one block is formatted in
+    the caller without forking."""
     step = max(_BLOCK_VALUES // rows.shape[1], 1)
     blocks = fan_out(_format_rows, [rows[i : i + step] for i in range(0, rows.shape[0], step)])
     with open(path, "wb") as fh:
@@ -635,11 +628,13 @@ def _read_range(job) -> np.ndarray:
 
 def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
     """Read one study CSV.  The header must be y,x1..xp,z1..zq exactly, as
-    write_study_csv writes it; p and q are inferred from it.
+    write_study_csv writes it; p and q are inferred from it and, when given
+    (load_collection passes the target's for each source), must match it.
 
     The data lines are parsed by np.loadtxt in byte ranges of _RANGE_BYTES,
-    fanned out over the CPUs (a line belongs to the range it starts in), so
-    the rows are bit for bit those of one np.loadtxt over the file.  A
+    fanned out over the CPUs (a line belongs to the range it starts in; a
+    file of one range is parsed in the caller without forking), so the rows
+    are bit for bit those of one np.loadtxt over the file.  A
     malformed line is a ValueError naming the file and the 1-based number of
     its first bad line, which the lowest failing range finds by a bisection
     over its own lines; every earlier range parsed clean.

@@ -5,17 +5,11 @@ Minimizes, over beta,
     (1/W) * sum_i w_i * [ -y_i * eta_i + g(eta_i) ]  +  lam * sum_{j penalized} |beta_j|
 
 with eta_i = offset_i + x_i' beta and W = sum_i w_i.  The solver runs cyclic
-coordinate descent on the IRLS quadratic with covariance updates (each sweep
-costs O(d^2) after an O(n d^2) Gram build), an active-set strategy (full
-sweep, iterate on the active set, confirming full sweep), and internal
-standardization of the columns to unit weighted variance.  The sweep keeps
-its per-coordinate scalars as Python floats, reads the gradient through a
-memoryview, hands each step to the update through a reusable 0-d buffer,
-and updates the gradient from contiguous copies of the Gram's columns; it
-rounds exactly as the plain numpy-scalar loop would.  The active list is
-rebuilt only after a sweep that set some coordinate to zero, the one event
-that can shrink it.  The logistic family rebuilds the Gram on every IRLS
-pass, from one sigmoid of the linear predictor.  The gaussian loss is one
+coordinate descent with covariance updates and an active set on the IRLS
+quadratic (`_cd_quadratic`; each sweep costs O(d^2) after an O(n d^2) Gram
+build), with the columns standardized internally to unit weighted
+variance.  The logistic family rebuilds the Gram on every IRLS pass, from
+one sigmoid of the linear predictor.  The gaussian loss is one
 quadratic in beta, so a gaussian solve reduces the rows once to their
 sufficient statistics (the bitwise symmetric weighted Gram, the weighted
 cross moment with y - offset, and the loss at beta = 0) and evaluates every
@@ -199,10 +193,10 @@ def _cd_quadratic(A, b, pen, beta0, tol, max_sweeps):
     memoryview of the cache, which yields Python floats.  The covariance
     update reads contiguous copies of A's columns (A's rows would do only if
     A were bitwise symmetric, which the gaussian Gram is and the logistic
-    Gram is not) and stays a multiply
-    followed by a separate add, so every element is rounded as in a plain
-    `grad += A[:, j] * diff`; the step reaches the multiply through a
-    reusable 0-d float64 buffer, so no Python float is converted per call.
+    Gram is not) and stays a multiply followed by a separate add, so every
+    element is rounded as in a plain `grad += A[:, j] * diff`; the step
+    reaches the multiply through a reusable 0-d float64 buffer, so no Python
+    float is converted per call.
     The active list changes only when a visited coordinate's new value
     compares equal to 0.0, a threshold step that underflows to +-0.0 included
     (an active sweep visits no inactive coordinate), so it is rebuilt only

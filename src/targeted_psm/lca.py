@@ -10,49 +10,11 @@ marginal likelihood
 with multiple random restarts.  Classes are reported in canonical order:
 descending target-study mixing weight.
 
-The likelihood sees the data only through which z-pattern each subject of
-each study has, so the E-step's row math (log densities, log-sum-exp,
-posteriors) runs once per occupied (study, pattern) cell, in place, and is
-gathered back to the subject rows.  Every reduction (the log-likelihood sum
-and the M-step sums) still adds each study's subject rows in their stacked
-order, so the fit is bit for bit what a row-by-row E-step gives; weighting
-cells by their counts would reorder those sums.
-
-An EM step writes the cell posteriors into an (m+1, C) array whose last
-row is zeros.  The posterior column sums of all studies come from one
-reduction: that array is gathered into an (n_max, K+1, C) block whose column k holds
-study k's rows in stacked order, padded with the zero row to the largest
-study size n_max.  numpy sums axis 0 of that block one row at a time, so
-each study's sums add its rows in the order a per-study sum does, and the
-padding adds only +0.0, which leaves every (non-negative) sum unchanged.
-The block holds n_max*(K+1)*C values per EM step: as many as the gathered
-posteriors (n*C) when the studies are of equal size, up to K+1 times that
-when one study dominates.  The M-step's class totals are the sums of those
-column sums over the studies (one reduction over the outer axis, which adds
-the studies in order, as a loop from 0.0 does), and the mixing rows are
-the column sums over the study sizes.  Two sums stay in a per-study loop:
-each study's log-likelihood is a pairwise `.sum()` over its rows, whose
-blocking a segmented reduction (`np.add.reduceat`) or a padded one would
-change, and each study's prevalence numerator is its own `post[rows].T @ Z`
-product, whose BLAS summation order a product over all rows, or over the
-block's strided per-study view (numpy takes BLAS's matrix-vector path at
-q = 1), would change.
-
-A lone row goes to `_log_density_matrix` as the first of two equal rows,
-so it takes BLAS's matrix-matrix kernel like a batch: for C >= 2 a cell's
-log densities, and so its posterior, do not depend on the batch it is
-evaluated in.
-
-Each restart iterates on plain prevalence and mixing arrays and builds one
-LcaModel from its result, so the model's checks run once per restart, not
-once per EM step.  The restarts are independent EM runs, so `fit_lca`
-spreads them over the CPUs in the process's affinity mask, the calling
-process working a share and forked children the rest
-(`_parallel.fan_out`).  The results are the bytes of a serial loop: every
-initial model is drawn first, in restart order, from the one 'lca-init'
-stream, and the winner is picked from the restarts in restart order.  The restarts run serially with one CPU (e.g.
-under `taskset -c 0`), one restart, no `os.fork`, inside a multiprocessing
-worker (a caller's own pool), or while other Python threads run.
+The likelihood sees the data only through each subject's (study,
+z-pattern) cell, so the E-step's row math runs once per occupied cell
+(`_CellIndex`), while every sum still adds each study's subject rows in
+their stacked order (`_em_step`): a fit is bit for bit what a row-by-row
+E-step gives.
 
 The module's two discrete choices and its stop test are the package's own
 rules, with module constants: `fit_lca` keeps the restart `core.first_best`
@@ -197,6 +159,12 @@ def _log_density_matrix(prevalences: np.ndarray, Z: np.ndarray) -> np.ndarray:
 class _CellIndex:
     """A collection's subject rows grouped into (study, pattern) cells.
 
+    The E-step's row math (log densities, log-sum-exp, posteriors) runs
+    once per occupied cell, in place, and is gathered back to the subject
+    rows: at most min(n_k, 2^q) cells per study, instead of n_k rows.
+    Sums over subjects still run over the gathered rows: weighting cells by
+    their counts would reorder those sums.
+
     cell_z       (m, q) z-pattern of each occupied cell
     cell_study   (m,) study row of each occupied cell
     n_patterns   number of distinct z-patterns over all studies
@@ -204,7 +172,7 @@ class _CellIndex:
     study_cells  (n_max, K+1) row_cell laid out one study per column, in
                  stacked order, padded below each study's rows to the
                  largest study size n_max with m: the index of a zero row
-                 after the cell posteriors (see the module docstring)
+                 after the cell posteriors (see _study_column_sums)
     sizes        (K+1,) study sizes as floats
     slices       per-study slices into the stacked rows
     blocks       per-study z blocks, which the M-step products read
@@ -269,8 +237,17 @@ def _cell_posteriors(prevalences, mixing, cell_z: np.ndarray, cell_study: np.nda
 def _study_column_sums(padded: np.ndarray, index: _CellIndex) -> np.ndarray:
     """(K+1, C) column sums of each study's row posteriors, gathered from
     `padded`, the (m, C) cell posteriors followed by one zero row, each
-    adding its rows in stacked order: one reduction over the padded layout
-    of the module docstring."""
+    adding its rows in stacked order.
+
+    One reduction serves every study: `padded` is gathered into an
+    (n_max, K+1, C) block whose column k holds study k's rows in stacked
+    order, padded with the zero row to the largest study size n_max.  numpy
+    sums axis 0 of that block one row at a time, so each study's sums add
+    its rows in the order a per-study sum does, and the padding adds only
+    +0.0, which leaves every (non-negative) sum unchanged.  The block holds
+    n_max*(K+1)*C values: as many as the gathered posteriors (n*C) when the
+    studies are of equal size, up to K+1 times that when one study holds
+    nearly every row."""
     return padded.take(index.study_cells, axis=0).sum(axis=0)
 
 
@@ -303,10 +280,17 @@ def _em_step(prevalences: np.ndarray, mixing: np.ndarray, index: _CellIndex):
     *input* params).
 
     Each sum adds a study's subject rows in stacked order, the same terms
-    in the same order as a row-wise E-step (see the module docstring).  The
-    column sums of every study come from one padded reduction, and their
-    sum over the studies (`den`) from one reduction over the outer axis,
-    which adds the studies one after another as a loop from 0.0 does.
+    in the same order as a row-wise E-step.  The column sums of every study
+    come from one padded reduction (_study_column_sums); the class totals
+    are their sum over the studies, one reduction over the outer axis,
+    which adds the studies one after another as a loop from 0.0 does, and
+    the mixing rows are the column sums over the study sizes.  Two sums stay
+    in a per-study loop: each study's log-likelihood is a pairwise `.sum()`
+    over its rows, whose blocking a segmented reduction (`np.add.reduceat`)
+    or a padded one would change, and each study's prevalence numerator is
+    its own `post[rows].T @ Z` product, whose BLAS summation order a product
+    over all rows, or over the block's strided per-study view (numpy takes
+    BLAS's matrix-vector path at q = 1), would change.
     """
     m = index.cell_z.shape[0]
     padded = np.empty((m + 1, mixing.shape[1]))
@@ -331,7 +315,8 @@ def _run_em(init: LcaModel, index: _CellIndex) -> LcaModel:
     """One EM restart from `init`, on plain arrays, stopped by
     core.em_converged on the log-likelihood change with the module's
     DEFAULT_TOL_LCA and STOP_FLOOR, or after DEFAULT_MAX_ITER_LCA steps,
-    each read on every call.  Only the result is an LcaModel."""
+    each read on every call.  Only the result is an LcaModel, so the
+    model's checks run once per restart, not once per EM step."""
     prevalences, mixing = init.prevalences, init.mixing
     trace = []
     converged = False
@@ -364,9 +349,11 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     (0.2, 0.8), mixing rows flat-Dirichlet) and keeps the restart that
     core.first_best picks on their -log-likelihoods at RESTART_RTOL, in
     restart order: the best final log-likelihood, the earliest restart on a
-    tie.  The restarts run on the
-    CPUs of the process's affinity mask, with results identical to a serial
-    run (see the module docstring for when they run serially).  C = 1 has
+    tie.  The restarts are independent EM runs, spread over the CPUs of the
+    process's affinity mask by `_parallel.fan_out` (whose docstring says
+    when they run serially), with the bytes of a serial loop: every initial
+    model is drawn first, in restart order, from the one 'lca-init' stream,
+    and the winner is picked in restart order.  C = 1 has
     a closed form and consumes no randomness.  Putting the winner's classes
     in canonical order keeps its `log_lik`, the last trace value, to the bit:
     the log-likelihood's reductions are sorted.

@@ -19,12 +19,13 @@ increase the penalized marginal objective
 
 Each decision is made in one place: `_stage_data` picks a stage's studies
 (every study for "pool", the target for "bias"), whose rows `_stage_rows`
-stacks and whose folds `_check_foldable` checks, `resolve_penalties` turns
-a penalty setting into per-class numbers (per-class CV when "auto"), and
-`_log_joint` builds log v + log f(y | eta), from which one EM iteration
-takes both its objective value and the next E-step.  The CV choice and the stop test of both loops are
-the package's rules, `core.first_best` at CV_RTOL and `core.em_converged`
-at DEFAULT_TAU with STOP_FLOOR.
+stacks, whose outcomes `check_stage_outcomes` checks and whose folds
+`_check_foldable` checks, `resolve_penalties` turns a penalty setting into
+per-class numbers (per-class CV when "auto"), and `_log_joint` builds
+log v + log f(y | eta), from which one EM iteration takes both its
+objective value and the next E-step.  The CV choice and the stop test of
+both loops are the package's rules, `core.first_best` at CV_RTOL and
+`core.em_converged` at DEFAULT_TAU with STOP_FLOOR.
 """
 
 from __future__ import annotations
@@ -378,6 +379,24 @@ def _stage_rows(data: StudyCollection, memberships: MembershipMatrix, stage: str
     return y, X, study_index, np.vstack(memberships.probs[: studies.K + 1])
 
 
+def check_stage_outcomes(data: StudyCollection, family: GlmFamily, stage: str, setting) -> None:
+    """ValueError when a logistic stage's outcomes take one value and some
+    class of the stage has a finite penalty ("auto" or numeric).  Such a
+    fit has no finite optimum: its unpenalized intercept runs toward
+    -inf or inf until the solver's pass cap.  A stage whose penalties are
+    all inf is frozen, solves nothing, and passes."""
+    if family.kind != "logistic":
+        return
+    if not isinstance(setting, str) and np.all(np.asarray(setting, dtype=float) == np.inf):
+        return
+    y = np.concatenate([s.outcomes for s in _stage_data(data, stage).studies])
+    if np.unique(y).size < 2:
+        raise ValueError(
+            f"every y of the {stage} stage is {y[0]:g}, so its logistic fit has no finite "
+            f"optimum; give lambda_{stage}=inf to freeze the stage"
+        )
+
+
 def _check_foldable(data: StudyCollection, family: GlmFamily, stage: str, cv_folds: int) -> None:
     """ValueError unless 'auto' tuning of a stage can build cv_folds folds.
     Folds are filled within each study (_stratified_folds), so fold f gets
@@ -386,11 +405,6 @@ def _check_foldable(data: StudyCollection, family: GlmFamily, stage: str, cv_fol
     every fold, so it needs at least cv_folds events and non-events."""
     studies = _stage_data(data, stage)
     y = np.concatenate([s.outcomes for s in studies.studies])
-    if family.kind == "logistic" and np.unique(y).size < 2:
-        raise ValueError(
-            f"'auto' tuning of lambda_{stage} needs both outcome values, but every "
-            f"y of the {stage} stage is {y[0]:g}; give lambda_{stage} a numeric value"
-        )
     fix = f"lower cv_folds or give lambda_{stage} a numeric value"
     largest = max(studies.sizes)
     if largest < cv_folds:
@@ -437,10 +451,10 @@ def auto_tune_lambda(
     at CV_RTOL: the candidates descend, so a tie goes to the larger penalty.
 
     A stage whose largest study has fewer rows than cv_folds has no usable
-    folds, nor has a logistic stage whose y takes one value (say, a target
-    study with no events), has fewer of either value than cv_folds, or
-    whose folds stay single-valued in y after five tries: ValueError names
-    the stage and asks for fewer folds or a numeric penalty.
+    folds, nor has a logistic stage with fewer events or non-events than
+    cv_folds (a target study with no events, say), or whose folds stay
+    single-valued in y after five tries: ValueError names the stage and
+    asks for fewer folds or a numeric penalty.
     """
     y, X, study_index, v_rows = _stage_rows(data, memberships, stage)
     check_count("cv_folds", cv_folds, 2)
@@ -664,6 +678,12 @@ def fit_targeted_psm(
     model is fitted here (seeded from lca_config, falling back to the
     transfer seed).  With n_classes=1 the membership model is the trivial
     single-class one and the procedure reduces to pooled lasso + correction.
+
+    Before step 1 it refuses (ValueError) outcomes outside the family, a
+    class count that is not an integer >= 1, and a penalty setting a stage
+    cannot serve: a single-valued logistic stage with a finite penalty
+    (check_stage_outcomes), "auto" without usable folds (_check_foldable)
+    or a per-class list of another length.
     """
     config = config or TransferConfig()
     family = family or GlmFamily.logistic()
@@ -672,6 +692,7 @@ def fit_targeted_psm(
     check_count("n_classes", n_classes, 1)
     # A penalty setting the data cannot serve is refused before any fitting.
     for stage, setting in (("pool", config.lambda_pool), ("bias", config.lambda_bias)):
+        check_stage_outcomes(data, family, stage, setting)
         if isinstance(setting, str):
             _check_foldable(data, family, stage, config.cv_folds)
         else:

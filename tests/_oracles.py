@@ -3,7 +3,9 @@
 Everything here is written from scratch against the same mathematical
 definitions the package implements, using different algorithms (proximal
 gradient + Newton polish instead of IRLS coordinate descent, least squares
-via lstsq, O(n^2) pair counting for AUC) so that agreement is meaningful.
+via lstsq, central finite differences, brute-force products for the latent
+class densities, O(n^2) pair counting for AUC) so that agreement is
+meaningful.
 The exceptions are `cd_quadratic_reference`, the solver's earlier
 coordinate-descent loop, `_sigmoid`, the logistic mean's earlier masked
 two-branch form, the `lca_*_reference` functions, the latent class model's

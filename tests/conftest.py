@@ -1,3 +1,8 @@
+"""Shared fixtures.  `tiny_scenario` is one small multi-study draw for the
+transfer, baseline and evaluation tests; the `cpus` fixture pretends a CPU
+count and counts forks (PretendCpus), so the fanned-out paths run on any
+host; and every test must end with no child process left."""
+
 import os
 
 import numpy as np

@@ -1,3 +1,9 @@
+"""Each comparator method is a preset of the two-step pipeline and equals the
+direct call it stands for; every method refuses a target without events
+by the same rule."""
+
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -73,6 +79,21 @@ def test_trans_glm_is_single_class_pipeline(mini_data):
     assert fit.n_classes == 1
     assert np.array_equal(fit.b_target.values, direct.b_target.values)
     assert np.array_equal(fit.b_target.intercept, direct.b_target.intercept)
+
+
+@pytest.mark.parametrize("method, stage", [
+    (MethodId.NAIVE_LASSO, "pool"),  # its own branch, without fit_targeted_psm
+    (MethodId.LCA_GLM, "pool"),      # the target alone, its correction frozen
+    (MethodId.TARGETED_PSM, "bias"),
+    (MethodId.TRANS_GLM, "bias"),
+])
+def test_a_target_without_events_is_refused_naming_the_stage(mini_data, method, stage):
+    target = replace(mini_data.target, outcomes=np.zeros(mini_data.target.n))
+    no_events = StudyCollection(target=target, sources=mini_data.sources)
+    with pytest.raises(ValueError, match=(
+            f"every y of the {stage} stage is 0, so its logistic fit has no finite optimum; "
+            f"give lambda_{stage}=inf to freeze the stage")):
+        fit_method(method, no_events, 2, _cfg(), GlmFamily.logistic())
 
 
 def test_lca_glm_has_zero_correction(mini_data):

@@ -1,3 +1,7 @@
+"""The command line end to end: each subcommand's output, the config blocks
+and their refusals, and the exit code and single error line of every
+configuration, file and data error."""
+
 import contextlib
 import io
 import json
@@ -59,6 +63,24 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("payload, message", [
+    (None, "cannot read config file: "),
+    ([], "config file must contain a JSON object at top level"),
+    ({"methods": []}, "methods must be a non-empty JSON list of method names"),
+    ({"experiment": {"scenarios": []}}, "experiment.scenarios must be a non-empty JSON list"),
+    ({"experiment": {"scenarios": [{"id": "a"}, {"K": 2}]}},
+     "experiment.scenarios[1] must be an object with an 'id'"),
+], ids=["unreadable", "not-an-object", "no-methods", "no-scenarios", "scenario-without-id"])
+def test_a_malformed_config_exits_2_with_one_config_error_line(tmp_path, capsys, payload,
+                                                               message):
+    # a directory in place of the file cannot be read
+    config = str(tmp_path) if payload is None else _write_config(tmp_path, payload)
+    assert main(["experiment", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {message}"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scenario_from_config_unknown_field():
@@ -173,6 +195,16 @@ def cli_fit(cli_workspace):
     return fit_path, printed.getvalue()
 
 
+def test_fit_verbose_adds_the_target_class_mixing(cli_workspace, cli_fit, capsys):
+    root, config, data_dir = cli_workspace
+    assert main(["fit", "--config", config, "--data", str(data_dir), "--classes", "3",
+                 "-v"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    mixing = load_transfer_fit(cli_fit[0]).lca_model.mixing[0]
+    assert printed[-1] == "class mixing (target row): " + np.array2string(mixing, precision=4)
+    assert printed[:-1] == cli_fit[1].splitlines()[:-1]  # the quiet run also named its file
+
+
 def test_fit_and_predict_roundtrip(cli_workspace, cli_fit, capsys):
     root, config, data_dir = cli_workspace
     fit_path, out = cli_fit
@@ -236,10 +268,17 @@ ONE_CLASS_FIT = {**NO_LCA_MODEL, "lca_model": _LCA_MODEL}
      (json.dumps({**ONE_CLASS_FIT, "trace_joint": ["1.5", True]}),
       "trace_joint[0] must be a real number in (-inf, inf), got '1.5'"),
      (json.dumps({**ONE_CLASS_FIT, "lca_model": {**_LCA_MODEL, "converged": "false"}}),
-      "converged must be a bool, got 'false'")],
+      "converged must be a bool, got 'false'"),
+     (json.dumps({**ONE_CLASS_FIT, "b_pooled": {**_COEF, "values": [0.5]}}),
+      "coefficient values must be a (p, C) matrix"),
+     (json.dumps({**ONE_CLASS_FIT, "lca_model": {**_LCA_MODEL, "prevalences": [0.5]}}),
+      "prevalences and mixing must be 2-d"),
+     (json.dumps({**ONE_CLASS_FIT, "lca_model": {**_LCA_MODEL, "mixing": [[0.5, 0.5]]}}),
+      "mixing columns must match the class count")],
     ids=["wrong-kind", "not-json", "no-lca-model", "true-dispersion", "string-dispersion",
          "true-penalty", "nan-penalty", "nan-prevalence", "string-coefficient", "true-mixing",
-         "string-trace", "string-converged"],
+         "string-trace", "string-converged", "1-d-coefficients", "1-d-prevalences",
+         "mixing-columns"],
 )
 def test_predict_with_a_malformed_fit_exits_2_naming_the_file(tmp_path, capsys, text, reason):
     bad = tmp_path / "bad_fit.json"
@@ -533,8 +572,8 @@ def test_auto_penalties_on_a_single_valued_target_exit_2_naming_the_setting(cli_
     })
     assert main(["fit", "--config", config, "--data", str(data), "--classes", "2"]) == 2
     assert _one_error_line(capsys) == (
-        f"error: {data}: 'auto' tuning of lambda_bias needs both outcome values, but every "
-        "y of the bias stage is 0; give lambda_bias a numeric value"
+        f"error: {data}: every y of the bias stage is 0, so its logistic fit has no finite "
+        "optimum; give lambda_bias=inf to freeze the stage"
     )
 
 
@@ -616,6 +655,9 @@ def test_a_failed_solve_in_fit_is_one_error_line(cli_workspace, tmp_path, capsys
         ("experiment", "scenario",
          {"prevalences": [[0.1, 0.5, 0.9, 0.1, 0.5], [0.9, 0.1, 0.5, 0.9, True], [0.5] * 5]},
          "prevalences[1, 4] must be a real number in (0, 1), got True"),
+        ("simulate", "scenario", {"prevalences": [[0.5] * 4] * 3},
+         "explicit prevalences must be (C, q)"),
+        ("simulate", "scenario", {"mixing": [[0.5, 0.3, 0.2]]}, "explicit mixing must be (K+1, C)"),
     ],
 )
 def test_a_bad_config_value_exits_2_naming_the_block(tmp_path, capsys, command, block, setting,
@@ -645,6 +687,8 @@ def test_lca_select_stars_the_smaller_class_count_on_a_bic_tie(cli_workspace, ca
         ({"prevalence_preset": "nope"}, "unknown prevalence preset 'nope'"),
         ({"q": 4}, "but the scenario asks for C=3, q=4"),
         ({"K": 11}, "n_sources of mixing preset 'small_diff' must be an integer in [0, 10], got 11"),
+        ({"n_classes": 2, "support_sizes": [1, 2], "prevalences": [[0.2] * 5, [0.8] * 5]},
+         "preset 'small_diff' has 3 classes, but the scenario asks for C=2"),
     ],
 )
 @pytest.mark.parametrize("command", ["simulate", "experiment"])

@@ -1,3 +1,10 @@
+"""GLM families, the package's shared rules (sorted reductions, first_best,
+em_converged, check_count), the study and matrix containers and their
+refusals, and the study CSV and manifest round trips.  The logistic mean
+matches its earlier masked two-branch form bit for bit (signed zeros, the
+clamp edges, subnormals, infinities and random scales), and clip_rows its
+earlier form (pinned, all-zero, negative and NaN rows)."""
+
 import re
 
 import numpy as np
@@ -430,6 +437,28 @@ def test_study_validation(rng):
             _mk_study(rng, study_id=study_id)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: clip_rows(np.full(3, 0.5)), "expected a 2-d array of row probabilities"),
+    (lambda: clip_rows(np.full((1, 10 ** 6), 1e-6)), "too many columns for the EPS_CLIP floor"),
+    (lambda: Study(np.zeros(4), np.zeros(4), np.zeros((4, 1)), 0),
+     "predictors and structure_vars must be 2-d"),
+    (lambda: Study(np.zeros(0), np.zeros((0, 2)), np.zeros((0, 1)), 0),
+     "a study needs at least one subject"),
+    (lambda: Study(np.zeros(4), np.zeros((3, 2)), np.zeros((4, 1)), 0),
+     "row counts of y, X, Z must agree"),
+    (lambda: MembershipMatrix(probs=()), "membership matrix needs at least one study block"),
+    (lambda: MembershipMatrix(probs=(np.full((2, 2), 0.5), np.full((2, 4), 0.25))),
+     "all study blocks must share the class count"),
+    (lambda: MembershipMatrix(probs=(np.array([[1.0, 0.0]]),)),
+     "membership entries must lie in [eps, 1 - eps]"),
+], ids=["clip_rows 1-d", "clip_rows too wide", "Study 1-d X", "Study no rows",
+        "Study row counts", "MembershipMatrix empty", "MembershipMatrix class counts",
+        "MembershipMatrix unclipped"])
+def test_a_container_of_the_wrong_shape_is_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def test_collection_sorts_sources_and_stacks(rng):
     target = _mk_study(rng, study_id=0)
     s2 = _mk_study(rng, n=5, study_id=2)
@@ -529,6 +558,19 @@ def test_read_study_csv_requires_the_written_header(tmp_path, header):
     path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
     with pytest.raises(ValueError, match="header must be"):
         read_study_csv(path, study_id=0)
+
+
+@pytest.mark.parametrize("width, message", [
+    (dict(p=2), "expected 3 predictor columns, found 2"),
+    (dict(q=3), "expected 2 structure columns, found 3"),
+])
+def test_a_source_of_another_width_is_refused(rng, tmp_path, width, message):
+    coll = StudyCollection(target=_mk_study(rng), sources=(_mk_study(rng, study_id=1),))
+    manifest = write_manifest(coll, tmp_path / "ds")
+    source = tmp_path / "ds" / "study_1.csv"
+    write_study_csv(_mk_study(rng, study_id=1, **width), source)
+    with pytest.raises(ValueError, match=re.escape(f"{source}: {message}")):
+        load_collection(manifest)
 
 
 def test_manifest_roundtrip_and_force(rng, tmp_path):

@@ -1,3 +1,8 @@
+"""Class alignment against scipy's Hungarian assignment, AUC against an
+O(n^2) pair count, the report CSVs, and the replicate harness:
+determinism, shared work between the targeted_psm variants, per-method
+errors, resume and the failure-rate guard."""
+
 import itertools
 import re
 from dataclasses import replace

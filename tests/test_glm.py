@@ -1,3 +1,12 @@
+"""The weighted lasso-GLM solver against independent oracles: the
+proximal-gradient lasso with KKT self-certification, closed-form weighted
+least squares and central finite differences.  The coordinate-descent sweep
+matches its earlier loop bit for bit on random quadratics, on planted
+mid-phase zeroings, underflows and emptied active sets, and on every
+quadratic of a CV-tuned fit, which is also refitted with the earlier sweep
+and sigmoid patched in.  Also the stall and pass-cap failures and the
+problem's refusals."""
+
 import re
 
 import numpy as np
@@ -401,6 +410,19 @@ def test_a_tuned_fit_is_bitwise_the_fit_of_the_reference_sweep_and_sigmoid(
 # ---------------------------------------------------------------------------
 # Problem validation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(X=np.zeros(10)), "X must be 2-d"),
+    (dict(weights=np.ones(9)), "inconsistent shapes among X, y, weights, mask"),
+    (dict(offset=np.zeros(9)), "offset must be a length-n vector"),
+], ids=["1-d X", "short weights", "short offset"])
+def test_a_problem_of_the_wrong_shape_is_refused(change, message):
+    ok = dict(family=GlmFamily.gaussian(), X=np.zeros((10, 3)), y=np.zeros(10),
+              weights=np.ones(10), lam=0.1)
+    WeightedGlmProblem(**ok)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WeightedGlmProblem(**{**ok, **change})
 
 
 def test_problem_validation(rng):

@@ -1,3 +1,10 @@
+"""The joint latent class model against brute-force mixture likelihoods and
+Bayes posteriors.  The EM step matches its earlier row-wise and cell-table
+forms bit for bit (one-row studies, one-cell tables, studies past numpy's
+8 192-element buffer), fanned-out restarts and class selections equal
+serial ones byte for byte, and each choice and stop test is the package's
+rule.  Also memberships, patterns, BIC, serialization and refusals."""
+
 import json
 import os
 import re

@@ -1,3 +1,8 @@
+"""The fork-join helper: results equal a serial map, the lowest-index failure
+is raised as a serial loop would raise it, dead children and failed forks
+are reported or absorbed, and each serial fallback (one CPU, no fork, a
+nested task, another thread, a multiprocessing worker) holds."""
+
 import multiprocessing
 import os
 import signal

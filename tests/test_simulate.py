@@ -1,3 +1,7 @@
+"""The synthetic scenario generator: preset tables, config refusals,
+coefficient structure, bitwise determinism, independent streams per study
+and test sample, the distributions of the draws, and dataset round trips."""
+
 import re
 
 import numpy as np

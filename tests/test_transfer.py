@@ -1,3 +1,8 @@
+"""The two-step transfer fit: the E-step and the penalized objective, monotone
+traces, frozen classes (infinite penalty, low mass, failed solve), class
+and source equivariance, CV tuning, the refusals made before step 1,
+predict_risk and the fit file."""
+
 import itertools
 import json
 import re
@@ -11,6 +16,7 @@ from targeted_psm.core import (
     EPS_CLIP,
     CoefficientMatrix,
     GlmFamily,
+    MembershipMatrix,
     Study,
     StudyCollection,
     log_sum_exp_rows,
@@ -257,6 +263,33 @@ def test_an_infinite_penalty_zeroes_a_class_below_the_mass_floor_without_warning
     assert np.all(coef.values[:, 1] == 0.0) and coef.intercept[1] == 0.0
     assert np.any(coef.values[:, 0] != 0.0)
     assert len(trace) == 1
+
+
+def test_a_class_below_the_mass_floor_is_frozen_with_a_warning(rng):
+    # Only a stage of fewer than 10 * p rows can fall below the floor
+    # 10 * p * EPS_CLIP: here class 1 holds 20 * EPS_CLIP of the mass.
+    n0, p = 20, 5
+    target = Study((rng.random(n0) < 0.5).astype(float), rng.standard_normal((n0, p)),
+                   (rng.random((n0, 2)) < 0.5).astype(float), 0)
+    data = StudyCollection(target=target)
+    v = MembershipMatrix(probs=(np.column_stack([np.full(n0, 1.0 - EPS_CLIP),
+                                                 np.full(n0, EPS_CLIP)]),))
+    floor = transfer.DEGENERATE_MASS_FACTOR * p * EPS_CLIP
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coef, _, trace, n_iter, _ = joint_estimate(
+            data, v, _mini_config(max_em_iter=5), GlmFamily.logistic(), np.array([0.05, 0.05])
+        )
+    # one warning per iteration, and no cap warning: a low-mass freeze
+    # counts toward convergence
+    assert [w.category for w in caught] == [RuntimeWarning] * n_iter and n_iter > 1
+    for w in caught:
+        assert str(w.message).startswith("class 1 carries weight mass ")
+        assert str(w.message).endswith(
+            f" < {floor:.3e}; its coefficients are frozen for this iteration")
+    assert np.all(coef.values[:, 1] == 0.0) and coef.intercept[1] == 0.0
+    assert np.any(coef.values[:, 0] != 0.0) or coef.intercept[0] != 0.0
+    assert np.all(np.diff(trace) <= 0.0)
 
 
 def _failing_class(real, failing):
@@ -562,20 +595,26 @@ def test_auto_tune_raises_when_every_candidate_fails(tiny_scenario, monkeypatch)
 
 @pytest.mark.parametrize("value", [0.0, 1.0])
 def test_auto_tune_on_a_single_valued_outcome_names_the_stage(tiny_scenario, value):
+    # A logistic stage whose y take one value has no finite optimum, so any
+    # finite penalty is refused before step 1; an infinite one freezes it.
     _, data, _ = tiny_scenario
     fam = GlmFamily.logistic()
     constant = lambda study: replace(study, outcomes=np.full(study.n, value))
     data = StudyCollection(target=constant(data.target), sources=data.sources)
     lca = fit_lca(data, 2, LcaFitConfig(seed=0, n_starts=2))
     auto = _mini_config(lambda_pool="auto", lambda_bias="auto", cv_grid=(0.3, 1.0), cv_folds=3)
-    with pytest.raises(ValueError, match=f"every y of the bias stage is {value:g}; "
-                                         "give lambda_bias a numeric value"):
-        fit_targeted_psm(data, 2, auto, fam, lca_model=lca)
-    fit = fit_targeted_psm(data, 2, replace(auto, lambda_bias=0.02), fam, lca_model=lca)
-    assert np.all(np.isfinite(fit.b_target.values))
+    refusal = (f"every y of the bias stage is {value:g}, so its logistic fit has no finite "
+               "optimum; give lambda_bias=inf to freeze the stage")
+    for lambda_bias in ("auto", 0.02, (0.02, np.inf)):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            fit_targeted_psm(data, 2, replace(auto, lambda_bias=lambda_bias), fam, lca_model=lca)
+    fit = fit_targeted_psm(data, 2, replace(auto, lambda_bias=np.inf), fam, lca_model=lca)
+    assert np.all(fit.delta.values == 0.0) and np.all(fit.delta.intercept == 0.0)
 
+    # auto_tune_lambda called alone refuses the stage by its event counts
     everywhere = StudyCollection(target=data.target, sources=tuple(map(constant, data.sources)))
-    with pytest.raises(ValueError, match="every y of the pool stage"):
+    missing = "events" if value == 0.0 else "non-events"
+    with pytest.raises(ValueError, match=f"cannot fill 5 CV folds from 0 {missing}"):
         auto_tune_lambda(everywhere, initial_memberships(lca, everywhere), fam, "pool")
 
 
@@ -587,9 +626,17 @@ def test_auto_tune_on_a_single_valued_outcome_names_the_stage(tiny_scenario, val
         (dict(lambda_bias=[0.1, 0.2, 0.3, 0.4]), None,
          "per-class lambda_bias has 4 entries; the class count is 3"),
         (dict(lambda_bias="auto"), "target without events",
-         "every y of the bias stage is 0; give lambda_bias a numeric value"),
+         "every y of the bias stage is 0, so its logistic fit has no finite optimum; "
+         "give lambda_bias=inf to freeze the stage"),
+        (dict(lambda_bias=0.02), "target without events",
+         "every y of the bias stage is 0, so its logistic fit has no finite optimum; "
+         "give lambda_bias=inf to freeze the stage"),
         (dict(lambda_pool="auto"), "no events",
-         "every y of the pool stage is 0; give lambda_pool a numeric value"),
+         "every y of the pool stage is 0, so its logistic fit has no finite optimum; "
+         "give lambda_pool=inf to freeze the stage"),
+        (dict(lambda_pool=[0.05, np.inf, 0.05]), "no events",
+         "every y of the pool stage is 0, so its logistic fit has no finite optimum; "
+         "give lambda_pool=inf to freeze the stage"),
         # 9 rows, but fold f is filled only from studies of more than f rows
         (dict(lambda_pool="auto", cv_folds=5), "three gaussian studies of 3 rows",
          "'auto' tuning of lambda_pool cannot fill 5 CV folds: folds are filled within each "
@@ -620,6 +667,22 @@ def test_a_penalty_setting_the_data_cannot_serve_is_refused_before_step_1(
     monkeypatch.setattr(transfer, "fit_lca", never)
     with pytest.raises(ValueError, match=re.escape(message)):
         fit_targeted_psm(data, 3, _mini_config(**setting), family)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda data, v, fam: auto_tune_lambda(data, v, fam, "pool", grid=[[0.5, 1.0]]),
+     "grid must be a sequence of multipliers, got [[0.5, 1.0]]"),
+    (lambda data, v, fam: auto_tune_lambda(data, v, fam, "bias",
+                                           offsets_by_class=np.zeros((data.n0, 2))),
+     "offsets_by_class must be (n, C)"),
+    (lambda data, v, fam: joint_estimate(data, MembershipMatrix(probs=v.probs[:1]),
+                                         _mini_config(), fam, np.full(3, 0.05)),
+     "memberships do not match the study collection"),
+], ids=["2-d grid", "offsets shape", "membership studies"])
+def test_a_stage_call_that_does_not_fit_its_data_is_refused(mini_fit, call, message):
+    data, fit = mini_fit
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(data, fit.refined_weights, fit.family)
 
 
 def test_transfer_config_validation():
