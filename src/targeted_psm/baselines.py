@@ -28,11 +28,11 @@ from .lca import LcaFitConfig, LcaModel
 from .transfer import (
     TransferConfig,
     TransferFit,
-    check_stage_outcomes,
+    auto_tune_lambda,
+    check_stage,
     fit_targeted_psm,
     joint_estimate,
     predict_risk,
-    resolve_penalties,
 )
 
 
@@ -95,12 +95,12 @@ def fit_method(
     config = config or TransferConfig()
     family = family or GlmFamily.logistic()
     if method is MethodId.NAIVE_LASSO:
-        target = data.target
-        family.validate_outcomes(target.outcomes)
-        alone = StudyCollection(target=target)
-        check_stage_outcomes(alone, family, "pool", config.lambda_pool)
-        ones = MembershipMatrix(probs=(np.ones((target.n, 1)),))
-        lam = resolve_penalties(config.lambda_pool, "pool", alone, ones, config, family)
+        alone = StudyCollection(target=data.target)
+        lam = check_stage(alone, family, "pool", config.lambda_pool, config.cv_folds, 1)
+        ones = MembershipMatrix(probs=(np.ones((alone.n0, 1)),))
+        if lam is None:
+            lam = auto_tune_lambda(alone, ones, family, "pool", grid=config.cv_grid,
+                                   cv_folds=config.cv_folds, seed=config.seed)
         coef = joint_estimate(alone, ones, config, family, lam)[0]
         return FittedMethod(method=method, coef=coef, family=family)
     if method is MethodId.TRANS_GLM:

@@ -101,6 +101,8 @@ def load_config(path) -> dict:
         return {}
     try:
         payload = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise  # a missing input file exits 1, as every other one does
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import substream
 from .baselines import MIXTURE_METHODS, MethodId, fit_method
-from .core import CoefficientMatrix, check_real, first_best
+from .core import CoefficientMatrix, check_count, check_real, first_best
 from .lca import LcaFitConfig
 from .simulate import ScenarioConfig, generate_scenario, generate_target_test
 from .transfer import TransferConfig
@@ -341,9 +341,13 @@ def run_experiment(
     The replicates run one after another in the calling process; within
     each, the latent class restarts use every CPU through
     `_parallel.fan_out`.  Results are deterministic given
-    (scenarios, methods, replicates, master_seed).  Raises RuntimeError when
-    more than MAX_FAILURE_RATE of the method-replicates fail.
+    (scenarios, methods, replicates, master_seed).  `replicates` and
+    `test_n` are integers >= 1 (a ValueError otherwise).  Raises
+    RuntimeError when more than MAX_FAILURE_RATE of the method-replicates
+    fail.
     """
+    check_count("replicates", replicates, 1)
+    check_count("test_n", test_n, 1)
     methods = tuple(methods)
     transfer_config = transfer_config or TransferConfig()
     completed = completed or set()

@@ -446,11 +446,14 @@ def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig =
     `selected` is True on exactly one row: the one core.first_best picks on
     the BICs at BIC_RTOL, with the rows taken by ascending C, so the lowest
     BIC wins and a tie goes to the smaller C (to the earlier row for a C
-    listed twice).  Every C is checked before the first fit.  A heuristic
+    listed twice).  The grid is checked whole before the first fit: it
+    must hold at least one C, and every C is a class count.  A heuristic
     convenience: BIC comparisons across latent class counts come with no
     recovery guarantee.
     """
     class_grid = list(class_grid)
+    if not class_grid:
+        raise ValueError("the class grid must hold at least one class count")
     for C in class_grid:
         check_count("n_classes", C, 1, data.n_total)
     rows = []

@@ -19,13 +19,15 @@ increase the penalized marginal objective
 
 Each decision is made in one place: `_stage_data` picks a stage's studies
 (every study for "pool", the target for "bias"), whose rows `_stage_rows`
-stacks, whose outcomes `check_stage_outcomes` checks and whose folds
-`_check_foldable` checks, `resolve_penalties` turns a penalty setting into
-per-class numbers (per-class CV when "auto"), and `_log_joint` builds
-log v + log f(y | eta), from which one EM iteration takes both its
-objective value and the next E-step.  The CV choice and the stop test of
-both loops are the package's rules, `core.first_best` at CV_RTOL and
-`core.em_converged` at DEFAULT_TAU with STOP_FLOOR.
+stacks; `check_stage` is the one admission rule, deciding whether a penalty
+setting can serve a stage's data and turning a numeric one into per-class
+numbers (every entry point calls it before any fitting, and tunes by
+`auto_tune_lambda` where it returns None for "auto"); `_check_grid` is the
+one rule for CV multipliers; and `_log_joint` builds log v + log f(y | eta),
+from which one EM iteration takes both its objective value and the next
+E-step.  The CV choice and the stop test of both loops are the package's
+rules, `core.first_best` at CV_RTOL and `core.em_converged` at DEFAULT_TAU
+with STOP_FLOOR.
 """
 
 from __future__ import annotations
@@ -123,20 +125,24 @@ class TransferConfig:
         auto = False
         for name in ("lambda_pool", "lambda_bias"):
             val = getattr(self, name)
-            if isinstance(val, str):
-                if val != "auto":
-                    raise ValueError(f"{name} must be 'auto', a scalar, or a sequence")
-                auto = True
-            else:
+            named = isinstance(val, str)
+            if not named:
                 check_real(f"{name} values", val, "[0, inf]")
-                if np.ndim(val) > 1:
-                    raise ValueError(f"{name} must be 'auto', a scalar, or a sequence")
+            if (val != "auto") if named else np.ndim(val) > 1:
+                raise ValueError(f"{name} must be 'auto', a scalar, or a sequence")
+            auto = auto or named
         check_count("cv_folds", self.cv_folds, 2 if auto else 1)
-        if not isinstance(self.cv_grid, (list, tuple, np.ndarray)) or len(self.cv_grid) == 0:
-            raise ValueError(f"cv_grid must be a non-empty sequence, got {self.cv_grid!r}")
-        check_real("cv_grid multipliers", self.cv_grid, "(0, inf)")
-        if np.ndim(self.cv_grid) != 1:
-            raise ValueError(f"cv_grid must be a non-empty sequence, got {self.cv_grid!r}")
+        _check_grid("cv_grid", self.cv_grid)
+
+
+def _check_grid(name: str, grid) -> None:
+    """The one rule for CV multipliers (TransferConfig.cv_grid and
+    auto_tune_lambda's grid): ValueError unless `grid` is a non-empty, flat
+    list, tuple or 1-d array of real numbers in (0, inf)."""
+    flat = isinstance(grid, (list, tuple)) or (isinstance(grid, np.ndarray) and grid.ndim == 1)
+    if not flat or len(grid) == 0 or any(isinstance(c, (list, tuple, np.ndarray)) for c in grid):
+        raise ValueError(f"{name} must be a non-empty sequence, got {grid!r}")
+    check_real(f"{name} multipliers", grid, "(0, inf)")
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +349,14 @@ def _stratified_folds(study_index: np.ndarray, cv_folds: int, rng) -> np.ndarray
     return fold
 
 
+def _unfoldable(stage: str, reason: str) -> ValueError:
+    return ValueError(f"'auto' tuning of lambda_{stage} {reason}; lower cv_folds or give "
+                      f"lambda_{stage} a numeric value")
+
+
 def _make_folds(y, study_index, cv_folds, family, seed, stage):
-    """Stratified-by-study folds, each with a row (see _check_foldable);
-    for logistic outcomes, refolds (up to 5 tries) while any fold is
+    """Stratified-by-study folds, each with a row (see check_stage); for
+    logistic outcomes, refolds (up to 5 tries) while any fold is
     single-valued in y.  A ValueError names the stage and its fixes when no
     try succeeds."""
     for attempt in range(5):
@@ -354,11 +365,8 @@ def _make_folds(y, study_index, cv_folds, family, seed, stage):
         if family.kind != "logistic" or all(
                 np.unique(y[fold == f]).size == 2 for f in range(cv_folds)):
             return fold
-    raise ValueError(
-        f"'auto' tuning of lambda_{stage} could not build {cv_folds} usable CV folds "
-        "after 5 attempts (a fold stayed single-valued in y); lower cv_folds "
-        f"or give lambda_{stage} a numeric value"
-    )
+    raise _unfoldable(stage, f"could not build {cv_folds} usable CV folds after 5 attempts "
+                             "(a fold stayed single-valued in y)")
 
 
 def _stage_data(data: StudyCollection, stage: str) -> StudyCollection:
@@ -373,54 +381,66 @@ def _stage_data(data: StudyCollection, stage: str) -> StudyCollection:
 
 def _stage_rows(data: StudyCollection, memberships: MembershipMatrix, stage: str):
     """(y, X, study_index, v_rows) of a stage: its studies' rows, stacked
-    target first."""
+    target first; the memberships must cover every study of `data`."""
+    if memberships.n_studies != data.K + 1:
+        raise ValueError("memberships do not match the study collection")
     studies = _stage_data(data, stage)
     y, X, _, study_index = studies.stacked()
     return y, X, study_index, np.vstack(memberships.probs[: studies.K + 1])
 
 
-def check_stage_outcomes(data: StudyCollection, family: GlmFamily, stage: str, setting) -> None:
-    """ValueError when a logistic stage's outcomes take one value and some
-    class of the stage has a finite penalty ("auto" or numeric).  Such a
-    fit has no finite optimum: its unpenalized intercept runs toward
-    -inf or inf until the solver's pass cap.  A stage whose penalties are
-    all inf is frozen, solves nothing, and passes."""
-    if family.kind != "logistic":
-        return
-    if not isinstance(setting, str) and np.all(np.asarray(setting, dtype=float) == np.inf):
-        return
-    y = np.concatenate([s.outcomes for s in _stage_data(data, stage).studies])
-    if np.unique(y).size < 2:
+def check_stage(data: StudyCollection, family: GlmFamily, stage: str, setting, cv_folds: int,
+                n_classes: int):
+    """The one admission rule of a fit stage: whether the penalty `setting`
+    ("auto", a scalar or a per-class sequence) can serve the stage's
+    studies (_stage_data).  A ValueError refuses, in order:
+
+    1. an outcome of the stage's studies outside the family (naming the
+       study; each later refusal names the stage);
+    2. a logistic stage whose outcomes take one value while some class has
+       a finite penalty ("auto" or numeric): the fit has no finite optimum,
+       its unpenalized intercept running toward -inf or inf until the
+       solver's pass cap.  A stage whose penalties are all inf is frozen,
+       solves nothing, and passes;
+    3. a per-class sequence whose length is not n_classes;
+    4. "auto" without folds to fill.  Folds are filled within each study
+       (_stratified_folds), so fold f gets rows only from studies of more
+       than f rows: the stage's largest study needs cv_folds rows, and a
+       logistic stage needs cv_folds events and non-events, one of each in
+       every fold.
+
+    Returns the n_classes per-class penalties of a numeric setting (a
+    scalar broadcast to every class), or None for "auto", which the caller
+    tunes by auto_tune_lambda."""
+    studies = _stage_data(data, stage)
+    for s in studies.studies:
+        family.validate_outcomes(s.outcomes, f"study {s.study_id} outcomes")
+    y = np.concatenate([s.outcomes for s in studies.studies])
+    auto = isinstance(setting, str)
+    lambdas = None if auto else np.atleast_1d(np.asarray(setting, dtype=float))
+    if family.kind == "logistic" and (auto or np.any(lambdas < np.inf)) and np.unique(y).size < 2:
         raise ValueError(
             f"every y of the {stage} stage is {y[0]:g}, so its logistic fit has no finite "
             f"optimum; give lambda_{stage}=inf to freeze the stage"
         )
-
-
-def _check_foldable(data: StudyCollection, family: GlmFamily, stage: str, cv_folds: int) -> None:
-    """ValueError unless 'auto' tuning of a stage can build cv_folds folds.
-    Folds are filled within each study (_stratified_folds), so fold f gets
-    rows only from studies of more than f rows: the stage's largest study
-    needs cv_folds rows.  A logistic stage also needs both outcome values in
-    every fold, so it needs at least cv_folds events and non-events."""
-    studies = _stage_data(data, stage)
-    y = np.concatenate([s.outcomes for s in studies.studies])
-    fix = f"lower cv_folds or give lambda_{stage} a numeric value"
+    if not auto:
+        if lambdas.size == 1:
+            return np.full(n_classes, float(lambdas[0]))
+        if lambdas.shape != (n_classes,):
+            raise ValueError(f"per-class lambda_{stage} has {lambdas.size} entries; the class "
+                             f"count is {n_classes}")
+        return lambdas.copy()
     largest = max(studies.sizes)
     if largest < cv_folds:
-        raise ValueError(
-            f"'auto' tuning of lambda_{stage} cannot fill {cv_folds} CV folds: folds are "
-            f"filled within each study and the largest study of the {stage} stage has "
-            f"{largest} rows; {fix}"
-        )
+        raise _unfoldable(stage, f"cannot fill {cv_folds} CV folds: folds are filled within "
+                                 f"each study and the largest study of the {stage} stage has "
+                                 f"{largest} rows")
     if family.kind == "logistic":
         events = int(np.count_nonzero(y))
         for count, what in ((events, "events"), (y.size - events, "non-events")):
             if count < cv_folds:
-                raise ValueError(
-                    f"'auto' tuning of lambda_{stage} cannot fill {cv_folds} CV folds from "
-                    f"{count} {what}; {fix}"
-                )
+                raise _unfoldable(stage, f"cannot fill {cv_folds} CV folds from {count} {what}")
+    return None
 
 
 def auto_tune_lambda(
@@ -450,17 +470,15 @@ def auto_tune_lambda(
     Each class takes the candidate core.first_best picks from its CV scores
     at CV_RTOL: the candidates descend, so a tie goes to the larger penalty.
 
-    A stage whose largest study has fewer rows than cv_folds has no usable
-    folds, nor has a logistic stage with fewer events or non-events than
-    cv_folds (a target study with no events, say), or whose folds stay
-    single-valued in y after five tries: ValueError names the stage and
-    asks for fewer folds or a numeric penalty.
+    Before any solve, _check_grid checks the grid and check_stage admits
+    the stage for "auto" (a ValueError otherwise).  A logistic stage whose
+    folds stay single-valued in y after five tries is a ValueError naming
+    the stage and asking for fewer folds or a numeric penalty.
     """
-    y, X, study_index, v_rows = _stage_rows(data, memberships, stage)
     check_count("cv_folds", cv_folds, 2)
-    check_real("grid", grid, "(0, inf)")
-    if np.ndim(grid) != 1:
-        raise ValueError(f"grid must be a sequence of multipliers, got {grid!r}")
+    _check_grid("grid", grid)
+    check_stage(data, family, stage, "auto", cv_folds, memberships.n_classes)
+    y, X, study_index, v_rows = _stage_rows(data, memberships, stage)
     if stage == "bias" and offsets_by_class is None:
         raise ValueError("bias-stage tuning needs per-class offsets")
     n, p = X.shape
@@ -468,7 +486,6 @@ def auto_tune_lambda(
     if offsets_by_class is not None and offsets_by_class.shape != (n, C):
         raise ValueError("offsets_by_class must be (n, C)")
 
-    _check_foldable(data, family, stage, cv_folds)
     candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(p, n)
     fold = _make_folds(y, study_index, cv_folds, family, seed, stage)
     design, mask = _design(X)
@@ -521,40 +538,6 @@ def auto_tune_lambda(
     return candidates[first_best(scores, CV_RTOL)]
 
 
-def resolve_penalties(
-    setting,
-    stage: str,
-    data: StudyCollection,
-    memberships: MembershipMatrix,
-    config: TransferConfig,
-    family: GlmFamily,
-    offsets_by_class: np.ndarray = None,
-) -> np.ndarray:
-    """Per-class penalties of a stage from a setting ('auto' | scalar |
-    per-class sequence).  "auto" runs auto_tune_lambda with the config's
-    grid, folds and seed (the bias stage needs the
-    pooled linear predictors as `offsets_by_class`); a scalar is broadcast
-    to every class."""
-    if isinstance(setting, str):
-        return auto_tune_lambda(
-            data, memberships, family, stage,
-            grid=config.cv_grid, cv_folds=config.cv_folds, seed=config.seed,
-            offsets_by_class=offsets_by_class,
-        )
-    return _per_class(setting, stage, memberships.n_classes)
-
-
-def _per_class(setting, stage: str, C: int) -> np.ndarray:
-    """A numeric penalty setting as C per-class values: a scalar is
-    broadcast, a sequence must have one entry per class."""
-    arr = np.atleast_1d(np.asarray(setting, dtype=float))
-    if arr.size == 1:
-        return np.full(C, float(arr[0]))
-    if arr.shape != (C,):
-        raise ValueError(f"per-class lambda_{stage} has {arr.size} entries; the class count is {C}")
-    return arr.copy()
-
-
 # ---------------------------------------------------------------------------
 # Public stage wrappers
 # ---------------------------------------------------------------------------
@@ -568,10 +551,8 @@ def joint_estimate(
     lambdas: np.ndarray,
 ):
     """Pooling stage: EM over all studies with per-class penalties
-    `lambdas` (see resolve_penalties).
+    `lambdas` (see check_stage).
     Returns (B, refined_weights, trace, n_iter, lambdas)."""
-    if memberships.n_studies != data.K + 1:
-        raise ValueError("memberships do not match the study collection")
     y, X, _, v_rows = _stage_rows(data, memberships, "pool")
     coef, w_rows, trace = _mixture_em(
         family, y, X, v_rows, lambdas,
@@ -594,7 +575,7 @@ def bias_correct(
     """Correction stage: EM on the target study with the pooled linear
     predictors x'B_c as per-class offsets (`offsets`, (n0, C)), restarting
     from the target's initial memberships, with per-class penalties
-    `lambdas` (see resolve_penalties).  With every penalty infinite the
+    `lambdas` (see check_stage).  With every penalty infinite the
     correction is frozen: one pass that solves nothing gives Delta == 0
     exactly, and its one trace value is the objective at Delta == 0.
     Returns (Delta, trace, n_iter, lambdas)."""
@@ -679,24 +660,16 @@ def fit_targeted_psm(
     transfer seed).  With n_classes=1 the membership model is the trivial
     single-class one and the procedure reduces to pooled lasso + correction.
 
-    Before step 1 it refuses (ValueError) outcomes outside the family, a
-    class count that is not an integer >= 1, and a penalty setting a stage
-    cannot serve: a single-valued logistic stage with a finite penalty
-    (check_stage_outcomes), "auto" without usable folds (_check_foldable)
-    or a per-class list of another length.
+    Before step 1 it refuses (ValueError) a class count that is not an
+    integer >= 1 and, by check_stage, a stage whose data its penalty
+    setting cannot serve; a stage set to "auto" is then tuned by
+    auto_tune_lambda.
     """
     config = config or TransferConfig()
     family = family or GlmFamily.logistic()
-    for s in data.studies:
-        family.validate_outcomes(s.outcomes, f"study {s.study_id} outcomes")
     check_count("n_classes", n_classes, 1)
-    # A penalty setting the data cannot serve is refused before any fitting.
-    for stage, setting in (("pool", config.lambda_pool), ("bias", config.lambda_bias)):
-        check_stage_outcomes(data, family, stage, setting)
-        if isinstance(setting, str):
-            _check_foldable(data, family, stage, config.cv_folds)
-        else:
-            _per_class(setting, stage, n_classes)
+    lam_pool = check_stage(data, family, "pool", config.lambda_pool, config.cv_folds, n_classes)
+    lam_bias = check_stage(data, family, "bias", config.lambda_bias, config.cv_folds, n_classes)
     if lca_model is None:
         cfg = lca_config or LcaFitConfig(seed=config.seed)
         lca_model = fit_lca(data, n_classes, cfg)
@@ -704,10 +677,13 @@ def fit_targeted_psm(
         raise ValueError("pre-fitted LCA model has a different class count")
     v = initial_memberships(lca_model, data)  # checks the model's study count and q
 
-    lam_pool = resolve_penalties(config.lambda_pool, "pool", data, v, config, family)
+    tuning = dict(grid=config.cv_grid, cv_folds=config.cv_folds, seed=config.seed)
+    if lam_pool is None:
+        lam_pool = auto_tune_lambda(data, v, family, "pool", **tuning)
     b_pooled, refined, trace_j, _, _ = joint_estimate(data, v, config, family, lam_pool)
     offsets = b_pooled.linear_predictor(data.target.predictors)
-    lam_bias = resolve_penalties(config.lambda_bias, "bias", data, v, config, family, offsets)
+    if lam_bias is None:
+        lam_bias = auto_tune_lambda(data, v, family, "bias", offsets_by_class=offsets, **tuning)
     delta, trace_b, _, _ = bias_correct(data, v, offsets, config, family, lam_bias)
 
     return TransferFit(

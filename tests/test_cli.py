@@ -450,12 +450,19 @@ def test_bad_class_count_exits_2_naming_the_flag(tmp_path, capsys, argv):
     assert "argument --classes: must be an integer >= 1, got " in capsys.readouterr().err
 
 
-def test_missing_files_exit_1(tmp_path):
+def test_missing_files_exit_1(tmp_path, capsys):
     rc = main(["fit", "--data", str(tmp_path / "absent")])
     assert rc == 1
     rc = main(["predict", "--fit", str(tmp_path / "absent.json"),
                "--input", str(tmp_path / "absent.csv")])
     assert rc == 1
+    # a missing --config is a missing input file too, read before the data
+    capsys.readouterr()
+    rc = main(["fit", "--config", str(tmp_path / "absent.json"), "--data", str(tmp_path / "absent")])
+    assert rc == 1
+    assert _one_error_line(capsys) == (
+        f"error: [Errno 2] No such file or directory: '{tmp_path / 'absent.json'}'"
+    )
 
 
 def test_config_errors_exit_2(tmp_path):

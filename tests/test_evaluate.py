@@ -434,6 +434,24 @@ def test_a_master_seed_that_is_not_an_integer_is_refused(seed):
         substream(0, "study", 1.5)
 
 
+@pytest.mark.parametrize("counts, message", [
+    (dict(replicates=0), "replicates must be an integer >= 1, got 0"),
+    (dict(replicates=-1), "replicates must be an integer >= 1, got -1"),
+    (dict(replicates=1.0), "replicates must be an integer >= 1, got 1.0"),
+    (dict(replicates=1, test_n=0), "test_n must be an integer >= 1, got 0"),
+    (dict(replicates=1, test_n=True), "test_n must be an integer >= 1, got True"),
+])
+def test_a_replicate_count_or_test_size_below_one_is_refused(monkeypatch, counts, message):
+    # an empty report is not returned as a success; nothing is drawn first
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate ran before the counts were checked")
+
+    monkeypatch.setattr(evaluate, "run_replicate", never)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment([("mini", MINI)], [MethodId.NAIVE_LASSO], **counts,
+                       transfer_config=FAST, lca_config=FAST_LCA)
+
+
 def test_run_experiment_takes_no_worker_count():
     # replicates always run in the calling process
     with pytest.raises(TypeError, match="n_jobs"):

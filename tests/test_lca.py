@@ -692,6 +692,16 @@ def test_a_class_count_that_is_not_an_integer_is_refused(small_collection, n_cla
     assert runs == []
 
 
+@pytest.mark.parametrize("grid", [[], (), np.array([], dtype=int)], ids=["list", "tuple", "array"])
+def test_an_empty_class_grid_is_refused_before_any_fit(small_collection, monkeypatch, grid):
+    def never(*args, **kwargs):
+        raise AssertionError("fit_lca ran on an empty class grid")
+
+    monkeypatch.setattr(lca, "fit_lca", never)
+    with pytest.raises(ValueError, match="the class grid must hold at least one class count"):
+        select_classes_bic(small_collection[0], grid, LcaFitConfig(n_starts=1))
+
+
 def test_class_counts_may_be_numpy_integers(small_collection):
     data, _, _ = small_collection
     cfg = LcaFitConfig(seed=1, n_starts=2)

@@ -22,6 +22,7 @@ from targeted_psm.core import (
     log_sum_exp_rows,
 )
 from targeted_psm import transfer
+from targeted_psm.baselines import MethodId, fit_method
 from targeted_psm.glm import SolverError
 from targeted_psm.lca import LcaFitConfig, LcaModel, fit_lca, initial_memberships
 from targeted_psm.simulate import generate_scenario, scenario_preset
@@ -523,13 +524,29 @@ def test_auto_tune_ties_prefer_larger_lambda(tiny_scenario):
         data, v, fam, "pool", grid=(0.5, 0.5), cv_folds=3, seed=0
     )
     assert np.array_equal(base, dup)
-    # TransferConfig and auto_tune_lambda refuse a multiplier outside (0, inf)
-    with pytest.raises(ValueError):
-        TransferConfig(cv_grid=(0.0, 1.0))
-    with pytest.raises(ValueError, match=re.escape("grid[0] must be a real number in (0, inf), got 0.0")):
-        auto_tune_lambda(data, v, fam, "pool", grid=(0.0, 1.0), cv_folds=3, seed=0)
     with pytest.raises(ValueError, match="stage"):
         auto_tune_lambda(data, v, fam, "nope")
+
+
+@pytest.mark.parametrize("grid, rule", [
+    ((), "must be a non-empty sequence, got ()"),
+    ([], "must be a non-empty sequence, got []"),
+    (np.array([]), "must be a non-empty sequence, got array([], dtype=float64)"),
+    (np.array(1.0), "must be a non-empty sequence, got array(1.)"),
+    (0.5, "must be a non-empty sequence, got 0.5"),
+    ([[0.5, 1.0]], "must be a non-empty sequence, got [[0.5, 1.0]]"),
+    ((0.0, 1.0), "multipliers[0] must be a real number in (0, inf), got 0.0"),
+    ((0.5, np.inf), "multipliers[1] must be a real number in (0, inf), got inf"),
+], ids=["empty tuple", "empty list", "empty array", "0-d array", "scalar", "2-d", "zero", "inf"])
+def test_a_cv_grid_meets_one_rule_at_both_entry_points(tiny_scenario, grid, rule):
+    # TransferConfig.cv_grid and auto_tune_lambda's grid: a non-empty, 1-d
+    # sequence of multipliers in (0, inf), refused before any solve
+    _, data, _ = tiny_scenario
+    v = MembershipMatrix(probs=tuple(np.full((s.n, 2), 0.5) for s in data.studies))
+    with pytest.raises(ValueError, match=re.escape(f"cv_grid {rule}")):
+        TransferConfig(cv_grid=grid)
+    with pytest.raises(ValueError, match=re.escape(f"grid {rule}")):
+        auto_tune_lambda(data, v, GlmFamily.logistic(), "pool", grid=grid)
 
 
 def test_auto_tune_bias_requires_offsets(tiny_scenario):
@@ -611,10 +628,11 @@ def test_auto_tune_on_a_single_valued_outcome_names_the_stage(tiny_scenario, val
     fit = fit_targeted_psm(data, 2, replace(auto, lambda_bias=np.inf), fam, lca_model=lca)
     assert np.all(fit.delta.values == 0.0) and np.all(fit.delta.intercept == 0.0)
 
-    # auto_tune_lambda called alone refuses the stage by its event counts
+    # auto_tune_lambda called alone refuses the stage by the same rule
     everywhere = StudyCollection(target=data.target, sources=tuple(map(constant, data.sources)))
-    missing = "events" if value == 0.0 else "non-events"
-    with pytest.raises(ValueError, match=f"cannot fill 5 CV folds from 0 {missing}"):
+    refusal = (f"every y of the pool stage is {value:g}, so its logistic fit has no finite "
+               "optimum; give lambda_pool=inf to freeze the stage")
+    with pytest.raises(ValueError, match=re.escape(refusal)):
         auto_tune_lambda(everywhere, initial_memberships(lca, everywhere), fam, "pool")
 
 
@@ -669,16 +687,80 @@ def test_a_penalty_setting_the_data_cannot_serve_is_refused_before_step_1(
         fit_targeted_psm(data, 3, _mini_config(**setting), family)
 
 
+def _refusal_case(data, refusal):
+    """(collection, family, config) whose pool stage meets `refusal` first,
+    in every method: all of its studies for the two-step methods, the
+    target alone for lca_glm and naive_lasso."""
+    auto = _mini_config(lambda_pool="auto", cv_folds=5)
+    if refusal == "wrong length":
+        return data, GlmFamily.logistic(), _mini_config(lambda_pool=(0.1, 0.2, 0.3))
+    if refusal == "too few rows":
+        three = lambda s: Study(s.predictors[:3, 0], s.predictors[:3], s.structure_vars[:3],
+                                s.study_id)
+        studies = StudyCollection(target=three(data.target), sources=tuple(map(three, data.sources)))
+        return studies, GlmFamily.gaussian(), auto
+    # two events (or non-events), both in the target
+    two = lambda s: (np.arange(s.n) < 2) if s.study_id == 0 else np.zeros(s.n)
+    y = {"single-valued": lambda s: np.zeros(s.n), "too few events": two,
+         "too few non-events": lambda s: 1 - two(s)}[refusal]
+    edit = lambda s: replace(s, outcomes=y(s).astype(float))
+    studies = StudyCollection(target=edit(data.target), sources=tuple(map(edit, data.sources)))
+    return studies, GlmFamily.logistic(), auto
+
+
+_REFUSALS = {
+    "single-valued": "every y of the pool stage is 0, so its logistic fit has no finite optimum; "
+                     "give lambda_pool=inf to freeze the stage",
+    "too few rows": "'auto' tuning of lambda_pool cannot fill 5 CV folds: folds are filled within "
+                    "each study and the largest study of the pool stage has 3 rows; lower "
+                    "cv_folds or give lambda_pool a numeric value",
+    "too few events": "'auto' tuning of lambda_pool cannot fill 5 CV folds from 2 events; lower "
+                      "cv_folds or give lambda_pool a numeric value",
+    "too few non-events": "'auto' tuning of lambda_pool cannot fill 5 CV folds from 2 non-events; "
+                          "lower cv_folds or give lambda_pool a numeric value",
+    "wrong length": "per-class lambda_pool has 3 entries; the class count is {C}",
+}
+_ENTRY_POINTS = ["fit_targeted_psm", "auto_tune_lambda", *(m.value for m in MethodId)]
+
+
+@pytest.mark.parametrize("refusal, entry", [
+    (refusal, entry) for refusal in _REFUSALS for entry in _ENTRY_POINTS
+    # auto_tune_lambda takes no penalty setting, so it meets no per-class list
+    if (refusal, entry) != ("wrong length", "auto_tune_lambda")
+])
+def test_every_entry_point_refuses_a_stage_by_one_rule(tiny_scenario, monkeypatch, refusal,
+                                                       entry):
+    data, family, config = _refusal_case(tiny_scenario[1], refusal)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a fit ran before the stage was admitted")
+
+    monkeypatch.setattr(transfer, "fit_lca", never)
+    monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", never)
+    message = _REFUSALS[refusal].format(C=1 if entry in ("naive_lasso", "trans_glm") else 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if entry == "fit_targeted_psm":
+            fit_targeted_psm(data, 2, config, family)
+        elif entry == "auto_tune_lambda":
+            v = MembershipMatrix(probs=tuple(np.full((s.n, 2), 0.5) for s in data.studies))
+            auto_tune_lambda(data, v, family, "pool", grid=config.cv_grid,
+                             cv_folds=config.cv_folds, seed=config.seed)
+        else:
+            fit_method(entry, data, 2, config, family)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda data, v, fam: auto_tune_lambda(data, v, fam, "pool", grid=[[0.5, 1.0]]),
-     "grid must be a sequence of multipliers, got [[0.5, 1.0]]"),
+     "grid must be a non-empty sequence, got [[0.5, 1.0]]"),
     (lambda data, v, fam: auto_tune_lambda(data, v, fam, "bias",
                                            offsets_by_class=np.zeros((data.n0, 2))),
      "offsets_by_class must be (n, C)"),
     (lambda data, v, fam: joint_estimate(data, MembershipMatrix(probs=v.probs[:1]),
                                          _mini_config(), fam, np.full(3, 0.05)),
      "memberships do not match the study collection"),
-], ids=["2-d grid", "offsets shape", "membership studies"])
+    (lambda data, v, fam: auto_tune_lambda(data, MembershipMatrix(probs=v.probs[:1]), fam, "pool"),
+     "memberships do not match the study collection"),
+], ids=["2-d grid", "offsets shape", "membership studies", "tuning membership studies"])
 def test_a_stage_call_that_does_not_fit_its_data_is_refused(mini_fit, call, message):
     data, fit = mini_fit
     with pytest.raises(ValueError, match=re.escape(message)):
