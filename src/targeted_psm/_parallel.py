@@ -5,17 +5,22 @@ min(len(tasks), CPUs in the process's affinity mask) processes: the calling
 process works tasks itself, and the others are forked from it.  Forking
 copies the caller's memory, so neither `fn` nor the tasks are pickled, and a
 function patched in the caller is what the children run.  Only results and
-exceptions travel back, pickled over one pipe per child.
+exceptions travel back, pickled over one pipe per child.  The caller
+unpickles each child's report as it reads it off the pipe, so a report is
+never held as raw bytes next to the results it holds.
 
 Every process takes the next task not yet started from a shared dispatch
 pipe, so a few slow tasks do not leave the other processes idle.  A task
 that raises ends its process's share; the exception of the lowest-index
 failing task is raised in the caller, as a serial loop would raise it.  An
 exception that cannot cross the pipe arrives as a RuntimeError carrying its
-traceback text, and a child that dies without reporting (a signal, an exit
-status) is a RuntimeError naming the cause.  Every child is reaped before
-`fan_out` returns or raises.  A fork that fails (no process or memory left)
-leaves its share to the processes already running.
+traceback text.  A child that dies without reporting (a signal, an exit
+status), whether before or in the middle of writing its report, is a
+RuntimeError naming the cause; a child that exits 0 with a report that
+cannot be read to its end is a RuntimeError too, chained to the unpickling
+error.  Every child is reaped before `fan_out` returns or raises.  A fork
+that fails (no process or memory left) leaves its share to the processes
+already running.
 
 The loop runs serially in the caller when only one process would run, when
 the platform has no `os.fork`, inside a multiprocessing worker (a library
@@ -170,12 +175,20 @@ def fan_out(fn, tasks) -> list:
         for pid in list(children):
             inbox, children[pid] = children[pid], None
             with os.fdopen(inbox, "rb") as fh:
-                payload = fh.read()
+                try:
+                    report = pickle.load(fh)
+                except Exception as exc:  # cut short: the child's status tells why
+                    report = exc
             _, status = os.waitpid(pid, 0)
             del children[pid]
             if status != 0:
                 raise RuntimeError(_death(pid, status))
-            done.update(pickle.loads(payload))
+            if isinstance(report, Exception):
+                raise RuntimeError(
+                    f"fan_out worker process {pid} exited with status 0 but its report "
+                    "cannot be read"
+                ) from report
+            done.update(report)
     finally:
         _active = False
         os.close(dispatch)

@@ -415,18 +415,8 @@ class StudyCollection:
     def sizes(self) -> tuple:
         return tuple(s.n for s in self.studies)
 
-    def stacked(self):
-        """Return (y, X, Z, study_row_index) with rows stacked target-first."""
-        y = np.concatenate([s.outcomes for s in self.studies])
-        x = np.vstack([s.predictors for s in self.studies])
-        z = np.vstack([s.structure_vars for s in self.studies])
-        idx = np.concatenate(
-            [np.full(s.n, k, dtype=int) for k, s in enumerate(self.studies)]
-        )
-        return y, x, z, idx
-
     def row_slices(self):
-        """Per-study slices into the stacked row order."""
+        """Per-study slices into the rows of all studies, target first."""
         out, start = [], 0
         for s in self.studies:
             out.append(slice(start, start + s.n))

@@ -342,12 +342,14 @@ def run_experiment(
     each, the latent class restarts use every CPU through
     `_parallel.fan_out`.  Results are deterministic given
     (scenarios, methods, replicates, master_seed).  `replicates` and
-    `test_n` are integers >= 1 (a ValueError otherwise).  Raises
+    `test_n` are integers >= 1 and `master_seed` an integer >= 0 (a
+    ValueError otherwise, before any replicate runs or is skipped).  Raises
     RuntimeError when more than MAX_FAILURE_RATE of the method-replicates
     fail.
     """
     check_count("replicates", replicates, 1)
     check_count("test_n", test_n, 1)
+    check_count("master seed", master_seed, 0)
     methods = tuple(methods)
     transfer_config = transfer_config or TransferConfig()
     completed = completed or set()

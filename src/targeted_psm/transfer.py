@@ -19,15 +19,15 @@ increase the penalized marginal objective
 
 Each decision is made in one place: `_stage_data` picks a stage's studies
 (every study for "pool", the target for "bias"), whose rows `_stage_rows`
-stacks; `check_stage` is the one admission rule, deciding whether a penalty
-setting can serve a stage's data and turning a numeric one into per-class
-numbers (every entry point calls it before any fitting, and tunes by
-`auto_tune_lambda` where it returns None for "auto"); `_check_grid` is the
-one rule for CV multipliers; and `_log_joint` builds log v + log f(y | eta),
-from which one EM iteration takes both its objective value and the next
-E-step.  The CV choice and the stop test of both loops are the package's
-rules, `core.first_best` at CV_RTOL and `core.em_converged` at DEFAULT_TAU
-with STOP_FLOOR.
+copies once, into the stage's design [1 | X]; `check_stage` is the one
+admission rule, deciding whether a penalty setting can serve a stage's data
+and turning a numeric one into per-class numbers (every entry point calls
+it before any fitting, and tunes by `auto_tune_lambda` where it returns None
+for "auto"); `_check_grid` is the one rule for CV multipliers; and
+`_log_joint` builds log v + log f(y | eta), from which one EM iteration
+takes both its objective value and the next E-step.  The CV choice and
+the stop test of both loops are the package's rules, `core.first_best` at
+CV_RTOL and `core.em_converged` at DEFAULT_TAU with STOP_FLOOR.
 """
 
 from __future__ import annotations
@@ -198,14 +198,6 @@ def penalized_mixture_objective(
 # ---------------------------------------------------------------------------
 
 
-def _design(X: np.ndarray):
-    """[1, X] and the penalty mask that leaves the intercept column free."""
-    n, p = X.shape
-    design = np.column_stack([np.ones(n), X])
-    mask = np.concatenate([[False], np.ones(p, dtype=bool)])
-    return design, mask
-
-
 def _coef_from_state(theta: np.ndarray) -> CoefficientMatrix:
     return CoefficientMatrix(values=theta[1:], intercept=theta[0])
 
@@ -213,7 +205,7 @@ def _coef_from_state(theta: np.ndarray) -> CoefficientMatrix:
 def _mixture_em(
     family: GlmFamily,
     y: np.ndarray,
-    X: np.ndarray,
+    design: np.ndarray,
     v_rows: np.ndarray,
     lambdas: np.ndarray,
     *,
@@ -221,7 +213,12 @@ def _mixture_em(
     offsets_by_class: np.ndarray = None,
     max_iter: int = DEFAULT_MAX_EM_ITER,
 ):
-    """EM loop shared by the pooling and bias-correction stages.
+    """EM loop shared by the pooling and bias-correction stages, on a
+    stage's rows as _stage_rows gives them: `design` is [1 | X].
+
+    The loop copies no rows: each solve reads `design`, and the E-step reads
+    X as the view design[:, 1:].  So while it runs, the stage holds the
+    studies, the design and, during a solve, the solver's weighted copy.
 
     Iteration t takes weights w_ic (w = v on the first pass, the
     Bayes-refined memberships afterwards) and decides, per class c, in this
@@ -257,13 +254,15 @@ def _mixture_em(
     weights_used, trace), with one trace value per iteration.
     """
     check_real("lambdas", lambdas, "[0, inf]")
-    n, p = X.shape
+    n, d = design.shape
+    p = d - 1
+    X = design[:, 1:]
+    mask = np.arange(d) > 0  # the intercept column is not penalized
     C = v_rows.shape[1]
     if C == 1:
         max_iter = 1
     tau = DEFAULT_TAU
-    design, mask = _design(X)
-    theta = np.zeros((design.shape[1], C))
+    theta = np.zeros((d, C))
     lambdas = np.asarray(lambdas, dtype=float)
     degenerate_mass = DEGENERATE_MASS_FACTOR * p * EPS_CLIP
     log_v = np.log(v_rows)
@@ -380,13 +379,26 @@ def _stage_data(data: StudyCollection, stage: str) -> StudyCollection:
 
 
 def _stage_rows(data: StudyCollection, memberships: MembershipMatrix, stage: str):
-    """(y, X, study_index, v_rows) of a stage: its studies' rows, stacked
-    target first; the memberships must cover every study of `data`."""
+    """(y, design, study_index, v_rows) of a stage: its studies' rows in
+    collection order, target first, with `design` the (n, p + 1) array
+    [1 | X] filled straight from the studies' predictors.  The memberships
+    must cover every study of `data`.
+
+    The design is the one copy of a stage's rows: the EM loop solves on it
+    and reads X as its view design[:, 1:], and CV tuning cuts its per-fold
+    copies from it.  So while a stage runs, memory holds the studies, this
+    design, the current fold's copies during CV, and the solver's weighted
+    copy during a solve."""
     if memberships.n_studies != data.K + 1:
         raise ValueError("memberships do not match the study collection")
     studies = _stage_data(data, stage)
-    y, X, _, study_index = studies.stacked()
-    return y, X, study_index, np.vstack(memberships.probs[: studies.K + 1])
+    design = np.empty((studies.n_total, studies.p + 1))
+    design[:, 0] = 1.0
+    for s, rows in zip(studies.studies, studies.row_slices()):
+        design[rows, 1:] = s.predictors
+    y = np.concatenate([s.outcomes for s in studies.studies])
+    study_index = np.repeat(np.arange(studies.K + 1), studies.sizes)
+    return y, design, study_index, np.vstack(memberships.probs[: studies.K + 1])
 
 
 def check_stage(data: StudyCollection, family: GlmFamily, stage: str, setting, cv_folds: int,
@@ -470,6 +482,10 @@ def auto_tune_lambda(
     Each class takes the candidate core.first_best picks from its CV scores
     at CV_RTOL: the candidates descend, so a tie goes to the larger penalty.
 
+    The stage's rows are held as _stage_rows builds them: the studies and
+    one design [1 | X].  One fold's training and validation copies of the
+    design are alive at a time, and a solve adds the solver's weighted copy.
+
     Before any solve, _check_grid checks the grid and check_stage admits
     the stage for "auto" (a ValueError otherwise).  A logistic stage whose
     folds stay single-valued in y after five tries is a ValueError naming
@@ -478,17 +494,17 @@ def auto_tune_lambda(
     check_count("cv_folds", cv_folds, 2)
     _check_grid("grid", grid)
     check_stage(data, family, stage, "auto", cv_folds, memberships.n_classes)
-    y, X, study_index, v_rows = _stage_rows(data, memberships, stage)
+    y, design, study_index, v_rows = _stage_rows(data, memberships, stage)
     if stage == "bias" and offsets_by_class is None:
         raise ValueError("bias-stage tuning needs per-class offsets")
-    n, p = X.shape
+    n, d = design.shape
     C = v_rows.shape[1]
     if offsets_by_class is not None and offsets_by_class.shape != (n, C):
         raise ValueError("offsets_by_class must be (n, C)")
 
-    candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(p, n)
+    candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(d - 1, n)
     fold = _make_folds(y, study_index, cv_folds, family, seed, stage)
-    design, mask = _design(X)
+    mask = np.arange(d) > 0  # the intercept column is not penalized
     # Folds outside, classes inside: each fold's arrays are built once, and
     # only one fold's are alive at a time.
     shape = (C, candidates.size)
@@ -502,7 +518,7 @@ def auto_tune_lambda(
         for c in range(C):
             w_tr, w_va = v_rows[tr, c], v_rows[va, c]
             mass_tr, mass_va = float(w_tr.sum()), float(w_va.sum())
-            beta = np.zeros(design.shape[1])
+            beta = np.zeros(d)
             off_tr = None if offsets_by_class is None else offsets_by_class[tr, c]
             off_va = 0.0 if offsets_by_class is None else offsets_by_class[va, c]
             for i, lam in enumerate(candidates):
@@ -553,9 +569,9 @@ def joint_estimate(
     """Pooling stage: EM over all studies with per-class penalties
     `lambdas` (see check_stage).
     Returns (B, refined_weights, trace, n_iter, lambdas)."""
-    y, X, _, v_rows = _stage_rows(data, memberships, "pool")
+    y, design, _, v_rows = _stage_rows(data, memberships, "pool")
     coef, w_rows, trace = _mixture_em(
-        family, y, X, v_rows, lambdas,
+        family, y, design, v_rows, lambdas,
         stage="pool",
         max_iter=config.max_em_iter,
     )
@@ -579,9 +595,9 @@ def bias_correct(
     correction is frozen: one pass that solves nothing gives Delta == 0
     exactly, and its one trace value is the objective at Delta == 0.
     Returns (Delta, trace, n_iter, lambdas)."""
-    y, X, _, v_rows = _stage_rows(data, memberships, "bias")
+    y, design, _, v_rows = _stage_rows(data, memberships, "bias")
     coef, _, trace = _mixture_em(
-        family, y, X, v_rows, lambdas,
+        family, y, design, v_rows, lambdas,
         stage="bias",
         offsets_by_class=offsets,
         max_iter=config.max_em_iter,

@@ -468,11 +468,8 @@ def test_collection_sorts_sources_and_stacks(rng):
     assert coll.K == 2
     assert coll.n0 == 8
     assert coll.n_total == 19
-    y, X, Z, idx = coll.stacked()
-    assert y.shape == (19,) and X.shape == (19, 3) and Z.shape == (19, 2)
-    assert np.array_equal(idx, np.repeat([0, 1, 2], [8, 6, 5]))
-    slices = coll.row_slices()
-    assert [s.stop - s.start for s in slices] == [8, 6, 5]
+    assert coll.sizes == (8, 6, 5)
+    assert coll.row_slices() == [slice(0, 8), slice(8, 14), slice(14, 19)]
     # source order in the constructor is irrelevant: canonical order by id
     coll2 = StudyCollection(target=target, sources=(s1, s2))
     assert all(

@@ -440,6 +440,9 @@ def test_a_master_seed_that_is_not_an_integer_is_refused(seed):
     (dict(replicates=1.0), "replicates must be an integer >= 1, got 1.0"),
     (dict(replicates=1, test_n=0), "test_n must be an integer >= 1, got 0"),
     (dict(replicates=1, test_n=True), "test_n must be an integer >= 1, got True"),
+    # a bad seed with every replicate completed: refused, not an empty report
+    (dict(replicates=1, master_seed=-1, completed={("mini", 0)}),
+     "master seed must be an integer >= 0, got -1"),
 ])
 def test_a_replicate_count_or_test_size_below_one_is_refused(monkeypatch, counts, message):
     # an empty report is not returned as a success; nothing is drawn first

@@ -8,8 +8,9 @@ written and parsed in one place each, every model choice goes through
 core.first_best, every seed, class count, study id, study row and source
 count is checked, above and below, by core.check_count alone, every
 penalty, CV multiplier, dispersion and real scenario parameter by
-core.check_real alone, and no isfinite, isnan or 0/1 test is made outside
-core.check_real.
+core.check_real alone, no isfinite, isnan or 0/1 test is made outside
+core.check_real, and study predictors are stacked only into a stage's design
+and a study CSV.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -418,6 +419,28 @@ def _binary_tests(tree, module):
             yield node.lineno, ast.unparse(node)
 
 
+# The functions that may stack study predictors: the stage design and the
+# study CSV writer.
+PREDICTOR_STACKERS = {("transfer.py", "_stage_rows"), ("core.py", "write_study_csv")}
+STACKING = {"vstack", "column_stack", "hstack", "concatenate"}
+
+
+def _stacked_predictors(tree, module):
+    """(line, text) of every vstack, column_stack, hstack or concatenate
+    call in `tree` whose arguments read a `.predictors`, outside
+    transfer._stage_rows and core.write_study_csv: a fit stage holds one
+    copy of its rows, the design _stage_rows fills from the studies, and a
+    second stacked copy would add the largest array a fit holds."""
+    for node, owner in _with_owner(tree):
+        if (module, owner) in PREDICTOR_STACKERS:
+            continue
+        if isinstance(node, ast.Call) and _callee(node) in STACKING and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "predictors"
+                for arg in [*node.args, *(k.value for k in node.keywords)]
+                for sub in ast.walk(arg)):
+            yield node.lineno, ast.unparse(node)
+
+
 # Each scan walks every package module and must find nothing there.
 SCANS = {
     "processes": (_process_management, f"process management outside {sorted(PROCESS_MODULES)}"),
@@ -427,6 +450,8 @@ SCANS = {
     "reals": (_in_place_real_rules, "real-number rules outside core.check_real"),
     "finiteness": (_finiteness_tests, "finiteness tests outside core.check_real"),
     "binary": (_binary_tests, "0/1 tests outside core.check_real"),
+    "stacked-rows": (_stacked_predictors, "study predictors stacked outside "
+                                          f"{sorted(PREDICTOR_STACKERS)}"),
 }
 
 
@@ -487,6 +512,8 @@ PLANTED = [
      "def _l(labels):\n    return numpy.isin(labels, test_elements=[1, 0])\n"),
     ("logical-or-1-eq-z", "binary", "transfer.py", "def _z(z):\n    return np.logical_or(1 == z, 0 == z)\n"),
     ("eq-0-or-eq-1-bool", "binary", "simulate.py", "def _b(v):\n    return v == 0 or v == 1\n"),
+    ("vstack-predictors", "stacked-rows", "transfer.py",
+     "def _rows(data):\n    return np.vstack([s.predictors for s in data.studies])\n"),
 ]
 
 

@@ -163,6 +163,68 @@ def test_child_that_exits_is_reported(cpus, tmp_path):
         fan_out(_two_processes(tmp_path, lambda i: os._exit(3), lambda i: i), [0, 1])
 
 
+# Several MB, far above a pipe's buffer: the child blocks in its write until
+# the caller reads, so the report crosses the pipe in many reads.
+LARGE = bytes(range(256)) * (16 << 10)
+
+
+def test_a_result_larger_than_a_pipe_buffer_comes_back_equal(cpus, tmp_path):
+    cpus(2)
+
+    def large(i):
+        return i, LARGE
+
+    assert fan_out(_two_processes(tmp_path, large, large), [0, 1]) == [(0, LARGE), (1, LARGE)]
+
+
+def _report_cut_short(monkeypatch, end):
+    """Make a child write the first half of its report to the pipe and then
+    call `end` (a death, or nothing for an exit with status 0)."""
+    real_fdopen = os.fdopen
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            end()
+
+    def fdopen(fd, mode="r", *args, **kwargs):
+        fh = real_fdopen(fd, mode, *args, **kwargs)
+        return HalfWriter(fh) if mode == "wb" else fh
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+
+
+@pytest.mark.parametrize("end, message", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal SIGKILL"),
+    (lambda: os._exit(3), "exited with status 3"),
+], ids=["killed", "exit-3"])
+def test_a_child_that_dies_in_the_middle_of_its_report_is_reported(
+        cpus, tmp_path, monkeypatch, end, message):
+    cpus(2)
+    _report_cut_short(monkeypatch, end)
+    with pytest.raises(RuntimeError, match=f"^fan_out worker process \\d+ {message}$"):
+        fan_out(_two_processes(tmp_path, lambda i: LARGE, lambda i: i), [0, 1])
+
+
+@pytest.mark.parametrize("size", [LARGE, b"x"], ids=["large", "small"])
+def test_a_report_cut_short_with_exit_status_0_is_a_runtime_error(
+        cpus, tmp_path, monkeypatch, size):
+    cpus(2)
+    _report_cut_short(monkeypatch, lambda: None)
+    with pytest.raises(RuntimeError, match="exited with status 0 but its report cannot be read"):
+        fan_out(_two_processes(tmp_path, lambda i: size, lambda i: i), [0, 1])
+
+
 def test_failed_fork_leaves_the_work_to_the_caller(cpus, monkeypatch):
     def fork():
         raise BlockingIOError("no process left")

@@ -6,6 +6,7 @@ predict_risk and the fit file."""
 import itertools
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from targeted_psm.core import (
     MembershipMatrix,
     Study,
     StudyCollection,
+    clip_rows,
     log_sum_exp_rows,
 )
 from targeted_psm import transfer
@@ -51,6 +53,17 @@ def _mini_config(**kw):
     return TransferConfig(**base)
 
 
+def _pooled_rows(data):
+    """(y, X) of every study of `data`, target first, as contiguous arrays."""
+    return (np.concatenate([s.outcomes for s in data.studies]),
+            np.vstack([s.predictors for s in data.studies]))
+
+
+def _with_intercept(X):
+    """[1 | X], the design _mixture_em takes."""
+    return np.column_stack([np.ones(X.shape[0]), X])
+
+
 @pytest.fixture(scope="module")
 def mini_fit(tiny_scenario):
     config, data, truth = tiny_scenario
@@ -73,7 +86,7 @@ def test_e_step_is_bayes_rule(tiny_scenario):
         values=rng.normal(size=(data.p, 2)) * 0.3,
         intercept=np.array([0.1, -0.2]),
     )
-    y, X, _, _ = data.stacked()
+    y, X = _pooled_rows(data)
     v_rows = v.stacked()
     log_w = _log_joint(family, y, X, np.log(v_rows), coef)
     w_rows = _refined_rows(log_w, log_sum_exp_rows(log_w))
@@ -95,10 +108,75 @@ def test_e_step_equal_coefficients_leave_memberships_fixed(tiny_scenario):
     same = np.full((data.p, 2), 0.3)
     same[3] = -0.7
     coef = CoefficientMatrix(values=same, intercept=np.array([0.4, 0.4]))
-    y, X, _, _ = data.stacked()
+    y, X = _pooled_rows(data)
     log_w = _log_joint(family, y, X, np.log(v.stacked()), coef)
     w_rows = _refined_rows(log_w, log_sum_exp_rows(log_w))
     assert np.max(np.abs(w_rows - v.stacked())) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Stage rows: one design per stage
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", [GlmFamily.gaussian(), GlmFamily.logistic()],
+                         ids=["gaussian", "logistic"])
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 4])
+@pytest.mark.parametrize("n0, p", [(1, 1), (1, 9), (150, 1), (150, 9), (400, 60)])
+def test_the_e_step_on_the_design_view_equals_a_contiguous_x_bit_for_bit(
+        rng, family, n_classes, n0, p):
+    # _mixture_em reads X as the strided view design[:, 1:]; its log joint,
+    # and so every trace value and E-step, must be the one a contiguous X
+    # gives.  A one-row target is the bias stage's smallest design.
+    studies = [
+        Study(rng.standard_normal(n), rng.standard_normal((n, p)),
+              (rng.random((n, 2)) < 0.5).astype(float), k)
+        for k, n in enumerate((n0, 80, 45))
+    ]
+    if family.kind == "logistic":
+        studies = [replace(s, outcomes=(s.outcomes > 0).astype(float)) for s in studies]
+    data = StudyCollection(target=studies[0], sources=tuple(studies[1:]))
+    v = MembershipMatrix(probs=tuple(
+        clip_rows(rng.dirichlet(np.ones(n_classes), size=s.n)) for s in studies))
+    coef = CoefficientMatrix(values=rng.standard_normal((p, n_classes)),
+                             intercept=rng.standard_normal(n_classes))
+    for stage, members in (("pool", studies), ("bias", studies[:1])):
+        y, design, study_index, v_rows = transfer._stage_rows(data, v, stage)
+        X = np.vstack([s.predictors for s in members])
+        assert design.flags.c_contiguous and np.all(design[:, 0] == 1.0)
+        assert design[:, 1:].tobytes() == X.tobytes()
+        assert y.tobytes() == np.concatenate([s.outcomes for s in members]).tobytes()
+        assert np.array_equal(study_index, np.repeat(np.arange(len(members)), [s.n for s in members]))
+        assert v_rows.tobytes() == np.vstack(v.probs[: len(members)]).tobytes()
+        offsets = None if stage == "pool" else rng.standard_normal((n0, n_classes))
+        log_v = np.log(v_rows)
+        on_view = _log_joint(family, y, design[:, 1:], log_v, coef, offsets)
+        assert on_view.tobytes() == _log_joint(family, y, X, log_v, coef, offsets).tobytes()
+
+
+@pytest.mark.parametrize("family, bound", [("gaussian", 2.75), ("logistic", 3.75)])
+def test_a_fixed_penalty_fit_holds_its_pool_rows_once(family, bound):
+    # The peak of traced memory a fit adds, in units of the pool design's
+    # bytes (n_total * (p + 1) doubles): the design itself, the solver's
+    # weighted copy (the logistic solver adds a scaled one) and small
+    # per-row vectors.  A second stacked copy of the rows adds about 1.
+    config = scenario_preset("figure1-mini", K=5, n0=800, n_k=600, p=60, seed=1, family=family)
+    data, _ = generate_scenario(config)
+    kwargs = dict(config=TransferConfig(lambda_pool=0.02, lambda_bias=0.02, seed=1),
+                  family=config.glm_family(), lca_config=LcaFitConfig(seed=1, n_starts=2))
+    # a small fit first, so one-time costs (numpy imports numpy.ma lazily)
+    # stay out of the measurement
+    small, _ = generate_scenario(replace(config, K=1, n0=60, n_k=60))
+    fit_targeted_psm(small, 3, **kwargs)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fit_targeted_psm(data, 3, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = (peak - start) / (data.n_total * (data.p + 1) * 8)
+    assert ratio < bound, f"the fit's peak is {ratio:.2f}x its pool design"
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +203,7 @@ def test_objective_manual_small_case():
 def test_objective_invariant_under_class_relabeling(tiny_scenario):
     _, data, _ = tiny_scenario
     family = GlmFamily.logistic()
-    y, X, _, _ = data.stacked()
+    y, X = _pooled_rows(data)
     rng = np.random.default_rng(11)
     v = rng.dirichlet(np.ones(3), size=y.shape[0])
     B = rng.normal(size=(data.p, 3))
@@ -171,7 +249,7 @@ def test_traces_end_at_the_objective_of_the_returned_coefficients(mini_fit):
     data, fit = mini_fit
     fam = fit.family
     v = initial_memberships(fit.lca_model, data)
-    y, X, _, _ = data.stacked()
+    y, X = _pooled_rows(data)
     assert fit.trace_joint[-1] == penalized_mixture_objective(
         fam, y, X, v.stacked(), fit.b_pooled, fit.lambda_pool
     )
@@ -259,7 +337,8 @@ def test_an_infinite_penalty_zeroes_a_class_below_the_mass_floor_without_warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         coef, _, trace = transfer._mixture_em(
-            GlmFamily.logistic(), y, X, v_rows, [0.05, np.inf], stage="pool", max_iter=1
+            GlmFamily.logistic(), y, _with_intercept(X), v_rows, [0.05, np.inf], stage="pool",
+            max_iter=1,
         )
     assert np.all(coef.values[:, 1] == 0.0) and coef.intercept[1] == 0.0
     assert np.any(coef.values[:, 0] != 0.0)
@@ -352,7 +431,8 @@ def test_a_failed_solve_on_the_first_m_step_raises(rng, monkeypatch):
     monkeypatch.setattr(transfer, "solve_weighted_lasso_glm", flaky)
     with pytest.raises(SolverError, match="injected"):
         transfer._mixture_em(
-            GlmFamily.logistic(), y, X, v_rows, [0.05, 0.05], stage="pool", max_iter=10
+            GlmFamily.logistic(), y, _with_intercept(X), v_rows, [0.05, 0.05], stage="pool",
+            max_iter=10,
         )
 
 
@@ -361,7 +441,7 @@ def test_an_iteration_with_a_failed_solve_never_counts_as_converged(rng, monkeyp
     # nothing to the parameter change, yet the stage runs to its cap and
     # says so, where the same stage without failures converges early.
     y, X, v_rows = _two_class_stage(rng)
-    args = (GlmFamily.logistic(), y, X, v_rows, [0.05, 0.05])
+    args = (GlmFamily.logistic(), y, _with_intercept(X), v_rows, [0.05, 0.05])
     cap = 30
     with warnings.catch_warnings():
         warnings.simplefilter("error")
