@@ -34,8 +34,8 @@ This is the only module of the package that starts processes.  Callers:
 file per task, or the whole collection as one task when it holds fewer than
 `core._BLOCK_VALUES` values), `core._write_rows` (a block of
 `core._BLOCK_VALUES` values of a CSV file per task, for study files and the
-scores file) and `core.read_study_csv` (one byte range of a study file per
-task).
+scores file) and `core._read_studies` (one byte range of a study file per
+task, every range of every file of a dataset in one call).
 """
 
 from __future__ import annotations

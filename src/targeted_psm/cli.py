@@ -18,8 +18,10 @@ most the subject count, penalties the stages can serve); `_run_on_data`
 turns its refusal into a DataError naming the data directory.
 
 No subcommand keeps a pool of worker processes: `experiment` runs its
-replicates one after another, and the latent class restarts and the study
-file I/O run on every CPU of the affinity mask through `_parallel.fan_out`.
+replicates one after another, and the latent class restarts and the CSV
+I/O run on every CPU of the affinity mask through `_parallel.fan_out` (the
+dataset read of `fit` and `lca-select` is one fan_out over every study
+file).
 """
 
 from __future__ import annotations
@@ -491,7 +493,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, FileExistsError) as exc:
+    except OSError as exc:  # an input or output path: missing, existing, of the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,8 @@ Conventions used throughout the package:
 
 Every numeric CSV is written by `_write_rows` (through `write_study_csv`,
 `write_scores_csv` and `write_manifest`) and every study file read by
-`read_study_csv`; their docstrings say how each spreads over the CPUs.
+`_read_studies` (a dataset through `load_collection`, one file through
+`read_study_csv`); their docstrings say how each spreads over the CPUs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ ETA_CLAMP = 700.0
 # Global floor/ceiling for membership and prevalence probabilities.
 EPS_CLIP = 1e-6
 
-# Bytes per parse task of read_study_csv.
+# Bytes per parse task of _read_studies (a byte range of one study file), and
+# its floor: a dataset of at most this many data bytes is parsed unforked.
 _RANGE_BYTES = 1 << 19
 
 # Values per format task of _write_rows, and write_manifest's floor for one
@@ -616,23 +618,9 @@ def _read_range(job) -> np.ndarray:
     return rows if rows.size else np.empty((0, width))
 
 
-def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
-    """Read one study CSV.  The header must be y,x1..xp,z1..zq exactly, as
-    write_study_csv writes it; p and q are inferred from it and, when given
-    (load_collection passes the target's for each source), must match it.
-
-    The data lines are parsed by np.loadtxt in byte ranges of _RANGE_BYTES,
-    fanned out over the CPUs (a line belongs to the range it starts in; a
-    file of one range is parsed in the caller without forking), so the rows
-    are bit for bit those of one np.loadtxt over the file.  A
-    malformed line is a ValueError naming the file and the 1-based number of
-    its first bad line, which the lowest failing range finds by a bisection
-    over its own lines; every earlier range parsed clean.
-    """
-    path = Path(path)
-    with path.open("rb") as fh:
-        first = fh.readline()
-        size = os.fstat(fh.fileno()).st_size
+def _header_widths(path, first: bytes) -> tuple:
+    """(p, q) of a study file whose first line is `first`: the header must be
+    y,x1..xp,z1..zq exactly, as write_study_csv writes it."""
     try:
         header = first.decode().strip()
     except UnicodeDecodeError as exc:
@@ -646,23 +634,76 @@ def read_study_csv(path, study_id: int, p: int = None, q: int = None) -> Study:
         raise ValueError(
             f"{path}: header must be y,x1..xp,z1..zq in order, got {header!r}"
         )
-    if p is not None and n_x != p:
-        raise ValueError(f"{path}: expected {p} predictor columns, found {n_x}")
-    if q is not None and n_z != q:
-        raise ValueError(f"{path}: expected {q} structure columns, found {n_z}")
-    ranges = [
-        (path, len(cols), start, start + _RANGE_BYTES)
-        for start in range(len(first), size, _RANGE_BYTES)
-    ]
-    raw = np.concatenate([np.empty((0, len(cols)))] + fan_out(_read_range, ranges))
-    if raw.shape[0] == 0:
+    return n_x, n_z
+
+
+def _study_from_ranges(path, study_id: int, p: int, parts) -> Study:
+    """The Study of one file from the rows of its ranges, in order: y, X and
+    Z are each one concatenation of that column block of the parts.  A
+    broken Study rule is a ValueError naming the file."""
+    if not any(len(rows) for rows in parts):
         raise ValueError(f"{path}: no data rows")
-    return Study(
-        outcomes=raw[:, 0],
-        predictors=raw[:, 1 : 1 + n_x],
-        structure_vars=raw[:, 1 + n_x :],
-        study_id=study_id,
-    )
+    try:
+        return Study(
+            outcomes=np.concatenate([rows[:, 0] for rows in parts]),
+            predictors=np.concatenate([rows[:, 1 : 1 + p] for rows in parts]),
+            structure_vars=np.concatenate([rows[:, 1 + p :] for rows in parts]),
+            study_id=study_id,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_studies(files) -> list:
+    """The Study of each (path, study_id) of `files`, in order, checked in
+    load_collection's order (the first file's p and q bind the others).
+
+    Every byte range of _RANGE_BYTES of every file (a line belongs to the
+    range it starts in) is parsed by np.loadtxt in one fan_out, in file
+    order, so each file's rows are bit for bit those of one np.loadtxt over
+    it, and the lowest failing range holds the earliest bad line: every
+    earlier range parsed clean, and it finds its first bad line by a
+    bisection over its own lines.  A dataset of at most _RANGE_BYTES data
+    bytes in all is parsed in the caller without forking.  Each study is
+    then built from its own ranges, which are dropped once it is built.
+    """
+    heads = []  # (path, study_id, p, q, first data byte, size)
+    for path, study_id in files:
+        path = Path(path)
+        with path.open("rb") as fh:
+            first = fh.readline()
+            size = os.fstat(fh.fileno()).st_size
+        n_x, n_z = _header_widths(path, first)
+        p, q = heads[0][2:4] if heads else (n_x, n_z)
+        if n_x != p:
+            raise ValueError(f"{path}: expected {p} predictor columns, found {n_x}")
+        if n_z != q:
+            raise ValueError(f"{path}: expected {q} structure columns, found {n_z}")
+        heads.append((path, study_id, n_x, n_z, len(first), size))
+    ranges = [
+        (path, 1 + n_x + n_z, start, start + _RANGE_BYTES)
+        for path, _, n_x, n_z, begin, size in heads
+        for start in range(begin, size, _RANGE_BYTES)
+    ]
+    if sum(size - begin for *_, begin, size in heads) > _RANGE_BYTES:
+        parsed = fan_out(_read_range, ranges)
+    else:
+        parsed = [_read_range(job) for job in ranges]
+    studies = []
+    for path, study_id, n_x, _, begin, size in heads:
+        n_ranges = len(range(begin, size, _RANGE_BYTES))
+        studies.append(_study_from_ranges(path, study_id, n_x, parsed[:n_ranges]))
+        del parsed[:n_ranges]
+    return studies
+
+
+def read_study_csv(path, study_id: int) -> Study:
+    """Read one study CSV, whose header must be y,x1..xp,z1..zq exactly, as
+    write_study_csv writes it.  It is checked and parsed as load_collection
+    reads each of its files: the header first, then the first bad data line
+    is named (file and 1-based line); a file of at most _RANGE_BYTES data
+    bytes is parsed without forking."""
+    return _read_studies([(path, study_id)])[0]
 
 
 def _write_studies(jobs) -> None:
@@ -695,7 +736,15 @@ def write_manifest(collection: StudyCollection, directory, force: bool = False) 
 def load_collection(manifest_path) -> StudyCollection:
     """Load a StudyCollection from a manifest.json written by write_manifest:
     an object whose "target" names the target CSV and whose optional
-    "sources" lists the source CSVs, relative to the manifest."""
+    "sources" lists the source CSVs, relative to the manifest.
+
+    Every file's header is checked before any data line is parsed (a
+    source's p and q must be the target's).  Then the earliest bad data
+    line in file order is named, with its file and 1-based line; then a
+    file without data rows, or whose values break a Study rule, is named in
+    file order.  The data lines of all files are parsed in one fan_out over
+    the CPUs; a dataset of at most _RANGE_BYTES data bytes in all is parsed
+    without forking (see _read_studies)."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -709,9 +758,7 @@ def load_collection(manifest_path) -> StudyCollection:
     if not isinstance(source_names, list) or not all(isinstance(s, str) for s in source_names):
         raise ValueError(f"{manifest_path}: 'sources' must be a list of CSV names")
     base = manifest_path.parent
-    target = read_study_csv(base / target_name, study_id=0)
-    sources = [
-        read_study_csv(base / rel, study_id=k + 1, p=target.p, q=target.q)
-        for k, rel in enumerate(source_names)
-    ]
+    target, *sources = _read_studies(
+        (base / name, k) for k, name in enumerate([target_name, *source_names])
+    )
     return StudyCollection(target=target, sources=tuple(sources))

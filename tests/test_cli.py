@@ -347,10 +347,18 @@ def _one_error_line(capsys):
     return err[0]
 
 
+# (column, text) written into the second data line; column 11 is z1 (p = 10)
+CELL_FAULTS = {"bad cell": (1, "abc"), "z of 2": (11, "2"), "nan predictor": (1, "nan"),
+               "inf outcome": (0, "inf")}
+
+
 @pytest.mark.parametrize(
     "fault, reason",
     [("header only", "no data rows"), ("bad cell", "line 3: could not convert string 'abc'"),
-     ("short row", "line 3: 2 values, expected")],
+     ("short row", "line 3: 2 values, expected"),
+     ("z of 2", "structure_vars[1, 0] must be a real number in {0, 1}, got 2.0"),
+     ("nan predictor", "predictors[1, 0] must be a real number in (-inf, inf), got nan"),
+     ("inf outcome", "outcomes[1] must be a real number in (-inf, inf), got inf")],
 )
 def test_malformed_study_csv_exits_2_naming_the_file_line(cli_workspace, cli_fit, tmp_path, capsys,
                                                           fault, reason):
@@ -363,10 +371,11 @@ def test_malformed_study_csv_exits_2_naming_the_file_line(cli_workspace, cli_fit
     cells = lines[2].split(",")
     if fault == "header only":
         lines = lines[:1]
-    elif fault == "bad cell":
-        lines[2] = ",".join([cells[0], "abc", *cells[2:]])
-    else:
+    elif fault == "short row":
         lines[2] = ",".join(cells[:2])
+    else:
+        column, cells[column] = CELL_FAULTS[fault]
+        lines[2] = ",".join(cells)
     (data / "study_1.csv").write_text("\n".join(lines) + "\n")
     where = f"error: {data / 'study_1.csv'}: {reason}"
     for argv in (
@@ -401,10 +410,12 @@ def test_study_files_are_the_same_bytes_with_serial_io(tmp_path, monkeypatch, cp
     outputs = []
     for name in ("default", "serial"):
         if name == "serial":
-            # three children for the one write_manifest (four study files,
-            # one task each) and each of the five reads, two for the scores
-            # file (three blocks), and more for the LCA restarts
-            assert cpus.forks > 3 * (1 + 5) + 2
+            # three children each for the one dataset write (four study
+            # files, one task each), the one dataset read (every range of
+            # the four files in one fan_out) and predict's read of its
+            # input; two for the scores file (three blocks); one for the
+            # two LCA restarts
+            assert cpus.forks == 3 + 3 + 3 + 2 + 1
             cpus(1)
         out = tmp_path / name
         data, fit, scores = out / "data", out / "fit.json", out / "scores.csv"
@@ -463,6 +474,24 @@ def test_missing_files_exit_1(tmp_path, capsys):
     assert _one_error_line(capsys) == (
         f"error: [Errno 2] No such file or directory: '{tmp_path / 'absent.json'}'"
     )
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("predict", "--fit"), ("predict", "--input"), ("predict", "--out"), ("fit", "--out"),
+    ("fit", "--data"), ("lca-select", "--data"),
+])
+def test_a_path_of_the_wrong_kind_exits_1_naming_it(cli_workspace, cli_fit, tmp_path, capsys,
+                                                    command, flag):
+    root, config, data_dir = cli_workspace
+    options = {
+        "predict": {"--fit": cli_fit[0], "--input": data_dir / "study_0.csv"},
+        "fit": {"--config": config, "--data": data_dir, "--classes": "3"},
+        "lca-select": {"--config": config, "--data": data_dir, "--classes": "2"},
+    }[command]
+    # a file where the data directory belongs, a directory where a file does
+    options[flag] = data_dir / "study_0.csv" if flag == "--data" else tmp_path
+    assert main([command, *(str(word) for option in options.items() for word in option)]) == 1
+    assert f"'{options[flag]}" in _one_error_line(capsys)
 
 
 def test_config_errors_exit_2(tmp_path):

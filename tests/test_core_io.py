@@ -1,9 +1,12 @@
 """Study files on every CPU: the ranged reader gives the bits of one
-np.loadtxt over the file, errors name the file line wherever it was parsed,
-the block writer writes the bytes of one np.savetxt, and write_manifest
-writes the bytes of a serial loop, forking only for a collection above the
-work floor."""
+np.loadtxt over the file, reads a whole dataset in one fork-join (none below
+one range of data bytes), checks every header before any data line, and
+names the earliest bad line by its file line wherever it was parsed; the
+block writer writes the bytes of one np.savetxt, and write_manifest writes
+the bytes of a serial loop, forking only for a collection above the work
+floor."""
 
+import json
 import math
 import os
 import re
@@ -33,8 +36,8 @@ def _rows(n, seed=0):
     return [f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}" for a, b, c, d in zip(y, *x.T, z)]
 
 
-def _file(tmp_path, lines, end="\n", last_end=True):
-    path = tmp_path / "study.csv"
+def _file(tmp_path, lines, end="\n", last_end=True, name="study.csv"):
+    path = tmp_path / name
     text = end.join([HEADER] + lines) + (end if last_end else "")
     path.write_bytes(text.encode())
     return path
@@ -125,16 +128,12 @@ def test_a_bad_line_in_the_last_range_names_its_file_line(tmp_path, monkeypatch,
     assert "usecols" not in reason and "row" not in reason
 
 
-def test_a_bad_line_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch, cpus):
-    """Three ranges on two processes: the child parses the last, bad one,
-    while the caller holds its first range until the child has taken it."""
-    lines = _rows(6) + ["0,1,zz,0"]
-    path = _file(tmp_path, lines)
-    body = len(HEADER) + 1
-    size = -(-(path.stat().st_size - body) // 3)
-    monkeypatch.setattr(core, "_RANGE_BYTES", size)
+def _fail_in_the_child(tmp_path, monkeypatch, cpus):
+    """Two processes: the caller holds its first range until the child has
+    failed to parse one of the others, so every failing range is the
+    child's."""
     cpus(2)
-    caller, started, bad_taken = os.getpid(), tmp_path / "started", tmp_path / "bad"
+    caller, started, failed = os.getpid(), tmp_path / "started", tmp_path / "failed"
     real = core._read_range
 
     def wait_for(marker):
@@ -146,14 +145,23 @@ def test_a_bad_line_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch,
         if os.getpid() == caller:
             if not started.exists():
                 started.touch()
-                wait_for(bad_taken)
-        else:
-            wait_for(started)
-            if job[2] == body + 2 * size:
-                bad_taken.touch()
-        return real(job)
+                wait_for(failed)
+            return real(job)
+        wait_for(started)
+        try:
+            return real(job)
+        except ValueError:
+            failed.touch()
+            raise
 
     monkeypatch.setattr(core, "_read_range", read_range)
+
+
+def test_a_bad_line_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch, cpus):
+    lines = _rows(6) + ["0,1,zz,0"]
+    path = _file(tmp_path, lines)
+    monkeypatch.setattr(core, "_RANGE_BYTES", -(-(path.stat().st_size - len(HEADER) - 1) // 3))
+    _fail_in_the_child(tmp_path, monkeypatch, cpus)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 8: could not convert string 'zz'") as exc:
         read_study_csv(path, study_id=0)
     assert type(exc.value.__cause__).__name__ == "_ChildTraceback"
@@ -411,6 +419,109 @@ def test_a_run_of_one_large_study_is_formatted_in_blocks_in_children(tmp_path, m
     expected = tmp_path / "serial.csv"
     _savetxt(expected, "y,x1,x2,x3,x4,x5,x6,z1,z2,z3", _matrix(coll.target))
     assert (tmp_path / "ds" / "study_0.csv").read_bytes() == expected.read_bytes()
+
+
+# A dataset of K = 3 sources whose study files have these LAYOUTS, target first.
+DATASET = ["plain", "crlf", "blank lines", "trailing comment"]
+
+
+def _dataset(tmp_path, bad=None, header=None):
+    """The manifest of DATASET written to tmp_path, with `bad` = {study:
+    line} replacing each named study's last line and `header` = {study:
+    header} its header."""
+    bad, header = bad or {}, header or {}
+    for k, layout in enumerate(DATASET):
+        spec = dict(LAYOUTS[layout], name=f"study_{k}.csv")
+        if k in bad:
+            spec["lines"] = [*spec["lines"][:-1], bad[k]]
+        path = _file(tmp_path, **spec)
+        if k in header:
+            path.write_bytes(path.read_bytes().replace(HEADER.encode(), header[k].encode(), 1))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"target": "study_0.csv",
+                                    "sources": [f"study_{k}.csv" for k in range(1, len(DATASET))]}))
+    return manifest
+
+
+def _data_bytes(tmp_path):
+    return sum(len(path.read_bytes().split(b"\n", 1)[1]) for path in tmp_path.glob("study_*.csv"))
+
+
+def test_a_dataset_is_read_in_one_fork_join_with_the_bits_of_loadtxt(tmp_path, monkeypatch, cpus):
+    manifest = _dataset(tmp_path)
+    monkeypatch.setattr(core, "_RANGE_BYTES", 64)
+    back = load_collection(manifest)
+    assert [_bits(s) for s in back.studies] == [
+        _loadtxt_bits(tmp_path / f"study_{k}.csv") for k in range(len(DATASET))]
+    assert cpus.forks == 3
+
+
+@pytest.mark.parametrize("spare, n_forks", [(0, 0), (-1, 3)], ids=["one range", "one byte more"])
+def test_a_dataset_of_one_range_of_data_bytes_is_read_without_forking(tmp_path, monkeypatch, cpus,
+                                                                      spare, n_forks):
+    manifest = _dataset(tmp_path)
+    monkeypatch.setattr(core, "_RANGE_BYTES", _data_bytes(tmp_path) + spare)
+    load_collection(manifest)
+    assert cpus.forks == n_forks
+
+
+def test_a_bad_line_of_a_source_parsed_in_a_child_names_its_file_line(tmp_path, monkeypatch, cpus):
+    manifest = _dataset(tmp_path, bad={2: "0,1,zz,0"})
+    monkeypatch.setattr(core, "_RANGE_BYTES", 64)
+    _fail_in_the_child(tmp_path, monkeypatch, cpus)
+    line = 1 + len(LAYOUTS["blank lines"]["lines"])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'study_2.csv'))}: line {line}: "
+                                         "could not convert string 'zz'") as exc:
+        load_collection(manifest)
+    assert type(exc.value.__cause__).__name__ == "_ChildTraceback"
+
+
+@pytest.mark.parametrize("n_cpus", [4, 1])
+def test_of_bad_lines_in_two_files_the_earlier_file_is_named(tmp_path, monkeypatch, cpus, n_cpus):
+    cpus(n_cpus)
+    manifest = _dataset(tmp_path, bad={1: BAD_LINES[1][0], 3: BAD_LINES[0][0]})
+    monkeypatch.setattr(core, "_RANGE_BYTES", 64)
+    line = 1 + len(LAYOUTS["crlf"]["lines"])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'study_1.csv'))}: line {line}: "
+                                         f"{BAD_LINES[1][1]}"):
+        load_collection(manifest)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("y,x2,x1,z1", "header must be y,x1..xp,z1..zq in order"),
+    ("y,x1,z1", "expected 2 predictor columns, found 1"),
+    ("y,x1,x2,z1,z2", "expected 1 structure columns, found 2"),
+])
+def test_a_bad_header_in_the_last_source_is_refused_before_any_line_is_parsed(
+    tmp_path, monkeypatch, cpus, header, message
+):
+    # the target's last line is bad too: no data line is parsed first
+    manifest = _dataset(tmp_path, bad={0: BAD_LINES[0][0]}, header={len(DATASET) - 1: header})
+    parsed = []
+    monkeypatch.setattr(core, "_read_range", parsed.append)
+    last = tmp_path / f"study_{len(DATASET) - 1}.csv"
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{last}: {message}')}"):
+        load_collection(manifest)
+    assert parsed == []
+
+
+# Study 2 ("blank lines") holds seven rows before its last line.
+@pytest.mark.parametrize("column, text, message", [
+    (3, "2", "structure_vars[7, 0] must be a real number in {0, 1}, got 2.0"),
+    (1, "nan", "predictors[7, 0] must be a real number in (-inf, inf), got nan"),
+    (0, "inf", "outcomes[7] must be a real number in (-inf, inf), got inf"),
+], ids=["z of 2", "nan predictor", "inf outcome"])
+def test_a_value_that_breaks_a_study_rule_is_refused_naming_its_file(tmp_path, monkeypatch, cpus,
+                                                                     column, text, message):
+    cells = _rows(1, seed=3)[0].split(",")
+    cells[column] = text
+    manifest = _dataset(tmp_path, bad={2: ",".join(cells)})
+    path = tmp_path / "study_2.csv"
+    for n_cpus in (4, 1):
+        cpus(n_cpus)
+        monkeypatch.setattr(core, "_RANGE_BYTES", 64)
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: {message}')}$"):
+            load_collection(manifest)
 
 
 @pytest.mark.parametrize(
