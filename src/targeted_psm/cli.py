@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import logging
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -91,6 +93,20 @@ def _run_on_data(data_dir, run, *args, **kwargs):
         return run(data, *args, **kwargs)
     except ValueError as exc:
         raise DataError(f"{data_dir}: {exc}") from exc
+
+
+def _check_output_file(path) -> None:
+    """Raise, without creating anything, the OSError that writing the file
+    `path` would raise when `path` is a directory or its parent is not one,
+    so a run that cannot save its result stops before it reads its input."""
+    path = Path(path)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +269,8 @@ def _cmd_fit(args) -> int:
     lca_cfg = lca_from_config(config, args.seed)
     n_classes = scenario.n_classes if args.classes is None else args.classes
     family = scenario.glm_family()
+    if args.out is not None:
+        _check_output_file(args.out)
     try:
         fit = _run_on_data(
             args.data, fit_targeted_psm, n_classes,

@@ -14,8 +14,11 @@ quadratic in beta, so a gaussian solve reduces the rows once to their
 sufficient statistics (the bitwise symmetric weighted Gram, the weighted
 cross moment with y - offset, and the loss at beta = 0) and evaluates every
 objective, step and KKT gradient from them in O(d^2), without touching the
-rows again.  The penalty always applies to the coefficients on the original
-scale, which is also the scale of the returned solution.
+rows again.  That reduction runs block by block over the rows, so it adds
+one weighted row block to memory, never a weighted copy of the rows; a
+problem within one block gets the bits of the single product Z'Z / W with
+Z = X * sqrt(w).  The penalty always applies to the coefficients on the
+original scale, which is also the scale of the returned solution.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ DEFAULT_MAX_IRLS = 100
 # on until its moves settle (or the pass cap).
 STALL_FACTOR = 0.5
 STALL_PASSES = 10
+
+# Size of a row block of the gaussian Gram, in values (whole rows, at
+# least one).
+_GRAM_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -276,11 +283,22 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
 
     mean1 = (w @ X) / W
     if gaussian:
-        # Sufficient statistics of the quadratic loss: Z'Z takes numpy's
-        # syrk path, so G is bitwise symmetric, and its diagonal holds the
-        # columns' weighted second moments.
-        Z = X * np.sqrt(w)[:, None]
-        G = Z.T @ Z / W
+        # Sufficient statistics of the quadratic loss.  G sums, in row order,
+        # the products Zb'Zb of the weighted row blocks
+        # Zb = X[block] * sqrt(w[block]), each written into one reused
+        # buffer.  Each Zb'Zb takes numpy's syrk path, so G is bitwise
+        # symmetric; its diagonal holds the columns' weighted second moments.
+        root_w = np.sqrt(w)
+        rows = min(max(_GRAM_BLOCK_VALUES // max(d, 1), 1), n)
+        buffer = np.empty((rows, d))
+        for start in range(0, n, rows):
+            Zb = buffer[:n - start]
+            np.multiply(X[start:start + rows], root_w[start:start + rows, None], out=Zb)
+            if start == 0:
+                G = Zb.T @ Zb
+            else:
+                G += Zb.T @ Zb
+        G /= W
         g = X.T @ (w * (y - offset)) / W
         check_real("Gram", G, "(-inf, inf)")
         check_real("cross moment", g, "(-inf, inf)")

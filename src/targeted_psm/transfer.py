@@ -218,7 +218,9 @@ def _mixture_em(
 
     The loop copies no rows: each solve reads `design`, and the E-step reads
     X as the view design[:, 1:].  So while it runs, the stage holds the
-    studies, the design and, during a solve, the solver's weighted copy.
+    studies, the design and, during a solve, what the solve adds: one
+    weighted row block for a gaussian solve, scaled and weighted copies of
+    the design for a logistic one.
 
     Iteration t takes weights w_ic (w = v on the first pass, the
     Bayes-refined memberships afterwards) and decides, per class c, in this
@@ -387,8 +389,9 @@ def _stage_rows(data: StudyCollection, memberships: MembershipMatrix, stage: str
     The design is the one copy of a stage's rows: the EM loop solves on it
     and reads X as its view design[:, 1:], and CV tuning cuts its per-fold
     copies from it.  So while a stage runs, memory holds the studies, this
-    design, the current fold's copies during CV, and the solver's weighted
-    copy during a solve."""
+    design, the current fold's copies during CV, and during a solve what
+    the solve adds: one weighted row block for a gaussian solve, scaled and
+    weighted copies of the design for a logistic one."""
     if memberships.n_studies != data.K + 1:
         raise ValueError("memberships do not match the study collection")
     studies = _stage_data(data, stage)
@@ -484,7 +487,8 @@ def auto_tune_lambda(
 
     The stage's rows are held as _stage_rows builds them: the studies and
     one design [1 | X].  One fold's training and validation copies of the
-    design are alive at a time, and a solve adds the solver's weighted copy.
+    design are alive at a time, and a solve adds one weighted row block
+    (gaussian) or scaled and weighted copies of its rows (logistic).
 
     Before any solve, _check_grid checks the grid and check_stage admits
     the stage for "auto" (a ValueError otherwise).  A logistic stage whose

@@ -490,8 +490,26 @@ def test_a_path_of_the_wrong_kind_exits_1_naming_it(cli_workspace, cli_fit, tmp_
     }[command]
     # a file where the data directory belongs, a directory where a file does
     options[flag] = data_dir / "study_0.csv" if flag == "--data" else tmp_path
-    assert main([command, *(str(word) for option in options.items() for word in option)]) == 1
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main([command, *(str(word) for option in options.items() for word in option)]) == 1
+    assert printed.getvalue() == ""  # `fit --out` is refused before the fit, so no summary
     assert f"'{options[flag]}" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("parent, reason", [
+    ("missing", "[Errno 2] No such file or directory"), ("a file", "[Errno 20] Not a directory"),
+], ids=["missing", "a file"])
+def test_a_fit_out_whose_parent_is_not_a_directory_exits_1_before_the_read(
+        cli_workspace, tmp_path, capsys, parent, reason):
+    root, config, data_dir = cli_workspace
+    out = (tmp_path / "absent" if parent == "missing" else data_dir / "study_0.csv") / "fit.json"
+    # the data directory is missing too: naming --out shows it was checked first
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main(["fit", "--config", config, "--data", str(tmp_path / "no data"),
+                     "--out", str(out)]) == 1
+    assert printed.getvalue() == ""
+    assert _one_error_line(capsys) == f"error: {reason}: '{out}'"
+    assert not out.parent.is_dir()
 
 
 def test_config_errors_exit_2(tmp_path):

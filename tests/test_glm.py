@@ -193,6 +193,8 @@ def _gaussian_case(feature, lam):
     offset = None
     if feature == "zero weights":
         weights[::4] = 0.0
+    elif feature == "several blocks":
+        weights[14:21] = 0.0  # the third block, when blocks are 7 rows
     elif feature == "constant column":
         X[:, 2] = 3.0
     elif feature == "zero column":
@@ -207,28 +209,46 @@ def _gaussian_case(feature, lam):
 
 @pytest.mark.parametrize("lam", [0.0, 0.05, np.inf], ids=["lam0", "lam0.05", "laminf"])
 @pytest.mark.parametrize("feature", ["plain", "zero weights", "constant column",
-                                     "zero column", "offset", "n < d"])
+                                     "zero column", "offset", "n < d", "several blocks"])
 def test_the_gaussian_solve_agrees_with_the_rows(feature, lam, monkeypatch):
     # The objective and KKT residual a gaussian solve reports from its
     # sufficient statistics are the ones the rows give, from a cold start and
-    # from a warm start at its own optimum, and every quadratic it hands the
-    # CD kernel is bitwise symmetric.
+    # from a warm start at its own optimum, and every Gram it sums and every
+    # quadratic it hands the CD kernel is bitwise symmetric.  A problem within
+    # one row block has the Gram of the single product Z'Z / W, bit for bit;
+    # "several blocks" sums 7-row blocks over 80 rows, one block all zero
+    # weights.
     prob = _gaussian_case(feature, lam)
-    kernel, grams = glm._cd_quadratic, []
+    if feature == "several blocks":
+        monkeypatch.setattr(glm, "_GRAM_BLOCK_VALUES", 7 * prob.d)
+    kernel, check, quadratics, grams = glm._cd_quadratic, glm.check_real, [], []
 
     def capture(*args):
-        grams.append(np.copy(args[0]))
+        quadratics.append(np.copy(args[0]))
         return kernel(*args)
 
+    def checked(name, value, interval):
+        if name == "Gram":
+            grams.append(np.copy(value))
+        return check(name, value, interval)
+
     monkeypatch.setattr(glm, "_cd_quadratic", capture)
+    monkeypatch.setattr(glm, "check_real", checked)
     cold = solve_weighted_lasso_glm(prob)
     warm = solve_weighted_lasso_glm(prob, init=cold.beta)
     for sol in (cold, warm):
         assert sol.objective == pytest.approx(objective_value(prob, sol.beta), rel=1e-12)
         assert abs(sol.kkt_max_violation - kkt_residual(prob, sol.beta)) <= 1e-12
-    assert grams
-    for A in grams:
+    assert quadratics and len(grams) == 2
+    for A in quadratics + grams:
         assert A.tobytes() == A.T.copy().tobytes()
+    Z = prob.X * np.sqrt(prob.weights)[:, None]
+    single = Z.T @ Z / prob.weights.sum()
+    for G in grams:
+        if feature == "several blocks":
+            np.testing.assert_allclose(G, single, rtol=1e-13, atol=1e-15)
+        else:
+            assert G.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["logistic", "gaussian"])
@@ -247,14 +267,17 @@ def test_a_warm_start_is_a_length_d_real_vector(kind, init, message, rng):
         solve_weighted_lasso_glm(prob, init=init)
 
 
-def test_an_overflowing_gaussian_gram_is_refused(rng):
+@pytest.mark.parametrize("block_rows", [30, 4], ids=["one block", "several blocks"])
+def test_an_overflowing_gaussian_gram_is_refused(block_rows, rng, monkeypatch):
     # Predictors near 1e160 square past the float range: the solve refuses
-    # the Gram they give before any IRLS pass.
+    # the Gram they give before any IRLS pass, whether it sums one row block
+    # or several.
+    monkeypatch.setattr(glm, "_GRAM_BLOCK_VALUES", 3 * block_rows)
     X = rng.standard_normal((30, 3)) * 1e160
     y = rng.standard_normal(30)
     prob = WeightedGlmProblem(family=GlmFamily.gaussian(), X=X, y=y,
                               weights=np.ones(30), lam=0.05)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=re.escape(
             "Gram[0, 0] must be a real number in (-inf, inf), got inf")):
         solve_weighted_lasso_glm(prob)
 
