@@ -118,10 +118,10 @@ def load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise  # a missing input file exits 1, as every other one does
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
@@ -302,6 +302,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.out is not None:
+        _check_output_file(args.out)
     fit = _read_data(load_transfer_fit, args.fit)
     study = _read_data(read_study_csv, args.input, study_id=0)
     expected = (fit.b_target.n_features, fit.lca_model.n_structure_vars)
@@ -469,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", required=True, help="saved fit JSON")
     p.add_argument(
         "--input", required=True,
-        help="study CSV (y,x*,z* header; the y column is ignored)",
+        help="study CSV (y,x*,z* header; y must be a real number and does not enter the scores)",
     )
     p.set_defaults(func=_cmd_predict)
 

@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * every probability that feeds a weighted fit is kept inside
   [EPS_CLIP, 1 - EPS_CLIP] so that no observation weight collapses to zero,
 * every model choice (CV penalty, latent class restart, BIC class count,
-  class alignment) is `first_best` and every EM stop test `em_converged`;
-  their tolerances and floors are the callers' module constants,
+  class alignment) is `first_best`, the first lowest score, and every EM
+  stop test `em_converged`, relative to a positive scale, absolute at 0,
 * every input rule is `check_count` (an integer in a range) or
   `check_real` (real numbers in an interval, or in the set {0, 1}),
   called before the input is converted.
@@ -220,29 +220,25 @@ def clip_rows(probs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def first_best(scores, rtol: float):
-    """Index of the first score within rtol * |best| of the smallest one
-    (lower is better), row by row for a 2-d array.
+def first_best(scores):
+    """Index of the first lowest score (lower is better), row by row for a
+    2-d array.
 
     Every model choice of the package is this rule: each caller orders its
-    candidates so that the first is the one it prefers on a tie, and sets
-    its own rtol as a module constant.  At rtol = 0 it is np.argmin (the
-    first occurrence of the minimum).  A NaN score is a ValueError.
+    candidates so that the first is the one it prefers on a tie.  A NaN
+    score is a ValueError.
     """
     check_real("scores", scores, "[-inf, inf]")
     scores = np.asarray(scores, dtype=float)
-    check_real("rtol", rtol, "[0, inf)")
-    best = scores.min(axis=-1, keepdims=True)
-    limit = best + rtol * np.abs(best) if rtol > 0.0 else best
-    index = np.argmax(scores <= limit, axis=-1)
+    index = np.argmin(scores, axis=-1)
     return int(index) if scores.ndim == 1 else index
 
 
-def em_converged(change: float, scale: float, tol: float, floor: float) -> bool:
+def em_converged(change: float, scale: float, tol: float) -> bool:
     """The stop test of every EM loop: relative (change <= tol * scale)
-    while the scale of the previous state is above `floor`, absolute
-    (change <= tol) at or below it."""
-    return change <= tol * scale if scale > floor else change <= tol
+    while the scale of the previous state is positive, absolute
+    (change <= tol) at 0."""
+    return change <= tol * scale if scale > 0.0 else change <= tol
 
 
 def check_count(name: str, value, minimum: int, maximum: int = None) -> None:
@@ -747,8 +743,8 @@ def load_collection(manifest_path) -> StudyCollection:
     without forking (see _read_studies)."""
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 text, or not JSON
         raise ValueError(f"{manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: the manifest must be a JSON object")

@@ -54,7 +54,7 @@ def align_classes(estimate, truth):
         raise ValueError(f"alignment is exhaustive; C must be <= {MAX_ALIGN_CLASSES}")
     perms = list(itertools.permutations(range(C)))
     costs = [float(np.sum(np.square(E[:, perm] - T))) for perm in perms]
-    best_perm = perms[first_best(costs, 0.0)]
+    best_perm = perms[first_best(costs)]
     return best_perm, E[:, best_perm]
 
 
@@ -194,7 +194,7 @@ def _write_csv(path, cls, rows, append: bool) -> None:
     path = Path(path)
     cols = fields(cls)
     mode = "a" if append and path.exists() else "w"
-    with path.open(mode, newline="") as fh:
+    with path.open(mode, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if mode == "w":
             writer.writerow([f.name for f in cols])
@@ -213,20 +213,23 @@ def read_report_rows(path) -> list:
     is also the order write_report_rows appends in."""
     cols = fields(ReportRow)
     expected = [f.name for f in cols]
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None:
-            raise ValueError(f"{path} is empty; expected the header {','.join(expected)}")
-        if header != expected:
-            missing = [c for c in expected if c not in header]
-            extra = [c for c in header if c not in expected]
-            raise ValueError(
-                f"{path} does not have the ReportRow columns: "
-                + (f"missing {missing}, extra {extra}" if missing or extra
-                   else f"found them in the order {','.join(header)}")
-            )
-        return [ReportRow(**{f.name: _parse_cell(f, rec[f.name]) for f in cols}) for rec in reader]
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header, records = reader.fieldnames, list(reader)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if header is None:
+        raise ValueError(f"{path} is empty; expected the header {','.join(expected)}")
+    if header != expected:
+        missing = [c for c in expected if c not in header]
+        extra = [c for c in header if c not in expected]
+        raise ValueError(
+            f"{path} does not have the ReportRow columns: "
+            + (f"missing {missing}, extra {extra}" if missing or extra
+               else f"found them in the order {','.join(header)}")
+        )
+    return [ReportRow(**{f.name: _parse_cell(f, rec[f.name]) for f in cols}) for rec in records]
 
 
 def _replicate_seed(master_seed: int, replicate: int) -> int:

@@ -17,13 +17,12 @@ their stacked order (`_em_step`): a fit is bit for bit what a row-by-row
 E-step gives.
 
 The module's two discrete choices and its stop test are the package's own
-rules, with module constants: `fit_lca` keeps the restart `core.first_best`
-picks on the -log-likelihoods at RESTART_RTOL (at 0, the earliest restart
-with the largest log-likelihood), `select_classes_bic` marks the class
-count it picks on the BICs at BIC_RTOL (at 0, the lowest BIC, the smaller
-C on a tie), and each restart stops by `core.em_converged` at
-DEFAULT_TOL_LCA with STOP_FLOOR (at 0, always relative to the previous
-log-likelihood, which is strictly negative).
+rules: `fit_lca` keeps the restart `core.first_best` picks on the
+-log-likelihoods (the earliest restart with the largest log-likelihood),
+`select_classes_bic` marks the class count it picks on the BICs (the
+lowest BIC, the smaller C on a tie), and each restart stops by
+`core.em_converged` at DEFAULT_TOL_LCA, relative to the previous
+log-likelihood, which is strictly negative.
 """
 
 from __future__ import annotations
@@ -51,20 +50,13 @@ DEFAULT_N_STARTS = 10
 DEFAULT_TOL_LCA = 1e-7
 DEFAULT_MAX_ITER_LCA = 500
 
-# The floor of each restart's stop test (core.em_converged) and the
-# tolerances of the restart and class-count choices (core.first_best); see
-# the module docstring.
-STOP_FLOOR = 0.0
-RESTART_RTOL = 0.0
-BIC_RTOL = 0.0
-
 
 @dataclass(frozen=True)
 class LcaFitConfig:
     """EM settings: the number of restarts (an integer >= 1) and the
     master seed (an integer >= 0) feeding the 'lca-init' substream.  Every
-    restart stops at the relative log-likelihood change DEFAULT_TOL_LCA
-    (see STOP_FLOOR) or after DEFAULT_MAX_ITER_LCA iterations."""
+    restart stops at the relative log-likelihood change DEFAULT_TOL_LCA or
+    after DEFAULT_MAX_ITER_LCA iterations."""
 
     n_starts: int = DEFAULT_N_STARTS
     seed: int = 0
@@ -313,19 +305,17 @@ def _em_step(prevalences: np.ndarray, mixing: np.ndarray, index: _CellIndex):
 
 def _run_em(init: LcaModel, index: _CellIndex) -> LcaModel:
     """One EM restart from `init`, on plain arrays, stopped by
-    core.em_converged on the log-likelihood change with the module's
-    DEFAULT_TOL_LCA and STOP_FLOOR, or after DEFAULT_MAX_ITER_LCA steps,
-    each read on every call.  Only the result is an LcaModel, so the
-    model's checks run once per restart, not once per EM step."""
+    core.em_converged on the log-likelihood change at the module's
+    DEFAULT_TOL_LCA, or after DEFAULT_MAX_ITER_LCA steps, both read on
+    every call.  Only the result is an LcaModel, so the model's checks run
+    once per restart, not once per EM step."""
     prevalences, mixing = init.prevalences, init.mixing
     trace = []
     converged = False
     for _ in range(DEFAULT_MAX_ITER_LCA):
         prevalences, mixing, ll = _em_step(prevalences, mixing, index)
         trace.append(ll)
-        if len(trace) >= 2 and em_converged(
-            abs(ll - trace[-2]), abs(trace[-2]), DEFAULT_TOL_LCA, STOP_FLOOR
-        ):
+        if len(trace) >= 2 and em_converged(abs(ll - trace[-2]), abs(trace[-2]), DEFAULT_TOL_LCA):
             converged = True
             break
     trace.append(_log_lik(prevalences, mixing, index))
@@ -347,9 +337,9 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
 
     Runs `config.n_starts` random EM restarts (prevalences uniform on
     (0.2, 0.8), mixing rows flat-Dirichlet) and keeps the restart that
-    core.first_best picks on their -log-likelihoods at RESTART_RTOL, in
-    restart order: the best final log-likelihood, the earliest restart on a
-    tie.  The restarts are independent EM runs, spread over the CPUs of the
+    core.first_best picks on their -log-likelihoods, in restart order: the
+    best final log-likelihood, the earliest restart on a tie.  The
+    restarts are independent EM runs, spread over the CPUs of the
     process's affinity mask by `_parallel.fan_out` (whose docstring says
     when they run serially), with the bytes of a serial loop: every initial
     model is drawn first, in restart order, from the one 'lca-init' stream,
@@ -391,7 +381,7 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
         for _ in range(config.n_starts)
     ]
     fits = fan_out(lambda init: _run_em(init, index), inits)
-    best = first_best([-m.log_lik for m in fits], RESTART_RTOL)
+    best = first_best([-m.log_lik for m in fits])
     return _canonical_order(fits[best])
 
 
@@ -444,9 +434,9 @@ def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig =
     selected.
 
     `selected` is True on exactly one row: the one core.first_best picks on
-    the BICs at BIC_RTOL, with the rows taken by ascending C, so the lowest
-    BIC wins and a tie goes to the smaller C (to the earlier row for a C
-    listed twice).  The grid is checked whole before the first fit: it
+    the BICs, with the rows taken by ascending C, so the lowest BIC wins
+    and a tie goes to the smaller C (to the earlier row for a C listed
+    twice).  The grid is checked whole before the first fit: it
     must hold at least one C, and every C is a class count.  A heuristic
     convenience: BIC comparisons across latent class counts come with no
     recovery guarantee.
@@ -471,7 +461,7 @@ def select_classes_bic(data: StudyCollection, class_grid, config: LcaFitConfig =
             }
         )
     by_c = sorted(rows, key=lambda r: r["n_classes"])
-    by_c[first_best([r["bic"] for r in by_c], BIC_RTOL)]["selected"] = True
+    by_c[first_best([r["bic"] for r in by_c])]["selected"] = True
     return rows
 
 

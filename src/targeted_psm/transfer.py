@@ -26,8 +26,8 @@ it before any fitting, and tunes by `auto_tune_lambda` where it returns None
 for "auto"); `_check_grid` is the one rule for CV multipliers; and
 `_log_joint` builds log v + log f(y | eta), from which one EM iteration
 takes both its objective value and the next E-step.  The CV choice and
-the stop test of both loops are the package's rules, `core.first_best` at
-CV_RTOL and `core.em_converged` at DEFAULT_TAU with STOP_FLOOR.
+the stop test of both loops are the package's rules, `core.first_best` and
+`core.em_converged` at DEFAULT_TAU.
 """
 
 from __future__ import annotations
@@ -73,16 +73,6 @@ DEFAULT_MAX_EM_ITER = 100
 DEFAULT_CV_FOLDS = 5
 DEFAULT_CV_GRID = tuple(np.logspace(np.log10(0.01), np.log10(10.0), 10))
 
-# A CV score within CV_RTOL * |best| of a class's lowest one ties with it,
-# and the larger penalty wins the tie (core.first_best; 0 keeps the exact
-# lowest).
-CV_RTOL = 0.0
-
-# Both EM loops test the parameter change relative to the previous state's
-# norm while that norm is above STOP_FLOOR, absolutely at or below it
-# (core.em_converged; 0 is absolute only from an all-zero state).
-STOP_FLOOR = 0.0
-
 # A class whose total weight mass falls below 10 * p * EPS_CLIP in some
 # M-step is frozen for that iteration instead of being refit.
 DEGENERATE_MASS_FACTOR = 10.0
@@ -108,8 +98,8 @@ class TransferConfig:
 
     A bad value (a boolean, string or NaN penalty or multiplier among them)
     is a ValueError when the config is built, not a failure mid-fit.  Both EM
-    loops stop at the relative-change threshold DEFAULT_TAU (see
-    STOP_FLOOR), and every class has one unpenalized intercept.
+    loops stop at the relative-change threshold DEFAULT_TAU (absolute from
+    an all-zero state), and every class has one unpenalized intercept.
     """
 
     lambda_pool: object = "auto"
@@ -246,7 +236,7 @@ def _mixture_em(
     iteration's memberships.  Each class's state is its unpenalized
     intercept followed by its coefficients.  Stops when core.em_converged
     passes on the parameter change against the previous state's norm, at
-    the module's DEFAULT_TAU and STOP_FLOOR, read on every call, or after
+    the module's DEFAULT_TAU, read on every call, or after
     max_iter rounds; a loop of more than one round that stops at its cap
     raises a RuntimeWarning naming `stage`.  An iteration with a failed
     solve never counts as converged (the frozen class adds nothing to the
@@ -319,7 +309,7 @@ def _mixture_em(
         theta = theta_new
         if failed:
             continue
-        if em_converged(change, scale, tau, STOP_FLOOR):
+        if em_converged(change, scale, tau):
             break
     else:
         if max_iter > 1:
@@ -482,8 +472,8 @@ def auto_tune_lambda(
     solve's best iterate.  SolverError is raised only when every candidate
     of a class fails, naming the class and stage.
 
-    Each class takes the candidate core.first_best picks from its CV scores
-    at CV_RTOL: the candidates descend, so a tie goes to the larger penalty.
+    Each class takes the candidate core.first_best picks from its CV scores:
+    the candidates descend, so a tie goes to the larger penalty.
 
     The stage's rows are held as _stage_rows builds them: the studies and
     one design [1 | X].  One fold's training and validation copies of the
@@ -555,7 +545,7 @@ def auto_tune_lambda(
     scores = np.divide(loss_sum, mass_sum, out=np.full(shape, np.inf), where=~failed)
     # The candidates descend, so a tie goes to the larger (more
     # parsimonious) penalty.
-    return candidates[first_best(scores, CV_RTOL)]
+    return candidates[first_best(scores)]
 
 
 # ---------------------------------------------------------------------------

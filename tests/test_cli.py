@@ -67,16 +67,24 @@ def test_load_config_rejects_bad_json(tmp_path):
 
 @pytest.mark.parametrize("payload, message", [
     (None, "cannot read config file: "),
+    (b"\xff\xfe{}", "cannot read config file: 'utf-8' codec can't decode byte 0xff in position 0"),
     ([], "config file must contain a JSON object at top level"),
     ({"methods": []}, "methods must be a non-empty JSON list of method names"),
     ({"experiment": {"scenarios": []}}, "experiment.scenarios must be a non-empty JSON list"),
     ({"experiment": {"scenarios": [{"id": "a"}, {"K": 2}]}},
      "experiment.scenarios[1] must be an object with an 'id'"),
-], ids=["unreadable", "not-an-object", "no-methods", "no-scenarios", "scenario-without-id"])
+], ids=["unreadable", "not-utf-8", "not-an-object", "no-methods", "no-scenarios",
+        "scenario-without-id"])
 def test_a_malformed_config_exits_2_with_one_config_error_line(tmp_path, capsys, payload,
                                                                message):
     # a directory in place of the file cannot be read
-    config = str(tmp_path) if payload is None else _write_config(tmp_path, payload)
+    if payload is None:
+        config = str(tmp_path)
+    elif isinstance(payload, bytes):
+        (tmp_path / "bad.json").write_bytes(payload)
+        config = str(tmp_path / "bad.json")
+    else:
+        config = _write_config(tmp_path, payload)
     assert main(["experiment", "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {message}"), err
@@ -387,14 +395,18 @@ def test_malformed_study_csv_exits_2_naming_the_file_line(cli_workspace, cli_fit
         assert _one_error_line(capsys).startswith(where)
 
 
-@pytest.mark.parametrize("manifest", [{"target": 5}, {"target": "study_0.csv", "sources": "study_1.csv"}])
-def test_malformed_manifest_exits_2(cli_workspace, tmp_path, capsys, manifest):
+@pytest.mark.parametrize("manifest, message", [
+    (json.dumps({"target": 5}).encode(), "'target' must name the target CSV"),
+    (json.dumps({"target": "study_0.csv", "sources": "study_1.csv"}).encode(),
+     "'sources' must be a list of CSV names"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["target-not-a-name", "sources-not-a-list", "not-utf-8"])
+def test_malformed_manifest_exits_2(cli_workspace, tmp_path, capsys, manifest, message):
     root, config, data_dir = cli_workspace
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "manifest.json").write_bytes(manifest)
     for command in ("fit", "lca-select"):
         assert main([command, "--data", str(tmp_path), "--classes", "2"]) == 2
-        key = "target" if "sources" not in manifest else "sources"
-        assert f"'{key}' must" in _one_error_line(capsys)
+        assert _one_error_line(capsys).startswith(f"error: {tmp_path / 'manifest.json'}: {message}")
 
 
 def test_study_files_are_the_same_bytes_with_serial_io(tmp_path, monkeypatch, cpus, capsys):
@@ -496,17 +508,21 @@ def test_a_path_of_the_wrong_kind_exits_1_naming_it(cli_workspace, cli_fit, tmp_
     assert f"'{options[flag]}" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["fit", "predict"])
 @pytest.mark.parametrize("parent, reason", [
     ("missing", "[Errno 2] No such file or directory"), ("a file", "[Errno 20] Not a directory"),
 ], ids=["missing", "a file"])
-def test_a_fit_out_whose_parent_is_not_a_directory_exits_1_before_the_read(
-        cli_workspace, tmp_path, capsys, parent, reason):
+def test_an_out_whose_parent_is_not_a_directory_exits_1_before_the_read(
+        cli_workspace, tmp_path, capsys, command, parent, reason):
     root, config, data_dir = cli_workspace
-    out = (tmp_path / "absent" if parent == "missing" else data_dir / "study_0.csv") / "fit.json"
-    # the data directory is missing too: naming --out shows it was checked first
+    out = (tmp_path / "absent" if parent == "missing" else data_dir / "study_0.csv") / "out"
+    # the inputs are missing too: naming --out shows it was checked first
+    inputs = {
+        "fit": ["--config", config, "--data", str(tmp_path / "no data")],
+        "predict": ["--fit", str(tmp_path / "no fit.json"), "--input", str(tmp_path / "no.csv")],
+    }[command]
     with contextlib.redirect_stdout(io.StringIO()) as printed:
-        assert main(["fit", "--config", config, "--data", str(tmp_path / "no data"),
-                     "--out", str(out)]) == 1
+        assert main([command, *inputs, "--out", str(out)]) == 1
     assert printed.getvalue() == ""
     assert _one_error_line(capsys) == f"error: {reason}: '{out}'"
     assert not out.parent.is_dir()
@@ -826,18 +842,20 @@ SWAPPED = HEADER.replace("mse,auc", "auc,mse")
          "missing ['error'], extra []"),
         (HEADER + ",note\n", "missing [], extra ['note']"),
         (SWAPPED + "\nK1,naive_lasso,0,1,1,0.6,0.5,0.1,0|1,\n", f"in the order {SWAPPED}"),
+        (HEADER + "\nK1,naive\xff", "rows.csv: 'utf-8' codec can't decode byte 0xff"),
     ],
-    ids=["empty", "no-error-column", "extra-column", "mse-auc-swapped"],
+    ids=["empty", "no-error-column", "extra-column", "mse-auc-swapped", "not-utf-8"],
 )
 def test_experiment_resume_rejects_a_foreign_header(experiment_config, tmp_path, capsys,
                                                     text, message):
     _, config = experiment_config
     rows_path = tmp_path / "rows.csv"
-    rows_path.write_text(text)
+    data = text.encode("latin-1")  # "\xff" is the one byte 0xff, not UTF-8 text
+    rows_path.write_bytes(data)
     rc = main(["experiment", "--config", config, "--out", str(tmp_path), "--resume"])
     assert rc == 2
     assert message in capsys.readouterr().err
-    assert rows_path.read_text() == text
+    assert rows_path.read_bytes() == data
     assert not (tmp_path / "summary.csv").exists()
 
 
@@ -908,6 +926,15 @@ def test_experiment_outputs_do_not_depend_on_fan_out(experiment_config, tmp_path
         outputs.append((rows, (out / "summary.csv").read_bytes()))
     assert len(outputs[0][0]) == 8
     assert outputs[0] == outputs[1]
+
+
+def test_predict_help_says_the_outcome_is_read_but_not_scored(capsys):
+    # a non-finite y is refused (the "inf outcome" case above), so it is not ignored
+    with pytest.raises(SystemExit):
+        main(["predict", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "y must be a real number" in text and "does not enter the scores" in text
+    assert "ignored" not in text
 
 
 def test_help_and_missing_subcommand(capsys):

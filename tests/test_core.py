@@ -241,7 +241,7 @@ def _tied_scores(rng, shape):
     return rng.choice([0.25, 1.0, 1.0 + 2.0 ** -52, 3.5, np.inf], size=shape)
 
 
-def test_first_best_at_zero_rtol_is_every_in_place_rule_it_replaced(rng):
+def test_first_best_is_every_in_place_rule_it_replaced(rng):
     for _ in range(300):
         s = _tied_scores(rng, int(rng.integers(1, 9)))
         idx = range(s.size)
@@ -250,29 +250,24 @@ def test_first_best_at_zero_rtol_is_every_in_place_rule_it_replaced(rng):
             min(idx, key=lambda i: s[i]),            # the BIC choice
             max(idx, key=lambda i: -s[i]),           # the restart choice, on -score
         )
-        assert first_best(s, 0.0) == old_rules[0] == old_rules[1] == old_rules[2]
-        assert isinstance(first_best(s, 0.0), int)
+        assert first_best(s) == old_rules[0] == old_rules[1] == old_rules[2]
+        assert isinstance(first_best(s), int)
         S = _tied_scores(rng, (int(rng.integers(1, 5)), int(rng.integers(1, 9))))
-        assert np.array_equal(first_best(S, 0.0), np.argmin(S, axis=1))
+        assert np.array_equal(first_best(S), np.argmin(S, axis=1))
 
 
-def test_first_best_with_a_tolerance_picks_the_first_score_within_it():
+def test_first_best_picks_the_first_lowest_score_row_by_row():
     s = np.array([3.0, 1.0 + 5e-8, 2.0, 1.0])
-    assert first_best(s, 0.0) == 3
-    assert first_best(s, 1e-7) == 1          # within 1e-7 * |1.0| of the best
-    assert first_best(s, 2.0) == 0           # 3.0 <= 1.0 + 2.0 * 1.0
-    assert first_best(-s, 0.0) == 0          # the tolerance scales with |best|
-    assert first_best([-1000.0, -1000.0 + 1e-4, -999.0], 1e-6) == 0
-    assert first_best([-1000.0 + 1e-4, -1000.0, -999.0], 1e-6) == 0
-    assert first_best([-1000.0 + 1e-2, -1000.0, -999.0], 1e-6) == 1
-    S = np.array([[2.0, 1.0 + 1e-9, 1.0], [5.0, 5.0, 4.0]])
-    assert first_best(S, 1e-8).tolist() == [1, 2]
-    assert first_best([np.inf, np.inf], 1e-8) == 0
+    assert first_best(s) == 3                # no tolerance: 1.0 + 5e-8 loses
+    assert first_best(-s) == 0
+    assert first_best([-1000.0, -1000.0 + 1e-4, -1000.0]) == 0
+    S = np.array([[2.0, 1.0 + 1e-9, 1.0], [5.0, 4.0, 4.0]])
+    assert first_best(S).tolist() == [2, 1]
+    assert first_best([np.inf, np.inf]) == 0
+    assert first_best(np.array([[np.inf, np.inf], [np.inf, 1.0]])).tolist() == [0, 1]
     with pytest.raises(ValueError, match=re.escape(
             "scores[1] must be a real number in [-inf, inf], got nan")):
-        first_best([1.0, np.nan], 0.0)
-    with pytest.raises(ValueError, match="rtol"):
-        first_best([1.0, 2.0], -1e-9)
+        first_best([1.0, np.nan])
 
 
 def _mixture_em_test(theta, theta_new, tau):
@@ -282,7 +277,7 @@ def _mixture_em_test(theta, theta_new, tau):
     return (diff <= tau * denom) if denom > 0 else (sorted_square_norm(theta_new) <= tau)
 
 
-def test_em_converged_at_floor_zero_is_the_old_mixture_em_test(rng):
+def test_em_converged_is_the_old_mixture_em_test(rng):
     tau = 1e-4
     for _ in range(2000):
         # zero states, states of norm below 1 and above it, and steps right
@@ -293,25 +288,19 @@ def test_em_converged_at_floor_zero_is_the_old_mixture_em_test(rng):
         step = rng.standard_normal((4, 3))
         step *= length / sorted_square_norm(step) * (1.0 + rng.uniform(-1e-12, 1e-12))
         theta_new = theta + step
-        new = em_converged(
-            sorted_square_norm(theta_new - theta), sorted_square_norm(theta), tau, 0.0
-        )
+        new = em_converged(sorted_square_norm(theta_new - theta), sorted_square_norm(theta), tau)
         assert new == _mixture_em_test(theta, theta_new, tau)
 
 
-def test_em_converged_is_relative_above_the_floor_absolute_at_it():
+def test_em_converged_is_relative_above_zero_absolute_at_it():
     tau = 1e-4
     # a previous state of norm 0.5: relative, so a change of 0.8 * tau is
-    # not converged (a floor of 1 would have stopped here)
-    assert not em_converged(0.8 * tau, 0.5, tau, 0.0)
-    assert em_converged(0.4 * tau, 0.5, tau, 0.0)
-    assert em_converged(0.8 * tau, 0.5, tau, 1.0)
+    # not converged
+    assert not em_converged(0.8 * tau, 0.5, tau)
+    assert em_converged(0.4 * tau, 0.5, tau)
     # a zero previous state: absolute
-    assert em_converged(tau, 0.0, tau, 0.0)
-    assert not em_converged(2 * tau, 0.0, tau, 0.0)
-    # a scale at the floor is absolute, above it relative
-    assert em_converged(tau, 1.0, tau, 1.0)
-    assert not em_converged(tau, 1.0 + 1e-9, 0.5 * tau, 1.0)
+    assert em_converged(tau, 0.0, tau)
+    assert not em_converged(2 * tau, 0.0, tau)
 
 
 def test_check_count():

@@ -496,7 +496,7 @@ def test_select_classes_bic_marks_one_row_and_ties_go_to_the_smaller_c(small_col
 
 def test_run_em_stop_test_decides_as_the_old_expression(small_collection, rng):
     # _run_em used to compare the change with tol * (|previous| + 1e-12).
-    # em_converged at floor 0 drops the 1e-12: the log-likelihood of clipped
+    # em_converged drops the 1e-12: the log-likelihood of clipped
     # prevalences is strictly negative, so the scale is never zero, and the
     # threshold's last bits move without moving a decision.
     data, _, _ = small_collection
@@ -512,7 +512,7 @@ def test_run_em_stop_test_decides_as_the_old_expression(small_collection, rng):
             decisions = []
             for prev, ll in zip(steps, steps[1:]):
                 old = abs(ll - prev) <= tol * (abs(prev) + 1e-12)
-                assert em_converged(abs(ll - prev), abs(prev), tol, 0.0) == old
+                assert em_converged(abs(ll - prev), abs(prev), tol) == old
                 decisions.append(old)
             assert decisions == [False] * (len(decisions) - 1) + [model.converged]
             n_tests += len(decisions)
