@@ -5,9 +5,10 @@ min(len(tasks), CPUs in the process's affinity mask) processes: the calling
 process works tasks itself, and the others are forked from it.  Forking
 copies the caller's memory, so neither `fn` nor the tasks are pickled, and a
 function patched in the caller is what the children run.  Only results and
-exceptions travel back, pickled over one pipe per child.  The caller
-unpickles each child's report as it reads it off the pipe, so a report is
-never held as raw bytes next to the results it holds.
+exceptions travel back, pickled over one pipe per child.  A child pickles
+its report onto the pipe as it writes it, and the caller unpickles it as it
+reads it off the pipe, so neither holds a report as raw bytes next to the
+results it holds.
 
 Every process takes the next task not yet started from a shared dispatch
 pipe, so a few slow tasks do not leave the other processes idle.  A task
@@ -120,9 +121,11 @@ def _child(fn, tasks, dispatch: int, run: int, out: int, inherited):
         for fd in inherited:
             os.close(fd)
         done = _run_share(fn, tasks, dispatch, run)
-        payload = pickle.dumps({i: _wire_entry(ok, v) for i, (ok, v) in done.items()})
+        report = {i: _wire_entry(ok, v) for i, (ok, v) in done.items()}
+        # Every entry pickles (_wire_entry saw to it), so the report is
+        # streamed to the pipe, never held whole as bytes.
         with os.fdopen(out, "wb") as fh:
-            fh.write(payload)
+            pickle.dump(report, fh)
         code = 0
     except BaseException:
         traceback.print_exc()
@@ -179,6 +182,10 @@ def fan_out(fn, tasks) -> list:
                     report = pickle.load(fh)
                 except Exception as exc:  # cut short: the child's status tells why
                     report = exc
+                    # Read the rest unkept, so the child, still writing,
+                    # exits with its own status rather than a broken pipe.
+                    while fh.read(1 << 16):
+                        pass
             _, status = os.waitpid(pid, 0)
             del children[pid]
             if status != 0:

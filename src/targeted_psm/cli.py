@@ -117,11 +117,10 @@ def _check_output_file(path) -> None:
 def load_config(path) -> dict:
     if path is None:
         return {}
+    # An OSError (a missing file, a directory) exits 1, as for every other path.
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise  # a missing input file exits 1, as every other one does
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
@@ -287,10 +286,8 @@ def _cmd_fit(args) -> int:
     print(
         f"EM iterations: pooling={fit.n_iter_joint} correction={fit.n_iter_bias}"
     )
-    if fit.trace_joint:
-        print(f"final pooling objective: {fit.trace_joint[-1]:.6f}")
-    if fit.trace_bias:
-        print(f"final correction objective: {fit.trace_bias[-1]:.6f}")
+    print(f"final pooling objective: {fit.trace_joint[-1]:.6f}")
+    print(f"final correction objective: {fit.trace_bias[-1]:.6f}")
     print("nonzero coefficients per class:", " ".join(str(int(v)) for v in nnz))
     if args.verbose:
         print("class mixing (target row):", np.array2string(

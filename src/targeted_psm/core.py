@@ -585,6 +585,20 @@ def _bad_line(lines: bytes, width: int):
     return None if found is None else (lo, found)
 
 
+def _line_ends(fh, stop: int) -> int:
+    """The number of line ends ("\\n", "\\r\\n" or a lone "\\r", as
+    bytes.splitlines splits) in the next `stop` bytes of the binary file
+    `fh`, read at most _RANGE_BYTES at a time.  A "\\r\\n" split between two
+    reads counts once."""
+    count, after_cr = 0, False
+    for offset in range(0, stop, _RANGE_BYTES):
+        chunk = fh.read(min(_RANGE_BYTES, stop - offset))
+        count += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+        count -= after_cr and chunk.startswith(b"\n")
+        after_cr = chunk.endswith(b"\r")
+    return count
+
+
 def _read_range(job) -> np.ndarray:
     """The rows of the lines that start in bytes [start, stop) of a study
     file, parsed as np.loadtxt parses the whole file.  A line that is not
@@ -609,7 +623,7 @@ def _read_range(job) -> np.ndarray:
         if bad is None:
             raise
         with open(path, "rb") as fh:
-            before = len(fh.read(begin).splitlines())
+            before = _line_ends(fh, begin)
         raise ValueError(f"{path}: line {before + bad[0] + 1}: {bad[1]}") from exc
     return rows if rows.size else np.empty((0, width))
 

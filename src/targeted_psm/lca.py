@@ -159,7 +159,6 @@ class _CellIndex:
 
     cell_z       (m, q) z-pattern of each occupied cell
     cell_study   (m,) study row of each occupied cell
-    n_patterns   number of distinct z-patterns over all studies
     row_cell     (n,) cell of each stacked subject row
     study_cells  (n_max, K+1) row_cell laid out one study per column, in
                  stacked order, padded below each study's rows to the
@@ -172,7 +171,6 @@ class _CellIndex:
 
     cell_z: np.ndarray
     cell_study: np.ndarray
-    n_patterns: int
     row_cell: np.ndarray
     study_cells: np.ndarray
     sizes: np.ndarray
@@ -195,16 +193,13 @@ class _CellIndex:
             return_index=True,
             return_inverse=True,
         )
-        cell_z = Z[first]
-        cell_bits = bits[first]
         slices = tuple(data.row_slices())
         study_cells = np.full((max(data.sizes), len(blocks)), len(first), dtype=row_cell.dtype)
         for k, rows in enumerate(slices):
             study_cells[: rows.stop - rows.start, k] = row_cell[rows]
         return cls(
-            cell_z=cell_z,
+            cell_z=Z[first],
             cell_study=row_study[first],
-            n_patterns=np.unique(cell_bits.view(np.dtype((np.void, cell_bits.shape[1])))).size,
             row_cell=row_cell,
             study_cells=study_cells,
             sizes=np.array(data.sizes, dtype=float),
@@ -358,9 +353,9 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
             "variables; the model is not identifiable",
             RuntimeWarning,
         )
-    elif C > index.n_patterns:
+    elif C > (n_patterns := len(np.unique(index.cell_z != 0.0, axis=0))):
         warnings.warn(
-            f"{C} classes exceed the {index.n_patterns} distinct patterns observed "
+            f"{C} classes exceed the {n_patterns} distinct patterns observed "
             "in the collection; the fit cannot tell every class apart",
             RuntimeWarning,
         )

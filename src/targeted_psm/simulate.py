@@ -341,28 +341,14 @@ def truth_to_dict(truth: dict) -> dict:
     }
 
 
-def truth_from_dict(payload: dict) -> dict:
-    """Inverse of truth_to_dict.  The tables go through LcaModel and
-    CoefficientMatrix as read, and each class label through core.check_count
-    (an integer in [0, n_classes - 1]), so a string, boolean, fractional or
-    out-of-range entry is a ValueError naming it."""
-    config = ScenarioConfig(**payload["config"])
-    model = LcaModel(payload["prevalences"], payload["mixing"])
-    for k, labels in enumerate(payload["classes"]):
-        for i, label in enumerate(labels):
-            check_count(f"classes[{k}][{i}]", label, 0, config.n_classes - 1)
-    return {
-        "prevalences": model.prevalences,
-        "mixing": model.mixing,
-        "coefficients": [CoefficientMatrix(values=v) for v in payload["coefficients"]],
-        "classes": [np.array(c, dtype=int) for c in payload["classes"]],
-        "config": config,
-    }
-
-
 def write_dataset(collection: StudyCollection, truth: dict, directory, force: bool = False) -> Path:
     """Write study CSVs, manifest.json and truth.json; returns the manifest
-    path.  Refuses to overwrite without force."""
+    path.  Refuses to overwrite without force.
+
+    truth.json is plain JSON (truth_to_dict) holding the scenario's
+    `prevalences`, `mixing`, `coefficients` (one p x C matrix per study),
+    `classes` (one label list per study) and `config`.  It is written for
+    the user; the package never reads it back."""
     directory = Path(directory)
     truth_path = directory / "truth.json"
     if truth_path.exists() and not force:
@@ -370,7 +356,3 @@ def write_dataset(collection: StudyCollection, truth: dict, directory, force: bo
     manifest = write_manifest(collection, directory, force=force)
     truth_path.write_text(json.dumps(truth_to_dict(truth), indent=2) + "\n")
     return manifest
-
-
-def load_truth(path) -> dict:
-    return truth_from_dict(json.loads(Path(path).read_text()))

@@ -66,21 +66,17 @@ def test_load_config_rejects_bad_json(tmp_path):
 
 
 @pytest.mark.parametrize("payload, message", [
-    (None, "cannot read config file: "),
     (b"\xff\xfe{}", "cannot read config file: 'utf-8' codec can't decode byte 0xff in position 0"),
     ([], "config file must contain a JSON object at top level"),
     ({"methods": []}, "methods must be a non-empty JSON list of method names"),
     ({"experiment": {"scenarios": []}}, "experiment.scenarios must be a non-empty JSON list"),
     ({"experiment": {"scenarios": [{"id": "a"}, {"K": 2}]}},
      "experiment.scenarios[1] must be an object with an 'id'"),
-], ids=["unreadable", "not-utf-8", "not-an-object", "no-methods", "no-scenarios",
+], ids=["not-utf-8", "not-an-object", "no-methods", "no-scenarios",
         "scenario-without-id"])
 def test_a_malformed_config_exits_2_with_one_config_error_line(tmp_path, capsys, payload,
                                                                message):
-    # a directory in place of the file cannot be read
-    if payload is None:
-        config = str(tmp_path)
-    elif isinstance(payload, bytes):
+    if isinstance(payload, bytes):
         (tmp_path / "bad.json").write_bytes(payload)
         config = str(tmp_path / "bad.json")
     else:
@@ -490,7 +486,8 @@ def test_missing_files_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag", [
     ("predict", "--fit"), ("predict", "--input"), ("predict", "--out"), ("fit", "--out"),
-    ("fit", "--data"), ("lca-select", "--data"),
+    ("fit", "--data"), ("lca-select", "--data"), ("simulate", "--config"), ("fit", "--config"),
+    ("lca-select", "--config"),
 ])
 def test_a_path_of_the_wrong_kind_exits_1_naming_it(cli_workspace, cli_fit, tmp_path, capsys,
                                                     command, flag):
@@ -499,6 +496,7 @@ def test_a_path_of_the_wrong_kind_exits_1_naming_it(cli_workspace, cli_fit, tmp_
         "predict": {"--fit": cli_fit[0], "--input": data_dir / "study_0.csv"},
         "fit": {"--config": config, "--data": data_dir, "--classes": "3"},
         "lca-select": {"--config": config, "--data": data_dir, "--classes": "2"},
+        "simulate": {"--config": config, "--out": tmp_path / "out"},
     }[command]
     # a file where the data directory belongs, a directory where a file does
     options[flag] = data_dir / "study_0.csv" if flag == "--data" else tmp_path

@@ -6,6 +6,7 @@ block writer writes the bytes of one np.savetxt, and write_manifest writes
 the bytes of a serial loop, forking only for a collection above the work
 floor."""
 
+import io
 import json
 import math
 import os
@@ -226,6 +227,68 @@ def test_a_bad_last_line_is_found_in_logarithmic_parses(tmp_path, monkeypatch, c
         read_study_csv(path, study_id=0)
     # the range's own parse, then the bisection's
     assert 1 < len(calls) <= 1 + 2 * math.ceil(math.log2(n)) + 2
+
+
+def test_a_crlf_split_between_two_counting_reads_counts_once(tmp_path, monkeypatch, cpus):
+    path = _file(tmp_path, [*_rows(6), "0,1,zz,0"], end="\r\n")
+    raw = path.read_bytes()
+    message = rf"^{re.escape(str(path))}: line 8: could not convert string 'zz'"
+    cpus(1)
+    # The lines before a bad line are counted in reads of _RANGE_BYTES from
+    # the file's start; the first size splits the header's "\r\n".
+    assert raw[len(HEADER) : len(HEADER) + 2] == b"\r\n"
+    for size in range(len(HEADER) + 1, len(raw) + 1):
+        monkeypatch.setattr(core, "_RANGE_BYTES", size)
+        with pytest.raises(ValueError, match=message):
+            read_study_csv(path, study_id=0)
+
+
+@pytest.mark.parametrize("text", [
+    b"", b"\n", b"\r", b"\r\n", b"0,1\n", b"0,1\r\n", b"0,1\r", b"\r\r\n", b"\n\r",
+    b"\r\n\r\n", b"0\r1\r\n2\n",
+], ids=["empty", "lf", "cr", "crlf", "line-lf", "line-crlf", "line-cr", "cr-crlf", "lf-cr",
+        "blank-crlf-lines", "mixed"])
+def test_line_ends_are_counted_as_splitlines_splits_at_every_read_size(monkeypatch, text):
+    # Each prefix that ends a line is counted, with reads of every size:
+    # a "\r\n" split between two reads is one line end, a lone "\r" is one.
+    starts = [0, *(m.end() for m in re.finditer(rb"\r\n|\r|\n", text))]
+    for size in range(1, len(text) + 2):
+        monkeypatch.setattr(core, "_RANGE_BYTES", size)
+        for stop in starts:
+            fh = io.BytesIO(text + b"9,9\n")
+            assert core._line_ends(fh, stop) == len(text[:stop].splitlines()), (size, stop)
+            assert fh.tell() == stop
+
+
+def test_the_lines_before_a_bad_line_are_counted_in_bounded_reads(tmp_path, monkeypatch, cpus):
+    path = _file(tmp_path, [*_rows(40), "0,1,zz,0"])
+    monkeypatch.setattr(core, "_RANGE_BYTES", 64)
+    assert path.stat().st_size > 10 * core._RANGE_BYTES
+    cpus(1)  # every range is read in this process, through the wrapped `open`
+    reads = []
+    real_open = open
+
+    class Recorded:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def read(self, size=-1):
+            reads.append(size)
+            return self.fh.read(size)
+
+    monkeypatch.setattr(core, "open", lambda *a, **kw: Recorded(real_open(*a, **kw)), raising=False)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 42: could not convert"):
+        read_study_csv(path, study_id=0)
+    assert reads and all(0 <= size <= core._RANGE_BYTES for size in reads), reads
 
 
 @pytest.mark.parametrize("line", [1, 3])

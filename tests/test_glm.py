@@ -302,6 +302,17 @@ def test_iteration_starved_solver_raises_with_best(monkeypatch):
     assert isinstance(err.value.best, LassoSolution)
 
 
+def test_a_capped_solve_whose_best_iterate_meets_the_kkt_tolerance_returns_it(monkeypatch):
+    # One pass from zero moves the iterate, so the in-loop stop cannot
+    # fire; the pass cap ends the loop, and the best iterate is certified.
+    prob = _problem_from_raw(random_glm_problem(5))
+    assert prob.family.kind == "gaussian"
+    monkeypatch.setattr(glm, "DEFAULT_MAX_IRLS", 1)
+    sol = solve_weighted_lasso_glm(prob)
+    assert sol.n_iters == 1
+    assert sol.kkt_max_violation <= glm.DEFAULT_KKT_TOL
+
+
 @pytest.mark.parametrize("seed", [2, 5], ids=["logistic", "gaussian"])
 def test_a_solve_whose_kkt_residual_stops_halving_gives_up_early(seed, monkeypatch):
     # No iterate meets a KKT tolerance of 0: the residual falls to rounding

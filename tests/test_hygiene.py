@@ -1,16 +1,17 @@
-"""Source hygiene: every name a package or test module imports is used
-there, every private module-level function or class is used somewhere in the
-package, no module imports another module's private names, only the
-fork-join helper manages processes, and its docstring lists exactly the
-functions that call it, no module reads the environment, every default of a
-package-private function is one some call overrides, numeric CSVs are
-written and parsed in one place each, every model choice goes through
-core.first_best, every seed, class count, study id, study row and source
-count is checked, above and below, by core.check_count alone, every
-penalty, CV multiplier, dispersion and real scenario parameter by
-core.check_real alone, no isfinite, isnan or 0/1 test is made outside
-core.check_real, and study predictors are stacked only into a stage's design
-and a study CSV.
+"""Source hygiene: every name a package or test module imports is used there,
+every private module-level function or class is used somewhere in the
+package, every public top-level name is named outside its own definition (in
+the package, the README or perfbench/), no module imports another module's
+private names, only the fork-join helper manages processes, and its
+docstring lists exactly the functions that call it, no module reads the
+environment, every default of a package-private function is one some call
+overrides, numeric CSVs are written and parsed in one place each, every
+model choice goes through core.first_best, every seed, class count, study
+id, study row and source count is checked, above and below, by
+core.check_count alone, every penalty, CV multiplier, dispersion and real
+scenario parameter by core.check_real alone, no isfinite, isnan or 0/1 test
+is made outside core.check_real, and study predictors are stacked only into
+a stage's design and a study CSV.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -18,6 +19,7 @@ re-exported through the package's `__all__` count as used in `__init__.py`.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,56 @@ def test_private_definitions_are_referenced():
         and node.name not in used
     )
     assert not unused, f"private definitions nothing in the package uses: {unused}"
+
+
+# Public names only tests reach, kept as the oracles the tests check the
+# package's own computations against.
+TEST_ORACLES = {"glm.objective_value", "transfer.penalized_mixture_objective"}
+
+
+def _public_definitions(tree):
+    """(name, node) of every public top-level function, class and assigned
+    name of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node
+
+
+def test_every_public_name_is_named_outside_its_definition():
+    """A public function, class or constant is named somewhere other than
+    its own definition: in package code, the package's `__all__`, the
+    README or perfbench/.  A name that only such unnamed definitions name
+    (the helper of a reader only tests call) is unnamed too.  A name only
+    tests reach is code to delete, unless it is one of TEST_ORACLES."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    package = Counter(name for tree in trees.values() for name in _referenced_names(tree))
+    package.update(_exported_names(trees["__init__"]))
+    docs = [PACKAGE.parents[1] / "README.md", *(PACKAGE.parents[1] / "perfbench").glob("*.py")]
+    mentioned = set(re.findall(r"\w+", " ".join(p.read_text() for p in docs)))
+    candidates = {
+        f"{module}.{name}": (name, Counter(_referenced_names(node)))
+        for module, tree in trees.items()
+        for name, node in _public_definitions(tree)
+        if name not in mentioned
+    }
+    unnamed = set()
+    while True:
+        found = {
+            key for key, (name, _) in candidates.items()
+            if package[name] == sum(candidates[k][1][name] for k in unnamed | {key})
+        }
+        if found == unnamed:
+            break
+        unnamed = found
+    assert sorted(unnamed) == sorted(TEST_ORACLES), f"public names only tests reach: {sorted(unnamed)}"
 
 
 def test_no_module_imports_private_names_of_another():

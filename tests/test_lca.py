@@ -321,13 +321,11 @@ def _assert_same_step(new, ref):
 def test_em_step_matches_earlier_cell_step_bitwise(case):
     """The step has the bytes of the earlier cell-table step (a verbatim
     copy in _oracles) on every case, one-row studies and one-cell tables
-    included, where the row-wise reference above is only close.  The index
-    counts the distinct patterns as np.unique of the cell patterns does."""
+    included, where the row-wise reference above is only close."""
     data, model = case
     index = _CellIndex.of(data)
     _assert_same_step(_em_step(model.prevalences, model.mixing, index),
                       lca_cell_em_step_reference(model.prevalences, model.mixing, index))
-    assert index.n_patterns == np.unique(index.cell_z, axis=0).shape[0]
 
 
 @pytest.mark.parametrize("sizes, n_pool, q, C", [

@@ -6,10 +6,9 @@ and AUC labels) is the set {0, 1} of the same rule.  Nothing is converted
 on the way in, so `"0.5"`, `"1"` and `true` never read as numbers."""
 
 import copy
-import json
 import math
 import re
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ import pytest
 from targeted_psm.core import CoefficientMatrix, GlmFamily, Study, check_real
 from targeted_psm.evaluate import auc
 from targeted_psm.lca import LcaModel, lca_model_from_dict, membership_for_pattern
-from targeted_psm.simulate import ScenarioConfig, truth_from_dict
+from targeted_psm.simulate import ScenarioConfig
 from targeted_psm.transfer import _coef_from_dict, predict_risk, transfer_fit_from_dict
 
 COEF = {"values": [[0.5], [0.25]], "intercept": [0.0]}
@@ -27,9 +26,6 @@ FIT = {"kind": "transfer_fit", "family": "logistic", "b_pooled": COEF, "delta": 
        "trace_bias": [0.5], "lca_model": LCA}
 TABLES = {"prevalences": [[0.2, 0.8], [0.6, 0.4]], "mixing": [[0.5, 0.5]]}
 SCENARIO = dict(n0=3, n_k=3, K=0, p=2, q=2, n_classes=2, support_sizes=(1, 1), **TABLES)
-TRUTH = {"prevalences": [[0.2, 0.8], [0.6, 0.4]], "mixing": [[0.5, 0.5]],
-         "coefficients": [[[0.5, 0.0], [0.0, 0.5]]], "classes": [[0, 1, 1]],
-         "config": json.loads(json.dumps(asdict(ScenarioConfig(**SCENARIO))))}
 TRANSFER_FIT = transfer_fit_from_dict(FIT)
 
 
@@ -95,12 +91,6 @@ CASES = [
      ["trace_joint", 1], 1, transfer_fit_from_dict),
     ("transfer_fit_from_dict.trace_bias", "trace_bias", "(-inf, inf)", math.inf, FIT,
      ["trace_bias", 0], 1, transfer_fit_from_dict),
-    ("truth_from_dict.prevalences", "prevalences", "(0, 1)", 1.5, TRUTH,
-     ["prevalences", 1, 0], 1, truth_from_dict),
-    ("truth_from_dict.mixing", "mixing", "(0, inf)", 0.0, TRUTH, ["mixing", 0, 1], 1,
-     truth_from_dict),
-    ("truth_from_dict.coefficients", "values", "(-inf, inf)", math.inf, TRUTH,
-     ["coefficients", 0, 1, 1], 2, truth_from_dict),
     ("ScenarioConfig.prevalences", "prevalences", "(0, 1)", 1.0, SCENARIO,
      ["prevalences", 0, 1], 1, lambda t: ScenarioConfig(**t)),
     ("ScenarioConfig.mixing", "mixing", "(0, inf)", -0.5, SCENARIO, ["mixing", 0, 0], 1,
@@ -147,14 +137,6 @@ def test_a_bad_binary_entry_is_refused_naming_it(case, bad):
     with pytest.raises(ValueError, match=re.escape(
             f"{name}[{index}] must be a real number in {{0, 1}}, got {bad!r}")):
         call(_at(payload, path, bad))
-
-
-@pytest.mark.parametrize("label", [1.7, "1", True, math.nan, -1, 2])
-def test_a_truth_file_class_label_must_be_an_integer(label):
-    with pytest.raises(ValueError, match=re.escape(
-            f"classes[0][2] must be an integer in [0, 1], got {label!r}")):
-        truth_from_dict(_at(TRUTH, ["classes", 0, 2], label))
-    assert truth_from_dict(TRUTH)["classes"][0].tolist() == [0, 1, 1]
 
 
 @pytest.mark.parametrize("converged", ["false", 0, 1.0, None])

@@ -2,6 +2,7 @@
 coefficient structure, bitwise determinism, independent streams per study
 and test sample, the distributions of the draws, and dataset round trips."""
 
+import json
 import re
 
 import numpy as np
@@ -12,13 +13,11 @@ from targeted_psm.simulate import (
     ScenarioConfig,
     generate_scenario,
     generate_target_test,
-    load_truth,
     make_coefficients,
     preset_mixing,
     preset_prevalences,
     scenario_preset,
     target_coefficients,
-    truth_from_dict,
     truth_to_dict,
     write_dataset,
 )
@@ -311,22 +310,48 @@ def test_dataset_roundtrip(tmp_path):
         assert np.array_equal(s1.predictors, s2.predictors)
         assert np.array_equal(s1.structure_vars, s2.structure_vars)
         assert s1.study_id == s2.study_id
-    t_back = load_truth(tmp_path / "ds" / "truth.json")
-    assert np.array_equal(t_back["prevalences"], np.asarray(truth["prevalences"]))
-    assert np.array_equal(t_back["mixing"], np.asarray(truth["mixing"]))
-    for c1, c2 in zip(truth["coefficients"], t_back["coefficients"]):
-        assert np.array_equal(c1.values, c2.values)
-    for c1, c2 in zip(truth["classes"], t_back["classes"]):
-        assert np.array_equal(np.asarray(c1), c2)
-    assert t_back["config"] == cfg
+    # truth.json is plain JSON: it parses to truth_to_dict's payload
+    written = json.loads((tmp_path / "ds" / "truth.json").read_text())
+    assert written == json.loads(json.dumps(truth_to_dict(truth)))
     with pytest.raises(FileExistsError):
         write_dataset(data, truth, tmp_path / "ds")
     write_dataset(data, truth, tmp_path / "ds", force=True)  # no error
 
 
-def test_truth_dict_roundtrip():
-    cfg = scenario_preset("figure1-mini", n0=30, n_k=20, K=1, p=6, seed=2)
-    _, truth = generate_scenario(cfg)
-    back = truth_from_dict(truth_to_dict(truth))
-    assert np.array_equal(back["mixing"], np.asarray(truth["mixing"]))
-    assert back["config"] == cfg
+def _refuse_constant(name):
+    raise ValueError(f"truth.json holds {name}, which is not plain JSON")
+
+
+@pytest.mark.parametrize("field", ["prevalences", "mixing", "coefficients", "classes", "config"])
+def test_truth_json_holds_each_field_as_documented(tmp_path, field):
+    """truth.json is plain JSON (no NaN or Infinity) with exactly the five
+    documented fields: the C x q prevalences, the (K+1) x C mixing, one
+    p x C coefficient matrix and one label list per study, and the config."""
+    cfg = scenario_preset("figure1-mini", n0=30, n_k=20, K=2, p=6, seed=2)
+    data, truth = generate_scenario(cfg)
+    write_dataset(data, truth, tmp_path / "ds")
+    written = json.loads((tmp_path / "ds" / "truth.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert sorted(written) == ["classes", "coefficients", "config", "mixing", "prevalences"]
+    value = written[field]
+    C, K = cfg.n_classes, cfg.K
+    if field == "prevalences":
+        assert np.array(value).shape == (C, cfg.q)
+        assert np.array_equal(np.array(value), truth["prevalences"])
+    elif field == "mixing":
+        assert np.array(value).shape == (K + 1, C)
+        assert np.array_equal(np.array(value), truth["mixing"])
+    elif field == "coefficients":
+        assert len(value) == K + 1
+        for matrix, coef in zip(value, truth["coefficients"]):
+            assert np.array(matrix).shape == (cfg.p, C)
+            assert np.array_equal(np.array(matrix), coef.values)
+    elif field == "classes":
+        assert [len(labels) for labels in value] == list(data.sizes)
+        for labels, drawn in zip(value, truth["classes"]):
+            assert all(type(label) is int and 0 <= label < C for label in labels)
+            assert labels == np.asarray(drawn).tolist()
+    else:
+        assert ScenarioConfig(**value) == cfg
+
+
