@@ -343,7 +343,7 @@ def _cmd_experiment(args) -> int:
             completed = {(r.scenario, r.replicate) for r in previous}
             log.info("resuming: %d replicates already done", len(completed))
         else:
-            raise ConfigError(
+            raise FileExistsError(
                 f"{rows_path} already exists; pass --resume to continue it "
                 "or --force to start over"
             )

@@ -23,10 +23,12 @@ copies once, into the stage's design [1 | X]; `check_stage` is the one
 admission rule, deciding whether a penalty setting can serve a stage's data
 and turning a numeric one into per-class numbers (every entry point calls
 it before any fitting, and tunes by `auto_tune_lambda` where it returns None
-for "auto"); `_check_grid` is the one rule for CV multipliers; and
-`_log_joint` builds log v + log f(y | eta), from which one EM iteration
-takes both its objective value and the next E-step.  The CV choice and
-the stop test of both loops are the package's rules, `core.first_best` and
+for "auto"); `_check_grid` is the one rule for CV multipliers;
+`_fit_class` builds and solves every class fit, an EM M-step's or a CV
+candidate's, with the one penalty rescaling; and `_log_joint` builds
+log v + log f(y | eta), from which one EM iteration takes both its
+objective value and the next E-step.  The CV choice and the stop test of
+both loops are the package's rules, `core.first_best` and
 `core.em_converged` at DEFAULT_TAU.
 """
 
@@ -192,6 +194,21 @@ def _coef_from_state(theta: np.ndarray) -> CoefficientMatrix:
     return CoefficientMatrix(values=theta[1:], intercept=theta[0])
 
 
+def _fit_class(family, design, y, weights, lam, offset, init):
+    """The solve of one class, in an EM M-step or for a CV candidate: a
+    weighted lasso GLM on `design` ([1 | X]) with column 0 unpenalized,
+    warm-started at `init`.  `lam` sits on the marginal scale (loss / row
+    count) and the solver's loss is normalized by the weight mass, so the
+    solver is handed lam * n / mass, or lam itself when mass == n, where the
+    rescaling is the identity but could round by an ulp."""
+    n, d = design.shape
+    mass = float(weights.sum())
+    prob = WeightedGlmProblem(family=family, X=design, y=y, weights=weights,
+                              lam=lam if mass == n else lam * n / mass,
+                              penalize_mask=np.arange(d) > 0, offset=offset)
+    return solve_weighted_lasso_glm(prob, init=init)
+
+
 def _mixture_em(
     family: GlmFamily,
     y: np.ndarray,
@@ -221,10 +238,8 @@ def _mixture_em(
        correction stage is one pass of such classes;
     2. a weight mass below DEGENERATE_MASS_FACTOR * p * EPS_CLIP keeps the
        class's previous state, with a RuntimeWarning;
-    3. otherwise the class is a weighted lasso GLM fit with weights w_c; the
-       penalty lam_c stays fixed on the marginal scale, so the solver is
-       handed lam_c * n / mass_c (lam_c itself when mass_c == n, where the
-       rescaling is the identity but could round by an ulp).  A solve that
+    3. otherwise the class is fit by _fit_class with weights w_c, its
+       penalty lam_c fixed on the marginal scale.  A solve that
        raises SolverError after the first pass keeps the class's previous
        state, with a RuntimeWarning naming the class, `stage` and the best
        KKT residual; keeping a state cannot raise the objective.  On the
@@ -246,10 +261,9 @@ def _mixture_em(
     weights_used, trace), with one trace value per iteration.
     """
     check_real("lambdas", lambdas, "[0, inf]")
-    n, d = design.shape
+    d = design.shape[1]
     p = d - 1
     X = design[:, 1:]
-    mask = np.arange(d) > 0  # the intercept column is not penalized
     C = v_rows.shape[1]
     if C == 1:
         max_iter = 1
@@ -279,17 +293,10 @@ def _mixture_em(
                     RuntimeWarning,
                 )
                 continue
-            prob = WeightedGlmProblem(
-                family=family,
-                X=design,
-                y=y,
-                weights=w_c,
-                lam=lambdas[c] if mass == n else lambdas[c] * n / mass,
-                penalize_mask=mask,
-                offset=None if offsets_by_class is None else offsets_by_class[:, c],
-            )
+            offset = None if offsets_by_class is None else offsets_by_class[:, c]
             try:
-                theta_new[:, c] = solve_weighted_lasso_glm(prob, init=theta[:, c]).beta
+                theta_new[:, c] = _fit_class(family, design, y, w_c, lambdas[c], offset,
+                                             theta[:, c]).beta
             except SolverError as err:
                 if t == 1:
                     raise
@@ -465,7 +472,9 @@ def auto_tune_lambda(
     stage "pool" tunes over all studies (n_eff = total rows); stage "bias"
     tunes on the target study alone (n_eff = n0) with the pooled-stage
     linear predictors passed as per-class offsets.  Folds are stratified
-    within study and shared across classes and candidates.
+    within study and shared across classes and candidates.  Each candidate
+    is fit by _fit_class on a fold's training rows, as the EM fits a class
+    on all of them.
 
     A candidate whose solve raises SolverError in any fold scores +inf and
     is never selected; the next candidate warm-starts from the failed
@@ -498,7 +507,6 @@ def auto_tune_lambda(
 
     candidates = np.sort(np.asarray(grid, dtype=float))[::-1] * lambda_scale(d - 1, n)
     fold = _make_folds(y, study_index, cv_folds, family, seed, stage)
-    mask = np.arange(d) > 0  # the intercept column is not penalized
     # Folds outside, classes inside: each fold's arrays are built once, and
     # only one fold's are alive at a time.
     shape = (C, candidates.size)
@@ -507,26 +515,16 @@ def auto_tune_lambda(
     for f in range(cv_folds):
         tr = fold != f
         va = ~tr
-        n_tr = int(tr.sum())
         X_tr, y_tr, X_va, y_va = design[tr], y[tr], design[va], y[va]
         for c in range(C):
             w_tr, w_va = v_rows[tr, c], v_rows[va, c]
-            mass_tr, mass_va = float(w_tr.sum()), float(w_va.sum())
+            mass_va = float(w_va.sum())
             beta = np.zeros(d)
             off_tr = None if offsets_by_class is None else offsets_by_class[tr, c]
             off_va = 0.0 if offsets_by_class is None else offsets_by_class[va, c]
             for i, lam in enumerate(candidates):
-                prob = WeightedGlmProblem(
-                    family=family,
-                    X=X_tr,
-                    y=y_tr,
-                    weights=w_tr,
-                    lam=lam * n_tr / mass_tr,
-                    penalize_mask=mask,
-                    offset=off_tr,
-                )
                 try:
-                    beta = solve_weighted_lasso_glm(prob, init=beta).beta
+                    beta = _fit_class(family, X_tr, y_tr, w_tr, lam, off_tr, beta).beta
                 except SolverError as err:
                     beta = err.best.beta
                     failed[c, i] = True

@@ -816,16 +816,19 @@ def test_experiment_end_to_end(experiment_config, capsys):
     summary_text = (out / "summary.csv").read_text()
     assert summary_text.startswith("scenario,method,")
 
-    # rerun without --resume/--force refuses to clobber
+    # rerun without --resume/--force refuses to clobber, as an existing output
+    before = (out / "rows.csv").read_bytes()
     rc = main(["experiment", "--config", config, "--out", str(out), "--seed", "3"])
-    assert rc == 2
+    assert rc == 1
+    assert _one_error_line(capsys) == (f"error: {out / 'rows.csv'} already exists; pass "
+                                       "--resume to continue it or --force to start over")
+    assert (out / "rows.csv").read_bytes() == before
 
     # --resume with everything done adds nothing and keeps rows identical
-    before = (out / "rows.csv").read_text()
     rc = main(["experiment", "--config", config, "--out", str(out),
                "--seed", "3", "--resume"])
     assert rc == 0
-    assert (out / "rows.csv").read_text() == before
+    assert (out / "rows.csv").read_bytes() == before
 
 
 HEADER = "scenario,method,replicate,seed,n_sources,mse,auc,runtime_s,permutation,error"

@@ -229,6 +229,32 @@ def test_a_bad_last_line_is_found_in_logarithmic_parses(tmp_path, monkeypatch, c
     assert 1 < len(calls) <= 1 + 2 * math.ceil(math.log2(n)) + 2
 
 
+@pytest.mark.parametrize("bad", [bad for bad, _ in BAD_LINES])
+def test_a_failed_parse_without_a_bad_line_raises_the_parsers_error(tmp_path, monkeypatch, cpus,
+                                                                     bad):
+    # Should the bisection find no bad line in a range that fails to parse,
+    # the range's own parse error is raised as the parser raised it, with no
+    # line number made up for it.
+    path = _file(tmp_path, [*_rows(5), bad])
+    cpus(1)
+    raised = []
+    real = core._parse_rows
+
+    def parse_rows(lines):
+        try:
+            return real(lines)
+        except ValueError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(core, "_parse_rows", parse_rows)
+    monkeypatch.setattr(core, "_bad_line", lambda lines, width: None)
+    with pytest.raises(ValueError) as info:
+        read_study_csv(path, study_id=0)
+    assert len(raised) == 1 and info.value is raised[0]
+    assert not re.search(r"line \d+", str(info.value))
+
+
 def test_a_crlf_split_between_two_counting_reads_counts_once(tmp_path, monkeypatch, cpus):
     path = _file(tmp_path, [*_rows(6), "0,1,zz,0"], end="\r\n")
     raw = path.read_bytes()

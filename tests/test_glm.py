@@ -325,6 +325,34 @@ def test_a_solve_whose_kkt_residual_stops_halving_gives_up_early(seed, monkeypat
     assert glm.STALL_PASSES < err.value.best.n_iters < glm.DEFAULT_MAX_IRLS
 
 
+@pytest.mark.parametrize("seed", [2, 5], ids=["logistic", "gaussian"])
+def test_a_solve_whose_line_search_never_descends_keeps_its_warm_start(seed, monkeypatch):
+    # The proposal reverses the real one's step and stretches it a
+    # thousandfold: on a convex objective that is an ascent direction, so
+    # every one of the 40 halvings fails, the iterate never moves, and the
+    # KKT residual stalls at the warm start's.  The warm start's entries are
+    # powers of two, so the solver's column scaling and unscaling of them
+    # are exact.
+    prob = _problem_from_raw(random_glm_problem(seed), lam=0.01)
+    init = np.resize([0.5, -0.25, 0.125, -1.0], prob.d)
+    real = glm._cd_quadratic
+    starts = []
+
+    def ascent(A, b, pen, beta0, tol, max_sweeps):
+        starts.append(beta0.copy())
+        beta, sweeps, converged = real(A, b, pen, beta0, tol, max_sweeps)
+        assert np.any(beta != beta0)
+        return beta0 - 1e3 * (beta - beta0), sweeps, converged
+
+    monkeypatch.setattr(glm, "_cd_quadratic", ascent)
+    with pytest.raises(SolverError) as err:
+        solve_weighted_lasso_glm(prob, init=init)
+    assert len(starts) == glm.STALL_PASSES + 1
+    assert all(np.array_equal(start, starts[0]) for start in starts)
+    assert err.value.best.n_iters == glm.STALL_PASSES + 1
+    assert np.array_equal(err.value.best.beta, init)
+
+
 # ---------------------------------------------------------------------------
 # The coordinate-descent sweep is bitwise equal to the per-coordinate loop
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ model choice goes through core.first_best, every seed, class count, study
 id, study row and source count is checked, above and below, by
 core.check_count alone, every penalty, CV multiplier, dispersion and real
 scenario parameter by core.check_real alone, no isfinite, isnan or 0/1 test
-is made outside core.check_real, and study predictors are stacked only into
-a stage's design and a study CSV.
+is made outside core.check_real, study predictors are stacked only into
+a stage's design and a study CSV, and solver problems are built only by
+transfer._fit_class.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -493,6 +494,23 @@ def _stacked_predictors(tree, module):
             yield node.lineno, ast.unparse(node)
 
 
+# The one function that builds a solver problem: every class fit, an EM
+# M-step's or a CV candidate's.
+PROBLEM_BUILDERS = {("transfer.py", "_fit_class")}
+
+
+def _built_problems(tree, module):
+    """(line, text) of every WeightedGlmProblem(...) call in `tree` outside
+    transfer._fit_class: the penalty a class fit hands the solver is
+    rescaled there alone, and a second construction would be a second rule
+    for it."""
+    for node, owner in _with_owner(tree):
+        if (module, owner) in PROBLEM_BUILDERS:
+            continue
+        if isinstance(node, ast.Call) and _callee(node) == "WeightedGlmProblem":
+            yield node.lineno, ast.unparse(node)
+
+
 # Each scan walks every package module and must find nothing there.
 SCANS = {
     "processes": (_process_management, f"process management outside {sorted(PROCESS_MODULES)}"),
@@ -504,6 +522,7 @@ SCANS = {
     "binary": (_binary_tests, "0/1 tests outside core.check_real"),
     "stacked-rows": (_stacked_predictors, "study predictors stacked outside "
                                           f"{sorted(PREDICTOR_STACKERS)}"),
+    "class-fits": (_built_problems, f"solver problems built outside {sorted(PROBLEM_BUILDERS)}"),
 }
 
 
@@ -566,6 +585,9 @@ PLANTED = [
     ("eq-0-or-eq-1-bool", "binary", "simulate.py", "def _b(v):\n    return v == 0 or v == 1\n"),
     ("vstack-predictors", "stacked-rows", "transfer.py",
      "def _rows(data):\n    return np.vstack([s.predictors for s in data.studies])\n"),
+    ("problem-in-a-cv-loop", "class-fits", "transfer.py",
+     "def _cv(family, X, y, w, lam):\n"
+     "    return WeightedGlmProblem(family=family, X=X, y=y, weights=w, lam=lam * 2)\n"),
 ]
 
 

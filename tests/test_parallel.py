@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from targeted_psm import _parallel
 from targeted_psm._parallel import fan_out
 
 CPUS = set(range(4))
@@ -155,6 +156,36 @@ def test_child_killed_by_a_signal(cpus, tmp_path):
 
     with pytest.raises(RuntimeError, match="killed by signal SIGKILL"):
         fan_out(_two_processes(tmp_path, in_child, lambda i: i), [0, 1])
+
+
+def test_a_child_left_unread_when_another_dies_is_killed_and_reaped(cpus, tmp_path, monkeypatch):
+    # Three processes, one task each: the first-forked child kills itself
+    # while the second sleeps in its task.  Reading the first child's pipe
+    # raises, and fan_out kills and reaps the second instead of waiting for
+    # its report.
+    monkeypatch.setattr(_parallel, "_n_processes", lambda n_tasks: 3)
+    caller = os.getpid()
+    names = ("caller", "child 1", "child 2")
+
+    def fn(i):
+        # a forked child sees the fork count of its own fork
+        where = "caller" if os.getpid() == caller else f"child {cpus.forks}"
+        (tmp_path / where).touch()
+        while not all((tmp_path / name).exists() for name in names):
+            time.sleep(0.002)
+        if where == "child 1":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if where == "child 2":
+            time.sleep(30)
+        return i
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="killed by signal SIGKILL"):
+        fan_out(fn, [0, 1, 2])
+    assert time.monotonic() - start < 10
+    assert cpus.forks == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_child_that_exits_is_reported(cpus, tmp_path):
