@@ -14,6 +14,9 @@ lca_glm          the target study alone with lambda_bias=inf: latent
 naive_lasso      the pooling stage alone on the target study with one class
                  and unit memberships: a plain lasso GLM that ignores the
                  structure variables
+
+trans_glm and naive_lasso fit one class whatever the scenario's class
+count; the other three fit the class count they are given.
 """
 
 from __future__ import annotations
@@ -44,13 +47,6 @@ class MethodId(str, Enum):
     NAIVE_LASSO = "naive_lasso"
 
 
-# Methods whose output is a full per-class coefficient matrix comparable to
-# the generating target coefficients.
-MIXTURE_METHODS = frozenset(
-    {MethodId.TARGETED_PSM, MethodId.TARGETED_PSM_1, MethodId.LCA_GLM}
-)
-
-
 # ---------------------------------------------------------------------------
 # Uniform dispatch used by the evaluation harness and the CLI
 # ---------------------------------------------------------------------------
@@ -63,7 +59,7 @@ class FittedMethod:
     method: MethodId
     coef: CoefficientMatrix        # target-study coefficient estimate
     family: GlmFamily
-    fit: TransferFit = None        # present for the mixture/transfer methods
+    fit: TransferFit = None        # absent for naive_lasso alone
 
     def scores(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Predicted outcome scores for new target-study subjects:

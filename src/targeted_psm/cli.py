@@ -331,7 +331,7 @@ def _cmd_experiment(args) -> int:
     rows_path = args.out / "rows.csv"
     summary_path = args.out / "summary.csv"
 
-    completed = set()
+    previous = []
     if rows_path.exists():
         if args.force:
             rows_path.unlink()
@@ -340,24 +340,17 @@ def _cmd_experiment(args) -> int:
                 previous = read_report_rows(rows_path)
             except ValueError as exc:
                 raise ConfigError(f"cannot resume: {exc}") from exc
-            completed = {(r.scenario, r.replicate) for r in previous}
-            log.info("resuming: %d replicates already done", len(completed))
+            log.info("resuming: %d rows already written", len(previous))
         else:
             raise FileExistsError(
                 f"{rows_path} already exists; pass --resume to continue it "
                 "or --force to start over"
             )
 
-    total = len(scenarios) * replicates - len(completed)
-    done = [0]
-
     def sink(rows):
         write_report_rows(rows_path, rows, append=True)
-        done[0] += 1
-        log.info(
-            "replicate %d/%d done (%s)", done[0], total,
-            ", ".join(sorted({r.scenario for r in rows})),
-        )
+        log.info("%s: replicate %d/%d done",
+                 rows[0].scenario, rows[0].replicate + 1, replicates)
 
     failure = None
     try:
@@ -369,7 +362,7 @@ def _cmd_experiment(args) -> int:
             master_seed=seed,
             transfer_config=transfer_cfg,
             lca_config=lca_cfg,
-            completed=completed,
+            previous=previous,
             row_sink=sink,
         )
     except RuntimeError as exc:  # the failure-rate guard; every row is in rows.csv

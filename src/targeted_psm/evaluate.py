@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import substream
-from .baselines import MIXTURE_METHODS, MethodId, fit_method
+from .baselines import MethodId, fit_method
 from .core import CoefficientMatrix, check_count, check_real, first_best
 from .lca import LcaFitConfig
 from .simulate import ScenarioConfig, generate_scenario, generate_target_test
@@ -263,7 +263,10 @@ def run_replicate(
     its LCA model and penalties to the other, which so gets the bytes it
     would get alone.  runtime_s covers a method's own fit and scoring (the
     first of the two carries the shared work); a method that raises
-    records its own exception in `error`.
+    records its own exception in `error`.  A row has an mse and a
+    permutation exactly when the method's coefficient matrix has the
+    truth's class count, where coef_mse is defined: trans_glm and
+    naive_lasso fit one class, so theirs only in a one-class scenario.
     """
     methods = [MethodId(m) for m in methods]
     seed = config.seed
@@ -294,7 +297,7 @@ def run_replicate(
                 )
             runtime = time.perf_counter() - t0
             mse_val, perm = None, None
-            if method in MIXTURE_METHODS:
+            if fitted.coef.values.shape == truth_b0.shape:
                 perm, _ = align_classes(fitted.coef, truth_b0)
                 mse_val = coef_mse(fitted.coef, truth_b0)
             auc_val = None
@@ -329,7 +332,7 @@ def run_experiment(
     master_seed: int = 0,
     transfer_config: TransferConfig = None,
     lca_config: LcaFitConfig = None,
-    completed: set = None,
+    previous=(),
     row_sink=None,
 ) -> ExperimentReport:
     """Paired comparison of methods over seeded replicates.
@@ -337,9 +340,11 @@ def run_experiment(
     scenarios    iterable of (scenario_id, ScenarioConfig); each replicate r
                  redraws every study (and the source sign matrices) from a
                  replicate-specific seed derived from master_seed
-    completed    optional set of (scenario_id, replicate) to skip (resume)
-    row_sink     optional callable receiving each finished replicate's rows
-                 as they arrive (rows are still collected in the report)
+    previous     ReportRows already written (resume): their (scenario,
+                 replicate) pairs are skipped, and they come first in the
+                 report
+    row_sink     optional callable receiving each finished replicate's new
+                 rows as they arrive (rows are still collected in the report)
 
     The replicates run one after another in the calling process; within
     each, the latent class restarts use every CPU through
@@ -348,18 +353,18 @@ def run_experiment(
     `test_n` are integers >= 1 and `master_seed` an integer >= 0 (a
     ValueError otherwise, before any replicate runs or is skipped).  Raises
     RuntimeError when more than MAX_FAILURE_RATE of the method-replicates
-    fail.
+    fail, previous and new rows together.
     """
     check_count("replicates", replicates, 1)
     check_count("test_n", test_n, 1)
     check_count("master seed", master_seed, 0)
     methods = tuple(methods)
     transfer_config = transfer_config or TransferConfig()
-    completed = completed or set()
-    all_rows = []
+    all_rows = list(previous)
+    written = {(row.scenario, row.replicate) for row in all_rows}
     for scenario_id, config in scenarios:
         for r in range(replicates):
-            if (scenario_id, r) in completed:
+            if (scenario_id, r) in written:
                 continue
             seed = _replicate_seed(master_seed, r)
             rep_cfg = replace(config, seed=seed)
@@ -372,11 +377,10 @@ def run_experiment(
                 row_sink(rows)
             all_rows.extend(rows)
 
-    n_fail = sum(1 for row in all_rows if row.error is not None)
-    if all_rows and n_fail > MAX_FAILURE_RATE * len(all_rows):
-        failures = [row for row in all_rows if row.error is not None]
+    failures = [row for row in all_rows if row.error is not None]
+    if len(failures) > MAX_FAILURE_RATE * len(all_rows):
         raise RuntimeError(
-            f"{n_fail}/{len(all_rows)} method-replicates failed "
+            f"{len(failures)}/{len(all_rows)} method-replicates failed "
             f"(first: {failures[0].error})"
         )
     return ExperimentReport(rows=tuple(all_rows))

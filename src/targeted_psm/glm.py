@@ -117,6 +117,11 @@ class WeightedGlmProblem:
     def d(self) -> int:
         return self.X.shape[1]
 
+    @property
+    def penalties(self) -> np.ndarray:
+        """(d,) penalty of each coordinate: lam where penalized, else 0."""
+        return np.where(self.penalize_mask, self.lam, 0.0)
+
 
 @dataclass(frozen=True)
 class LassoSolution:
@@ -149,16 +154,16 @@ def objective_value(prob: WeightedGlmProblem, beta: np.ndarray) -> float:
     eta = prob.offset + prob.X @ beta
     W = prob.weights.sum()
     loss = float(prob.weights @ neg_log_lik_glm(prob.family, prob.y, eta)) / W
-    return loss + _penalty_value(np.where(prob.penalize_mask, prob.lam, 0.0), beta)
+    return loss + _penalty_value(prob.penalties, beta)
 
 
 def kkt_residual(prob: WeightedGlmProblem, beta: np.ndarray) -> float:
     """Max violation of the subgradient stationarity conditions.
 
-    With s_j = (1/W) sum_i w_i (g'(eta_i) - y_i) x_ij the violation is
-      penalized, beta_j != 0 : | |s_j| - lam |
-      penalized, beta_j == 0 : max(|s_j| - lam, 0)
-      unpenalized            : |s_j|
+    With s_j = (1/W) sum_i w_i (g'(eta_i) - y_i) x_ij and a_j = |s_j| - pen_j,
+    pen_j the coordinate's penalty (0 if unpenalized), the violation is
+      beta_j != 0 : |a_j|
+      beta_j == 0 : max(a_j, 0)
     """
     beta = np.asarray(beta, dtype=float)
     eta = prob.offset + prob.X @ beta
@@ -170,12 +175,8 @@ def kkt_residual(prob: WeightedGlmProblem, beta: np.ndarray) -> float:
 def _kkt_violation(prob: WeightedGlmProblem, s: np.ndarray, beta: np.ndarray) -> float:
     """kkt_residual's violation rule, given the smooth gradient s at beta
     (both on the original scale)."""
-    viol = np.abs(s)  # unpenalized default
-    pen = prob.penalize_mask
-    nz = pen & (beta != 0.0)
-    z = pen & (beta == 0.0)
-    viol = np.where(nz, np.abs(np.abs(s) - prob.lam), viol)
-    viol = np.where(z, np.maximum(np.abs(s) - prob.lam, 0.0), viol)
+    a = np.abs(s) - prob.penalties
+    viol = np.where(beta != 0.0, np.abs(a), np.maximum(a, 0.0))
     return float(np.max(viol)) if viol.size else 0.0
 
 
@@ -315,7 +316,7 @@ def solve_weighted_lasso_glm(prob: WeightedGlmProblem, init: np.ndarray = None) 
 
     # Penalty factors in the scaled coordinates: lam * |beta_j| transforms to
     # (lam / s_j) * |beta_s_j|.
-    pen = np.where(prob.penalize_mask, prob.lam, 0.0) / scale
+    pen = prob.penalties / scale
 
     beta_s = np.zeros(d) if init is None else np.asarray(init, dtype=float) * scale
 

@@ -347,16 +347,10 @@ def fit_lca(data: StudyCollection, n_classes: int, config: LcaFitConfig = None) 
     check_count("n_classes", n_classes, 1, data.n_total)
     C, q = n_classes, data.q
     index = _CellIndex.of(data)
-    if C > 2 ** q:
+    if C > (n_patterns := len(np.unique(index.cell_z != 0.0, axis=0))):
         warnings.warn(
-            f"{C} classes exceed the {2 ** q} distinct patterns of {q} binary "
-            "variables; the model is not identifiable",
-            RuntimeWarning,
-        )
-    elif C > (n_patterns := len(np.unique(index.cell_z != 0.0, axis=0))):
-        warnings.warn(
-            f"{C} classes exceed the {n_patterns} distinct patterns observed "
-            "in the collection; the fit cannot tell every class apart",
+            f"{C} classes exceed the {n_patterns} distinct patterns observed in the "
+            f"collection (of 2^{q} possible); the fit cannot tell every class apart",
             RuntimeWarning,
         )
     n_studies = data.K + 1

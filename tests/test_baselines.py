@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from targeted_psm.baselines import MIXTURE_METHODS, MethodId, fit_method
+from targeted_psm.baselines import MethodId, fit_method
 from targeted_psm.core import CoefficientMatrix, GlmFamily, StudyCollection
 from targeted_psm.glm import WeightedGlmProblem, solve_weighted_lasso_glm
 from targeted_psm.lca import initial_memberships
@@ -37,11 +37,6 @@ def test_method_id_round_trip():
     assert MethodId("targeted_psm") is MethodId.TARGETED_PSM
     with pytest.raises(ValueError):
         MethodId("unknown_method")
-    assert MIXTURE_METHODS == {
-        MethodId.TARGETED_PSM,
-        MethodId.TARGETED_PSM_1,
-        MethodId.LCA_GLM,
-    }
 
 
 def test_naive_lasso_equals_direct_solve(mini_data):

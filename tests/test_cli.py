@@ -23,7 +23,7 @@ from targeted_psm.cli import (
 )
 from targeted_psm.baselines import MethodId
 from targeted_psm.core import read_study_csv
-from targeted_psm.evaluate import read_report_rows
+from targeted_psm.evaluate import read_report_rows, write_report_rows
 from targeted_psm.glm import SolverError
 from targeted_psm.transfer import load_transfer_fit, predict_risk
 
@@ -910,6 +910,52 @@ def test_experiment_with_too_many_failures_still_writes_summary(tmp_path, capsys
     assert len(read_report_rows(out / "rows.csv")) == 2
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[1].startswith("scenario,trans_glm,0,0,2,")
+
+
+def test_resuming_a_finished_experiment_with_too_many_failures_exits_1(tmp_path, capsys):
+    # K=0: every trans_glm row fails and every naive_lasso row succeeds, 2 of 4
+    payload = {
+        "scenario": {**TINY_SCENARIO, "K": 0},
+        "methods": ["trans_glm", "naive_lasso"],
+        "tuning": dict(TINY_TUNING),
+        "experiment": {"replicates": 2, "test_n": 50},
+    }
+    config = _write_config(tmp_path, payload)
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", config, "--out", str(out)]) == 1
+    fresh_err = _one_error_line(capsys)
+    assert fresh_err.startswith("error: 2/4 method-replicates failed (first: ValueError: trans_glm")
+    rows, summary = (out / "rows.csv").read_bytes(), (out / "summary.csv").read_bytes()
+    (out / "summary.csv").unlink()
+
+    assert main(["experiment", "--config", config, "--out", str(out), "--resume"]) == 1
+    assert _one_error_line(capsys) == fresh_err
+    assert (out / "rows.csv").read_bytes() == rows
+    assert (out / "summary.csv").read_bytes() == summary
+
+
+def test_a_partial_resume_is_judged_on_old_and_new_rows(tmp_path, capsys):
+    payload = {
+        "scenario": dict(TINY_SCENARIO),
+        "methods": ["naive_lasso"],
+        "tuning": dict(TINY_TUNING),
+        "experiment": {"replicates": 2, "test_n": 50},
+    }
+    config = _write_config(tmp_path, payload)
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", config, "--out", str(out)]) == 0
+    first = read_report_rows(out / "rows.csv")[0]
+    # replicate 0 written as failed; replicate 1, still to run, succeeds
+    write_report_rows(out / "rows.csv", [replace(first, mse=None, auc=None,
+                                                 error="SolverError: planted")])
+    capsys.readouterr()
+    assert main(["experiment", "--config", config, "--out", str(out), "--resume"]) == 1
+    assert _one_error_line(capsys) == (
+        "error: 1/2 method-replicates failed (first: SolverError: planted)")
+    rows = read_report_rows(out / "rows.csv")
+    assert [(r.replicate, r.error) for r in rows] == [(0, "SolverError: planted"), (1, None)]
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith(
+        "scenario,naive_lasso,1,1,1,")
 
 
 def test_experiment_outputs_do_not_depend_on_fan_out(experiment_config, tmp_path, cpus):

@@ -1,7 +1,7 @@
 """Class alignment against scipy's Hungarian assignment, AUC against an
 O(n^2) pair count, the report CSVs, and the replicate harness:
 determinism, shared work between the targeted_psm variants, per-method
-errors, resume and the failure-rate guard."""
+errors, resume and the failure-rate guard over previous and new rows."""
 
 import itertools
 import re
@@ -30,7 +30,12 @@ from targeted_psm.evaluate import (
 )
 from targeted_psm.glm import SolverError
 from targeted_psm.lca import LcaFitConfig
-from targeted_psm.simulate import generate_scenario, generate_target_test, scenario_preset
+from targeted_psm.simulate import (
+    ScenarioConfig,
+    generate_scenario,
+    generate_target_test,
+    scenario_preset,
+)
 from targeted_psm.transfer import TransferConfig
 
 from _oracles import pairwise_auc
@@ -281,6 +286,33 @@ def test_run_replicate_produces_rows_per_method():
         assert by_method[m].permutation is None
 
 
+ONE_CLASS = ScenarioConfig(
+    n0=150, n_k=120, K=1, p=10, n_classes=1, prevalences=((0.3,) * 5,),
+    mixing=((1.0,), (1.0,)), support_sizes=(2,), seed=0,
+)
+
+
+def test_one_class_methods_are_scored_in_a_one_class_scenario(monkeypatch):
+    # a one-class fit has the truth's class count there, so coef_mse is defined
+    fitted = {}
+
+    def recording(*args, **kwargs):
+        result = fit_method(*args, **kwargs)
+        fitted[result.method.value] = result
+        return result
+
+    monkeypatch.setattr(evaluate, "fit_method", recording)
+    methods = [MethodId.TRANS_GLM, MethodId.NAIVE_LASSO]
+    rows = run_replicate("one", ONE_CLASS, methods, replicate=0, test_n=100,
+                         transfer_config=FAST, lca_config=FAST_LCA)
+    truth = generate_scenario(ONE_CLASS)[1]["coefficients"][0]
+    assert [r.method for r in rows] == [m.value for m in methods]
+    for row in rows:
+        assert row.error is None, row.error
+        assert row.permutation == (0,)
+        assert row.mse == coef_mse(fitted[row.method].coef, truth)
+
+
 def test_run_replicate_one_em_step_collapses_psm_variants():
     # with max_em_iter=1 the full procedure IS its one-step variant, and the
     # shared-tuning path inside run_replicate must keep them byte-identical
@@ -440,8 +472,8 @@ def test_a_master_seed_that_is_not_an_integer_is_refused(seed):
     (dict(replicates=1.0), "replicates must be an integer >= 1, got 1.0"),
     (dict(replicates=1, test_n=0), "test_n must be an integer >= 1, got 0"),
     (dict(replicates=1, test_n=True), "test_n must be an integer >= 1, got True"),
-    # a bad seed with every replicate completed: refused, not an empty report
-    (dict(replicates=1, master_seed=-1, completed={("mini", 0)}),
+    # a bad seed with every replicate already written: refused, not a report
+    (dict(replicates=1, master_seed=-1, previous=[ReportRow("mini", "naive_lasso", 0, 0, 1)]),
      "master seed must be an integer >= 0, got -1"),
 ])
 def test_a_replicate_count_or_test_size_below_one_is_refused(monkeypatch, counts, message):
@@ -464,15 +496,39 @@ def test_run_experiment_takes_no_worker_count():
 def test_run_experiment_resume_and_sink():
     scenarios = [("mini", MINI)]
     methods = [MethodId.NAIVE_LASSO]
+    written = ReportRow("mini", "naive_lasso", 1, 0, 1, mse=0.5, auc=0.5)
     seen = []
     report = run_experiment(
         scenarios, methods, replicates=3, test_n=100, master_seed=7,
         transfer_config=FAST, lca_config=FAST_LCA,
-        completed={("mini", 1)}, row_sink=seen.append,
+        previous=[written], row_sink=seen.append,
     )
-    assert [r.replicate for r in report.rows] == [0, 2]
+    assert [r.replicate for r in report.rows] == [1, 0, 2]
+    assert report.rows[0] is written
     assert [len(batch) for batch in seen] == [1, 1]
-    assert _stat_fields(seen[0][0]) == _stat_fields(report.rows[0])
+    assert _stat_fields(seen[0][0]) == _stat_fields(report.rows[1])
+
+
+def test_run_experiment_judges_previous_and_new_rows_together(monkeypatch):
+    failed = ReportRow("mini", "naive_lasso", 0, 0, 1, error="SolverError: planted")
+    # one new row that succeeds: 1 of 2 rows failed, above MAX_FAILURE_RATE
+    with pytest.raises(RuntimeError, match=re.escape(
+            "1/2 method-replicates failed (first: SolverError: planted)")):
+        run_experiment([("mini", MINI)], [MethodId.NAIVE_LASSO], replicates=2, test_n=100,
+                       transfer_config=FAST, lca_config=FAST_LCA, previous=[failed])
+
+    # every replicate already written: judged without running one
+    def never(*args, **kwargs):
+        raise AssertionError("a written replicate ran again")
+
+    monkeypatch.setattr(evaluate, "run_replicate", never)
+    with pytest.raises(RuntimeError, match=re.escape("1/1 method-replicates failed")):
+        run_experiment([("mini", MINI)], [MethodId.NAIVE_LASSO], replicates=1,
+                       previous=[failed])
+    monkeypatch.setattr(evaluate, "MAX_FAILURE_RATE", 1.0)
+    report = run_experiment([("mini", MINI)], [MethodId.NAIVE_LASSO], replicates=1,
+                            previous=[failed])
+    assert report.rows == (failed,)
 
 
 def test_run_experiment_failure_rate_guard(monkeypatch):

@@ -85,6 +85,37 @@ def test_kkt_zero_coordinate_band(rng):
     assert kkt_residual(prob, np.zeros(4)) == 0.0
 
 
+def _three_case_kkt_violation(prob, s, beta):
+    # the earlier rule: unpenalized, penalized nonzero and penalized zero
+    viol = np.abs(s)
+    nz = prob.penalize_mask & (beta != 0.0)
+    z = prob.penalize_mask & (beta == 0.0)
+    viol = np.where(nz, np.abs(np.abs(s) - prob.lam), viol)
+    viol = np.where(z, np.maximum(np.abs(s) - prob.lam, 0.0), viol)
+    return float(np.max(viol)) if viol.size else 0.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, np.inf])
+def test_kkt_violation_is_the_three_case_rule_bit_for_bit(lam, rng):
+    # an unpenalized coordinate is the zero-penalty case of the one rule
+    specials = np.array([0.0, -0.0, lam, -lam, np.inf, -np.inf])
+    for d in (1, 2, 5, 12):
+        for _ in range(40):
+            s = rng.standard_normal(d) * rng.choice([1e-3, 1.0, 1e3])
+            picks = rng.random(d) < 0.3
+            s[picks] = rng.choice(specials, size=int(picks.sum()))
+            beta = rng.standard_normal(d) * (rng.random(d) < 0.5)
+            beta[rng.random(d) < 0.2] = -0.0
+            prob = WeightedGlmProblem(
+                family=GlmFamily.gaussian(), X=np.ones((2, d)), y=np.zeros(2),
+                weights=np.ones(2), lam=lam, penalize_mask=rng.random(d) < 0.6,
+            )
+            with np.errstate(invalid="ignore"):  # |s| = inf against lam = inf: nan in both
+                got = glm._kkt_violation(prob, s, beta)
+                want = _three_case_kkt_violation(prob, s, beta)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (s, beta)
+
+
 # ---------------------------------------------------------------------------
 # Solver vs oracles
 # ---------------------------------------------------------------------------

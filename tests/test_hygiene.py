@@ -511,6 +511,24 @@ def _built_problems(tree, module):
             yield node.lineno, ast.unparse(node)
 
 
+# The one function that reads the experiment's failure threshold.
+FAILURE_JUDGES = {("evaluate.py", "run_experiment")}
+
+
+def _failure_rate_reads(tree, module):
+    """(line, text) of every read of MAX_FAILURE_RATE (a bare name or an
+    attribute) in `tree` outside evaluate.run_experiment: the experiment's
+    failure verdict is judged there alone, over the previous and the new
+    rows, and a second reader would be a second verdict."""
+    for node, owner in _with_owner(tree):
+        if (module, owner) in FAILURE_JUDGES:
+            continue
+        if ((isinstance(node, ast.Name) and node.id == "MAX_FAILURE_RATE"
+             or isinstance(node, ast.Attribute) and node.attr == "MAX_FAILURE_RATE")
+                and isinstance(node.ctx, ast.Load)):
+            yield node.lineno, ast.unparse(node)
+
+
 # Each scan walks every package module and must find nothing there.
 SCANS = {
     "processes": (_process_management, f"process management outside {sorted(PROCESS_MODULES)}"),
@@ -523,6 +541,7 @@ SCANS = {
     "stacked-rows": (_stacked_predictors, "study predictors stacked outside "
                                           f"{sorted(PREDICTOR_STACKERS)}"),
     "class-fits": (_built_problems, f"solver problems built outside {sorted(PROBLEM_BUILDERS)}"),
+    "failure-rate": (_failure_rate_reads, f"MAX_FAILURE_RATE read outside {sorted(FAILURE_JUDGES)}"),
 }
 
 
@@ -588,6 +607,9 @@ PLANTED = [
     ("problem-in-a-cv-loop", "class-fits", "transfer.py",
      "def _cv(family, X, y, w, lam):\n"
      "    return WeightedGlmProblem(family=family, X=X, y=y, weights=w, lam=lam * 2)\n"),
+    ("failure-rate-in-the-cli", "failure-rate", "cli.py",
+     "def _failed(rows):\n"
+     "    return sum(r.error is not None for r in rows) > evaluate.MAX_FAILURE_RATE * len(rows)\n"),
 ]
 
 

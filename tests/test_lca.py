@@ -245,17 +245,21 @@ def test_more_classes_than_observed_patterns_warns():
 
 def test_pattern_warnings_count_patterns_over_all_studies(cpus):
     """Studies that share patterns count each pattern once; a class count
-    above 2^q takes the other warning."""
+    above 2^q takes the same one warning."""
     target = np.array([[1.0, 0.0], [0.0, 1.0]])[np.arange(30) % 2]
     source = np.array([[0.0, 1.0], [1.0, 1.0]])[np.arange(20) % 2]
     data = StudyCollection(target=_study(target, 0), sources=(_study(source, 1),))
     cfg = LcaFitConfig(seed=0, n_starts=2)
     for n in (1, 2):
         cpus(n)
-        with pytest.warns(RuntimeWarning, match="4 classes exceed the 3 distinct patterns observed"):
-            fit_lca(data, 4, cfg)
-        with pytest.warns(RuntimeWarning, match="5 classes exceed the 4 distinct patterns of 2 binary"):
-            fit_lca(data, 5, cfg)
+        for C in (4, 5):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit_lca(data, C, cfg)
+            assert [str(w.message) for w in caught] == [
+                f"{C} classes exceed the 3 distinct patterns observed in the collection "
+                "(of 2^2 possible); the fit cannot tell every class apart"
+            ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit_lca(data, 3, cfg)
@@ -447,8 +451,8 @@ def test_fanned_out_restarts_above_observed_patterns_warn_once(cpus):
             warnings.simplefilter("always")
             fits[n] = fit_lca(data, 3, cfg)
         assert [str(w.message) for w in caught] == [
-            "3 classes exceed the 2 distinct patterns observed in the collection; "
-            "the fit cannot tell every class apart"
+            "3 classes exceed the 2 distinct patterns observed in the collection "
+            "(of 2^3 possible); the fit cannot tell every class apart"
         ]
     _assert_same_fit(fits[4], fits[1])
 
