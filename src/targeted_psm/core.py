@@ -544,12 +544,14 @@ def write_scores_csv(scores, path) -> None:
 
 
 def _parse_rows(lines: bytes) -> np.ndarray:
-    """np.loadtxt over `lines` read as np.loadtxt reads a file by name: text
-    in the default encoding, with "\\n", "\\r\\n" and "\\r" ending a line."""
+    """np.loadtxt over `lines` as text in the default encoding, where only
+    "\\n" ends a line: a "\\r\\n" line parses as its "\\n" twin, a "\\r"
+    inside a line is a ValueError, and a "\\r" that ends the last line
+    parses as a line end."""
     with warnings.catch_warnings():
         # a range or a line of blank or comment lines holds no data
         warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(io.TextIOWrapper(io.BytesIO(lines)), delimiter=",", ndmin=2)
+        return np.loadtxt(io.TextIOWrapper(io.BytesIO(lines), newline="\n"), delimiter=",", ndmin=2)
 
 
 def _bad_line(lines: bytes, width: int):
@@ -562,7 +564,7 @@ def _bad_line(lines: bytes, width: int):
     ceil(log2 n) + 1 `_parse_rows` calls over about len(lines) bytes in
     all; the reason is read from the line parsed alone.
     """
-    ends = [0, *itertools.accumulate(map(len, lines.splitlines(keepends=True)))]
+    ends = [0, *itertools.accumulate(map(len, io.BytesIO(lines).readlines()))]
 
     def reason(first: int, stop: int):
         try:
@@ -586,26 +588,19 @@ def _bad_line(lines: bytes, width: int):
 
 
 def _line_ends(fh, stop: int) -> int:
-    """The number of line ends ("\\n", "\\r\\n" or a lone "\\r", as
-    bytes.splitlines splits) in the next `stop` bytes of the binary file
-    `fh`, read at most _RANGE_BYTES at a time.  A "\\r\\n" split between two
-    reads counts once."""
-    count, after_cr = 0, False
-    for offset in range(0, stop, _RANGE_BYTES):
-        chunk = fh.read(min(_RANGE_BYTES, stop - offset))
-        count += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-        count -= after_cr and chunk.startswith(b"\n")
-        after_cr = chunk.endswith(b"\r")
-    return count
+    """The number of "\\n" line ends in the next `stop` bytes of the binary
+    file `fh`, read at most _RANGE_BYTES at a time."""
+    return sum(fh.read(min(_RANGE_BYTES, stop - offset)).count(b"\n")
+               for offset in range(0, stop, _RANGE_BYTES))
 
 
 def _read_range(job) -> np.ndarray:
     """The rows of the lines that start in bytes [start, stop) of a study
-    file, parsed as np.loadtxt parses the whole file.  A line that is not
+    file, parsed as _parse_rows parses the whole file.  A line that is not
     `width` numbers is a ValueError naming the file and the 1-based number
     of the range's first bad line, which `_bad_line` finds in the range:
-    the lines before the range (the header among them, each "\\n", "\\r\\n"
-    or lone "\\r" ending one) plus its place in the range."""
+    the lines before the range (the header among them, each "\\n" ending
+    one) plus its place in the range."""
     path, width, start, stop = job
     with open(path, "rb") as fh:
         fh.seek(start - 1)

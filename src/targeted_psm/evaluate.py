@@ -58,13 +58,16 @@ def align_classes(estimate, truth):
     return best_perm, E[:, best_perm]
 
 
+def _aligned_mse(aligned: np.ndarray, truth: np.ndarray) -> float:
+    p, C = truth.shape
+    return float(np.sum(np.square(aligned - truth))) / (p * C)
+
+
 def coef_mse(estimate, truth) -> float:
     """Mean squared coefficient error after class alignment:
     ||aligned - truth||_F^2 / (p * C)."""
-    T = _as_values(truth)
     _, aligned = align_classes(estimate, truth)
-    p, C = T.shape
-    return float(np.sum(np.square(aligned - T))) / (p * C)
+    return _aligned_mse(aligned, _as_values(truth))
 
 
 def auc(scores, labels) -> float:
@@ -183,7 +186,10 @@ def _format_cell(field, value):
 def _parse_cell(field, text: str):
     if text == "" and field.default is None:
         return None
-    return _PARSE[field.type](text)
+    try:
+        return _PARSE[field.type](text)
+    except ValueError as exc:
+        raise ValueError(f"{field.name}: {exc}") from exc
 
 
 def _write_csv(path, cls, rows, append: bool) -> None:
@@ -210,13 +216,16 @@ def read_report_rows(path) -> list:
     """ReportRows from a CSV written by write_report_rows; an empty cell
     reads as None for every field whose default is None.  Raises ValueError
     unless the header is the ReportRow fields in declaration order, which
-    is also the order write_report_rows appends in."""
+    is also the order write_report_rows appends in, and for a record that
+    is not one cell a column or holds a cell that does not parse (naming
+    its line, and the cell's column)."""
     cols = fields(ReportRow)
     expected = [f.name for f in cols]
     try:
         with Path(path).open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            header, records = reader.fieldnames, list(reader)
+            header = reader.fieldnames
+            records = [(reader.line_num, record) for record in reader]
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if header is None:
@@ -229,7 +238,15 @@ def read_report_rows(path) -> list:
             + (f"missing {missing}, extra {extra}" if missing or extra
                else f"found them in the order {','.join(header)}")
         )
-    return [ReportRow(**{f.name: _parse_cell(f, rec[f.name]) for f in cols}) for rec in records]
+    rows = []
+    for line, record in records:
+        try:
+            if None in record or None in record.values():  # csv.DictReader's marks
+                raise ValueError(f"expected {len(cols)} cells")
+            rows.append(ReportRow(**{f.name: _parse_cell(f, record[f.name]) for f in cols}))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from exc
+    return rows
 
 
 def _replicate_seed(master_seed: int, replicate: int) -> int:
@@ -298,8 +315,8 @@ def run_replicate(
             runtime = time.perf_counter() - t0
             mse_val, perm = None, None
             if fitted.coef.values.shape == truth_b0.shape:
-                perm, _ = align_classes(fitted.coef, truth_b0)
-                mse_val = coef_mse(fitted.coef, truth_b0)
+                perm, aligned = align_classes(fitted.coef, truth_b0)
+                mse_val = _aligned_mse(aligned, truth_b0)
             auc_val = None
             if family.kind == "logistic":
                 scores = fitted.scores(test_study.predictors, test_study.structure_vars)

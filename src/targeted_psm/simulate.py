@@ -86,27 +86,14 @@ MIXING_PRESETS = {
 }
 
 
-def preset_prevalences(kind: str) -> np.ndarray:
-    """Class-conditional structure-variable prevalences (C x q)."""
-    if kind not in PREVALENCE_PRESETS:
-        raise ValueError(f"unknown prevalence preset {kind!r}")
-    return PREVALENCE_PRESETS[kind].copy()
-
-
-def preset_mixing(kind: str, n_sources: int) -> np.ndarray:
-    """Target plus first `n_sources` site mixing rows ((K+1) x C)."""
-    if kind not in MIXING_PRESETS:
-        raise ValueError(f"unknown mixing preset {kind!r}")
-    table = MIXING_PRESETS[kind]
-    check_count(f"n_sources of mixing preset {kind!r}", n_sources, 0, table.shape[0] - 1)
-    return table[: n_sources + 1].copy()
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one synthetic multi-study scenario.  Counts and
     seed must be integers, h, rho and coef_value real numbers in range and
-    the tables inside LcaModel's bounds, or the config is a ValueError."""
+    the tables inside LcaModel's bounds, or the config is a ValueError.
+    `prevalences` names a PREVALENCE_PRESETS table or is a (C, q) one;
+    `mixing` names a MIXING_PRESETS table (its first K+1 rows) or is a
+    (K+1, C) one."""
 
     n0: int = 1500
     n_k: int = 1000
@@ -114,10 +101,8 @@ class ScenarioConfig:
     p: int = 100
     q: int = 5
     n_classes: int = 3
-    prevalence_preset: str = "well_separated"
-    mixing_preset: str = "small_diff"
-    prevalences: tuple = None  # optional explicit (C, q) override
-    mixing: tuple = None       # optional explicit (K+1, C) override
+    prevalences: str | tuple = "well_separated"
+    mixing: str | tuple = "small_diff"
     h: float = 5.0
     support_sizes: tuple = (1, 2, 6)
     coef_value: float = 0.5
@@ -143,40 +128,51 @@ class ScenarioConfig:
         # A preset or table that does not fit (C, q, K) or LcaModel's bounds
         # is a config error here, not a failure once the scenario is generated.
         # An explicit table is checked as given, then kept as the model's
-        # rows.
-        prevalences = self.resolved_prevalences() if self.prevalences is None else self.prevalences
-        mixing = self.resolved_mixing() if self.mixing is None else self.mixing
+        # rows; a preset name stays a string.
+        explicit = [name for name in ("prevalences", "mixing")
+                    if not isinstance(getattr(self, name), str)]
+        prevalences = self.prevalences if "prevalences" in explicit else self.resolved_prevalences()
+        mixing = self.mixing if "mixing" in explicit else self.resolved_mixing()
         if np.shape(prevalences) != (self.n_classes, self.q):
             raise ValueError("explicit prevalences must be (C, q)")
         if np.shape(mixing) != (self.K + 1, self.n_classes):
             raise ValueError("explicit mixing must be (K+1, C)")
         model = LcaModel(prevalences, mixing)
-        for name in ("prevalences", "mixing"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(tuple, getattr(model, name).tolist())))
+        for name in explicit:
+            object.__setattr__(self, name, tuple(map(tuple, getattr(model, name).tolist())))
 
     def resolved_prevalences(self) -> np.ndarray:
-        if self.prevalences is not None:
-            return np.asarray(self.prevalences, dtype=float)
-        table = preset_prevalences(self.prevalence_preset)
+        """The (C, q) class-conditional structure-variable prevalences: the
+        explicit table, or a copy of the preset it names."""
+        kind = self.prevalences
+        if not isinstance(kind, str):
+            return np.asarray(kind, dtype=float)
+        if kind not in PREVALENCE_PRESETS:
+            raise ValueError(f"unknown prevalence preset {kind!r}")
+        table = PREVALENCE_PRESETS[kind].copy()
         if table.shape != (self.n_classes, self.q):
             raise ValueError(
-                f"preset {self.prevalence_preset!r} is {table.shape}, but the "
-                f"scenario asks for C={self.n_classes}, q={self.q}; supply "
-                "explicit prevalences instead"
+                f"preset {kind!r} is {table.shape}, but the scenario asks for "
+                f"C={self.n_classes}, q={self.q}; supply explicit prevalences instead"
             )
         return table
 
     def resolved_mixing(self) -> np.ndarray:
-        if self.mixing is not None:
-            return np.asarray(self.mixing, dtype=float)
-        table = preset_mixing(self.mixing_preset, self.K)
+        """The (K+1, C) study mixing rows: the explicit table, or a copy of
+        the target row and the first K site rows of the preset it names."""
+        kind = self.mixing
+        if not isinstance(kind, str):
+            return np.asarray(kind, dtype=float)
+        if kind not in MIXING_PRESETS:
+            raise ValueError(f"unknown mixing preset {kind!r}")
+        table = MIXING_PRESETS[kind]
+        check_count(f"n_sources of mixing preset {kind!r}", self.K, 0, table.shape[0] - 1)
         if table.shape[1] != self.n_classes:
             raise ValueError(
-                f"preset {self.mixing_preset!r} has {table.shape[1]} classes, "
+                f"preset {kind!r} has {table.shape[1]} classes, "
                 f"but the scenario asks for C={self.n_classes}"
             )
-        return table
+        return table[: self.K + 1].copy()
 
     def glm_family(self) -> GlmFamily:
         return GlmFamily(self.family, self.dispersion)
@@ -196,25 +192,15 @@ def scenario_preset(name: str, **overrides) -> ScenarioConfig:
     mixshift-mini   desk-scale stress case: target mixing far from every
                     source (large_diff) and large source shifts (h=15)
     """
+    mini = dict(n0=500, n_k=400, K=5, p=50, prevalences="well_separated")
     presets = {
-        "figure1-mini": dict(
-            n0=500, n_k=400, K=5, p=50,
-            prevalence_preset="well_separated", mixing_preset="small_diff", h=5.0,
-        ),
-        "figure1-full": dict(
-            n0=1500, n_k=1000, K=5, p=100,
-            prevalence_preset="well_separated", mixing_preset="small_diff", h=5.0,
-        ),
-        "mixshift-mini": dict(
-            n0=500, n_k=400, K=5, p=50,
-            prevalence_preset="well_separated", mixing_preset="large_diff", h=15.0,
-        ),
+        "figure1-mini": dict(mini, mixing="small_diff", h=5.0),
+        "figure1-full": dict(mini, n0=1500, n_k=1000, p=100, mixing="small_diff", h=5.0),
+        "mixshift-mini": dict(mini, mixing="large_diff", h=15.0),
     }
     if name not in presets:
         raise ValueError(f"unknown scenario preset {name!r}; know {sorted(presets)}")
-    params = dict(presets[name])
-    params.update(overrides)
-    return ScenarioConfig(**params)
+    return ScenarioConfig(**{**presets[name], **overrides})
 
 
 # ---------------------------------------------------------------------------

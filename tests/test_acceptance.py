@@ -159,7 +159,7 @@ def test_criterion_02_em_objectives_are_monotone():
             "figure1-mini" if i % 4 < 2 else "mixshift-mini",
             n0=150, n_k=120, K=2, p=12, seed=100 + i,
             family=family, support_sizes=(1, 2, 4),
-            prevalence_preset="well_separated" if i % 3 else "less_separated",
+            prevalences="well_separated" if i % 3 else "less_separated",
         )
         data, _ = generate_scenario(cfg)
         lca = fit_lca(data, 3, LcaFitConfig(seed=i, n_starts=3))

@@ -25,6 +25,7 @@ from targeted_psm.baselines import MethodId
 from targeted_psm.core import read_study_csv
 from targeted_psm.evaluate import read_report_rows, write_report_rows
 from targeted_psm.glm import SolverError
+from targeted_psm.simulate import generate_scenario
 from targeted_psm.transfer import load_transfer_fit, predict_risk
 
 
@@ -150,6 +151,31 @@ def test_experiment_scenarios_overrides_and_duplicates():
     }
     with pytest.raises(ConfigError, match="duplicate"):
         experiment_scenarios(dup, seed=None)
+
+
+def test_an_experiment_scenario_naming_a_table_draws_it_over_an_explicit_base():
+    base = {**TINY_SCENARIO, "mixing": [[0.5, 0.3, 0.2]] * 2}
+    config = {"scenario": base,
+              "experiment": {"scenarios": [{"id": "base"}, {"id": "shift", "mixing": "large_diff"}]}}
+    (_, kept), (_, shift) = experiment_scenarios(config, seed=None)
+    assert kept.mixing == ((0.5, 0.3, 0.2),) * 2
+    assert shift.mixing == "large_diff"
+    assert shift.resolved_mixing().tolist() == [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]
+    preset = replace(scenario_from_config({"scenario": TINY_SCENARIO}), mixing="large_diff")
+
+    def arrays(collection):
+        return [getattr(study, name) for study in collection.studies
+                for name in ("outcomes", "predictors", "structure_vars")]
+
+    drawn, expected, base_rows = (generate_scenario(s)[0] for s in (shift, preset, kept))
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(drawn), arrays(expected)))
+    assert not all(np.array_equal(a, b) for a, b in zip(arrays(drawn), arrays(base_rows)))
+    for entry, message in (({"id": "x", "mixing": "nope"}, "unknown mixing preset 'nope'"),
+                           ({"id": "x", "mixing_preset": "large_diff"},
+                            "mixing_preset is not a recognized setting")):
+        config["experiment"]["scenarios"] = [entry]
+        with pytest.raises(ConfigError, match=message):
+            experiment_scenarios(config, seed=None)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +778,13 @@ def test_lca_select_stars_the_smaller_class_count_on_a_bic_tie(cli_workspace, ca
 @pytest.mark.parametrize(
     "override, message",
     [
-        ({"prevalence_preset": "nope"}, "unknown prevalence preset 'nope'"),
+        ({"prevalences": "nope"}, "unknown prevalence preset 'nope'"),
+        ({"prevalences": "bogus", "mixing": [[0.5, 0.3, 0.2]] * 2},
+         "unknown prevalence preset 'bogus'"),
+        ({"prevalences": [[0.2] * 5, [0.5] * 5, [0.8] * 5], "mixing": "nope"},
+         "unknown mixing preset 'nope'"),
+        ({"mixing_preset": "nope", "mixing": [[0.5, 0.3, 0.2]] * 2},
+         "scenario.mixing_preset is not a recognized setting"),
         ({"q": 4}, "but the scenario asks for C=3, q=4"),
         ({"K": 11}, "n_sources of mixing preset 'small_diff' must be an integer in [0, 10], got 11"),
         ({"n_classes": 2, "support_sizes": [1, 2], "prevalences": [[0.2] * 5, [0.8] * 5]},
@@ -857,6 +889,27 @@ def test_experiment_resume_rejects_a_foreign_header(experiment_config, tmp_path,
     assert rc == 2
     assert message in capsys.readouterr().err
     assert rows_path.read_bytes() == data
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("K1,naive_lasso,0,1,1,0.5,0.6,0.1,0|x|2,",
+      "line 3: permutation: invalid literal for int() with base 10: 'x'"),
+     ("K1,naive_lasso,0,1,five,0.5,0.6,0.1,0|1|2,",
+      "line 3: n_sources: invalid literal for int() with base 10: 'five'"),
+     ("K1,naive_lasso,0,1", "line 3: expected 10 cells")],
+    ids=["permutation", "n_sources", "short-row"],
+)
+def test_experiment_resume_names_a_bad_rows_cell(experiment_config, tmp_path, capsys, row,
+                                                 message):
+    _, config = experiment_config
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text(f"{HEADER}\nK1,naive_lasso,0,1,1,0.5,0.6,0.1,0|1|2,\n{row}\n")
+    rc = main(["experiment", "--config", config, "--out", str(tmp_path), "--resume"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: cannot resume: {rows_path}: {message}"]
     assert not (tmp_path / "summary.csv").exists()
 
 

@@ -64,8 +64,6 @@ LAYOUTS = {
     "blank lines": dict(lines=["", *_rows(3), "", "", *_rows(4, seed=1), "", ""]),
     "trailing comment": dict(lines=[*_rows(7), "# written by hand"]),
     "single row": dict(lines=_rows(1)),
-    # np.loadtxt reads a file by name with universal newlines
-    "a lone \\r between rows": dict(lines=[*_rows(3), "\r".join(_rows(3, seed=1)), *_rows(2)]),
 }
 
 
@@ -191,8 +189,9 @@ def test_a_file_without_data_rows_says_so(tmp_path, lines):
 
 
 def _first_bad_line_scanned(lines, width):
-    """The first bad line found by parsing every line alone, in order."""
-    for i, line in enumerate(lines.splitlines()):
+    """The first bad line found by parsing every "\\n"-ended line alone, in
+    order."""
+    for i, line in enumerate(io.BytesIO(lines).readlines()):
         try:
             row = core._parse_rows(line)
         except ValueError as exc:
@@ -274,15 +273,15 @@ def test_a_crlf_split_between_two_counting_reads_counts_once(tmp_path, monkeypat
     b"\r\n\r\n", b"0\r1\r\n2\n",
 ], ids=["empty", "lf", "cr", "crlf", "line-lf", "line-crlf", "line-cr", "cr-crlf", "lf-cr",
         "blank-crlf-lines", "mixed"])
-def test_line_ends_are_counted_as_splitlines_splits_at_every_read_size(monkeypatch, text):
+def test_line_ends_count_each_newline_at_every_read_size(monkeypatch, text):
     # Each prefix that ends a line is counted, with reads of every size:
-    # a "\r\n" split between two reads is one line end, a lone "\r" is one.
-    starts = [0, *(m.end() for m in re.finditer(rb"\r\n|\r|\n", text))]
+    # only "\n" ends a line, so a lone "\r" counts for none.
+    starts = [0, *(m.end() for m in re.finditer(rb"\n", text))]
     for size in range(1, len(text) + 2):
         monkeypatch.setattr(core, "_RANGE_BYTES", size)
         for stop in starts:
             fh = io.BytesIO(text + b"9,9\n")
-            assert core._line_ends(fh, stop) == len(text[:stop].splitlines()), (size, stop)
+            assert core._line_ends(fh, stop) == text[:stop].count(b"\n"), (size, stop)
             assert fh.tell() == stop
 
 
@@ -332,6 +331,27 @@ def test_lines_ending_in_a_lone_carriage_return_are_refused(tmp_path):
     path = _file(tmp_path, _rows(2), end="\r")
     with pytest.raises(ValueError, match=r"lines must end in \\n or \\r\\n"):
         read_study_csv(path, study_id=0)
+
+
+def test_only_a_newline_ends_a_data_line(tmp_path, monkeypatch, cpus):
+    # In the header and the data alike: a "\r\n" copy of a file reads to its
+    # arrays, and a "\r" inside a data line is refused, at every range size,
+    # on the line that "\n" alone counts.
+    lf = _file(tmp_path, _rows(7), name="lf.csv")
+    crlf = _file(tmp_path, _rows(7), end="\r\n", name="crlf.csv")
+    assert crlf.read_bytes() == lf.read_bytes().replace(b"\n", b"\r\n")
+    lone = _file(tmp_path, [*_rows(3), "\r".join(_rows(3, seed=1)), *_rows(2)], name="cr.csv")
+    message = rf"^{re.escape(str(lone))}: line 5: Found an unquoted embedded newline"
+    cpus(1)
+    for size in range(1, lone.stat().st_size + 2):
+        monkeypatch.setattr(core, "_RANGE_BYTES", size)
+        assert _bits(read_study_csv(crlf, study_id=0)) == _bits(read_study_csv(lf, study_id=0))
+        with pytest.raises(ValueError, match=message):
+            read_study_csv(lone, study_id=0)
+    small = tmp_path / "small.csv"
+    small.write_bytes(b"y,x1,z1\n1,0.5,1\r0,0.25,0\nx,2,1\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(small))}: line 2: "):
+        read_study_csv(small, study_id=0)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,34 @@ def test_one_class_methods_are_scored_in_a_one_class_scenario(monkeypatch):
         assert row.mse == coef_mse(fitted[row.method].coef, truth)
 
 
+def test_each_scored_row_aligns_its_classes_once(monkeypatch):
+    fitted, aligned = {}, []
+
+    def recording(*args, **kwargs):
+        result = fit_method(*args, **kwargs)
+        fitted[result.method.value] = result
+        return result
+
+    def spy(estimate, truth):
+        aligned.append(estimate)
+        return align_classes(estimate, truth)
+
+    monkeypatch.setattr(evaluate, "fit_method", recording)
+    monkeypatch.setattr(evaluate, "align_classes", spy)
+    methods = [MethodId.TARGETED_PSM, MethodId.LCA_GLM, MethodId.NAIVE_LASSO]
+    rows = run_replicate("mini", MINI, methods, replicate=0, test_n=120,
+                         transfer_config=FAST, lca_config=FAST_LCA)
+    scored = [row for row in rows if row.mse is not None]
+    assert [row.method for row in scored] == ["targeted_psm", "lca_glm"]
+    assert len(aligned) == len(scored)
+    monkeypatch.undo()
+    truth = generate_scenario(MINI)[1]["coefficients"][0]
+    for row in scored:
+        coef = fitted[row.method].coef
+        assert row.mse == coef_mse(coef, truth)
+        assert row.permutation == align_classes(coef, truth)[0]
+
+
 def test_run_replicate_one_em_step_collapses_psm_variants():
     # with max_em_iter=1 the full procedure IS its one-step variant, and the
     # shared-tuning path inside run_replicate must keep them byte-identical

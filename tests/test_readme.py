@@ -42,7 +42,9 @@ def test_the_config_schema_passes_every_block_reader(tmp_path):
     path.write_text(schema)
     config = cli.load_config(path)
     assert set(config) == {"scenario", "methods", "tuning", "lca", "experiment"}
-    assert cli.scenario_from_config(config).n0 == config["scenario"]["n0"]
+    scenario = cli.scenario_from_config(config)
+    for name in ("n0", "prevalences", "mixing"):
+        assert getattr(scenario, name) == config["scenario"][name]
     assert cli.transfer_from_config(config).cv_folds == config["tuning"]["cv_folds"]
     assert cli.lca_from_config(config).n_starts == config["lca"]["n_starts"]
     assert [m.value for m in cli.methods_from_config(config)] == config["methods"]

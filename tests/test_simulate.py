@@ -14,8 +14,6 @@ from targeted_psm.simulate import (
     generate_scenario,
     generate_target_test,
     make_coefficients,
-    preset_mixing,
-    preset_prevalences,
     scenario_preset,
     target_coefficients,
     truth_to_dict,
@@ -29,7 +27,7 @@ from targeted_psm.simulate import (
 
 
 def test_prevalence_preset_tables():
-    well = preset_prevalences("well_separated")
+    well = ScenarioConfig().resolved_prevalences()
     assert well.shape == (3, 5)
     assert np.array_equal(
         well,
@@ -41,29 +39,50 @@ def test_prevalence_preset_tables():
             ]
         ),
     )
-    less = preset_prevalences("less_separated")
+    less = ScenarioConfig(prevalences="less_separated").resolved_prevalences()
     assert np.array_equal(less[0], np.array([0.3, 0.5, 0.7, 0.3, 0.5]))
-    with pytest.raises(ValueError):
-        preset_prevalences("nope")
+    with pytest.raises(ValueError, match="unknown prevalence preset 'nope'"):
+        ScenarioConfig(prevalences="nope")
     # returned copies never alias the module table
     well[0, 0] = 0.42
-    assert preset_prevalences("well_separated")[0, 0] == 0.1
+    assert ScenarioConfig().resolved_prevalences()[0, 0] == 0.1
 
 
 def test_mixing_preset_tables():
-    small = preset_mixing("small_diff", 5)
+    small = ScenarioConfig(K=5).resolved_mixing()
     assert small.shape == (6, 3)
     assert np.array_equal(small[0], np.array([0.50, 0.30, 0.20]))
     assert np.array_equal(small[1], np.array([0.45, 0.35, 0.20]))
-    large = preset_mixing("large_diff", 2)
+    large = ScenarioConfig(K=2, mixing="large_diff").resolved_mixing()
     assert np.array_equal(large[0], np.array([0.80, 0.10, 0.10]))
     assert np.array_equal(large[1], np.array([0.10, 0.10, 0.80]))
-    assert np.max(np.abs(preset_mixing("small_diff", 10).sum(axis=1) - 1)) < 1e-12
+    assert np.max(np.abs(ScenarioConfig(K=10).resolved_mixing().sum(axis=1) - 1)) < 1e-12
     with pytest.raises(ValueError, match=re.escape(
             "n_sources of mixing preset 'small_diff' must be an integer in [0, 10], got 11")):
-        preset_mixing("small_diff", 11)
-    with pytest.raises(ValueError):
-        preset_mixing("nope", 2)
+        ScenarioConfig(K=11)
+    with pytest.raises(ValueError, match="unknown mixing preset 'nope'"):
+        ScenarioConfig(K=2, mixing="nope")
+    # returned copies never alias the module table
+    small[0, 0] = 0.42
+    assert ScenarioConfig().resolved_mixing()[0, 0] == 0.5
+
+
+def test_each_table_is_one_setting_a_name_or_a_table():
+    explicit = dict(K=0, n_classes=2, q=2, support_sizes=(1, 2),
+                    prevalences=((0.8, 0.2), (0.2, 0.8)), mixing=((0.6, 0.4),))
+    # an unknown name is refused beside an explicit table of the other kind
+    with pytest.raises(ValueError, match="unknown prevalence preset 'bogus'"):
+        ScenarioConfig(**{**explicit, "prevalences": "bogus"})
+    with pytest.raises(ValueError, match="unknown mixing preset 'nope'"):
+        ScenarioConfig(**{**explicit, "mixing": "nope"})
+    # the separate preset settings are gone, so none can sit unread beside a table
+    for name in ("prevalence_preset", "mixing_preset"):
+        with pytest.raises(TypeError, match=name):
+            ScenarioConfig(**explicit, **{name: "bogus"})
+    # a name stays a string; a table is stored as a tuple of tuples
+    cfg = ScenarioConfig(**{**explicit, "mixing": [np.array([0.6, 0.4])]})
+    assert cfg.mixing == ((0.6, 0.4),) and cfg.prevalences == ((0.8, 0.2), (0.2, 0.8))
+    assert ScenarioConfig(mixing="large_diff").mixing == "large_diff"
 
 
 def test_scenario_config_validation():
@@ -120,12 +139,12 @@ def test_scenario_presets():
     mini = scenario_preset("figure1-mini")
     assert (mini.n0, mini.n_k, mini.K, mini.p) == (500, 400, 5, 50)
     assert mini.h == 5.0
-    assert mini.mixing_preset == "small_diff"
+    assert (mini.prevalences, mini.mixing) == ("well_separated", "small_diff")
     full = scenario_preset("figure1-full")
     assert (full.n0, full.n_k, full.p) == (1500, 1000, 100)
     shift = scenario_preset("mixshift-mini")
     assert shift.h == 15.0
-    assert shift.mixing_preset == "large_diff"
+    assert shift.mixing == "large_diff"
     override = scenario_preset("figure1-mini", K=2, seed=7)
     assert override.K == 2 and override.seed == 7
     with pytest.raises(ValueError, match="unknown scenario preset"):
