@@ -10,7 +10,11 @@ Subcommands
 Configuration is a single JSON file of optional blocks: "scenario"
 (ScenarioConfig fields or a preset), "methods", "tuning" (TransferConfig),
 "lca" (LcaFitConfig) and "experiment"; the README's "Command line" section
-states the schema, the flags and the exit codes.
+states the schema, the flags and the exit codes.  Every subcommand with
+--config reads the file through `load_config`, which checks every block,
+read by the subcommand or not, before anything is written or fitted.
+`--seed` replaces the seed of every block, and `experiment` also takes it
+as its master seed (default 0).
 
 `fit` and `lca-select` leave to the library whether a dataset can be fitted
 with the run's settings (outcomes that suit the family, a class count at
@@ -27,13 +31,12 @@ file).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,25 +117,17 @@ def _check_output_file(path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_config(path) -> dict:
-    if path is None:
-        return {}
-    # An OSError (a missing file, a directory) exits 1, as for every other path.
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError("config file must contain a JSON object at top level")
-    known = {"scenario", "methods", "tuning", "lca", "experiment"}
-    for key in payload:
-        if key not in known:
-            raise ConfigError(
-                f"{key} is not a recognized config block (choose from {sorted(known)})"
-            )
-    return payload
+@dataclass(frozen=True)
+class RunConfig:
+    """Every block of a config file, built and checked by `load_config`."""
+
+    scenario: ScenarioConfig
+    scenarios: tuple  # the experiment's (scenario_id, ScenarioConfig) pairs
+    methods: tuple  # MethodIds, each once
+    transfer: TransferConfig  # the "tuning" block
+    lca: LcaFitConfig
+    replicates: int  # experiment.replicates
+    test_n: int  # experiment.test_n
 
 
 def _tuples(value):
@@ -160,65 +155,49 @@ def _config_block(name: str, block, cls, seed: int = None, base=None):
     The block must be an object whose keys are fields of `cls` (a scenario
     block without `base` may also name a "preset"); lists become tuples.
     With `base` the block overrides it through `replace`.  A bad value is
-    reported as a ConfigError that names the block; `seed` overrides the
-    block's seed.
+    reported as a ConfigError that names the block; `seed` replaces the
+    block's seed once the block itself has been checked.
     """
-    allowed = {f.name for f in dataclasses.fields(cls)}
+    allowed = {f.name for f in fields(cls)}
     if cls is ScenarioConfig and base is None:
         allowed.add("preset")
     settings = {k: _tuples(v) for k, v in _checked_block(name, block, allowed).items()}
     preset = settings.pop("preset", None)
-    if seed is not None:
-        settings["seed"] = seed
     try:
         if base is not None:
-            return replace(base, **settings)
-        if preset:
-            return scenario_preset(preset, **settings)
-        return cls(**settings)
+            built = replace(base, **settings)
+        elif preset:
+            built = scenario_preset(preset, **settings)
+        else:
+            built = cls(**settings)
+        return built if seed is None else replace(built, seed=seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def scenario_from_config(config: dict, seed: int = None) -> ScenarioConfig:
-    return _config_block("scenario", config.get("scenario", {}), ScenarioConfig, seed)
-
-
-def transfer_from_config(config: dict, seed: int = None) -> TransferConfig:
-    return _config_block("tuning", config.get("tuning", {}), TransferConfig, seed)
-
-
-def lca_from_config(config: dict, seed: int = None) -> LcaFitConfig:
-    return _config_block("lca", config.get("lca", {}), LcaFitConfig, seed)
-
-
-def methods_from_config(config: dict) -> list:
-    names = config.get("methods", [m.value for m in MethodId])
+def _methods(names) -> tuple:
     if not isinstance(names, list) or not names:
         raise ConfigError("methods must be a non-empty JSON list of method names")
     out = []
     for name in names:
         try:
-            out.append(MethodId(name))
+            method = MethodId(name)
         except ValueError as exc:
             raise ConfigError(
                 f"methods: {name!r} is unknown "
                 f"(choose from {[m.value for m in MethodId]})"
             ) from exc
-    return out
+        if method in out:
+            raise ConfigError(f"methods: {name!r} is named twice")
+        out.append(method)
+    return tuple(out)
 
 
-def experiment_scenarios(config: dict, seed: int = None) -> list:
-    """(scenario_id, ScenarioConfig) pairs: the base scenario block combined
-    with per-entry overrides from experiment.scenarios."""
-    base = scenario_from_config(config, seed)
-    block = _checked_block(
-        "experiment", config.get("experiment", {}),
-        {"replicates", "test_n", "scenarios"},
-    )
-    entries = block.get("scenarios")
+def _experiment_scenarios(entries, base: ScenarioConfig, seed) -> tuple:
+    """(scenario_id, ScenarioConfig) pairs: the base scenario combined with
+    each entry of experiment.scenarios (None: the base alone)."""
     if entries is None:
-        return [("scenario", base)]
+        return (("scenario", base),)
     if not isinstance(entries, list) or not entries:
         raise ConfigError("experiment.scenarios must be a non-empty JSON list")
     out, seen = [], set()
@@ -231,20 +210,48 @@ def experiment_scenarios(config: dict, seed: int = None) -> list:
             raise ConfigError(f"{name}: duplicate id {sid!r}")
         seen.add(sid)
         overrides = {k: v for k, v in entry.items() if k != "id"}
-        out.append((sid, _config_block(name, overrides, ScenarioConfig, base=base)))
-    return out
+        out.append((sid, _config_block(name, overrides, ScenarioConfig, seed, base=base)))
+    return tuple(out)
 
 
-def _experiment_counts(block: dict):
-    """(replicates, test_n) from a checked experiment block."""
-    counts = {"experiment.replicates": block.get("replicates", 20),
-              "experiment.test_n": block.get("test_n", 500)}
+def load_config(path, seed: int = None) -> RunConfig:
+    """The config file at `path` (None: every block at its defaults) as a
+    RunConfig.  Every block is built and checked, in the order scenario,
+    methods, tuning, lca, experiment, and the first bad one is a
+    ConfigError that names it.  `seed` replaces the seed of every block
+    once the block's own seed has been checked."""
+    payload = {}
+    if path is not None:
+        # An OSError (a missing file, a directory) exits 1, as for every other path.
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError("config file must contain a JSON object at top level")
+    known = {"scenario", "methods", "tuning", "lca", "experiment"}
+    for key in payload:
+        if key not in known:
+            raise ConfigError(
+                f"{key} is not a recognized config block (choose from {sorted(known)})"
+            )
+    scenario = _config_block("scenario", payload.get("scenario", {}), ScenarioConfig, seed)
+    methods = _methods(payload.get("methods", [m.value for m in MethodId]))
+    transfer = _config_block("tuning", payload.get("tuning", {}), TransferConfig, seed)
+    lca = _config_block("lca", payload.get("lca", {}), LcaFitConfig, seed)
+    experiment = _checked_block("experiment", payload.get("experiment", {}),
+                                {"replicates", "test_n", "scenarios"})
+    scenarios = _experiment_scenarios(experiment.get("scenarios"), scenario, seed)
+    counts = {"experiment.replicates": experiment.get("replicates", 20),
+              "experiment.test_n": experiment.get("test_n", 500)}
     try:
         for name, value in counts.items():
             check_count(name, value, 1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return tuple(counts.values())
+    return RunConfig(scenario, scenarios, methods, transfer, lca, *counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +260,7 @@ def _experiment_counts(block: dict):
 
 
 def _cmd_simulate(args) -> int:
-    scenario = scenario_from_config(load_config(args.config), args.seed)
+    scenario = load_config(args.config, args.seed).scenario
     collection, truth = generate_scenario(scenario)
     manifest = write_dataset(collection, truth, args.out, force=args.force)
     print(f"wrote {scenario.K + 1} studies ({collection.n_total} subjects) to {args.out}")
@@ -262,18 +269,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    config = load_config(args.config)
-    scenario = scenario_from_config(config)
-    transfer_cfg = transfer_from_config(config, args.seed)
-    lca_cfg = lca_from_config(config, args.seed)
-    n_classes = scenario.n_classes if args.classes is None else args.classes
-    family = scenario.glm_family()
+    config = load_config(args.config, args.seed)
+    n_classes = config.scenario.n_classes if args.classes is None else args.classes
+    family = config.scenario.glm_family()
     if args.out is not None:
         _check_output_file(args.out)
     try:
         fit = _run_on_data(
             args.data, fit_targeted_psm, n_classes,
-            config=transfer_cfg, family=family, lca_config=lca_cfg,
+            config=config.transfer, family=family, lca_config=config.lca,
         )
     except SolverError as exc:  # the method itself failed on this dataset
         print(f"error: {args.data}: {exc}", file=sys.stderr)
@@ -320,13 +324,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = load_config(args.config)
-    scenarios = experiment_scenarios(config, seed=None)  # also checks the block
-    replicates, test_n = _experiment_counts(config.get("experiment", {}))
-    seed = args.seed if args.seed is not None else 0
-    methods = methods_from_config(config)
-    transfer_cfg = transfer_from_config(config)
-    lca_cfg = lca_from_config(config)
+    config = load_config(args.config, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     rows_path = args.out / "rows.csv"
     summary_path = args.out / "summary.csv"
@@ -350,23 +348,25 @@ def _cmd_experiment(args) -> int:
     def sink(rows):
         write_report_rows(rows_path, rows, append=True)
         log.info("%s: replicate %d/%d done",
-                 rows[0].scenario, rows[0].replicate + 1, replicates)
+                 rows[0].scenario, rows[0].replicate + 1, config.replicates)
 
     failure = None
     try:
         run_experiment(
-            scenarios,
-            [m.value for m in methods],
-            replicates=replicates,
-            test_n=test_n,
-            master_seed=seed,
-            transfer_config=transfer_cfg,
-            lca_config=lca_cfg,
+            config.scenarios,
+            config.methods,
+            replicates=config.replicates,
+            test_n=config.test_n,
+            master_seed=0 if args.seed is None else args.seed,
+            transfer_config=config.transfer,
+            lca_config=config.lca,
             previous=previous,
             row_sink=sink,
         )
     except RuntimeError as exc:  # the failure-rate guard; every row is in rows.csv
         failure = exc
+    except ValueError as exc:  # load_config checked the rest: rows this run would not write
+        raise ConfigError(f"cannot resume: {exc}") from exc
 
     report = ExperimentReport(rows=tuple(read_report_rows(rows_path)))
     report.summary_to_csv(summary_path)
@@ -391,8 +391,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_lca_select(args) -> int:
-    config = load_config(args.config)
-    lca_cfg = lca_from_config(config, args.seed)
+    lca_cfg = load_config(args.config, args.seed).lca
     rows = _run_on_data(args.data, select_classes_bic, args.classes, lca_cfg)
     print(f"{'C':>3} {'log_lik':>14} {'n_params':>9} {'BIC':>14} converged")
     for row in rows:

@@ -259,6 +259,37 @@ def _replicate_seed(master_seed: int, replicate: int) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
+def _check_previous(previous, scenarios, methods, replicates, master_seed) -> None:
+    """Raise a ValueError naming the first of the `previous` rows this run
+    would not write itself: one whose scenario or method is not the run's,
+    whose replicate is not in range(replicates), whose n_sources is not its
+    scenario's K or whose seed is not its replicate's under master_seed;
+    then the first (scenario, replicate) whose rows are not one each of the
+    run's methods."""
+    n_sources = {sid: config.K for sid, config in scenarios}
+    names = sorted(m.value for m in methods)
+    groups = {}
+    for row in previous:
+        where = f"row ({row.scenario!r}, {row.method!r}, replicate {row.replicate})"
+        if row.scenario not in n_sources:
+            raise ValueError(f"{where}: the run's scenarios are {list(n_sources)}")
+        if row.method not in names:
+            raise ValueError(f"{where}: the run's methods are {names}")
+        if row.replicate not in range(replicates):
+            raise ValueError(f"{where}: the run's replicates are 0 to {replicates - 1}")
+        if row.n_sources != n_sources[row.scenario]:
+            raise ValueError(f"{where}: n_sources is {row.n_sources}, the scenario's K is "
+                             f"{n_sources[row.scenario]}")
+        if row.seed != _replicate_seed(master_seed, row.replicate):
+            raise ValueError(f"{where}: seed {row.seed} is not the replicate's seed under "
+                             f"master seed {master_seed}")
+        groups.setdefault((row.scenario, row.replicate), []).append(row.method)
+    for (sid, r), got in groups.items():
+        if sorted(got) != names:
+            raise ValueError(f"scenario {sid!r}, replicate {r}: rows for {sorted(got)}, "
+                             f"the run's methods are {names}")
+
+
 def run_replicate(
     scenario_id: str,
     config: ScenarioConfig,
@@ -359,7 +390,11 @@ def run_experiment(
                  replicate-specific seed derived from master_seed
     previous     ReportRows already written (resume): their (scenario,
                  replicate) pairs are skipped, and they come first in the
-                 report
+                 report.  Each must be a row this run would write: one of
+                 its scenarios (with that scenario's K as n_sources) and
+                 methods, a replicate below `replicates` with that
+                 replicate's seed under master_seed, and every (scenario,
+                 replicate) it holds must have one row per method
     row_sink     optional callable receiving each finished replicate's new
                  rows as they arrive (rows are still collected in the report)
 
@@ -367,7 +402,8 @@ def run_experiment(
     each, the latent class restarts use every CPU through
     `_parallel.fan_out`.  Results are deterministic given
     (scenarios, methods, replicates, master_seed).  `replicates` and
-    `test_n` are integers >= 1 and `master_seed` an integer >= 0 (a
+    `test_n` are integers >= 1, `master_seed` an integer >= 0, `methods`
+    distinct MethodIds (or their names) and `previous` as above (a
     ValueError otherwise, before any replicate runs or is skipped).  Raises
     RuntimeError when more than MAX_FAILURE_RATE of the method-replicates
     fail, previous and new rows together.
@@ -375,7 +411,12 @@ def run_experiment(
     check_count("replicates", replicates, 1)
     check_count("test_n", test_n, 1)
     check_count("master seed", master_seed, 0)
-    methods = tuple(methods)
+    methods = tuple(MethodId(m) for m in methods)
+    repeated = [m.value for m in methods if methods.count(m) > 1]
+    if repeated:
+        raise ValueError(f"methods: {repeated[0]!r} is named twice")
+    scenarios = tuple(scenarios)
+    _check_previous(previous, scenarios, methods, replicates, master_seed)
     transfer_config = transfer_config or TransferConfig()
     all_rows = list(previous)
     written = {(row.scenario, row.replicate) for row in all_rows}

@@ -5,6 +5,7 @@ configuration, file and data error."""
 import contextlib
 import io
 import json
+import re
 import shutil
 from dataclasses import replace
 
@@ -12,21 +13,14 @@ import numpy as np
 import pytest
 
 from targeted_psm import core, lca, transfer
-from targeted_psm.cli import (
-    ConfigError,
-    experiment_scenarios,
-    load_config,
-    main,
-    methods_from_config,
-    scenario_from_config,
-    transfer_from_config,
-)
+from targeted_psm.cli import ConfigError, load_config, main
 from targeted_psm.baselines import MethodId
 from targeted_psm.core import read_study_csv
 from targeted_psm.evaluate import read_report_rows, write_report_rows
 from targeted_psm.glm import SolverError
-from targeted_psm.simulate import generate_scenario
-from targeted_psm.transfer import load_transfer_fit, predict_risk
+from targeted_psm.lca import LcaFitConfig
+from targeted_psm.simulate import ScenarioConfig, generate_scenario
+from targeted_psm.transfer import TransferConfig, load_transfer_fit, predict_risk
 
 
 TINY_SCENARIO = {
@@ -88,61 +82,80 @@ def test_a_malformed_config_exits_2_with_one_config_error_line(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_scenario_from_config_unknown_field():
-    with pytest.raises(ConfigError, match="scenario.nope"):
-        scenario_from_config({"scenario": {"nope": 1}})
+def _load(tmp_path, payload, seed=None):
+    """load_config on a config file holding `payload`."""
+    return load_config(_write_config(tmp_path, payload), seed)
 
 
-def test_scenario_from_config_preset_and_overrides():
-    cfg = scenario_from_config({"scenario": dict(TINY_SCENARIO)})
+def test_load_config_names_an_unknown_setting(tmp_path):
+    for block, message in (("scenario", "scenario.nope"), ("tuning", "tuning.nope")):
+        with pytest.raises(ConfigError, match=message):
+            _load(tmp_path, {block: {"nope": 1}})
+
+
+def test_load_config_reads_a_preset_and_overrides(tmp_path):
+    cfg = _load(tmp_path, {"scenario": dict(TINY_SCENARIO)}).scenario
     assert (cfg.n0, cfg.n_k, cfg.K, cfg.p) == (150, 120, 1, 10)
     assert cfg.support_sizes == (1, 2, 4)
-    # seed override wins
-    cfg2 = scenario_from_config({"scenario": dict(TINY_SCENARIO)}, seed=42)
-    assert cfg2.seed == 42
+    assert cfg.seed == 0
+
+
+def test_the_seed_flag_replaces_the_seed_of_every_block(tmp_path):
+    payload = {"scenario": dict(TINY_SCENARIO), "tuning": {"seed": 1}, "lca": {"seed": 2},
+               "experiment": {"scenarios": [{"id": "a"}, {"id": "b", "seed": 3}]}}
+    kept = _load(tmp_path, payload)
+    assert (kept.scenario.seed, kept.transfer.seed, kept.lca.seed) == (0, 1, 2)
+    assert [s.seed for _, s in kept.scenarios] == [0, 3]
+    run = _load(tmp_path, payload, seed=42)
+    assert (run.scenario.seed, run.transfer.seed, run.lca.seed) == (42, 42, 42)
+    assert [s.seed for _, s in run.scenarios] == [42, 42]
+    assert run.scenario == replace(kept.scenario, seed=42)
+    assert (run.transfer, run.lca) == (replace(kept.transfer, seed=42), replace(kept.lca, seed=42))
+
+
+def test_load_config_without_a_file_holds_every_default():
+    run = load_config(None)
+    assert run.scenario == ScenarioConfig() and run.scenarios == (("scenario", run.scenario),)
+    assert run.methods == tuple(MethodId)
+    assert (run.transfer, run.lca) == (TransferConfig(), LcaFitConfig())
+    assert (run.replicates, run.test_n) == (20, 500)
 
 
 @pytest.mark.parametrize("block", ["scenario", "tuning", "lca", "experiment"])
 def test_non_object_block_exits_2(tmp_path, capsys, block):
     config = _write_config(tmp_path, {block: 5})
-    commands = [["experiment"]]
-    if block != "experiment":  # fit checks its blocks before it reads any data
-        commands.append(["fit", "--data", str(tmp_path / "no-data")])
-    for command in commands:
+    # fit checks every block before it reads any data
+    for command in (["experiment"], ["fit", "--data", str(tmp_path / "no-data")]):
         rc = main([*command, "--config", config, "--out", str(tmp_path / "x")])
         assert rc == 2
         assert f"{block} must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
 
-def test_config_lists_become_tuples():
-    cfg = transfer_from_config({"tuning": {"lambda_pool": [0.1, 0.2], "cv_grid": [1, 2]}})
+def test_config_lists_become_tuples(tmp_path):
+    cfg = _load(tmp_path, {"tuning": {"lambda_pool": [0.1, 0.2], "cv_grid": [1, 2]}}).transfer
     assert cfg.lambda_pool == (0.1, 0.2) and cfg.cv_grid == (1, 2)
-    scen = scenario_from_config(
-        {"scenario": {"prevalences": [[0.2, 0.8], [0.5, 0.5], [0.7, 0.3]], "q": 2}}
-    )
+    scen = _load(
+        tmp_path, {"scenario": {"prevalences": [[0.2, 0.8], [0.5, 0.5], [0.7, 0.3]], "q": 2}}
+    ).scenario
     assert scen.prevalences == ((0.2, 0.8), (0.5, 0.5), (0.7, 0.3))
 
 
-def test_transfer_from_config_unknown_field():
-    with pytest.raises(ConfigError, match="tuning.bogus"):
-        transfer_from_config({"tuning": {"bogus": 3}})
-
-
-def test_methods_from_config():
-    assert methods_from_config({}) == list(MethodId)
-    got = methods_from_config({"methods": ["naive_lasso", "targeted_psm"]})
-    assert got == [MethodId.NAIVE_LASSO, MethodId.TARGETED_PSM]
+def test_load_config_reads_the_methods(tmp_path):
+    got = _load(tmp_path, {"methods": ["naive_lasso", "targeted_psm"]}).methods
+    assert got == (MethodId.NAIVE_LASSO, MethodId.TARGETED_PSM)
     with pytest.raises(ConfigError, match="method"):
-        methods_from_config({"methods": ["nope"]})
+        _load(tmp_path, {"methods": ["nope"]})
+    with pytest.raises(ConfigError, match=re.escape("methods: 'naive_lasso' is named twice")):
+        _load(tmp_path, {"methods": ["naive_lasso", "targeted_psm", "naive_lasso"]})
 
 
-def test_experiment_scenarios_overrides_and_duplicates():
+def test_load_config_reads_experiment_overrides_and_refuses_duplicates(tmp_path):
     config = {
         "scenario": dict(TINY_SCENARIO),
         "experiment": {"scenarios": [{"id": "K1"}, {"id": "K0", "K": 0}]},
     }
-    scen = experiment_scenarios(config, seed=None)
+    scen = _load(tmp_path, config).scenarios
     assert [s[0] for s in scen] == ["K1", "K0"]
     assert scen[0][1].K == 1 and scen[1][1].K == 0
     dup = {
@@ -150,18 +163,18 @@ def test_experiment_scenarios_overrides_and_duplicates():
         "experiment": {"scenarios": [{"id": "x"}, {"id": "x", "K": 0}]},
     }
     with pytest.raises(ConfigError, match="duplicate"):
-        experiment_scenarios(dup, seed=None)
+        _load(tmp_path, dup)
 
 
-def test_an_experiment_scenario_naming_a_table_draws_it_over_an_explicit_base():
+def test_an_experiment_scenario_naming_a_table_draws_it_over_an_explicit_base(tmp_path):
     base = {**TINY_SCENARIO, "mixing": [[0.5, 0.3, 0.2]] * 2}
     config = {"scenario": base,
               "experiment": {"scenarios": [{"id": "base"}, {"id": "shift", "mixing": "large_diff"}]}}
-    (_, kept), (_, shift) = experiment_scenarios(config, seed=None)
+    (_, kept), (_, shift) = _load(tmp_path, config).scenarios
     assert kept.mixing == ((0.5, 0.3, 0.2),) * 2
     assert shift.mixing == "large_diff"
     assert shift.resolved_mixing().tolist() == [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]
-    preset = replace(scenario_from_config({"scenario": TINY_SCENARIO}), mixing="large_diff")
+    preset = replace(_load(tmp_path, {"scenario": TINY_SCENARIO}).scenario, mixing="large_diff")
 
     def arrays(collection):
         return [getattr(study, name) for study in collection.studies
@@ -175,7 +188,7 @@ def test_an_experiment_scenario_naming_a_table_draws_it_over_an_explicit_base():
                             "mixing_preset is not a recognized setting")):
         config["experiment"]["scenarios"] = [entry]
         with pytest.raises(ConfigError, match=message):
-            experiment_scenarios(config, seed=None)
+            _load(tmp_path, config)
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +777,59 @@ def test_a_bad_config_value_exits_2_naming_the_block(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, block, message",
+    [
+        ("simulate", {"tuning": {"cv_folds": "x"}}, "tuning: cv_folds must be an integer >= 2"),
+        ("simulate", {"lca": {"n_starts": 0}}, "lca: n_starts must be an integer >= 1, got 0"),
+        ("simulate", {"methods": ["bogus"]}, "methods: 'bogus' is unknown"),
+        ("simulate", {"experiment": {"replicates": -1}},
+         "experiment.replicates must be an integer >= 1, got -1"),
+        ("fit", {"methods": ["bogus"]}, "methods: 'bogus' is unknown"),
+        ("fit", {"experiment": {"test_n": 0}}, "experiment.test_n must be an integer >= 1, got 0"),
+        ("fit", {"experiment": {"scenarios": [{"id": "a", "K": -1}]}},
+         "experiment.scenarios[0]: K must be an integer >= 0, got -1"),
+        ("lca-select", {"scenario": {"n0": "x"}}, "scenario: n0 must be an integer >= 1, got 'x'"),
+        ("lca-select", {"tuning": {"max_em_iter": 0}},
+         "tuning: max_em_iter must be an integer >= 1, got 0"),
+        ("lca-select", {"methods": []}, "methods must be a non-empty JSON list"),
+        ("lca-select", {"experiment": {"scenarios": []}},
+         "experiment.scenarios must be a non-empty JSON list"),
+        ("experiment", {"methods": ["naive_lasso", "naive_lasso"]},
+         "methods: 'naive_lasso' is named twice"),
+    ],
+    ids=["simulate-tuning", "simulate-lca", "simulate-methods", "simulate-experiment",
+         "fit-methods", "fit-experiment", "fit-experiment-scenario", "lca-select-scenario",
+         "lca-select-tuning", "lca-select-methods", "lca-select-experiment",
+         "experiment-methods-twice"],
+)
+def test_a_bad_block_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command, block,
+                                                          message):
+    config = _write_config(tmp_path, {"scenario": dict(TINY_SCENARIO), **block})
+    out = ["--out", str(tmp_path / "fit.json")] if command == "fit" else []
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main([command, *_required_flags(command, tmp_path), *out,
+                     "--config", config]) == 2
+    assert printed.getvalue() == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {message}"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, block", [("simulate", "scenario"), ("fit", "tuning"),
+                                            ("lca-select", "lca")])
+def test_a_block_seed_the_seed_flag_replaces_is_still_checked(tmp_path, capsys, command, block):
+    payload = {"scenario": dict(TINY_SCENARIO)}
+    payload[block] = {**payload.get(block, {}), "seed": -1}
+    config = _write_config(tmp_path, payload)
+    assert main([command, *_required_flags(command, tmp_path), "--config", config,
+                 "--seed", "3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {block}: seed must be an integer >= 0, got -1"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_lca_select_stars_the_smaller_class_count_on_a_bic_tie(cli_workspace, capsys,
                                                                monkeypatch):
     monkeypatch.setattr(lca, "lca_bic", lambda model, data: 1234.5)
@@ -911,6 +977,56 @@ def test_experiment_resume_names_a_bad_rows_cell(experiment_config, tmp_path, ca
     assert capsys.readouterr().err.splitlines() == [
         f"config error: cannot resume: {rows_path}: {message}"]
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def written_experiment(tmp_path_factory):
+    """The config and rows.csv bytes of a two-replicate naive_lasso run with
+    --seed 0."""
+    root = tmp_path_factory.mktemp("cli_resume")
+    payload = {"scenario": dict(TINY_SCENARIO), "methods": ["naive_lasso"],
+               "tuning": dict(TINY_TUNING), "experiment": {"replicates": 2, "test_n": 50}}
+    config = _write_config(root, payload)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["experiment", "--config", config, "--out", str(root / "out"),
+                     "--seed", "0"]) == 0
+    return payload, (root / "out" / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "change, flags, message",
+    [
+        ({}, ["--seed", "1"], "row ('scenario', 'naive_lasso', replicate 0): seed "),
+        ({"methods": ["naive_lasso", "lca_glm"]}, [],
+         "scenario 'scenario', replicate 0: rows for ['naive_lasso'], the run's methods are "
+         "['lca_glm', 'naive_lasso']"),
+        ({"methods": ["lca_glm"]}, [],
+         "row ('scenario', 'naive_lasso', replicate 0): the run's methods are ['lca_glm']"),
+        ({"experiment": {"replicates": 1, "test_n": 50}}, [],
+         "row ('scenario', 'naive_lasso', replicate 1): the run's replicates are 0 to 0"),
+        ({"scenario": {**TINY_SCENARIO, "K": 2}}, [],
+         "row ('scenario', 'naive_lasso', replicate 0): n_sources is 1, the scenario's K is 2"),
+        ({"experiment": {"replicates": 2, "test_n": 50, "scenarios": [{"id": "K1"}]}}, [],
+         "row ('scenario', 'naive_lasso', replicate 0): the run's scenarios are ['K1']"),
+    ],
+    ids=["another-master-seed", "a-method-added", "another-method", "fewer-replicates",
+         "another-K", "another-scenario-id"],
+)
+def test_resuming_rows_this_run_would_not_write_exits_2(written_experiment, tmp_path, capsys,
+                                                        change, flags, message):
+    payload, rows = written_experiment
+    config = _write_config(tmp_path, {**payload, **change})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "rows.csv").write_bytes(rows)
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main(["experiment", "--config", config, "--out", str(out), "--resume",
+                     *flags]) == 2
+    assert printed.getvalue() == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot resume: {message}"), err
+    assert (out / "rows.csv").read_bytes() == rows
+    assert sorted(p.name for p in out.iterdir()) == ["rows.csv"]
 
 
 def test_experiment_force_restart_reproduces_statistics(experiment_config):

@@ -524,7 +524,7 @@ def test_run_experiment_takes_no_worker_count():
 def test_run_experiment_resume_and_sink():
     scenarios = [("mini", MINI)]
     methods = [MethodId.NAIVE_LASSO]
-    written = ReportRow("mini", "naive_lasso", 1, 0, 1, mse=0.5, auc=0.5)
+    written = ReportRow("mini", "naive_lasso", 1, _replicate_seed(7, 1), 1, mse=0.5, auc=0.5)
     seen = []
     report = run_experiment(
         scenarios, methods, replicates=3, test_n=100, master_seed=7,
@@ -538,7 +538,8 @@ def test_run_experiment_resume_and_sink():
 
 
 def test_run_experiment_judges_previous_and_new_rows_together(monkeypatch):
-    failed = ReportRow("mini", "naive_lasso", 0, 0, 1, error="SolverError: planted")
+    failed = ReportRow("mini", "naive_lasso", 0, _replicate_seed(0, 0), 1,
+                       error="SolverError: planted")
     # one new row that succeeds: 1 of 2 rows failed, above MAX_FAILURE_RATE
     with pytest.raises(RuntimeError, match=re.escape(
             "1/2 method-replicates failed (first: SolverError: planted)")):
@@ -557,6 +558,57 @@ def test_run_experiment_judges_previous_and_new_rows_together(monkeypatch):
     report = run_experiment([("mini", MINI)], [MethodId.NAIVE_LASSO], replicates=1,
                             previous=[failed])
     assert report.rows == (failed,)
+
+
+def _written(replicate, method="naive_lasso", **fields):
+    """A row of replicate `replicate` as a run of MINI over [targeted_psm,
+    naive_lasso] with master seed 7 writes it."""
+    return ReportRow(**{"scenario": "mini", "method": method, "replicate": replicate,
+                        "seed": _replicate_seed(7, replicate), "n_sources": 1, **fields})
+
+
+@pytest.mark.parametrize("previous, message", [
+    ([_written(0, scenario="other"), _written(0, "targeted_psm")],
+     "row ('other', 'naive_lasso', replicate 0): the run's scenarios are ['mini']"),
+    ([_written(0, "lca_glm"), _written(0, "targeted_psm")],
+     "row ('mini', 'lca_glm', replicate 0): the run's methods are "
+     "['naive_lasso', 'targeted_psm']"),
+    ([_written(2), _written(2, "targeted_psm")],
+     "row ('mini', 'naive_lasso', replicate 2): the run's replicates are 0 to 1"),
+    ([ReportRow("mini", "naive_lasso", -1, 0, 1)], "row ('mini', 'naive_lasso', replicate -1): the run's replicates are 0 to 1"),
+    ([_written(0, n_sources=3), _written(0, "targeted_psm")],
+     "row ('mini', 'naive_lasso', replicate 0): n_sources is 3, the scenario's K is 1"),
+    ([_written(1, seed=_replicate_seed(8, 1)), _written(1, "targeted_psm")],
+     f"row ('mini', 'naive_lasso', replicate 1): seed {_replicate_seed(8, 1)} is not the "
+     "replicate's seed under master seed 7"),
+    ([_written(0)],
+     "scenario 'mini', replicate 0: rows for ['naive_lasso'], the run's methods are "
+     "['naive_lasso', 'targeted_psm']"),
+    ([_written(0), _written(0), _written(0, "targeted_psm")],
+     "scenario 'mini', replicate 0: rows for ['naive_lasso', 'naive_lasso', 'targeted_psm']"),
+], ids=["scenario", "method", "replicate-past-the-count", "negative-replicate", "n-sources",
+        "seed-of-another-master-seed", "a-method-missing", "a-method-twice"])
+def test_previous_rows_this_run_would_not_write_are_refused_before_a_replicate(
+        monkeypatch, previous, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate ran before the previous rows were checked")
+
+    monkeypatch.setattr(evaluate, "run_replicate", never)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment([("mini", MINI)], [MethodId.TARGETED_PSM, MethodId.NAIVE_LASSO],
+                       replicates=2, master_seed=7, previous=previous)
+
+
+@pytest.mark.parametrize("methods", [[MethodId.NAIVE_LASSO, MethodId.NAIVE_LASSO],
+                                     ["targeted_psm", "naive_lasso", MethodId.TARGETED_PSM]])
+def test_a_method_named_twice_is_refused_before_a_replicate(monkeypatch, methods):
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate ran before the methods were checked")
+
+    monkeypatch.setattr(evaluate, "run_replicate", never)
+    name = MethodId(methods[0]).value
+    with pytest.raises(ValueError, match=re.escape(f"methods: {name!r} is named twice")):
+        run_experiment([("mini", MINI)], methods, replicates=1)
 
 
 def test_run_experiment_failure_rate_guard(monkeypatch):

@@ -11,8 +11,10 @@ id, study row and source count is checked, above and below, by
 core.check_count alone, every penalty, CV multiplier, dispersion and real
 scenario parameter by core.check_real alone, no isfinite, isnan or 0/1 test
 is made outside core.check_real, study predictors are stacked only into
-a stage's design and a study CSV, and solver problems are built only by
-transfer._fit_class.
+a stage's design and a study CSV, solver problems are built only by
+transfer._fit_class, MAX_FAILURE_RATE is read only by
+evaluate.run_experiment, and the blocks of a parsed config payload are
+read only by cli.load_config.
 
 No linter ships with the project, so this walks each module's AST.  Names
 re-exported through the package's `__all__` count as used in `__init__.py`.
@@ -529,6 +531,31 @@ def _failure_rate_reads(tree, module):
             yield node.lineno, ast.unparse(node)
 
 
+# The one function that reads the blocks of a parsed config payload.
+CONFIG_READERS = {("cli.py", "load_config")}
+CONFIG_BLOCKS = {"scenario", "methods", "tuning", "lca", "experiment"}
+
+
+def _config_block_reads(tree, module):
+    """(line, text) of every subscript, .get(...) or .pop(...) keyed by a
+    config block name in `tree` outside cli.load_config: every block is
+    checked there, whichever ones a subcommand goes on to read, and a
+    second reader would be a subcommand that reads its own blocks and
+    leaves the others unchecked."""
+    for node, owner in _with_owner(tree):
+        if (module, owner) in CONFIG_READERS:
+            continue
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("get", "pop") and node.args):
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and key.value in CONFIG_BLOCKS:
+            yield node.lineno, ast.unparse(node)
+
+
 # Each scan walks every package module and must find nothing there.
 SCANS = {
     "processes": (_process_management, f"process management outside {sorted(PROCESS_MODULES)}"),
@@ -542,6 +569,7 @@ SCANS = {
                                           f"{sorted(PREDICTOR_STACKERS)}"),
     "class-fits": (_built_problems, f"solver problems built outside {sorted(PROBLEM_BUILDERS)}"),
     "failure-rate": (_failure_rate_reads, f"MAX_FAILURE_RATE read outside {sorted(FAILURE_JUDGES)}"),
+    "config-blocks": (_config_block_reads, f"config blocks read outside {sorted(CONFIG_READERS)}"),
 }
 
 
@@ -610,6 +638,9 @@ PLANTED = [
     ("failure-rate-in-the-cli", "failure-rate", "cli.py",
      "def _failed(rows):\n"
      "    return sum(r.error is not None for r in rows) > evaluate.MAX_FAILURE_RATE * len(rows)\n"),
+    ("tuning-read-in-fit", "config-blocks", "cli.py",
+     "def _cmd_fit(args):\n    return load_config(args.config).get(\"tuning\", {})\n"),
+    ("lca-subscript", "config-blocks", "cli.py", "def _lca(payload):\n    return payload['lca']\n"),
 ]
 
 

@@ -1,9 +1,10 @@
 """The README's code blocks hold as written: the Python quick start runs,
 every `targeted-psm` line of the command-line block parses with the CLI's
-own parser, and the config schema passes every block reader of
-`load_config`.  A renamed function, flag or config field fails here
-instead of leaving the README stale."""
+own parser, and the config schema loads through `cli.load_config` into the
+RunConfig fields it names.  A renamed function, flag or config field fails
+here instead of leaving the README stale."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -36,17 +37,19 @@ def test_every_command_line_parses():
         assert cli.build_parser().parse_args(words[1:]).command == words[1]
 
 
-def test_the_config_schema_passes_every_block_reader(tmp_path):
+def test_the_config_schema_loads_into_every_run_config_field(tmp_path):
     (schema,) = _blocks("json")
     path = tmp_path / "config.json"
     path.write_text(schema)
-    config = cli.load_config(path)
-    assert set(config) == {"scenario", "methods", "tuning", "lca", "experiment"}
-    scenario = cli.scenario_from_config(config)
+    written = json.loads(schema)
+    assert set(written) == {"scenario", "methods", "tuning", "lca", "experiment"}
+    run = cli.load_config(path)
     for name in ("n0", "prevalences", "mixing"):
-        assert getattr(scenario, name) == config["scenario"][name]
-    assert cli.transfer_from_config(config).cv_folds == config["tuning"]["cv_folds"]
-    assert cli.lca_from_config(config).n_starts == config["lca"]["n_starts"]
-    assert [m.value for m in cli.methods_from_config(config)] == config["methods"]
-    ids = [entry["id"] for entry in config["experiment"]["scenarios"]]
-    assert [sid for sid, _ in cli.experiment_scenarios(config)] == ids
+        assert getattr(run.scenario, name) == written["scenario"][name]
+    assert run.transfer.cv_folds == written["tuning"]["cv_folds"]
+    assert run.lca.n_starts == written["lca"]["n_starts"]
+    assert [m.value for m in run.methods] == written["methods"]
+    experiment = written["experiment"]
+    assert [sid for sid, _ in run.scenarios] == [entry["id"] for entry in experiment["scenarios"]]
+    assert [s.K for _, s in run.scenarios] == [entry["K"] for entry in experiment["scenarios"]]
+    assert (run.replicates, run.test_n) == (experiment["replicates"], experiment["test_n"])
